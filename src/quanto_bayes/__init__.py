@@ -22,7 +22,6 @@ from .inference import (
     ProposalSpec,
     conjugate_sample,
     default_proposals,
-    log_joint_posterior,
     mle_estimate,
     mwg_sample,
     propose,

@@ -155,7 +155,10 @@ def load_config(path, **overrides) -> ExperimentConfig:
             text = text.strip()
             if key not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _convert(key, text, base)
+            try:
+                values[key] = _convert(key, text, base)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: invalid value for {key!r}: {text!r}") from None
     for key, value in overrides.items():
         if value is None:
             continue
@@ -313,15 +316,18 @@ def _write_draws(path, chain: Chain):
 def _load_draws(path) -> Chain:
     if not os.path.exists(path):
         raise ConfigError(f"draws file not found: {path}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 3:
-        raise ConfigError(f"{path}: expected 3 columns, got {data.shape[1]}")
-    return Chain(
-        draws=data,
-        burn_in=0,
-        acceptance_counts=np.full(3, data.shape[0], dtype=int),
-        seed=0,
-    )
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] != 3:
+            raise ValueError(f"expected 3 columns, got {data.shape[1]}")
+        return Chain(
+            draws=data,
+            burn_in=0,
+            acceptance_counts=np.full(3, data.shape[0], dtype=int),
+            seed=0,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed draws file: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +560,7 @@ def cmd_experiment(cfg: ExperimentConfig):
                 if baseline_rows is None:
                     baseline_rows = rows
                 performance.extend(_aggregate_buckets(fx_name, window, family, rows,
-                                                      rpe_col=13, nse_col=7))
+                                                      rpe_col=13, se_col=7))
                 for row in rows:
                     curves.append((fx_name, window, family, row[0], row[1],
                                    row[5], row[6]))
@@ -562,14 +568,14 @@ def cmd_experiment(cfg: ExperimentConfig):
                 for model, rpe_col, price_col in (("bs_i", 14, 11), ("bs_h", 15, 12)):
                     performance.extend(_aggregate_buckets(fx_name, window, model,
                                                           baseline_rows,
-                                                          rpe_col=rpe_col, nse_col=None))
+                                                          rpe_col=rpe_col, se_col=None))
                     for row in baseline_rows:
                         curves.append((fx_name, window, model, row[0], row[1],
                                        row[5], row[price_col]))
 
     _write_csv(
         os.path.join(out_dir, "pricing_performance.csv"),
-        ("fx", "window", "model", "bucket", "mean_rpe", "mean_nse", "n_quotes"),
+        ("fx", "window", "model", "bucket", "mean_rpe", "mean_mc_std_error", "n_quotes"),
         performance,
     )
     _write_csv(
@@ -586,18 +592,18 @@ def cmd_experiment(cfg: ExperimentConfig):
     return failures
 
 
-def _aggregate_buckets(fx_name, window, model, rows, rpe_col, nse_col):
+def _aggregate_buckets(fx_name, window, model, rows, rpe_col, se_col):
     out = []
     for bucket in ("ITM", "ATM", "OTM"):
         sel = [r for r in rows if r[3] == bucket]
         rpes = [r[rpe_col] for r in sel if r[rpe_col] is not None]
         mean_rpe = sum(rpes) / len(rpes) if rpes else None
-        if nse_col is None:
-            mean_nse = None
+        if se_col is None:
+            mean_se = None
         else:
-            nses = [r[nse_col] for r in sel if r[nse_col] is not None]
-            mean_nse = sum(nses) / len(nses) if nses else None
-        out.append((fx_name, window, model, bucket, mean_rpe, mean_nse, len(sel)))
+            ses = [r[se_col] for r in sel if r[se_col] is not None]
+            mean_se = sum(ses) / len(ses) if ses else None
+        out.append((fx_name, window, model, bucket, mean_rpe, mean_se, len(sel)))
     return out
 
 

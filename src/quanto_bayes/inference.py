@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln, ndtr, ndtri, stdtr, stdtrit
-from scipy.stats import invwishart
 
 from .model import Drift, ReturnPanel, Theta
 
@@ -40,10 +39,6 @@ __all__ = [
     "NiwHyperparams",
     "PARAMETERS",
     "FAMILY_CODES",
-    "log_cond_sigma_x",
-    "log_cond_sigma_h",
-    "log_cond_rho",
-    "log_joint_posterior",
     "propose",
     "proposal_logpdf",
     "mh_log_acceptance",
@@ -135,22 +130,6 @@ class PosteriorKernel:
             )
         except ZeroDivisionError:
             return NEG_INF
-
-
-def log_cond_sigma_x(sigma_x, sigma_h, rho, panel: ReturnPanel):
-    return PosteriorKernel(panel).log_cond_sigma_x(sigma_x, sigma_h, rho)
-
-
-def log_cond_sigma_h(sigma_h, sigma_x, rho, panel: ReturnPanel):
-    return PosteriorKernel(panel).log_cond_sigma_h(sigma_h, sigma_x, rho)
-
-
-def log_cond_rho(rho, sigma_x, sigma_h, panel: ReturnPanel):
-    return PosteriorKernel(panel).log_cond_rho(rho, sigma_x, sigma_h)
-
-
-def log_joint_posterior(theta: Theta, panel: ReturnPanel):
-    return PosteriorKernel(panel).log_joint(theta.sigma_x, theta.sigma_h, theta.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +562,11 @@ def niw_posterior(panel, hyper: NiwHyperparams):
 def conjugate_sample(panel, hyper: NiwHyperparams, n_draws, burn_in, seed) -> Chain:
     """Exact draws from the conjugate posterior (the MNC baseline).
 
-    Covariance matrices are drawn from the Inverse-Wishart posterior and
-    mapped to (sigma_x, sigma_h, rho); every draw satisfies |rho| < 1 by
+    Each precision matrix W ~ Wishart(df_n, scale_n^-1) is drawn with the
+    Bartlett decomposition W = L A A' L', where L = chol(scale_n^-1) and A is
+    lower triangular with A11^2 ~ chi2(df_n), A22^2 ~ chi2(df_n - 1) and
+    A21 ~ N(0, 1); the covariance W^-1 is inverted in closed form and mapped
+    to (sigma_x, sigma_h, rho). Every draw satisfies |rho| < 1 by
     construction. Draws are independent, so the burn-in is kept only for
     interface symmetry with :func:`mwg_sample`.
     """
@@ -593,12 +575,21 @@ def conjugate_sample(panel, hyper: NiwHyperparams, n_draws, burn_in, seed) -> Ch
     if not 0 <= burn_in < n_draws:
         raise ValueError(f"need n_draws > burn_in >= 0, got {n_draws}, {burn_in}")
     _, _, df_n, scale_n = niw_posterior(panel, hyper)
+    chol = np.linalg.cholesky(np.linalg.inv(scale_n))
     rng = np.random.default_rng(seed)
-    cov = invwishart.rvs(df=df_n, scale=scale_n, size=n_draws, random_state=rng)
-    cov = np.asarray(cov, dtype=float).reshape(n_draws, 2, 2)
-    sigma_x = np.sqrt(cov[:, 0, 0])
-    sigma_h = np.sqrt(cov[:, 1, 1])
-    rho = cov[:, 0, 1] / (sigma_x * sigma_h)
+    a11 = np.sqrt(rng.chisquare(df_n, n_draws))
+    a22 = np.sqrt(rng.chisquare(df_n - 1.0, n_draws))
+    a21 = rng.standard_normal(n_draws)
+    b11 = chol[0, 0] * a11
+    b21 = chol[1, 0] * a11 + chol[1, 1] * a21
+    b22 = chol[1, 1] * a22
+    w11 = b11 * b11
+    w12 = b11 * b21
+    w22 = b21 * b21 + b22 * b22
+    det = w11 * w22 - w12 * w12
+    sigma_x = np.sqrt(w22 / det)
+    sigma_h = np.sqrt(w11 / det)
+    rho = -w12 / np.sqrt(w11 * w22)
     draws = np.column_stack([sigma_x, sigma_h, rho])
     return Chain(
         draws=draws,

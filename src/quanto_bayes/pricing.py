@@ -3,13 +3,14 @@ with a closed-form anchor for the fixed-rate payoff and Black-Scholes
 baselines.
 
 ``price_predictive`` consumes one posterior draw per simulated path: the
-retained chain is thinned to ``n_paths`` evenly spaced entries, each path
-simulates ``horizon_s`` daily return pairs under the domestic risk-neutral
-measure, and the discounted payoffs are averaged. Randomness is consumed in
-a fixed order (per step: one batch of asset shocks, then one batch of
-exchange-rate shocks; the fixed-rate payoff F3 uses only the asset batch),
-so a fixed seed reproduces the result bit for bit and common random numbers
-apply across strikes.
+retained chain is thinned to ``n_paths`` evenly spaced entries, and the
+discounted payoffs are averaged. With the parameters fixed along a static
+path, the ``horizon_s`` daily return pairs under the domestic risk-neutral
+measure sum to one bivariate normal, so each path takes a single exact
+terminal draw. Randomness is consumed in a fixed order (one batch of asset
+shocks, then one batch of exchange-rate shocks; the fixed-rate payoff F3
+uses only the asset batch), so a fixed seed reproduces the result bit for
+bit and common random numbers apply across strikes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy.special import ndtr
 
 from .diagnostics import hpdi
 from .inference import Chain, mwg_sample
-from .model import MarketConfig, ReturnPanel, SpotState, Theta, payoff, risk_neutral_drifts
+from .model import MarketConfig, ReturnPanel, SpotState, Theta, payoff, simulate_return_pair
 
 __all__ = [
     "PricingRequest",
@@ -118,11 +119,15 @@ def _thin_indices(n_available, n_paths):
 
 
 def thinned_draw_count(chain: Chain, n_paths):
-    """Distinct post-burn-in draws consumed when thinning to n_paths paths."""
+    """Distinct post-burn-in draws consumed when thinning to n_paths paths.
+
+    The thinning indices (k*A)//N are strictly increasing when N <= A and
+    cover every index when N > A, so the count is min(A, N).
+    """
     retained = chain.post_burn_in()
     if retained.shape[0] == 0:
         raise ValueError("chain has no post-burn-in draws")
-    return int(np.unique(_thin_indices(retained.shape[0], n_paths)).size)
+    return min(retained.shape[0], int(n_paths))
 
 
 def summarize_payoffs(discounted, n_effective_draws) -> PricingResult:
@@ -170,7 +175,11 @@ def predictive_samples(request: PricingRequest, chain: Chain,
     """Per-draw discounted payoffs backing :func:`price_predictive`.
 
     This is the sample whose mean is the price and whose histogram is the
-    predictive density of the discounted payoff.
+    predictive density of the discounted payoff. In static mode each path
+    draws its terminal log-levels exactly: log(X_T/x0) = s*m_x +
+    sqrt(s)*sigma_x*z1 from one batch of ``n_paths`` normals, then, except
+    for F3, log(H_T/h0) = s*m_h + sqrt(s)*sigma_h*(rho*z1 +
+    sqrt(1-rho^2)*z2) from a second batch.
     """
     retained = chain.post_burn_in()
     if retained.shape[0] == 0:
@@ -196,24 +205,18 @@ def predictive_samples(request: PricingRequest, chain: Chain,
     sx = thetas[:, 0]
     sh = thetas[:, 1]
     rho = thetas[:, 2]
-    mean_x = market.r_f - rho * sx * sh - 0.5 * sx * sx
-    mean_h = market.r_d - market.r_f - 0.5 * sh * sh
-    comp = np.sqrt(1.0 - rho * rho)
-
-    n = request.n_paths
+    root_s = math.sqrt(s)
     rng = np.random.default_rng(request.seed)
-    acc_x = np.zeros(n)
-    acc_h = np.zeros(n)
-    only_x = request.kind == "F3"
-    for _ in range(s):
-        z1 = rng.standard_normal(n)
-        acc_x += mean_x + sx * z1
-        if not only_x:
-            z2 = rng.standard_normal(n)
-            acc_h += mean_h + sh * (rho * z1 + comp * z2)
-
-    x_term = spot.x0 * np.exp(acc_x)
-    h_term = spot.h0 if only_x else spot.h0 * np.exp(acc_h)
+    z1 = rng.standard_normal(request.n_paths)
+    x_term = spot.x0 * np.exp(s * (market.r_f - rho * sx * sh - 0.5 * sx * sx)
+                              + root_s * sx * z1)
+    if request.kind == "F3":
+        h_term = spot.h0
+    else:
+        z2 = rng.standard_normal(request.n_paths)
+        shock = rho * z1 + np.sqrt(1.0 - rho * rho) * z2
+        h_term = spot.h0 * np.exp(s * (market.r_d - market.r_f - 0.5 * sh * sh)
+                                  + root_s * sh * shock)
     values = payoff(request.kind, x_term, h_term, request.strike, market)
     return math.exp(-market.r_d * s) * values
 
@@ -237,13 +240,7 @@ def _simulate_sequential(request, thetas, settings: SequentialSettings):
         xs = []
         hs = []
         for j in range(1, s + 1):
-            mean_x, mean_h = risk_neutral_drifts(market, theta)
-            z1 = rng.standard_normal()
-            z2 = rng.standard_normal()
-            x = mean_x + theta.sigma_x * z1
-            h = mean_h + theta.sigma_h * (
-                theta.rho * z1 + math.sqrt(1.0 - theta.rho ** 2) * z2
-            )
+            x, h = simulate_return_pair(theta, market, rng)
             xs.append(x)
             hs.append(h)
             if j % interval == 0 and j < s:

@@ -255,7 +255,7 @@ def test_criterion_09_experiment_layout_on_fixtures(tmp_path):
         assert row["mean_rpe"] != "nan"
         if row["model"] in ("ign", "mnc"):
             assert float(row["mean_rpe"]) >= 0.0
-            assert float(row["mean_nse"]) >= 0.0
+            assert float(row["mean_mc_std_error"]) >= 0.0
     with open(os.path.join(out_dir, "pricing_curves.csv"), newline="",
               encoding="utf-8") as f:
         curves = list(csv.DictReader(f))

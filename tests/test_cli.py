@@ -1,6 +1,8 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -273,11 +275,43 @@ def test_main_price_then_diagnose(tmp_path):
     assert main(["diagnose", "--config", cfg_path, "--draws", draws]) == 0
 
 
-def test_main_validation_failures_exit_one(tmp_path):
+def test_main_validation_failures_exit_one(tmp_path, capsys):
     assert main(["estimate", "--config", os.path.join(str(tmp_path), "none.cfg")]) == 1
     cfg_path = make_workspace(tmp_path)
     bad = os.path.join(str(tmp_path), "missing_draws.csv")
     assert main(["price", "--config", cfg_path, "--draws", bad]) == 1
+
+    for key, value in (("draws", "2e4"), ("seed", "x"), ("windows", "a")):
+        root = tmp_path / f"bad_{key}"
+        root.mkdir()
+        bad_cfg = make_workspace(root, **{key: value})
+        capsys.readouterr()
+        assert main(["estimate", "--config", bad_cfg]) == 1, key
+        err = capsys.readouterr().err
+        assert f"{bad_cfg}:" in err and repr(key) in err, err
+
+    for name, body in (
+        ("nan.csv", "0.006,0.004,0.1\nnan,0.004,0.1\n"),
+        ("width.csv", "0.006,0.004\n0.006,0.004\n"),
+        ("support.csv", "0.006,0.004,0.1\n0.006,-0.004,0.1\n"),
+        ("rho.csv", "0.006,0.004,1.0\n"),
+    ):
+        draws = os.path.join(str(tmp_path), name)
+        with open(draws, "w", encoding="utf-8") as f:
+            f.write("sigma_x,sigma_h,rho\n" + body)
+        capsys.readouterr()
+        assert main(["price", "--config", cfg_path, "--draws", draws]) == 1, name
+        assert draws in capsys.readouterr().err, name
+
+
+def test_cli_import_skips_scipy_stats():
+    code = "import sys, quanto_bayes.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_main_family_and_seed_overrides(tmp_path):

@@ -12,7 +12,6 @@ from quanto_bayes.inference import (
     ProposalSpec,
     conjugate_sample,
     default_proposals,
-    log_joint_posterior,
     mh_log_acceptance,
     mle_estimate,
     mwg_sample,
@@ -35,7 +34,7 @@ def test_joint_posterior_hand_value_on_antithetic_panel():
     h = np.array([0.006, -0.006, -0.002, 0.002])
     panel = ReturnPanel(x, h)
     expected = -np.sum(x ** 2) / 2.0 - np.sum(h ** 2) / 2.0
-    got = log_joint_posterior(Theta(1.0, 1.0, 1e-300), panel)
+    got = PosteriorKernel(panel).log_joint(1.0, 1.0, 1e-300)
     assert got == pytest.approx(expected, rel=1e-12)
 
 

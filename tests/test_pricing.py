@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import lognorm
+from scipy.stats import ks_2samp, lognorm
 
+from quanto_bayes import pricing
 from quanto_bayes.inference import Chain, default_proposals
 from quanto_bayes.model import MarketConfig, SpotState, Theta
 from quanto_bayes.pricing import (
@@ -16,6 +17,7 @@ from quanto_bayes.pricing import (
     predictive_samples,
     price_predictive,
     relative_pricing_error,
+    thinned_draw_count,
 )
 
 from conftest import synth_panel
@@ -117,27 +119,77 @@ def test_fixed_seed_reproduces_result_bitwise():
 
 
 def test_one_draw_chain_equals_plain_fixed_parameter_pricer():
-    # independent oracle sharing the documented stream convention
+    # independent oracle sharing the documented stream convention: one batch
+    # of asset shocks, then (except for F3) one batch of exchange-rate shocks
     n, s, strike = 5000, 13, 2700.0
-    request = PricingRequest(kind="F2", strike=strike, horizon_s=s, spot=SPOT,
-                             market=MARKET, n_paths=n, seed=123)
-    mine = predictive_samples(request, one_draw_chain())
-    rng = np.random.default_rng(123)
     mx = MARKET.r_f - THETA.rho * THETA.sigma_x * THETA.sigma_h - THETA.sigma_x ** 2 / 2
     mh = MARKET.r_d - MARKET.r_f - THETA.sigma_h ** 2 / 2
     comp = math.sqrt(1 - THETA.rho ** 2)
-    ax = np.zeros(n)
-    ah = np.zeros(n)
+    rng = np.random.default_rng(123)
+    z1 = rng.standard_normal(n)
+    z2 = rng.standard_normal(n)
+    x_term = SPOT.x0 * np.exp(s * mx + math.sqrt(s) * THETA.sigma_x * z1)
+    h_term = SPOT.h0 * np.exp(s * mh + math.sqrt(s) * THETA.sigma_h * (THETA.rho * z1 + comp * z2))
+    disc = math.exp(-MARKET.r_d * s)
+    oracles = {
+        "F2": disc * h_term * np.maximum(x_term - strike, 0.0),
+        "F3": disc * MARKET.h_fix * np.maximum(x_term - strike, 0.0),
+    }
+    for kind, oracle in oracles.items():
+        request = PricingRequest(kind=kind, strike=strike, horizon_s=s, spot=SPOT,
+                                 market=MARKET, n_paths=n, seed=123)
+        mine = predictive_samples(request, one_draw_chain())
+        np.testing.assert_allclose(mine, oracle, rtol=0.0, atol=1e-12, err_msg=kind)
+        result = price_predictive(request, one_draw_chain())
+        assert result.price == pytest.approx(float(oracle.mean()), abs=1e-12), kind
+
+
+@pytest.mark.parametrize("s", [13, 51])
+def test_terminal_draw_matches_daily_construction_in_distribution(s, monkeypatch):
+    theta = Theta(0.006, 0.004, 0.6)
+    n = 20_000
+    captured = {}
+
+    def capture(kind, x_terminal, h_terminal, strike, market):
+        captured["x"] = np.log(x_terminal / SPOT.x0)
+        captured["h"] = np.log(h_terminal / SPOT.h0)
+        return np.zeros_like(x_terminal)
+
+    monkeypatch.setattr(pricing, "payoff", capture)
+    request = PricingRequest(kind="F2", strike=2700.0, horizon_s=s, spot=SPOT,
+                             market=MARKET, n_paths=n, seed=31)
+    predictive_samples(request, one_draw_chain(theta))
+    terminal = (captured["x"], captured["h"])
+
+    # the daily construction: s correlated return pairs summed per path
+    rng = np.random.default_rng(32)
+    mx = MARKET.r_f - theta.rho * theta.sigma_x * theta.sigma_h - theta.sigma_x ** 2 / 2
+    mh = MARKET.r_d - MARKET.r_f - theta.sigma_h ** 2 / 2
+    comp = math.sqrt(1 - theta.rho ** 2)
+    acc_x = np.zeros(n)
+    acc_h = np.zeros(n)
     for _ in range(s):
         z1 = rng.standard_normal(n)
         z2 = rng.standard_normal(n)
-        ax += mx + THETA.sigma_x * z1
-        ah += mh + THETA.sigma_h * (THETA.rho * z1 + comp * z2)
-    oracle = (math.exp(-MARKET.r_d * s) * SPOT.h0 * np.exp(ah)
-              * np.maximum(SPOT.x0 * np.exp(ax) - strike, 0.0))
-    np.testing.assert_allclose(mine, oracle, rtol=0.0, atol=1e-12)
-    result = price_predictive(request, one_draw_chain())
-    assert result.price == pytest.approx(float(oracle.mean()), abs=1e-12)
+        acc_x += mx + theta.sigma_x * z1
+        acc_h += mh + theta.sigma_h * (theta.rho * z1 + comp * z2)
+    daily = (acc_x, acc_h)
+
+    for a, b in zip(terminal, daily):
+        se_mean = math.sqrt(a.var(ddof=1) / n + b.var(ddof=1) / n)
+        assert abs(a.mean() - b.mean()) < 4.0 * se_mean
+
+        def var_se(v):
+            d2 = (v - v.mean()) ** 2
+            return d2.std(ddof=1) / math.sqrt(n)
+
+        se_var = math.hypot(var_se(a), var_se(b))
+        assert abs(a.var(ddof=1) - b.var(ddof=1)) < 4.0 * se_var
+        assert ks_2samp(a, b).pvalue > 1e-3
+
+    corr = [np.corrcoef(*pair)[0, 1] for pair in (terminal, daily)]
+    se_corr = math.hypot(*((1.0 - c * c) / math.sqrt(n) for c in corr))
+    assert abs(corr[0] - corr[1]) < 4.0 * se_corr
 
 
 def test_price_monotone_in_strike_common_random_numbers():
@@ -204,6 +256,11 @@ def test_thinning_consumes_evenly_spaced_draws():
                              market=MARKET, n_paths=100, seed=2)
     r = price_predictive(request, chain)
     assert r.n_effective_draws == 100
+    for n_available in range(1, 61):
+        chain = posterior_like_chain(n=n_available)
+        for n_paths in range(1, 61):
+            indices = (np.arange(n_paths) * n_available) // n_paths
+            assert thinned_draw_count(chain, n_paths) == np.unique(indices).size
 
 
 def test_request_validation():
