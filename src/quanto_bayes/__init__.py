@@ -24,7 +24,6 @@ from .inference import (
     default_proposals,
     mle_estimate,
     mwg_sample,
-    propose,
     proposal_logpdf,
 )
 from .diagnostics import ChainSummary, geweke_cd, hpdi, nse, summarize
@@ -38,6 +37,7 @@ from .pricing import (
     predictive_samples,
     price_predictive,
     relative_pricing_error,
+    sequential_samples,
 )
 from .data_io import (
     OptionQuote,

@@ -55,6 +55,7 @@ from .pricing import (
     implied_vol,
     predictive_samples,
     relative_pricing_error,
+    sequential_samples,
     summarize_payoffs,
     thinned_draw_count,
 )
@@ -196,7 +197,7 @@ def _resolve(path, base):
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value, spec="%.12g"):
+def _fmt(value):
     if value is None:
         return "NA"
     if isinstance(value, str):
@@ -206,18 +207,22 @@ def _fmt(value, spec="%.12g"):
     v = float(value)
     if not math.isfinite(v):
         return "NA"
-    return spec % v
+    return "%.12g" % v
 
 
-def _write_csv(path, header, rows, spec="%.12g"):
-    """Write a table atomically; cells are formatted with ``_fmt``."""
+def _write_lines(path, header, lines):
+    """Write a header row and newline-terminated lines atomically."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(cell, spec) for cell in row) + "\n")
+        handle.writelines(lines)
     os.replace(tmp, path)
+
+
+def _write_csv(path, header, rows):
+    """Write a table atomically; cells are formatted with ``_fmt``."""
+    _write_lines(path, header, (",".join(_fmt(cell) for cell in row) + "\n" for row in rows))
 
 
 def _write_manifest(out_dir, cfg: ExperimentConfig, command, extra=()):
@@ -310,7 +315,17 @@ def _summary_rows(family, panel=None, chain=None):
 
 
 def _write_draws(path, chain: Chain):
-    _write_csv(path, PARAMETERS, chain.post_burn_in(), spec="%.17g")
+    """Write the post-burn-in draws, one ``%.17g`` row per draw.
+
+    ``Chain`` holds only finite draws, so no cell needs ``_fmt``'s NA case.
+    Rows become Python floats a block at a time, which keeps formatting
+    fast without a list of the whole chain in memory.
+    """
+    draws = chain.post_burn_in()
+    block = 1024
+    rows = (row for start in range(0, draws.shape[0], block)
+            for row in draws[start:start + block].tolist())
+    _write_lines(path, PARAMETERS, ("%.17g,%.17g,%.17g\n" % tuple(row) for row in rows))
 
 
 def _load_draws(path) -> Chain:
@@ -385,11 +400,8 @@ def _price_chain_against_quotes(cfg, chain, quotes, market, panel, h_level,
             refresh_draws=cfg.refresh_draws,
             refresh_burn_in=cfg.refresh_burn_in,
         )
-    rows = []
-    hist_rows = []
-    for quote in quotes:
-        quanto = construct_quanto(quote, market, cfg.h_fix)
-        request = PricingRequest(
+    requests = [
+        PricingRequest(
             kind="F3",
             strike=quote.strike,
             horizon_s=quote.maturity_days,
@@ -400,7 +412,17 @@ def _price_chain_against_quotes(cfg, chain, quotes, market, panel, h_level,
             mode=cfg.mode,
             refresh_interval=cfg.refresh_interval,
         )
-        samples = predictive_samples(request, chain, sequential)
+        for quote in quotes
+    ]
+    if sequential is not None:
+        # one simulation per path, shared by every quote
+        all_samples = sequential_samples(requests, chain, sequential)
+    else:
+        all_samples = (predictive_samples(request, chain) for request in requests)
+    rows = []
+    hist_rows = []
+    for quote, samples in zip(quotes, all_samples):
+        quanto = construct_quanto(quote, market, cfg.h_fix)
         result = summarize_payoffs(samples, thinned_draw_count(chain, cfg.n_paths))
 
         disc = math.exp(-market.r_d * quote.maturity_days) * cfg.h_fix

@@ -39,9 +39,7 @@ __all__ = [
     "NiwHyperparams",
     "PARAMETERS",
     "FAMILY_CODES",
-    "propose",
     "proposal_logpdf",
-    "mh_log_acceptance",
     "mwg_sample",
     "mle_estimate",
     "niw_posterior",
@@ -199,13 +197,17 @@ def _truncated_candidates(spec: ProposalSpec, u):
     return np.maximum(v, np.finfo(float).tiny)
 
 
-def propose(spec: ProposalSpec, current, rng):
-    """Draw one candidate from the proposal, given the current value."""
+def _proposal_stream(spec: ProposalSpec, rng, n_draws):
+    """``n_draws`` proposal variates for one parameter, in the sampler's RNG order.
+
+    Independence families give candidates; the random-walk normal gives the
+    steps added to the current value.
+    """
     if spec.family == "normal":
-        return current + spec.scale * rng.standard_normal()
+        return spec.scale * rng.standard_normal(n_draws)
     if spec.family == "inverse_gamma":
-        return math.sqrt(spec.scale / rng.standard_gamma(spec.shape))
-    return float(_truncated_candidates(spec, rng.random()))
+        return np.sqrt(spec.scale / rng.standard_gamma(spec.shape, size=n_draws))
+    return _truncated_candidates(spec, rng.random(n_draws))
 
 
 def _make_logpdf(spec: ProposalSpec):
@@ -276,23 +278,6 @@ def proposal_logpdf(spec: ProposalSpec, value, center=None):
     if spec.family == "normal" and center is not None:
         return fn(value, center)
     return fn(value)
-
-
-def mh_log_acceptance(log_target_candidate, log_target_current,
-                      log_proposal_candidate=0.0, log_proposal_current=0.0):
-    """Log acceptance probability of one Metropolis-Hastings step.
-
-    min(0, [target(cand) - target(cur)] + [q(cur) - q(cand)]); the move is
-    accepted when log(u) is below this value. A candidate outside the target
-    support (-inf kernel) is never accepted.
-    """
-    if log_target_candidate == NEG_INF:
-        return NEG_INF
-    return min(
-        0.0,
-        (log_target_candidate - log_target_current)
-        + (log_proposal_current - log_proposal_candidate),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +378,16 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed, kernel=None):
         init = Theta(*init)
 
     rng = np.random.default_rng(seed)
-    streams = []
-    for spec in specs:
-        if spec.family == "normal":
-            streams.append(spec.scale * rng.standard_normal(n_draws))
-        elif spec.family == "inverse_gamma":
-            streams.append(np.sqrt(spec.scale / rng.standard_gamma(spec.shape, size=n_draws)))
-        else:
-            streams.append(_truncated_candidates(spec, rng.random(n_draws)))
-    log_u = np.log(rng.random((n_draws, 3)))
+    # The sweep is scalar code. Indexing a memoryview of a float64 array gives
+    # Python floats, whose arithmetic is several times faster than numpy
+    # scalars', without a list's per-element objects.
+    cand_x, cand_h, cand_r = (memoryview(_proposal_stream(spec, rng, n_draws))
+                              for spec in specs)
+    log_u_x, log_u_h, log_u_r = (
+        memoryview(column)
+        for column in np.ascontiguousarray(np.log(rng.random((n_draws, 3))).T)
+    )
 
-    cand_x, cand_h, cand_r = streams
     indep = [spec.is_independence for spec in specs]
     logq = [_make_logpdf(spec) if spec.is_independence else None for spec in specs]
     fx = kernel.log_cond_sigma_x
@@ -422,7 +406,7 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed, kernel=None):
         la = fx(c, sh, r) - fx(sx, sh, r)
         if indep[0]:
             la += logq[0](sx) - logq[0](c)
-        if log_u[k, 0] < la:
+        if log_u_x[k] < la:
             sx = c
             accepted[0] += 1
             if tail:
@@ -432,7 +416,7 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed, kernel=None):
         la = fh(c, sx, r) - fh(sh, sx, r)
         if indep[1]:
             la += logq[1](sh) - logq[1](c)
-        if log_u[k, 1] < la:
+        if log_u_h[k] < la:
             sh = c
             accepted[1] += 1
             if tail:
@@ -442,7 +426,7 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed, kernel=None):
         la = fr(c, sx, sh) - fr(r, sx, sh)
         if indep[2]:
             la += logq[2](r) - logq[2](c)
-        if log_u[k, 2] < la:
+        if log_u_r[k] < la:
             r = c
             accepted[2] += 1
             if tail:

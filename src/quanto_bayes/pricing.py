@@ -11,6 +11,13 @@ terminal draw. Randomness is consumed in a fixed order (one batch of asset
 shocks, then one batch of exchange-rate shocks; the fixed-rate payoff F3
 uses only the asset batch), so a fixed seed reproduces the result bit for
 bit and common random numbers apply across strikes.
+
+Sequential-update pricing re-infers the parameters along each path, so it
+keeps a daily loop. ``sequential_samples`` simulates each path once, up to
+the longest requested horizon, and prices every request sharing the seed
+and path count from that one simulation: a path runs
+ceil(s_max/refresh_interval) - 1 refresh chains however many strikes and
+maturities it serves.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ __all__ = [
     "SequentialSettings",
     "price_predictive",
     "predictive_samples",
+    "sequential_samples",
     "summarize_payoffs",
     "thinned_draw_count",
     "closed_form_v3",
@@ -179,29 +187,21 @@ def predictive_samples(request: PricingRequest, chain: Chain,
     draws its terminal log-levels exactly: log(X_T/x0) = s*m_x +
     sqrt(s)*sigma_x*z1 from one batch of ``n_paths`` normals, then, except
     for F3, log(H_T/h0) = s*m_h + sqrt(s)*sigma_h*(rho*z1 +
-    sqrt(1-rho^2)*z2) from a second batch.
+    sqrt(1-rho^2)*z2) from a second batch. Sequential-update requests go to
+    :func:`sequential_samples`.
     """
     retained = chain.post_burn_in()
     if retained.shape[0] == 0:
         raise ValueError("chain has no post-burn-in draws")
     if request.horizon_s == 0:
-        value = float(
-            payoff(request.kind, request.spot.x0, request.spot.h0, request.strike,
-                   request.market)
-        )
-        return np.full(request.n_paths, value)
+        return _intrinsic_samples(request)
+    if request.mode == "sequential-update":
+        return sequential_samples([request], chain, sequential)[0]
     market = request.market
     spot = request.spot
     s = request.horizon_s
 
-    idx = _thin_indices(retained.shape[0], request.n_paths)
-    thetas = retained[idx]
-
-    if request.mode == "sequential-update":
-        if sequential is None:
-            raise ValueError("sequential-update mode needs SequentialSettings")
-        return _simulate_sequential(request, thetas, sequential)
-
+    thetas = retained[_thin_indices(retained.shape[0], request.n_paths)]
     sx = thetas[:, 0]
     sh = thetas[:, 1]
     rho = thetas[:, 2]
@@ -221,29 +221,66 @@ def predictive_samples(request: PricingRequest, chain: Chain,
     return math.exp(-market.r_d * s) * values
 
 
-def _simulate_sequential(request, thetas, settings: SequentialSettings):
-    """Per-path simulation with periodic posterior refreshes.
+def _intrinsic_samples(request):
+    value = float(
+        payoff(request.kind, request.spot.x0, request.spot.h0, request.strike,
+               request.market)
+    )
+    return np.full(request.n_paths, value)
 
-    Each path owns a deterministic substream derived from (seed, path index).
-    With ``refresh_interval >= horizon_s`` no refresh triggers and the path
-    reduces to a fixed-parameter simulation. Both return legs are simulated
-    even for F3 because the panel refresh needs the pair.
+
+def _shared_settings(request):
+    return (request.seed, request.n_paths, request.refresh_interval, request.market,
+            request.mode)
+
+
+def sequential_samples(requests, chain: Chain,
+                       settings: SequentialSettings | None = None):
+    """Per-draw discounted payoffs of sequential-update requests, one array each.
+
+    The requests must share ``seed``, ``n_paths``, ``refresh_interval``,
+    ``market`` and ``mode`` (``sequential-update``); they may differ in kind,
+    strike, horizon and spot. Path i owns the substream SeedSequence((seed,
+    i)) and is simulated once, day by day, up to the longest horizon s_max;
+    after day j the posterior is refreshed when j is a multiple of
+    ``refresh_interval`` and j < s_max. A request with horizon s prices from
+    the path's first s return pairs, which a refresh after day s cannot
+    change, so it gets the same payoffs as when priced alone. Both return
+    legs are simulated even for F3 because the panel refresh needs the pair.
     """
-    market = request.market
-    spot = request.spot
-    s = request.horizon_s
-    interval = request.refresh_interval
-    out = np.empty(thetas.shape[0])
-    for i in range(thetas.shape[0]):
-        rng = np.random.default_rng(np.random.SeedSequence((request.seed, i)))
+    requests = list(requests)
+    retained = chain.post_burn_in()
+    if retained.shape[0] == 0:
+        raise ValueError("chain has no post-burn-in draws")
+    if len({_shared_settings(r) for r in requests}) > 1:
+        raise ValueError(
+            "sequential requests must share seed, n_paths, refresh_interval, "
+            "market and mode"
+        )
+    if any(r.mode != "sequential-update" for r in requests):
+        raise ValueError("sequential_samples prices sequential-update requests only")
+    horizons = sorted({r.horizon_s for r in requests if r.horizon_s > 0})
+    if not horizons:
+        return [_intrinsic_samples(r) for r in requests]
+    if settings is None:
+        raise ValueError("sequential-update mode needs SequentialSettings")
+
+    seed, n_paths, interval, market, _ = _shared_settings(requests[0])
+    s_max = horizons[-1]
+    thetas = retained[_thin_indices(retained.shape[0], n_paths)]
+    # exp of the summed log-returns up to each horizon, per path
+    growth_x = {s: np.empty(n_paths) for s in horizons}
+    growth_h = {s: np.empty(n_paths) for s in horizons}
+    for i in range(n_paths):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
         theta = Theta(*thetas[i])
         xs = []
         hs = []
-        for j in range(1, s + 1):
+        for j in range(1, s_max + 1):
             x, h = simulate_return_pair(theta, market, rng)
             xs.append(x)
             hs.append(h)
-            if j % interval == 0 and j < s:
+            if j % interval == 0 and j < s_max:
                 extended = settings.panel.extend(xs, hs)
                 refresh = mwg_sample(
                     extended,
@@ -254,10 +291,19 @@ def _simulate_sequential(request, thetas, settings: SequentialSettings):
                     seed=int(rng.integers(2 ** 63)),
                 )
                 theta = refresh.draw(len(refresh) - 1)
-        x_term = spot.x0 * math.exp(sum(xs))
-        h_term = spot.h0 * math.exp(sum(hs))
-        value = payoff(request.kind, x_term, h_term, request.strike, market)
-        out[i] = math.exp(-market.r_d * s) * value
+        for s in horizons:
+            growth_x[s][i] = math.exp(sum(xs[:s]))
+            growth_h[s][i] = math.exp(sum(hs[:s]))
+
+    out = []
+    for request in requests:
+        s = request.horizon_s
+        if s == 0:
+            out.append(_intrinsic_samples(request))
+            continue
+        values = payoff(request.kind, request.spot.x0 * growth_x[s],
+                        request.spot.h0 * growth_h[s], request.strike, market)
+        out.append(math.exp(-market.r_d * s) * values)
     return out
 
 

@@ -89,6 +89,26 @@ def test_cmd_estimate_outputs(tmp_path):
     _assert_no_bare_nan(os.path.join(cfg.out_dir, "estimate_summary.csv"))
 
 
+def test_draws_file_format_and_round_trip(tmp_path):
+    from quanto_bayes.cli import _load_draws, _write_draws
+    from quanto_bayes.inference import Chain
+
+    rng = np.random.default_rng(12)
+    n = 2600  # several formatting blocks and a partial one
+    draws = np.column_stack([np.exp(rng.normal(-5.0, 1.0, n)),
+                             np.exp(rng.normal(-5.5, 1.0, n)),
+                             np.tanh(rng.normal(0.0, 1.0, n))])
+    chain = Chain(draws=draws, burn_in=37, acceptance_counts=np.full(3, n), seed=0)
+    path = os.path.join(str(tmp_path), "draws.csv")
+    _write_draws(path, chain)
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().split("\n")
+    assert lines[0] == "sigma_x,sigma_h,rho" and lines[-1] == ""
+    assert lines[1:-1] == [",".join("%.17g" % float(v) for v in row)
+                           for row in chain.post_burn_in()]
+    assert np.array_equal(_load_draws(path).draws, chain.post_burn_in())
+
+
 def test_cmd_estimate_recovers_synthetic_truth(tmp_path):
     cfg = load_config(make_workspace(tmp_path, n_days=1501, draws=4000, burn_in=1000,
                                      windows="1500", families="ign"))

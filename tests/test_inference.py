@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,11 +13,9 @@ from quanto_bayes.inference import (
     ProposalSpec,
     conjugate_sample,
     default_proposals,
-    mh_log_acceptance,
     mle_estimate,
     mwg_sample,
     niw_posterior,
-    propose,
     proposal_logpdf,
 )
 from quanto_bayes.model import Drift, ReturnPanel, Theta, log_likelihood
@@ -129,23 +128,24 @@ def test_proposal_spec_validation():
 
 
 def test_truncated_normal_proposals_stay_positive():
-    from quanto_bayes.inference import _truncated_candidates
+    from quanto_bayes.inference import _proposal_stream, _truncated_candidates
 
     spec = ProposalSpec(family="truncated_normal", loc=0.005, scale=0.002)
     rng = np.random.default_rng(1)
     draws = _truncated_candidates(spec, rng.random(1_000_000))
     assert np.all(draws > 0.0)
-    scalars = np.array([propose(spec, 0.005, rng) for _ in range(10_000)])
-    assert np.all(scalars > 0.0)
+    assert np.all(_proposal_stream(spec, rng, 10_000) > 0.0)
     # u = 0 maps inside the open support, not onto its boundary
     assert _truncated_candidates(spec, np.array([0.0]))[0] > 0.0
 
 
 def test_inverse_gamma_proposal_mean():
+    from quanto_bayes.inference import _proposal_stream
+
     a, b = 5.0, 6.0 * 0.006 ** 2
     spec = ProposalSpec(family="inverse_gamma", shape=a, scale=b)
     rng = np.random.default_rng(2)
-    sq = np.array([propose(spec, 0.006, rng) ** 2 for _ in range(200_000)])
+    sq = _proposal_stream(spec, rng, 200_000) ** 2
     target = b / (a - 1.0)
     se = sq.std(ddof=1) / math.sqrt(sq.size)
     assert sq.mean() == pytest.approx(target, abs=4 * se)
@@ -169,16 +169,50 @@ def test_normal_proposal_logpdf_uses_center():
     assert a == pytest.approx(b, rel=1e-14)
 
 
+class _FlatKernel:
+    def log_cond_sigma_x(self, v, sh, r):
+        return 0.0
+
+    log_cond_sigma_h = log_cond_rho = log_cond_sigma_x
+
+
+class _PointKernel:
+    """Zero at the initial point, -inf everywhere else."""
+
+    def __init__(self, point):
+        self.point = point
+
+    def log_cond_sigma_x(self, v, sh, r):
+        return 0.0 if v == self.point.sigma_x else -math.inf
+
+    def log_cond_sigma_h(self, v, sx, r):
+        return 0.0 if v == self.point.sigma_h else -math.inf
+
+    def log_cond_rho(self, v, sx, sh):
+        return 0.0 if v == self.point.rho else -math.inf
+
+
 def test_mh_acceptance_is_one_for_flat_target_symmetric_proposal():
-    # detailed balance degenerate case: alpha identically 1
-    for _ in range(5):
-        la = mh_log_acceptance(0.0, 0.0, 0.0, 0.0)
-        assert la == 0.0
-        assert math.exp(la) == 1.0
+    # detailed balance degenerate case: alpha identically 1, so every move is taken
+    steps = (ProposalSpec(family="normal", scale=1e-3),) * 3
+    chain = mwg_sample(None, steps, 500, 100, init=Theta(0.5, 0.5, 0.0),
+                       seed=4, kernel=_FlatKernel())
+    assert chain.acceptance_counts.tolist() == [500, 500, 500]
+    assert chain.warnings == ()
+    assert np.all(np.diff(chain.draws, axis=0) != 0.0)
 
 
 def test_mh_acceptance_rejects_out_of_support_candidates():
-    assert mh_log_acceptance(-math.inf, -1.0) == -math.inf
+    init = Theta(0.5, 0.5, 0.0)
+    specs = (ProposalSpec(family="truncated_normal", loc=0.5, scale=0.1),
+             ProposalSpec(family="inverse_gamma", shape=5.0, scale=1.0),
+             ProposalSpec(family="normal", scale=0.1))
+    chain = mwg_sample(None, specs, 300, 50, init=init, seed=5, kernel=_PointKernel(init))
+    assert chain.acceptance_counts.tolist() == [0, 0, 0]
+    assert np.all(chain.draws == init.as_tuple())
+    assert len(chain.warnings) == 3
+    for name in ("sigma_x", "sigma_h", "rho"):
+        assert any(name in w for w in chain.warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +260,28 @@ def test_mwg_reproducible_bit_for_bit(panel_small):
     assert a.warnings == b.warnings
     c = mwg_sample(panel_small, specs, 3000, 500, init=init, seed=78)
     assert not np.array_equal(a.draws, c.draws)
+
+
+# sha256 of draws.tobytes() and the acceptance counts of a 2000-sweep chain
+# (burn-in 500, seed 77) on panel_small: the sampler's random-stream layout
+# and arithmetic, pinned bit for bit.
+_PINNED_CHAINS = {
+    "ttn": ("d22c3d2635961eee3203324815a4acf9fed55fbc9e5e8fc2bf87b9f5ec01f3b3",
+            [825, 817, 930]),
+    "tnn": ("3db400faf689ef2a9bed8857876c343aebd76db0d8ba597029dbfb71b31f336d",
+            [857, 861, 909]),
+    "ign": ("07af978ba7bfed6c941fa11bc0d4bd564c59bc7d478a060e3f1ffe11a97885db",
+            [901, 910, 901]),
+}
+
+
+@pytest.mark.parametrize("code", sorted(_PINNED_CHAINS))
+def test_mwg_pinned_draws(panel_small, code):
+    chain = mwg_sample(panel_small, default_proposals(code, panel_small), 2000, 500,
+                       init=mle_estimate(panel_small).theta_hat, seed=77)
+    digest, counts = _PINNED_CHAINS[code]
+    assert hashlib.sha256(chain.draws.tobytes()).hexdigest() == digest
+    assert chain.acceptance_counts.tolist() == counts
 
 
 def test_mwg_draws_stay_in_support(panel_small):

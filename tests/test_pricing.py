@@ -6,8 +6,8 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp, lognorm
 
 from quanto_bayes import pricing
-from quanto_bayes.inference import Chain, default_proposals
-from quanto_bayes.model import MarketConfig, SpotState, Theta
+from quanto_bayes.inference import Chain, default_proposals, mwg_sample
+from quanto_bayes.model import MarketConfig, SpotState, Theta, payoff, simulate_return_pair
 from quanto_bayes.pricing import (
     PricingRequest,
     SequentialSettings,
@@ -17,6 +17,7 @@ from quanto_bayes.pricing import (
     predictive_samples,
     price_predictive,
     relative_pricing_error,
+    sequential_samples,
     thinned_draw_count,
 )
 
@@ -319,6 +320,77 @@ def test_sequential_mode_requires_settings():
                              mode="sequential-update")
     with pytest.raises(ValueError, match="SequentialSettings"):
         price_predictive(request, one_draw_chain())
+
+
+def _per_request_sequential(request, chain, settings):
+    """One request simulated on its own: each path runs to the request's own
+    horizon and refreshes after day j when j % interval == 0 and j < s."""
+    retained = chain.post_burn_in()
+    idx = (np.arange(request.n_paths) * retained.shape[0]) // request.n_paths
+    s = request.horizon_s
+    out = np.empty(request.n_paths)
+    for i in range(request.n_paths):
+        rng = np.random.default_rng(np.random.SeedSequence((request.seed, i)))
+        theta = Theta(*retained[idx[i]])
+        xs, hs = [], []
+        for j in range(1, s + 1):
+            x, h = simulate_return_pair(theta, request.market, rng)
+            xs.append(x)
+            hs.append(h)
+            if j % request.refresh_interval == 0 and j < s:
+                refresh = mwg_sample(settings.panel.extend(xs, hs), settings.specs,
+                                     settings.refresh_draws, settings.refresh_burn_in,
+                                     init=theta, seed=int(rng.integers(2 ** 63)))
+                theta = refresh.draw(len(refresh) - 1)
+        value = payoff(request.kind, request.spot.x0 * math.exp(sum(xs)),
+                       request.spot.h0 * math.exp(sum(hs)), request.strike,
+                       request.market)
+        out[i] = math.exp(-request.market.r_d * s) * value
+    return out
+
+
+def test_sequential_batch_equals_single_requests_bitwise():
+    panel = synth_panel(250, seed=63)
+    settings = SequentialSettings(panel=panel, specs=default_proposals("tnn", panel),
+                                  refresh_draws=200, refresh_burn_in=50)
+    chain = posterior_like_chain(n=100)
+    common = dict(market=MARKET, n_paths=12, seed=91, mode="sequential-update",
+                  refresh_interval=4)
+    # horizons shorter than, equal to, a multiple of and off the interval
+    requests = [
+        PricingRequest(kind="F3", strike=2700.0, horizon_s=3, spot=SPOT, **common),
+        PricingRequest(kind="F1", strike=2380.0, horizon_s=4, spot=SPOT, **common),
+        PricingRequest(kind="F3", strike=2650.0, horizon_s=8,
+                       spot=SpotState(2690.0, 0.88), **common),
+        PricingRequest(kind="F4", strike=0.87, horizon_s=10, spot=SPOT, **common),
+        PricingRequest(kind="F2", strike=2720.0, horizon_s=6, spot=SPOT, **common),
+        PricingRequest(kind="F3", strike=2700.0, horizon_s=0, spot=SPOT, **common),
+    ]
+    batched = sequential_samples(requests, chain, settings)
+    assert len(batched) == len(requests)
+    for request, samples in zip(requests, batched):
+        single = predictive_samples(request, chain, settings)
+        assert np.array_equal(samples, single), request.horizon_s
+        if request.horizon_s > 0:
+            reference = _per_request_sequential(request, chain, settings)
+            assert np.array_equal(single, reference), request.horizon_s
+    assert np.all(batched[-1] == MARKET.h_fix * (SPOT.x0 - 2700.0))  # intrinsic
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 92), ("n_paths", 13), ("refresh_interval", 5), ("mode", "static"),
+    ("market", MarketConfig.from_annual(0.02, 0.025, h_fix=1.0, periods_per_year=252)),
+])
+def test_sequential_requests_must_share_path_settings(field, value):
+    panel = synth_panel(250, seed=63)
+    settings = SequentialSettings(panel=panel, specs=default_proposals("tnn", panel),
+                                  refresh_draws=200, refresh_burn_in=50)
+    common = dict(kind="F3", strike=2700.0, horizon_s=5, spot=SPOT, market=MARKET,
+                  n_paths=12, seed=91, mode="sequential-update", refresh_interval=4)
+    first = PricingRequest(**common)
+    other = PricingRequest(**{**common, field: value})
+    with pytest.raises(ValueError, match="must share"):
+        sequential_samples([first, other], posterior_like_chain(n=100), settings)
 
 
 # ---------------------------------------------------------------------------
