@@ -291,6 +291,12 @@ def _sample_family(family, panel, cfg: ExperimentConfig, seed) -> Chain:
     return mwg_sample(panel, specs, cfg.draws, cfg.burn_in, init=init, seed=seed)
 
 
+def _report_warnings(chain: Chain, family, fx_name, window):
+    """Print the chain's health warnings to stderr; the outputs stay unchanged."""
+    for text in chain.warnings:
+        print(f"warning: {family} [{fx_name} w{window}]: {text}", file=sys.stderr)
+
+
 _SUMMARY_HEADER = (
     "family", "parameter", "mean", "std_dev", "hpdi95_lo", "hpdi95_hi",
     "nse", "cd", "acceptance_rate",
@@ -318,14 +324,19 @@ def _write_draws(path, chain: Chain):
     """Write the post-burn-in draws, one ``%.17g`` row per draw.
 
     ``Chain`` holds only finite draws, so no cell needs ``_fmt``'s NA case.
-    Rows become Python floats a block at a time, which keeps formatting
-    fast without a list of the whole chain in memory.
+    Each block of rows is formatted with one ``%`` operation on its Python
+    floats, which keeps formatting fast without a list of the whole chain in
+    memory.
     """
     draws = chain.post_burn_in()
     block = 1024
-    rows = (row for start in range(0, draws.shape[0], block)
-            for row in draws[start:start + block].tolist())
-    _write_lines(path, PARAMETERS, ("%.17g,%.17g,%.17g\n" % tuple(row) for row in rows))
+
+    def blocks():
+        for start in range(0, draws.shape[0], block):
+            cells = draws[start:start + block].ravel().tolist()
+            yield ("%.17g,%.17g,%.17g\n" * (len(cells) // 3)) % tuple(cells)
+
+    _write_lines(path, PARAMETERS, blocks())
 
 
 def _load_draws(path) -> Chain:
@@ -366,6 +377,7 @@ def cmd_estimate(cfg: ExperimentConfig, out_dir=None, fx_path=None, window=None)
             continue
         seed = _derive_seed(cfg.seed, family)
         chain = _sample_family(family, panel, cfg, seed)
+        _report_warnings(chain, family, _stem(fx_path), window)
         rows.extend(_summary_rows(family, chain=chain))
         path = os.path.join(out_dir, f"draws_{family}.csv")
         _write_draws(path, chain)
@@ -558,6 +570,7 @@ def cmd_experiment(cfg: ExperimentConfig):
                         continue
                     seed = _derive_seed(cfg.seed, family, fx_name, window)
                     chain = _sample_family(family, panel, cfg, seed)
+                    _report_warnings(chain, family, fx_name, window)
                     est_rows.extend(_summary_rows(family, chain=chain))
                     _write_draws(os.path.join(cell_dir, f"draws_{family}.csv"), chain)
                     chains[family] = chain

@@ -14,8 +14,13 @@ the accept/reject step relies on.
 Samplers:
 
 * :func:`mwg_sample` runs a Metropolis-within-Gibbs sweep (sigma_x, sigma_h,
-  rho, in that order) against the conditional kernels, with independence
-  proposals for the volatilities and a random-walk normal proposal for rho.
+  rho, in that order) with independence proposals (truncated normal,
+  truncated t or inverse gamma) for the volatilities and a random-walk normal
+  proposal for rho. It works on the panel's sufficient statistics directly:
+  each log acceptance ratio is a closed-form difference of the conditional
+  kernels, whose candidate-side terms are computed once over each whole
+  proposal stream. The tests keep the generic kernel-calling loop as a
+  reference sampler and check that both give the same chain bit for bit.
 * :func:`conjugate_sample` draws exactly from the Normal-Inverse-Wishart
   conjugate posterior of an unconstrained bivariate normal (MNC baseline).
 * :func:`mle_estimate` is the closed-form maximum likelihood baseline.
@@ -210,74 +215,46 @@ def _proposal_stream(spec: ProposalSpec, rng, n_draws):
     return _truncated_candidates(spec, rng.random(n_draws))
 
 
-def _make_logpdf(spec: ProposalSpec):
-    """Fast scalar log-density closure with normalization constants baked in."""
-    if spec.family == "truncated_normal":
-        loc, scale = spec.loc, spec.scale
-        const = -0.5 * math.log(2.0 * math.pi) - math.log(scale) - math.log(ndtr(loc / scale))
-        inv2 = 0.5 / (scale * scale)
-
-        def logpdf(v):
-            if v <= 0.0:
-                return NEG_INF
-            d = v - loc
-            return const - d * d * inv2
-
-        return logpdf
-    if spec.family == "truncated_t":
-        loc, scale, df = spec.loc, spec.scale, spec.df
-        const = (
-            gammaln(0.5 * (df + 1.0))
-            - gammaln(0.5 * df)
-            - 0.5 * math.log(df * math.pi)
-            - math.log(scale)
-            - math.log(stdtr(df, loc / scale))
-        )
-        half = 0.5 * (df + 1.0)
-
-        def logpdf(v):
-            if v <= 0.0:
-                return NEG_INF
-            z = (v - loc) / scale
-            return const - half * math.log1p(z * z / df)
-
-        return logpdf
-    if spec.family == "inverse_gamma":
-        a, b = spec.shape, spec.scale
-        const = a * math.log(b) - gammaln(a) + math.log(2.0)
-        power = 2.0 * a + 1.0
-
-        def logpdf(v):
-            if v <= 0.0:
-                return NEG_INF
-            try:
-                return const - power * math.log(v) - b / (v * v)
-            except ZeroDivisionError:  # v*v underflowed
-                return NEG_INF
-
-        return logpdf
-    loc, scale = spec.loc, spec.scale
-    const = -0.5 * math.log(2.0 * math.pi) - math.log(scale)
-    inv2 = 0.5 / (scale * scale)
-
-    def logpdf(v, center=loc):
-        d = v - center
-        return const - d * d * inv2
-
-    return logpdf
-
-
 def proposal_logpdf(spec: ProposalSpec, value, center=None):
-    """Normalized log proposal density at ``value``.
+    """Normalized log proposal density at ``value``, a float or an array.
 
     For the random-walk normal family the density is centered at ``center``
     (defaults to ``loc``); for the independence families ``center`` is
-    ignored. This is the q entering the acceptance ratio.
+    ignored and every value outside (0, inf) gets ``-inf``, as does one whose
+    square underflows in the inverse-gamma density. This is the q entering
+    the acceptance ratio; the sampler evaluates it once over a whole
+    candidate stream.
     """
-    fn = _make_logpdf(spec)
-    if spec.family == "normal" and center is not None:
-        return fn(value, center)
-    return fn(value)
+    v = np.asarray(value, dtype=float)
+    with np.errstate(all="ignore"):
+        if spec.family == "truncated_normal":
+            loc, scale = spec.loc, spec.scale
+            const = (-0.5 * math.log(2.0 * math.pi) - math.log(scale)
+                     - math.log(ndtr(loc / scale)))
+            d = v - loc
+            out = const - d * d * (0.5 / (scale * scale))
+        elif spec.family == "truncated_t":
+            loc, scale, df = spec.loc, spec.scale, spec.df
+            const = (
+                gammaln(0.5 * (df + 1.0))
+                - gammaln(0.5 * df)
+                - 0.5 * math.log(df * math.pi)
+                - math.log(scale)
+                - math.log(stdtr(df, loc / scale))
+            )
+            z = (v - loc) / scale
+            out = const - 0.5 * (df + 1.0) * np.log1p(z * z / df)
+        elif spec.family == "inverse_gamma":
+            a, b = spec.shape, spec.scale
+            const = a * math.log(b) - gammaln(a) + math.log(2.0)
+            out = const - (2.0 * a + 1.0) * np.log(v) - b / (v * v)
+        else:
+            d = v - (spec.loc if center is None else center)
+            out = (-0.5 * math.log(2.0 * math.pi) - math.log(spec.scale)
+                   - d * d * (0.5 / (spec.scale * spec.scale)))
+        if spec.is_independence:
+            out = np.where(v > 0.0, out, NEG_INF)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -346,30 +323,72 @@ class Chain:
 # Metropolis-within-Gibbs sampler
 # ---------------------------------------------------------------------------
 
-def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed, kernel=None):
-    """Sample the posterior with a Metropolis-within-Gibbs sweep.
+def _volatility_terms(spec: ProposalSpec, values, power):
+    """Candidate-side terms of a volatility update, over a whole stream.
+
+    Returns g(v) = -power * log(v) - log q(v), 1/v and 1/v^2; the sweep reads
+    the conditional kernel only through them. Non-finite entries (a square
+    that underflows, a candidate on the boundary) make the acceptance ratio
+    -inf or NaN, which rejects the candidate.
+    """
+    with np.errstate(all="ignore"):
+        g = -power * np.log(values) - proposal_logpdf(spec, values)
+        return g, 1.0 / values, 1.0 / (values * values)
+
+
+def _hold_rejections(column, start):
+    """Fill a draws column in place: NaN marks a rejection, which keeps the
+    last accepted value (``start`` before the first). Returns the accept mask."""
+    accepted = ~np.isnan(column)
+    last = np.where(accepted, np.arange(column.size), -1)
+    np.maximum.accumulate(last, out=last)
+    column[:] = np.where(last >= 0, column[last], start)
+    return accepted
+
+
+def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
+    """Sample the posterior of a panel with a Metropolis-within-Gibbs sweep.
 
     Each sweep updates sigma_x, sigma_h and rho in that fixed order; each
-    update draws a candidate from its proposal and accepts it against the
-    parameter's conditional kernel with the standard Metropolis-Hastings
-    rule (accept when u < alpha). Independence proposals contribute their
-    density ratio to alpha; the random-walk normal is symmetric and does not.
+    update draws a candidate from its proposal and accepts it with the
+    standard Metropolis-Hastings rule (accept when log u < log alpha).
+    sigma_x and sigma_h take independence proposals (truncated normal,
+    truncated t or inverse gamma), whose density ratio enters alpha; rho
+    takes the random-walk normal, which is symmetric and does not. Any
+    other (parameter, family) pair raises ``ValueError``.
+
+    The sweep works on the panel's sufficient statistics (T, sxx, shh, C)
+    alone. Each log alpha is a closed-form difference of the conditional
+    kernels of :class:`PosteriorKernel`:
+
+    * sigma_x: g(c) - g(s) - a (1/c^2 - 1/s^2) - b (1/c - 1/s), with
+      g(v) = -T log v - log q(v), a = sxx / (2 (1 - rho^2)) and
+      b = rho C / (sigma_h (1 - rho^2));
+    * sigma_h: the same with T - 1 in g, shh in a and sigma_x in b;
+    * rho: the difference of -T/2 log(1 - rho^2) - (P + Q rho^2 + R rho) /
+      (1 - rho^2), with P = sxx / (2 sigma_x^2), Q = shh / (2 sigma_h^2) and
+      R = C / (sigma_x sigma_h); a step out of (-1, 1) is rejected.
+
+    g, 1/c and 1/c^2 are computed once per chain over each candidate
+    stream; the current state's terms, and log(1 - rho^2), change only on an
+    accepted move. The tests keep the kernel-calling loop this replaced as
+    a reference sampler and check that both give the same chain bit for bit.
 
     Randomness is consumed in a fixed order (candidate streams for the three
     parameters, then a (K, 3) block of acceptance uniforms), so an identical
     seed reproduces the chain bit for bit.
-
-    ``kernel`` may replace the panel-derived :class:`PosteriorKernel` with any
-    object exposing the three conditional methods, which is how the sampler is
-    validated against targets with known moments.
     """
-    if kernel is None:
-        if panel is None:
-            raise ValueError("either a panel or an explicit kernel is required")
-        kernel = PosteriorKernel(panel)
+    if panel is None:
+        raise ValueError("mwg_sample needs a return panel")
     specs = tuple(specs)
     if len(specs) != 3:
         raise ValueError(f"expected one proposal spec per parameter, got {len(specs)}")
+    for name, spec in zip(PARAMETERS, specs):
+        if spec.is_independence == (name == "rho"):
+            expected = "the random-walk normal" if name == "rho" else "an independence"
+            raise ValueError(
+                f"{name} needs {expected} proposal, got family {spec.family!r}"
+            )
     n_draws = int(n_draws)
     burn_in = int(burn_in)
     if not 0 <= burn_in < n_draws:
@@ -377,74 +396,85 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed, kernel=None):
     if not isinstance(init, Theta):
         init = Theta(*init)
 
+    t = float(panel.n_obs)
+    half_t = 0.5 * t
+    half_sxx = 0.5 * panel.sxx
+    half_shh = 0.5 * panel.shh
+    cross = panel.cross_moment
+
     rng = np.random.default_rng(seed)
+    cand_x, cand_h, steps = (_proposal_stream(spec, rng, n_draws) for spec in specs)
+    log_u = np.ascontiguousarray(np.log(rng.random((n_draws, 3))).T)
+    terms_x = _volatility_terms(specs[0], cand_x, t)
+    terms_h = _volatility_terms(specs[1], cand_h, t - 1.0)
     # The sweep is scalar code. Indexing a memoryview of a float64 array gives
     # Python floats, whose arithmetic is several times faster than numpy
     # scalars', without a list's per-element objects.
-    cand_x, cand_h, cand_r = (memoryview(_proposal_stream(spec, rng, n_draws))
-                              for spec in specs)
-    log_u_x, log_u_h, log_u_r = (
-        memoryview(column)
-        for column in np.ascontiguousarray(np.log(rng.random((n_draws, 3))).T)
+    cx, gx, ix, i2x, ch, gh, ih, i2h, dr, lux, luh, lur = (
+        memoryview(a) for a in (cand_x, *terms_x, cand_h, *terms_h, steps, *log_u)
     )
+    # an accepted move writes its value; NaN marks a rejection until filled
+    draws = np.full((n_draws, 3), np.nan)
+    out_x, out_h, out_r = (memoryview(column) for column in draws.T)
 
-    indep = [spec.is_independence for spec in specs]
-    logq = [_make_logpdf(spec) if spec.is_independence else None for spec in specs]
-    fx = kernel.log_cond_sigma_x
-    fh = kernel.log_cond_sigma_h
-    fr = kernel.log_cond_rho
-
-    sx, sh, r = init.sigma_x, init.sigma_h, init.rho
-    draws = np.empty((n_draws, 3))
-    accepted = [0, 0, 0]
-    accepted_post = [0, 0, 0]
+    # current-state terms
+    g_x, i_x, i2_x = (float(v[0]) for v in _volatility_terms(
+        specs[0], np.array([init.sigma_x]), t))
+    g_h, i_h, i2_h = (float(v[0]) for v in _volatility_terms(
+        specs[1], np.array([init.sigma_h]), t - 1.0))
+    r = init.rho
+    om = 1.0 - r * r
+    log_om = math.log(om)
+    inv_om = 1.0 / om
+    a_x = half_sxx * inv_om
+    a_h = half_shh * inv_om
+    b = r * cross * inv_om
+    log = math.log
 
     for k in range(n_draws):
-        tail = k >= burn_in
+        la = gx[k] - g_x - a_x * (i2x[k] - i2_x) - b * i_h * (ix[k] - i_x)
+        if lux[k] < la:
+            g_x = gx[k]
+            i_x = ix[k]
+            i2_x = i2x[k]
+            out_x[k] = cx[k]
 
-        c = cand_x[k] if indep[0] else sx + cand_x[k]
-        la = fx(c, sh, r) - fx(sx, sh, r)
-        if indep[0]:
-            la += logq[0](sx) - logq[0](c)
-        if log_u_x[k] < la:
-            sx = c
-            accepted[0] += 1
-            if tail:
-                accepted_post[0] += 1
+        la = gh[k] - g_h - a_h * (i2h[k] - i2_h) - b * i_x * (ih[k] - i_h)
+        if luh[k] < la:
+            g_h = gh[k]
+            i_h = ih[k]
+            i2_h = i2h[k]
+            out_h[k] = ch[k]
 
-        c = cand_h[k] if indep[1] else sh + cand_h[k]
-        la = fh(c, sx, r) - fh(sh, sx, r)
-        if indep[1]:
-            la += logq[1](sh) - logq[1](c)
-        if log_u_h[k] < la:
-            sh = c
-            accepted[1] += 1
-            if tail:
-                accepted_post[1] += 1
+        c = r + dr[k]
+        if -1.0 < c < 1.0:
+            om_c = 1.0 - c * c
+            log_om_c = log(om_c)
+            p = half_sxx * i2_x
+            q = half_shh * i2_h
+            s = cross * i_x * i_h
+            la = (half_t * (log_om - log_om_c)
+                  - ((p + (q * c + s) * c) / om_c - (p + (q * r + s) * r) * inv_om))
+            if lur[k] < la:
+                r = c
+                log_om = log_om_c
+                inv_om = 1.0 / om_c
+                a_x = half_sxx * inv_om
+                a_h = half_shh * inv_om
+                b = r * cross * inv_om
+                out_r[k] = c
 
-        c = cand_r[k] if indep[2] else r + cand_r[k]
-        la = fr(c, sx, sh) - fr(r, sx, sh)
-        if indep[2]:
-            la += logq[2](r) - logq[2](c)
-        if log_u_r[k] < la:
-            r = c
-            accepted[2] += 1
-            if tail:
-                accepted_post[2] += 1
-
-        draws[k, 0] = sx
-        draws[k, 1] = sh
-        draws[k, 2] = r
-
+    accepted = [_hold_rejections(column, start)
+                for column, start in zip(draws.T, init.as_tuple())]
     warnings = tuple(
-        f"no accepted moves for {PARAMETERS[i]} after burn-in"
-        for i in range(3)
-        if accepted_post[i] == 0
+        f"no accepted moves for {name} after burn-in"
+        for name, mask in zip(PARAMETERS, accepted)
+        if not mask[burn_in:].any()
     )
     return Chain(
         draws=draws,
         burn_in=burn_in,
-        acceptance_counts=np.array(accepted, dtype=int),
+        acceptance_counts=np.array([mask.sum() for mask in accepted], dtype=int),
         seed=int(seed),
         warnings=warnings,
     )

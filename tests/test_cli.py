@@ -109,6 +109,26 @@ def test_draws_file_format_and_round_trip(tmp_path):
     assert np.array_equal(_load_draws(path).draws, chain.post_burn_in())
 
 
+@pytest.mark.parametrize("command", ["estimate", "experiment"])
+def test_chain_warnings_are_printed_to_stderr(tmp_path, monkeypatch, capsys, command):
+    import dataclasses
+
+    from quanto_bayes import cli
+
+    real = cli._sample_family
+
+    def flagged(family, panel, cfg, seed):
+        return dataclasses.replace(real(family, panel, cfg, seed),
+                                   warnings=("no accepted moves for rho after burn-in",))
+
+    monkeypatch.setattr(cli, "_sample_family", flagged)
+    path = make_workspace(tmp_path)
+    assert main([command, "--config", path]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: tnn [fx w250]: no accepted moves for rho after burn-in"
+    ]
+
+
 def test_cmd_estimate_recovers_synthetic_truth(tmp_path):
     cfg = load_config(make_workspace(tmp_path, n_days=1501, draws=4000, burn_in=1000,
                                      windows="1500", families="ign"))

@@ -1,12 +1,18 @@
 import hashlib
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln, ndtr, stdtr
 
+from quanto_bayes import inference
+from quanto_bayes.data_io import align_series, load_price_series
 from quanto_bayes.diagnostics import _spectral_nse
 from quanto_bayes.inference import (
+    PARAMETERS,
     Chain,
     NiwHyperparams,
     PosteriorKernel,
@@ -18,9 +24,9 @@ from quanto_bayes.inference import (
     niw_posterior,
     proposal_logpdf,
 )
-from quanto_bayes.model import Drift, ReturnPanel, Theta, log_likelihood
+from quanto_bayes.model import Drift, ReturnPanel, Theta, log_likelihood, log_returns
 
-from conftest import TRUTH, synth_panel
+from conftest import FIXTURES, TRUTH, synth_panel
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +175,169 @@ def test_normal_proposal_logpdf_uses_center():
     assert a == pytest.approx(b, rel=1e-14)
 
 
+def test_proposal_logpdf_on_arrays_matches_scalar_reference():
+    values = np.concatenate([[-1.0, 0.0, 5e-324, np.finfo(float).tiny, 1e-160],
+                             np.linspace(1e-4, 0.05, 200), [1.0, 50.0]])
+    for spec in (
+        ProposalSpec(family="truncated_normal", loc=0.005, scale=0.002),
+        ProposalSpec(family="truncated_t", loc=0.005, scale=0.002, df=5.0),
+        ProposalSpec(family="inverse_gamma", shape=5.0, scale=6.0 * 0.006 ** 2),
+        ProposalSpec(family="normal", loc=0.01, scale=0.1),
+    ):
+        got = proposal_logpdf(spec, values)
+        expected = np.array([_reference_logpdf(spec)(float(v)) for v in values])
+        assert got.shape == values.shape
+        assert np.array_equal(np.isneginf(got), np.isneginf(expected)), spec.family
+        finite = np.isfinite(expected)
+        assert np.allclose(got[finite], expected[finite], rtol=1e-13, atol=0.0), spec.family
+
+
+# ---------------------------------------------------------------------------
+# Reference sampler: the generic kernel-calling Metropolis-within-Gibbs loop
+# that mwg_sample's closed-form sweep replaced, kept to check it bit for bit
+# and to run the sampler on targets with known moments.
+# ---------------------------------------------------------------------------
+
+def _reference_logpdf(spec: ProposalSpec):
+    """Fast scalar log-density closure with normalization constants baked in."""
+    if spec.family == "truncated_normal":
+        loc, scale = spec.loc, spec.scale
+        const = -0.5 * math.log(2.0 * math.pi) - math.log(scale) - math.log(ndtr(loc / scale))
+        inv2 = 0.5 / (scale * scale)
+
+        def logpdf(v):
+            if v <= 0.0:
+                return -math.inf
+            d = v - loc
+            return const - d * d * inv2
+
+        return logpdf
+    if spec.family == "truncated_t":
+        loc, scale, df = spec.loc, spec.scale, spec.df
+        const = (
+            gammaln(0.5 * (df + 1.0))
+            - gammaln(0.5 * df)
+            - 0.5 * math.log(df * math.pi)
+            - math.log(scale)
+            - math.log(stdtr(df, loc / scale))
+        )
+        half = 0.5 * (df + 1.0)
+
+        def logpdf(v):
+            if v <= 0.0:
+                return -math.inf
+            z = (v - loc) / scale
+            return const - half * math.log1p(z * z / df)
+
+        return logpdf
+    if spec.family == "inverse_gamma":
+        a, b = spec.shape, spec.scale
+        const = a * math.log(b) - gammaln(a) + math.log(2.0)
+        power = 2.0 * a + 1.0
+
+        def logpdf(v):
+            if v <= 0.0:
+                return -math.inf
+            try:
+                return const - power * math.log(v) - b / (v * v)
+            except ZeroDivisionError:  # v*v underflowed
+                return -math.inf
+
+        return logpdf
+    loc, scale = spec.loc, spec.scale
+    const = -0.5 * math.log(2.0 * math.pi) - math.log(scale)
+    inv2 = 0.5 / (scale * scale)
+
+    def logpdf(v, center=loc):
+        d = v - center
+        return const - d * d * inv2
+
+    return logpdf
+
+
+def _reference_mwg_sample(panel, specs, n_draws, burn_in, init, seed, kernel=None):
+    """Metropolis-within-Gibbs against any object with the three conditional
+    kernel methods (a :class:`PosteriorKernel` of ``panel`` by default), with
+    the production sampler's random stream and acceptance rule."""
+    if kernel is None:
+        kernel = PosteriorKernel(panel)
+    specs = tuple(specs)
+    n_draws = int(n_draws)
+    burn_in = int(burn_in)
+    if not isinstance(init, Theta):
+        init = Theta(*init)
+
+    rng = np.random.default_rng(seed)
+    # looked up on the module, so a test that patches the stream patches both samplers
+    cand_x, cand_h, cand_r = (memoryview(inference._proposal_stream(spec, rng, n_draws))
+                              for spec in specs)
+    log_u_x, log_u_h, log_u_r = (
+        memoryview(column)
+        for column in np.ascontiguousarray(np.log(rng.random((n_draws, 3))).T)
+    )
+
+    indep = [spec.is_independence for spec in specs]
+    logq = [_reference_logpdf(spec) if spec.is_independence else None for spec in specs]
+    fx = kernel.log_cond_sigma_x
+    fh = kernel.log_cond_sigma_h
+    fr = kernel.log_cond_rho
+
+    sx, sh, r = init.sigma_x, init.sigma_h, init.rho
+    draws = np.empty((n_draws, 3))
+    accepted = [0, 0, 0]
+    accepted_post = [0, 0, 0]
+
+    for k in range(n_draws):
+        tail = k >= burn_in
+
+        c = cand_x[k] if indep[0] else sx + cand_x[k]
+        la = fx(c, sh, r) - fx(sx, sh, r)
+        if indep[0]:
+            la += logq[0](sx) - logq[0](c)
+        if log_u_x[k] < la:
+            sx = c
+            accepted[0] += 1
+            if tail:
+                accepted_post[0] += 1
+
+        c = cand_h[k] if indep[1] else sh + cand_h[k]
+        la = fh(c, sx, r) - fh(sh, sx, r)
+        if indep[1]:
+            la += logq[1](sh) - logq[1](c)
+        if log_u_h[k] < la:
+            sh = c
+            accepted[1] += 1
+            if tail:
+                accepted_post[1] += 1
+
+        c = cand_r[k] if indep[2] else r + cand_r[k]
+        la = fr(c, sx, sh) - fr(r, sx, sh)
+        if indep[2]:
+            la += logq[2](r) - logq[2](c)
+        if log_u_r[k] < la:
+            r = c
+            accepted[2] += 1
+            if tail:
+                accepted_post[2] += 1
+
+        draws[k, 0] = sx
+        draws[k, 1] = sh
+        draws[k, 2] = r
+
+    warnings = tuple(
+        f"no accepted moves for {PARAMETERS[i]} after burn-in"
+        for i in range(3)
+        if accepted_post[i] == 0
+    )
+    return Chain(
+        draws=draws,
+        burn_in=burn_in,
+        acceptance_counts=np.array(accepted, dtype=int),
+        seed=int(seed),
+        warnings=warnings,
+    )
+
+
 class _FlatKernel:
     def log_cond_sigma_x(self, v, sh, r):
         return 0.0
@@ -195,8 +364,8 @@ class _PointKernel:
 def test_mh_acceptance_is_one_for_flat_target_symmetric_proposal():
     # detailed balance degenerate case: alpha identically 1, so every move is taken
     steps = (ProposalSpec(family="normal", scale=1e-3),) * 3
-    chain = mwg_sample(None, steps, 500, 100, init=Theta(0.5, 0.5, 0.0),
-                       seed=4, kernel=_FlatKernel())
+    chain = _reference_mwg_sample(None, steps, 500, 100, init=Theta(0.5, 0.5, 0.0),
+                                  seed=4, kernel=_FlatKernel())
     assert chain.acceptance_counts.tolist() == [500, 500, 500]
     assert chain.warnings == ()
     assert np.all(np.diff(chain.draws, axis=0) != 0.0)
@@ -207,17 +376,14 @@ def test_mh_acceptance_rejects_out_of_support_candidates():
     specs = (ProposalSpec(family="truncated_normal", loc=0.5, scale=0.1),
              ProposalSpec(family="inverse_gamma", shape=5.0, scale=1.0),
              ProposalSpec(family="normal", scale=0.1))
-    chain = mwg_sample(None, specs, 300, 50, init=init, seed=5, kernel=_PointKernel(init))
+    chain = _reference_mwg_sample(None, specs, 300, 50, init=init, seed=5,
+                                  kernel=_PointKernel(init))
     assert chain.acceptance_counts.tolist() == [0, 0, 0]
     assert np.all(chain.draws == init.as_tuple())
     assert len(chain.warnings) == 3
     for name in ("sigma_x", "sigma_h", "rho"):
         assert any(name in w for w in chain.warnings)
 
-
-# ---------------------------------------------------------------------------
-# Metropolis-within-Gibbs
-# ---------------------------------------------------------------------------
 
 class _ToyKernel:
     """Independent truncated standard normals for the volatilities, and a
@@ -239,8 +405,8 @@ def test_mwg_known_target_moments():
         ProposalSpec(family="truncated_normal", loc=0.5, scale=1.0),
         ProposalSpec(family="normal", scale=0.5),
     )
-    chain = mwg_sample(None, specs, 60_000, 5_000, init=Theta(0.5, 0.5, 0.0),
-                       seed=9, kernel=_ToyKernel())
+    chain = _reference_mwg_sample(None, specs, 60_000, 5_000, init=Theta(0.5, 0.5, 0.0),
+                                  seed=9, kernel=_ToyKernel())
     seg = chain.post_burn_in()
     half_normal_mean = math.sqrt(2.0 / math.pi)
     from scipy.stats import truncnorm
@@ -248,6 +414,116 @@ def test_mwg_known_target_moments():
     for col, target in ((0, half_normal_mean), (1, half_normal_mean), (2, rho_target)):
         err = abs(seg[:, col].mean() - target)
         assert err < 4.0 * _spectral_nse(seg[:, col])
+
+
+# ---------------------------------------------------------------------------
+# Metropolis-within-Gibbs
+# ---------------------------------------------------------------------------
+
+def _assert_same_chain(got, expected):
+    assert np.array_equal(got.draws, expected.draws)
+    assert np.array_equal(got.acceptance_counts, expected.acceptance_counts)
+    assert got.warnings == expected.warnings
+
+
+def _fixture_panel(window):
+    asset, fx = align_series(load_price_series(os.path.join(FIXTURES, "sp500_synthetic.csv")),
+                             load_price_series(os.path.join(FIXTURES, "eur_usd_synthetic.csv")))
+    return ReturnPanel(log_returns(asset), log_returns(fx)).tail(window)
+
+
+_EQUIVALENCE_PANELS = {
+    "panel_small": lambda: synth_panel(500, seed=501),
+    "synth_60_90": lambda: synth_panel(60, seed=90),
+    "fixture_w140": lambda: _fixture_panel(140),
+    "fixture_w1840": lambda: _fixture_panel(1840),
+    "synth_5": lambda: synth_panel(5, seed=17),
+}
+
+
+@pytest.mark.parametrize("code", ["ttn", "tnn", "ign"])
+@pytest.mark.parametrize("panel_name", sorted(_EQUIVALENCE_PANELS))
+def test_mwg_matches_reference_sampler_bitwise(panel_name, code):
+    panel = _EQUIVALENCE_PANELS[panel_name]()
+    specs = default_proposals(code, panel)
+    init = mle_estimate(panel).theta_hat
+    for seed in (11, 12, 13):
+        _assert_same_chain(mwg_sample(panel, specs, 2000, 400, init=init, seed=seed),
+                           _reference_mwg_sample(panel, specs, 2000, 400, init=init,
+                                                 seed=seed))
+
+
+def _patch_streams(monkeypatch, edit):
+    """Let ``edit(index, stream)`` change parameter ``index``'s proposal stream
+    in place, after the real stream has consumed its random numbers."""
+    real = inference._proposal_stream
+    calls = []
+
+    def stream(spec, rng, n_draws):
+        out = real(spec, rng, n_draws)
+        edit(len(calls) % 3, out)
+        calls.append(spec)
+        return out
+
+    monkeypatch.setattr(inference, "_proposal_stream", stream)
+
+
+@pytest.mark.parametrize("code", ["ttn", "tnn", "ign"])
+def test_mwg_rejects_volatility_candidates_whose_inverse_square_overflows(
+        panel_small, monkeypatch, code):
+    tiny = np.finfo(float).tiny
+    # 1/c^2 is inf for each: c^2 underflows to zero, or to a subnormal below 1/max
+    near_tiny = np.array([tiny, 2.0 * tiny, 1e-300, 1e-160])
+
+    def edit(index, out):
+        if index < 2:
+            out[::3] = np.resize(near_tiny, out[::3].size)
+
+    _patch_streams(monkeypatch, edit)
+    specs = default_proposals(code, panel_small)
+    init = mle_estimate(panel_small).theta_hat
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chain = mwg_sample(panel_small, specs, 1500, 300, init=init, seed=21)
+    assert np.all(chain.draws[:, :2] > 1e-100)
+    assert np.all(chain.acceptance_counts > 0)
+    # the reference's inverse-gamma density is a numpy scalar, so there
+    # -inf - -inf warns as well as rejecting
+    with np.errstate(invalid="ignore"):
+        expected = _reference_mwg_sample(panel_small, specs, 1500, 300, init=init, seed=21)
+    _assert_same_chain(chain, expected)
+
+
+def test_mwg_rejects_rho_steps_that_leave_the_open_interval(panel_small, monkeypatch):
+    # from rho = 0.5 these land on 1, -1, 1.1, -2, +-inf and NaN
+    steps = np.array([0.5, -1.5, 0.6, -2.5, np.inf, -np.inf, np.nan])
+
+    def edit(index, out):
+        if index == 2:
+            out[:] = np.resize(steps, out.size)
+
+    _patch_streams(monkeypatch, edit)
+    specs = default_proposals("tnn", panel_small)
+    est = mle_estimate(panel_small).theta_hat
+    init = Theta(est.sigma_x, est.sigma_h, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chain = mwg_sample(panel_small, specs, 700, 100, init=init, seed=22)
+    assert chain.acceptance_counts[2] == 0
+    assert np.all(chain.draws[:, 2] == 0.5)
+    assert chain.warnings == ("no accepted moves for rho after burn-in",)
+    _assert_same_chain(chain, _reference_mwg_sample(panel_small, specs, 700, 100,
+                                                    init=init, seed=22))
+
+
+def test_mwg_rejects_unsupported_proposal_families(panel_small):
+    independence, _, random_walk = default_proposals("tnn", panel_small)
+    init = mle_estimate(panel_small).theta_hat
+    for name, specs in (("sigma_x", (random_walk, independence, random_walk)),
+                        ("sigma_h", (independence, random_walk, random_walk)),
+                        ("rho", (independence, independence, independence))):
+        with pytest.raises(ValueError, match=name):
+            mwg_sample(panel_small, specs, 100, 10, init=init, seed=0)
 
 
 def test_mwg_reproducible_bit_for_bit(panel_small):
