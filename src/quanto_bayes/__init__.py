@@ -8,6 +8,7 @@ from .model import (
     ReturnPanel,
     SpotState,
     Theta,
+    call_price_band,
     log_returns,
     payoff,
     physical_logpdf,
@@ -34,10 +35,10 @@ from .pricing import (
     bs_call,
     closed_form_v3,
     implied_vol,
+    predictive_batch,
     predictive_samples,
     price_predictive,
     relative_pricing_error,
-    sequential_samples,
 )
 from .data_io import (
     OptionQuote,

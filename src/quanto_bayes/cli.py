@@ -53,9 +53,8 @@ from .pricing import (
     SequentialSettings,
     bs_call,
     implied_vol,
-    predictive_samples,
+    predictive_batch,
     relative_pricing_error,
-    sequential_samples,
     summarize_payoffs,
     thinned_draw_count,
 )
@@ -259,21 +258,21 @@ def _stem(path):
 # Shared pipeline pieces
 # ---------------------------------------------------------------------------
 
-def _build_panel(cfg: ExperimentConfig, fx_path, window=None):
-    """Aligned return panel plus the latest aligned levels (x, h)."""
+def _load_panel(cfg: ExperimentConfig, fx_path):
+    """Aligned return panel of the whole history plus the latest aligned fx level."""
     if not cfg.asset_series:
         raise ConfigError("config needs asset_series")
     asset = load_price_series(cfg.asset_series)
     fx = load_price_series(fx_path)
     asset, fx = align_series(asset, fx)
-    panel = ReturnPanel(log_returns(asset), log_returns(fx))
-    if window is not None:
-        if window > panel.n_obs:
-            raise ConfigError(
-                f"window {window} exceeds the {panel.n_obs} available returns"
-            )
-        panel = panel.tail(window)
-    return panel, float(asset.prices[-1]), float(fx.prices[-1])
+    return ReturnPanel(log_returns(asset), log_returns(fx)), float(fx.prices[-1])
+
+
+def _window(panel, window):
+    """The most recent ``window`` returns of ``panel``."""
+    if window > panel.n_obs:
+        raise ConfigError(f"window {window} exceeds the {panel.n_obs} available returns")
+    return panel.tail(window)
 
 
 def _sample_family(family, panel, cfg: ExperimentConfig, seed) -> Chain:
@@ -367,7 +366,8 @@ def cmd_estimate(cfg: ExperimentConfig, out_dir=None, fx_path=None, window=None)
     if fx_path is None:
         raise ConfigError("config needs at least one fx_series entry")
     window = window if window is not None else cfg.windows[0]
-    panel, _, _ = _build_panel(cfg, fx_path, window)
+    history, _ = _load_panel(cfg, fx_path)
+    panel = _window(history, window)
 
     rows = []
     draws_files = {}
@@ -411,6 +411,7 @@ def _price_chain_against_quotes(cfg, chain, quotes, market, panel, h_level,
                                     scale_multiplier=cfg.vol_scale_multiplier),
             refresh_draws=cfg.refresh_draws,
             refresh_burn_in=cfg.refresh_burn_in,
+            refresh_interval=cfg.refresh_interval,
         )
     requests = [
         PricingRequest(
@@ -421,21 +422,15 @@ def _price_chain_against_quotes(cfg, chain, quotes, market, panel, h_level,
             market=market,
             n_paths=cfg.n_paths,
             seed=seed,
-            mode=cfg.mode,
-            refresh_interval=cfg.refresh_interval,
         )
         for quote in quotes
     ]
-    if sequential is not None:
-        # one simulation per path, shared by every quote
-        all_samples = sequential_samples(requests, chain, sequential)
-    else:
-        all_samples = (predictive_samples(request, chain) for request in requests)
+    n_effective = thinned_draw_count(chain, cfg.n_paths)
     rows = []
     hist_rows = []
-    for quote, samples in zip(quotes, all_samples):
+    for quote, samples in zip(quotes, predictive_batch(requests, chain, sequential)):
         quanto = construct_quanto(quote, market, cfg.h_fix)
-        result = summarize_payoffs(samples, thinned_draw_count(chain, cfg.n_paths))
+        result = summarize_payoffs(samples, n_effective)
 
         disc = math.exp(-market.r_d * quote.maturity_days) * cfg.h_fix
         try:
@@ -484,9 +479,10 @@ def cmd_price(cfg: ExperimentConfig, draws_path, out_dir=None, fx_path=None,
 
     chain = _load_draws(draws_path)
     market = cfg.market()
-    panel, _, h_level = _build_panel(cfg, fx_path, window)
+    history, h_level = _load_panel(cfg, fx_path)
+    panel = _window(history, window)
     quotes = load_option_chain(cfg.option_chain)
-    retained, rejected = filter_options(quotes, market, quotes[0].underlying_spot)
+    retained, rejected = filter_options(quotes, market)
     if not retained:
         raise ConfigError("no quotes survive the early-exercise filter")
 
@@ -539,7 +535,7 @@ def cmd_experiment(cfg: ExperimentConfig):
     out_dir = cfg.out_dir
     market = cfg.market()
     quotes_all = load_option_chain(cfg.option_chain)
-    retained, rejected = filter_options(quotes_all, market, quotes_all[0].underlying_spot)
+    retained, rejected = filter_options(quotes_all, market)
     if not retained:
         raise ConfigError("no quotes survive the early-exercise filter")
     _write_csv(
@@ -553,11 +549,17 @@ def cmd_experiment(cfg: ExperimentConfig):
     failures = []
     for fx_path in cfg.fx_series:
         fx_name = _stem(fx_path)
+        try:
+            history, h_level = _load_panel(cfg, fx_path)
+        except (ConfigError, ValueError, OSError) as exc:
+            failures.extend((fx_name, window, "*", "panel", str(exc))
+                            for window in cfg.windows)
+            continue
         for window in cfg.windows:
             cell_dir = os.path.join(out_dir, "cells", fx_name, f"w{window}")
             try:
-                panel, _, h_level = _build_panel(cfg, fx_path, window)
-            except (ConfigError, ValueError, OSError) as exc:
+                panel = _window(history, window)
+            except ConfigError as exc:
                 failures.append((fx_name, window, "*", "panel", str(exc)))
                 continue
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from datetime import date as Date
 
-from .model import MarketConfig, PriceSeries
+from .model import MarketConfig, PriceSeries, call_price_band
 
 __all__ = [
     "OptionQuote",
@@ -139,20 +139,22 @@ def align_series(a: PriceSeries, b: PriceSeries):
     return PriceSeries(dates_a, prices_a), PriceSeries(dates_b, prices_b)
 
 
-def filter_options(quotes, market: MarketConfig, spot):
-    """Drop quotes violating European lower-bound consistency.
+def filter_options(quotes, market: MarketConfig):
+    """Drop quotes outside the no-arbitrage band of a call on the foreign asset.
 
-    Retains quotes with price in [max(spot - strike*exp(-r_d*maturity), 0),
-    spot]; everything else is returned in the rejects list with a reason
-    code (``below_lower_bound`` or ``above_spot``).
+    Each quote is checked against :func:`model.call_price_band` at the
+    foreign rate ``r_f`` and its own spot, the band that
+    :func:`pricing.implied_vol` solves in. Rejects are returned with a
+    reason code (``below_lower_bound`` or ``above_spot``).
     """
     retained = []
     rejected = []
     for quote in quotes:
-        bound = max(spot - quote.strike * math.exp(-market.r_d * quote.maturity_days), 0.0)
-        if quote.market_price < bound:
+        lower, upper = call_price_band(quote.underlying_spot, quote.strike,
+                                       market.r_f, quote.maturity_days)
+        if quote.market_price < lower:
             rejected.append((quote, "below_lower_bound"))
-        elif quote.market_price > spot:
+        elif quote.market_price >= upper:
             rejected.append((quote, "above_spot"))
         else:
             retained.append(quote)

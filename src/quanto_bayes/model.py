@@ -3,8 +3,9 @@ and an exchange rate, observed through per-period log returns.
 
 All quantities are expressed per trading day: volatilities are daily standard
 deviations of log returns and rates are daily continuously-compounded rates.
-Annualized inputs are converted with ``MarketConfig.from_annual`` (rates divided
-by ``periods_per_year``, volatilities by its square root).
+Annualized rates are converted with ``MarketConfig.from_annual`` (divided by
+``periods_per_year``); volatilities are estimated from the daily returns
+themselves, so none is converted.
 
 Log densities are the canonical numeric interface; plain densities underflow
 for sample sizes in the thousands.
@@ -34,7 +35,7 @@ __all__ = [
     "log_likelihood",
     "simulate_return_pair",
     "payoff",
-    "vol_per_period",
+    "call_price_band",
 ]
 
 PAYOFF_KINDS = ("F1", "F2", "F3", "F4")
@@ -126,9 +127,14 @@ class MarketConfig:
         )
 
 
-def vol_per_period(annual_vol, periods_per_year=252):
-    """Convert an annualized volatility to a per-period one."""
-    return annual_vol / math.sqrt(periods_per_year)
+def call_price_band(spot, strike, rate, horizon_s):
+    """No-arbitrage band of a European call price, as (lower, upper).
+
+    A price p admits a finite implied volatility exactly when lower <= p <
+    upper, with lower = max(S - K*exp(-r*s), 0) and upper = S; ``rate`` is
+    the per-period rate of the call's own currency.
+    """
+    return max(spot - strike * math.exp(-rate * horizon_s), 0.0), spot
 
 
 @dataclass(frozen=True)
@@ -244,15 +250,6 @@ class ReturnPanel:
 
     def __setattr__(self, name, value):
         raise AttributeError("ReturnPanel is immutable")
-
-    @classmethod
-    def from_series(cls, asset: PriceSeries, fx: PriceSeries):
-        """Build a panel from two price series sharing an identical calendar."""
-        if asset.dates != fx.dates:
-            raise ValueError(
-                "series calendars differ; align them first (data_io.align_series)"
-            )
-        return cls(log_returns(asset), log_returns(fx))
 
     @property
     def cross_moment(self):

@@ -4,20 +4,23 @@ baselines.
 
 ``price_predictive`` consumes one posterior draw per simulated path: the
 retained chain is thinned to ``n_paths`` evenly spaced entries, and the
-discounted payoffs are averaged. With the parameters fixed along a static
-path, the ``horizon_s`` daily return pairs under the domestic risk-neutral
-measure sum to one bivariate normal, so each path takes a single exact
-terminal draw. Randomness is consumed in a fixed order (one batch of asset
-shocks, then one batch of exchange-rate shocks; the fixed-rate payoff F3
-uses only the asset batch), so a fixed seed reproduces the result bit for
-bit and common random numbers apply across strikes.
+discounted payoffs are averaged. ``predictive_batch`` prices many requests
+that share the seed, path count and market from one simulation per chain:
+each path's growth factors to every requested maturity are built once, and
+every strike of that maturity reads them.
 
-Sequential-update pricing re-infers the parameters along each path, so it
-keeps a daily loop. ``sequential_samples`` simulates each path once, up to
-the longest requested horizon, and prices every request sharing the seed
-and path count from that one simulation: a path runs
-ceil(s_max/refresh_interval) - 1 refresh chains however many strikes and
-maturities it serves.
+With the parameters fixed along a static path, the ``horizon_s`` daily
+return pairs under the domestic risk-neutral measure sum to one bivariate
+normal, so each path takes a single exact terminal draw. Randomness is
+consumed in a fixed order (one batch of asset shocks, then one batch of
+exchange-rate shocks, skipped when every request is the fixed-rate payoff
+F3), so a fixed seed reproduces the result bit for bit and common random
+numbers apply across strikes and maturities.
+
+Passing :class:`SequentialSettings` selects sequential-update pricing, which
+re-infers the parameters along each path and so keeps a daily loop: a path
+runs up to the longest requested maturity s_max and refreshes its posterior
+ceil(s_max/refresh_interval) - 1 times, however many quotes it serves.
 """
 
 from __future__ import annotations
@@ -30,15 +33,16 @@ from scipy.special import ndtr
 
 from .diagnostics import hpdi
 from .inference import Chain, mwg_sample
-from .model import MarketConfig, ReturnPanel, SpotState, Theta, payoff, simulate_return_pair
+from .model import (MarketConfig, ReturnPanel, SpotState, Theta, call_price_band, payoff,
+                    simulate_return_pair)
 
 __all__ = [
     "PricingRequest",
     "PricingResult",
     "SequentialSettings",
     "price_predictive",
+    "predictive_batch",
     "predictive_samples",
-    "sequential_samples",
     "summarize_payoffs",
     "thinned_draw_count",
     "closed_form_v3",
@@ -46,8 +50,6 @@ __all__ = [
     "implied_vol",
     "relative_pricing_error",
 ]
-
-MODES = ("static", "sequential-update")
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,7 @@ class PricingRequest:
     ``strike`` is in the currency the kind calls for (domestic for F1,
     foreign for F2/F3, exchange-rate units for F4). ``horizon_s`` counts
     trading days to maturity; 0 is allowed and returns the intrinsic value
-    exactly. In ``sequential-update`` mode the posterior is refreshed every
-    ``refresh_interval`` simulated days from the path's own extended panel.
+    exactly.
     """
 
     kind: str
@@ -68,8 +69,6 @@ class PricingRequest:
     market: MarketConfig
     n_paths: int = 100_000
     seed: int = 0
-    mode: str = "static"
-    refresh_interval: int = 1
 
     def __post_init__(self):
         if self.kind not in ("F1", "F2", "F3", "F4"):
@@ -80,12 +79,6 @@ class PricingRequest:
             raise ValueError(f"horizon_s must be non-negative, got {self.horizon_s}")
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.refresh_interval < 1:
-            raise ValueError(
-                f"refresh_interval must be at least 1, got {self.refresh_interval}"
-            )
 
 
 @dataclass(frozen=True)
@@ -105,21 +98,27 @@ class PricingResult:
 
 @dataclass(frozen=True)
 class SequentialSettings:
-    """Inputs required by sequential-update mode.
+    """Inputs of sequential-update pricing; passing them selects that mode.
 
     The historical panel is extended with each path's own simulated returns
-    and the posterior is refreshed by a short Metropolis-within-Gibbs run
-    started from the path's current parameter draw.
+    and, every ``refresh_interval`` simulated days, the posterior is
+    refreshed by a short Metropolis-within-Gibbs run started from the path's
+    current parameter draw.
     """
 
     panel: ReturnPanel
     specs: tuple
     refresh_draws: int = 2000
     refresh_burn_in: int = 500
+    refresh_interval: int = 1
 
     def __post_init__(self):
         if not 0 <= self.refresh_burn_in < self.refresh_draws:
             raise ValueError("need refresh_draws > refresh_burn_in >= 0")
+        if self.refresh_interval < 1:
+            raise ValueError(
+                f"refresh_interval must be at least 1, got {self.refresh_interval}"
+            )
 
 
 def _thin_indices(n_available, n_paths):
@@ -183,64 +182,30 @@ def predictive_samples(request: PricingRequest, chain: Chain,
     """Per-draw discounted payoffs backing :func:`price_predictive`.
 
     This is the sample whose mean is the price and whose histogram is the
-    predictive density of the discounted payoff. In static mode each path
-    draws its terminal log-levels exactly: log(X_T/x0) = s*m_x +
-    sqrt(s)*sigma_x*z1 from one batch of ``n_paths`` normals, then, except
-    for F3, log(H_T/h0) = s*m_h + sqrt(s)*sigma_h*(rho*z1 +
-    sqrt(1-rho^2)*z2) from a second batch. Sequential-update requests go to
-    :func:`sequential_samples`.
+    predictive density of the discounted payoff: the one-request call of
+    :func:`predictive_batch`.
     """
-    retained = chain.post_burn_in()
-    if retained.shape[0] == 0:
-        raise ValueError("chain has no post-burn-in draws")
-    if request.horizon_s == 0:
-        return _intrinsic_samples(request)
-    if request.mode == "sequential-update":
-        return sequential_samples([request], chain, sequential)[0]
-    market = request.market
-    spot = request.spot
-    s = request.horizon_s
-
-    thetas = retained[_thin_indices(retained.shape[0], request.n_paths)]
-    sx = thetas[:, 0]
-    sh = thetas[:, 1]
-    rho = thetas[:, 2]
-    root_s = math.sqrt(s)
-    rng = np.random.default_rng(request.seed)
-    z1 = rng.standard_normal(request.n_paths)
-    x_term = spot.x0 * np.exp(s * (market.r_f - rho * sx * sh - 0.5 * sx * sx)
-                              + root_s * sx * z1)
-    if request.kind == "F3":
-        h_term = spot.h0
-    else:
-        z2 = rng.standard_normal(request.n_paths)
-        shock = rho * z1 + np.sqrt(1.0 - rho * rho) * z2
-        h_term = spot.h0 * np.exp(s * (market.r_d - market.r_f - 0.5 * sh * sh)
-                                  + root_s * sh * shock)
-    values = payoff(request.kind, x_term, h_term, request.strike, market)
-    return math.exp(-market.r_d * s) * values
+    return next(predictive_batch([request], chain, sequential))
 
 
-def _intrinsic_samples(request):
-    value = float(
-        payoff(request.kind, request.spot.x0, request.spot.h0, request.strike,
-               request.market)
-    )
-    return np.full(request.n_paths, value)
+def predictive_batch(requests, chain: Chain,
+                     sequential: SequentialSettings | None = None):
+    """Per-draw discounted payoffs of many requests, one array each, lazily.
 
+    The requests must share ``seed``, ``n_paths`` and ``market``; they may
+    differ in kind, strike, horizon and spot. The inputs are checked and the
+    paths simulated before this returns; the iterator then yields each
+    request's payoffs in request order, so one payoff array is held at a
+    time. Horizon 0 gives the intrinsic value on every path.
 
-def _shared_settings(request):
-    return (request.seed, request.n_paths, request.refresh_interval, request.market,
-            request.mode)
+    Static mode (``sequential`` is None): path k holds the thinned draw
+    theta^(k) to maturity and draws its terminal log-levels exactly,
+    log(X_s/x0) = s*m_x + sqrt(s)*sigma_x*z1 and log(H_s/h0) = s*m_h +
+    sqrt(s)*sigma_h*(rho*z1 + sqrt(1-rho^2)*z2), from one batch of
+    ``n_paths`` normals z1 and, unless every request is F3, one batch z2,
+    both from ``default_rng(seed)`` and shared by every maturity.
 
-
-def sequential_samples(requests, chain: Chain,
-                       settings: SequentialSettings | None = None):
-    """Per-draw discounted payoffs of sequential-update requests, one array each.
-
-    The requests must share ``seed``, ``n_paths``, ``refresh_interval``,
-    ``market`` and ``mode`` (``sequential-update``); they may differ in kind,
-    strike, horizon and spot. Path i owns the substream SeedSequence((seed,
+    Sequential-update mode: path i owns the substream SeedSequence((seed,
     i)) and is simulated once, day by day, up to the longest horizon s_max;
     after day j the posterior is refreshed when j is a multiple of
     ``refresh_interval`` and j < s_max. A request with horizon s prices from
@@ -252,38 +217,59 @@ def sequential_samples(requests, chain: Chain,
     retained = chain.post_burn_in()
     if retained.shape[0] == 0:
         raise ValueError("chain has no post-burn-in draws")
-    if len({_shared_settings(r) for r in requests}) > 1:
-        raise ValueError(
-            "sequential requests must share seed, n_paths, refresh_interval, "
-            "market and mode"
-        )
-    if any(r.mode != "sequential-update" for r in requests):
-        raise ValueError("sequential_samples prices sequential-update requests only")
-    horizons = sorted({r.horizon_s for r in requests if r.horizon_s > 0})
-    if not horizons:
-        return [_intrinsic_samples(r) for r in requests]
-    if settings is None:
-        raise ValueError("sequential-update mode needs SequentialSettings")
+    if len({(r.seed, r.n_paths, r.market) for r in requests}) > 1:
+        raise ValueError("batched requests must share seed, n_paths and market")
+    growth = {}
+    if requests:
+        first = requests[0]
+        horizons = sorted({r.horizon_s for r in requests})
+        thetas = retained[_thin_indices(retained.shape[0], first.n_paths)]
+        if sequential is None:
+            both_legs = any(r.kind != "F3" for r in requests)
+            growth = _terminal_growth(thetas, horizons, first, both_legs)
+        else:
+            growth = _sequential_growth(thetas, horizons, first, sequential)
+    return (_discounted_payoffs(request, *growth[request.horizon_s])
+            for request in requests)
 
-    seed, n_paths, interval, market, _ = _shared_settings(requests[0])
+
+def _terminal_growth(thetas, horizons, first, both_legs):
+    """{s: (X_s/x0, H_s/h0 or None)} from one exact terminal draw per path."""
+    market = first.market
+    sx = thetas[:, 0]
+    sh = thetas[:, 1]
+    rho = thetas[:, 2]
+    rng = np.random.default_rng(first.seed)
+    z1 = rng.standard_normal(first.n_paths)
+    drift_x = market.r_f - rho * sx * sh - 0.5 * sx * sx
+    if both_legs:
+        z2 = rng.standard_normal(first.n_paths)
+        shock = rho * z1 + np.sqrt(1.0 - rho * rho) * z2
+        drift_h = market.r_d - market.r_f - 0.5 * sh * sh
+    growth = {}
+    for s in horizons:
+        root_s = math.sqrt(s)
+        growth_h = np.exp(s * drift_h + root_s * sh * shock) if both_legs else None
+        growth[s] = (np.exp(s * drift_x + root_s * sx * z1), growth_h)
+    return growth
+
+
+def _sequential_growth(thetas, horizons, first, settings: SequentialSettings):
+    """{s: (X_s/x0, H_s/h0)} from one daily simulation per path up to s_max."""
     s_max = horizons[-1]
-    thetas = retained[_thin_indices(retained.shape[0], n_paths)]
-    # exp of the summed log-returns up to each horizon, per path
-    growth_x = {s: np.empty(n_paths) for s in horizons}
-    growth_h = {s: np.empty(n_paths) for s in horizons}
-    for i in range(n_paths):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+    growth = {s: (np.empty(first.n_paths), np.empty(first.n_paths)) for s in horizons}
+    for i in range(first.n_paths):
+        rng = np.random.default_rng(np.random.SeedSequence((first.seed, i)))
         theta = Theta(*thetas[i])
         xs = []
         hs = []
         for j in range(1, s_max + 1):
-            x, h = simulate_return_pair(theta, market, rng)
+            x, h = simulate_return_pair(theta, first.market, rng)
             xs.append(x)
             hs.append(h)
-            if j % interval == 0 and j < s_max:
-                extended = settings.panel.extend(xs, hs)
+            if j % settings.refresh_interval == 0 and j < s_max:
                 refresh = mwg_sample(
-                    extended,
+                    settings.panel.extend(xs, hs),
                     settings.specs,
                     settings.refresh_draws,
                     settings.refresh_burn_in,
@@ -291,20 +277,18 @@ def sequential_samples(requests, chain: Chain,
                     seed=int(rng.integers(2 ** 63)),
                 )
                 theta = refresh.draw(len(refresh) - 1)
-        for s in horizons:
-            growth_x[s][i] = math.exp(sum(xs[:s]))
-            growth_h[s][i] = math.exp(sum(hs[:s]))
+        for s, (growth_x, growth_h) in growth.items():
+            growth_x[i] = math.exp(sum(xs[:s]))
+            growth_h[i] = math.exp(sum(hs[:s]))
+    return growth
 
-    out = []
-    for request in requests:
-        s = request.horizon_s
-        if s == 0:
-            out.append(_intrinsic_samples(request))
-            continue
-        values = payoff(request.kind, request.spot.x0 * growth_x[s],
-                        request.spot.h0 * growth_h[s], request.strike, market)
-        out.append(math.exp(-market.r_d * s) * values)
-    return out
+
+def _discounted_payoffs(request, growth_x, growth_h):
+    spot = request.spot
+    h_term = spot.h0 if growth_h is None else spot.h0 * growth_h
+    values = payoff(request.kind, spot.x0 * growth_x, h_term, request.strike,
+                    request.market)
+    return math.exp(-request.market.r_d * request.horizon_s) * values
 
 
 def closed_form_v3(theta: Theta, spot: SpotState, strike_f, horizon_s,
@@ -352,15 +336,15 @@ def implied_vol(price, spot_x, strike, rate_per_period, horizon_s,
                 price_tol=1e-10):
     """Per-period implied volatility of a call by bisection on [1e-8, 5].
 
-    Prices outside the no-arbitrage band [max(S - K*exp(-r*s), 0), S) have
-    no solution and raise.
+    Prices outside the no-arbitrage band of :func:`model.call_price_band`
+    have no solution and raise.
     """
     if spot_x <= 0.0 or strike <= 0.0:
         raise ValueError("spot and strike must be positive")
-    lower = max(spot_x - strike * math.exp(-rate_per_period * horizon_s), 0.0)
-    if price < lower - 1e-12 or price >= spot_x:
+    lower, upper = call_price_band(spot_x, strike, rate_per_period, horizon_s)
+    if price < lower - 1e-12 or price >= upper:
         raise ValueError(
-            f"no implied volatility: price {price} outside [{lower}, {spot_x})"
+            f"no implied volatility: price {price} outside [{lower}, {upper})"
         )
     lo, hi = 1e-8, 5.0
     if bs_call(spot_x, strike, hi, rate_per_period, horizon_s) < price:

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import subprocess
@@ -293,6 +294,35 @@ def test_cmd_experiment_records_partial_failures(tmp_path):
     assert os.path.exists(os.path.join(cfg.out_dir, "cells", "fx", "w250", "pricing_tnn.csv"))
 
 
+def test_cmd_experiment_loads_each_fx_series_once(tmp_path, monkeypatch):
+    from quanto_bayes import cli
+
+    (tmp_path / "bad.csv").write_text("date,price\n2017-01-02,-1\n", encoding="utf-8")
+    cfg = load_config(make_workspace(tmp_path, fx_series="fx.csv, bad.csv",
+                                     windows="250, 9999, 300", families="mle"))
+    loads = {}
+    real = cli.load_price_series
+
+    def counting(path):
+        loads[os.path.basename(path)] = loads.get(os.path.basename(path), 0) + 1
+        return real(path)
+
+    monkeypatch.setattr(cli, "load_price_series", counting)
+    cmd_experiment(cfg)
+    assert loads["fx.csv"] == 1 and loads["bad.csv"] == 1
+    # a load error still fails every window of its series, a too-long window its own
+    rows = [tuple(r.values()) for r in _read_csv(os.path.join(cfg.out_dir, "failures.csv"))]
+    assert rows == [
+        ("fx", "9999", "*", "panel", "window 9999 exceeds the 319 available returns"),
+        ("bad", "250", "*", "panel", "row 2: non-positive price -1.0"),
+        ("bad", "9999", "*", "panel", "row 2: non-positive price -1.0"),
+        ("bad", "300", "*", "panel", "row 2: non-positive price -1.0"),
+    ]
+    for window in (250, 300):
+        assert os.path.exists(os.path.join(cfg.out_dir, "cells", "fx", f"w{window}",
+                                           "estimate_summary.csv"))
+
+
 # ---------------------------------------------------------------------------
 # main entry point and exit codes
 # ---------------------------------------------------------------------------
@@ -352,6 +382,35 @@ def test_cli_import_skips_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["experiment", "price-sequential"])
+def test_traced_benchmark_child_runs(tmp_path, command):
+    # the benchmark's traced run wraps the names cli imports from the other
+    # modules and ReturnPanel.tail/extend, and reads request fields from them
+    root = os.path.join(os.path.dirname(__file__), "..")
+    cfg_path = make_workspace(tmp_path, draws=600, burn_in=100, n_paths=200,
+                              refresh_draws=60, refresh_burn_in=10, refresh_interval=20)
+    argv = ["experiment", "--config", cfg_path]
+    if command == "price-sequential":
+        assert main(["estimate", "--config", cfg_path, "--families", "tnn"]) == 0
+        draws = os.path.join(str(tmp_path), "out", "draws_tnn.csv")
+        argv = ["price", "--config", cfg_path, "--draws", draws,
+                "--mode", "sequential", "--paths", "3"]
+    result = tmp_path / "child.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "child.py"),
+         "--src", os.path.join(root, "src"), "--result", str(result), "--trace", "--",
+         *argv],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(result.read_text(encoding="utf-8"))
+    assert record["returncode"] == 0, proc.stderr
+    names = {span[2] for span in record["spans"]}
+    assert "model.ReturnPanel.tail" in names
+    if command == "price-sequential":
+        assert "model.ReturnPanel.extend" in names
 
 
 def test_main_family_and_seed_overrides(tmp_path):

@@ -16,6 +16,7 @@ from quanto_bayes.data_io import (
     moneyness_bucket,
 )
 from quanto_bayes.model import MarketConfig, PriceSeries, ReturnPanel, log_returns
+from quanto_bayes.pricing import implied_vol
 
 from conftest import FIXTURES
 
@@ -145,10 +146,9 @@ def _quote(strike, maturity, price, spot=2700.0):
 
 
 def test_filter_drops_quote_below_intrinsic_bound():
-    spot = 2700.0
     bad = _quote(2000.0, 30, 100.0)  # bound ~ 700
     good = _quote(2700.0, 30, 40.0)
-    retained, rejected = filter_options([bad, good], MARKET, spot)
+    retained, rejected = filter_options([bad, good], MARKET)
     assert retained == [good]
     assert rejected == [(bad, "below_lower_bound")]
 
@@ -156,39 +156,62 @@ def test_filter_drops_quote_below_intrinsic_bound():
 def test_filter_keeps_deep_itm_at_parity_plus_epsilon():
     spot = 2700.0
     strike = 2000.0
-    bound = spot - strike * math.exp(-MARKET.r_d * 30)
+    # the call is on the foreign asset, so parity discounts at r_f
+    bound = spot - strike * math.exp(-MARKET.r_f * 30)
     quote = _quote(strike, 30, bound + 0.01)
-    retained, rejected = filter_options([quote], MARKET, spot)
+    retained, rejected = filter_options([quote], MARKET)
     assert retained == [quote] and rejected == []
 
 
 def test_filter_drops_price_above_spot():
     quote = _quote(2800.0, 30, 2750.0)
-    retained, rejected = filter_options([quote], MARKET, 2700.0)
-    assert retained == [] and rejected[0][1] == "above_spot"
+    at_spot = _quote(2800.0, 30, 2700.0)
+    retained, rejected = filter_options([quote, at_spot], MARKET)
+    assert retained == []
+    assert [reason for _, reason in rejected] == ["above_spot", "above_spot"]
 
 
 def test_filter_fixture_chain_matches_hand_check():
     quotes = load_option_chain(os.path.join(FIXTURES, "option_chain_synthetic.csv"))
     assert len(quotes) == 50
-    spot = quotes[0].underlying_spot
-    retained, rejected = filter_options(quotes, MARKET, spot)
-    # independent application of the European bound
+    retained, rejected = filter_options(quotes, MARKET)
+    # independent application of the European band at r_f and each quote's spot
     expected_kept = [
         q for q in quotes
-        if max(spot - q.strike * math.exp(-MARKET.r_d * q.maturity_days), 0.0)
-        <= q.market_price <= spot
+        if max(q.underlying_spot - q.strike * math.exp(-MARKET.r_f * q.maturity_days), 0.0)
+        <= q.market_price < q.underlying_spot
     ]
     assert retained == expected_kept
     assert len(retained) == 47
     assert len(rejected) == 3
 
 
+def test_filter_band_is_the_implied_vol_band():
+    quotes = load_option_chain(os.path.join(FIXTURES, "option_chain_synthetic.csv"))
+    strike = 2000.0
+    # above the old r_d parity bound, below the r_f one: no implied vol exists
+    old_bound = 2700.0 - strike * math.exp(-MARKET.r_d * 30)
+    stale = _quote(strike, 30, old_bound + 0.01)
+    # inside the band of its own spot, below the band of a 2700 spot
+    own_spot = _quote(strike, 30, 2600.0 - strike * math.exp(-MARKET.r_f * 30) + 0.01,
+                      spot=2600.0)
+    retained, rejected = filter_options([_quote(2700.0, 30, 40.0), stale, own_spot]
+                                        + quotes, MARKET)
+    assert rejected[0] == (stale, "below_lower_bound")
+    assert own_spot in retained
+    with pytest.raises(ValueError, match="no implied volatility"):
+        implied_vol(stale.market_price, stale.underlying_spot, stale.strike,
+                    MARKET.r_f, stale.maturity_days)
+    for q in retained:
+        vol = implied_vol(q.market_price, q.underlying_spot, q.strike, MARKET.r_f,
+                          q.maturity_days)
+        assert math.isfinite(vol) and vol > 0.0
+
+
 def test_filter_subset_and_idempotent():
     quotes = load_option_chain(os.path.join(FIXTURES, "option_chain_synthetic.csv"))
-    spot = quotes[0].underlying_spot
-    once, _ = filter_options(quotes, MARKET, spot)
-    twice, dropped_again = filter_options(once, MARKET, spot)
+    once, _ = filter_options(quotes, MARKET)
+    twice, dropped_again = filter_options(once, MARKET)
     assert twice == once
     assert dropped_again == []
     assert all(q in quotes for q in once)

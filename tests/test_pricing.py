@@ -14,10 +14,10 @@ from quanto_bayes.pricing import (
     bs_call,
     closed_form_v3,
     implied_vol,
+    predictive_batch,
     predictive_samples,
     price_predictive,
     relative_pricing_error,
-    sequential_samples,
     thinned_draw_count,
 )
 
@@ -272,9 +272,10 @@ def test_request_validation():
     with pytest.raises(ValueError):
         PricingRequest(kind="F1", strike=1.0, horizon_s=5, spot=SPOT, market=MARKET,
                        n_paths=0)
-    with pytest.raises(ValueError):
-        PricingRequest(kind="F1", strike=1.0, horizon_s=5, spot=SPOT, market=MARKET,
-                       mode="turbo")
+    panel = synth_panel(50, seed=60)
+    with pytest.raises(ValueError, match="refresh_interval"):
+        SequentialSettings(panel=panel, specs=default_proposals("tnn", panel),
+                           refresh_interval=0)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +284,13 @@ def test_request_validation():
 
 def test_sequential_mode_deterministic_and_consistent_with_static():
     panel = synth_panel(300, seed=61)
-    settings = SequentialSettings(panel=panel, specs=default_proposals("tnn", panel),
-                                  refresh_draws=400, refresh_burn_in=100)
-    chain = posterior_like_chain(n=200)
     # interval beyond the horizon: no refresh ever triggers
+    settings = SequentialSettings(panel=panel, specs=default_proposals("tnn", panel),
+                                  refresh_draws=400, refresh_burn_in=100,
+                                  refresh_interval=99)
+    chain = posterior_like_chain(n=200)
     request = PricingRequest(kind="F3", strike=2700.0, horizon_s=10, spot=SPOT,
-                             market=MARKET, n_paths=200, seed=71,
-                             mode="sequential-update", refresh_interval=99)
+                             market=MARKET, n_paths=200, seed=71)
     a = price_predictive(request, chain, settings)
     b = price_predictive(request, chain, settings)
     assert a == b
@@ -303,23 +304,43 @@ def test_sequential_mode_deterministic_and_consistent_with_static():
 def test_sequential_mode_with_refreshes_runs_and_reproduces():
     panel = synth_panel(250, seed=62)
     settings = SequentialSettings(panel=panel, specs=default_proposals("tnn", panel),
-                                  refresh_draws=300, refresh_burn_in=50)
+                                  refresh_draws=300, refresh_burn_in=50,
+                                  refresh_interval=4)
     chain = posterior_like_chain(n=100)
     request = PricingRequest(kind="F3", strike=2700.0, horizon_s=8, spot=SPOT,
-                             market=MARKET, n_paths=40, seed=81,
-                             mode="sequential-update", refresh_interval=4)
+                             market=MARKET, n_paths=40, seed=81)
     a = price_predictive(request, chain, settings)
     b = price_predictive(request, chain, settings)
     assert a == b
     assert math.isfinite(a.price) and a.price >= 0.0
 
 
-def test_sequential_mode_requires_settings():
-    request = PricingRequest(kind="F3", strike=2700.0, horizon_s=5, spot=SPOT,
-                             market=MARKET, n_paths=10, seed=1,
-                             mode="sequential-update")
-    with pytest.raises(ValueError, match="SequentialSettings"):
-        price_predictive(request, one_draw_chain())
+def _per_request_static(request, chain):
+    """One static request priced on its own: the thinned draws, one batch of
+    asset normals z1 and, except for F3, one batch of exchange-rate normals
+    z2 from default_rng(seed), then the exact terminal draw."""
+    retained = chain.post_burn_in()
+    market = request.market
+    spot = request.spot
+    s = request.horizon_s
+    thetas = retained[(np.arange(request.n_paths) * retained.shape[0]) // request.n_paths]
+    sx = thetas[:, 0]
+    sh = thetas[:, 1]
+    rho = thetas[:, 2]
+    root_s = math.sqrt(s)
+    rng = np.random.default_rng(request.seed)
+    z1 = rng.standard_normal(request.n_paths)
+    x_term = spot.x0 * np.exp(s * (market.r_f - rho * sx * sh - 0.5 * sx * sx)
+                              + root_s * sx * z1)
+    if request.kind == "F3":
+        h_term = spot.h0
+    else:
+        z2 = rng.standard_normal(request.n_paths)
+        shock = rho * z1 + np.sqrt(1.0 - rho * rho) * z2
+        h_term = spot.h0 * np.exp(s * (market.r_d - market.r_f - 0.5 * sh * sh)
+                                  + root_s * sh * shock)
+    values = payoff(request.kind, x_term, h_term, request.strike, market)
+    return math.exp(-market.r_d * s) * values
 
 
 def _per_request_sequential(request, chain, settings):
@@ -337,7 +358,7 @@ def _per_request_sequential(request, chain, settings):
             x, h = simulate_return_pair(theta, request.market, rng)
             xs.append(x)
             hs.append(h)
-            if j % request.refresh_interval == 0 and j < s:
+            if j % settings.refresh_interval == 0 and j < s:
                 refresh = mwg_sample(settings.panel.extend(xs, hs), settings.specs,
                                      settings.refresh_draws, settings.refresh_burn_in,
                                      init=theta, seed=int(rng.integers(2 ** 63)))
@@ -349,13 +370,19 @@ def _per_request_sequential(request, chain, settings):
     return out
 
 
-def test_sequential_batch_equals_single_requests_bitwise():
+def _sequential_settings(refresh_interval=4):
     panel = synth_panel(250, seed=63)
-    settings = SequentialSettings(panel=panel, specs=default_proposals("tnn", panel),
-                                  refresh_draws=200, refresh_burn_in=50)
+    return SequentialSettings(panel=panel, specs=default_proposals("tnn", panel),
+                              refresh_draws=200, refresh_burn_in=50,
+                              refresh_interval=refresh_interval)
+
+
+@pytest.mark.parametrize("mode", ["static", "sequential-update"])
+def test_sequential_batch_equals_single_requests_bitwise(mode):
+    settings = _sequential_settings()
+    sequential = settings if mode == "sequential-update" else None
     chain = posterior_like_chain(n=100)
-    common = dict(market=MARKET, n_paths=12, seed=91, mode="sequential-update",
-                  refresh_interval=4)
+    common = dict(market=MARKET, n_paths=12, seed=91)
     # horizons shorter than, equal to, a multiple of and off the interval
     requests = [
         PricingRequest(kind="F3", strike=2700.0, horizon_s=3, spot=SPOT, **common),
@@ -363,34 +390,42 @@ def test_sequential_batch_equals_single_requests_bitwise():
         PricingRequest(kind="F3", strike=2650.0, horizon_s=8,
                        spot=SpotState(2690.0, 0.88), **common),
         PricingRequest(kind="F4", strike=0.87, horizon_s=10, spot=SPOT, **common),
-        PricingRequest(kind="F2", strike=2720.0, horizon_s=6, spot=SPOT, **common),
+        PricingRequest(kind="F2", strike=2720.0, horizon_s=6,
+                       spot=SpotState(2730.0, 0.86), **common),
+        PricingRequest(kind="F3", strike=2720.0, horizon_s=8, spot=SPOT, **common),
         PricingRequest(kind="F3", strike=2700.0, horizon_s=0, spot=SPOT, **common),
     ]
-    batched = sequential_samples(requests, chain, settings)
-    assert len(batched) == len(requests)
-    for request, samples in zip(requests, batched):
-        single = predictive_samples(request, chain, settings)
-        assert np.array_equal(samples, single), request.horizon_s
-        if request.horizon_s > 0:
-            reference = _per_request_sequential(request, chain, settings)
-            assert np.array_equal(single, reference), request.horizon_s
-    assert np.all(batched[-1] == MARKET.h_fix * (SPOT.x0 - 2700.0))  # intrinsic
+    f3_only = [r for r in requests if r.kind == "F3"]
+    for batch in (requests, f3_only):
+        batched = list(predictive_batch(batch, chain, sequential))
+        assert len(batched) == len(batch)
+        for request, samples in zip(batch, batched):
+            single = predictive_samples(request, chain, sequential)
+            assert np.array_equal(samples, single), request
+            if request.horizon_s > 0:
+                if sequential is None:
+                    reference = _per_request_static(request, chain)
+                else:
+                    reference = _per_request_sequential(request, chain, settings)
+                assert np.array_equal(single, reference), request
+        assert np.all(batched[-1] == MARKET.h_fix * (SPOT.x0 - 2700.0))  # intrinsic
 
 
 @pytest.mark.parametrize("field, value", [
-    ("seed", 92), ("n_paths", 13), ("refresh_interval", 5), ("mode", "static"),
-    ("market", MarketConfig.from_annual(0.02, 0.025, h_fix=1.0, periods_per_year=252)),
+    ("seed", 92), ("n_paths", 13),
+    pytest.param("market",
+                 MarketConfig.from_annual(0.02, 0.025, h_fix=1.0, periods_per_year=252),
+                 id="market-value4"),
 ])
 def test_sequential_requests_must_share_path_settings(field, value):
-    panel = synth_panel(250, seed=63)
-    settings = SequentialSettings(panel=panel, specs=default_proposals("tnn", panel),
-                                  refresh_draws=200, refresh_burn_in=50)
     common = dict(kind="F3", strike=2700.0, horizon_s=5, spot=SPOT, market=MARKET,
-                  n_paths=12, seed=91, mode="sequential-update", refresh_interval=4)
+                  n_paths=12, seed=91)
     first = PricingRequest(**common)
     other = PricingRequest(**{**common, field: value})
-    with pytest.raises(ValueError, match="must share"):
-        sequential_samples([first, other], posterior_like_chain(n=100), settings)
+    for sequential in (None, _sequential_settings()):
+        # checked when the batch is built, before any payoff is read
+        with pytest.raises(ValueError, match="must share"):
+            predictive_batch([first, other], posterior_like_chain(n=100), sequential)
 
 
 # ---------------------------------------------------------------------------
