@@ -8,8 +8,14 @@ estimate    run every requested candidate family and emit a summary table
 price       price an option chain from a draws file; emits the pricing
             table, predictive-density histograms and the filter report
 experiment  estimate + price over the (fx series x window x family) grid;
-            emits aggregated pricing-performance and plot-data files
+            emits per-cell pricing tables and aggregated pricing-performance
+            and plot-data files, but no predictive-density histograms
 diagnose    summarize an existing draws file
+
+A pricing row's market-side columns (quanto quote, moneyness bucket, BS-I and
+BS-H baselines and their errors) do not depend on the chain: each run builds
+them once per quote, BS-H once per estimation window, and each chain adds only
+its model columns.
 
 Every run writes a manifest (config echo, seed, versions); outputs contain
 no timestamps, so a fixed config and seed reproduce them byte for byte.
@@ -24,6 +30,7 @@ import os
 import sys
 import zlib
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -386,19 +393,86 @@ def cmd_estimate(cfg: ExperimentConfig, out_dir=None, fx_path=None, window=None)
     return draws_files
 
 
-_PRICING_HEADER = (
-    "strike", "maturity_days", "spot", "bucket",
-    "market_price", "quanto_market_price",
-    "model_price", "mc_std_error", "hpdi99_lo", "hpdi99_hi", "n_effective_draws",
-    "bs_i_price", "bs_h_price",
-    "rpe_model", "rpe_bs_i", "rpe_bs_h",
-)
+class PricingRow(NamedTuple):
+    """One row of a pricing table; the field names are its CSV header.
+
+    The model columns are None until a chain has priced the quote.
+    """
+
+    strike: float
+    maturity_days: int
+    spot: float
+    bucket: str
+    market_price: float
+    quanto_market_price: float
+    model_price: float | None = None
+    mc_std_error: float | None = None
+    hpdi99_lo: float | None = None
+    hpdi99_hi: float | None = None
+    n_effective_draws: int | None = None
+    bs_i_price: float | None = None
+    bs_h_price: float | None = None
+    rpe_model: float | None = None
+    rpe_bs_i: float | None = None
+    rpe_bs_h: float | None = None
 
 
-def _price_chain_against_quotes(cfg, chain, quotes, market, panel, h_level,
-                                seed, sequential_family=None):
-    """Pricing rows plus histogram rows for one draws source."""
+_PRICING_HEADER = PricingRow._fields
+
+
+def _rpe(price, quanto_market_price):
+    """Relative pricing error, or None without a price or a positive quote."""
+    if price is None or not quanto_market_price > 0.0:
+        return None
+    return relative_pricing_error(price, quanto_market_price)
+
+
+def _discount(market, horizon_s):
+    return math.exp(-market.r_d * horizon_s) * market.h_fix
+
+
+def _quote_table(quotes, market):
+    """Pricing rows holding each quote's chain- and panel-free columns.
+
+    These are the quanto quote, the moneyness bucket and the implied-vol
+    (BS-I) baseline with its error.
+    """
+    table = []
+    for quote in quotes:
+        quanto = construct_quanto(quote, market, market.h_fix)
+        bucket = moneyness_bucket(quote.strike, quote.underlying_spot)
+        try:
+            vol_i = implied_vol(quote.market_price, quote.underlying_spot,
+                                quote.strike, market.r_f, quote.maturity_days)
+            bs_i = _discount(market, quote.maturity_days) * bs_call(
+                quote.underlying_spot, quote.strike, vol_i, market.r_f,
+                quote.maturity_days)
+        except ValueError:
+            bs_i = None
+        table.append(PricingRow(
+            quote.strike, quote.maturity_days, quote.underlying_spot, bucket,
+            quote.market_price, quanto.market_price,
+            bs_i_price=bs_i, rpe_bs_i=_rpe(bs_i, quanto.market_price),
+        ))
+    return table
+
+
+def _with_bs_h(table, market, panel):
+    """``table`` with the historical-vol (BS-H) baseline of ``panel`` filled in."""
     hist_vol = mle_estimate(panel).theta_hat.sigma_x
+    rows = []
+    for row in table:
+        bs_h = _discount(market, row.maturity_days) * bs_call(
+            row.spot, row.strike, hist_vol, market.r_f, row.maturity_days)
+        rows.append(row._replace(bs_h_price=bs_h,
+                                 rpe_bs_h=_rpe(bs_h, row.quanto_market_price)))
+    return rows
+
+
+def _price_chain(cfg, chain, table, market, panel, h_level, seed,
+                 sequential_family=None):
+    """Yield each of ``table``'s rows with the model columns of one draws
+    source filled in, together with the quote's discounted payoffs."""
     sequential = None
     if cfg.mode == "sequential-update":
         family = sequential_family or next(
@@ -416,54 +490,44 @@ def _price_chain_against_quotes(cfg, chain, quotes, market, panel, h_level,
     requests = [
         PricingRequest(
             kind="F3",
-            strike=quote.strike,
-            horizon_s=quote.maturity_days,
-            spot=SpotState(quote.underlying_spot, h_level),
+            strike=row.strike,
+            horizon_s=row.maturity_days,
+            spot=SpotState(row.spot, h_level),
             market=market,
             n_paths=cfg.n_paths,
             seed=seed,
         )
-        for quote in quotes
+        for row in table
     ]
     n_effective = thinned_draw_count(chain, cfg.n_paths)
-    rows = []
-    hist_rows = []
-    for quote, samples in zip(quotes, predictive_batch(requests, chain, sequential)):
-        quanto = construct_quanto(quote, market, cfg.h_fix)
+    for row, samples in zip(table, predictive_batch(requests, chain, sequential)):
         result = summarize_payoffs(samples, n_effective)
+        yield row._replace(
+            model_price=result.price, mc_std_error=result.mc_std_error,
+            hpdi99_lo=result.hpdi_99[0], hpdi99_hi=result.hpdi_99[1],
+            n_effective_draws=result.n_effective_draws,
+            rpe_model=_rpe(result.price, row.quanto_market_price),
+        ), samples
 
-        disc = math.exp(-market.r_d * quote.maturity_days) * cfg.h_fix
-        try:
-            vol_i = implied_vol(quote.market_price, quote.underlying_spot,
-                                quote.strike, market.r_f, quote.maturity_days)
-            bs_i = disc * bs_call(quote.underlying_spot, quote.strike, vol_i,
-                                  market.r_f, quote.maturity_days)
-        except ValueError:
-            bs_i = None
-        bs_h = disc * bs_call(quote.underlying_spot, quote.strike, hist_vol,
-                              market.r_f, quote.maturity_days)
 
-        if quanto.market_price > 0.0:
-            rpe_model = relative_pricing_error(result.price, quanto.market_price)
-            rpe_bs_i = (relative_pricing_error(bs_i, quanto.market_price)
-                        if bs_i is not None else None)
-            rpe_bs_h = relative_pricing_error(bs_h, quanto.market_price)
-        else:
-            rpe_model = rpe_bs_i = rpe_bs_h = None
+def _load_quotes(cfg: ExperimentConfig, market):
+    """The configured option chain split by the no-arbitrage filter."""
+    try:
+        quotes = load_option_chain(cfg.option_chain)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    retained, rejected = filter_options(quotes, market)
+    if not retained:
+        raise ConfigError("no quotes survive the early-exercise filter")
+    return retained, rejected
 
-        rows.append((
-            quote.strike, quote.maturity_days, quote.underlying_spot,
-            moneyness_bucket(quote.strike, quote.underlying_spot),
-            quote.market_price, quanto.market_price,
-            result.price, result.mc_std_error,
-            result.hpdi_99[0], result.hpdi_99[1], result.n_effective_draws,
-            bs_i, bs_h, rpe_model, rpe_bs_i, rpe_bs_h,
-        ))
-        counts, edges = np.histogram(samples, bins=50)
-        for b in range(counts.size):
-            hist_rows.append((quote.strike, quote.maturity_days,
-                              edges[b], edges[b + 1], int(counts[b])))
-    return rows, hist_rows
+
+def _write_filter_report(out_dir, rejected):
+    _write_csv(
+        os.path.join(out_dir, "filter_report.csv"),
+        ("strike", "maturity_days", "reason"),
+        [(q.strike, q.maturity_days, reason) for q, reason in rejected],
+    )
 
 
 def cmd_price(cfg: ExperimentConfig, draws_path, out_dir=None, fx_path=None,
@@ -481,26 +545,25 @@ def cmd_price(cfg: ExperimentConfig, draws_path, out_dir=None, fx_path=None,
     market = cfg.market()
     history, h_level = _load_panel(cfg, fx_path)
     panel = _window(history, window)
-    quotes = load_option_chain(cfg.option_chain)
-    retained, rejected = filter_options(quotes, market)
-    if not retained:
-        raise ConfigError("no quotes survive the early-exercise filter")
+    retained, rejected = _load_quotes(cfg, market)
 
     seed = _derive_seed(cfg.seed, "price", _stem(draws_path))
-    rows, hist_rows = _price_chain_against_quotes(
-        cfg, chain, retained, market, panel, h_level, seed
-    )
+    table = _with_bs_h(_quote_table(retained, market), market, panel)
+    rows = []
+    hist_rows = []
+    for row, samples in _price_chain(cfg, chain, table, market, panel, h_level, seed):
+        rows.append(row)
+        counts, edges = np.histogram(samples, bins=50)
+        for b in range(counts.size):
+            hist_rows.append((row.strike, row.maturity_days,
+                              edges[b], edges[b + 1], int(counts[b])))
     _write_csv(os.path.join(out_dir, "pricing.csv"), _PRICING_HEADER, rows)
     _write_csv(
         os.path.join(out_dir, "price_density.csv"),
         ("strike", "maturity_days", "bin_lo", "bin_hi", "count"),
         hist_rows,
     )
-    _write_csv(
-        os.path.join(out_dir, "filter_report.csv"),
-        ("strike", "maturity_days", "reason"),
-        [(q.strike, q.maturity_days, reason) for q, reason in rejected],
-    )
+    _write_filter_report(out_dir, rejected)
     return rows
 
 
@@ -534,16 +597,12 @@ def cmd_experiment(cfg: ExperimentConfig):
         raise ConfigError("config needs option_chain")
     out_dir = cfg.out_dir
     market = cfg.market()
-    quotes_all = load_option_chain(cfg.option_chain)
-    retained, rejected = filter_options(quotes_all, market)
-    if not retained:
-        raise ConfigError("no quotes survive the early-exercise filter")
-    _write_csv(
-        os.path.join(out_dir, "filter_report.csv"),
-        ("strike", "maturity_days", "reason"),
-        [(q.strike, q.maturity_days, reason) for q, reason in rejected],
-    )
+    retained, rejected = _load_quotes(cfg, market)
+    _write_filter_report(out_dir, rejected)
 
+    # Built once, at the first chain priced; while it fails, every chain's
+    # pricing fails with its error.
+    quote_table = None
     performance = []
     curves = []
     failures = []
@@ -581,34 +640,39 @@ def cmd_experiment(cfg: ExperimentConfig):
             _write_csv(os.path.join(cell_dir, "estimate_summary.csv"),
                        _SUMMARY_HEADER, est_rows)
 
-            baseline_rows = None
+            window_table = None  # the quote table with this window's BS-H
+            priced = False
             for family, chain in chains.items():
                 try:
+                    if window_table is None:
+                        if quote_table is None:
+                            quote_table = _quote_table(retained, market)
+                        window_table = _with_bs_h(quote_table, market, panel)
                     seed = _derive_seed(cfg.seed, "price", family, fx_name, window)
-                    rows, _ = _price_chain_against_quotes(
-                        cfg, chain, retained, market, panel, h_level, seed,
+                    rows = [row for row, _ in _price_chain(
+                        cfg, chain, window_table, market, panel, h_level, seed,
                         sequential_family=family if family in FAMILY_CODES else None,
-                    )
+                    )]
                 except (ConfigError, ValueError) as exc:
                     failures.append((fx_name, window, family, "price", str(exc)))
                     continue
                 _write_csv(os.path.join(cell_dir, f"pricing_{family}.csv"),
                            _PRICING_HEADER, rows)
-                if baseline_rows is None:
-                    baseline_rows = rows
+                priced = True
                 performance.extend(_aggregate_buckets(fx_name, window, family, rows,
-                                                      rpe_col=13, se_col=7))
+                                                      "rpe_model", "mc_std_error"))
                 for row in rows:
-                    curves.append((fx_name, window, family, row[0], row[1],
-                                   row[5], row[6]))
-            if baseline_rows is not None:
-                for model, rpe_col, price_col in (("bs_i", 14, 11), ("bs_h", 15, 12)):
+                    curves.append((fx_name, window, family, row.strike, row.maturity_days,
+                                   row.quanto_market_price, row.model_price))
+            if priced:
+                for model, rpe_field, price_field in (("bs_i", "rpe_bs_i", "bs_i_price"),
+                                                      ("bs_h", "rpe_bs_h", "bs_h_price")):
                     performance.extend(_aggregate_buckets(fx_name, window, model,
-                                                          baseline_rows,
-                                                          rpe_col=rpe_col, se_col=None))
-                    for row in baseline_rows:
-                        curves.append((fx_name, window, model, row[0], row[1],
-                                       row[5], row[price_col]))
+                                                          window_table, rpe_field, None))
+                    for row in window_table:
+                        curves.append((fx_name, window, model, row.strike,
+                                       row.maturity_days, row.quanto_market_price,
+                                       getattr(row, price_field)))
 
     _write_csv(
         os.path.join(out_dir, "pricing_performance.csv"),
@@ -629,16 +693,17 @@ def cmd_experiment(cfg: ExperimentConfig):
     return failures
 
 
-def _aggregate_buckets(fx_name, window, model, rows, rpe_col, se_col):
+def _aggregate_buckets(fx_name, window, model, rows, rpe_field, se_field):
+    """Mean of the ``rpe_field`` and ``se_field`` columns of ``rows`` per bucket."""
     out = []
     for bucket in ("ITM", "ATM", "OTM"):
-        sel = [r for r in rows if r[3] == bucket]
-        rpes = [r[rpe_col] for r in sel if r[rpe_col] is not None]
+        sel = [r for r in rows if r.bucket == bucket]
+        rpes = [getattr(r, rpe_field) for r in sel if getattr(r, rpe_field) is not None]
         mean_rpe = sum(rpes) / len(rpes) if rpes else None
-        if se_col is None:
+        if se_field is None:
             mean_se = None
         else:
-            ses = [r[se_col] for r in sel if r[se_col] is not None]
+            ses = [getattr(r, se_field) for r in sel if getattr(r, se_field) is not None]
             mean_se = sum(ses) / len(ses) if ses else None
         out.append((fx_name, window, model, bucket, mean_rpe, mean_se, len(sel)))
     return out

@@ -40,14 +40,16 @@ class OptionQuote:
     underlying_spot: float
 
     def __post_init__(self):
-        if self.strike <= 0.0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
+        if not (math.isfinite(self.strike) and self.strike > 0.0):
+            raise ValueError(f"strike must be positive and finite, got {self.strike}")
         if self.maturity_days < 1:
             raise ValueError(f"maturity_days must be >= 1, got {self.maturity_days}")
-        if self.market_price < 0.0:
-            raise ValueError(f"market price must be non-negative, got {self.market_price}")
-        if self.underlying_spot <= 0.0:
-            raise ValueError(f"spot must be positive, got {self.underlying_spot}")
+        if not (math.isfinite(self.market_price) and self.market_price >= 0.0):
+            raise ValueError(
+                f"market price must be non-negative and finite, got {self.market_price}"
+            )
+        if not (math.isfinite(self.underlying_spot) and self.underlying_spot > 0.0):
+            raise ValueError(f"spot must be positive and finite, got {self.underlying_spot}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,25 @@ def _parse_float(text, row, column):
         return float(text)
     except (TypeError, ValueError):
         raise ValueError(f"row {row}: non-numeric {column} {text!r}") from None
+
+
+def _parse_int(text, row, column):
+    value = _parse_float(text, row, column)
+    if not value.is_integer():
+        raise ValueError(f"row {row}: non-integer {column} {text!r}")
+    return int(value)
+
+
+def _parse_quote(record, row):
+    quote_date = _parse_date(record["quote_date"], row)
+    strike = _parse_float(record["strike"], row, "strike")
+    maturity_days = _parse_int(record["maturity_days"], row, "maturity_days")
+    market_price = _parse_float(record["price"], row, "price")
+    underlying_spot = _parse_float(record["spot"], row, "spot")
+    try:
+        return OptionQuote(quote_date, strike, maturity_days, market_price, underlying_spot)
+    except ValueError as exc:
+        raise ValueError(f"row {row}: {exc}") from None
 
 
 def load_price_series(path, date_column="date", price_column="price"):
@@ -104,7 +125,11 @@ def load_price_series(path, date_column="date", price_column="price"):
 
 
 def load_option_chain(path):
-    """Read an option chain file into a list of quotes."""
+    """Read an option chain file into a list of quotes.
+
+    Strike, price and spot must be finite numbers and ``maturity_days`` a
+    whole number; a bad row raises with the file and the row named.
+    """
     quotes = []
     columns = ("quote_date", "strike", "maturity_days", "price", "spot")
     with open(path, newline="", encoding="utf-8") as handle:
@@ -113,15 +138,10 @@ def load_option_chain(path):
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
         for i, record in enumerate(reader, start=2):
-            quotes.append(
-                OptionQuote(
-                    quote_date=_parse_date(record["quote_date"], i),
-                    strike=_parse_float(record["strike"], i, "strike"),
-                    maturity_days=int(_parse_float(record["maturity_days"], i, "maturity_days")),
-                    market_price=_parse_float(record["price"], i, "price"),
-                    underlying_spot=_parse_float(record["spot"], i, "spot"),
-                )
-            )
+            try:
+                quotes.append(_parse_quote(record, i))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
     if not quotes:
         raise ValueError(f"{path}: no data rows")
     return quotes

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaln, ndtr, ndtri, stdtr, stdtrit
@@ -58,7 +59,13 @@ NEG_INF = float("-inf")
 
 
 class PosteriorKernel:
-    """Unnormalized log posterior of (sigma_x, sigma_h, rho) given a panel."""
+    """Unnormalized log posterior of (sigma_x, sigma_h, rho) given a panel.
+
+    Nothing in the package calls it: :func:`mwg_sample` evaluates the same
+    conditional differences in closed form on the panel's sufficient
+    statistics. It stays as the independent oracle that the tests check the
+    sampler and its quadratures against.
+    """
 
     __slots__ = ("panel", "_t", "_sxx", "_shh", "_cross")
 
@@ -189,17 +196,23 @@ class ProposalSpec:
 def _truncated_candidates(spec: ProposalSpec, u):
     """Inverse-CDF draws on (0, inf) for the truncated families; u in [0, 1).
 
+    When loc < 0 the truncation point 0 lies above the centre, and about 8
+    scales out its CDF p0 rounds to 1; those draws invert the survival
+    function sf0 * (1 - u) instead, which keeps its precision in the tail.
     The clamp keeps u = 0 (a representable random draw) inside the open
     support instead of landing exactly on the boundary.
     """
     a0 = -spec.loc / spec.scale
     if spec.family == "truncated_normal":
-        p0 = ndtr(a0)
-        v = spec.loc + spec.scale * ndtri(p0 + u * (1.0 - p0))
+        cdf, inverse = ndtr, ndtri
     else:
-        p0 = stdtr(spec.df, a0)
-        v = spec.loc + spec.scale * stdtrit(spec.df, p0 + u * (1.0 - p0))
-    return np.maximum(v, np.finfo(float).tiny)
+        cdf, inverse = partial(stdtr, spec.df), partial(stdtrit, spec.df)
+    if a0 > 0.0:
+        z = -inverse(cdf(-a0) * (1.0 - u))
+    else:
+        p0 = cdf(a0)
+        z = inverse(p0 + u * (1.0 - p0))
+    return np.maximum(spec.loc + spec.scale * z, np.finfo(float).tiny)
 
 
 def _proposal_stream(spec: ProposalSpec, rng, n_draws):

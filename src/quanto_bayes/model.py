@@ -166,9 +166,10 @@ class PriceSeries:
             raise ValueError(
                 f"dates and prices differ in length: {len(dates)} vs {prices.size}"
             )
-        for d, p in zip(dates, prices):
-            if not (np.isfinite(p) and p > 0.0):
-                raise ValueError(f"non-positive price {p!r} on {d}")
+        bad = np.nonzero(~(np.isfinite(prices) & (prices > 0.0)))[0]
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"non-positive price {prices[i]!r} on {dates[i]}")
         for prev, cur in zip(dates, dates[1:]):
             if cur <= prev:
                 raise ValueError(f"dates not strictly increasing at {cur}")
@@ -199,10 +200,10 @@ def log_returns(prices):
     """
     if isinstance(prices, PriceSeries):
         levels = prices.prices
-        labels = [d.isoformat() for d in prices.dates]
+        dates = prices.dates
     else:
         levels = np.asarray(prices, dtype=float)
-        labels = None
+        dates = None
     if levels.size < 2:
         raise ValueError(
             f"at least 2 prices are required to form returns, got {levels.size}"
@@ -210,7 +211,7 @@ def log_returns(prices):
     bad = np.nonzero(~(np.isfinite(levels) & (levels > 0.0)))[0]
     if bad.size:
         i = int(bad[0])
-        where = labels[i] if labels is not None else f"index {i}"
+        where = dates[i].isoformat() if dates is not None else f"index {i}"
         raise ValueError(f"non-positive price {levels[i]!r} at {where}")
     return np.diff(np.log(levels))
 

@@ -323,6 +323,52 @@ def test_cmd_experiment_loads_each_fx_series_once(tmp_path, monkeypatch):
                                            "estimate_summary.csv"))
 
 
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_experiment_prices_quote_columns_once(tmp_path, monkeypatch):
+    from quanto_bayes import cli
+
+    cfg = load_config(make_workspace(tmp_path, windows="200, 250", families="tnn, mnc, mle",
+                                     draws=600, burn_in=100, n_paths=500))
+    calls = {}
+    for name in ("implied_vol", "mle_estimate"):
+        monkeypatch.setattr(cli, name, _counting(calls, name, getattr(cli, name)))
+    monkeypatch.setattr(np, "histogram", _counting(calls, "histogram", np.histogram))
+    assert cmd_experiment(cfg) == []
+    for window in (200, 250):
+        for family in ("tnn", "mnc"):
+            rows = _read_csv(os.path.join(cfg.out_dir, "cells", "fx", f"w{window}",
+                                          f"pricing_{family}.csv"))
+            assert len(rows) == 5
+    # BS-I once per retained quote, not once per quote and chain
+    assert calls["implied_vol"] == 5
+    # per window: tnn's initial value, the mle summary row and BS-H
+    assert calls["mle_estimate"] == 2 * 3
+    # experiment writes no predictive-density file, so builds no histogram
+    assert "histogram" not in calls
+
+
+def test_experiment_quote_table_error_fails_each_chain(tmp_path, monkeypatch):
+    from quanto_bayes import cli
+
+    def broken(*args):
+        raise ValueError("quote table broke")
+
+    cfg = load_config(make_workspace(tmp_path, windows="200, 250", families="tnn, mnc, mle",
+                                     draws=600, burn_in=100))
+    monkeypatch.setattr(cli, "construct_quanto", broken)
+    cmd_experiment(cfg)
+    rows = [tuple(r.values()) for r in _read_csv(os.path.join(cfg.out_dir, "failures.csv"))]
+    assert rows == [("fx", str(w), family, "price", "quote table broke")
+                    for w in (200, 250) for family in ("tnn", "mnc")]
+
+
 # ---------------------------------------------------------------------------
 # main entry point and exit codes
 # ---------------------------------------------------------------------------
@@ -372,6 +418,26 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
         capsys.readouterr()
         assert main(["price", "--config", cfg_path, "--draws", draws]) == 1, name
         assert draws in capsys.readouterr().err, name
+
+
+@pytest.mark.parametrize("command", ["price", "experiment"])
+@pytest.mark.parametrize("bad_quote, text", [
+    ((float("nan"), 51, 10.0), "strike must be positive and finite, got nan"),
+    ((2500.0, 51, float("inf")), "market price must be non-negative and finite, got inf"),
+    ((2500.0, 30.7, 10.0), "non-integer maturity_days '30.7'"),
+], ids=["nan-strike", "inf-price", "fractional-maturity"])
+def test_main_malformed_option_chain_exits_one(tmp_path, capsys, command, bad_quote, text):
+    cfg_path = make_workspace(tmp_path, chain_prices=[(2500.0, 51, 10.0), bad_quote])
+    chain = os.path.join(str(tmp_path), "chain.csv")
+    argv = [command, "--config", cfg_path]
+    if command == "price":
+        draws = os.path.join(str(tmp_path), "draws.csv")
+        with open(draws, "w", encoding="utf-8") as f:
+            f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n")
+        argv += ["--draws", draws]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {chain}: row 3: {text}\n"
 
 
 def test_cli_import_skips_scipy_stats():

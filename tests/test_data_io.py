@@ -282,6 +282,26 @@ def test_option_quote_invariants():
         _quote(2700.0, 30, -0.5)
     with pytest.raises(ValueError):
         _quote(2700.0, 30, 10.0, spot=0.0)
+    # NaN passes every sign test, so finiteness is checked on its own
+    for bad in (float("nan"), float("inf")):
+        for args, spot in (((bad, 30, 10.0), 2700.0), ((2700.0, 30, bad), 2700.0),
+                           ((2700.0, 30, 10.0), bad)):
+            with pytest.raises(ValueError, match="finite"):
+                _quote(*args, spot=spot)
+
+
+@pytest.mark.parametrize("maturity, ok", [("30", True), ("30.0", True), ("30.7", False),
+                                          ("nan", False)])
+def test_load_option_chain_needs_whole_maturities(tmp_path, maturity, ok):
+    path = _write(tmp_path, "chain.csv",
+                  "quote_date,strike,maturity_days,price,spot\n"
+                  "2018-10-31,2700,51,40,2700\n"
+                  f"2018-10-31,2700,{maturity},40,2700\n")
+    if ok:
+        assert [q.maturity_days for q in load_option_chain(path)] == [51, 30]
+    else:
+        with pytest.raises(ValueError, match=f"row 3: non-integer maturity_days '{maturity}'"):
+            load_option_chain(path)
 
 
 def test_load_option_chain_fixture():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaln, ndtr, stdtr
+from scipy.special import gammaln, log_ndtr, ndtr, stdtr
 
 from quanto_bayes import inference
 from quanto_bayes.data_io import align_series, load_price_series
@@ -143,6 +143,37 @@ def test_truncated_normal_proposals_stay_positive():
     assert np.all(_proposal_stream(spec, rng, 10_000) > 0.0)
     # u = 0 maps inside the open support, not onto its boundary
     assert _truncated_candidates(spec, np.array([0.0]))[0] > 0.0
+
+
+def _truncated_mean(spec):
+    """Mean of the proposal truncated to (0, inf), from its tail closed form."""
+    a = -spec.loc / spec.scale
+    if spec.family == "truncated_normal":
+        # E[Z | Z > a] = phi(a) / (1 - Phi(a)), taken in logs this far out
+        ratio = math.exp(-0.5 * a * a - 0.5 * math.log(2.0 * math.pi) - log_ndtr(-a))
+    else:
+        # E[Z | Z > a] = (df + a^2) / (df - 1) * f(a) / S(a) for Student-t(df)
+        df = spec.df
+        log_pdf = (gammaln(0.5 * (df + 1.0)) - gammaln(0.5 * df)
+                   - 0.5 * math.log(df * math.pi)
+                   - 0.5 * (df + 1.0) * math.log1p(a * a / df))
+        ratio = (df + a * a) / (df - 1.0) * math.exp(log_pdf) / stdtr(df, -a)
+    return spec.loc + spec.scale * ratio
+
+
+@pytest.mark.parametrize("spec", [
+    ProposalSpec(family="truncated_normal", loc=-1.0, scale=0.05),
+    ProposalSpec(family="truncated_t", loc=-1.0, scale=0.001, df=5.0),
+], ids=["truncated_normal", "truncated_t"])
+def test_truncated_proposals_far_below_zero_use_the_upper_tail(spec):
+    # the truncation point lies 20 (normal) and 1000 (t) scales above loc, where
+    # the CDF rounds to 1 and inverting it gave +inf for every candidate
+    from quanto_bayes.inference import _truncated_candidates
+
+    draws = _truncated_candidates(spec, np.random.default_rng(3).random(200_000))
+    assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
+    se = draws.std(ddof=1) / math.sqrt(draws.size)
+    assert draws.mean() == pytest.approx(_truncated_mean(spec), abs=4 * se)
 
 
 def test_inverse_gamma_proposal_mean():

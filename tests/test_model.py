@@ -131,6 +131,28 @@ def test_log_returns_errors():
         PriceSeries(days, [100.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -2.0], ids=["nan", "negative"])
+def test_bad_price_messages_name_the_first_bad_entry(bad):
+    # the texts are pinned as the element-by-element checks wrote them; the
+    # value is numpy's repr, "np.float64(nan)" under numpy 2
+    days = [date(2018, 1, 2), date(2018, 1, 3), date(2018, 1, 4), date(2018, 1, 5)]
+    prices = [1.0, bad, 3.0, -4.0]
+    value = repr(np.float64(bad))
+    with pytest.raises(ValueError) as info:
+        PriceSeries(days, prices)
+    assert str(info.value) == f"non-positive price {value} on 2018-01-03"
+    with pytest.raises(ValueError) as info:
+        log_returns(prices)
+    assert str(info.value) == f"non-positive price {value} at index 1"
+    # a series is checked on construction, so its dated message needs the
+    # frozen prices swapped underneath it
+    series = PriceSeries(days, [1.0, 2.0, 3.0, 4.0])
+    object.__setattr__(series, "prices", np.array(prices))
+    with pytest.raises(ValueError) as info:
+        log_returns(series)
+    assert str(info.value) == f"non-positive price {value} at 2018-01-03"
+
+
 def test_log_returns_against_extended_precision_oracle():
     # 141 synthetic prices; oracle recomputes each ln ratio at 40 digits
     rng = np.random.default_rng(141)
