@@ -269,9 +269,11 @@ def _load_panel(cfg: ExperimentConfig, fx_path):
     """Aligned return panel of the whole history plus the latest aligned fx level."""
     if not cfg.asset_series:
         raise ConfigError("config needs asset_series")
-    asset = load_price_series(cfg.asset_series)
-    fx = load_price_series(fx_path)
-    asset, fx = align_series(asset, fx)
+    try:
+        asset, fx = align_series(load_price_series(cfg.asset_series),
+                                 load_price_series(fx_path))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return ReturnPanel(log_returns(asset), log_returns(fx)), float(fx.prices[-1])
 
 
@@ -330,17 +332,33 @@ def _write_draws(path, chain: Chain):
     """Write the post-burn-in draws, one ``%.17g`` row per draw.
 
     ``Chain`` holds only finite draws, so no cell needs ``_fmt``'s NA case.
-    Each block of rows is formatted with one ``%`` operation on its Python
-    floats, which keeps formatting fast without a list of the whole chain in
-    memory.
+    Rows go out in blocks, so no text of the whole chain is held in memory.
+    A rejected MwG move repeats the draw above it, so within a block each run
+    of cells whose bit pattern equals the cell above is formatted once and
+    its text repeated down the run; comparing bits rather than values keeps
+    a ``-0.0`` under a ``0.0`` printing as ``-0``. A block in which no cell
+    repeats, as in a conjugate chain, is formatted with one ``%`` operation.
     """
     draws = chain.post_burn_in()
     block = 1024
 
     def blocks():
         for start in range(0, draws.shape[0], block):
-            cells = draws[start:start + block].ravel().tolist()
-            yield ("%.17g,%.17g,%.17g\n" * (len(cells) // 3)) % tuple(cells)
+            rows = draws[start:start + block]
+            bits = rows.view(np.uint64)
+            starts = np.ones(rows.shape, dtype=bool)
+            np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+            if starts.all():
+                yield ("%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist())
+                continue
+            # column by column: format each run's first cell, then give every
+            # cell of the run that text
+            starts = starts.T
+            values = rows.T[starts].tolist()
+            texts = np.array((",".join(["%.17g"] * len(values)) % tuple(values)).split(","),
+                             dtype=object)
+            columns = texts[np.cumsum(starts.ravel()).reshape(starts.shape) - 1].tolist()
+            yield "\n".join(map(",".join, zip(*columns))) + "\n"
 
     _write_lines(path, PARAMETERS, blocks())
 

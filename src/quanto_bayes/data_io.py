@@ -97,7 +97,7 @@ def load_price_series(path, date_column="date", price_column="price"):
     """Read a dated price series, sort by date, and validate it.
 
     Duplicate dates and non-positive or non-numeric prices are rejected with
-    the offending date or row named.
+    the file and the offending date or row named.
     """
     rows = []
     seen = {}
@@ -110,12 +110,15 @@ def load_price_series(path, date_column="date", price_column="price"):
                 f"got {reader.fieldnames}"
             )
         for i, record in enumerate(reader, start=2):
-            day = _parse_date(record[date_column], i)
-            price = _parse_float(record[price_column], i, price_column)
-            if day in seen:
-                raise ValueError(f"duplicate date {day.isoformat()} at row {i}")
-            if not (math.isfinite(price) and price > 0.0):
-                raise ValueError(f"row {i}: non-positive price {price!r}")
+            try:
+                day = _parse_date(record[date_column], i)
+                price = _parse_float(record[price_column], i, price_column)
+                if day in seen:
+                    raise ValueError(f"duplicate date {day.isoformat()} at row {i}")
+                if not (math.isfinite(price) and price > 0.0):
+                    raise ValueError(f"row {i}: non-positive price {price!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
             seen[day] = price
             rows.append(day)
     if not rows:

@@ -383,9 +383,14 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
       R = C / (sigma_x sigma_h); a step out of (-1, 1) is rejected.
 
     g, 1/c and 1/c^2 are computed once per chain over each candidate
-    stream; the current state's terms, and log(1 - rho^2), change only on an
-    accepted move. The tests keep the kernel-calling loop this replaced as
-    a reference sampler and check that both give the same chain bit for bit.
+    stream. The current state's terms are sweep state: g, 1/s and 1/s^2 of
+    each volatility, log(1 - rho^2), a and b, and the products b sigma_h,
+    b sigma_x, P, Q, R and rho's kernel term (P + Q rho^2 + R rho) /
+    (1 - rho^2). Each changes only when a move changes one of its factors,
+    so only an accepted move recomputes it, with the expression and
+    operation order of a per-sweep recomputation. The tests keep the
+    kernel-calling loop this replaced as a reference sampler and check that
+    both give the same chain bit for bit.
 
     Randomness is consumed in a fixed order (candidate streams for the three
     parameters, then a (K, 3) block of acceptance uniforms), so an identical
@@ -420,12 +425,10 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     log_u = np.ascontiguousarray(np.log(rng.random((n_draws, 3))).T)
     terms_x = _volatility_terms(specs[0], cand_x, t)
     terms_h = _volatility_terms(specs[1], cand_h, t - 1.0)
-    # The sweep is scalar code. Indexing a memoryview of a float64 array gives
-    # Python floats, whose arithmetic is several times faster than numpy
-    # scalars', without a list's per-element objects.
-    cx, gx, ix, i2x, ch, gh, ih, i2h, dr, lux, luh, lur = (
-        memoryview(a) for a in (cand_x, *terms_x, cand_h, *terms_h, steps, *log_u)
-    )
+    # The sweep is scalar code. Iterating a memoryview of a float64 array
+    # gives Python floats, whose arithmetic is several times faster than
+    # numpy scalars', without a list's per-element objects.
+    streams = tuple(memoryview(a) for a in (cand_x, *terms_x, cand_h, *terms_h, steps, *log_u))
     # an accepted move writes its value; NaN marks a rejection until filled
     draws = np.full((n_draws, 3), np.nan)
     out_x, out_h, out_r = (memoryview(column) for column in draws.T)
@@ -442,39 +445,56 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     a_x = half_sxx * inv_om
     a_h = half_shh * inv_om
     b = r * cross * inv_om
+    # products of the current-state terms, each recomputed by the accepted
+    # moves that change it
+    b_ih = b * i_h
+    b_ix = b * i_x
+    p = half_sxx * i2_x
+    q = half_shh * i2_h
+    s = cross * i_x * i_h
+    rho_term = (p + (q * r + s) * r) * inv_om
     log = math.log
 
-    for k in range(n_draws):
-        la = gx[k] - g_x - a_x * (i2x[k] - i2_x) - b * i_h * (ix[k] - i_x)
-        if lux[k] < la:
-            g_x = gx[k]
-            i_x = ix[k]
-            i2_x = i2x[k]
-            out_x[k] = cx[k]
+    for k, cxk, gxk, ixk, i2xk, chk, ghk, ihk, i2hk, drk, luxk, luhk, lurk in zip(
+            range(n_draws), *streams):
+        la = gxk - g_x - a_x * (i2xk - i2_x) - b_ih * (ixk - i_x)
+        if luxk < la:
+            g_x = gxk
+            i_x = ixk
+            i2_x = i2xk
+            out_x[k] = cxk
+            b_ix = b * i_x
+            p = half_sxx * i2_x
+            s = cross * i_x * i_h
+            rho_term = (p + (q * r + s) * r) * inv_om
 
-        la = gh[k] - g_h - a_h * (i2h[k] - i2_h) - b * i_x * (ih[k] - i_h)
-        if luh[k] < la:
-            g_h = gh[k]
-            i_h = ih[k]
-            i2_h = i2h[k]
-            out_h[k] = ch[k]
+        la = ghk - g_h - a_h * (i2hk - i2_h) - b_ix * (ihk - i_h)
+        if luhk < la:
+            g_h = ghk
+            i_h = ihk
+            i2_h = i2hk
+            out_h[k] = chk
+            b_ih = b * i_h
+            q = half_shh * i2_h
+            s = cross * i_x * i_h
+            rho_term = (p + (q * r + s) * r) * inv_om
 
-        c = r + dr[k]
+        c = r + drk
         if -1.0 < c < 1.0:
             om_c = 1.0 - c * c
             log_om_c = log(om_c)
-            p = half_sxx * i2_x
-            q = half_shh * i2_h
-            s = cross * i_x * i_h
-            la = (half_t * (log_om - log_om_c)
-                  - ((p + (q * c + s) * c) / om_c - (p + (q * r + s) * r) * inv_om))
-            if lur[k] < la:
+            term_c = p + (q * c + s) * c
+            la = half_t * (log_om - log_om_c) - (term_c / om_c - rho_term)
+            if lurk < la:
                 r = c
                 log_om = log_om_c
                 inv_om = 1.0 / om_c
                 a_x = half_sxx * inv_om
                 a_h = half_shh * inv_om
                 b = r * cross * inv_om
+                b_ih = b * i_h
+                b_ix = b * i_x
+                rho_term = term_c * inv_om
                 out_r[k] = c
 
     accepted = [_hold_rejections(column, start)

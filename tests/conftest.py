@@ -5,7 +5,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from quanto_bayes.model import Drift, ReturnPanel, Theta
+from quanto_bayes.data_io import align_series, load_price_series
+from quanto_bayes.model import Drift, ReturnPanel, Theta, log_returns
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -27,6 +28,13 @@ def synth_returns(theta, drift, n, rng):
 def synth_panel(n, seed, theta=TRUTH, drift=DRIFT):
     rng = np.random.default_rng(seed)
     return ReturnPanel(*synth_returns(theta, drift, n, rng))
+
+
+def fixture_panel(window):
+    """The last ``window`` returns of the shipped index and EUR/USD series."""
+    asset, fx = align_series(load_price_series(os.path.join(FIXTURES, "sp500_synthetic.csv")),
+                             load_price_series(os.path.join(FIXTURES, "eur_usd_synthetic.csv")))
+    return ReturnPanel(log_returns(asset), log_returns(fx)).tail(window)
 
 
 @pytest.fixture(scope="session")

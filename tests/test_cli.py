@@ -18,7 +18,7 @@ from quanto_bayes.cli import (
     main,
 )
 
-from conftest import make_workspace
+from conftest import fixture_panel, make_workspace
 
 
 def _read_csv(path):
@@ -90,16 +90,68 @@ def test_cmd_estimate_outputs(tmp_path):
     _assert_no_bare_nan(os.path.join(cfg.out_dir, "estimate_summary.csv"))
 
 
-def test_draws_file_format_and_round_trip(tmp_path):
+def _distinct_draws(rng, n):
+    return np.column_stack([np.exp(rng.normal(-5.0, 1.0, n)),
+                            np.exp(rng.normal(-5.5, 1.0, n)),
+                            np.tanh(rng.normal(0.0, 1.0, n))])
+
+
+def _held_draws(rng, n):
+    """Draws whose columns repeat their values in runs of 1 to 40 rows."""
+    distinct = _distinct_draws(rng, n)
+    return np.column_stack([np.repeat(distinct[:, j], rng.integers(1, 41, n))[:n]
+                            for j in range(3)])
+
+
+def _draws_across_blocks(rng):
+    draws = _held_draws(rng, 2600)
+    # one run of each column over the boundary between the first two blocks
+    draws[1000:1100] = draws[1000]
+    return draws, 37
+
+
+def _draws_with_constant_column(rng):
+    draws = _held_draws(rng, 2600)
+    draws[:, 1] = 0.0042
+    return draws, 0
+
+
+def _distinct_block_then_repeats(rng):
+    draws = _distinct_draws(rng, 2600)
+    draws[1024:] = np.repeat(draws[1024::4], 4, axis=0)[:2600 - 1024]
+    return draws, 0
+
+
+def _draws_with_signed_zeros(rng):
+    draws = _distinct_draws(rng, 60)
+    draws[10:15, 2] = [0.0, -0.0, -0.0, 0.0, -0.0]
+    return draws, 0
+
+
+def _fixture_tnn_draws(rng):
+    from quanto_bayes.inference import default_proposals, mle_estimate, mwg_sample
+
+    panel = fixture_panel(140)
+    chain = mwg_sample(panel, default_proposals("tnn", panel), 3000, 500,
+                       init=mle_estimate(panel).theta_hat, seed=140)
+    return chain.draws, chain.burn_in
+
+
+@pytest.mark.parametrize("make_draws", [
+    lambda rng: (_distinct_draws(rng, 2600), 37),  # several blocks and a partial one
+    _draws_across_blocks,
+    _draws_with_constant_column,
+    _distinct_block_then_repeats,
+    _draws_with_signed_zeros,
+    _fixture_tnn_draws,
+], ids=["distinct", "runs-across-blocks", "constant-column", "distinct-then-repeats",
+        "signed-zeros", "tnn-w140"])
+def test_draws_file_format_and_round_trip(tmp_path, make_draws):
     from quanto_bayes.cli import _load_draws, _write_draws
     from quanto_bayes.inference import Chain
 
-    rng = np.random.default_rng(12)
-    n = 2600  # several formatting blocks and a partial one
-    draws = np.column_stack([np.exp(rng.normal(-5.0, 1.0, n)),
-                             np.exp(rng.normal(-5.5, 1.0, n)),
-                             np.tanh(rng.normal(0.0, 1.0, n))])
-    chain = Chain(draws=draws, burn_in=37, acceptance_counts=np.full(3, n), seed=0)
+    draws, burn_in = make_draws(np.random.default_rng(12))
+    chain = Chain(draws=draws, burn_in=burn_in, acceptance_counts=np.zeros(3), seed=0)
     path = os.path.join(str(tmp_path), "draws.csv")
     _write_draws(path, chain)
     with open(path, encoding="utf-8") as f:
@@ -312,11 +364,12 @@ def test_cmd_experiment_loads_each_fx_series_once(tmp_path, monkeypatch):
     assert loads["fx.csv"] == 1 and loads["bad.csv"] == 1
     # a load error still fails every window of its series, a too-long window its own
     rows = [tuple(r.values()) for r in _read_csv(os.path.join(cfg.out_dir, "failures.csv"))]
+    bad = f"{cfg.fx_series[1]}: row 2: non-positive price -1.0"
     assert rows == [
         ("fx", "9999", "*", "panel", "window 9999 exceeds the 319 available returns"),
-        ("bad", "250", "*", "panel", "row 2: non-positive price -1.0"),
-        ("bad", "9999", "*", "panel", "row 2: non-positive price -1.0"),
-        ("bad", "300", "*", "panel", "row 2: non-positive price -1.0"),
+        ("bad", "250", "*", "panel", bad),
+        ("bad", "9999", "*", "panel", bad),
+        ("bad", "300", "*", "panel", bad),
     ]
     for window in (250, 300):
         assert os.path.exists(os.path.join(cfg.out_dir, "cells", "fx", f"w{window}",
@@ -438,6 +491,30 @@ def test_main_malformed_option_chain_exits_one(tmp_path, capsys, command, bad_qu
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {chain}: row 3: {text}\n"
+
+
+@pytest.mark.parametrize("command", ["estimate", "price"])
+@pytest.mark.parametrize("bad_price, text", [
+    ("-1", "row 6: non-positive price -1.0"),
+    ("n/a", "row 6: non-numeric price 'n/a'"),
+], ids=["negative", "non-numeric"])
+def test_main_malformed_price_series_exits_one(tmp_path, capsys, command, bad_price, text):
+    cfg_path = make_workspace(tmp_path)
+    fx = os.path.join(str(tmp_path), "fx.csv")
+    with open(fx, encoding="utf-8") as f:
+        lines = f.read().splitlines(keepends=True)
+    lines[5] = f"{lines[5].split(',')[0]},{bad_price}\n"
+    with open(fx, "w", encoding="utf-8") as f:
+        f.writelines(lines)
+    argv = [command, "--config", cfg_path]
+    if command == "price":
+        draws = os.path.join(str(tmp_path), "draws.csv")
+        with open(draws, "w", encoding="utf-8") as f:
+            f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n")
+        argv += ["--draws", draws]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {fx}: {text}\n"
 
 
 def test_cli_import_skips_scipy_stats():

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import os
 import warnings
 
 import numpy as np
@@ -9,7 +8,6 @@ from scipy.integrate import quad
 from scipy.special import gammaln, log_ndtr, ndtr, stdtr
 
 from quanto_bayes import inference
-from quanto_bayes.data_io import align_series, load_price_series
 from quanto_bayes.diagnostics import _spectral_nse
 from quanto_bayes.inference import (
     PARAMETERS,
@@ -24,9 +22,9 @@ from quanto_bayes.inference import (
     niw_posterior,
     proposal_logpdf,
 )
-from quanto_bayes.model import Drift, ReturnPanel, Theta, log_likelihood, log_returns
+from quanto_bayes.model import Drift, ReturnPanel, Theta, log_likelihood
 
-from conftest import FIXTURES, TRUTH, synth_panel
+from conftest import TRUTH, fixture_panel, synth_panel
 
 
 # ---------------------------------------------------------------------------
@@ -457,18 +455,14 @@ def _assert_same_chain(got, expected):
     assert got.warnings == expected.warnings
 
 
-def _fixture_panel(window):
-    asset, fx = align_series(load_price_series(os.path.join(FIXTURES, "sp500_synthetic.csv")),
-                             load_price_series(os.path.join(FIXTURES, "eur_usd_synthetic.csv")))
-    return ReturnPanel(log_returns(asset), log_returns(fx)).tail(window)
-
-
 _EQUIVALENCE_PANELS = {
     "panel_small": lambda: synth_panel(500, seed=501),
     "synth_60_90": lambda: synth_panel(60, seed=90),
-    "fixture_w140": lambda: _fixture_panel(140),
-    "fixture_w1840": lambda: _fixture_panel(1840),
+    "fixture_w140": lambda: fixture_panel(140),
+    "fixture_w1840": lambda: fixture_panel(1840),
     "synth_5": lambda: synth_panel(5, seed=17),
+    # sample rho 0.889: 1 - rho^2 is small, where the cached rho term matters most
+    "synth_200_rho90": lambda: synth_panel(200, seed=90, theta=Theta(0.006, 0.004, 0.9)),
 }
 
 
