@@ -29,7 +29,7 @@ import math
 import os
 import sys
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -77,7 +77,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Run settings; field names double as config-file keys."""
+    """Run settings; field names double as config-file keys, and a key's
+    value has the type of its default."""
 
     asset_series: str = ""
     fx_series: tuple = ()
@@ -123,6 +124,24 @@ class ExperimentConfig:
                 )
         if not self.windows or any(w < 2 for w in self.windows):
             raise ConfigError(f"windows must be integers >= 2, got {self.windows}")
+        # The model keys are checked by the constructors a run builds from
+        # them, for every family and either mode, on a small stand-in panel:
+        # one key at a time, the others at their valid defaults, so that an
+        # error names its key.
+        defaults = ExperimentConfig()
+        for key in _MODEL_KEYS:
+            value = getattr(self, key)
+            if value == getattr(defaults, key):
+                continue
+            probe = replace(defaults, **{key: value})
+            try:
+                probe.market()
+                probe.niw()
+                panel = ReturnPanel([0.01, -0.02, 0.015, -0.005], [0.004, 0.002, -0.006, 0.001])
+                for family in FAMILY_CODES:
+                    probe.sequential(family, panel)
+            except (ValueError, ArithmeticError) as exc:
+                raise ConfigError(f"invalid {key} = {value!r}: {exc}") from None
 
     def market(self):
         return MarketConfig.from_annual(
@@ -134,9 +153,24 @@ class ExperimentConfig:
             kappa=self.mnc_kappa, df=self.mnc_df, scale=self.mnc_scale * np.eye(2)
         )
 
+    def proposals(self, family, panel):
+        """The MwG proposal triple of ``family`` on ``panel``."""
+        return default_proposals(family, panel, rho_step=self.rho_step, tt_df=self.tt_df,
+                                 ig_shape=self.ig_shape or None,
+                                 scale_multiplier=self.vol_scale_multiplier)
 
-_TUPLE_KEYS = {"families", "fx_series", "windows"}
-_PATH_KEYS = {"asset_series", "option_chain"}
+    def sequential(self, family, panel):
+        """Sequential-update settings whose refresh chains use ``family``'s proposals."""
+        return SequentialSettings(panel=panel, specs=self.proposals(family, panel),
+                                  refresh_draws=self.refresh_draws,
+                                  refresh_burn_in=self.refresh_burn_in,
+                                  refresh_interval=self.refresh_interval)
+
+
+_PATH_KEYS = {"asset_series", "fx_series", "option_chain", "out_dir"}
+_MODEL_KEYS = ("r_d_annual", "r_f_annual", "h_fix", "periods_per_year", "refresh_interval",
+               "rho_step", "tt_df", "ig_shape", "vol_scale_multiplier",
+               "mnc_kappa", "mnc_df", "mnc_scale")
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
@@ -148,7 +182,7 @@ def load_config(path, **overrides) -> ExperimentConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     base = os.path.dirname(os.path.abspath(path))
-    known = {f.name: f for f in fields(ExperimentConfig)}
+    known = {f.name for f in fields(ExperimentConfig)}
     values = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -166,33 +200,22 @@ def load_config(path, **overrides) -> ExperimentConfig:
                 values[key] = _convert(key, text, base)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: invalid value for {key!r}: {text!r}") from None
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        values[key] = value
+    values.update({key: value for key, value in overrides.items() if value is not None})
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
 
 
 def _convert(key, text, base):
-    if key in _TUPLE_KEYS:
-        parts = [p.strip() for p in text.split(",") if p.strip()]
-        if key == "windows":
-            return tuple(int(p) for p in parts)
-        if key == "fx_series":
-            return tuple(_resolve(p, base) for p in parts)
-        return tuple(p.lower() for p in parts)
+    """Parse ``text`` to the type of ``key``'s default; a tuple key's
+    comma-separated elements are paths, window lengths or family codes."""
+    default = getattr(ExperimentConfig, key)
+    if not isinstance(default, tuple):
+        return _resolve(text, base) if key in _PATH_KEYS else type(default)(text)
+    parts = [p.strip() for p in text.split(",") if p.strip()]
     if key in _PATH_KEYS:
-        return _resolve(text, base)
-    if key in ("out_dir",):
-        return _resolve(text, base)
-    if key in ("mode",):
-        return text
-    if key in ("periods_per_year", "draws", "burn_in", "seed", "n_paths",
-               "refresh_interval", "refresh_draws", "refresh_burn_in"):
-        return int(text)
-    return float(text)
+        return tuple(_resolve(p, base) for p in parts)
+    return tuple(map(int if key == "windows" else str.lower, parts))
 
 
 def _resolve(path, base):
@@ -231,25 +254,18 @@ def _write_csv(path, header, rows):
     _write_lines(path, header, (",".join(_fmt(cell) for cell in row) + "\n" for row in rows))
 
 
-def _write_manifest(out_dir, cfg: ExperimentConfig, command, extra=()):
-    lines = [f"command = {command}"]
-    for f in sorted(fields(ExperimentConfig), key=lambda f: f.name):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{f.name} = {value}")
+def _write_manifest(cfg: ExperimentConfig, command, extra=()):
     from . import __version__
 
-    lines += list(extra)
-    lines.append(f"quanto_bayes = {__version__}")
-    lines.append(f"numpy = {np.__version__}")
-    lines.append(f"scipy = {scipy.__version__}")
-    lines.append(f"python = {sys.version_info.major}.{sys.version_info.minor}.{sys.version_info.micro}")
-    os.makedirs(out_dir, exist_ok=True)
-    tmp = os.path.join(out_dir, "manifest.txt.tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
-    os.replace(tmp, os.path.join(out_dir, "manifest.txt"))
+    lines = []
+    for key, value in sorted(vars(cfg).items()):
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{key} = {value}")
+    lines += [*extra, f"quanto_bayes = {__version__}", f"numpy = {np.__version__}",
+              f"scipy = {scipy.__version__}", "python = %d.%d.%d" % sys.version_info[:3]]
+    _write_lines(os.path.join(cfg.out_dir, "manifest.txt"), [f"command = {command}"],
+                 (line + "\n" for line in lines))
 
 
 def _derive_seed(base_seed, *parts):
@@ -270,11 +286,15 @@ def _load_panel(cfg: ExperimentConfig, fx_path):
     if not cfg.asset_series:
         raise ConfigError("config needs asset_series")
     try:
-        asset, fx = align_series(load_price_series(cfg.asset_series),
-                                 load_price_series(fx_path))
+        asset, fx = load_price_series(cfg.asset_series), load_price_series(fx_path)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return ReturnPanel(log_returns(asset), log_returns(fx)), float(fx.prices[-1])
+    try:
+        asset, fx = align_series(asset, fx)
+        panel = ReturnPanel(log_returns(asset), log_returns(fx))
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.asset_series} and {fx_path}: {exc}") from None
+    return panel, float(fx.prices[-1])
 
 
 def _window(panel, window):
@@ -284,25 +304,21 @@ def _window(panel, window):
     return panel.tail(window)
 
 
+def _first_panel(cfg: ExperimentConfig):
+    """The first window of the first fx series, which ``estimate`` and
+    ``price`` read, with the latest aligned fx level."""
+    if not cfg.fx_series:
+        raise ConfigError("config needs at least one fx_series entry")
+    history, h_level = _load_panel(cfg, cfg.fx_series[0])
+    return _window(history, cfg.windows[0]), h_level
+
+
 def _sample_family(family, panel, cfg: ExperimentConfig, seed) -> Chain:
     if family == "mnc":
         return conjugate_sample(panel, cfg.niw(), cfg.draws, cfg.burn_in, seed)
-    specs = default_proposals(
-        family,
-        panel,
-        rho_step=cfg.rho_step,
-        tt_df=cfg.tt_df,
-        ig_shape=cfg.ig_shape or None,
-        scale_multiplier=cfg.vol_scale_multiplier,
-    )
     init = mle_estimate(panel).theta_hat
-    return mwg_sample(panel, specs, cfg.draws, cfg.burn_in, init=init, seed=seed)
-
-
-def _report_warnings(chain: Chain, family, fx_name, window):
-    """Print the chain's health warnings to stderr; the outputs stay unchanged."""
-    for text in chain.warnings:
-        print(f"warning: {family} [{fx_name} w{window}]: {text}", file=sys.stderr)
+    return mwg_sample(panel, cfg.proposals(family, panel), cfg.draws, cfg.burn_in,
+                      init=init, seed=seed)
 
 
 _SUMMARY_HEADER = (
@@ -311,20 +327,12 @@ _SUMMARY_HEADER = (
 )
 
 
-def _summary_rows(family, panel=None, chain=None):
+def _summary_rows(family, chain):
     rows = []
-    if family == "mle":
-        est = mle_estimate(panel).theta_hat
-        for name in PARAMETERS:
-            rows.append((family, name, getattr(est, name),
-                         None, None, None, None, None, None))
-        return rows
     for name in PARAMETERS:
         s = summarize(chain, name)
-        rows.append((
-            family, name, s.mean, s.std_dev, s.hpdi_95[0], s.hpdi_95[1],
-            s.nse, s.cd, s.acceptance_rate,
-        ))
+        rows.append((family, name, s.mean, s.std_dev, *s.hpdi_95, s.nse, s.cd,
+                     s.acceptance_rate))
     return rows
 
 
@@ -380,35 +388,50 @@ def _load_draws(path) -> Chain:
         raise ConfigError(f"{path}: malformed draws file: {exc}") from None
 
 
+def _estimate(cfg: ExperimentConfig, panel, out_dir, fx_name, window, seed_parts=(),
+              failures=None):
+    """Estimate every configured family on ``panel``, yielding (family, chain)
+    for each sampled one; ``out_dir``'s summary table is written when the
+    iteration ends.
+
+    Before a chain is yielded, its draws file is written and its health
+    warnings are printed to stderr. A family's error propagates, or, given a
+    ``failures`` list, becomes a row of it while the other families go on.
+    Yielding rather than returning the chains lets a caller that keeps none
+    free each one.
+    """
+    rows = []
+    for family in cfg.families:
+        try:
+            if family == "mle":
+                est = mle_estimate(panel).theta_hat
+                rows.extend((family, name, getattr(est, name)) + (None,) * 6
+                            for name in PARAMETERS)
+                continue
+            chain = _sample_family(family, panel, cfg,
+                                   _derive_seed(cfg.seed, family, *seed_parts))
+            for text in chain.warnings:
+                print(f"warning: {family} [{fx_name} w{window}]: {text}", file=sys.stderr)
+            rows.extend(_summary_rows(family, chain))
+            _write_draws(os.path.join(out_dir, f"draws_{family}.csv"), chain)
+        except (ConfigError, ValueError) as exc:
+            if failures is None:
+                raise
+            failures.append((fx_name, window, family, "estimate", str(exc)))
+            continue
+        yield family, chain
+    _write_csv(os.path.join(out_dir, "estimate_summary.csv"), _SUMMARY_HEADER, rows)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_estimate(cfg: ExperimentConfig, out_dir=None, fx_path=None, window=None):
+def cmd_estimate(cfg: ExperimentConfig):
     """Estimate every requested family; returns {family: draws-file path}."""
-    out_dir = out_dir or cfg.out_dir
-    fx_path = fx_path or (cfg.fx_series[0] if cfg.fx_series else None)
-    if fx_path is None:
-        raise ConfigError("config needs at least one fx_series entry")
-    window = window if window is not None else cfg.windows[0]
-    history, _ = _load_panel(cfg, fx_path)
-    panel = _window(history, window)
-
-    rows = []
-    draws_files = {}
-    for family in cfg.families:
-        if family == "mle":
-            rows.extend(_summary_rows("mle", panel=panel))
-            continue
-        seed = _derive_seed(cfg.seed, family)
-        chain = _sample_family(family, panel, cfg, seed)
-        _report_warnings(chain, family, _stem(fx_path), window)
-        rows.extend(_summary_rows(family, chain=chain))
-        path = os.path.join(out_dir, f"draws_{family}.csv")
-        _write_draws(path, chain)
-        draws_files[family] = path
-    _write_csv(os.path.join(out_dir, "estimate_summary.csv"), _SUMMARY_HEADER, rows)
-    return draws_files
+    panel, _ = _first_panel(cfg)
+    return {family: os.path.join(cfg.out_dir, f"draws_{family}.csv") for family, _ in
+            _estimate(cfg, panel, cfg.out_dir, _stem(cfg.fx_series[0]), cfg.windows[0])}
 
 
 class PricingRow(NamedTuple):
@@ -435,9 +458,6 @@ class PricingRow(NamedTuple):
     rpe_bs_h: float | None = None
 
 
-_PRICING_HEADER = PricingRow._fields
-
-
 def _rpe(price, quanto_market_price):
     """Relative pricing error, or None without a price or a positive quote."""
     if price is None or not quanto_market_price > 0.0:
@@ -445,8 +465,11 @@ def _rpe(price, quanto_market_price):
     return relative_pricing_error(price, quanto_market_price)
 
 
-def _discount(market, horizon_s):
-    return math.exp(-market.r_d * horizon_s) * market.h_fix
+def _bs_baseline(market, spot, strike, vol, horizon_s):
+    """Black-Scholes call on the foreign asset, paid at ``h_fix`` and
+    discounted at the domestic rate."""
+    return (math.exp(-market.r_d * horizon_s) * market.h_fix
+            * bs_call(spot, strike, vol, market.r_f, horizon_s))
 
 
 def _quote_table(quotes, market):
@@ -462,9 +485,8 @@ def _quote_table(quotes, market):
         try:
             vol_i = implied_vol(quote.market_price, quote.underlying_spot,
                                 quote.strike, market.r_f, quote.maturity_days)
-            bs_i = _discount(market, quote.maturity_days) * bs_call(
-                quote.underlying_spot, quote.strike, vol_i, market.r_f,
-                quote.maturity_days)
+            bs_i = _bs_baseline(market, quote.underlying_spot, quote.strike, vol_i,
+                                quote.maturity_days)
         except ValueError:
             bs_i = None
         table.append(PricingRow(
@@ -480,43 +502,28 @@ def _with_bs_h(table, market, panel):
     hist_vol = mle_estimate(panel).theta_hat.sigma_x
     rows = []
     for row in table:
-        bs_h = _discount(market, row.maturity_days) * bs_call(
-            row.spot, row.strike, hist_vol, market.r_f, row.maturity_days)
+        bs_h = _bs_baseline(market, row.spot, row.strike, hist_vol, row.maturity_days)
         rows.append(row._replace(bs_h_price=bs_h,
                                  rpe_bs_h=_rpe(bs_h, row.quanto_market_price)))
     return rows
 
 
-def _price_chain(cfg, chain, table, market, panel, h_level, seed,
-                 sequential_family=None):
+def _price_chain(cfg, chain, table, market, panel, h_level, seed, family=None):
     """Yield each of ``table``'s rows with the model columns of one draws
-    source filled in, together with the quote's discounted payoffs."""
+    source filled in, together with the quote's discounted payoffs.
+
+    Sequential refreshes use ``family``'s proposals, or, for a draws file or
+    a conjugate chain, those of the first configured MwG family.
+    """
     sequential = None
     if cfg.mode == "sequential-update":
-        family = sequential_family or next(
-            (f for f in cfg.families if f in FAMILY_CODES), "tnn"
-        )
-        sequential = SequentialSettings(
-            panel=panel,
-            specs=default_proposals(family, panel, rho_step=cfg.rho_step,
-                                    tt_df=cfg.tt_df, ig_shape=cfg.ig_shape or None,
-                                    scale_multiplier=cfg.vol_scale_multiplier),
-            refresh_draws=cfg.refresh_draws,
-            refresh_burn_in=cfg.refresh_burn_in,
-            refresh_interval=cfg.refresh_interval,
-        )
-    requests = [
-        PricingRequest(
-            kind="F3",
-            strike=row.strike,
-            horizon_s=row.maturity_days,
-            spot=SpotState(row.spot, h_level),
-            market=market,
-            n_paths=cfg.n_paths,
-            seed=seed,
-        )
-        for row in table
-    ]
+        if family not in FAMILY_CODES:
+            family = next((f for f in cfg.families if f in FAMILY_CODES), "tnn")
+        sequential = cfg.sequential(family, panel)
+    requests = [PricingRequest(kind="F3", strike=row.strike, horizon_s=row.maturity_days,
+                               spot=SpotState(row.spot, h_level), market=market,
+                               n_paths=cfg.n_paths, seed=seed)
+                for row in table]
     n_effective = thinned_draw_count(chain, cfg.n_paths)
     for row, samples in zip(table, predictive_batch(requests, chain, sequential)):
         result = summarize_payoffs(samples, n_effective)
@@ -529,7 +536,10 @@ def _price_chain(cfg, chain, table, market, panel, h_level, seed,
 
 
 def _load_quotes(cfg: ExperimentConfig, market):
-    """The configured option chain split by the no-arbitrage filter."""
+    """The quotes of the configured option chain that pass the no-arbitrage
+    filter; the rejected ones go to ``filter_report.csv``."""
+    if not cfg.option_chain:
+        raise ConfigError("config needs option_chain")
     try:
         quotes = load_option_chain(cfg.option_chain)
     except ValueError as exc:
@@ -537,33 +547,18 @@ def _load_quotes(cfg: ExperimentConfig, market):
     retained, rejected = filter_options(quotes, market)
     if not retained:
         raise ConfigError("no quotes survive the early-exercise filter")
-    return retained, rejected
+    _write_csv(os.path.join(cfg.out_dir, "filter_report.csv"),
+               ("strike", "maturity_days", "reason"),
+               [(q.strike, q.maturity_days, reason) for q, reason in rejected])
+    return retained
 
 
-def _write_filter_report(out_dir, rejected):
-    _write_csv(
-        os.path.join(out_dir, "filter_report.csv"),
-        ("strike", "maturity_days", "reason"),
-        [(q.strike, q.maturity_days, reason) for q, reason in rejected],
-    )
-
-
-def cmd_price(cfg: ExperimentConfig, draws_path, out_dir=None, fx_path=None,
-              window=None):
+def cmd_price(cfg: ExperimentConfig, draws_path):
     """Price the configured option chain with an existing draws file."""
-    out_dir = out_dir or cfg.out_dir
-    if not cfg.option_chain:
-        raise ConfigError("config needs option_chain")
-    fx_path = fx_path or (cfg.fx_series[0] if cfg.fx_series else None)
-    if fx_path is None:
-        raise ConfigError("config needs at least one fx_series entry")
-    window = window if window is not None else cfg.windows[0]
-
     chain = _load_draws(draws_path)
     market = cfg.market()
-    history, h_level = _load_panel(cfg, fx_path)
-    panel = _window(history, window)
-    retained, rejected = _load_quotes(cfg, market)
+    panel, h_level = _first_panel(cfg)
+    retained = _load_quotes(cfg, market)
 
     seed = _derive_seed(cfg.seed, "price", _stem(draws_path))
     table = _with_bs_h(_quote_table(retained, market), market, panel)
@@ -572,33 +567,19 @@ def cmd_price(cfg: ExperimentConfig, draws_path, out_dir=None, fx_path=None,
     for row, samples in _price_chain(cfg, chain, table, market, panel, h_level, seed):
         rows.append(row)
         counts, edges = np.histogram(samples, bins=50)
-        for b in range(counts.size):
-            hist_rows.append((row.strike, row.maturity_days,
-                              edges[b], edges[b + 1], int(counts[b])))
-    _write_csv(os.path.join(out_dir, "pricing.csv"), _PRICING_HEADER, rows)
-    _write_csv(
-        os.path.join(out_dir, "price_density.csv"),
-        ("strike", "maturity_days", "bin_lo", "bin_hi", "count"),
-        hist_rows,
-    )
-    _write_filter_report(out_dir, rejected)
+        hist_rows.extend((row.strike, row.maturity_days, lo, hi, int(count))
+                         for lo, hi, count in zip(edges[:-1], edges[1:], counts))
+    _write_csv(os.path.join(cfg.out_dir, "pricing.csv"), PricingRow._fields, rows)
+    _write_csv(os.path.join(cfg.out_dir, "price_density.csv"),
+               ("strike", "maturity_days", "bin_lo", "bin_hi", "count"), hist_rows)
     return rows
 
 
-def cmd_diagnose(cfg: ExperimentConfig, draws_path, out_dir=None):
-    """Summary table for an existing draws file."""
-    out_dir = out_dir or cfg.out_dir
-    chain = _load_draws(draws_path)
-    rows = []
-    for name in PARAMETERS:
-        s = summarize(chain, name)
-        rows.append((name, s.mean, s.std_dev, s.hpdi_95[0], s.hpdi_95[1],
-                     s.nse, s.cd))
-    _write_csv(
-        os.path.join(out_dir, "diagnose_summary.csv"),
-        ("parameter", "mean", "std_dev", "hpdi95_lo", "hpdi95_hi", "nse", "cd"),
-        rows,
-    )
+def cmd_diagnose(cfg: ExperimentConfig, draws_path):
+    """Summary table for an existing draws file: estimate's columns less
+    the family and the acceptance rate."""
+    rows = [row[1:-1] for row in _summary_rows(None, _load_draws(draws_path))]
+    _write_csv(os.path.join(cfg.out_dir, "diagnose_summary.csv"), _SUMMARY_HEADER[1:-1], rows)
     return rows
 
 
@@ -611,12 +592,8 @@ def cmd_experiment(cfg: ExperimentConfig):
     """
     if not cfg.fx_series:
         raise ConfigError("config needs at least one fx_series entry")
-    if not cfg.option_chain:
-        raise ConfigError("config needs option_chain")
-    out_dir = cfg.out_dir
     market = cfg.market()
-    retained, rejected = _load_quotes(cfg, market)
-    _write_filter_report(out_dir, rejected)
+    retained = _load_quotes(cfg, market)
 
     # Built once, at the first chain priced; while it fails, every chain's
     # pricing fails with its error.
@@ -633,30 +610,14 @@ def cmd_experiment(cfg: ExperimentConfig):
                             for window in cfg.windows)
             continue
         for window in cfg.windows:
-            cell_dir = os.path.join(out_dir, "cells", fx_name, f"w{window}")
+            cell_dir = os.path.join(cfg.out_dir, "cells", fx_name, f"w{window}")
             try:
                 panel = _window(history, window)
             except ConfigError as exc:
                 failures.append((fx_name, window, "*", "panel", str(exc)))
                 continue
-
-            est_rows = []
-            chains = {}
-            for family in cfg.families:
-                try:
-                    if family == "mle":
-                        est_rows.extend(_summary_rows("mle", panel=panel))
-                        continue
-                    seed = _derive_seed(cfg.seed, family, fx_name, window)
-                    chain = _sample_family(family, panel, cfg, seed)
-                    _report_warnings(chain, family, fx_name, window)
-                    est_rows.extend(_summary_rows(family, chain=chain))
-                    _write_draws(os.path.join(cell_dir, f"draws_{family}.csv"), chain)
-                    chains[family] = chain
-                except (ConfigError, ValueError) as exc:
-                    failures.append((fx_name, window, family, "estimate", str(exc)))
-            _write_csv(os.path.join(cell_dir, "estimate_summary.csv"),
-                       _SUMMARY_HEADER, est_rows)
+            chains = dict(_estimate(cfg, panel, cell_dir, fx_name, window,
+                                    seed_parts=(fx_name, window), failures=failures))
 
             window_table = None  # the quote table with this window's BS-H
             priced = False
@@ -668,63 +629,50 @@ def cmd_experiment(cfg: ExperimentConfig):
                         window_table = _with_bs_h(quote_table, market, panel)
                     seed = _derive_seed(cfg.seed, "price", family, fx_name, window)
                     rows = [row for row, _ in _price_chain(
-                        cfg, chain, window_table, market, panel, h_level, seed,
-                        sequential_family=family if family in FAMILY_CODES else None,
-                    )]
+                        cfg, chain, window_table, market, panel, h_level, seed, family)]
                 except (ConfigError, ValueError) as exc:
                     failures.append((fx_name, window, family, "price", str(exc)))
                     continue
                 _write_csv(os.path.join(cell_dir, f"pricing_{family}.csv"),
-                           _PRICING_HEADER, rows)
+                           PricingRow._fields, rows)
                 priced = True
-                performance.extend(_aggregate_buckets(fx_name, window, family, rows,
-                                                      "rpe_model", "mc_std_error"))
-                for row in rows:
-                    curves.append((fx_name, window, family, row.strike, row.maturity_days,
-                                   row.quanto_market_price, row.model_price))
+                _report_model(performance, curves, (fx_name, window), family, rows,
+                              "model_price", "rpe_model", "mc_std_error")
             if priced:
-                for model, rpe_field, price_field in (("bs_i", "rpe_bs_i", "bs_i_price"),
-                                                      ("bs_h", "rpe_bs_h", "bs_h_price")):
-                    performance.extend(_aggregate_buckets(fx_name, window, model,
-                                                          window_table, rpe_field, None))
-                    for row in window_table:
-                        curves.append((fx_name, window, model, row.strike,
-                                       row.maturity_days, row.quanto_market_price,
-                                       getattr(row, price_field)))
+                for model in ("bs_i", "bs_h"):
+                    _report_model(performance, curves, (fx_name, window), model,
+                                  window_table, f"{model}_price", f"rpe_{model}")
 
-    _write_csv(
-        os.path.join(out_dir, "pricing_performance.csv"),
-        ("fx", "window", "model", "bucket", "mean_rpe", "mean_mc_std_error", "n_quotes"),
-        performance,
-    )
-    _write_csv(
-        os.path.join(out_dir, "pricing_curves.csv"),
-        ("fx", "window", "model", "strike", "maturity_days",
-         "quanto_market_price", "model_price"),
-        curves,
-    )
-    _write_csv(
-        os.path.join(out_dir, "failures.csv"),
-        ("fx", "window", "family", "stage", "error"),
-        failures,
-    )
+    _write_csv(os.path.join(cfg.out_dir, "pricing_performance.csv"),
+               ("fx", "window", "model", "bucket", "mean_rpe", "mean_mc_std_error", "n_quotes"),
+               performance)
+    _write_csv(os.path.join(cfg.out_dir, "pricing_curves.csv"),
+               ("fx", "window", "model", "strike", "maturity_days", "quanto_market_price",
+                "model_price"), curves)
+    _write_csv(os.path.join(cfg.out_dir, "failures.csv"),
+               ("fx", "window", "family", "stage", "error"), failures)
     return failures
 
 
-def _aggregate_buckets(fx_name, window, model, rows, rpe_field, se_field):
-    """Mean of the ``rpe_field`` and ``se_field`` columns of ``rows`` per bucket."""
-    out = []
+def _report_model(performance, curves, cell, model, rows, price_field, rpe_field,
+                  se_field=None):
+    """Append one model's rows of a cell to the performance and curve tables.
+
+    Performance holds the per-bucket means of the ``rpe_field`` and
+    ``se_field`` columns, None where a column has no value or no
+    ``se_field`` is given; the curve holds each quote's ``price_field``.
+    """
+
+    def mean(sel, field):
+        values = [getattr(r, field) for r in sel if field and getattr(r, field) is not None]
+        return sum(values) / len(values) if values else None
+
     for bucket in ("ITM", "ATM", "OTM"):
         sel = [r for r in rows if r.bucket == bucket]
-        rpes = [getattr(r, rpe_field) for r in sel if getattr(r, rpe_field) is not None]
-        mean_rpe = sum(rpes) / len(rpes) if rpes else None
-        if se_field is None:
-            mean_se = None
-        else:
-            ses = [getattr(r, se_field) for r in sel if getattr(r, se_field) is not None]
-            mean_se = sum(ses) / len(ses) if ses else None
-        out.append((fx_name, window, model, bucket, mean_rpe, mean_se, len(sel)))
-    return out
+        performance.append((*cell, model, bucket, mean(sel, rpe_field), mean(sel, se_field),
+                            len(sel)))
+    curves.extend((*cell, model, r.strike, r.maturity_days, r.quanto_market_price,
+                   getattr(r, price_field)) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -763,21 +711,22 @@ def main(argv=None):
         "seed": args.seed,
         "out_dir": os.path.abspath(args.out) if args.out else None,
         "n_paths": args.paths,
+        "families": _convert("families", args.families, None) if args.families else None,
+        "mode": {"sequential": "sequential-update"}.get(args.mode, args.mode),
     }
-    if args.families:
-        overrides["families"] = tuple(f.strip().lower() for f in args.families.split(","))
-    if args.mode:
-        overrides["mode"] = "sequential-update" if args.mode == "sequential" else args.mode
 
     try:
         cfg = load_config(args.config, **overrides)
-        if args.command in ("estimate", "experiment"):
-            missing = [p for p in (cfg.asset_series, *cfg.fx_series) if not os.path.exists(p)]
+        if args.command != "diagnose":
+            inputs = [cfg.asset_series, *cfg.fx_series]
+            if args.command != "estimate":
+                inputs.append(cfg.option_chain)
+            # an unset key is named by the command itself
+            missing = [p for p in inputs if p and not os.path.exists(p)]
             if missing:
                 raise ConfigError(f"input files not found: {missing}")
-        _write_manifest(cfg.out_dir, cfg, args.command,
-                        extra=[f"draws = {getattr(args, 'draws', '')}"]
-                        if hasattr(args, "draws") else ())
+        _write_manifest(cfg, args.command,
+                        [f"draws = {args.draws}"] if hasattr(args, "draws") else ())
         if args.command == "estimate":
             cmd_estimate(cfg)
         elif args.command == "price":

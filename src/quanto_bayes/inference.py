@@ -180,10 +180,10 @@ class ProposalSpec:
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError(f"scale must be positive, got {self.scale}")
         if self.family == "truncated_t":
-            if self.df is None or self.df <= 2.0:
+            if self.df is None or not self.df > 2.0:
                 raise ValueError("truncated_t needs df > 2")
         if self.family == "inverse_gamma":
-            if self.shape is None or self.shape <= 2.0:
+            if self.shape is None or not self.shape > 2.0:
                 raise ValueError("inverse_gamma needs shape > 2")
         if self.family in ("truncated_normal", "truncated_t") and not math.isfinite(self.loc):
             raise ValueError(f"loc must be finite, got {self.loc}")
@@ -570,9 +570,9 @@ class NiwHyperparams:
         mean = tuple(float(v) for v in self.mean)
         if len(mean) != 2 or not all(math.isfinite(v) for v in mean):
             raise ValueError("prior mean must be two finite numbers")
-        if self.kappa <= 0.0:
+        if not self.kappa > 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.df < 2.0:
+        if not self.df >= 2.0:
             raise ValueError(f"df must be >= 2 for a 2x2 scale, got {self.df}")
         scale = np.asarray(self.scale, dtype=float)
         if scale.shape != (2, 2) or not np.allclose(scale, scale.T):

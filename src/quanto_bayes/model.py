@@ -109,7 +109,7 @@ class MarketConfig:
     def __post_init__(self):
         _require_finite("r_d", self.r_d)
         _require_finite("r_f", self.r_f)
-        if self.h_fix <= 0.0:
+        if not self.h_fix > 0.0:
             raise ValueError(f"h_fix must be positive, got {self.h_fix}")
         if self.periods_per_year <= 0:
             raise ValueError(

@@ -59,6 +59,20 @@ def test_load_config_rejects_inconsistent_chain_settings(tmp_path):
         load_config(path)
 
 
+def test_default_config_values_have_their_defaults_types():
+    import dataclasses
+
+    from quanto_bayes.cli import ExperimentConfig
+
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "fixtures", "default.cfg"))
+    for field in dataclasses.fields(ExperimentConfig):
+        value = getattr(cfg, field.name)
+        assert type(value) is type(field.default), field.name
+        if isinstance(value, tuple):
+            element = int if field.name == "windows" else str
+            assert value and all(type(v) is element for v in value), field.name
+
+
 def test_load_config_overrides_win(tmp_path):
     path = make_workspace(tmp_path)
     cfg = load_config(path, seed=99, families=("ign",))
@@ -459,6 +473,26 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{bad_cfg}:" in err and repr(key) in err, err
 
+    # values that parse but that a constructor of the run rejects: each exits 1
+    # naming its key even when no family that reads it is configured
+    draws = os.path.join(str(tmp_path), "draws.csv")
+    with open(draws, "w", encoding="utf-8") as f:
+        f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n")
+    for key, value in (("periods_per_year", "0"), ("vol_scale_multiplier", "0"),
+                       ("h_fix", "0"), ("rho_step", "0"), ("tt_df", "1"), ("ig_shape", "1"),
+                       ("mnc_df", "1"), ("mnc_kappa", "0"), ("mnc_scale", "-1"),
+                       ("refresh_interval", "0"), ("r_d_annual", "nan"), ("h_fix", "nan"),
+                       ("tt_df", "nan"), ("mnc_kappa", "nan"), ("mnc_df", "nan")):
+        root = tmp_path / f"bad_{key}_{value}"
+        root.mkdir()
+        bad_cfg = make_workspace(root, families="mle", **{key: value})
+        for argv in (["estimate"], ["experiment"],
+                     ["price", "--draws", draws, "--mode", "sequential", "--paths", "3"]):
+            capsys.readouterr()
+            assert main([*argv, "--config", bad_cfg]) == 1, (key, argv)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: invalid {key} = "), err
+
     for name, body in (
         ("nan.csv", "0.006,0.004,0.1\nnan,0.004,0.1\n"),
         ("width.csv", "0.006,0.004\n0.006,0.004\n"),
@@ -491,6 +525,59 @@ def test_main_malformed_option_chain_exits_one(tmp_path, capsys, command, bad_qu
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {chain}: row 3: {text}\n"
+
+
+@pytest.mark.parametrize("command, key", [
+    ("estimate", "asset_series"), ("estimate", "fx_series"),
+    ("price", "asset_series"), ("price", "fx_series"), ("price", "option_chain"),
+    ("experiment", "asset_series"), ("experiment", "fx_series"),
+    ("experiment", "option_chain"),
+])
+def test_main_missing_input_file_exits_one(tmp_path, capsys, command, key):
+    cfg_path = make_workspace(tmp_path)
+    missing = getattr(load_config(cfg_path), key)
+    missing = missing[0] if isinstance(missing, tuple) else missing
+    os.remove(missing)
+    argv = [command, "--config", cfg_path]
+    if command == "price":
+        draws = os.path.join(str(tmp_path), "draws.csv")
+        with open(draws, "w", encoding="utf-8") as f:
+            f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n")
+        argv += ["--draws", draws]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: input files not found: {[missing]}\n"
+
+
+def test_estimate_reads_no_option_chain(tmp_path):
+    cfg_path = make_workspace(tmp_path, families="mle")
+    os.remove(os.path.join(str(tmp_path), "chain.csv"))
+    assert main(["estimate", "--config", cfg_path]) == 0
+
+
+@pytest.mark.parametrize("command", ["estimate", "experiment"])
+@pytest.mark.parametrize("fx_rows, text", [
+    ("1999-01-04,0.85\n1999-01-05,0.86\n", "series share no dates"),
+    ("1999-01-04,0.85\n2017-01-02,0.86\n",
+     "at least 2 prices are required to form returns, got 1"),
+], ids=["disjoint", "one-shared-date"])
+def test_series_without_shared_returns_names_both_files(tmp_path, capsys, command, fx_rows,
+                                                         text):
+    cfg_path = make_workspace(tmp_path, families="mle")
+    fx = os.path.join(str(tmp_path), "fx.csv")
+    with open(fx, "w", encoding="utf-8") as f:
+        f.write("date,price\n" + fx_rows)
+    asset = os.path.join(str(tmp_path), "asset.csv")
+    text = f"{asset} and {fx}: {text}"
+    capsys.readouterr()
+    if command == "estimate":
+        assert main([command, "--config", cfg_path]) == 1
+        assert capsys.readouterr().err == f"error: {text}\n"
+    else:
+        assert main([command, "--config", cfg_path]) == 0
+        with open(os.path.join(str(tmp_path), "out", "failures.csv"), encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("fx,250,*,panel,") and text in lines[1]
 
 
 @pytest.mark.parametrize("command", ["estimate", "price"])
