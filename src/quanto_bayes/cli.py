@@ -25,6 +25,7 @@ Unavailable cells are written as ``NA``.
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401 - argparse's gettext loads it when main builds the parser
 import math
 import os
 import sys
@@ -33,7 +34,10 @@ from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy
+# numpy loads these on first use; loading them with the CLI keeps that cost
+# out of the command it runs
+import numpy.fft  # noqa: F401 - diagnostics' spectral NSE
+import numpy.random  # noqa: F401
 
 from .data_io import (
     align_series,
@@ -230,6 +234,9 @@ def _fmt(value):
     if value is None:
         return "NA"
     if isinstance(value, str):
+        # quoted as csv.QUOTE_MINIMAL does, so an error text stays one cell
+        if any(ch in value for ch in ',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -263,7 +270,7 @@ def _write_manifest(cfg: ExperimentConfig, command, extra=()):
             value = ",".join(str(v) for v in value)
         lines.append(f"{key} = {value}")
     lines += [*extra, f"quanto_bayes = {__version__}", f"numpy = {np.__version__}",
-              f"scipy = {scipy.__version__}", "python = %d.%d.%d" % sys.version_info[:3]]
+              "python = %d.%d.%d" % sys.version_info[:3]]
     _write_lines(os.path.join(cfg.out_dir, "manifest.txt"), [f"command = {command}"],
                  (line + "\n" for line in lines))
 

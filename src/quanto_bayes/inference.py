@@ -30,12 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri, stdtr, stdtrit
 
-from .model import Drift, ReturnPanel, Theta
+from .model import Drift, ReturnPanel, Theta, ndtr
 
 __all__ = [
     "PosteriorKernel",
@@ -193,26 +191,114 @@ class ProposalSpec:
         return self.family in _INDEPENDENCE_FAMILIES
 
 
-def _truncated_candidates(spec: ProposalSpec, u):
-    """Inverse-CDF draws on (0, inf) for the truncated families; u in [0, 1).
+def _beta_continued_fraction(a, b, x):
+    """Continued fraction of the regularised incomplete beta I_x(a, b),
+    by the modified Lentz method; it converges fast for x < (a+1)/(a+b+2)."""
+    tiny = 1e-300
 
-    When loc < 0 the truncation point 0 lies above the centre, and about 8
-    scales out its CDF p0 rounds to 1; those draws invert the survival
-    function sf0 * (1 - u) instead, which keeps its precision in the tail.
-    The clamp keeps u = 0 (a representable random draw) inside the open
-    support instead of landing exactly on the boundary.
+    def clamp(v):
+        return v if abs(v) > tiny else tiny
+
+    c = 1.0
+    d = 1.0 / clamp(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 10_000):
+        m2 = 2 * m
+        for aa in (m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
+                   -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))):
+            d = 1.0 / clamp(1.0 + aa * d)
+            c = clamp(1.0 + aa / c)
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge for a={a}, b={b}")
+
+
+def _t_cdf(df, t):
+    """P(T <= t) for a Student-t with ``df`` degrees of freedom, a float.
+
+    P(|T| > |t|) = I_x(df/2, 1/2) with x = df / (df + t^2); the fraction runs
+    on x or, through I_x(a, b) = 1 - I_(1-x)(b, a), on 1 - x = t^2 / (df + t^2),
+    whichever converges, so the lower tail keeps its relative accuracy.
+    The relative error stays below 1e-13 for df <= 30; the lgamma
+    differences in the prefactor lose accuracy slowly as df grows.
     """
-    a0 = -spec.loc / spec.scale
-    if spec.family == "truncated_normal":
-        cdf, inverse = ndtr, ndtri
+    t2 = t * t
+    if t2 == 0.0:
+        return 0.5
+    a, b = 0.5 * df, 0.5
+    x, y = df / (df + t2), t2 / (df + t2)
+    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                 + a * math.log(x) + b * math.log(y))
+    if x < (a + 1.0) / (a + b + 2.0):
+        tail = 0.5 * math.exp(log_front) * _beta_continued_fraction(a, b, x) / a
     else:
-        cdf, inverse = partial(stdtr, spec.df), partial(stdtrit, spec.df)
-    if a0 > 0.0:
-        z = -inverse(cdf(-a0) * (1.0 - u))
+        tail = 0.5 - 0.5 * math.exp(log_front) * _beta_continued_fraction(b, a, y) / b
+    return tail if t < 0.0 else 1.0 - tail
+
+
+def _truncated_draws(spec: ProposalSpec, rng, n):
+    """``n`` exact draws of a truncated family on (0, inf), by rejection.
+
+    With a0 = -loc/scale the standardised draw z must exceed a0. For
+    a0 <= 1 plain draws of the standard normal or t keep an acceptance of at
+    least 0.16. Further out each family samples its excess over a0 under an
+    envelope, scaled so that no value cancels against loc:
+    * normal: z = a0 + E / lam with E ~ Exp(1), accepted with probability
+      exp(-(z - lam)^2 / 2), where lam = (a0 + sqrt(a0^2 + 4)) / 2 is the
+      optimal rate (Robert 1995, "Simulation of truncated normal variables")
+      and z - lam = E / lam - 1 / lam;
+    * t: X = df / (df + T^2) ~ Beta(df/2, 1/2) given T > 0, and T > a0 is
+      X < x0 = df / (df + a0^2). X = x0 W with W = U^(2/df) has the envelope
+      density ~ x^(df/2 - 1) on (0, x0) and is accepted with probability
+      sqrt((1 - x0) / (1 - X)) = 1 / sqrt(Q), where Q = 1 + r (1 - W) and
+      r = df / a0^2; then z = a0 sqrt(Q / W).
+    A candidate counts when its value is positive and finite in floating
+    point, so every draw lies in the open support. Batches are drawn until
+    ``n`` are kept, each sized from the acceptance of the one before.
+    """
+    loc, scale = spec.loc, spec.scale
+    a0 = -loc / scale
+    if a0 <= 1.0:
+        if spec.family == "truncated_normal":
+            def propose(m):
+                return loc + scale * rng.standard_normal(m)
+        else:
+            def propose(m):
+                return loc + scale * rng.standard_t(spec.df, m)
+    elif spec.family == "truncated_normal":
+        lam = 0.5 * a0 + math.hypot(0.5 * a0, 1.0)
+
+        def propose(m):
+            excess = rng.standard_exponential(m) / lam
+            d = excess - 1.0 / lam
+            return np.where(rng.random(m) < np.exp(-0.5 * d * d), scale * excess, np.nan)
     else:
-        p0 = cdf(a0)
-        z = inverse(p0 + u * (1.0 - p0))
-    return np.maximum(spec.loc + spec.scale * z, np.finfo(float).tiny)
+        df = spec.df
+        r = df / a0 / a0
+
+        def propose(m):
+            w = (1.0 - rng.random(m)) ** (2.0 / df)
+            q = 1.0 + r * (1.0 - w)
+            u = rng.random(m)
+            return np.where(u * u * q < 1.0, -loc * (np.sqrt(q / w) - 1.0), np.nan)
+    out = np.empty(n)
+    filled = 0
+    m = n
+    while filled < n:
+        v = propose(m)
+        v = v[(v > 0.0) & (v < math.inf)]
+        kept = min(v.size, n - filled)
+        out[filled:filled + kept] = v[:kept]
+        filled += kept
+        if v.size:
+            m = math.ceil((n - filled) * m / v.size)
+        elif m < 1 << 20:
+            m *= 2
+        else:
+            raise ArithmeticError(f"no {spec.family} draw with loc={loc}, scale={scale} "
+                                  "is a positive float")
+    return out
 
 
 def _proposal_stream(spec: ProposalSpec, rng, n_draws):
@@ -225,7 +311,7 @@ def _proposal_stream(spec: ProposalSpec, rng, n_draws):
         return spec.scale * rng.standard_normal(n_draws)
     if spec.family == "inverse_gamma":
         return np.sqrt(spec.scale / rng.standard_gamma(spec.shape, size=n_draws))
-    return _truncated_candidates(spec, rng.random(n_draws))
+    return _truncated_draws(spec, rng, n_draws)
 
 
 def proposal_logpdf(spec: ProposalSpec, value, center=None):
@@ -249,17 +335,17 @@ def proposal_logpdf(spec: ProposalSpec, value, center=None):
         elif spec.family == "truncated_t":
             loc, scale, df = spec.loc, spec.scale, spec.df
             const = (
-                gammaln(0.5 * (df + 1.0))
-                - gammaln(0.5 * df)
+                math.lgamma(0.5 * (df + 1.0))
+                - math.lgamma(0.5 * df)
                 - 0.5 * math.log(df * math.pi)
                 - math.log(scale)
-                - math.log(stdtr(df, loc / scale))
+                - math.log(_t_cdf(df, loc / scale))
             )
             z = (v - loc) / scale
             out = const - 0.5 * (df + 1.0) * np.log1p(z * z / df)
         elif spec.family == "inverse_gamma":
             a, b = spec.shape, spec.scale
-            const = a * math.log(b) - gammaln(a) + math.log(2.0)
+            const = a * math.log(b) - math.lgamma(a) + math.log(2.0)
             out = const - (2.0 * a + 1.0) * np.log(v) - b / (v * v)
         else:
             d = v - (spec.loc if center is None else center)

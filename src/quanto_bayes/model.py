@@ -36,11 +36,13 @@ __all__ = [
     "simulate_return_pair",
     "payoff",
     "call_price_band",
+    "ndtr",
 ]
 
 PAYOFF_KINDS = ("F1", "F2", "F3", "F4")
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def _require_finite(name, value):
@@ -92,6 +94,11 @@ class Drift:
         _require_finite("mu_h", self.mu_h)
 
 
+def _require_positive_periods(periods_per_year):
+    if periods_per_year <= 0:
+        raise ValueError(f"periods_per_year must be positive, got {periods_per_year}")
+
+
 @dataclass(frozen=True)
 class MarketConfig:
     """Rates and contract constants.
@@ -111,20 +118,27 @@ class MarketConfig:
         _require_finite("r_f", self.r_f)
         if not self.h_fix > 0.0:
             raise ValueError(f"h_fix must be positive, got {self.h_fix}")
-        if self.periods_per_year <= 0:
-            raise ValueError(
-                f"periods_per_year must be positive, got {self.periods_per_year}"
-            )
+        _require_positive_periods(self.periods_per_year)
 
     @classmethod
     def from_annual(cls, r_d_annual, r_f_annual, h_fix=1.0, periods_per_year=252):
         """Build a config from annualized rates (divided by periods_per_year)."""
+        _require_positive_periods(periods_per_year)
         return cls(
             r_d=r_d_annual / periods_per_year,
             r_f=r_f_annual / periods_per_year,
             h_fix=h_fix,
             periods_per_year=periods_per_year,
         )
+
+
+def ndtr(x):
+    """Standard normal CDF of a float: 0.5 * erfc(-x / sqrt(2)).
+
+    Rounding the scaled argument costs about x^2 ulp of relative accuracy in
+    the lower tail, in this and in any other float implementation.
+    """
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
 
 
 def call_price_band(spot, strike, rate, horizon_s):

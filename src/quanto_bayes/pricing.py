@@ -29,12 +29,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .diagnostics import hpdi
 from .inference import Chain, mwg_sample
-from .model import (MarketConfig, ReturnPanel, SpotState, Theta, call_price_band, payoff,
-                    simulate_return_pair)
+from .model import (MarketConfig, ReturnPanel, SpotState, Theta, call_price_band, ndtr,
+                    payoff, simulate_return_pair)
 
 __all__ = [
     "PricingRequest",

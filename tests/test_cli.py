@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quanto_bayes.cli import (
     ConfigError,
@@ -436,6 +437,35 @@ def test_experiment_quote_table_error_fails_each_chain(tmp_path, monkeypatch):
                     for w in (200, 250) for family in ("tnn", "mnc")]
 
 
+_FAILURE_HEADER = ("fx", "window", "family", "stage", "error")
+
+
+def test_write_csv_keeps_an_error_text_with_commas_in_one_cell(tmp_path):
+    from quanto_bayes.cli import _write_csv
+
+    messages = ["at least 2 prices are required to form returns, got 1",
+                "market price must be non-negative and finite, got nan"]
+    path = os.path.join(str(tmp_path), "failures.csv")
+    _write_csv(path, _FAILURE_HEADER, [("fx", 140, "tnn", "price", m) for m in messages])
+    rows = _read_csv(path)
+    assert [r["error"] for r in rows] == messages
+    assert all(None not in r for r in rows)
+    # numbers, NA and plain text are written as before, unquoted
+    _write_csv(path, ("a", "b", "c", "d"), [("tnn", 140, 0.1, None), ("x", -3, math.nan, 2.5)])
+    with open(path, encoding="utf-8") as f:
+        assert f.read() == "a,b,c,d\ntnn,140,0.1,NA\nx,-3,NA,2.5\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.text(), st.text(), st.text()), max_size=5))
+def test_write_csv_round_trips_any_text(tmp_path_factory, rows):
+    from quanto_bayes.cli import _write_csv
+
+    path = os.path.join(str(tmp_path_factory.mktemp("csv")), "t.csv")
+    _write_csv(path, ("a", "b", "c"), rows)
+    assert [tuple(r.values()) for r in _read_csv(path)] == rows
+
+
 # ---------------------------------------------------------------------------
 # main entry point and exit codes
 # ---------------------------------------------------------------------------
@@ -492,6 +522,8 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
             assert main([*argv, "--config", bad_cfg]) == 1, (key, argv)
             err = capsys.readouterr().err
             assert err.startswith(f"error: invalid {key} = "), err
+            if key == "periods_per_year":
+                assert err.endswith(": periods_per_year must be positive, got 0\n"), err
 
     for name, body in (
         ("nan.csv", "0.006,0.004,0.1\nnan,0.004,0.1\n"),
@@ -604,14 +636,44 @@ def test_main_malformed_price_series_exits_one(tmp_path, capsys, command, bad_pr
     assert capsys.readouterr().err == f"error: {fx}: {text}\n"
 
 
-def test_cli_import_skips_scipy_stats():
-    code = "import sys, quanto_bayes.cli; print('scipy.stats' in sys.modules)"
+def _run_python(code, *args):
+    """stdout of ``code`` run in a fresh interpreter with the package on its path."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=300).stdout
+
+
+def test_cli_import_skips_scipy_stats():
+    code = "import sys, quanto_bayes.cli; print('scipy.stats' in sys.modules)"
+    assert _run_python(code).strip() == "False"
+
+
+def test_cli_never_loads_scipy(tmp_path):
+    # scipy is a test dependency only: neither the import nor an estimate and a
+    # sequential price run loads any of it. The modules that numpy and argparse
+    # load on first use come with the import, outside the command's time.
+    cfg_path = make_workspace(tmp_path, draws=600, burn_in=100, refresh_draws=60,
+                              refresh_burn_in=10, refresh_interval=20)
+    draws = os.path.join(str(tmp_path), "out", "draws_tnn.csv")
+    code = (
+        "import json, sys\n"
+        "from quanto_bayes import cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "record = {'import': scipy_modules(),\n"
+        "          'lazy': [m in sys.modules for m in ('numpy.fft', 'numpy.random', 'locale')]}\n"
+        "cfg, draws = sys.argv[1:]\n"
+        "record['estimate'] = cli.main(['estimate', '--config', cfg])\n"
+        "record['price'] = cli.main(['price', '--config', cfg, '--draws', draws,\n"
+        "                            '--mode', 'sequential', '--paths', '3'])\n"
+        "record['run'] = scipy_modules()\n"
+        "print(json.dumps(record))\n"
+    )
+    record = json.loads(_run_python(code, cfg_path, draws))
+    assert record == {"import": [], "lazy": [True, True, True], "estimate": 0, "price": 0,
+                      "run": []}
 
 
 @pytest.mark.parametrize("command", ["experiment", "price-sequential"])
