@@ -36,7 +36,6 @@ from .pricing import (
     closed_form_v3,
     implied_vol,
     predictive_batch,
-    predictive_samples,
     price_predictive,
     relative_pricing_error,
 )

@@ -25,10 +25,12 @@ Unavailable cells are written as ``NA``.
 from __future__ import annotations
 
 import argparse
+import io
 import locale  # noqa: F401 - argparse's gettext loads it when main builds the parser
 import math
 import os
 import sys
+import warnings
 import zlib
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
@@ -46,6 +48,7 @@ from .data_io import (
     load_option_chain,
     load_price_series,
     moneyness_bucket,
+    read_text,
 )
 from .diagnostics import summarize
 from .inference import (
@@ -58,7 +61,7 @@ from .inference import (
     mle_estimate,
     mwg_sample,
 )
-from .model import MarketConfig, ReturnPanel, SpotState, log_returns
+from .model import MarketConfig, ReturnPanel, SpotState, Theta, log_returns
 from .pricing import (
     PricingRequest,
     SequentialSettings,
@@ -124,7 +127,7 @@ class ExperimentConfig:
         for family in self.families:
             if family not in ALL_FAMILIES:
                 raise ConfigError(
-                    f"unknown family {family!r}; expected a subset of {ALL_FAMILIES}"
+                    f"unknown family {family!r} in families; expected a subset of {ALL_FAMILIES}"
                 )
         if not self.windows or any(w < 2 for w in self.windows):
             raise ConfigError(f"windows must be integers >= 2, got {self.windows}")
@@ -188,25 +191,31 @@ def load_config(path, **overrides) -> ExperimentConfig:
     base = os.path.dirname(os.path.abspath(path))
     known = {f.name for f in fields(ExperimentConfig)}
     values = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            text = text.strip()
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = _convert(key, text, base)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: invalid value for {key!r}: {text!r}") from None
+    try:
+        lines = io.StringIO(read_text(path), newline=None)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        text = text.strip()
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _convert(key, text, base)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: invalid value for {key!r}: {text!r}") from None
     values.update({key: value for key, value in overrides.items() if value is not None})
     cfg = ExperimentConfig(**values)
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return cfg
 
 
@@ -379,20 +388,31 @@ def _write_draws(path, chain: Chain):
 
 
 def _load_draws(path) -> Chain:
+    """The draws of a file that ``estimate`` wrote, one row each below the
+    header; a malformed file raises, naming the file and its first bad row."""
     if not os.path.exists(path):
         raise ConfigError(f"draws file not found: {path}")
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] != 3:
-            raise ValueError(f"expected 3 columns, got {data.shape[1]}")
-        return Chain(
-            draws=data,
-            burn_in=0,
-            acceptance_counts=np.full(3, data.shape[0], dtype=int),
-            seed=0,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: malformed draws file: {exc}") from None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy skips empty and comment lines
+        try:
+            draws = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
+            return Chain(draws=draws, burn_in=0,
+                         acceptance_counts=np.full(3, draws.shape[0], dtype=int), seed=0)
+        except ValueError:
+            pass  # the same parser, line by line, finds the first row at fault
+        try:
+            lines = io.StringIO(read_text(path), newline=None).readlines()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        for row, line in enumerate(lines[1:], start=2):
+            try:
+                values = np.loadtxt([line], delimiter=",", ndmin=2)
+                if values.size:  # an empty or comment line holds none
+                    Theta(*values.reshape(3).tolist())
+            except ValueError:
+                raise ConfigError(f"{path}: malformed draws file: row {row}: not three numbers "
+                                  f"inside the parameter support: {line.strip()!r}") from None
+    raise ConfigError(f"{path}: draws file has no draws")
 
 
 def _estimate(cfg: ExperimentConfig, panel, out_dir, fx_name, window, seed_parts=(),
@@ -487,7 +507,7 @@ def _quote_table(quotes, market):
     """
     table = []
     for quote in quotes:
-        quanto = construct_quanto(quote, market, market.h_fix)
+        quanto = construct_quanto(quote, market)
         bucket = moneyness_bucket(quote.strike, quote.underlying_spot)
         try:
             vol_i = implied_vol(quote.market_price, quote.underlying_spot,

@@ -4,13 +4,12 @@ File formats are comma-separated with a header row, UTF-8, decimal point:
 
 * price series: ``date,price`` with ISO-8601 dates;
 * option chains: ``quote_date,strike,maturity_days,price,spot``.
-
-Custom column names are accepted via the loaders' column arguments.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import date as Date
@@ -60,6 +59,17 @@ class QuantoQuote(OptionQuote):
     h_fix: float = 1.0
 
 
+def read_text(path):
+    """The text of a UTF-8 file; a byte that is not UTF-8 raises, naming the file and its row."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = len((data[:exc.start] + b"x").splitlines())  # the bad byte's own line counts
+        raise ValueError(f"{path}: row {row}: not UTF-8 text") from None
+
+
 def _parse_date(text, row):
     try:
         return Date.fromisoformat(text.strip())
@@ -70,7 +80,7 @@ def _parse_date(text, row):
 def _parse_float(text, row, column):
     try:
         return float(text)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ValueError(f"row {row}: non-numeric {column} {text!r}") from None
 
 
@@ -93,34 +103,30 @@ def _parse_quote(record, row):
         raise ValueError(f"row {row}: {exc}") from None
 
 
-def load_price_series(path, date_column="date", price_column="price"):
-    """Read a dated price series, sort by date, and validate it.
+def load_price_series(path):
+    """Read a ``date,price`` series, sort by date, and validate it.
 
     Duplicate dates and non-positive or non-numeric prices are rejected with
     the file and the offending date or row named.
     """
     rows = []
     seen = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or date_column not in reader.fieldnames \
-                or price_column not in reader.fieldnames:
-            raise ValueError(
-                f"{path}: expected columns {date_column!r} and {price_column!r}, "
-                f"got {reader.fieldnames}"
-            )
-        for i, record in enumerate(reader, start=2):
-            try:
-                day = _parse_date(record[date_column], i)
-                price = _parse_float(record[price_column], i, price_column)
-                if day in seen:
-                    raise ValueError(f"duplicate date {day.isoformat()} at row {i}")
-                if not (math.isfinite(price) and price > 0.0):
-                    raise ValueError(f"row {i}: non-positive price {price!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-            seen[day] = price
-            rows.append(day)
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""), restval="")
+    if not {"date", "price"} <= set(reader.fieldnames or ()):
+        raise ValueError(f"{path}: expected columns 'date' and 'price', got {reader.fieldnames}")
+    for record in reader:
+        i = reader.line_num
+        try:
+            day = _parse_date(record["date"], i)
+            price = _parse_float(record["price"], i, "price")
+            if day in seen:
+                raise ValueError(f"duplicate date {day.isoformat()} at row {i}")
+            if not (math.isfinite(price) and price > 0.0):
+                raise ValueError(f"row {i}: non-positive price {price!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        seen[day] = price
+        rows.append(day)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     rows.sort()
@@ -135,16 +141,15 @@ def load_option_chain(path):
     """
     quotes = []
     columns = ("quote_date", "strike", "maturity_days", "price", "spot")
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        missing = [c for c in columns if reader.fieldnames is None or c not in reader.fieldnames]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        for i, record in enumerate(reader, start=2):
-            try:
-                quotes.append(_parse_quote(record, i))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""), restval="")
+    missing = [c for c in columns if reader.fieldnames is None or c not in reader.fieldnames]
+    if missing:
+        raise ValueError(f"{path}: missing columns {missing}")
+    for record in reader:
+        try:
+            quotes.append(_parse_quote(record, reader.line_num))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not quotes:
         raise ValueError(f"{path}: no data rows")
     return quotes
@@ -184,10 +189,10 @@ def filter_options(quotes, market: MarketConfig):
     return retained, rejected
 
 
-def construct_quanto(call_quote: OptionQuote, market: MarketConfig, h_fix):
-    """Synthetic fixed-rate quanto quote: QC = exp(-r_d * maturity) * h_fix * C."""
-    if h_fix <= 0.0:
-        raise ValueError(f"h_fix must be positive, got {h_fix}")
+def construct_quanto(call_quote: OptionQuote, market: MarketConfig):
+    """Synthetic fixed-rate quanto quote: QC = exp(-r_d * maturity) * h_fix * C,
+    with the contractual rate ``market.h_fix``."""
+    h_fix = market.h_fix
     scaled = math.exp(-market.r_d * call_quote.maturity_days) * h_fix * call_quote.market_price
     return QuantoQuote(
         quote_date=call_quote.quote_date,

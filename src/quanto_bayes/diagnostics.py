@@ -96,15 +96,12 @@ class ChainSummary:
     nse: float
     cd: float | None
     hpdi_95: tuple
-    hpdi_99: tuple
     acceptance_rate: float
 
 
 def summarize(chain: Chain, parameter) -> ChainSummary:
     """Summary statistics for one chain parameter, burn-in excluded."""
     draws = chain.parameter(parameter)
-    if draws.size == 0:
-        raise ValueError("chain has no post-burn-in draws")
     if draws.size < 10:
         raise ValueError(f"too few post-burn-in draws to summarize: {draws.size}")
     return ChainSummary(
@@ -113,6 +110,5 @@ def summarize(chain: Chain, parameter) -> ChainSummary:
         nse=_spectral_nse(draws),
         cd=geweke_cd(draws) if draws.size >= 100 else None,
         hpdi_95=hpdi(draws, 0.95),
-        hpdi_99=hpdi(draws, 0.99),
         acceptance_rate=chain.acceptance_rate(parameter),
     )

@@ -237,6 +237,24 @@ def _t_cdf(df, t):
     return tail if t < 0.0 else 1.0 - tail
 
 
+def _log_ndtr(z):
+    """log Phi(z) of a float: log(ndtr(z)) from z = -30 up, where Phi(z) is
+    still a normal float, and below it (Phi underflows near z = -38.5) the
+    Mills-ratio series -z^2/2 - log(-z) - log(2 pi)/2 + log(sum_k (-1)^k
+    (2k-1)!! / z^(2k)), whose terms there shrink by a factor of at least 900 /
+    (2k-1) each."""
+    if z >= -30.0:
+        return math.log(ndtr(z))
+    w = 1.0 / (z * z)
+    total = term = 1.0
+    k = 1
+    while abs(term) > 1e-17:
+        term *= -(2 * k - 1) * w
+        total += term
+        k += 1
+    return -0.5 * z * z - math.log(-z) - 0.5 * math.log(2.0 * math.pi) + math.log(total)
+
+
 def _truncated_draws(spec: ProposalSpec, rng, n):
     """``n`` exact draws of a truncated family on (0, inf), by rejection.
 
@@ -314,22 +332,24 @@ def _proposal_stream(spec: ProposalSpec, rng, n_draws):
     return _truncated_draws(spec, rng, n_draws)
 
 
-def proposal_logpdf(spec: ProposalSpec, value, center=None):
-    """Normalized log proposal density at ``value``, a float or an array.
+def proposal_logpdf(spec: ProposalSpec, value):
+    """Normalized log density of an independence proposal at ``value``, a
+    float or an array.
 
-    For the random-walk normal family the density is centered at ``center``
-    (defaults to ``loc``); for the independence families ``center`` is
-    ignored and every value outside (0, inf) gets ``-inf``, as does one whose
-    square underflows in the inverse-gamma density. This is the q entering
-    the acceptance ratio; the sampler evaluates it once over a whole
-    candidate stream.
+    Every value outside (0, inf) gets ``-inf``, as does one whose square
+    underflows in the inverse-gamma density. This is the q entering the
+    acceptance ratio; the sampler evaluates it once over a whole candidate
+    stream. The random-walk normal has no such density here: it is
+    symmetric, so it cancels from the ratio, and asking for it raises.
     """
+    if not spec.is_independence:
+        raise ValueError(f"the {spec.family!r} proposal has no independence density")
     v = np.asarray(value, dtype=float)
     with np.errstate(all="ignore"):
         if spec.family == "truncated_normal":
             loc, scale = spec.loc, spec.scale
             const = (-0.5 * math.log(2.0 * math.pi) - math.log(scale)
-                     - math.log(ndtr(loc / scale)))
+                     - _log_ndtr(loc / scale))
             d = v - loc
             out = const - d * d * (0.5 / (scale * scale))
         elif spec.family == "truncated_t":
@@ -343,16 +363,11 @@ def proposal_logpdf(spec: ProposalSpec, value, center=None):
             )
             z = (v - loc) / scale
             out = const - 0.5 * (df + 1.0) * np.log1p(z * z / df)
-        elif spec.family == "inverse_gamma":
+        else:
             a, b = spec.shape, spec.scale
             const = a * math.log(b) - math.lgamma(a) + math.log(2.0)
             out = const - (2.0 * a + 1.0) * np.log(v) - b / (v * v)
-        else:
-            d = v - (spec.loc if center is None else center)
-            out = (-0.5 * math.log(2.0 * math.pi) - math.log(spec.scale)
-                   - d * d * (0.5 / (spec.scale * spec.scale)))
-        if spec.is_independence:
-            out = np.where(v > 0.0, out, NEG_INF)
+        out = np.where(v > 0.0, out, NEG_INF)
     return float(out) if out.ndim == 0 else out
 
 
@@ -405,10 +420,9 @@ class Chain:
         """Draws with the first ``burn_in`` sweeps removed."""
         return self.draws[self.burn_in:]
 
-    def parameter(self, name, include_burn_in=False):
-        col = PARAMETERS.index(name)
-        data = self.draws if include_burn_in else self.draws[self.burn_in:]
-        return data[:, col]
+    def parameter(self, name):
+        """Post-burn-in draws of one parameter."""
+        return self.draws[self.burn_in:, PARAMETERS.index(name)]
 
     def acceptance_rate(self, name):
         return float(self.acceptance_counts[PARAMETERS.index(name)]) / len(self)
@@ -497,8 +511,6 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     burn_in = int(burn_in)
     if not 0 <= burn_in < n_draws:
         raise ValueError(f"need n_draws > burn_in >= 0, got {n_draws}, {burn_in}")
-    if not isinstance(init, Theta):
-        init = Theta(*init)
 
     t = float(panel.n_obs)
     half_t = 0.5 * t
@@ -750,7 +762,6 @@ def default_proposals(code, panel, rho_step=0.1, tt_df=5.0, ig_shape=None,
     families (shape = 2 + T / (4 * multiplier^2)), unless a fixed shape is
     given. rho always uses the random-walk normal with step ``rho_step``.
     """
-    code = code.lower()
     if code not in FAMILY_CODES:
         raise ValueError(f"unknown family code {code!r}; expected one of {FAMILY_CODES}")
     est = mle_estimate(panel).theta_hat

@@ -94,11 +94,6 @@ class Drift:
         _require_finite("mu_h", self.mu_h)
 
 
-def _require_positive_periods(periods_per_year):
-    if periods_per_year <= 0:
-        raise ValueError(f"periods_per_year must be positive, got {periods_per_year}")
-
-
 @dataclass(frozen=True)
 class MarketConfig:
     """Rates and contract constants.
@@ -111,24 +106,22 @@ class MarketConfig:
     r_d: float
     r_f: float
     h_fix: float = 1.0
-    periods_per_year: int = 252
 
     def __post_init__(self):
         _require_finite("r_d", self.r_d)
         _require_finite("r_f", self.r_f)
         if not self.h_fix > 0.0:
             raise ValueError(f"h_fix must be positive, got {self.h_fix}")
-        _require_positive_periods(self.periods_per_year)
 
     @classmethod
     def from_annual(cls, r_d_annual, r_f_annual, h_fix=1.0, periods_per_year=252):
         """Build a config from annualized rates (divided by periods_per_year)."""
-        _require_positive_periods(periods_per_year)
+        if periods_per_year <= 0:
+            raise ValueError(f"periods_per_year must be positive, got {periods_per_year}")
         return cls(
             r_d=r_d_annual / periods_per_year,
             r_f=r_f_annual / periods_per_year,
             h_fix=h_fix,
-            periods_per_year=periods_per_year,
         )
 
 

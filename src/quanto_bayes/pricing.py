@@ -2,12 +2,12 @@
 with a closed-form anchor for the fixed-rate payoff and Black-Scholes
 baselines.
 
-``price_predictive`` consumes one posterior draw per simulated path: the
-retained chain is thinned to ``n_paths`` evenly spaced entries, and the
-discounted payoffs are averaged. ``predictive_batch`` prices many requests
-that share the seed, path count and market from one simulation per chain:
-each path's growth factors to every requested maturity are built once, and
-every strike of that maturity reads them.
+``predictive_batch`` is the one pricing path. It consumes one posterior draw
+per simulated path, the retained chain thinned to ``n_paths`` evenly spaced
+entries, and prices many requests that share the seed, path count and market
+from one simulation per chain: each path's growth factors to every requested
+maturity are built once, and every strike of that maturity reads them.
+``price_predictive`` averages one request's discounted payoffs.
 
 With the parameters fixed along a static path, the ``horizon_s`` daily
 return pairs under the domestic risk-neutral measure sum to one bivariate
@@ -32,8 +32,8 @@ import numpy as np
 
 from .diagnostics import hpdi
 from .inference import Chain, mwg_sample
-from .model import (MarketConfig, ReturnPanel, SpotState, Theta, call_price_band, ndtr,
-                    payoff, simulate_return_pair)
+from .model import (PAYOFF_KINDS, MarketConfig, ReturnPanel, SpotState, Theta,
+                    call_price_band, ndtr, payoff, simulate_return_pair)
 
 __all__ = [
     "PricingRequest",
@@ -41,7 +41,6 @@ __all__ = [
     "SequentialSettings",
     "price_predictive",
     "predictive_batch",
-    "predictive_samples",
     "summarize_payoffs",
     "thinned_draw_count",
     "closed_form_v3",
@@ -57,8 +56,7 @@ class PricingRequest:
 
     ``strike`` is in the currency the kind calls for (domestic for F1,
     foreign for F2/F3, exchange-rate units for F4). ``horizon_s`` counts
-    trading days to maturity; 0 is allowed and returns the intrinsic value
-    exactly.
+    trading days to maturity; at 0 every path pays the intrinsic value.
     """
 
     kind: str
@@ -70,10 +68,10 @@ class PricingRequest:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("F1", "F2", "F3", "F4"):
+        if self.kind not in PAYOFF_KINDS:
             raise ValueError(f"unknown payoff kind {self.kind!r}")
-        if self.strike < 0.0:
-            raise ValueError(f"strike must be non-negative, got {self.strike}")
+        if not (math.isfinite(self.strike) and self.strike >= 0.0):
+            raise ValueError(f"strike must be non-negative and finite, got {self.strike}")
         if self.horizon_s < 0:
             raise ValueError(f"horizon_s must be non-negative, got {self.horizon_s}")
         if self.n_paths < 1:
@@ -120,20 +118,13 @@ class SequentialSettings:
             )
 
 
-def _thin_indices(n_available, n_paths):
-    return (np.arange(n_paths, dtype=np.int64) * n_available) // n_paths
-
-
 def thinned_draw_count(chain: Chain, n_paths):
     """Distinct post-burn-in draws consumed when thinning to n_paths paths.
 
     The thinning indices (k*A)//N are strictly increasing when N <= A and
     cover every index when N > A, so the count is min(A, N).
     """
-    retained = chain.post_burn_in()
-    if retained.shape[0] == 0:
-        raise ValueError("chain has no post-burn-in draws")
-    return min(retained.shape[0], int(n_paths))
+    return min(chain.post_burn_in().shape[0], int(n_paths))
 
 
 def summarize_payoffs(discounted, n_effective_draws) -> PricingResult:
@@ -162,29 +153,10 @@ def price_predictive(request: PricingRequest, chain: Chain,
     domestic rate over the full horizon and averaged across paths. For F3
     only the asset return matters and it is drawn from its marginal normal.
     """
-    if request.horizon_s == 0:
-        value = float(
-            payoff(request.kind, request.spot.x0, request.spot.h0, request.strike,
-                   request.market)
-        )
-        return PricingResult(
-            price=value, mc_std_error=0.0, hpdi_99=(value, value), n_effective_draws=0
-        )
     return summarize_payoffs(
-        predictive_samples(request, chain, sequential),
+        next(predictive_batch([request], chain, sequential)),
         thinned_draw_count(chain, request.n_paths),
     )
-
-
-def predictive_samples(request: PricingRequest, chain: Chain,
-                       sequential: SequentialSettings | None = None):
-    """Per-draw discounted payoffs backing :func:`price_predictive`.
-
-    This is the sample whose mean is the price and whose histogram is the
-    predictive density of the discounted payoff: the one-request call of
-    :func:`predictive_batch`.
-    """
-    return next(predictive_batch([request], chain, sequential))
 
 
 def predictive_batch(requests, chain: Chain,
@@ -214,15 +186,14 @@ def predictive_batch(requests, chain: Chain,
     """
     requests = list(requests)
     retained = chain.post_burn_in()
-    if retained.shape[0] == 0:
-        raise ValueError("chain has no post-burn-in draws")
     if len({(r.seed, r.n_paths, r.market) for r in requests}) > 1:
         raise ValueError("batched requests must share seed, n_paths and market")
     growth = {}
     if requests:
         first = requests[0]
         horizons = sorted({r.horizon_s for r in requests})
-        thetas = retained[_thin_indices(retained.shape[0], first.n_paths)]
+        n_paths = first.n_paths
+        thetas = retained[np.arange(n_paths, dtype=np.int64) * len(retained) // n_paths]
         if sequential is None:
             both_legs = any(r.kind != "F3" for r in requests)
             growth = _terminal_growth(thetas, horizons, first, both_legs)
@@ -331,8 +302,11 @@ def bs_call(spot_x, strike, vol_per_period, rate_per_period, horizon_s):
     return spot_x * ndtr(d1) - strike * math.exp(-rate_per_period * s) * ndtr(d2)
 
 
-def implied_vol(price, spot_x, strike, rate_per_period, horizon_s,
-                price_tol=1e-10):
+# bisection stops once the call price is this close to the quote
+_IV_PRICE_TOL = 1e-10
+
+
+def implied_vol(price, spot_x, strike, rate_per_period, horizon_s):
     """Per-period implied volatility of a call by bisection on [1e-8, 5].
 
     Prices outside the no-arbitrage band of :func:`model.call_price_band`
@@ -352,7 +326,7 @@ def implied_vol(price, spot_x, strike, rate_per_period, horizon_s,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         diff = bs_call(spot_x, strike, mid, rate_per_period, horizon_s) - price
-        if abs(diff) <= price_tol:
+        if abs(diff) <= _IV_PRICE_TOL:
             return mid
         if diff > 0.0:
             hi = mid

@@ -7,6 +7,7 @@ import pytest
 
 from quanto_bayes.data_io import align_series, load_price_series
 from quanto_bayes.model import Drift, ReturnPanel, Theta, log_returns
+from quanto_bayes.pricing import predictive_batch
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -35,6 +36,11 @@ def fixture_panel(window):
     asset, fx = align_series(load_price_series(os.path.join(FIXTURES, "sp500_synthetic.csv")),
                              load_price_series(os.path.join(FIXTURES, "eur_usd_synthetic.csv")))
     return ReturnPanel(log_returns(asset), log_returns(fx)).tail(window)
+
+
+def predictive_samples(request, chain, sequential=None):
+    """One request's per-draw discounted payoffs: its one-request batch."""
+    return next(predictive_batch([request], chain, sequential))
 
 
 @pytest.fixture(scope="session")

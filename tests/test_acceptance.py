@@ -29,11 +29,10 @@ from quanto_bayes.pricing import (
     bs_call,
     closed_form_v3,
     implied_vol,
-    predictive_samples,
     price_predictive,
 )
 
-from conftest import FIXTURES, TRUTH, make_workspace, synth_panel
+from conftest import FIXTURES, TRUTH, make_workspace, predictive_samples, synth_panel
 
 MARKET = MarketConfig.from_annual(0.015, 0.025, h_fix=1.0, periods_per_year=252)
 SPOT = SpotState(2711.74, 0.88)

@@ -521,7 +521,7 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
             capsys.readouterr()
             assert main([*argv, "--config", bad_cfg]) == 1, (key, argv)
             err = capsys.readouterr().err
-            assert err.startswith(f"error: invalid {key} = "), err
+            assert err.startswith(f"error: {bad_cfg}: invalid {key} = "), err
             if key == "periods_per_year":
                 assert err.endswith(": periods_per_year must be positive, got 0\n"), err
 
@@ -537,6 +537,30 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
         capsys.readouterr()
         assert main(["price", "--config", cfg_path, "--draws", draws]) == 1, name
         assert draws in capsys.readouterr().err, name
+
+
+def test_load_draws_skips_empty_lines_and_counts_them(tmp_path):
+    from quanto_bayes.cli import _load_draws
+
+    path = tmp_path / "draws.csv"
+    path.write_text("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n\n0.006,0.004,0.1\n\n",
+                    encoding="utf-8")
+    assert _load_draws(str(path)).draws.shape == (2, 3)
+    path.write_text("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n\n0.006,x,0.1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"draws.csv: malformed draws file: row 4: not three "
+                                          r"numbers inside the parameter support: '0.006,x,0.1'$"):
+        _load_draws(str(path))
+
+
+@pytest.mark.parametrize("command", ["price", "diagnose"])
+def test_main_draws_file_without_draws_exits_one(tmp_path, capsys, command):
+    cfg_path = make_workspace(tmp_path)
+    draws = os.path.join(str(tmp_path), "header_only.csv")
+    with open(draws, "w", encoding="utf-8") as f:
+        f.write("sigma_x,sigma_h,rho\n")
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, "--draws", draws]) == 1
+    assert capsys.readouterr().err == f"error: {draws}: draws file has no draws\n"
 
 
 @pytest.mark.parametrize("command", ["price", "experiment"])

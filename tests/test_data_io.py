@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -69,11 +70,21 @@ def test_load_sorts_unordered_rows(tmp_path):
 
 
 def test_load_custom_columns(tmp_path):
+    # the header is fixed as date,price
     path = _write(tmp_path, "p.csv", "day,close\n2018-01-02,100.0\n2018-01-03,101.0\n")
-    ps = load_price_series(path, date_column="day", price_column="close")
-    assert len(ps) == 2
     with pytest.raises(ValueError, match="expected columns"):
         load_price_series(path)
+
+
+def test_loaders_name_the_file_row_past_blank_lines(tmp_path):
+    # csv skips the blank line, so the bad record is the file's fourth row
+    path = _write(tmp_path, "p.csv", "date,price\n2018-01-02,100.0\n\n2018-01-03,abc\n")
+    with pytest.raises(ValueError, match="row 4: non-numeric price"):
+        load_price_series(path)
+    path = _write(tmp_path, "c.csv", "quote_date,strike,maturity_days,price,spot\n\n"
+                                     "2018-10-31,2655,51,nan,2711.74\n")
+    with pytest.raises(ValueError, match="row 3: market price"):
+        load_option_chain(path)
 
 
 def test_fixture_series_supports_all_windows():
@@ -224,7 +235,7 @@ def test_filter_subset_and_idempotent():
 def test_construct_quanto_identity_at_zero_rate():
     market = MarketConfig(r_d=0.0, r_f=0.0001, h_fix=1.0)
     quote = _quote(2655.0, 51, 105.85)
-    quanto = construct_quanto(quote, market, h_fix=1.0)
+    quanto = construct_quanto(quote, market)
     assert isinstance(quanto, QuantoQuote)
     assert quanto.market_price == quote.market_price
     assert quanto.strike == quote.strike
@@ -232,7 +243,7 @@ def test_construct_quanto_identity_at_zero_rate():
 
 def test_construct_quanto_discounts_and_scales():
     quote = _quote(2655.0, 51, 105.85)
-    quanto = construct_quanto(quote, MARKET, h_fix=1.0)
+    quanto = construct_quanto(quote, MARKET)
     assert quanto.market_price == pytest.approx(
         math.exp(-51 * MARKET.r_d) * 105.85, rel=1e-14
     )
@@ -240,10 +251,11 @@ def test_construct_quanto_discounts_and_scales():
 
 def test_construct_quanto_multiplicative_in_h_fix():
     quote = _quote(2655.0, 51, 105.85)
-    single = construct_quanto(quote, MARKET, h_fix=1.0)
-    double = construct_quanto(quote, MARKET, h_fix=2.0)
+    single = construct_quanto(quote, MARKET)
+    double = construct_quanto(quote, replace(MARKET, h_fix=2.0))
     assert double.market_price == 2.0 * single.market_price
-    scaled = construct_quanto(quote, MARKET, h_fix=1.5)
+    assert double.h_fix == 2.0
+    scaled = construct_quanto(quote, replace(MARKET, h_fix=1.5))
     assert scaled.market_price == pytest.approx(1.5 * single.market_price, rel=1e-15)
 
 

@@ -168,7 +168,6 @@ def test_summarize_constant_chain():
     assert s.nse == 0.0
     assert s.cd is None
     assert s.hpdi_95 == (0.5, 0.5)
-    assert s.hpdi_99 == (0.5, 0.5)
     assert s.acceptance_rate == 1.0
 
 

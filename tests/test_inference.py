@@ -260,11 +260,41 @@ def test_proposal_logpdf_normalized_on_support(spec):
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
-def test_normal_proposal_logpdf_uses_center():
-    spec = ProposalSpec(family="normal", loc=0.0, scale=0.1)
-    a = proposal_logpdf(spec, 0.25, center=0.2)
-    b = proposal_logpdf(spec, 0.05, center=0.0)
-    assert a == pytest.approx(b, rel=1e-14)
+def test_proposal_logpdf_refuses_the_random_walk_normal():
+    # the random walk is symmetric and cancels from the acceptance ratio
+    with pytest.raises(ValueError, match="no independence density"):
+        proposal_logpdf(ProposalSpec(family="normal", scale=0.1), 0.05)
+
+
+def test_truncated_normal_normaliser_matches_mpmath_far_below_zero():
+    # log Phi(z): log(ndtr(z)) down to z = -30, the Mills-ratio series below,
+    # where Phi underflows near z = -38.5
+    import mpmath
+
+    from quanto_bayes.inference import _log_ndtr
+    from quanto_bayes.model import ndtr as float_ndtr
+
+    grid = np.concatenate([-np.geomspace(30.0, 1e4, 300), [-30.0, -38.5, -38.6, -1e4]])
+    for z in grid:
+        with mpmath.workdps(40):
+            expected = float(mpmath.log(mpmath.ncdf(mpmath.mpf(float(z)))))
+        assert _log_ndtr(float(z)) == pytest.approx(expected, rel=1e-13, abs=0.0), z
+    # continuous across the switch, and unchanged above it
+    below = _log_ndtr(math.nextafter(-30.0, -math.inf))
+    assert below == pytest.approx(_log_ndtr(-30.0), rel=1e-13, abs=0.0)
+    for z in (-30.0, -5.0, 0.0, 2.0):
+        assert _log_ndtr(z) == math.log(float_ndtr(z))
+
+
+def test_mwg_runs_with_a_truncated_normal_far_below_zero(panel_small):
+    # loc sits 50 scales below 0, where Phi(loc/scale) underflows
+    far = ProposalSpec(family="truncated_normal", loc=-1.0, scale=0.02)
+    assert math.isfinite(proposal_logpdf(far, 0.0004))
+    specs = (far,) + default_proposals("tnn", panel_small)[1:]
+    init = mle_estimate(panel_small).theta_hat
+    chain = mwg_sample(panel_small, specs, 400, 100, init=init, seed=12)
+    assert np.all(np.isfinite(chain.draws))
+    assert np.all(chain.draws[:, :2] > 0.0) and np.all(np.abs(chain.draws[:, 2]) < 1.0)
 
 
 def test_proposal_logpdf_on_arrays_matches_scalar_reference():
@@ -274,7 +304,6 @@ def test_proposal_logpdf_on_arrays_matches_scalar_reference():
         ProposalSpec(family="truncated_normal", loc=0.005, scale=0.002),
         ProposalSpec(family="truncated_t", loc=0.005, scale=0.002, df=5.0),
         ProposalSpec(family="inverse_gamma", shape=5.0, scale=6.0 * 0.006 ** 2),
-        ProposalSpec(family="normal", loc=0.01, scale=0.1),
     ):
         got = proposal_logpdf(spec, values)
         expected = np.array([_reference_logpdf(spec)(float(v)) for v in values])
@@ -328,27 +357,17 @@ def _reference_logpdf(spec: ProposalSpec):
             return const - half * math.log1p(z * z / df)
 
         return logpdf
-    if spec.family == "inverse_gamma":
-        a, b = spec.shape, spec.scale
-        const = a * math.log(b) - math.lgamma(a) + math.log(2.0)
-        power = 2.0 * a + 1.0
+    a, b = spec.shape, spec.scale
+    const = a * math.log(b) - math.lgamma(a) + math.log(2.0)
+    power = 2.0 * a + 1.0
 
-        def logpdf(v):
-            if v <= 0.0:
-                return -math.inf
-            try:
-                return const - power * math.log(v) - b / (v * v)
-            except ZeroDivisionError:  # v*v underflowed
-                return -math.inf
-
-        return logpdf
-    loc, scale = spec.loc, spec.scale
-    const = -0.5 * math.log(2.0 * math.pi) - math.log(scale)
-    inv2 = 0.5 / (scale * scale)
-
-    def logpdf(v, center=loc):
-        d = v - center
-        return const - d * d * inv2
+    def logpdf(v):
+        if v <= 0.0:
+            return -math.inf
+        try:
+            return const - power * math.log(v) - b / (v * v)
+        except ZeroDivisionError:  # v*v underflowed
+            return -math.inf
 
     return logpdf
 

@@ -1,0 +1,134 @@
+"""Property tests of the input boundary: a malformed config, price series,
+option chain or draws file raises, naming the file and the key or file row.
+
+Each example starts from a well-formed file and changes one thing: a cell or
+a config value becomes arbitrary text, a cell is dropped, an arbitrary line
+is inserted, or a line becomes arbitrary bytes. The loader either accepts the
+result or raises its error type; the message names the file and either a
+file row at or after the first changed one (a quoted cell may run on to a
+later row, and a duplicate date is reported at its second row) or the key or
+column at fault.
+"""
+
+import re
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from quanto_bayes.cli import ConfigError, ExperimentConfig, _load_draws, load_config
+from quanto_bayes.data_io import load_option_chain, load_price_series
+
+from conftest import DEFAULT_CONFIG
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=12)
+LINE_BYTES = st.binary(max_size=12).map(lambda b: b.replace(b"\n", b"").replace(b"\r", b""))
+
+SERIES = ["date,price", "2018-01-02,100.5", "2018-01-03,101.25", "2018-01-04,99.75",
+          "2018-01-05,100.0", "2018-01-08,102.5"]
+CHAIN = ["quote_date,strike,maturity_days,price,spot",
+         "2018-10-31,2600,51,160.2,2711.74", "2018-10-31,2655,51,105.85,2711.74",
+         "2018-10-31,2700,51,79.5,2711.74", "2018-10-31,2750,30,40.1,2711.74"]
+DRAWS = ["sigma_x,sigma_h,rho", "0.006,0.004,-0.03", "0.0061,0.0041,-0.02",
+         "0.0059,0.0039,0.01", "0.006,0.004,0.0"]
+CONFIG = [f"{key} = {value}" for key, value in DEFAULT_CONFIG.items()]
+CONFIG_KEYS = set(ExperimentConfig.__dataclass_fields__)
+
+
+@st.composite
+def edits(draw, lines):
+    """(file bytes, first changed file row)."""
+    lines = list(lines)
+    kind = draw(st.sampled_from(["cell", "drop", "line", "bytes"]))
+    if kind == "line":
+        i = draw(st.integers(0, len(lines)))
+        lines.insert(i, draw(TEXT))
+    else:
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "bytes":
+            data = [line.encode() for line in lines]
+            data[i] = draw(LINE_BYTES)
+            return b"\n".join(data) + b"\n", i + 1
+        cells = lines[i].split(",")
+        j = draw(st.integers(0, len(cells) - 1))
+        if kind == "cell":
+            cells[j] = draw(TEXT)
+        else:
+            del cells[j]
+        lines[i] = ",".join(cells)
+    return ("\n".join(lines) + "\n").encode(), i + 1
+
+
+@st.composite
+def config_edits(draw):
+    """(file bytes, changed line, its key) of an edit to a config file; a
+    "value" edit replaces the text after a line's '='."""
+    lines = list(CONFIG)
+    kind = draw(st.sampled_from(["value", "line", "bytes"]))
+    if kind == "bytes":
+        i = draw(st.integers(0, len(lines) - 1))
+        data = [line.encode() for line in lines]
+        data[i] = draw(LINE_BYTES)
+        return b"\n".join(data) + b"\n", i + 1, None
+    if kind == "line":
+        i = draw(st.integers(0, len(lines)))
+        lines.insert(i, draw(TEXT))
+    else:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = lines[i].split("=")[0] + "= " + draw(TEXT)
+    key = lines[i].split("#", 1)[0].partition("=")[0].strip()
+    return ("\n".join(lines) + "\n").encode(), i + 1, key
+
+
+def _check_loader(tmp_path, edit, load, error, columns):
+    """Load an edited file; an error names it and a row at or after the
+    first changed one, or, for an edited header, a missing column."""
+    data, first_row = edit
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    try:
+        load(str(path))
+    except error as exc:
+        message = str(exc)
+        assert str(path) in message, message
+        rows = [int(r) for r in re.findall(r"\brow (\d+)", message)]
+        if rows:
+            assert max(rows) >= first_row, (message, first_row)
+        else:
+            assert first_row == 1 and any(c in message for c in columns), message
+
+
+@PROPERTY
+@given(edit=edits(SERIES))
+def test_malformed_price_series_names_file_and_row(tmp_path, edit):
+    _check_loader(tmp_path, edit, load_price_series, ValueError, ["date", "price"])
+
+
+@PROPERTY
+@given(edit=edits(CHAIN))
+def test_malformed_option_chain_names_file_and_row(tmp_path, edit):
+    _check_loader(tmp_path, edit, load_option_chain, ValueError, CHAIN[0].split(","))
+
+
+@PROPERTY
+@given(edit=edits(DRAWS))
+def test_malformed_draws_file_names_file_and_row(tmp_path, edit):
+    # a draws file's header row is not read, so only a data row can be at fault
+    _check_loader(tmp_path, edit, _load_draws, ConfigError, [])
+
+
+@PROPERTY
+@given(edit=config_edits())
+def test_malformed_config_names_file_and_key_or_row(tmp_path, edit):
+    data, line, key = edit
+    path = tmp_path / "run.cfg"
+    path.write_bytes(data)
+    try:
+        load_config(str(path))
+    except ConfigError as exc:
+        message = str(exc)
+        assert str(path) in message, message
+        assert (f"{path}:{line}:" in message or f"row {line}:" in message
+                or (key in CONFIG_KEYS and key in message)), (message, line, key)

@@ -50,8 +50,8 @@ def test_market_config_from_annual_divides_rates():
     assert mk.r_f == pytest.approx(0.0002, rel=1e-15)
     with pytest.raises(ValueError):
         MarketConfig(0.0001, 0.0001, h_fix=0.0)
-    with pytest.raises(ValueError):
-        MarketConfig(0.0001, 0.0001, periods_per_year=0)
+    with pytest.raises(ValueError, match="periods_per_year"):
+        MarketConfig.from_annual(0.0252, 0.0504, periods_per_year=0)
 
 
 def test_spot_state_positivity():

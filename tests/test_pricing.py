@@ -15,13 +15,12 @@ from quanto_bayes.pricing import (
     closed_form_v3,
     implied_vol,
     predictive_batch,
-    predictive_samples,
     price_predictive,
     relative_pricing_error,
     thinned_draw_count,
 )
 
-from conftest import synth_panel
+from conftest import predictive_samples, synth_panel
 
 MARKET = MarketConfig.from_annual(0.015, 0.025, h_fix=1.0, periods_per_year=252)
 THETA = Theta(0.006, 0.004, -0.03)
@@ -239,12 +238,18 @@ def test_zero_strike_identities_all_kinds():
 
 
 def test_horizon_zero_returns_intrinsic_exactly():
+    # every path pays x0*h0 - K exactly (exp(0) = 1), so the price is their
+    # mean: the intrinsic value up to the rounding of the sum
+    value = SPOT.x0 * SPOT.h0 - 2000.0
     request = PricingRequest(kind="F1", strike=2000.0, horizon_s=0, spot=SPOT,
                              market=MARKET, n_paths=100, seed=1)
-    r = price_predictive(request, one_draw_chain())
-    assert r.price == SPOT.x0 * SPOT.h0 - 2000.0
-    assert r.mc_std_error == 0.0
-    assert r.hpdi_99 == (r.price, r.price)
+    chain = posterior_like_chain(n=40)
+    assert np.all(predictive_samples(request, chain) == value)
+    r = price_predictive(request, chain)
+    assert abs(r.price - value) <= 2.0 * math.ulp(value)
+    assert r.mc_std_error <= 1e-12 * r.price
+    assert r.hpdi_99 == (value, value)
+    assert r.n_effective_draws == 40
 
 
 def test_thinning_consumes_evenly_spaced_draws():
@@ -269,6 +274,10 @@ def test_request_validation():
         PricingRequest(kind="F9", strike=1.0, horizon_s=5, spot=SPOT, market=MARKET)
     with pytest.raises(ValueError):
         PricingRequest(kind="F1", strike=-1.0, horizon_s=5, spot=SPOT, market=MARKET)
+    for strike in (float("nan"), float("inf")):
+        with pytest.raises(ValueError,
+                           match=f"strike must be non-negative and finite, got {strike}"):
+            PricingRequest(kind="F3", strike=strike, horizon_s=5, spot=SPOT, market=MARKET)
     with pytest.raises(ValueError):
         PricingRequest(kind="F1", strike=1.0, horizon_s=5, spot=SPOT, market=MARKET,
                        n_paths=0)
