@@ -23,6 +23,7 @@ from .inference import (
     ProposalSpec,
     conjugate_sample,
     default_proposals,
+    exact_posterior_draws,
     mle_estimate,
     mwg_sample,
     proposal_logpdf,

@@ -102,6 +102,8 @@ class ExperimentConfig:
     n_paths: int = 100_000
     mode: str = "static"
     refresh_interval: int = 10
+    # no output reads these two since sequential refreshes draw exactly;
+    # they still parse and are checked, so configs that set them keep working
     refresh_draws: int = 2000
     refresh_burn_in: int = 500
     windows: tuple = (140,)
@@ -145,8 +147,9 @@ class ExperimentConfig:
                 probe.market()
                 probe.niw()
                 panel = ReturnPanel([0.01, -0.02, 0.015, -0.005], [0.004, 0.002, -0.006, 0.001])
+                probe.sequential(panel)
                 for family in FAMILY_CODES:
-                    probe.sequential(family, panel)
+                    probe.proposals(family, panel)
             except (ValueError, ArithmeticError) as exc:
                 raise ConfigError(f"invalid {key} = {value!r}: {exc}") from None
 
@@ -156,6 +159,9 @@ class ExperimentConfig:
         )
 
     def niw(self):
+        # checked before it scales the identity, whose zeros inf would make nan
+        if not math.isfinite(self.mnc_scale):
+            raise ValueError(f"scale must be finite, got {self.mnc_scale}")
         return NiwHyperparams(
             kappa=self.mnc_kappa, df=self.mnc_df, scale=self.mnc_scale * np.eye(2)
         )
@@ -166,12 +172,9 @@ class ExperimentConfig:
                                  ig_shape=self.ig_shape or None,
                                  scale_multiplier=self.vol_scale_multiplier)
 
-    def sequential(self, family, panel):
-        """Sequential-update settings whose refresh chains use ``family``'s proposals."""
-        return SequentialSettings(panel=panel, specs=self.proposals(family, panel),
-                                  refresh_draws=self.refresh_draws,
-                                  refresh_burn_in=self.refresh_burn_in,
-                                  refresh_interval=self.refresh_interval)
+    def sequential(self, panel):
+        """Sequential-update settings on ``panel``."""
+        return SequentialSettings(panel=panel, refresh_interval=self.refresh_interval)
 
 
 _PATH_KEYS = {"asset_series", "fx_series", "option_chain", "out_dir"}
@@ -535,18 +538,10 @@ def _with_bs_h(table, market, panel):
     return rows
 
 
-def _price_chain(cfg, chain, table, market, panel, h_level, seed, family=None):
+def _price_chain(cfg, chain, table, market, panel, h_level, seed):
     """Yield each of ``table``'s rows with the model columns of one draws
-    source filled in, together with the quote's discounted payoffs.
-
-    Sequential refreshes use ``family``'s proposals, or, for a draws file or
-    a conjugate chain, those of the first configured MwG family.
-    """
-    sequential = None
-    if cfg.mode == "sequential-update":
-        if family not in FAMILY_CODES:
-            family = next((f for f in cfg.families if f in FAMILY_CODES), "tnn")
-        sequential = cfg.sequential(family, panel)
+    source filled in, together with the quote's discounted payoffs."""
+    sequential = cfg.sequential(panel) if cfg.mode == "sequential-update" else None
     requests = [PricingRequest(kind="F3", strike=row.strike, horizon_s=row.maturity_days,
                                spot=SpotState(row.spot, h_level), market=market,
                                n_paths=cfg.n_paths, seed=seed)
@@ -656,7 +651,7 @@ def cmd_experiment(cfg: ExperimentConfig):
                         window_table = _with_bs_h(quote_table, market, panel)
                     seed = _derive_seed(cfg.seed, "price", family, fx_name, window)
                     rows = [row for row, _ in _price_chain(
-                        cfg, chain, window_table, market, panel, h_level, seed, family)]
+                        cfg, chain, window_table, market, panel, h_level, seed)]
                 except (ConfigError, ValueError) as exc:
                     failures.append((fx_name, window, family, "price", str(exc)))
                     continue

@@ -103,6 +103,32 @@ def _parse_quote(record, row):
         raise ValueError(f"row {row}: {exc}") from None
 
 
+def _csv_records(path):
+    """The header of a CSV file and an iterator of its data rows as
+    (file row, record) pairs.
+
+    A line that the csv module cannot split, such as one holding a cell over
+    its field size limit, raises ValueError naming the file and the row.
+    """
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""), restval="")
+
+    def failed(exc):
+        return ValueError(f"{path}: row {reader.reader.line_num}: {exc}")
+
+    def records():
+        try:
+            for record in reader:
+                yield reader.line_num, record
+        except csv.Error as exc:
+            raise failed(exc) from None
+
+    try:
+        header = reader.fieldnames
+    except csv.Error as exc:
+        raise failed(exc) from None
+    return header, records()
+
+
 def load_price_series(path):
     """Read a ``date,price`` series, sort by date, and validate it.
 
@@ -111,11 +137,10 @@ def load_price_series(path):
     """
     rows = []
     seen = {}
-    reader = csv.DictReader(io.StringIO(read_text(path), newline=""), restval="")
-    if not {"date", "price"} <= set(reader.fieldnames or ()):
-        raise ValueError(f"{path}: expected columns 'date' and 'price', got {reader.fieldnames}")
-    for record in reader:
-        i = reader.line_num
+    header, records = _csv_records(path)
+    if not {"date", "price"} <= set(header or ()):
+        raise ValueError(f"{path}: expected columns 'date' and 'price', got {header}")
+    for i, record in records:
         try:
             day = _parse_date(record["date"], i)
             price = _parse_float(record["price"], i, "price")
@@ -141,13 +166,13 @@ def load_option_chain(path):
     """
     quotes = []
     columns = ("quote_date", "strike", "maturity_days", "price", "spot")
-    reader = csv.DictReader(io.StringIO(read_text(path), newline=""), restval="")
-    missing = [c for c in columns if reader.fieldnames is None or c not in reader.fieldnames]
+    header, records = _csv_records(path)
+    missing = [c for c in columns if header is None or c not in header]
     if missing:
         raise ValueError(f"{path}: missing columns {missing}")
-    for record in reader:
+    for row, record in records:
         try:
-            quotes.append(_parse_quote(record, reader.line_num))
+            quotes.append(_parse_quote(record, row))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     if not quotes:

@@ -21,6 +21,9 @@ Samplers:
   kernels, whose candidate-side terms are computed once over each whole
   proposal stream. The tests keep the generic kernel-calling loop as a
   reference sampler and check that both give the same chain bit for bit.
+* :func:`exact_posterior_draws` draws exactly from the same posterior, given
+  only its sufficient statistics, which may differ from draw to draw; the
+  sequential-update pricer refreshes every path's parameters with it.
 * :func:`conjugate_sample` draws exactly from the Normal-Inverse-Wishart
   conjugate posterior of an unconstrained bivariate normal (MNC baseline).
 * :func:`mle_estimate` is the closed-form maximum likelihood baseline.
@@ -45,6 +48,7 @@ __all__ = [
     "FAMILY_CODES",
     "proposal_logpdf",
     "mwg_sample",
+    "exact_posterior_draws",
     "mle_estimate",
     "niw_posterior",
     "conjugate_sample",
@@ -61,8 +65,9 @@ class PosteriorKernel:
 
     Nothing in the package calls it: :func:`mwg_sample` evaluates the same
     conditional differences in closed form on the panel's sufficient
-    statistics. It stays as the independent oracle that the tests check the
-    sampler and its quadratures against.
+    statistics, and :func:`exact_posterior_draws` samples it exactly. It
+    stays as the independent oracle that the tests check both samplers and
+    their quadratures against.
     """
 
     __slots__ = ("panel", "_t", "_sxx", "_shh", "_cross")
@@ -237,6 +242,24 @@ def _t_cdf(df, t):
     return tail if t < 0.0 else 1.0 - tail
 
 
+def _log_t_cdf(df, t):
+    """log P(T <= t) of a float: log(_t_cdf(df, t)), except below zero where
+    _t_cdf takes the continued fraction on x, whose tail
+    0.5 x^a y^b cf / (a B(a, b)) underflows far out (near t = -1e65 for
+    df = 5). There the tail is summed in logs, with log x = log df - 2 log|t|
+    + log y and log y = -log1p(df / t^2), which hold even where t^2
+    overflows."""
+    a, b = 0.5 * df, 0.5
+    t2 = t * t
+    x = df / (df + t2)
+    if t >= 0.0 or not x < (a + 1.0) / (a + b + 2.0):
+        return math.log(_t_cdf(df, t))
+    log_y = -math.log1p(df / t2)
+    log_x = math.log(df) - 2.0 * math.log(-t) + log_y
+    return (math.log(0.5) + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+            + a * log_x + b * log_y + math.log(_beta_continued_fraction(a, b, x) / a))
+
+
 def _log_ndtr(z):
     """log Phi(z) of a float: log(ndtr(z)) from z = -30 up, where Phi(z) is
     still a normal float, and below it (Phi underflows near z = -38.5) the
@@ -359,7 +382,7 @@ def proposal_logpdf(spec: ProposalSpec, value):
                 - math.lgamma(0.5 * df)
                 - 0.5 * math.log(df * math.pi)
                 - math.log(scale)
-                - math.log(_t_cdf(df, loc / scale))
+                - _log_t_cdf(df, loc / scale)
             )
             z = (v - loc) / scale
             out = const - 0.5 * (df + 1.0) * np.log1p(z * z / df)
@@ -609,6 +632,62 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
         seed=int(seed),
         warnings=warnings,
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact posterior draws
+# ---------------------------------------------------------------------------
+
+def exact_posterior_draws(n_obs, sxx, shh, sxh, rng):
+    """Exact draws of (sigma_x, sigma_h, rho) from the posterior of
+    :class:`PosteriorKernel`, one row per entry of the broadcast inputs.
+
+    The inputs are sufficient statistics: the number of return pairs T, the
+    centred sums of squares sxx and shh and the centred cross sum sxh = -C.
+    In Sigma coordinates (Jacobian 4 sigma_x^2 sigma_h^2) the kernel is an
+    inverse Wishart IW(T-3, S), S = [[sxx, sxh], [sxh, shh]], tilted by
+    Sigma11^-1 Sigma22^-1/2. Partitioning the inverse Wishart (Anderson 2003,
+    ch. 7; Berger & Sun 2008, "Objective priors for the bivariate normal
+    model") gives each draw as
+
+    * Sigma11 = sxx / chi2(T-2);
+    * Sigma22.1 = (shh - sxh^2/sxx) / chi2(T-2);
+    * B ~ N(sxh/sxx, Sigma22.1/sxx), Sigma12 = B Sigma11 and
+      Sigma22 = Sigma22.1 + B^2 Sigma11,
+
+    accepted with probability sqrt(Sigma22.1/Sigma22) = sqrt(1 - rho^2), the
+    part of the Sigma22^-1/2 tilt that the partition leaves over. A round
+    draws, for the entries still pending, a batch of each chi-square, one of
+    normals and one of acceptance uniforms, in that order; the rejected
+    entries are drawn again in the next round. The rounds depend only on the
+    inputs and ``rng``'s state, so a fixed state reproduces the draws bit
+    for bit. Needs T >= 3 and a positive definite S.
+    """
+    n_obs, sxx, shh, sxh = (a.ravel() for a in np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (n_obs, sxx, shh, sxh))))
+    if not np.all(n_obs >= 3.0):
+        raise ValueError("an exact posterior draw needs at least 3 observations")
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero sxx is rejected below
+        s22_1 = shh - sxh * sxh / sxx
+    if not np.all((sxx > 0.0) & (s22_1 > 0.0) & np.isfinite(sxx) & np.isfinite(s22_1)):
+        raise ValueError("the scatter matrix must be finite and positive definite")
+    df = n_obs - 2.0
+    slope = sxh / sxx
+    draws = np.empty((sxx.size, 3))
+    pending = np.arange(sxx.size)
+    while pending.size:
+        v11 = sxx[pending] / rng.chisquare(df[pending])
+        v22_1 = s22_1[pending] / rng.chisquare(df[pending])
+        b = slope[pending] + np.sqrt(v22_1 / sxx[pending]) * rng.standard_normal(pending.size)
+        u = rng.random(pending.size)
+        v22 = v22_1 + b * b * v11
+        accept = u * u * v22 < v22_1
+        sigma_x = np.sqrt(v11[accept])
+        sigma_h = np.sqrt(v22[accept])
+        draws[pending[accept]] = np.column_stack([sigma_x, sigma_h,
+                                                  b[accept] * sigma_x / sigma_h])
+        pending = pending[~accept]
+    return draws
 
 
 # ---------------------------------------------------------------------------

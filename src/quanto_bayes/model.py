@@ -273,7 +273,7 @@ class ReturnPanel:
         return ReturnPanel(self.x[-n_obs:], self.h[-n_obs:])
 
     def extend(self, x_new, h_new):
-        """New panel with extra return pairs appended (sequential updating)."""
+        """New panel with extra return pairs appended."""
         return ReturnPanel(
             np.concatenate([self.x, np.atleast_1d(x_new)]),
             np.concatenate([self.h, np.atleast_1d(h_new)]),

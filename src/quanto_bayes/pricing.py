@@ -18,9 +18,13 @@ F3), so a fixed seed reproduces the result bit for bit and common random
 numbers apply across strikes and maturities.
 
 Passing :class:`SequentialSettings` selects sequential-update pricing, which
-re-infers the parameters along each path and so keeps a daily loop: a path
-runs up to the longest requested maturity s_max and refreshes its posterior
-ceil(s_max/refresh_interval) - 1 times, however many quotes it serves.
+re-infers the parameters along each path and so keeps a daily loop. All
+paths run in lockstep up to the longest requested maturity s_max, each
+carrying the sufficient statistics of the historical panel extended with its
+own simulated returns, updated in O(1) per day (Welford). Every
+``refresh_interval`` days before s_max each path takes one exact draw from
+its extended posterior, all paths in one
+:func:`~quanto_bayes.inference.exact_posterior_draws` call.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import hpdi
-from .inference import Chain, mwg_sample
-from .model import (PAYOFF_KINDS, MarketConfig, ReturnPanel, SpotState, Theta,
-                    call_price_band, ndtr, payoff, simulate_return_pair)
+from .inference import Chain, exact_posterior_draws
+from .model import (PAYOFF_KINDS, MarketConfig, ReturnPanel, SpotState, call_price_band,
+                    ndtr, payoff)
 
 __all__ = [
     "PricingRequest",
@@ -97,21 +101,15 @@ class PricingResult:
 class SequentialSettings:
     """Inputs of sequential-update pricing; passing them selects that mode.
 
-    The historical panel is extended with each path's own simulated returns
-    and, every ``refresh_interval`` simulated days, the posterior is
-    refreshed by a short Metropolis-within-Gibbs run started from the path's
-    current parameter draw.
+    Each path's posterior is that of ``panel`` extended with the path's own
+    simulated returns; every ``refresh_interval`` simulated days the path
+    replaces its parameters with one exact draw from it.
     """
 
     panel: ReturnPanel
-    specs: tuple
-    refresh_draws: int = 2000
-    refresh_burn_in: int = 500
     refresh_interval: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.refresh_burn_in < self.refresh_draws:
-            raise ValueError("need refresh_draws > refresh_burn_in >= 0")
         if self.refresh_interval < 1:
             raise ValueError(
                 f"refresh_interval must be at least 1, got {self.refresh_interval}"
@@ -176,13 +174,15 @@ def predictive_batch(requests, chain: Chain,
     ``n_paths`` normals z1 and, unless every request is F3, one batch z2,
     both from ``default_rng(seed)`` and shared by every maturity.
 
-    Sequential-update mode: path i owns the substream SeedSequence((seed,
-    i)) and is simulated once, day by day, up to the longest horizon s_max;
-    after day j the posterior is refreshed when j is a multiple of
-    ``refresh_interval`` and j < s_max. A request with horizon s prices from
-    the path's first s return pairs, which a refresh after day s cannot
-    change, so it gets the same payoffs as when priced alone. Both return
-    legs are simulated even for F3 because the panel refresh needs the pair.
+    Sequential-update mode: every path is simulated day by day, in
+    lockstep, up to the longest horizon s_max, from one ``default_rng(seed)``:
+    day j draws ``n_paths`` normals z1, then ``n_paths`` normals z2, and
+    after day j every path is refreshed with one exact posterior draw when j
+    is a multiple of ``refresh_interval`` and j < s_max. A request with
+    horizon s prices from the paths' first s return pairs, which neither a
+    later day nor a refresh after day s can change, so it gets the same
+    payoffs as when priced alone. Both return legs are simulated even for F3
+    because the refresh needs the pair.
     """
     requests = list(requests)
     retained = chain.post_burn_in()
@@ -225,31 +225,51 @@ def _terminal_growth(thetas, horizons, first, both_legs):
 
 
 def _sequential_growth(thetas, horizons, first, settings: SequentialSettings):
-    """{s: (X_s/x0, H_s/h0)} from one daily simulation per path up to s_max."""
+    """{s: (X_s/x0, H_s/h0)} from one daily simulation of all paths, in
+    lockstep, up to s_max.
+
+    Each path carries the sufficient statistics of its extended panel: the
+    count T, the means and the centred sums sxx, shh and sxh, updated per
+    day by Welford's recurrences (Chan, Golub & LeVeque 1979).
+    """
+    market = first.market
+    n = first.n_paths
+    panel = settings.panel
+    sx, sh, rho = thetas.T
+    mean_x = np.full(n, panel.mean_x)
+    mean_h = np.full(n, panel.mean_h)
+    sxx = np.full(n, panel.sxx)
+    shh = np.full(n, panel.shh)
+    sxh = np.full(n, -panel.cross_moment)
+    log_x = np.zeros(n)
+    log_h = np.zeros(n)
     s_max = horizons[-1]
-    growth = {s: (np.empty(first.n_paths), np.empty(first.n_paths)) for s in horizons}
-    for i in range(first.n_paths):
-        rng = np.random.default_rng(np.random.SeedSequence((first.seed, i)))
-        theta = Theta(*thetas[i])
-        xs = []
-        hs = []
-        for j in range(1, s_max + 1):
-            x, h = simulate_return_pair(theta, first.market, rng)
-            xs.append(x)
-            hs.append(h)
-            if j % settings.refresh_interval == 0 and j < s_max:
-                refresh = mwg_sample(
-                    settings.panel.extend(xs, hs),
-                    settings.specs,
-                    settings.refresh_draws,
-                    settings.refresh_burn_in,
-                    init=theta,
-                    seed=int(rng.integers(2 ** 63)),
-                )
-                theta = refresh.draw(len(refresh) - 1)
-        for s, (growth_x, growth_h) in growth.items():
-            growth_x[i] = math.exp(sum(xs[:s]))
-            growth_h[i] = math.exp(sum(hs[:s]))
+    growth = {0: (np.ones(n), np.ones(n))} if horizons[0] == 0 else {}
+    rng = np.random.default_rng(first.seed)
+    for j in range(1, s_max + 1):
+        if (j - 1) % settings.refresh_interval == 0:  # day 1, or the day after a refresh
+            drift_x = market.r_f - rho * sx * sh - 0.5 * sx * sx
+            drift_h = market.r_d - market.r_f - 0.5 * sh * sh
+            root = np.sqrt(1.0 - rho * rho)
+        z1 = rng.standard_normal(n)
+        z2 = rng.standard_normal(n)
+        x = drift_x + sx * z1
+        h = drift_h + sh * (rho * z1 + root * z2)
+        log_x += x
+        log_h += h
+        if j in horizons:
+            growth[j] = (np.exp(log_x), np.exp(log_h))
+        n_obs = panel.n_obs + j
+        dx = x - mean_x
+        dh = h - mean_h
+        mean_x += dx / n_obs
+        mean_h += dh / n_obs
+        rest_h = h - mean_h
+        sxx += dx * (x - mean_x)
+        shh += dh * rest_h
+        sxh += dx * rest_h
+        if j % settings.refresh_interval == 0 and j < s_max:
+            sx, sh, rho = exact_posterior_draws(n_obs, sxx, shh, sxh, rng).T
     return growth
 
 
@@ -261,9 +281,9 @@ def _discounted_payoffs(request, growth_x, growth_h):
     return math.exp(-request.market.r_d * request.horizon_s) * values
 
 
-def closed_form_v3(theta: Theta, spot: SpotState, strike_f, horizon_s,
-                   market: MarketConfig):
-    """Analytic price of the fixed-rate quanto call F3 at fixed parameters.
+def closed_form_v3(theta, spot: SpotState, strike_f, horizon_s, market: MarketConfig):
+    """Analytic price of the fixed-rate quanto call F3 at fixed parameters
+    ``theta``, a :class:`~quanto_bayes.model.Theta`.
 
     The asset forward under the domestic measure carries the quanto drift
     adjustment: F = X * exp((r_f - rho*sigma_x*sigma_h) * s). A zero strike

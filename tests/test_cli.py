@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -511,6 +512,7 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
     for key, value in (("periods_per_year", "0"), ("vol_scale_multiplier", "0"),
                        ("h_fix", "0"), ("rho_step", "0"), ("tt_df", "1"), ("ig_shape", "1"),
                        ("mnc_df", "1"), ("mnc_kappa", "0"), ("mnc_scale", "-1"),
+                       ("mnc_scale", "inf"),
                        ("refresh_interval", "0"), ("r_d_annual", "nan"), ("h_fix", "nan"),
                        ("tt_df", "nan"), ("mnc_kappa", "nan"), ("mnc_df", "nan")):
         root = tmp_path / f"bad_{key}_{value}"
@@ -519,11 +521,19 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
         for argv in (["estimate"], ["experiment"],
                      ["price", "--draws", draws, "--mode", "sequential", "--paths", "3"]):
             capsys.readouterr()
-            assert main([*argv, "--config", bad_cfg]) == 1, (key, argv)
+            # pytest records warnings instead of printing them, so they are
+            # caught here as well as looked for on stderr
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([*argv, "--config", bad_cfg]) == 1, (key, argv)
             err = capsys.readouterr().err
             assert err.startswith(f"error: {bad_cfg}: invalid {key} = "), err
+            assert "RuntimeWarning" not in err, err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (key, argv)
             if key == "periods_per_year":
                 assert err.endswith(": periods_per_year must be positive, got 0\n"), err
+            if value == "inf":
+                assert err.endswith(": scale must be finite, got inf\n"), err
 
     for name, body in (
         ("nan.csv", "0.006,0.004,0.1\nnan,0.004,0.1\n"),
@@ -568,7 +578,8 @@ def test_main_draws_file_without_draws_exits_one(tmp_path, capsys, command):
     ((float("nan"), 51, 10.0), "strike must be positive and finite, got nan"),
     ((2500.0, 51, float("inf")), "market price must be non-negative and finite, got inf"),
     ((2500.0, 30.7, 10.0), "non-integer maturity_days '30.7'"),
-], ids=["nan-strike", "inf-price", "fractional-maturity"])
+    ((2500.0, 51, "1" * 200_000), "field larger than field limit (131072)"),
+], ids=["nan-strike", "inf-price", "fractional-maturity", "oversized-cell"])
 def test_main_malformed_option_chain_exits_one(tmp_path, capsys, command, bad_quote, text):
     cfg_path = make_workspace(tmp_path, chain_prices=[(2500.0, 51, 10.0), bad_quote])
     chain = os.path.join(str(tmp_path), "chain.csv")
@@ -640,7 +651,8 @@ def test_series_without_shared_returns_names_both_files(tmp_path, capsys, comman
 @pytest.mark.parametrize("bad_price, text", [
     ("-1", "row 6: non-positive price -1.0"),
     ("n/a", "row 6: non-numeric price 'n/a'"),
-], ids=["negative", "non-numeric"])
+    ("1" * 200_000, "row 6: field larger than field limit (131072)"),
+], ids=["negative", "non-numeric", "oversized-cell"])
 def test_main_malformed_price_series_exits_one(tmp_path, capsys, command, bad_price, text):
     cfg_path = make_workspace(tmp_path)
     fx = os.path.join(str(tmp_path), "fx.csv")
@@ -702,8 +714,9 @@ def test_cli_never_loads_scipy(tmp_path):
 
 @pytest.mark.parametrize("command", ["experiment", "price-sequential"])
 def test_traced_benchmark_child_runs(tmp_path, command):
-    # the benchmark's traced run wraps the names cli imports from the other
-    # modules and ReturnPanel.tail/extend, and reads request fields from them
+    # the benchmark's traced run wraps the names cli and pricing import from
+    # the other modules and ReturnPanel.tail/extend, and reads request fields
+    # from them; a sequential run records its refreshes as exact draws
     root = os.path.join(os.path.dirname(__file__), "..")
     cfg_path = make_workspace(tmp_path, draws=600, burn_in=100, n_paths=200,
                               refresh_draws=60, refresh_burn_in=10, refresh_interval=20)
@@ -726,7 +739,7 @@ def test_traced_benchmark_child_runs(tmp_path, command):
     names = {span[2] for span in record["spans"]}
     assert "model.ReturnPanel.tail" in names
     if command == "price-sequential":
-        assert "model.ReturnPanel.extend" in names
+        assert "inference.exact_posterior_draws" in names
 
 
 def test_main_family_and_seed_overrides(tmp_path):

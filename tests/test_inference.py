@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import warnings
@@ -17,6 +18,7 @@ from quanto_bayes.inference import (
     ProposalSpec,
     conjugate_sample,
     default_proposals,
+    exact_posterior_draws,
     mle_estimate,
     mwg_sample,
     niw_posterior,
@@ -284,6 +286,23 @@ def test_truncated_normal_normaliser_matches_mpmath_far_below_zero():
     assert below == pytest.approx(_log_ndtr(-30.0), rel=1e-13, abs=0.0)
     for z in (-30.0, -5.0, 0.0, 2.0):
         assert _log_ndtr(z) == math.log(float_ndtr(z))
+
+    # the truncated t's log P(T <= t): 0.5 I_x(df/2, 1/2) with x = df/(df+t^2)
+    # below zero, in logs where the tail underflows (near t = -1e65 for df 5)
+    from quanto_bayes.inference import _log_t_cdf, _t_cdf
+
+    for df in (2.5, 5.0, 30.0):
+        for t in np.concatenate([-np.geomspace(1.0, 1e200, 120), [-1e-3, 0.0, 0.7, 40.0]]):
+            t = float(t)
+            with mpmath.workdps(40):
+                x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+                tail = mpmath.betainc(df / 2, 0.5, 0, x, regularized=True) / 2
+                expected = float(mpmath.log(tail if t < 0 else 1 - tail))
+            assert _log_t_cdf(df, t) == pytest.approx(expected, rel=1e-12, abs=1e-15), (df, t)
+            if t >= -1e3:
+                assert _log_t_cdf(df, t) == pytest.approx(math.log(_t_cdf(df, t)), rel=1e-12)
+    far = ProposalSpec(family="truncated_t", loc=-1.0, scale=1e-70, df=5.0)
+    assert math.isfinite(proposal_logpdf(far, 1e-71))
 
 
 def test_mwg_runs_with_a_truncated_normal_far_below_zero(panel_small):
@@ -714,20 +733,41 @@ def test_mwg_recovers_synthetic_truth():
             assert abs(mean - true_value) < 3.0 * sd, (code, col)
 
 
-def test_mwg_marginals_match_posterior_quadrature():
-    """Chain moments vs direct numerical integration of the joint kernel.
+class _CountingRng:
+    """A numpy generator that counts the normals drawn through it."""
 
-    A small panel keeps the posterior wide enough for a modest grid; the
-    quadrature oracle shares only the kernel, so this checks the whole
-    proposal / acceptance / sweep machinery.
-    """
-    panel = synth_panel(60, seed=90)
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.normals = 0
+
+    def standard_normal(self, size):
+        self.normals += size
+        return self._rng.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+# name: (panel, rho grid ends); each grid holds all but 1e-6 of the mass
+_QUADRATURE_PANELS = {
+    "synthetic": (lambda: synth_panel(60, seed=90), (-0.95, 0.95)),
+    "high-rho": (lambda: synth_panel(60, seed=93, theta=Theta(0.006, 0.004, 0.9)),
+                 (0.6, 0.995)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _posterior_quadrature(name):
+    """(panel, {parameter: (mean, sd)}) by direct numerical integration of
+    the joint kernel over a grid."""
+    make_panel, (rho_lo, rho_hi) = _QUADRATURE_PANELS[name]
+    panel = make_panel()
     kern = PosteriorKernel(panel)
     est = mle_estimate(panel).theta_hat
 
     gx = np.linspace(0.5 * est.sigma_x, 2.2 * est.sigma_x, 72)
     gh = np.linspace(0.5 * est.sigma_h, 2.2 * est.sigma_h, 72)
-    gr = np.linspace(-0.95, 0.95, 73)
+    gr = np.linspace(rho_lo, rho_hi, 73)
     logpost = np.empty((gx.size, gh.size, gr.size))
     for i, sx in enumerate(gx):
         for j, sh in enumerate(gh):
@@ -735,26 +775,66 @@ def test_mwg_marginals_match_posterior_quadrature():
                 logpost[i, j, k] = kern.log_joint(sx, sh, r)
     weight = np.exp(logpost - logpost.max())
     total = weight.sum()
+    for axis in range(3):
+        edges = np.moveaxis(weight, axis, 0)
+        assert edges[0].sum() / total < 1e-6 and edges[-1].sum() / total < 1e-6, (name, axis)
 
-    def quad_mean_sd(axis_values, axis):
-        keep = [a for a in range(3) if a != axis]
-        marginal = weight.sum(axis=tuple(keep))
-        mean = float((axis_values * marginal).sum() / marginal.sum())
-        var = float((((axis_values - mean) ** 2) * marginal).sum() / marginal.sum())
-        return mean, math.sqrt(var)
+    moments = {}
+    for axis, (values, parameter) in enumerate(zip((gx, gh, gr), PARAMETERS)):
+        marginal = weight.sum(axis=tuple(a for a in range(3) if a != axis))
+        mean = float((values * marginal).sum() / marginal.sum())
+        var = float((((values - mean) ** 2) * marginal).sum() / marginal.sum())
+        moments[parameter] = (mean, math.sqrt(var))
+    return panel, moments
 
-    assert weight[0].sum() / total < 1e-6 and weight[-1].sum() / total < 1e-6
-    assert weight[:, :, 0].sum() / total < 1e-6 and weight[:, :, -1].sum() / total < 1e-6
 
-    chain = mwg_sample(panel, default_proposals("ttn", panel), 40_000, 5_000,
-                       init=est, seed=91)
-    for axis, (values, name) in enumerate(((gx, "sigma_x"), (gh, "sigma_h"),
-                                           (gr, "rho"))):
-        q_mean, q_sd = quad_mean_sd(values, axis)
-        draws = chain.parameter(name)
-        tol = 4.0 * _spectral_nse(draws) + 0.01 * q_sd
-        assert abs(draws.mean() - q_mean) < tol, name
-        assert draws.std(ddof=1) == pytest.approx(q_sd, rel=0.05), name
+@pytest.mark.parametrize("panel_name", list(_QUADRATURE_PANELS))
+@pytest.mark.parametrize("sampler", ["mwg", "exact"])
+def test_mwg_marginals_match_posterior_quadrature(sampler, panel_name):
+    """Sampler moments vs direct numerical integration of the joint kernel.
+
+    Small panels keep the posterior wide enough for a modest grid; the
+    quadrature oracle shares only the kernel, so this checks the whole
+    proposal / acceptance / sweep machinery of MwG and the inverse-Wishart
+    partition and accept step of the exact draw. On the high-rho panel the
+    exact draw accepts about sqrt(1 - rho^2) of its candidates.
+    """
+    panel, moments = _posterior_quadrature(panel_name)
+    if sampler == "mwg":
+        chain = mwg_sample(panel, default_proposals("ttn", panel), 40_000, 5_000,
+                           init=mle_estimate(panel).theta_hat, seed=91)
+        draws = chain.post_burn_in()
+        nse = [_spectral_nse(column) for column in draws.T]
+    else:
+        n = 40_000
+        rng = _CountingRng(92)
+        draws = exact_posterior_draws(np.full(n, panel.n_obs), panel.sxx, panel.shh,
+                                      -panel.cross_moment, rng)
+        nse = draws.std(axis=0, ddof=1) / math.sqrt(n)  # the draws are independent
+        if panel_name == "high-rho":
+            assert rng.normals > n  # some candidates were rejected and drawn again
+    for column, name in enumerate(PARAMETERS):
+        q_mean, q_sd = moments[name]
+        values = draws[:, column]
+        assert abs(values.mean() - q_mean) < 4.0 * nse[column] + 0.01 * q_sd, name
+        assert values.std(ddof=1) == pytest.approx(q_sd, rel=0.05), name
+
+
+def test_exact_posterior_draws_broadcast_reproduce_and_validate(panel_small):
+    stats = (panel_small.n_obs, panel_small.sxx, panel_small.shh, -panel_small.cross_moment)
+    one = exact_posterior_draws(*stats, np.random.default_rng(5))
+    assert one.shape == (1, 3)
+    # one row per entry of the broadcast inputs; a fixed state repeats them
+    many = exact_posterior_draws(np.array([3, 10, 500]), *stats[1:], np.random.default_rng(5))
+    again = exact_posterior_draws(np.array([3, 10, 500]), *stats[1:], np.random.default_rng(5))
+    assert many.shape == (3, 3) and np.array_equal(many, again)
+    assert np.all(many[:, :2] > 0.0) and np.all(np.abs(many[:, 2]) < 1.0)
+    with pytest.raises(ValueError, match="at least 3 observations"):
+        exact_posterior_draws([3, 2], *stats[1:], np.random.default_rng(5))
+    sxx = panel_small.sxx
+    for bad in ((sxx, 1.0, 1.0), (sxx, sxx, sxx), (0.0, 1.0, 0.0), (math.inf, 1.0, 0.0)):
+        with pytest.raises(ValueError, match="finite and positive definite"):
+            exact_posterior_draws(10, *bad, np.random.default_rng(5))
 
 
 def test_mwg_validation_errors(panel_small):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp, lognorm
 
 from quanto_bayes import pricing
-from quanto_bayes.inference import Chain, default_proposals, mwg_sample
+from quanto_bayes.inference import Chain, default_proposals, exact_posterior_draws, mwg_sample
 from quanto_bayes.model import MarketConfig, SpotState, Theta, payoff, simulate_return_pair
 from quanto_bayes.pricing import (
     PricingRequest,
@@ -144,36 +145,47 @@ def test_one_draw_chain_equals_plain_fixed_parameter_pricer():
         assert result.price == pytest.approx(float(oracle.mean()), abs=1e-12), kind
 
 
-@pytest.mark.parametrize("s", [13, 51])
-def test_terminal_draw_matches_daily_construction_in_distribution(s, monkeypatch):
+@pytest.mark.parametrize("s, sequential", [
+    pytest.param(13, False, id="13"),
+    pytest.param(51, False, id="51"),
+    pytest.param(13, True, id="13-sequential-no-refresh"),
+])
+def test_terminal_draw_matches_daily_construction_in_distribution(s, sequential, monkeypatch):
     theta = Theta(0.006, 0.004, 0.6)
     n = 20_000
-    captured = {}
+    captured = []
 
     def capture(kind, x_terminal, h_terminal, strike, market):
-        captured["x"] = np.log(x_terminal / SPOT.x0)
-        captured["h"] = np.log(h_terminal / SPOT.h0)
+        captured.append((np.log(x_terminal / SPOT.x0), np.log(h_terminal / SPOT.h0)))
         return np.zeros_like(x_terminal)
 
     monkeypatch.setattr(pricing, "payoff", capture)
     request = PricingRequest(kind="F2", strike=2700.0, horizon_s=s, spot=SPOT,
                              market=MARKET, n_paths=n, seed=31)
-    predictive_samples(request, one_draw_chain(theta))
-    terminal = (captured["x"], captured["h"])
+    if sequential:
+        # an interval beyond the horizon runs no refresh, so the daily
+        # sequential paths must match the static terminal draw
+        settings = SequentialSettings(panel=synth_panel(50, seed=60), refresh_interval=s + 1)
+        predictive_samples(request, one_draw_chain(theta), settings)
+        predictive_samples(replace(request, seed=32), one_draw_chain(theta))
+        terminal, daily = captured
+    else:
+        predictive_samples(request, one_draw_chain(theta))
+        terminal, = captured
 
-    # the daily construction: s correlated return pairs summed per path
-    rng = np.random.default_rng(32)
-    mx = MARKET.r_f - theta.rho * theta.sigma_x * theta.sigma_h - theta.sigma_x ** 2 / 2
-    mh = MARKET.r_d - MARKET.r_f - theta.sigma_h ** 2 / 2
-    comp = math.sqrt(1 - theta.rho ** 2)
-    acc_x = np.zeros(n)
-    acc_h = np.zeros(n)
-    for _ in range(s):
-        z1 = rng.standard_normal(n)
-        z2 = rng.standard_normal(n)
-        acc_x += mx + theta.sigma_x * z1
-        acc_h += mh + theta.sigma_h * (theta.rho * z1 + comp * z2)
-    daily = (acc_x, acc_h)
+        # the daily construction: s correlated return pairs summed per path
+        rng = np.random.default_rng(32)
+        mx = MARKET.r_f - theta.rho * theta.sigma_x * theta.sigma_h - theta.sigma_x ** 2 / 2
+        mh = MARKET.r_d - MARKET.r_f - theta.sigma_h ** 2 / 2
+        comp = math.sqrt(1 - theta.rho ** 2)
+        acc_x = np.zeros(n)
+        acc_h = np.zeros(n)
+        for _ in range(s):
+            z1 = rng.standard_normal(n)
+            z2 = rng.standard_normal(n)
+            acc_x += mx + theta.sigma_x * z1
+            acc_h += mh + theta.sigma_h * (theta.rho * z1 + comp * z2)
+        daily = (acc_x, acc_h)
 
     for a, b in zip(terminal, daily):
         se_mean = math.sqrt(a.var(ddof=1) / n + b.var(ddof=1) / n)
@@ -283,8 +295,7 @@ def test_request_validation():
                        n_paths=0)
     panel = synth_panel(50, seed=60)
     with pytest.raises(ValueError, match="refresh_interval"):
-        SequentialSettings(panel=panel, specs=default_proposals("tnn", panel),
-                           refresh_interval=0)
+        SequentialSettings(panel=panel, refresh_interval=0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +305,7 @@ def test_request_validation():
 def test_sequential_mode_deterministic_and_consistent_with_static():
     panel = synth_panel(300, seed=61)
     # interval beyond the horizon: no refresh ever triggers
-    settings = SequentialSettings(panel=panel, specs=default_proposals("tnn", panel),
-                                  refresh_draws=400, refresh_burn_in=100,
-                                  refresh_interval=99)
+    settings = SequentialSettings(panel=panel, refresh_interval=99)
     chain = posterior_like_chain(n=200)
     request = PricingRequest(kind="F3", strike=2700.0, horizon_s=10, spot=SPOT,
                              market=MARKET, n_paths=200, seed=71)
@@ -312,9 +321,7 @@ def test_sequential_mode_deterministic_and_consistent_with_static():
 
 def test_sequential_mode_with_refreshes_runs_and_reproduces():
     panel = synth_panel(250, seed=62)
-    settings = SequentialSettings(panel=panel, specs=default_proposals("tnn", panel),
-                                  refresh_draws=300, refresh_burn_in=50,
-                                  refresh_interval=4)
+    settings = SequentialSettings(panel=panel, refresh_interval=4)
     chain = posterior_like_chain(n=100)
     request = PricingRequest(kind="F3", strike=2700.0, horizon_s=8, spot=SPOT,
                              market=MARKET, n_paths=40, seed=81)
@@ -352,11 +359,16 @@ def _per_request_static(request, chain):
     return math.exp(-market.r_d * s) * values
 
 
-def _per_request_sequential(request, chain, settings):
-    """One request simulated on its own: each path runs to the request's own
-    horizon and refreshes after day j when j % interval == 0 and j < s."""
+def _per_request_sequential(request, chain, panel, refresh_interval, refresh_draws=200,
+                            refresh_burn_in=50):
+    """One request priced with a Metropolis-within-Gibbs refresh, the
+    independent reference for the exact one: path i owns the substream SeedSequence((seed, i)), runs day by day to the
+    request's horizon s, and after day j, when j % interval == 0 and j < s,
+    takes the last draw of a ``tnn`` chain on the panel extended with its
+    returns so far, started from its current parameters."""
     retained = chain.post_burn_in()
     idx = (np.arange(request.n_paths) * retained.shape[0]) // request.n_paths
+    specs = default_proposals("tnn", panel)
     s = request.horizon_s
     out = np.empty(request.n_paths)
     for i in range(request.n_paths):
@@ -367,10 +379,10 @@ def _per_request_sequential(request, chain, settings):
             x, h = simulate_return_pair(theta, request.market, rng)
             xs.append(x)
             hs.append(h)
-            if j % settings.refresh_interval == 0 and j < s:
-                refresh = mwg_sample(settings.panel.extend(xs, hs), settings.specs,
-                                     settings.refresh_draws, settings.refresh_burn_in,
-                                     init=theta, seed=int(rng.integers(2 ** 63)))
+            if j % refresh_interval == 0 and j < s:
+                refresh = mwg_sample(panel.extend(xs, hs), specs, refresh_draws,
+                                     refresh_burn_in, init=theta,
+                                     seed=int(rng.integers(2 ** 63)))
                 theta = refresh.draw(len(refresh) - 1)
         value = payoff(request.kind, request.spot.x0 * math.exp(sum(xs)),
                        request.spot.h0 * math.exp(sum(hs)), request.strike,
@@ -379,10 +391,39 @@ def _per_request_sequential(request, chain, settings):
     return out
 
 
+def _per_request_lockstep(request, chain, settings):
+    """One request simulated on its own in the sequential stream layout: all
+    paths in lockstep to the request's horizon s, day j drawing n_paths
+    normals z1 and then n_paths normals z2 from default_rng(seed), and after
+    day j, when j % interval == 0 and j < s, one exact draw per path from
+    the statistics of the panel rebuilt with the path's returns so far."""
+    retained = chain.post_burn_in()
+    n = request.n_paths
+    thetas = retained[(np.arange(n) * retained.shape[0]) // n]
+    market = request.market
+    s = request.horizon_s
+    rng = np.random.default_rng(request.seed)
+    xs = np.empty((s, n))
+    hs = np.empty((s, n))
+    for j in range(1, s + 1):
+        sx, sh, rho = thetas.T
+        z1 = rng.standard_normal(n)
+        z2 = rng.standard_normal(n)
+        xs[j - 1] = market.r_f - rho * sx * sh - 0.5 * sx * sx + sx * z1
+        hs[j - 1] = (market.r_d - market.r_f - 0.5 * sh * sh
+                     + sh * (rho * z1 + np.sqrt(1.0 - rho * rho) * z2))
+        if j % settings.refresh_interval == 0 and j < s:
+            panels = [settings.panel.extend(xs[:j, i], hs[:j, i]) for i in range(n)]
+            thetas = exact_posterior_draws(
+                [p.n_obs for p in panels], [p.sxx for p in panels], [p.shh for p in panels],
+                [-p.cross_moment for p in panels], rng)
+    value = payoff(request.kind, request.spot.x0 * np.exp(xs.sum(axis=0)),
+                   request.spot.h0 * np.exp(hs.sum(axis=0)), request.strike, market)
+    return math.exp(-market.r_d * s) * value
+
+
 def _sequential_settings(refresh_interval=4):
-    panel = synth_panel(250, seed=63)
-    return SequentialSettings(panel=panel, specs=default_proposals("tnn", panel),
-                              refresh_draws=200, refresh_burn_in=50,
+    return SequentialSettings(panel=synth_panel(250, seed=63),
                               refresh_interval=refresh_interval)
 
 
@@ -411,13 +452,38 @@ def test_sequential_batch_equals_single_requests_bitwise(mode):
         for request, samples in zip(batch, batched):
             single = predictive_samples(request, chain, sequential)
             assert np.array_equal(samples, single), request
-            if request.horizon_s > 0:
-                if sequential is None:
-                    reference = _per_request_static(request, chain)
-                else:
-                    reference = _per_request_sequential(request, chain, settings)
-                assert np.array_equal(single, reference), request
+            if request.horizon_s == 0:
+                continue
+            if sequential is None:
+                assert np.array_equal(single, _per_request_static(request, chain)), request
+            else:
+                # the reference rebuilds each path's panel instead of updating
+                # its statistics, so only rounding may differ
+                reference = _per_request_lockstep(request, chain, settings)
+                np.testing.assert_allclose(single, reference, rtol=1e-10, atol=0.0,
+                                           err_msg=str(request))
         assert np.all(batched[-1] == MARKET.h_fix * (SPOT.x0 - 2700.0))  # intrinsic
+
+
+def test_sequential_exact_refresh_matches_mwg_refresh():
+    # the reference refresh takes the last draw of a short MwG chain per
+    # path; both draw from the same extended posterior, so every price must
+    # agree.
+    # The chain's one draw lies far from that posterior, so the refreshes
+    # move every price: without them the F1 and F3 prices miss by over 4 SE.
+    panel = synth_panel(40, seed=64)
+    settings = SequentialSettings(panel=panel, refresh_interval=3)
+    chain = one_draw_chain(Theta(0.003, 0.002, -0.5))
+    common = dict(market=MARKET, n_paths=300, seed=93)
+    requests = [
+        PricingRequest(kind="F3", strike=2700.0, horizon_s=7, spot=SPOT, **common),
+        PricingRequest(kind="F1", strike=2380.0, horizon_s=10, spot=SPOT, **common),
+        PricingRequest(kind="F4", strike=0.88, horizon_s=10, spot=SPOT, **common),
+    ]
+    for request, exact in zip(requests, predictive_batch(requests, chain, settings)):
+        mwg = _per_request_sequential(request, chain, panel, settings.refresh_interval)
+        se = math.sqrt(exact.var(ddof=1) / exact.size + mwg.var(ddof=1) / mwg.size)
+        assert abs(exact.mean() - mwg.mean()) < 4.0 * se, request
 
 
 @pytest.mark.parametrize("field, value", [
