@@ -25,6 +25,7 @@ Unavailable cells are written as ``NA``.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import locale  # noqa: F401 - argparse's gettext loads it when main builds the parser
 import math
@@ -145,8 +146,11 @@ class ExperimentConfig:
             probe = replace(defaults, **{key: value})
             try:
                 probe.market()
-                probe.niw()
                 panel = ReturnPanel([0.01, -0.02, 0.015, -0.005], [0.004, 0.002, -0.006, 0.001])
+                # a scale that over- or underflows the posterior gives non-finite
+                # draws, which Chain refuses; the warnings would only repeat that
+                with np.errstate(all="ignore"):
+                    conjugate_sample(panel, probe.niw(), 2, 0, seed=0)
                 probe.sequential(panel)
                 for family in FAMILY_CODES:
                     probe.proposals(family, panel)
@@ -355,39 +359,124 @@ def _summary_rows(family, chain):
     return rows
 
 
+@functools.cache
+def _text_tables():
+    """The ASCII tables of ``_draws_text``, built at its first call so that
+    importing the CLI does not pay for them.
+
+    ``groups[g]`` holds the four digits of ``g < 10_000`` as one uint32 and
+    ``groups[10_000 + g]`` the same digits with their trailing zeros made 0
+    bytes. ``prefixes[40 * negative + 10 * zeros + lead]`` holds the first
+    8 bytes of a value's text as one uint64: its sign, ``0.``, ``zeros``
+    zeros and its leading digit, then a 0 byte.
+    """
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # row g: g's digits
+    kept = digits != 0
+    for col in (2, 1, 0):  # a digit before a kept one is kept
+        kept[:, col] |= kept[:, col + 1]
+    groups = np.zeros((2, 10_000, 4), dtype=np.uint8)
+    groups[:] = digits + np.uint8(ord("0"))
+    groups[1] *= kept
+    negative, zeros, lead = np.meshgrid([0, 1], np.arange(4), np.arange(10), indexing="ij")
+    prefixes = np.zeros((*lead.shape, 8), dtype=np.uint8)
+    prefixes[..., 0] = ord("-") * negative
+    prefixes[..., 1] = ord("0")
+    prefixes[..., 2] = ord(".")
+    prefixes[..., 3:6] = np.where(zeros[..., None] > np.arange(3), ord("0"), 0)
+    prefixes[..., 6] = ord("0") + lead
+    tables = groups.view(np.uint32).ravel(), prefixes.reshape(-1, 8).view(np.uint64).ravel()
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+_DECADES = np.array([1e-3, 1e-2, 1e-1])
+_POW10 = np.array([float(10 ** k) for k in range(17, 21)])  # exact: 10**k is a double to k = 22
+
+
+def _veltkamp_split(a):
+    """(hi, lo) with hi + lo == a exactly and each part short enough that
+    the product of two parts is exact."""
+    t = 134217729.0 * a  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp_split(_POW10)
+
+
+def _draws_text(rows):
+    """``"%.17g,%.17g,%.17g\\n"`` of every row of ``rows``, byte for byte,
+    as ASCII bytes, with the number of cells that the ``%`` fallback formatted.
+
+    The bulk path covers 1e-4 <= |v| < 1, where ``%.17g`` prints the sign,
+    ``0.``, -d-1 zeros for d = floor(log10|v|) in [-4, -1], then 17
+    significant digits without trailing zeros. d is read off by comparing
+    |v| with the doubles nearest 1e-3, 1e-2 and 1e-1, and k = 16 - d <= 20,
+    so 10**k is exact. Dekker's two-product gives p + e = |v| * 10**k
+    exactly; each operation is its own ufunc, so none is fused into a
+    multiply-add. Only values with 1e16 + 64 < p < 1e17 - 64 take the bulk
+    path. There p is an even integer above 2**53 and |e| <= 8, so |v| * 10**k
+    lies in the decade that d assumed and N = p + rint(e) is its correctly
+    rounded 17-digit integer, ties to even, with no carry into an 18th
+    digit: a misread decade can only fail this guard, never give wrong
+    digits. Each value fills a fixed 32-byte slot: an 8-byte prefix (sign,
+    ``0.``, zeros, leading digit) and four 4-digit groups, both from tables,
+    then its separator. Trailing ``0`` digits and unused bytes are 0 bytes,
+    which are dropped at the end.
+
+    Every other value is written into its slot as ``"%.17g" % v``: +-0.0,
+    |v| >= 1, |v| < 1e-4, subnormals, non-finite values and the values the
+    guard rejects. ``%.17g`` text is at most 24 bytes long.
+    """
+    digit_groups, prefixes = _text_tables()
+    flat = np.ascontiguousarray(rows, dtype=float).ravel()
+    mag = np.abs(flat)
+    inside = (mag >= 1e-4) & (mag < 1.0)
+    m = np.where(inside, mag, 0.5)
+    zeros = 3 - np.searchsorted(_DECADES, m, side="right")
+    p = m * _POW10[zeros]
+    mh, ml = _veltkamp_split(m)
+    sh, sl = _POW10_HI[zeros], _POW10_LO[zeros]
+    e = ((mh * sh - p) + mh * sl + ml * sh) + ml * sl
+    bulk = inside & (p > 1e16 + 64) & (p < 1e17 - 64)
+    p = np.where(bulk, p, 5e16)  # keeps the lead digit of a skipped cell in 1..9
+    lead, rest = np.divmod(p.astype(np.int64) + np.rint(e).astype(np.int64), 10 ** 16)
+    hi, lo = np.divmod(rest, 10 ** 8)
+    groups = np.empty((flat.size, 4), dtype=np.intp)
+    np.divmod(hi, 10_000, out=(groups[:, 0], groups[:, 1]))
+    np.divmod(lo, 10_000, out=(groups[:, 2], groups[:, 3]))
+    # a group followed by zero groups only is spelled without trailing zeros
+    groups[:, 3] += 10_000
+    tail = groups[:, 3] == 10_000
+    for col in (2, 1, 0):
+        groups[:, col] += 10_000 * tail
+        tail &= groups[:, col] == 10_000
+
+    slots = np.zeros((flat.size, 4), dtype=np.uint64)
+    slots[:, 0] = prefixes[40 * (flat < 0.0) + 10 * zeros + lead]
+    slots[:, 1:3] = digit_groups[groups].view(np.uint64)
+    text = slots.view(np.uint8)
+    text[:, 24] = ord(",")
+    text[rows.shape[1] - 1::rows.shape[1], 24] = ord("\n")
+    fallback = np.flatnonzero(~bulk)
+    if fallback.size:
+        texts = np.array(["%.17g" % v for v in flat[fallback].tolist()], dtype="S24")
+        text[fallback, :24] = texts.view(np.uint8).reshape(-1, 24)
+    return text.tobytes().translate(None, b"\0"), fallback.size
+
+
 def _write_draws(path, chain: Chain):
     """Write the post-burn-in draws, one ``%.17g`` row per draw.
 
     ``Chain`` holds only finite draws, so no cell needs ``_fmt``'s NA case.
-    Rows go out in blocks, so no text of the whole chain is held in memory.
-    A rejected MwG move repeats the draw above it, so within a block each run
-    of cells whose bit pattern equals the cell above is formatted once and
-    its text repeated down the run; comparing bits rather than values keeps
-    a ``-0.0`` under a ``0.0`` printing as ``-0``. A block in which no cell
-    repeats, as in a conjugate chain, is formatted with one ``%`` operation.
+    ``_draws_text`` formats the rows in blocks, so no text of the whole
+    chain is held in memory; a block's working set stays in cache.
     """
     draws = chain.post_burn_in()
     block = 1024
-
-    def blocks():
-        for start in range(0, draws.shape[0], block):
-            rows = draws[start:start + block]
-            bits = rows.view(np.uint64)
-            starts = np.ones(rows.shape, dtype=bool)
-            np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-            if starts.all():
-                yield ("%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist())
-                continue
-            # column by column: format each run's first cell, then give every
-            # cell of the run that text
-            starts = starts.T
-            values = rows.T[starts].tolist()
-            texts = np.array((",".join(["%.17g"] * len(values)) % tuple(values)).split(","),
-                             dtype=object)
-            columns = texts[np.cumsum(starts.ravel()).reshape(starts.shape) - 1].tolist()
-            yield "\n".join(map(",".join, zip(*columns))) + "\n"
-
-    _write_lines(path, PARAMETERS, blocks())
+    _write_lines(path, PARAMETERS, (_draws_text(draws[start:start + block])[0].decode("ascii")
+                                    for start in range(0, draws.shape[0], block)))
 
 
 def _load_draws(path) -> Chain:

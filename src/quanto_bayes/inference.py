@@ -183,8 +183,8 @@ class ProposalSpec:
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError(f"scale must be positive, got {self.scale}")
         if self.family == "truncated_t":
-            if self.df is None or not self.df > 2.0:
-                raise ValueError("truncated_t needs df > 2")
+            if self.df is None or not (math.isfinite(self.df) and self.df > 2.0):
+                raise ValueError(f"truncated_t needs a finite df > 2, got {self.df}")
         if self.family == "inverse_gamma":
             if self.shape is None or not self.shape > 2.0:
                 raise ValueError("inverse_gamma needs shape > 2")
@@ -747,10 +747,10 @@ class NiwHyperparams:
         mean = tuple(float(v) for v in self.mean)
         if len(mean) != 2 or not all(math.isfinite(v) for v in mean):
             raise ValueError("prior mean must be two finite numbers")
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if not self.df >= 2.0:
-            raise ValueError(f"df must be >= 2 for a 2x2 scale, got {self.df}")
+        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+        if not (math.isfinite(self.df) and self.df >= 2.0):
+            raise ValueError(f"df must be finite and >= 2 for a 2x2 scale, got {self.df}")
         scale = np.asarray(self.scale, dtype=float)
         if scale.shape != (2, 2) or not np.allclose(scale, scale.T):
             raise ValueError("scale must be a symmetric 2x2 matrix")

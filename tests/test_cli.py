@@ -21,6 +21,7 @@ from quanto_bayes.cli import (
 )
 
 from conftest import fixture_panel, make_workspace
+from test_input_properties import PROPERTY
 
 
 def _read_csv(path):
@@ -176,6 +177,95 @@ def test_draws_file_format_and_round_trip(tmp_path, make_draws):
     assert lines[1:-1] == [",".join("%.17g" % float(v) for v in row)
                            for row in chain.post_burn_in()]
     assert np.array_equal(_load_draws(path).draws, chain.post_burn_in())
+
+
+def _assert_draws_text_exact(values):
+    """``_draws_text`` of ``values``, three to a row, is ``%.17g`` of every
+    cell; returns its fallback count."""
+    from quanto_bayes.cli import _draws_text
+
+    rows = np.asarray(values, dtype=float).reshape(-1, 3)
+    text, fallbacks = _draws_text(rows)
+    expected = ("%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist())
+    if text != expected.encode("ascii"):
+        wrong = [(got, want) for got, want in zip(text.decode("ascii").split("\n"),
+                                                  expected.split("\n")) if got != want]
+        pytest.fail(f"{len(wrong)} rows differ from %.17g, first {wrong[:3]}")
+    return fallbacks
+
+
+def _with_both_signs(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+def test_draws_text_matches_percent_format_on_log_uniform_values():
+    rng = np.random.default_rng(1712)
+    n = 300_000
+    values = 10.0 ** rng.uniform(-6.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
+    # four of the seven decades take the bulk path
+    assert 0.35 * n < _assert_draws_text_exact(values) < 0.5 * n
+
+
+def test_draws_text_rounds_exact_decimal_ties_to_even():
+    from quanto_bayes.cli import _draws_text
+
+    assert _draws_text(np.array([[26215 / 2 ** 18, 0.5, 0.5]]))[0] == \
+        b"0.10000228881835938,0.5,0.5\n"
+    rng = np.random.default_rng(1713)
+    ties = []
+    for k in range(17, 21):
+        # q * 2**-(k+1) with q odd has 18 significant digits, the last a 5,
+        # when it lies in [10**(16-k), 10**(17-k))
+        lo, hi = 10.0 ** (16 - k) * 2 ** (k + 1), 10.0 ** (17 - k) * 2 ** (k + 1)
+        q = rng.integers(int(lo) // 2 + 1, int(hi) // 2, 3000) * 2 + 1
+        ties.append(q * 2.0 ** -(k + 1))
+    assert _assert_draws_text_exact(_with_both_signs(np.concatenate(ties))) == 0
+
+
+def test_draws_text_near_powers_of_ten():
+    neighbours = []
+    for j in range(-6, 2):
+        for direction in (np.inf, -np.inf):
+            value = 10.0 ** j
+            for _ in range(7):  # the power and its six neighbours on this side
+                neighbours.append(value)
+                value = np.nextafter(value, direction)
+    values = _with_both_signs(neighbours)
+    _assert_draws_text_exact(np.concatenate([values, np.full((-values.size) % 3, 0.5)]))
+
+
+def test_draws_text_fallback_values():
+    values = [0.0, -0.0, 1.0 - 2.0 ** -53, 5e-324, -2.2250738585072014e-308,
+              1.0, -7.25, 12345678901234567.0, 1.7976931348623157e308,
+              9.999999999999999e-05, -1.2345678901234567e-100, 1e-300]
+    assert _assert_draws_text_exact(values) == len(values)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(-1.0, 1.0)), min_size=3, max_size=30))
+def test_draws_text_matches_percent_format_on_finite_floats(values):
+    _assert_draws_text_exact(values[:len(values) // 3 * 3])
+
+
+def test_draws_text_formats_fixture_chains_in_bulk():
+    """Every cell of a tnn chain and an mnc chain on the fixtures with
+    1e-4 <= |v| < 1 takes the bulk path, so a lost fast path fails here rather
+    than only slowing down. The conjugate chain draws a few |rho| < 1e-4,
+    which the fallback formats."""
+    from quanto_bayes.cli import _draws_text
+    from quanto_bayes.inference import (NiwHyperparams, conjugate_sample, default_proposals,
+                                        mle_estimate, mwg_sample)
+
+    panel = fixture_panel(140)
+    tnn = mwg_sample(panel, default_proposals("tnn", panel), 3000, 500,
+                     init=mle_estimate(panel).theta_hat, seed=140)
+    mnc = conjugate_sample(panel, NiwHyperparams(), 3000, 500, seed=140)
+    assert _draws_text(tnn.post_burn_in())[1] == 0
+    magnitudes = np.abs(mnc.post_burn_in())
+    outside = np.count_nonzero((magnitudes < 1e-4) | (magnitudes >= 1.0))
+    assert outside <= 5 and _draws_text(mnc.post_burn_in())[1] == outside
 
 
 @pytest.mark.parametrize("command", ["estimate", "experiment"])
@@ -514,7 +604,9 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
                        ("mnc_df", "1"), ("mnc_kappa", "0"), ("mnc_scale", "-1"),
                        ("mnc_scale", "inf"),
                        ("refresh_interval", "0"), ("r_d_annual", "nan"), ("h_fix", "nan"),
-                       ("tt_df", "nan"), ("mnc_kappa", "nan"), ("mnc_df", "nan")):
+                       ("tt_df", "nan"), ("mnc_kappa", "nan"), ("mnc_df", "nan"),
+                       ("tt_df", "inf"), ("mnc_df", "inf"), ("mnc_kappa", "inf"),
+                       ("mnc_scale", "1e300"), ("h_fix", "inf")):
         root = tmp_path / f"bad_{key}_{value}"
         root.mkdir()
         bad_cfg = make_workspace(root, families="mle", **{key: value})
@@ -532,7 +624,7 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (key, argv)
             if key == "periods_per_year":
                 assert err.endswith(": periods_per_year must be positive, got 0\n"), err
-            if value == "inf":
+            if (key, value) == ("mnc_scale", "inf"):
                 assert err.endswith(": scale must be finite, got inf\n"), err
 
     for name, body in (
