@@ -51,7 +51,7 @@ from .data_io import (
     moneyness_bucket,
     read_text,
 )
-from .diagnostics import summarize
+from .diagnostics import MIN_SUMMARY_DRAWS, summarize
 from .inference import (
     Chain,
     FAMILY_CODES,
@@ -117,9 +117,10 @@ class ExperimentConfig:
     mnc_scale: float = 1e-4
 
     def validate(self):
-        if self.draws <= self.burn_in or self.burn_in < 0:
+        if self.burn_in < 0 or self.draws - self.burn_in < MIN_SUMMARY_DRAWS:
             raise ConfigError(
-                f"need draws > burn_in >= 0, got draws={self.draws} burn_in={self.burn_in}"
+                f"need burn_in >= 0 and draws - burn_in >= {MIN_SUMMARY_DRAWS}, "
+                f"got draws={self.draws} burn_in={self.burn_in}"
             )
         if self.n_paths < 1:
             raise ConfigError(f"n_paths must be positive, got {self.n_paths}")
@@ -132,8 +133,9 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown family {family!r} in families; expected a subset of {ALL_FAMILIES}"
                 )
-        if not self.windows or any(w < 2 for w in self.windows):
-            raise ConfigError(f"windows must be integers >= 2, got {self.windows}")
+        # two returns have a sample correlation of +-1, outside the support
+        if not self.windows or any(w < 3 for w in self.windows):
+            raise ConfigError(f"windows must be integers >= 3, got {self.windows}")
         # The model keys are checked by the constructors a run builds from
         # them, for every family and either mode, on a small stand-in panel:
         # one key at a time, the others at their valid defaults, so that an
@@ -664,6 +666,12 @@ def _load_quotes(cfg: ExperimentConfig, market):
     return retained
 
 
+# ``_fmt``'s text for a density row, whose cells are all finite: the strike
+# by OptionQuote's check, the bin edges because np.histogram refuses
+# non-finite samples, and the maturity and count are ints
+_DENSITY_ROW = "%.12g,%d,%.12g,%.12g,%d\n"
+
+
 def cmd_price(cfg: ExperimentConfig, draws_path):
     """Price the configured option chain with an existing draws file."""
     chain = _load_draws(draws_path)
@@ -674,22 +682,27 @@ def cmd_price(cfg: ExperimentConfig, draws_path):
     seed = _derive_seed(cfg.seed, "price", _stem(draws_path))
     table = _with_bs_h(_quote_table(retained, market), market, panel)
     rows = []
-    hist_rows = []
+    density = []
     for row, samples in _price_chain(cfg, chain, table, market, panel, h_level, seed):
         rows.append(row)
         counts, edges = np.histogram(samples, bins=50)
-        hist_rows.extend((row.strike, row.maturity_days, lo, hi, int(count))
-                         for lo, hi, count in zip(edges[:-1], edges[1:], counts))
+        edges = edges.tolist()
+        density.extend(_DENSITY_ROW % (row.strike, row.maturity_days, lo, hi, count)
+                       for lo, hi, count in zip(edges[:-1], edges[1:], counts.tolist()))
     _write_csv(os.path.join(cfg.out_dir, "pricing.csv"), PricingRow._fields, rows)
-    _write_csv(os.path.join(cfg.out_dir, "price_density.csv"),
-               ("strike", "maturity_days", "bin_lo", "bin_hi", "count"), hist_rows)
+    _write_lines(os.path.join(cfg.out_dir, "price_density.csv"),
+                 ("strike", "maturity_days", "bin_lo", "bin_hi", "count"), density)
     return rows
 
 
 def cmd_diagnose(cfg: ExperimentConfig, draws_path):
     """Summary table for an existing draws file: estimate's columns less
     the family and the acceptance rate."""
-    rows = [row[1:-1] for row in _summary_rows(None, _load_draws(draws_path))]
+    chain = _load_draws(draws_path)
+    if chain.draws.shape[0] < MIN_SUMMARY_DRAWS:
+        raise ConfigError(f"{draws_path}: draws file has {chain.draws.shape[0]} draws; "
+                          f"diagnose needs at least {MIN_SUMMARY_DRAWS}")
+    rows = [row[1:-1] for row in _summary_rows(None, chain)]
     _write_csv(os.path.join(cfg.out_dir, "diagnose_summary.csv"), _SUMMARY_HEADER[1:-1], rows)
     return rows
 

@@ -1,6 +1,7 @@
 """Loading and preparation of price series and option chains.
 
-File formats are comma-separated with a header row, UTF-8, decimal point:
+File formats are comma-separated with a header row, UTF-8 (a leading byte
+order mark is dropped), decimal point:
 
 * price series: ``date,price`` with ISO-8601 dates;
 * option chains: ``quote_date,strike,maturity_days,price,spot``.
@@ -60,11 +61,13 @@ class QuantoQuote(OptionQuote):
 
 
 def read_text(path):
-    """The text of a UTF-8 file; a byte that is not UTF-8 raises, naming the file and its row."""
+    """The text of a UTF-8 file less one leading byte order mark, which
+    spreadsheet exports write; a byte that is not UTF-8 raises, naming the
+    file and its row."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         row = len((data[:exc.start] + b"x").splitlines())  # the bad byte's own line counts
         raise ValueError(f"{path}: row {row}: not UTF-8 text") from None
@@ -91,12 +94,12 @@ def _parse_int(text, row, column):
     return int(value)
 
 
-def _parse_quote(record, row):
-    quote_date = _parse_date(record["quote_date"], row)
-    strike = _parse_float(record["strike"], row, "strike")
-    maturity_days = _parse_int(record["maturity_days"], row, "maturity_days")
-    market_price = _parse_float(record["price"], row, "price")
-    underlying_spot = _parse_float(record["spot"], row, "spot")
+def _parse_quote(cells, at, row):
+    quote_date = _parse_date(cells[at[0]], row)
+    strike = _parse_float(cells[at[1]], row, "strike")
+    maturity_days = _parse_int(cells[at[2]], row, "maturity_days")
+    market_price = _parse_float(cells[at[3]], row, "price")
+    underlying_spot = _parse_float(cells[at[4]], row, "spot")
     try:
         return OptionQuote(quote_date, strike, maturity_days, market_price, underlying_spot)
     except ValueError as exc:
@@ -104,29 +107,43 @@ def _parse_quote(record, row):
 
 
 def _csv_records(path):
-    """The header of a CSV file and an iterator of its data rows as
-    (file row, record) pairs.
+    """The header of a CSV file (None for an empty file), a map from each
+    column name to its cell index, and an iterator of the file's non-blank
+    data rows as (file row, cells) pairs.
 
-    A line that the csv module cannot split, such as one holding a cell over
-    its field size limit, raises ValueError naming the file and the row.
+    A repeated column name maps to its last column. A row shorter than the
+    header is padded with empty cells; a longer one keeps its extra cells.
+    The file row is the line on which the row ends, as ``csv.reader``
+    counts lines, so a quoted cell that spans lines names its last one.
+    Rows are read as the iterator advances, so a caller that stops at a bad
+    row never reads past it. A line that the csv module cannot split, such
+    as one holding a cell over its field size limit, raises ValueError
+    naming the file and the row.
     """
-    reader = csv.DictReader(io.StringIO(read_text(path), newline=""), restval="")
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
 
     def failed(exc):
-        return ValueError(f"{path}: row {reader.reader.line_num}: {exc}")
+        return ValueError(f"{path}: row {reader.line_num}: {exc}")
+
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise failed(exc) from None
+    index = {name: i for i, name in enumerate(header or ())}
+    width = len(header or ())
 
     def records():
         try:
-            for record in reader:
-                yield reader.line_num, record
+            for cells in reader:
+                if not cells:
+                    continue
+                if len(cells) < width:
+                    cells += [""] * (width - len(cells))
+                yield reader.line_num, cells
         except csv.Error as exc:
             raise failed(exc) from None
 
-    try:
-        header = reader.fieldnames
-    except csv.Error as exc:
-        raise failed(exc) from None
-    return header, records()
+    return header, index, records()
 
 
 def load_price_series(path):
@@ -137,13 +154,14 @@ def load_price_series(path):
     """
     rows = []
     seen = {}
-    header, records = _csv_records(path)
-    if not {"date", "price"} <= set(header or ()):
+    header, index, records = _csv_records(path)
+    if not {"date", "price"} <= index.keys():
         raise ValueError(f"{path}: expected columns 'date' and 'price', got {header}")
-    for i, record in records:
+    date_at, price_at = index["date"], index["price"]
+    for i, cells in records:
         try:
-            day = _parse_date(record["date"], i)
-            price = _parse_float(record["price"], i, "price")
+            day = _parse_date(cells[date_at], i)
+            price = _parse_float(cells[price_at], i, "price")
             if day in seen:
                 raise ValueError(f"duplicate date {day.isoformat()} at row {i}")
             if not (math.isfinite(price) and price > 0.0):
@@ -166,13 +184,14 @@ def load_option_chain(path):
     """
     quotes = []
     columns = ("quote_date", "strike", "maturity_days", "price", "spot")
-    header, records = _csv_records(path)
-    missing = [c for c in columns if header is None or c not in header]
+    header, index, records = _csv_records(path)
+    missing = [c for c in columns if c not in index]
     if missing:
         raise ValueError(f"{path}: missing columns {missing}")
-    for row, record in records:
+    at = tuple(index[c] for c in columns)
+    for row, cells in records:
         try:
-            quotes.append(_parse_quote(record, row))
+            quotes.append(_parse_quote(cells, at, row))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     if not quotes:

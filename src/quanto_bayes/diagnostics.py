@@ -19,7 +19,9 @@ import numpy as np
 
 from .inference import Chain
 
-__all__ = ["ChainSummary", "nse", "geweke_cd", "hpdi", "summarize"]
+__all__ = ["ChainSummary", "MIN_SUMMARY_DRAWS", "nse", "geweke_cd", "hpdi", "summarize"]
+
+MIN_SUMMARY_DRAWS = 10  # the fewest post-burn-in draws that summarize accepts
 
 
 def _spectral_nse(x):
@@ -102,7 +104,7 @@ class ChainSummary:
 def summarize(chain: Chain, parameter) -> ChainSummary:
     """Summary statistics for one chain parameter, burn-in excluded."""
     draws = chain.parameter(parameter)
-    if draws.size < 10:
+    if draws.size < MIN_SUMMARY_DRAWS:
         raise ValueError(f"too few post-burn-in draws to summarize: {draws.size}")
     return ChainSummary(
         mean=float(draws.mean()),

@@ -343,6 +343,59 @@ def test_cmd_price_outputs(tmp_path):
     _assert_no_bare_nan(os.path.join(cfg.out_dir, "pricing.csv"))
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(row=st.tuples(FINITE, st.integers(1, 10 ** 6), FINITE, FINITE, st.integers(0, 10 ** 9)))
+def test_density_row_template_matches_fmt(row):
+    from quanto_bayes.cli import _DENSITY_ROW, _fmt
+
+    assert _DENSITY_ROW % row == ",".join(map(_fmt, row)) + "\n"
+
+
+@pytest.mark.parametrize("samples", [
+    np.full(7, 0.0),  # constant samples: edges -0.5 to 0.5
+    np.full(7, 123.456789012345),
+    np.array([0.0, 0.123456789012, 9.87654321098e-5]),  # all 12 significant digits
+    np.array([1e21, 3.3e22]),
+])
+@pytest.mark.parametrize("strike", [0.0, 2655.0, 2711.74123456789, 1e16, 1.5e300])
+def test_density_row_template_matches_fmt_on_histogram_edges(samples, strike):
+    from quanto_bayes.cli import _DENSITY_ROW, _fmt
+
+    counts, edges = np.histogram(samples, bins=50)
+    for lo, hi, count in zip(edges[:-1], edges[1:], counts):
+        row = (strike, 51, lo, hi, int(count))
+        text = _DENSITY_ROW % (strike, 51, float(lo), float(hi), int(count))
+        assert text == ",".join(map(_fmt, row)) + "\n"
+
+
+def test_price_density_file_is_fmt_of_the_histograms(tmp_path, monkeypatch):
+    from quanto_bayes.cli import _fmt
+
+    cfg = load_config(make_workspace(tmp_path))
+    draws = os.path.join(str(tmp_path), "draws.csv")
+    with open(draws, "w", encoding="utf-8") as f:
+        f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n0.0061,0.0041,-0.2\n")
+    histograms = []
+    histogram = np.histogram
+
+    def recording(*args, **kwargs):
+        histograms.append(histogram(*args, **kwargs))
+        return histograms[-1]
+
+    monkeypatch.setattr(np, "histogram", recording)
+    rows = cmd_price(cfg, draws)
+    assert len(histograms) == len(rows) == 5
+    expected = ["strike,maturity_days,bin_lo,bin_hi,count\n"]
+    for row, (counts, edges) in zip(rows, histograms):
+        expected += [",".join(map(_fmt, (row.strike, row.maturity_days, lo, hi, int(count))))
+                     + "\n" for lo, hi, count in zip(edges[:-1], edges[1:], counts)]
+    with open(os.path.join(cfg.out_dir, "price_density.csv"), "rb") as f:
+        assert f.read() == "".join(expected).encode("ascii")
+
+
 def test_cmd_price_missing_draws_file(tmp_path):
     cfg = load_config(make_workspace(tmp_path))
     with pytest.raises(ConfigError, match="draws file"):
@@ -627,6 +680,31 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
             if (key, value) == ("mnc_scale", "inf"):
                 assert err.endswith(": scale must be finite, got inf\n"), err
 
+    # values that parse but leave too few returns or draws to estimate from
+    for overrides, text in (
+        ({"windows": "250, 2"}, "windows must be integers >= 3, got (250, 2)"),
+        ({"draws": 105, "burn_in": 100},
+         "need burn_in >= 0 and draws - burn_in >= 10, got draws=105 burn_in=100"),
+    ):
+        root = tmp_path / f"short_{'_'.join(overrides)}"
+        root.mkdir()
+        bad_cfg = make_workspace(root, **overrides)
+        for command in ("estimate", "experiment"):
+            capsys.readouterr()
+            assert main([command, "--config", bad_cfg]) == 1, (overrides, command)
+            assert capsys.readouterr().err == f"error: {bad_cfg}: {text}\n"
+
+    # diagnose summarizes at least 10 draws; price reads any number
+    for n_draws, code in ((1, 1), (9, 1), (10, 0)):
+        draws = os.path.join(str(tmp_path), f"draws_{n_draws}.csv")
+        with open(draws, "w", encoding="utf-8") as f:
+            f.write("sigma_x,sigma_h,rho\n" + "0.006,0.004,0.1\n" * n_draws)
+        capsys.readouterr()
+        assert main(["diagnose", "--config", cfg_path, "--draws", draws]) == code, n_draws
+        if code:
+            assert capsys.readouterr().err == (f"error: {draws}: draws file has {n_draws} draws; "
+                                               f"diagnose needs at least 10\n")
+
     for name, body in (
         ("nan.csv", "0.006,0.004,0.1\nnan,0.004,0.1\n"),
         ("width.csv", "0.006,0.004\n0.006,0.004\n"),
@@ -706,6 +784,25 @@ def test_main_missing_input_file_exits_one(tmp_path, capsys, command, key):
     capsys.readouterr()
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: input files not found: {[missing]}\n"
+
+
+def test_inputs_with_a_byte_order_mark_read_as_without(tmp_path):
+    from quanto_bayes.data_io import load_option_chain, load_price_series
+
+    cfg_path = make_workspace(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = (cfg.fx_series[0], cfg.option_chain)
+    before = (load_price_series(paths[0]), load_option_chain(paths[1]))
+    for path in (cfg_path, *paths):
+        with open(path, "rb") as f:
+            data = f.read()
+        with open(path, "wb") as f:
+            f.write("\ufeff".encode() + data)
+    assert load_config(cfg_path) == cfg
+    series, quotes = load_price_series(paths[0]), load_option_chain(paths[1])
+    assert series.dates == before[0].dates
+    assert series.prices.tolist() == before[0].prices.tolist()
+    assert quotes == before[1]
 
 
 def test_estimate_reads_no_option_chain(tmp_path):

@@ -8,15 +8,32 @@ result or raises its error type; the message names the file and either a
 file row at or after the first changed one (a quoted cell may run on to a
 later row, and a duplicate date is reported at its second row) or the key or
 column at fault.
+
+The loaders are also checked against reference loaders built on
+``csv.DictReader``, which they replaced: on files edited in the ways above,
+and with quoted cells, short and long rows, repeated header names and blank
+lines, both return the same series or quotes or raise the same message.
 """
 
+import csv
+import io
+import math
 import re
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quanto_bayes.cli import ConfigError, ExperimentConfig, _load_draws, load_config
-from quanto_bayes.data_io import load_option_chain, load_price_series
+from quanto_bayes.data_io import (
+    OptionQuote,
+    _parse_date,
+    _parse_float,
+    _parse_int,
+    load_option_chain,
+    load_price_series,
+    read_text,
+)
+from quanto_bayes.model import PriceSeries
 
 from conftest import DEFAULT_CONFIG
 
@@ -48,7 +65,7 @@ def edits(draw, lines):
     else:
         i = draw(st.integers(0, len(lines) - 1))
         if kind == "bytes":
-            data = [line.encode() for line in lines]
+            data = [line.encode("utf-8", "surrogateescape") for line in lines]
             data[i] = draw(LINE_BYTES)
             return b"\n".join(data) + b"\n", i + 1
         cells = lines[i].split(",")
@@ -58,7 +75,7 @@ def edits(draw, lines):
         else:
             del cells[j]
         lines[i] = ",".join(cells)
-    return ("\n".join(lines) + "\n").encode(), i + 1
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"), i + 1
 
 
 @st.composite
@@ -132,3 +149,145 @@ def test_malformed_config_names_file_and_key_or_row(tmp_path, edit):
         assert str(path) in message, message
         assert (f"{path}:{line}:" in message or f"row {line}:" in message
                 or (key in CONFIG_KEYS and key in message)), (message, line, key)
+
+
+# ---------------------------------------------------------------------------
+# Reference loaders: the csv.DictReader implementation the loaders replaced
+# ---------------------------------------------------------------------------
+
+def _reference_records(path):
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""), restval="")
+
+    def failed(exc):
+        return ValueError(f"{path}: row {reader.reader.line_num}: {exc}")
+
+    def records():
+        try:
+            for record in reader:
+                yield reader.line_num, record
+        except csv.Error as exc:
+            raise failed(exc) from None
+
+    try:
+        header = reader.fieldnames
+    except csv.Error as exc:
+        raise failed(exc) from None
+    return header, records()
+
+
+def reference_load_price_series(path):
+    rows = []
+    seen = {}
+    header, records = _reference_records(path)
+    if not {"date", "price"} <= set(header or ()):
+        raise ValueError(f"{path}: expected columns 'date' and 'price', got {header}")
+    for i, record in records:
+        try:
+            day = _parse_date(record["date"], i)
+            price = _parse_float(record["price"], i, "price")
+            if day in seen:
+                raise ValueError(f"duplicate date {day.isoformat()} at row {i}")
+            if not (math.isfinite(price) and price > 0.0):
+                raise ValueError(f"row {i}: non-positive price {price!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        seen[day] = price
+        rows.append(day)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    rows.sort()
+    return PriceSeries(rows, [seen[d] for d in rows])
+
+
+def _reference_quote(record, row):
+    quote_date = _parse_date(record["quote_date"], row)
+    strike = _parse_float(record["strike"], row, "strike")
+    maturity_days = _parse_int(record["maturity_days"], row, "maturity_days")
+    market_price = _parse_float(record["price"], row, "price")
+    underlying_spot = _parse_float(record["spot"], row, "spot")
+    try:
+        return OptionQuote(quote_date, strike, maturity_days, market_price, underlying_spot)
+    except ValueError as exc:
+        raise ValueError(f"row {row}: {exc}") from None
+
+
+def reference_load_option_chain(path):
+    quotes = []
+    columns = ("quote_date", "strike", "maturity_days", "price", "spot")
+    header, records = _reference_records(path)
+    missing = [c for c in columns if header is None or c not in header]
+    if missing:
+        raise ValueError(f"{path}: missing columns {missing}")
+    for row, record in records:
+        try:
+            quotes.append(_reference_quote(record, row))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not quotes:
+        raise ValueError(f"{path}: no data rows")
+    return quotes
+
+
+# a cell text that CSV quoting matters for: separators, quotes and line breaks
+QUOTABLE = st.text(st.sampled_from(list(',"\r\n x0123456789.-')), max_size=8)
+
+
+@st.composite
+def csv_edits(draw, lines):
+    """File bytes after one to four edits of ``lines``: any edit of
+    ``edits`` or a quoted cell, a short or long row, a repeated or renamed
+    header column, or blank lines."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["edit", "quote", "drop", "extra", "header", "blank"]))
+        if kind == "edit":
+            data, _ = draw(edits(lines))
+            lines = data.decode("utf-8", "surrogateescape").split("\n")[:-1]
+            continue
+        if kind == "blank":
+            lines.insert(draw(st.integers(0, len(lines))), "")
+            continue
+        i = 0 if kind == "header" else draw(st.integers(0, len(lines) - 1))
+        cells = lines[i].split(",")
+        j = draw(st.integers(0, len(cells) - 1))
+        if kind == "quote":
+            text = draw(st.one_of(st.just(cells[j]), QUOTABLE))
+            cells[j] = '"' + text.replace('"', '""') + '"'
+        elif kind == "drop":
+            del cells[j:]
+        elif kind == "extra":
+            cells += draw(st.lists(TEXT.filter(lambda t: "," not in t), min_size=1, max_size=3))
+        else:
+            names = lines[0].split(",")
+            cells.insert(draw(st.integers(0, len(cells))), draw(st.sampled_from(names)))
+        lines[i] = ",".join(cells)
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+
+
+def _outcome(load, path):
+    """What ``load`` returns, as plain values, or the type and text of its error."""
+    try:
+        result = load(path)
+    except Exception as exc:  # noqa: BLE001 - any difference is a finding
+        return type(exc), str(exc)
+    if isinstance(result, PriceSeries):
+        return result.dates, result.prices.tolist()
+    return result
+
+
+@PROPERTY
+@given(data=csv_edits(SERIES))
+def test_price_series_loader_matches_dictreader_reference(tmp_path, data):
+    path = tmp_path / "series.csv"
+    path.write_bytes(data)
+    assert (_outcome(load_price_series, str(path))
+            == _outcome(reference_load_price_series, str(path))), data
+
+
+@PROPERTY
+@given(data=csv_edits(CHAIN))
+def test_option_chain_loader_matches_dictreader_reference(tmp_path, data):
+    path = tmp_path / "chain.csv"
+    path.write_bytes(data)
+    assert (_outcome(load_option_chain, str(path))
+            == _outcome(reference_load_option_chain, str(path))), data
