@@ -2,7 +2,6 @@
 quanto options under correlated geometric Brownian motions."""
 
 from .model import (
-    Drift,
     MarketConfig,
     PriceSeries,
     ReturnPanel,
@@ -11,13 +10,9 @@ from .model import (
     call_price_band,
     log_returns,
     payoff,
-    physical_logpdf,
-    risk_neutral_logpdf,
-    simulate_return_pair,
 )
 from .inference import (
     Chain,
-    MleEstimate,
     NiwHyperparams,
     PosteriorKernel,
     ProposalSpec,
@@ -42,7 +37,6 @@ from .pricing import (
 )
 from .data_io import (
     OptionQuote,
-    QuantoQuote,
     align_series,
     construct_quanto,
     filter_options,

@@ -136,6 +136,14 @@ class ExperimentConfig:
         # two returns have a sample correlation of +-1, outside the support
         if not self.windows or any(w < 3 for w in self.windows):
             raise ConfigError(f"windows must be integers >= 3, got {self.windows}")
+        # an fx series' file stem names its output cells and its rows
+        stems = {}
+        for path in self.fx_series:
+            stem = _stem(path)
+            if stem in stems:
+                raise ConfigError(f"fx_series entries {stems[stem]} and {path} share the "
+                                  f"file stem {stem!r}, which names their outputs")
+            stems[stem] = path
         # The model keys are checked by the constructors a run builds from
         # them, for every family and either mode, on a small stand-in panel:
         # one key at a time, the others at their valid defaults, so that an
@@ -341,7 +349,7 @@ def _first_panel(cfg: ExperimentConfig):
 def _sample_family(family, panel, cfg: ExperimentConfig, seed) -> Chain:
     if family == "mnc":
         return conjugate_sample(panel, cfg.niw(), cfg.draws, cfg.burn_in, seed)
-    init = mle_estimate(panel).theta_hat
+    init = mle_estimate(panel)
     return mwg_sample(panel, cfg.proposals(family, panel), cfg.draws, cfg.burn_in,
                       init=init, seed=seed)
 
@@ -483,9 +491,23 @@ def _write_draws(path, chain: Chain):
 
 def _load_draws(path) -> Chain:
     """The draws of a file that ``estimate`` wrote, one row each below the
-    header; a malformed file raises, naming the file and its first bad row."""
+    header; a malformed file raises, naming the file and its first bad row.
+
+    Line 1 must be the header ``sigma_x,sigma_h,rho``, which names the
+    column order; a byte order mark, spaces around a name and a CRLF line
+    end are allowed. Only that line is read to check it.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"draws file not found: {path}")
+    with open(path, "rb") as handle:
+        first = handle.readline()
+    try:
+        header = first.decode("utf-8").removeprefix("\ufeff").rstrip("\r\n")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: row 1: not UTF-8 text") from None
+    if [name.strip() for name in header.split(",")] != list(PARAMETERS):
+        raise ConfigError(f"{path}: malformed draws file: row 1: expected the header "
+                          f"{','.join(PARAMETERS)!r}, got {header!r}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # numpy skips empty and comment lines
         try:
@@ -525,7 +547,7 @@ def _estimate(cfg: ExperimentConfig, panel, out_dir, fx_name, window, seed_parts
     for family in cfg.families:
         try:
             if family == "mle":
-                est = mle_estimate(panel).theta_hat
+                est = mle_estimate(panel)
                 rows.extend((family, name, getattr(est, name)) + (None,) * 6
                             for name in PARAMETERS)
                 continue
@@ -601,7 +623,7 @@ def _quote_table(quotes, market):
     """
     table = []
     for quote in quotes:
-        quanto = construct_quanto(quote, market)
+        quanto_price = construct_quanto(quote, market)
         bucket = moneyness_bucket(quote.strike, quote.underlying_spot)
         try:
             vol_i = implied_vol(quote.market_price, quote.underlying_spot,
@@ -612,15 +634,15 @@ def _quote_table(quotes, market):
             bs_i = None
         table.append(PricingRow(
             quote.strike, quote.maturity_days, quote.underlying_spot, bucket,
-            quote.market_price, quanto.market_price,
-            bs_i_price=bs_i, rpe_bs_i=_rpe(bs_i, quanto.market_price),
+            quote.market_price, quanto_price,
+            bs_i_price=bs_i, rpe_bs_i=_rpe(bs_i, quanto_price),
         ))
     return table
 
 
 def _with_bs_h(table, market, panel):
     """``table`` with the historical-vol (BS-H) baseline of ``panel`` filled in."""
-    hist_vol = mle_estimate(panel).theta_hat.sigma_x
+    hist_vol = mle_estimate(panel).sigma_x
     rows = []
     for row in table:
         bs_h = _bs_baseline(market, row.spot, row.strike, hist_vol, row.maturity_days)

@@ -19,7 +19,6 @@ from .model import MarketConfig, PriceSeries, call_price_band
 
 __all__ = [
     "OptionQuote",
-    "QuantoQuote",
     "load_price_series",
     "load_option_chain",
     "align_series",
@@ -50,14 +49,6 @@ class OptionQuote:
             )
         if not (math.isfinite(self.underlying_spot) and self.underlying_spot > 0.0):
             raise ValueError(f"spot must be positive and finite, got {self.underlying_spot}")
-
-
-@dataclass(frozen=True)
-class QuantoQuote(OptionQuote):
-    """A call quote restated as a fixed-rate quanto: price discounted at the
-    domestic rate and scaled by the contractual exchange rate."""
-
-    h_fix: float = 1.0
 
 
 def read_text(path):
@@ -234,18 +225,14 @@ def filter_options(quotes, market: MarketConfig):
 
 
 def construct_quanto(call_quote: OptionQuote, market: MarketConfig):
-    """Synthetic fixed-rate quanto quote: QC = exp(-r_d * maturity) * h_fix * C,
-    with the contractual rate ``market.h_fix``."""
-    h_fix = market.h_fix
-    scaled = math.exp(-market.r_d * call_quote.maturity_days) * h_fix * call_quote.market_price
-    return QuantoQuote(
-        quote_date=call_quote.quote_date,
-        strike=call_quote.strike,
-        maturity_days=call_quote.maturity_days,
-        market_price=scaled,
-        underlying_spot=call_quote.underlying_spot,
-        h_fix=h_fix,
-    )
+    """Price of the synthetic fixed-rate quanto of a call quote:
+    QC = exp(-r_d * maturity) * h_fix * C, with the contractual rate
+    ``market.h_fix``. A product that overflows raises ValueError."""
+    price = (math.exp(-market.r_d * call_quote.maturity_days) * market.h_fix
+             * call_quote.market_price)
+    if not math.isfinite(price):
+        raise ValueError(f"market price must be non-negative and finite, got {price}")
+    return price
 
 
 def moneyness_bucket(strike, spot):

@@ -36,13 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Drift, ReturnPanel, Theta, ndtr
+from .model import ReturnPanel, Theta, ndtr
 
 __all__ = [
     "PosteriorKernel",
     "ProposalSpec",
     "Chain",
-    "MleEstimate",
     "NiwHyperparams",
     "PARAMETERS",
     "FAMILY_CODES",
@@ -450,10 +449,6 @@ class Chain:
     def acceptance_rate(self, name):
         return float(self.acceptance_counts[PARAMETERS.index(name)]) / len(self)
 
-    def draw(self, k) -> Theta:
-        sx, sh, r = self.draws[k]
-        return Theta(sx, sh, r)
-
 
 # ---------------------------------------------------------------------------
 # Metropolis-within-Gibbs sampler
@@ -694,18 +689,11 @@ def exact_posterior_draws(n_obs, sxx, shh, sxh, rng):
 # Baselines: MLE and conjugate Normal-Inverse-Wishart
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MleEstimate:
-    theta_hat: Theta
-    drift_hat: Drift
+def mle_estimate(panel: ReturnPanel) -> Theta:
+    """Closed-form maximum likelihood estimate of (sigma_x, sigma_h, rho).
 
-
-def mle_estimate(panel: ReturnPanel) -> MleEstimate:
-    """Closed-form maximum likelihood estimate of the return model.
-
-    sigma_hat^2 uses the 1/T divisor; the drift estimates undo the
-    -sigma^2/2 convexity shift of the return means. Perfectly correlated or
-    constant panels have no estimate in the open parameter space.
+    sigma_hat^2 uses the 1/T divisor. Perfectly correlated or constant
+    panels have no estimate in the open parameter space.
     """
     t = panel.n_obs
     if panel.sxx <= 0.0 or panel.shh <= 0.0:
@@ -718,12 +706,7 @@ def mle_estimate(panel: ReturnPanel) -> MleEstimate:
         raise ValueError(
             f"degenerate data: sample correlation {rho:.17g} lies outside the open support"
         )
-    theta = Theta(sigma_x, sigma_h, rho)
-    drift = Drift(
-        mu_x=panel.mean_x + 0.5 * sigma_x * sigma_x,
-        mu_h=panel.mean_h + 0.5 * sigma_h * sigma_h,
-    )
-    return MleEstimate(theta_hat=theta, drift_hat=drift)
+    return Theta(sigma_x, sigma_h, rho)
 
 
 def _default_niw_scale():
@@ -843,7 +826,7 @@ def default_proposals(code, panel, rho_step=0.1, tt_df=5.0, ig_shape=None,
     """
     if code not in FAMILY_CODES:
         raise ValueError(f"unknown family code {code!r}; expected one of {FAMILY_CODES}")
-    est = mle_estimate(panel).theta_hat
+    est = mle_estimate(panel)
     sqrt_t = math.sqrt(panel.n_obs)
     rho_spec = ProposalSpec(family="normal", loc=0.0, scale=rho_step)
     if ig_shape is None:

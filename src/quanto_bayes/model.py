@@ -7,8 +7,9 @@ Annualized rates are converted with ``MarketConfig.from_annual`` (divided by
 ``periods_per_year``); volatilities are estimated from the daily returns
 themselves, so none is converted.
 
-Log densities are the canonical numeric interface; plain densities underflow
-for sample sizes in the thousands.
+The one expression of the domestic risk-neutral return means, with the
+quanto drift adjustment, is :func:`risk_neutral_drifts`; the pricer
+simulates under it.
 """
 
 from __future__ import annotations
@@ -23,17 +24,12 @@ import numpy as np
 __all__ = [
     "PAYOFF_KINDS",
     "Theta",
-    "Drift",
     "MarketConfig",
     "SpotState",
     "PriceSeries",
     "ReturnPanel",
     "log_returns",
-    "physical_logpdf",
-    "risk_neutral_logpdf",
     "risk_neutral_drifts",
-    "log_likelihood",
-    "simulate_return_pair",
     "payoff",
     "call_price_band",
     "ndtr",
@@ -41,7 +37,6 @@ __all__ = [
 
 PAYOFF_KINDS = ("F1", "F2", "F3", "F4")
 
-_LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -80,18 +75,6 @@ class Theta:
 
     def as_tuple(self):
         return (self.sigma_x, self.sigma_h, self.rho)
-
-
-@dataclass(frozen=True)
-class Drift:
-    """Physical-measure drifts (per trading day) of asset and exchange rate."""
-
-    mu_x: float
-    mu_h: float
-
-    def __post_init__(self):
-        _require_finite("mu_x", self.mu_x)
-        _require_finite("mu_h", self.mu_h)
 
 
 @dataclass(frozen=True)
@@ -287,71 +270,17 @@ class ReturnPanel:
         return f"ReturnPanel(T={self.n_obs})"
 
 
-def _bivariate_normal_logpdf(x, h, mean_x, mean_h, theta: Theta):
-    one_minus = 1.0 - theta.rho * theta.rho
-    zx = (np.asarray(x, dtype=float) - mean_x) / theta.sigma_x
-    zh = (np.asarray(h, dtype=float) - mean_h) / theta.sigma_h
-    quad = (zx * zx - 2.0 * theta.rho * zx * zh + zh * zh) / (2.0 * one_minus)
-    out = (
-        -_LOG_2PI
-        - math.log(theta.sigma_x)
-        - math.log(theta.sigma_h)
-        - 0.5 * math.log(one_minus)
-        - quad
-    )
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
-def physical_logpdf(x_t, h_t, drift: Drift, theta: Theta):
-    """Log joint density of one return pair under the physical measure.
-
-    The pair (x_t, h_t) is bivariate normal with means
-    ``mu_i - sigma_i**2 / 2`` and correlation ``rho``. Accepts scalars or
-    equally-shaped arrays.
-    """
-    mean_x = drift.mu_x - 0.5 * theta.sigma_x ** 2
-    mean_h = drift.mu_h - 0.5 * theta.sigma_h ** 2
-    return _bivariate_normal_logpdf(x_t, h_t, mean_x, mean_h, theta)
-
-
-def risk_neutral_drifts(market: MarketConfig, theta: Theta):
+def risk_neutral_drifts(market: MarketConfig, sigma_x, sigma_h, rho):
     """Per-period return means under the domestic risk-neutral measure.
 
     The asset return mean carries the quanto adjustment -rho*sigma_x*sigma_h
     on top of the foreign rate; the exchange-rate return mean is the rate
-    differential. Both include the usual -sigma**2/2 convexity term.
+    differential. Both include the usual -sigma**2/2 convexity term. The
+    parameters may be floats or equally-shaped arrays, one entry per path.
     """
-    mean_x = market.r_f - theta.rho * theta.sigma_x * theta.sigma_h - 0.5 * theta.sigma_x ** 2
-    mean_h = market.r_d - market.r_f - 0.5 * theta.sigma_h ** 2
+    mean_x = market.r_f - rho * sigma_x * sigma_h - 0.5 * sigma_x * sigma_x
+    mean_h = market.r_d - market.r_f - 0.5 * sigma_h * sigma_h
     return mean_x, mean_h
-
-
-def risk_neutral_logpdf(x_t, h_t, market: MarketConfig, theta: Theta):
-    """Log joint density of one return pair under the domestic risk-neutral measure."""
-    mean_x, mean_h = risk_neutral_drifts(market, theta)
-    return _bivariate_normal_logpdf(x_t, h_t, mean_x, mean_h, theta)
-
-
-def log_likelihood(panel: ReturnPanel, drift: Drift, theta: Theta):
-    """Physical-measure log likelihood of a full return panel."""
-    return float(np.sum(physical_logpdf(panel.x, panel.h, drift, theta)))
-
-
-def simulate_return_pair(theta: Theta, market: MarketConfig, rng):
-    """One (x, h) return draw under the domestic risk-neutral measure.
-
-    Two independent standard normals are consumed from ``rng``; the
-    exchange-rate shock is rho*z1 + sqrt(1-rho**2)*z2, mirroring the
-    decomposition of the correlated Brownian drivers.
-    """
-    mean_x, mean_h = risk_neutral_drifts(market, theta)
-    z1 = rng.standard_normal()
-    z2 = rng.standard_normal()
-    x = mean_x + theta.sigma_x * z1
-    h = mean_h + theta.sigma_h * (theta.rho * z1 + math.sqrt(1.0 - theta.rho ** 2) * z2)
-    return x, h
 
 
 def payoff(kind, x_terminal, h_terminal, strike, market: MarketConfig):

@@ -37,7 +37,7 @@ import numpy as np
 from .diagnostics import hpdi
 from .inference import Chain, exact_posterior_draws
 from .model import (PAYOFF_KINDS, MarketConfig, ReturnPanel, SpotState, call_price_band,
-                    ndtr, payoff)
+                    ndtr, payoff, risk_neutral_drifts)
 
 __all__ = [
     "PricingRequest",
@@ -205,17 +205,15 @@ def predictive_batch(requests, chain: Chain,
 
 def _terminal_growth(thetas, horizons, first, both_legs):
     """{s: (X_s/x0, H_s/h0 or None)} from one exact terminal draw per path."""
-    market = first.market
     sx = thetas[:, 0]
     sh = thetas[:, 1]
     rho = thetas[:, 2]
+    drift_x, drift_h = risk_neutral_drifts(first.market, sx, sh, rho)
     rng = np.random.default_rng(first.seed)
     z1 = rng.standard_normal(first.n_paths)
-    drift_x = market.r_f - rho * sx * sh - 0.5 * sx * sx
     if both_legs:
         z2 = rng.standard_normal(first.n_paths)
         shock = rho * z1 + np.sqrt(1.0 - rho * rho) * z2
-        drift_h = market.r_d - market.r_f - 0.5 * sh * sh
     growth = {}
     for s in horizons:
         root_s = math.sqrt(s)
@@ -248,8 +246,7 @@ def _sequential_growth(thetas, horizons, first, settings: SequentialSettings):
     rng = np.random.default_rng(first.seed)
     for j in range(1, s_max + 1):
         if (j - 1) % settings.refresh_interval == 0:  # day 1, or the day after a refresh
-            drift_x = market.r_f - rho * sx * sh - 0.5 * sx * sx
-            drift_h = market.r_d - market.r_f - 0.5 * sh * sh
+            drift_x, drift_h = risk_neutral_drifts(market, sx, sh, rho)
             root = np.sqrt(1.0 - rho * rho)
         z1 = rng.standard_normal(n)
         z2 = rng.standard_normal(n)

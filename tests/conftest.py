@@ -6,21 +6,23 @@ import numpy as np
 import pytest
 
 from quanto_bayes.data_io import align_series, load_price_series
-from quanto_bayes.model import Drift, ReturnPanel, Theta, log_returns
+from quanto_bayes.model import ReturnPanel, Theta, log_returns
 from quanto_bayes.pricing import predictive_batch
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 TRUTH = Theta(sigma_x=0.006, sigma_h=0.004, rho=-0.03)
-DRIFT = Drift(mu_x=0.0003, mu_h=0.0001)
+DRIFT = (0.0003, 0.0001)  # physical drifts (mu_x, mu_h) per trading day
 
 
 def synth_returns(theta, drift, n, rng):
-    """Correlated bivariate normal return pairs from the model's own mixing."""
+    """Correlated bivariate normal return pairs from the model's own mixing,
+    under the physical drifts ``drift = (mu_x, mu_h)``."""
+    mu_x, mu_h = drift
     z1 = rng.standard_normal(n)
     z2 = rng.standard_normal(n)
-    x = (drift.mu_x - 0.5 * theta.sigma_x ** 2) + theta.sigma_x * z1
-    h = (drift.mu_h - 0.5 * theta.sigma_h ** 2) + theta.sigma_h * (
+    x = (mu_x - 0.5 * theta.sigma_x ** 2) + theta.sigma_x * z1
+    h = (mu_h - 0.5 * theta.sigma_h ** 2) + theta.sigma_h * (
         theta.rho * z1 + math.sqrt(1.0 - theta.rho ** 2) * z2
     )
     return x, h

@@ -110,7 +110,7 @@ def test_criterion_04_posterior_recovery():
         for rep in range(n_reps):
             panel = synth_panel(2000, seed=rep)
             chain = mwg_sample(panel, default_proposals(code, panel), 50_000, 10_000,
-                               init=mle_estimate(panel).theta_hat, seed=100 + rep)
+                               init=mle_estimate(panel), seed=100 + rep)
             seg = chain.post_burn_in()
             z = np.abs((seg.mean(axis=0) - np.array(TRUTH.as_tuple()))
                        / seg.std(axis=0, ddof=1))

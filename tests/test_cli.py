@@ -150,7 +150,7 @@ def _fixture_tnn_draws(rng):
 
     panel = fixture_panel(140)
     chain = mwg_sample(panel, default_proposals("tnn", panel), 3000, 500,
-                       init=mle_estimate(panel).theta_hat, seed=140)
+                       init=mle_estimate(panel), seed=140)
     return chain.draws, chain.burn_in
 
 
@@ -260,7 +260,7 @@ def test_draws_text_formats_fixture_chains_in_bulk():
 
     panel = fixture_panel(140)
     tnn = mwg_sample(panel, default_proposals("tnn", panel), 3000, 500,
-                     init=mle_estimate(panel).theta_hat, seed=140)
+                     init=mle_estimate(panel), seed=140)
     mnc = conjugate_sample(panel, NiwHyperparams(), 3000, 500, seed=140)
     assert _draws_text(tnn.post_burn_in())[1] == 0
     magnitudes = np.abs(mnc.post_burn_in())
@@ -321,7 +321,7 @@ def test_cmd_price_outputs(tmp_path):
     asset, fx = align_series(load_price_series(cfg.asset_series),
                              load_price_series(cfg.fx_series[0]))
     panel = ReturnPanel(log_returns(asset), log_returns(fx)).tail(cfg.windows[0])
-    hist_vol = mle_estimate(panel).theta_hat.sigma_x
+    hist_vol = mle_estimate(panel).sigma_x
 
     for r in rows:
         assert r["bucket"] in ("ITM", "ATM", "OTM")
@@ -741,6 +741,61 @@ def test_main_draws_file_without_draws_exits_one(tmp_path, capsys, command):
     capsys.readouterr()
     assert main([command, "--config", cfg_path, "--draws", draws]) == 1
     assert capsys.readouterr().err == f"error: {draws}: draws file has no draws\n"
+
+
+@pytest.mark.parametrize("command", ["price", "diagnose"])
+@pytest.mark.parametrize("header", ["sigma_h,sigma_x,rho", None], ids=["swapped", "missing"])
+def test_main_draws_file_without_its_header_exits_one(tmp_path, capsys, command, header):
+    # a swapped header would put sigma_h's draws under sigma_x, and without
+    # a header the first draw would be taken for one
+    cfg_path = make_workspace(tmp_path)
+    rows = ["0.004,0.006,0.1"] + ["0.0041,0.0061,0.1"] * 11
+    lines = rows if header is None else [header, *rows]
+    draws = os.path.join(str(tmp_path), "draws.csv")
+    with open(draws, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, "--draws", draws]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {draws}: malformed draws file: row 1: expected the header "
+        f"'sigma_x,sigma_h,rho', got {lines[0]!r}\n")
+
+
+def test_load_draws_header_allows_a_bom_spaces_and_crlf(tmp_path):
+    from quanto_bayes.cli import _load_draws
+
+    path = tmp_path / "draws.csv"
+    body = "0.006,0.004,0.1\n0.0061,0.0041,-0.2\n"
+    path.write_text("sigma_x,sigma_h,rho\n" + body, encoding="utf-8")
+    plain = _load_draws(str(path)).draws
+    for header in ("\ufeffsigma_x,sigma_h,rho\n", " sigma_x , sigma_h,rho \r\n"):
+        path.write_text(header + body, encoding="utf-8", newline="")
+        assert np.array_equal(_load_draws(str(path)).draws, plain), header
+    path.write_bytes(b"sigma_x,sigma_h,\xffrho\n" + body.encode())
+    with pytest.raises(ConfigError, match=r"draws.csv: row 1: not UTF-8 text$"):
+        _load_draws(str(path))
+
+
+@pytest.mark.parametrize("fx_series", ["a/eur.csv, b/eur.csv", "fx.csv, a/fx.csv"])
+def test_fx_series_sharing_a_file_stem_exit_one(tmp_path, capsys, fx_series):
+    # the stem names an fx series' cells and its rows, so the second series
+    # would overwrite the first
+    cfg_path = make_workspace(tmp_path, fx_series=fx_series, families="mle")
+    paths = [os.path.join(str(tmp_path), p.strip()) for p in fx_series.split(",")]
+    for path in paths:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(os.path.join(str(tmp_path), "fx.csv"), "rb") as src:
+            data = src.read()
+        with open(path, "wb") as dst:
+            dst.write(data)
+    stem = os.path.splitext(os.path.basename(paths[0]))[0]
+    for command in ("experiment", "estimate"):
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path]) == 1, command
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: fx_series entries {paths[0]} and {paths[1]} share the "
+            f"file stem {stem!r}, which names their outputs\n"), command
+    assert not os.path.exists(os.path.join(str(tmp_path), "out", "cells"))
 
 
 @pytest.mark.parametrize("command", ["price", "experiment"])

@@ -8,7 +8,6 @@ import pytest
 
 from quanto_bayes.data_io import (
     OptionQuote,
-    QuantoQuote,
     align_series,
     construct_quanto,
     filter_options,
@@ -235,16 +234,12 @@ def test_filter_subset_and_idempotent():
 def test_construct_quanto_identity_at_zero_rate():
     market = MarketConfig(r_d=0.0, r_f=0.0001, h_fix=1.0)
     quote = _quote(2655.0, 51, 105.85)
-    quanto = construct_quanto(quote, market)
-    assert isinstance(quanto, QuantoQuote)
-    assert quanto.market_price == quote.market_price
-    assert quanto.strike == quote.strike
+    assert construct_quanto(quote, market) == quote.market_price
 
 
 def test_construct_quanto_discounts_and_scales():
     quote = _quote(2655.0, 51, 105.85)
-    quanto = construct_quanto(quote, MARKET)
-    assert quanto.market_price == pytest.approx(
+    assert construct_quanto(quote, MARKET) == pytest.approx(
         math.exp(-51 * MARKET.r_d) * 105.85, rel=1e-14
     )
 
@@ -253,10 +248,16 @@ def test_construct_quanto_multiplicative_in_h_fix():
     quote = _quote(2655.0, 51, 105.85)
     single = construct_quanto(quote, MARKET)
     double = construct_quanto(quote, replace(MARKET, h_fix=2.0))
-    assert double.market_price == 2.0 * single.market_price
-    assert double.h_fix == 2.0
+    assert double == 2.0 * single
     scaled = construct_quanto(quote, replace(MARKET, h_fix=1.5))
-    assert scaled.market_price == pytest.approx(1.5 * single.market_price, rel=1e-15)
+    assert scaled == pytest.approx(1.5 * single, rel=1e-15)
+
+
+def test_construct_quanto_overflow_raises():
+    quote = _quote(2655.0, 51, 105.85)
+    with pytest.raises(ValueError,
+                       match="^market price must be non-negative and finite, got inf$"):
+        construct_quanto(quote, replace(MARKET, h_fix=1e307))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from quanto_bayes.inference import (
     niw_posterior,
     proposal_logpdf,
 )
-from quanto_bayes.model import Drift, ReturnPanel, Theta, log_likelihood
+from quanto_bayes.model import ReturnPanel, Theta
 
 from conftest import TRUTH, fixture_panel, synth_panel
 
@@ -310,7 +310,7 @@ def test_mwg_runs_with_a_truncated_normal_far_below_zero(panel_small):
     far = ProposalSpec(family="truncated_normal", loc=-1.0, scale=0.02)
     assert math.isfinite(proposal_logpdf(far, 0.0004))
     specs = (far,) + default_proposals("tnn", panel_small)[1:]
-    init = mle_estimate(panel_small).theta_hat
+    init = mle_estimate(panel_small)
     chain = mwg_sample(panel_small, specs, 400, 100, init=init, seed=12)
     assert np.all(np.isfinite(chain.draws))
     assert np.all(chain.draws[:, :2] > 0.0) and np.all(np.abs(chain.draws[:, 2]) < 1.0)
@@ -578,7 +578,7 @@ _EQUIVALENCE_PANELS = {
 def test_mwg_matches_reference_sampler_bitwise(panel_name, code):
     panel = _EQUIVALENCE_PANELS[panel_name]()
     specs = default_proposals(code, panel)
-    init = mle_estimate(panel).theta_hat
+    init = mle_estimate(panel)
     for seed in (11, 12, 13):
         _assert_same_chain(mwg_sample(panel, specs, 2000, 400, init=init, seed=seed),
                            _reference_mwg_sample(panel, specs, 2000, 400, init=init,
@@ -613,7 +613,7 @@ def test_mwg_rejects_volatility_candidates_whose_inverse_square_overflows(
 
     _patch_streams(monkeypatch, edit)
     specs = default_proposals(code, panel_small)
-    init = mle_estimate(panel_small).theta_hat
+    init = mle_estimate(panel_small)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         chain = mwg_sample(panel_small, specs, 1500, 300, init=init, seed=21)
@@ -636,7 +636,7 @@ def test_mwg_rejects_rho_steps_that_leave_the_open_interval(panel_small, monkeyp
 
     _patch_streams(monkeypatch, edit)
     specs = default_proposals("tnn", panel_small)
-    est = mle_estimate(panel_small).theta_hat
+    est = mle_estimate(panel_small)
     init = Theta(est.sigma_x, est.sigma_h, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -650,7 +650,7 @@ def test_mwg_rejects_rho_steps_that_leave_the_open_interval(panel_small, monkeyp
 
 def test_mwg_rejects_unsupported_proposal_families(panel_small):
     independence, _, random_walk = default_proposals("tnn", panel_small)
-    init = mle_estimate(panel_small).theta_hat
+    init = mle_estimate(panel_small)
     for name, specs in (("sigma_x", (random_walk, independence, random_walk)),
                         ("sigma_h", (independence, random_walk, random_walk)),
                         ("rho", (independence, independence, independence))):
@@ -660,7 +660,7 @@ def test_mwg_rejects_unsupported_proposal_families(panel_small):
 
 def test_mwg_reproducible_bit_for_bit(panel_small):
     specs = default_proposals("tnn", panel_small)
-    init = mle_estimate(panel_small).theta_hat
+    init = mle_estimate(panel_small)
     a = mwg_sample(panel_small, specs, 3000, 500, init=init, seed=77)
     b = mwg_sample(panel_small, specs, 3000, 500, init=init, seed=77)
     assert np.array_equal(a.draws, b.draws)
@@ -687,7 +687,7 @@ _PINNED_CHAINS = {
 @pytest.mark.parametrize("code", sorted(_PINNED_CHAINS))
 def test_mwg_pinned_draws(panel_small, code):
     chain = mwg_sample(panel_small, default_proposals(code, panel_small), 2000, 500,
-                       init=mle_estimate(panel_small).theta_hat, seed=77)
+                       init=mle_estimate(panel_small), seed=77)
     digest, counts = _PINNED_CHAINS[code]
     assert hashlib.sha256(chain.draws.tobytes()).hexdigest() == digest
     assert chain.acceptance_counts.tolist() == counts
@@ -696,7 +696,7 @@ def test_mwg_pinned_draws(panel_small, code):
 def test_mwg_draws_stay_in_support(panel_small):
     for code in ("ttn", "tnn", "ign"):
         chain = mwg_sample(panel_small, default_proposals(code, panel_small),
-                           4000, 1000, init=mle_estimate(panel_small).theta_hat,
+                           4000, 1000, init=mle_estimate(panel_small),
                            seed=5)
         draws = chain.post_burn_in()
         assert np.all(draws[:, 0] > 0)
@@ -714,7 +714,7 @@ def test_mwg_zero_acceptance_warning(panel_small):
         ProposalSpec(family="truncated_normal", loc=50.0, scale=1e-6),
         ProposalSpec(family="normal", scale=1e-12),
     )
-    init = mle_estimate(panel_small).theta_hat
+    init = mle_estimate(panel_small)
     chain = mwg_sample(panel_small, specs, 500, 100, init=init, seed=3)
     assert any("sigma_x" in w for w in chain.warnings)
     # rho's tiny random walk still accepts, so it raises no warning
@@ -725,7 +725,7 @@ def test_mwg_recovers_synthetic_truth():
     panel = synth_panel(2000, seed=31)
     for code in ("ttn", "tnn", "ign"):
         chain = mwg_sample(panel, default_proposals(code, panel), 20_000, 4_000,
-                           init=mle_estimate(panel).theta_hat, seed=32)
+                           init=mle_estimate(panel), seed=32)
         seg = chain.post_burn_in()
         for col, true_value in enumerate(TRUTH.as_tuple()):
             mean = seg[:, col].mean()
@@ -763,7 +763,7 @@ def _posterior_quadrature(name):
     make_panel, (rho_lo, rho_hi) = _QUADRATURE_PANELS[name]
     panel = make_panel()
     kern = PosteriorKernel(panel)
-    est = mle_estimate(panel).theta_hat
+    est = mle_estimate(panel)
 
     gx = np.linspace(0.5 * est.sigma_x, 2.2 * est.sigma_x, 72)
     gh = np.linspace(0.5 * est.sigma_h, 2.2 * est.sigma_h, 72)
@@ -802,7 +802,7 @@ def test_mwg_marginals_match_posterior_quadrature(sampler, panel_name):
     panel, moments = _posterior_quadrature(panel_name)
     if sampler == "mwg":
         chain = mwg_sample(panel, default_proposals("ttn", panel), 40_000, 5_000,
-                           init=mle_estimate(panel).theta_hat, seed=91)
+                           init=mle_estimate(panel), seed=91)
         draws = chain.post_burn_in()
         nse = [_spectral_nse(column) for column in draws.T]
     else:
@@ -839,7 +839,7 @@ def test_exact_posterior_draws_broadcast_reproduce_and_validate(panel_small):
 
 def test_mwg_validation_errors(panel_small):
     specs = default_proposals("tnn", panel_small)
-    init = mle_estimate(panel_small).theta_hat
+    init = mle_estimate(panel_small)
     with pytest.raises(ValueError):
         mwg_sample(panel_small, specs, 100, 100, init=init, seed=0)
     with pytest.raises(ValueError):
@@ -884,18 +884,15 @@ def test_mle_closed_form_matches_formulas():
     panel = synth_panel(300, seed=41)
     est = mle_estimate(panel)
     t = panel.n_obs
-    assert est.theta_hat.sigma_x == pytest.approx(math.sqrt(panel.sxx / t), rel=1e-14)
-    assert est.theta_hat.sigma_h == pytest.approx(math.sqrt(panel.shh / t), rel=1e-14)
+    assert est.sigma_x == pytest.approx(math.sqrt(panel.sxx / t), rel=1e-14)
+    assert est.sigma_h == pytest.approx(math.sqrt(panel.shh / t), rel=1e-14)
     expected_rho = float(np.corrcoef(panel.x, panel.h)[0, 1]) * t / t
-    assert est.theta_hat.rho == pytest.approx(expected_rho, rel=1e-10)
-    assert est.drift_hat.mu_x == pytest.approx(
-        panel.mean_x + est.theta_hat.sigma_x ** 2 / 2, rel=1e-14
-    )
+    assert est.rho == pytest.approx(expected_rho, rel=1e-10)
 
 
 def test_mle_consistency_large_sample():
     panel = synth_panel(100_000, seed=43)
-    est = mle_estimate(panel).theta_hat
+    est = mle_estimate(panel)
     t = panel.n_obs
     assert abs(est.sigma_x - TRUTH.sigma_x) < 4 * TRUTH.sigma_x / math.sqrt(2 * t)
     assert abs(est.sigma_h - TRUTH.sigma_h) < 4 * TRUTH.sigma_h / math.sqrt(2 * t)
@@ -905,17 +902,24 @@ def test_mle_consistency_large_sample():
 def test_mle_is_stationary_point_of_log_likelihood():
     # volatility scale chosen so the eps^2 truncation error of the central
     # difference (~ T / sigma^3 * eps^2) stays far below the 1e-5 gate
-    panel = synth_panel(5000, seed=47, theta=Theta(0.02, 0.015, 0.2),
-                        drift=Drift(0.0005, 0.0002))
-    est = mle_estimate(panel)
-    theta0 = est.theta_hat
-    drift0 = est.drift_hat
+    panel = synth_panel(5000, seed=47, theta=Theta(0.02, 0.015, 0.2), drift=(0.0005, 0.0002))
+    theta0 = mle_estimate(panel)
+    # the drift MLE undoes the -sigma^2/2 convexity shift of the return means
+    mu_x0 = panel.mean_x + 0.5 * theta0.sigma_x * theta0.sigma_x
+    mu_h0 = panel.mean_h + 0.5 * theta0.sigma_h * theta0.sigma_h
     eps = 1e-6
 
     def loglik(mu_x, mu_h, sx, sh, r):
-        return log_likelihood(panel, Drift(mu_x, mu_h), Theta(sx, sh, r))
+        """Physical-measure log likelihood: each return pair is bivariate
+        normal with means mu - sigma^2/2 and correlation r."""
+        one_minus = 1.0 - r * r
+        zx = (panel.x - (mu_x - 0.5 * sx ** 2)) / sx
+        zh = (panel.h - (mu_h - 0.5 * sh ** 2)) / sh
+        quad = (zx * zx - 2.0 * r * zx * zh + zh * zh) / (2.0 * one_minus)
+        return float(np.sum(-math.log(2.0 * math.pi) - math.log(sx) - math.log(sh)
+                            - 0.5 * math.log(one_minus) - quad))
 
-    point = (drift0.mu_x, drift0.mu_h, theta0.sigma_x, theta0.sigma_h, theta0.rho)
+    point = (mu_x0, mu_h0, theta0.sigma_x, theta0.sigma_h, theta0.rho)
     grad = []
     for i in range(5):
         hi = list(point)
@@ -997,7 +1001,7 @@ def test_conjugate_reproducible(panel_small):
 # ---------------------------------------------------------------------------
 
 def test_default_proposal_families(panel_small):
-    est = mle_estimate(panel_small).theta_hat
+    est = mle_estimate(panel_small)
     ttn = default_proposals("ttn", panel_small)
     assert ttn[0].family == "truncated_t" and ttn[1].family == "truncated_t"
     assert ttn[2].family == "normal" and ttn[2].scale == 0.1

@@ -6,22 +6,17 @@ import numpy as np
 import pytest
 
 from quanto_bayes.model import (
-    Drift,
     MarketConfig,
     PriceSeries,
     ReturnPanel,
     SpotState,
     Theta,
-    log_likelihood,
     log_returns,
     payoff,
-    physical_logpdf,
     risk_neutral_drifts,
-    risk_neutral_logpdf,
-    simulate_return_pair,
 )
 
-from conftest import DRIFT, TRUTH, synth_panel
+from conftest import synth_panel
 
 MARKET = MarketConfig.from_annual(0.015, 0.025, h_fix=1.0, periods_per_year=252)
 
@@ -166,114 +161,30 @@ def test_log_returns_against_extended_precision_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Densities
+# Risk-neutral drifts
 # ---------------------------------------------------------------------------
 
-def _univariate_normal_logpdf(v, mean, sd):
-    return -0.5 * math.log(2.0 * math.pi) - math.log(sd) - (v - mean) ** 2 / (2.0 * sd * sd)
-
-
-def test_physical_logpdf_factorizes_at_zero_correlation():
-    theta = Theta(0.006, 0.004, 1e-300)  # effectively zero
-    drift = Drift(0.0003, 0.0001)
-    lx = _univariate_normal_logpdf(0.002, drift.mu_x - theta.sigma_x ** 2 / 2, theta.sigma_x)
-    lh = _univariate_normal_logpdf(-0.001, drift.mu_h - theta.sigma_h ** 2 / 2, theta.sigma_h)
-    got = physical_logpdf(0.002, -0.001, drift, theta)
-    assert got == pytest.approx(lx + lh, rel=1e-12)
-
-
-def test_physical_logpdf_symmetric_under_swap():
-    theta = Theta(0.006, 0.004, -0.3)
-    swapped = Theta(0.004, 0.006, -0.3)
-    drift = Drift(0.0003, 0.0001)
-    drift_swapped = Drift(0.0001, 0.0003)
-    a = physical_logpdf(0.002, -0.001, drift, theta)
-    b = physical_logpdf(-0.001, 0.002, drift_swapped, swapped)
-    assert a == pytest.approx(b, rel=1e-14)
-
-
-@pytest.mark.parametrize("rho", [-0.6, 0.0, 0.45])
-def test_physical_logpdf_integrates_to_one(rho):
-    theta = Theta(0.006, 0.004, rho if rho != 0.0 else 1e-12)
-    drift = Drift(0.0003, 0.0001)
-    mx = drift.mu_x - theta.sigma_x ** 2 / 2
-    mh = drift.mu_h - theta.sigma_h ** 2 / 2
-    gx = np.linspace(mx - 8 * theta.sigma_x, mx + 8 * theta.sigma_x, 501)
-    gh = np.linspace(mh - 8 * theta.sigma_h, mh + 8 * theta.sigma_h, 501)
-    X, H = np.meshgrid(gx, gh, indexing="ij")
-    pdf = np.exp(physical_logpdf(X, H, drift, theta))
-    integral = np.trapezoid(np.trapezoid(pdf, gh, axis=1), gx)
-    assert integral == pytest.approx(1.0, abs=1e-6)
-
-
-def test_risk_neutral_logpdf_integrates_to_one():
-    theta = Theta(0.0055, 0.0041, -0.25)
-    mx, mh = risk_neutral_drifts(MARKET, theta)
-    gx = np.linspace(mx - 8 * theta.sigma_x, mx + 8 * theta.sigma_x, 501)
-    gh = np.linspace(mh - 8 * theta.sigma_h, mh + 8 * theta.sigma_h, 501)
-    X, H = np.meshgrid(gx, gh, indexing="ij")
-    pdf = np.exp(risk_neutral_logpdf(X, H, MARKET, theta))
-    integral = np.trapezoid(np.trapezoid(pdf, gh, axis=1), gx)
-    assert integral == pytest.approx(1.0, abs=1e-6)
-
-
 def test_risk_neutral_equals_physical_with_substituted_drifts():
-    theta = Theta(0.006, 0.004, -0.3)
-    drift = Drift(
-        mu_x=MARKET.r_f - theta.rho * theta.sigma_x * theta.sigma_h,
-        mu_h=MARKET.r_d - MARKET.r_f,
-    )
-    for xv, hv in [(0.001, -0.002), (0.0, 0.0), (-0.01, 0.004)]:
-        assert risk_neutral_logpdf(xv, hv, MARKET, theta) == pytest.approx(
-            physical_logpdf(xv, hv, drift, theta), rel=1e-14
-        )
-
-
-def test_risk_neutral_zero_rho_zero_rates_reduces_to_independent_normals():
-    theta = Theta(0.006, 0.004, 1e-300)
-    market = MarketConfig(r_d=0.0, r_f=0.0)
-    lx = _univariate_normal_logpdf(0.003, -theta.sigma_x ** 2 / 2, theta.sigma_x)
-    lh = _univariate_normal_logpdf(0.001, -theta.sigma_h ** 2 / 2, theta.sigma_h)
-    assert risk_neutral_logpdf(0.003, 0.001, market, theta) == pytest.approx(lx + lh, rel=1e-12)
-
-
-def test_physical_logpdf_maximized_at_conditional_mean():
-    # over x at fixed h, the peak sits at the x|h normal's mean
-    theta = Theta(0.006, 0.004, -0.35)
-    drift = Drift(0.0003, 0.0001)
-    h_fixed = 0.002
-    mean_x = drift.mu_x - theta.sigma_x ** 2 / 2
-    mean_h = drift.mu_h - theta.sigma_h ** 2 / 2
-    cond_mean = mean_x + theta.rho * theta.sigma_x / theta.sigma_h * (h_fixed - mean_h)
-    eps = 1e-6
-    grad = (
-        physical_logpdf(cond_mean + eps, h_fixed, drift, theta)
-        - physical_logpdf(cond_mean - eps, h_fixed, drift, theta)
-    ) / (2 * eps)
-    assert abs(grad) < 1e-6
-
-
-def test_log_likelihood_sums_pointwise_logpdf():
-    panel = synth_panel(50, seed=17)
-    total = sum(
-        physical_logpdf(xv, hv, DRIFT, TRUTH) for xv, hv in zip(panel.x, panel.h)
-    )
-    assert log_likelihood(panel, DRIFT, TRUTH) == pytest.approx(total, rel=1e-12)
+    # physical return means are mu - sigma^2/2; the risk-neutral ones take
+    # mu_x = r_f - rho*sigma_x*sigma_h (the quanto adjustment) and
+    # mu_h = r_d - r_f
+    sx = np.array([0.006, 0.011, 0.004])
+    sh = np.array([0.004, 0.007, 0.009])
+    rho = np.array([-0.3, 0.0, 0.85])
+    mean_x, mean_h = risk_neutral_drifts(MARKET, sx, sh, rho)
+    mu_x = MARKET.r_f - rho * sx * sh
+    mu_h = MARKET.r_d - MARKET.r_f
+    np.testing.assert_allclose(mean_x, mu_x - sx ** 2 / 2, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(mean_h, mu_h - sh ** 2 / 2, rtol=1e-13, atol=0.0)
+    # floats give the array's entries bit for bit
+    for i in range(sx.size):
+        assert risk_neutral_drifts(MARKET, float(sx[i]), float(sh[i]), float(rho[i])) == (
+            mean_x[i], mean_h[i])
 
 
 # ---------------------------------------------------------------------------
 # Simulation
 # ---------------------------------------------------------------------------
-
-def test_simulate_return_pair_degenerate_vol_collapses_to_means():
-    theta = Theta(1e-12, 1e-12, 0.5)
-    mx, mh = risk_neutral_drifts(MARKET, theta)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        x, h = simulate_return_pair(theta, MARKET, rng)
-        assert abs(x - mx) < 1e-9
-        assert abs(h - mh) < 1e-9
-
 
 def test_simulate_return_pair_sample_correlation():
     theta = Theta(0.006, 0.004, 0.5)
@@ -281,25 +192,11 @@ def test_simulate_return_pair_sample_correlation():
     n = 1_000_000
     z1 = rng.standard_normal(n)
     z2 = rng.standard_normal(n)
-    # same mixing as simulate_return_pair, vectorized for speed
+    # the pricer's mixing of two independent normals
     x = theta.sigma_x * z1
     h = theta.sigma_h * (theta.rho * z1 + math.sqrt(1 - theta.rho ** 2) * z2)
     got = np.corrcoef(x, h)[0, 1]
     assert got == pytest.approx(0.5, abs=0.01)
-
-
-def test_simulate_return_pair_mixes_two_independent_normals():
-    theta = Theta(0.006, 0.004, 0.5)
-    rng = np.random.default_rng(9)
-    z1 = rng.standard_normal()
-    z2 = rng.standard_normal()
-    mx, mh = risk_neutral_drifts(MARKET, theta)
-    x, h = simulate_return_pair(theta, MARKET, np.random.default_rng(9))
-    assert x == pytest.approx(mx + theta.sigma_x * z1, rel=1e-15)
-    assert h == pytest.approx(
-        mh + theta.sigma_h * (theta.rho * z1 + math.sqrt(1 - theta.rho ** 2) * z2),
-        rel=1e-15,
-    )
 
 
 def test_simulate_return_pair_mean_matches_quanto_drift():
@@ -310,26 +207,10 @@ def test_simulate_return_pair_mean_matches_quanto_drift():
     market = MarketConfig(r_d=0.0001, r_f=0.0002)
     rng = np.random.default_rng(777)
     n = 1_000_000
-    mx, mh = risk_neutral_drifts(market, theta)
+    mx, mh = risk_neutral_drifts(market, *theta.as_tuple())
     assert mx == pytest.approx(0.000172, abs=1e-18)
     draws = mx + sigma_x * rng.standard_normal(n)
     assert draws.mean() == pytest.approx(0.000172, abs=3 * 0.006 / 1000)
-
-
-def test_simulate_return_pair_moments_direct_op():
-    # exercise the scalar op itself; the large-n law-of-large-numbers checks
-    # run on the identical vectorized mixing for speed
-    theta = Theta(0.006, 0.004, -0.3)
-    rng = np.random.default_rng(31415)
-    n = 200_000
-    draws = np.array([simulate_return_pair(theta, MARKET, rng) for _ in range(n)])
-    mx, mh = risk_neutral_drifts(MARKET, theta)
-    assert draws[:, 0].mean() == pytest.approx(mx, abs=4 * theta.sigma_x / math.sqrt(n))
-    assert draws[:, 1].mean() == pytest.approx(mh, abs=4 * theta.sigma_h / math.sqrt(n))
-    assert draws[:, 0].std() == pytest.approx(theta.sigma_x, rel=4 / math.sqrt(2 * n))
-    assert draws[:, 1].std() == pytest.approx(theta.sigma_h, rel=4 / math.sqrt(2 * n))
-    corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
-    assert corr == pytest.approx(theta.rho, abs=4 * (1 - theta.rho ** 2) / math.sqrt(n))
 
 
 def test_simulate_moments_match_analytic_within_mc_error():
@@ -338,7 +219,7 @@ def test_simulate_moments_match_analytic_within_mc_error():
     n = 1_000_000
     z1 = rng.standard_normal(n)
     z2 = rng.standard_normal(n)
-    mx, mh = risk_neutral_drifts(MARKET, theta)
+    mx, mh = risk_neutral_drifts(MARKET, *theta.as_tuple())
     xs = mx + theta.sigma_x * z1
     hs = mh + theta.sigma_h * (theta.rho * z1 + math.sqrt(1 - theta.rho ** 2) * z2)
     assert xs.mean() == pytest.approx(mx, abs=4 * theta.sigma_x / math.sqrt(n))

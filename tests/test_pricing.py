@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from scipy.stats import ks_2samp, lognorm
 
 from quanto_bayes import pricing
 from quanto_bayes.inference import Chain, default_proposals, exact_posterior_draws, mwg_sample
-from quanto_bayes.model import MarketConfig, SpotState, Theta, payoff, simulate_return_pair
+from quanto_bayes.model import MarketConfig, SpotState, Theta, payoff
 from quanto_bayes.pricing import (
     PricingRequest,
     SequentialSettings,
@@ -365,7 +366,8 @@ def _per_request_sequential(request, chain, panel, refresh_interval, refresh_dra
     independent reference for the exact one: path i owns the substream SeedSequence((seed, i)), runs day by day to the
     request's horizon s, and after day j, when j % interval == 0 and j < s,
     takes the last draw of a ``tnn`` chain on the panel extended with its
-    returns so far, started from its current parameters."""
+    returns so far, started from its current parameters. A day's return pair
+    mixes two scalar normals, z1 then z2, under the risk-neutral drifts."""
     retained = chain.post_burn_in()
     idx = (np.arange(request.n_paths) * retained.shape[0]) // request.n_paths
     specs = default_proposals("tnn", panel)
@@ -376,14 +378,19 @@ def _per_request_sequential(request, chain, panel, refresh_interval, refresh_dra
         theta = Theta(*retained[idx[i]])
         xs, hs = [], []
         for j in range(1, s + 1):
-            x, h = simulate_return_pair(theta, request.market, rng)
+            sx, sh, rho = theta.as_tuple()
+            z1 = rng.standard_normal()
+            z2 = rng.standard_normal()
+            x = request.market.r_f - rho * sx * sh - 0.5 * sx ** 2 + sx * z1
+            h = (request.market.r_d - request.market.r_f - 0.5 * sh ** 2
+                 + sh * (rho * z1 + math.sqrt(1.0 - rho ** 2) * z2))
             xs.append(x)
             hs.append(h)
             if j % refresh_interval == 0 and j < s:
                 refresh = mwg_sample(panel.extend(xs, hs), specs, refresh_draws,
                                      refresh_burn_in, init=theta,
                                      seed=int(rng.integers(2 ** 63)))
-                theta = refresh.draw(len(refresh) - 1)
+                theta = Theta(*refresh.draws[-1])
         value = payoff(request.kind, request.spot.x0 * math.exp(sum(xs)),
                        request.spot.h0 * math.exp(sum(hs)), request.strike,
                        request.market)
@@ -484,6 +491,38 @@ def test_sequential_exact_refresh_matches_mwg_refresh():
         mwg = _per_request_sequential(request, chain, panel, settings.refresh_interval)
         se = math.sqrt(exact.var(ddof=1) / exact.size + mwg.var(ddof=1) / mwg.size)
         assert abs(exact.mean() - mwg.mean()) < 4.0 * se, request
+
+
+# sha256 of predictive_batch's payoff bytes, request after request: the
+# random-stream layout, the drifts and every arithmetic step, pinned bit for
+# bit. "static-f3" is the batch without its z2 shocks.
+_PINNED_BATCHES = {
+    "static": "effc819abd40dc7369ffef1d665e60bd8adc3c823a130aeecb4dc7d058ec8d0d",
+    "static-f3": "0186cad864af2f9aa5c392cf14aa5411f4ce46868a17b9f85454149147375f1c",
+    "sequential-update": "377f4450d1341f8a67d1b1eb435708280f049a635ca1fa5d46c38603d692c21d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_BATCHES))
+def test_predictive_batch_pinned_payoffs(case):
+    chain = posterior_like_chain(n=300)
+    common = dict(market=MARKET, n_paths=500, seed=2718)
+    requests = [
+        PricingRequest(kind="F1", strike=2380.0, horizon_s=5, spot=SPOT, **common),
+        PricingRequest(kind="F2", strike=2720.0, horizon_s=12,
+                       spot=SpotState(2730.0, 0.86), **common),
+        PricingRequest(kind="F3", strike=2700.0, horizon_s=12, spot=SPOT, **common),
+        PricingRequest(kind="F4", strike=0.87, horizon_s=21, spot=SPOT, **common),
+        PricingRequest(kind="F3", strike=2650.0, horizon_s=0, spot=SPOT, **common),
+    ]
+    if case == "static-f3":
+        requests = [r for r in requests if r.kind == "F3"]
+    # refreshes after days 4, 8, 12 and 16 of 21
+    sequential = _sequential_settings(4) if case == "sequential-update" else None
+    digest = hashlib.sha256()
+    for samples in predictive_batch(requests, chain, sequential):
+        digest.update(samples.tobytes())
+    assert digest.hexdigest() == _PINNED_BATCHES[case]
 
 
 @pytest.mark.parametrize("field, value", [
