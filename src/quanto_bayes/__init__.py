@@ -21,7 +21,6 @@ from .inference import (
     exact_posterior_draws,
     mle_estimate,
     mwg_sample,
-    proposal_logpdf,
 )
 from .diagnostics import ChainSummary, geweke_cd, hpdi, nse, summarize
 from .pricing import (

@@ -679,6 +679,15 @@ def _load_quotes(cfg: ExperimentConfig, market):
         quotes = load_option_chain(cfg.option_chain)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # every quote's band, quanto quote and baseline discounts at exp(-r*s)
+    longest = max(quote.maturity_days for quote in quotes)
+    for key, rate in (("r_d_annual", market.r_d), ("r_f_annual", market.r_f)):
+        try:
+            math.exp(-rate * longest)
+        except OverflowError:
+            raise ConfigError(
+                f"invalid {key} = {getattr(cfg, key)!r}: its discount factor overflows at "
+                f"the longest maturity, {longest} days, of {cfg.option_chain}") from None
     retained, rejected = filter_options(quotes, market)
     if not retained:
         raise ConfigError("no quotes survive the early-exercise filter")

@@ -19,8 +19,10 @@ Samplers:
   proposal for rho. It works on the panel's sufficient statistics directly:
   each log acceptance ratio is a closed-form difference of the conditional
   kernels, whose candidate-side terms are computed once over each whole
-  proposal stream. The tests keep the generic kernel-calling loop as a
-  reference sampler and check that both give the same chain bit for bit.
+  proposal stream. A proposal density q enters only up to a constant that
+  depends on its spec alone, since q(current) / q(candidate) cancels it.
+  The tests keep the generic kernel-calling loop as a reference sampler and
+  check that both give the same chain bit for bit.
 * :func:`exact_posterior_draws` draws exactly from the same posterior, given
   only its sufficient statistics, which may differ from draw to draw; the
   sequential-update pricer refreshes every path's parameters with it.
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ReturnPanel, Theta, ndtr
+from .model import ReturnPanel, Theta
 
 __all__ = [
     "PosteriorKernel",
@@ -45,7 +47,6 @@ __all__ = [
     "NiwHyperparams",
     "PARAMETERS",
     "FAMILY_CODES",
-    "proposal_logpdf",
     "mwg_sample",
     "exact_posterior_draws",
     "mle_estimate",
@@ -195,88 +196,6 @@ class ProposalSpec:
         return self.family in _INDEPENDENCE_FAMILIES
 
 
-def _beta_continued_fraction(a, b, x):
-    """Continued fraction of the regularised incomplete beta I_x(a, b),
-    by the modified Lentz method; it converges fast for x < (a+1)/(a+b+2)."""
-    tiny = 1e-300
-
-    def clamp(v):
-        return v if abs(v) > tiny else tiny
-
-    c = 1.0
-    d = 1.0 / clamp(1.0 - (a + b) * x / (a + 1.0))
-    h = d
-    for m in range(1, 10_000):
-        m2 = 2 * m
-        for aa in (m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
-                   -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))):
-            d = 1.0 / clamp(1.0 + aa * d)
-            c = clamp(1.0 + aa / c)
-            h *= d * c
-        if abs(d * c - 1.0) < 1e-16:
-            return h
-    raise ArithmeticError(f"incomplete beta fraction did not converge for a={a}, b={b}")
-
-
-def _t_cdf(df, t):
-    """P(T <= t) for a Student-t with ``df`` degrees of freedom, a float.
-
-    P(|T| > |t|) = I_x(df/2, 1/2) with x = df / (df + t^2); the fraction runs
-    on x or, through I_x(a, b) = 1 - I_(1-x)(b, a), on 1 - x = t^2 / (df + t^2),
-    whichever converges, so the lower tail keeps its relative accuracy.
-    The relative error stays below 1e-13 for df <= 30; the lgamma
-    differences in the prefactor lose accuracy slowly as df grows.
-    """
-    t2 = t * t
-    if t2 == 0.0:
-        return 0.5
-    a, b = 0.5 * df, 0.5
-    x, y = df / (df + t2), t2 / (df + t2)
-    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                 + a * math.log(x) + b * math.log(y))
-    if x < (a + 1.0) / (a + b + 2.0):
-        tail = 0.5 * math.exp(log_front) * _beta_continued_fraction(a, b, x) / a
-    else:
-        tail = 0.5 - 0.5 * math.exp(log_front) * _beta_continued_fraction(b, a, y) / b
-    return tail if t < 0.0 else 1.0 - tail
-
-
-def _log_t_cdf(df, t):
-    """log P(T <= t) of a float: log(_t_cdf(df, t)), except below zero where
-    _t_cdf takes the continued fraction on x, whose tail
-    0.5 x^a y^b cf / (a B(a, b)) underflows far out (near t = -1e65 for
-    df = 5). There the tail is summed in logs, with log x = log df - 2 log|t|
-    + log y and log y = -log1p(df / t^2), which hold even where t^2
-    overflows."""
-    a, b = 0.5 * df, 0.5
-    t2 = t * t
-    x = df / (df + t2)
-    if t >= 0.0 or not x < (a + 1.0) / (a + b + 2.0):
-        return math.log(_t_cdf(df, t))
-    log_y = -math.log1p(df / t2)
-    log_x = math.log(df) - 2.0 * math.log(-t) + log_y
-    return (math.log(0.5) + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-            + a * log_x + b * log_y + math.log(_beta_continued_fraction(a, b, x) / a))
-
-
-def _log_ndtr(z):
-    """log Phi(z) of a float: log(ndtr(z)) from z = -30 up, where Phi(z) is
-    still a normal float, and below it (Phi underflows near z = -38.5) the
-    Mills-ratio series -z^2/2 - log(-z) - log(2 pi)/2 + log(sum_k (-1)^k
-    (2k-1)!! / z^(2k)), whose terms there shrink by a factor of at least 900 /
-    (2k-1) each."""
-    if z >= -30.0:
-        return math.log(ndtr(z))
-    w = 1.0 / (z * z)
-    total = term = 1.0
-    k = 1
-    while abs(term) > 1e-17:
-        term *= -(2 * k - 1) * w
-        total += term
-        k += 1
-    return -0.5 * z * z - math.log(-z) - 0.5 * math.log(2.0 * math.pi) + math.log(total)
-
-
 def _truncated_draws(spec: ProposalSpec, rng, n):
     """``n`` exact draws of a truncated family on (0, inf), by rejection.
 
@@ -354,43 +273,30 @@ def _proposal_stream(spec: ProposalSpec, rng, n_draws):
     return _truncated_draws(spec, rng, n_draws)
 
 
-def proposal_logpdf(spec: ProposalSpec, value):
-    """Normalized log density of an independence proposal at ``value``, a
-    float or an array.
+def _proposal_log_kernel(spec: ProposalSpec, values):
+    """Log density of an independence proposal over an array of values, up
+    to an additive constant that depends on ``spec`` alone.
 
-    Every value outside (0, inf) gets ``-inf``, as does one whose square
-    underflows in the inverse-gamma density. This is the q entering the
-    acceptance ratio; the sampler evaluates it once over a whole candidate
-    stream. The random-walk normal has no such density here: it is
-    symmetric, so it cancels from the ratio, and asking for it raises.
+    The constant (the normaliser of the truncation or of the inverse gamma)
+    cancels from the independence acceptance ratio q(current) / q(candidate),
+    so it is never computed. Every value outside (0, inf) gets ``-inf``, as
+    does one whose square underflows in the inverse-gamma kernel. The
+    random-walk normal has no such density here: it is symmetric, so it
+    cancels from the ratio, and asking for it raises.
     """
     if not spec.is_independence:
         raise ValueError(f"the {spec.family!r} proposal has no independence density")
-    v = np.asarray(value, dtype=float)
+    v = np.asarray(values, dtype=float)
     with np.errstate(all="ignore"):
         if spec.family == "truncated_normal":
-            loc, scale = spec.loc, spec.scale
-            const = (-0.5 * math.log(2.0 * math.pi) - math.log(scale)
-                     - _log_ndtr(loc / scale))
-            d = v - loc
-            out = const - d * d * (0.5 / (scale * scale))
+            d = v - spec.loc
+            out = -d * d * (0.5 / (spec.scale * spec.scale))
         elif spec.family == "truncated_t":
-            loc, scale, df = spec.loc, spec.scale, spec.df
-            const = (
-                math.lgamma(0.5 * (df + 1.0))
-                - math.lgamma(0.5 * df)
-                - 0.5 * math.log(df * math.pi)
-                - math.log(scale)
-                - _log_t_cdf(df, loc / scale)
-            )
-            z = (v - loc) / scale
-            out = const - 0.5 * (df + 1.0) * np.log1p(z * z / df)
+            z = (v - spec.loc) / spec.scale
+            out = -0.5 * (spec.df + 1.0) * np.log1p(z * z / spec.df)
         else:
-            a, b = spec.shape, spec.scale
-            const = a * math.log(b) - math.lgamma(a) + math.log(2.0)
-            out = const - (2.0 * a + 1.0) * np.log(v) - b / (v * v)
-        out = np.where(v > 0.0, out, NEG_INF)
-    return float(out) if out.ndim == 0 else out
+            out = -(2.0 * spec.shape + 1.0) * np.log(v) - spec.scale / (v * v)
+        return np.where(v > 0.0, out, NEG_INF)
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +364,14 @@ def _volatility_terms(spec: ProposalSpec, values, power):
     """Candidate-side terms of a volatility update, over a whole stream.
 
     Returns g(v) = -power * log(v) - log q(v), 1/v and 1/v^2; the sweep reads
-    the conditional kernel only through them. Non-finite entries (a square
+    the conditional kernel only through them. log q enters only up to a
+    constant that depends on ``spec`` alone, which g(c) - g(s) cancels.
+    Non-finite entries (a square
     that underflows, a candidate on the boundary) make the acceptance ratio
     -inf or NaN, which rejects the candidate.
     """
     with np.errstate(all="ignore"):
-        g = -power * np.log(values) - proposal_logpdf(spec, values)
+        g = -power * np.log(values) - _proposal_log_kernel(spec, values)
         return g, 1.0 / values, 1.0 / (values * values)
 
 
@@ -494,7 +402,8 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
 
     * sigma_x: g(c) - g(s) - a (1/c^2 - 1/s^2) - b (1/c - 1/s), with
       g(v) = -T log v - log q(v), a = sxx / (2 (1 - rho^2)) and
-      b = rho C / (sigma_h (1 - rho^2));
+      b = rho C / (sigma_h (1 - rho^2)); q enters only up to a constant
+      that depends on the proposal spec alone, so no normaliser is computed;
     * sigma_h: the same with T - 1 in g, shh in a and sigma_x in b;
     * rho: the difference of -T/2 log(1 - rho^2) - (P + Q rho^2 + R rho) /
       (1 - rho^2), with P = sxx / (2 sigma_x^2), Q = shh / (2 sigma_h^2) and

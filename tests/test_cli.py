@@ -819,6 +819,25 @@ def test_main_malformed_option_chain_exits_one(tmp_path, capsys, command, bad_qu
     assert capsys.readouterr().err == f"error: {chain}: row 3: {text}\n"
 
 
+@pytest.mark.parametrize("command", ["price", "experiment"])
+@pytest.mark.parametrize("key", ["r_d_annual", "r_f_annual"])
+def test_main_rate_whose_discount_overflows_exits_one(tmp_path, capsys, command, key):
+    # exp(-r * 51) overflows, which every quote's band or quanto quote needs
+    cfg_path = make_workspace(tmp_path, **{key: "-1e6"})
+    chain = os.path.join(str(tmp_path), "chain.csv")
+    argv = [command, "--config", cfg_path]
+    if command == "price":
+        draws = os.path.join(str(tmp_path), "draws.csv")
+        with open(draws, "w", encoding="utf-8") as f:
+            f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n")
+        argv += ["--draws", draws]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid {key} = -1000000.0: its discount factor overflows at the longest "
+        f"maturity, 51 days, of {chain}\n")
+
+
 @pytest.mark.parametrize("command, key", [
     ("estimate", "asset_series"), ("estimate", "fx_series"),
     ("price", "asset_series"), ("price", "fx_series"), ("price", "option_chain"),
