@@ -10,6 +10,7 @@ from .model import (
     call_price_band,
     log_returns,
     payoff,
+    quanto_of_call,
 )
 from .inference import (
     Chain,
@@ -37,7 +38,6 @@ from .pricing import (
 from .data_io import (
     OptionQuote,
     align_series,
-    construct_quanto,
     filter_options,
     load_option_chain,
     load_price_series,

@@ -14,8 +14,9 @@ diagnose    summarize an existing draws file
 
 A pricing row's market-side columns (quanto quote, moneyness bucket, BS-I and
 BS-H baselines and their errors) do not depend on the chain: each run builds
-them once per quote, BS-H once per estimation window, and each chain adds only
-its model columns.
+them once per quote (solving one implied vol per maturity for BS-I), BS-H once
+per estimation window, and each chain adds only its model columns. All three
+reference prices are ``model.quanto_of_call`` of a call price.
 
 Every run writes a manifest (config echo, seed, versions); outputs contain
 no timestamps, so a fixed config and seed reproduce them byte for byte.
@@ -44,7 +45,6 @@ import numpy.random  # noqa: F401
 
 from .data_io import (
     align_series,
-    construct_quanto,
     filter_options,
     load_option_chain,
     load_price_series,
@@ -62,7 +62,7 @@ from .inference import (
     mle_estimate,
     mwg_sample,
 )
-from .model import MarketConfig, ReturnPanel, SpotState, Theta, log_returns
+from .model import MarketConfig, ReturnPanel, SpotState, Theta, log_returns, quanto_of_call
 from .pricing import (
     PricingRequest,
     SequentialSettings,
@@ -608,32 +608,31 @@ def _rpe(price, quanto_market_price):
     return relative_pricing_error(price, quanto_market_price)
 
 
-def _bs_baseline(market, spot, strike, vol, horizon_s):
-    """Black-Scholes call on the foreign asset, paid at ``h_fix`` and
-    discounted at the domestic rate."""
-    return (math.exp(-market.r_d * horizon_s) * market.h_fix
-            * bs_call(spot, strike, vol, market.r_f, horizon_s))
-
-
 def _quote_table(quotes, market):
-    """Pricing rows holding each quote's chain- and panel-free columns.
-
-    These are the quanto quote, the moneyness bucket and the implied-vol
-    (BS-I) baseline with its error.
+    """Pricing rows holding each quote's chain- and panel-free columns: the
+    quanto quote, the moneyness bucket and the implied-vol (BS-I) baseline
+    with its error. BS-I prices the quotes of a maturity at the implied vol
+    of the one nearest the money (smallest |K/S - 1|, the lower strike on a
+    tie); if that solve or a call fails, the maturity's BS-I cells stay empty.
     """
+    bs_i_prices = {}
+    for s in {quote.maturity_days for quote in quotes}:
+        group = [quote for quote in quotes if quote.maturity_days == s]
+        atm = min(group, key=lambda q: (abs(q.strike / q.underlying_spot - 1.0), q.strike))
+        try:
+            vol = implied_vol(atm.market_price, atm.underlying_spot, atm.strike, market.r_f, s)
+            bs_i_prices.update({q: quanto_of_call(bs_call(q.underlying_spot, q.strike, vol,
+                                                          market.r_f, s), s, market)
+                                for q in group})
+        except ValueError:
+            pass
     table = []
     for quote in quotes:
-        quanto_price = construct_quanto(quote, market)
-        bucket = moneyness_bucket(quote.strike, quote.underlying_spot)
-        try:
-            vol_i = implied_vol(quote.market_price, quote.underlying_spot,
-                                quote.strike, market.r_f, quote.maturity_days)
-            bs_i = _bs_baseline(market, quote.underlying_spot, quote.strike, vol_i,
-                                quote.maturity_days)
-        except ValueError:
-            bs_i = None
+        quanto_price = quanto_of_call(quote.market_price, quote.maturity_days, market)
+        bs_i = bs_i_prices.get(quote)
         table.append(PricingRow(
-            quote.strike, quote.maturity_days, quote.underlying_spot, bucket,
+            quote.strike, quote.maturity_days, quote.underlying_spot,
+            moneyness_bucket(quote.strike, quote.underlying_spot),
             quote.market_price, quanto_price,
             bs_i_price=bs_i, rpe_bs_i=_rpe(bs_i, quanto_price),
         ))
@@ -645,7 +644,8 @@ def _with_bs_h(table, market, panel):
     hist_vol = mle_estimate(panel).sigma_x
     rows = []
     for row in table:
-        bs_h = _bs_baseline(market, row.spot, row.strike, hist_vol, row.maturity_days)
+        s = row.maturity_days
+        bs_h = quanto_of_call(bs_call(row.spot, row.strike, hist_vol, market.r_f, s), s, market)
         rows.append(row._replace(bs_h_price=bs_h,
                                  rpe_bs_h=_rpe(bs_h, row.quanto_market_price)))
     return rows
@@ -679,7 +679,7 @@ def _load_quotes(cfg: ExperimentConfig, market):
         quotes = load_option_chain(cfg.option_chain)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    # every quote's band, quanto quote and baseline discounts at exp(-r*s)
+    # every quote's band discounts at exp(-r_f*s), and its model price at exp(-r_d*s)
     longest = max(quote.maturity_days for quote in quotes)
     for key, rate in (("r_d_annual", market.r_d), ("r_f_annual", market.r_f)):
         try:
@@ -691,6 +691,19 @@ def _load_quotes(cfg: ExperimentConfig, market):
     retained, rejected = filter_options(quotes, market)
     if not retained:
         raise ConfigError("no quotes survive the early-exercise filter")
+    # the quote and both baselines are calls below the spot, whose quanto
+    # value therefore bounds theirs
+    for quote in retained:
+        try:
+            bound = quanto_of_call(quote.underlying_spot, quote.maturity_days, market)
+        except OverflowError:
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise ConfigError(
+                f"r_d_annual = {cfg.r_d_annual!r}, r_f_annual = {cfg.r_f_annual!r} and "
+                f"h_fix = {cfg.h_fix!r} overflow the quanto value h_fix * exp((r_f - r_d) * s)"
+                f" * spot of {cfg.option_chain}'s quote at strike {quote.strike!r}, "
+                f"maturity_days {quote.maturity_days}")
     _write_csv(os.path.join(cfg.out_dir, "filter_report.csv"),
                ("strike", "maturity_days", "reason"),
                [(q.strike, q.maturity_days, reason) for q, reason in rejected])
@@ -748,11 +761,7 @@ def cmd_experiment(cfg: ExperimentConfig):
     if not cfg.fx_series:
         raise ConfigError("config needs at least one fx_series entry")
     market = cfg.market()
-    retained = _load_quotes(cfg, market)
-
-    # Built once, at the first chain priced; while it fails, every chain's
-    # pricing fails with its error.
-    quote_table = None
+    quote_table = _quote_table(_load_quotes(cfg, market), market)
     performance = []
     curves = []
     failures = []
@@ -779,8 +788,6 @@ def cmd_experiment(cfg: ExperimentConfig):
             for family, chain in chains.items():
                 try:
                     if window_table is None:
-                        if quote_table is None:
-                            quote_table = _quote_table(retained, market)
                         window_table = _with_bs_h(quote_table, market, panel)
                     seed = _derive_seed(cfg.seed, "price", family, fx_name, window)
                     rows = [row for row, _ in _price_chain(

@@ -23,7 +23,6 @@ __all__ = [
     "load_option_chain",
     "align_series",
     "filter_options",
-    "construct_quanto",
     "moneyness_bucket",
 ]
 
@@ -222,17 +221,6 @@ def filter_options(quotes, market: MarketConfig):
         else:
             retained.append(quote)
     return retained, rejected
-
-
-def construct_quanto(call_quote: OptionQuote, market: MarketConfig):
-    """Price of the synthetic fixed-rate quanto of a call quote:
-    QC = exp(-r_d * maturity) * h_fix * C, with the contractual rate
-    ``market.h_fix``. A product that overflows raises ValueError."""
-    price = (math.exp(-market.r_d * call_quote.maturity_days) * market.h_fix
-             * call_quote.market_price)
-    if not math.isfinite(price):
-        raise ValueError(f"market price must be non-negative and finite, got {price}")
-    return price
 
 
 def moneyness_bucket(strike, spot):

@@ -9,7 +9,8 @@ themselves, so none is converted.
 
 The one expression of the domestic risk-neutral return means, with the
 quanto drift adjustment, is :func:`risk_neutral_drifts`; the pricer
-simulates under it.
+simulates under it. Every fixed-rate quanto value of a foreign call price
+is :func:`quanto_of_call`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "ReturnPanel",
     "log_returns",
     "risk_neutral_drifts",
+    "quanto_of_call",
     "payoff",
     "call_price_band",
     "ndtr",
@@ -281,6 +283,13 @@ def risk_neutral_drifts(market: MarketConfig, sigma_x, sigma_h, rho):
     mean_x = market.r_f - rho * sigma_x * sigma_h - 0.5 * sigma_x * sigma_x
     mean_h = market.r_d - market.r_f - 0.5 * sigma_h * sigma_h
     return mean_x, mean_h
+
+
+def quanto_of_call(call_price, horizon_s, market: MarketConfig):
+    """Fixed-rate quanto value h_fix * exp((r_f - r_d) * s) * C of a foreign
+    call price C, which is discounted at r_f: the F3 price at rho = 0
+    (Reiner 1992, "Quanto mechanics")."""
+    return market.h_fix * math.exp((market.r_f - market.r_d) * horizon_s) * call_price
 
 
 def payoff(kind, x_terminal, h_terminal, strike, market: MarketConfig):

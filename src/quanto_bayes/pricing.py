@@ -37,7 +37,7 @@ import numpy as np
 from .diagnostics import hpdi
 from .inference import Chain, exact_posterior_draws
 from .model import (PAYOFF_KINDS, MarketConfig, ReturnPanel, SpotState, call_price_band,
-                    ndtr, payoff, risk_neutral_drifts)
+                    ndtr, payoff, quanto_of_call, risk_neutral_drifts)
 
 __all__ = [
     "PricingRequest",
@@ -280,25 +280,20 @@ def _discounted_payoffs(request, growth_x, growth_h):
 
 def closed_form_v3(theta, spot: SpotState, strike_f, horizon_s, market: MarketConfig):
     """Analytic price of the fixed-rate quanto call F3 at fixed parameters
-    ``theta``, a :class:`~quanto_bayes.model.Theta`.
-
-    The asset forward under the domestic measure carries the quanto drift
-    adjustment: F = X * exp((r_f - rho*sigma_x*sigma_h) * s). A zero strike
-    collapses to the discounted forward exactly.
+    ``theta``, a :class:`~quanto_bayes.model.Theta`: the quanto value of a
+    Black-Scholes call at the drift-adjusted spot X * exp(-rho*sigma_x*sigma_h*s),
+    whose forward is the domestic-measure forward. A zero strike collapses to
+    the discounted forward exactly.
     """
     if strike_f < 0.0:
         raise ValueError(f"strike must be non-negative, got {strike_f}")
     if horizon_s <= 0:
         raise ValueError(f"horizon_s must be positive, got {horizon_s}")
-    s = float(horizon_s)
-    fwd = spot.x0 * math.exp((market.r_f - theta.rho * theta.sigma_x * theta.sigma_h) * s)
-    disc = math.exp(-market.r_d * s) * market.h_fix
-    if strike_f == 0.0:
-        return disc * fwd
-    sd = theta.sigma_x * math.sqrt(s)
-    d1 = (math.log(fwd / strike_f) + 0.5 * sd * sd) / sd
-    d2 = d1 - sd
-    return disc * (fwd * ndtr(d1) - strike_f * ndtr(d2))
+    adjusted = spot.x0 * math.exp(-theta.rho * theta.sigma_x * theta.sigma_h * horizon_s)
+    # a call struck at zero is worth its spot
+    call = adjusted if strike_f == 0.0 else bs_call(adjusted, strike_f, theta.sigma_x,
+                                                     market.r_f, horizon_s)
+    return quanto_of_call(call, horizon_s, market)
 
 
 def bs_call(spot_x, strike, vol_per_period, rate_per_period, horizon_s):

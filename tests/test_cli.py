@@ -327,10 +327,11 @@ def test_cmd_price_outputs(tmp_path):
         assert r["bucket"] in ("ITM", "ATM", "OTM")
         assert float(r["model_price"]) >= 0.0
         assert float(r["hpdi99_lo"]) <= float(r["hpdi99_hi"])
-        # BS-I re-prices the quote through the implied vol round trip
-        assert float(r["rpe_bs_i"]) < 1e-8
+        # the chain is one flat vol, rounded to 4 decimals, so BS-I at the
+        # ATM quote's implied vol re-prices every quote to that rounding
+        assert float(r["rpe_bs_i"]) < 1e-4
         maturity = int(r["maturity_days"])
-        expected_bs_h = (math.exp(-market.r_d * maturity) * cfg.h_fix
+        expected_bs_h = (cfg.h_fix * math.exp((market.r_f - market.r_d) * maturity)
                          * bs_call(float(r["spot"]), float(r["strike"]),
                                    hist_vol, market.r_f, maturity))
         assert float(r["bs_h_price"]) == pytest.approx(expected_bs_h, rel=1e-9)
@@ -341,6 +342,87 @@ def test_cmd_price_outputs(tmp_path):
     counts = sum(int(r["count"]) for r in density)
     assert counts == 5 * cfg.n_paths
     _assert_no_bare_nan(os.path.join(cfg.out_dir, "pricing.csv"))
+
+
+def test_cmd_price_quote_columns_follow_one_quanto_convention(tmp_path):
+    """The quanto quote is h_fix * exp((r_f - r_d) * s) times the call
+    quote, and BS-I re-prices each maturity's ATM quote but not the smile."""
+    from quanto_bayes.pricing import bs_call
+
+    make_workspace(tmp_path)
+    spot = float(_read_csv(os.path.join(str(tmp_path), "chain.csv"))[0]["spot"])
+    r_f = 0.025 / 252
+    chain_prices = []
+    for s in (21, 51, 90):
+        for m in (0.95, 0.99, 1.0, 1.01, 1.05):
+            strike = round(spot * m, 1)
+            smile_vol = 0.0062 * (1.0 + 10.0 * abs(m - 1.0))
+            chain_prices.append((strike, s, round(bs_call(spot, strike, smile_vol, r_f, s), 6)))
+    cfg = load_config(make_workspace(tmp_path, chain_prices=chain_prices, h_fix=1.25))
+    draws = os.path.join(str(tmp_path), "draws.csv")
+    with open(draws, "w", encoding="utf-8") as f:
+        f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n")
+    cmd_price(cfg, draws)
+    rows = _read_csv(os.path.join(cfg.out_dir, "pricing.csv"))
+    assert len(rows) == 15
+
+    market = cfg.market()
+    for r in rows:
+        factor = 1.25 * math.exp((market.r_f - market.r_d) * int(r["maturity_days"]))
+        assert float(r["quanto_market_price"]) == pytest.approx(
+            factor * float(r["market_price"]), rel=1e-11)
+    for s in ("21", "51", "90"):
+        same = [r for r in rows if r["maturity_days"] == s]
+        atm = min(same, key=lambda r: (abs(float(r["strike"]) / spot - 1.0), float(r["strike"])))
+        assert float(atm["rpe_bs_i"]) < 1e-8
+        # one vol per maturity misses the smile's wings
+        assert max(float(r["rpe_bs_i"]) for r in same) > 1e-3
+
+
+def test_quote_table_solves_one_implied_vol_per_maturity():
+    from quanto_bayes import cli
+    from quanto_bayes.data_io import OptionQuote
+    from quanto_bayes.model import MarketConfig
+    from quanto_bayes.pricing import bs_call
+
+    market = MarketConfig.from_annual(0.015, 0.025)
+    quotes = [
+        # 99 and 101 tie at |K/S - 1| = 0.01, so 99's vol prices the maturity
+        OptionQuote(None, 101.0, 51, bs_call(100.0, 101.0, 0.009, market.r_f, 51), 100.0),
+        OptionQuote(None, 99.0, 51, bs_call(100.0, 99.0, 0.008, market.r_f, 51), 100.0),
+        OptionQuote(None, 90.0, 51, bs_call(100.0, 90.0, 0.008, market.r_f, 51), 100.0),
+        # no vol up to 5 per day reaches 99.9 in one day, so the solve fails
+        OptionQuote(None, 100.0, 1, 99.9, 100.0),
+        OptionQuote(None, 95.0, 1, 6.0, 100.0),
+    ]
+    rows = {(r.strike, r.maturity_days): r for r in cli._quote_table(quotes, market)}
+    assert rows[99.0, 51].rpe_bs_i < 1e-8
+    assert rows[90.0, 51].rpe_bs_i < 1e-8  # same vol, so BS-I re-prices it too
+    assert rows[101.0, 51].rpe_bs_i > 1e-3
+    assert rows[100.0, 1].bs_i_price is None and rows[95.0, 1].bs_i_price is None
+    assert rows[100.0, 1].rpe_bs_i is None and rows[95.0, 1].rpe_bs_i is None
+
+
+def test_bs_h_is_the_closed_form_at_zero_correlation():
+    from quanto_bayes import cli
+    from quanto_bayes.data_io import OptionQuote
+    from quanto_bayes.inference import mle_estimate
+    from quanto_bayes.model import MarketConfig, SpotState, Theta
+    from quanto_bayes.pricing import bs_call, closed_form_v3
+
+    market = MarketConfig.from_annual(0.015, 0.025, h_fix=1.25)
+    panel = fixture_panel(140)
+    spot = 2711.74
+    quotes = [OptionQuote(None, spot * m, s, bs_call(spot, spot * m, 0.007, market.r_f, s), spot)
+              for s in (1, 21, 51, 90, 252) for m in np.linspace(0.8, 1.2, 9)]
+    rows = cli._with_bs_h(cli._quote_table(quotes, market), market, panel)
+    hist_vol = mle_estimate(panel).sigma_x
+    for sigma_h in (0.001, 0.004, 0.02):
+        theta = Theta(hist_vol, sigma_h, 0.0)
+        for row in rows:
+            expected = closed_form_v3(theta, SpotState(spot, 1.0), row.strike,
+                                      row.maturity_days, market)
+            assert row.bs_h_price == pytest.approx(expected, rel=1e-12)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -479,7 +561,7 @@ def test_cmd_experiment_self_pricing_oracle(tmp_path):
     for m in (0.99, 1.0, 1.01):
         strike = round(spot * m, 1)
         quanto = closed_form_v3(post_mean, SpotState(spot, 1.0), strike, 51, market)
-        plain = quanto * math.exp(market.r_d * 51) / market.h_fix
+        plain = quanto * math.exp((market.r_d - market.r_f) * 51) / market.h_fix
         chain_prices.append((strike, 51, round(plain, 6)))
 
     out2 = os.path.join(str(tmp_path), "run2")
@@ -558,27 +640,12 @@ def test_experiment_prices_quote_columns_once(tmp_path, monkeypatch):
             rows = _read_csv(os.path.join(cfg.out_dir, "cells", "fx", f"w{window}",
                                           f"pricing_{family}.csv"))
             assert len(rows) == 5
-    # BS-I once per retained quote, not once per quote and chain
-    assert calls["implied_vol"] == 5
+    # BS-I solves once per maturity, not once per quote or per chain
+    assert calls["implied_vol"] == 1
     # per window: tnn's initial value, the mle summary row and BS-H
     assert calls["mle_estimate"] == 2 * 3
     # experiment writes no predictive-density file, so builds no histogram
     assert "histogram" not in calls
-
-
-def test_experiment_quote_table_error_fails_each_chain(tmp_path, monkeypatch):
-    from quanto_bayes import cli
-
-    def broken(*args):
-        raise ValueError("quote table broke")
-
-    cfg = load_config(make_workspace(tmp_path, windows="200, 250", families="tnn, mnc, mle",
-                                     draws=600, burn_in=100))
-    monkeypatch.setattr(cli, "construct_quanto", broken)
-    cmd_experiment(cfg)
-    rows = [tuple(r.values()) for r in _read_csv(os.path.join(cfg.out_dir, "failures.csv"))]
-    assert rows == [("fx", str(w), family, "price", "quote table broke")
-                    for w in (200, 250) for family in ("tnn", "mnc")]
 
 
 _FAILURE_HEADER = ("fx", "window", "family", "stage", "error")
@@ -820,10 +887,16 @@ def test_main_malformed_option_chain_exits_one(tmp_path, capsys, command, bad_qu
 
 
 @pytest.mark.parametrize("command", ["price", "experiment"])
-@pytest.mark.parametrize("key", ["r_d_annual", "r_f_annual"])
-def test_main_rate_whose_discount_overflows_exits_one(tmp_path, capsys, command, key):
-    # exp(-r * 51) overflows, which every quote's band or quanto quote needs
-    cfg_path = make_workspace(tmp_path, **{key: "-1e6"})
+@pytest.mark.parametrize("key, value", [
+    ("r_d_annual", -1e6), ("r_f_annual", -1e6), ("r_d_annual", -1985.0), ("h_fix", 1e306),
+], ids=["r_d_annual", "r_f_annual", "r_d_annual-quanto", "h_fix-quanto"])
+def test_main_rate_whose_discount_overflows_exits_one(tmp_path, capsys, command, key, value):
+    # At -1e6, exp(-r * 51) overflows, which every quote's band or model
+    # price needs. The other two cases leave it finite, but overflow the
+    # quanto value h_fix * exp((r_f - r_d) * s) * spot of a 90-day quote.
+    quanto = value != -1e6
+    cfg_path = make_workspace(tmp_path, chain_prices=[(2600.0, 90, 100.0)] if quanto else None,
+                              **{key: value})
     chain = os.path.join(str(tmp_path), "chain.csv")
     argv = [command, "--config", cfg_path]
     if command == "price":
@@ -833,9 +906,16 @@ def test_main_rate_whose_discount_overflows_exits_one(tmp_path, capsys, command,
         argv += ["--draws", draws]
     capsys.readouterr()
     assert main(argv) == 1
-    assert capsys.readouterr().err == (
-        f"error: invalid {key} = -1000000.0: its discount factor overflows at the longest "
-        f"maturity, 51 days, of {chain}\n")
+    if quanto:
+        given = {"r_d_annual": 0.015, "r_f_annual": 0.025, "h_fix": 1.0, key: value}
+        expected = (f"r_d_annual = {given['r_d_annual']!r}, r_f_annual = "
+                    f"{given['r_f_annual']!r} and h_fix = {given['h_fix']!r} overflow the "
+                    f"quanto value h_fix * exp((r_f - r_d) * s) * spot of {chain}'s quote at "
+                    f"strike 2600.0, maturity_days 90")
+    else:
+        expected = (f"invalid {key} = -1000000.0: its discount factor overflows at the "
+                    f"longest maturity, 51 days, of {chain}")
+    assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 @pytest.mark.parametrize("command, key", [

@@ -9,13 +9,12 @@ import pytest
 from quanto_bayes.data_io import (
     OptionQuote,
     align_series,
-    construct_quanto,
     filter_options,
     load_option_chain,
     load_price_series,
     moneyness_bucket,
 )
-from quanto_bayes.model import MarketConfig, PriceSeries, ReturnPanel, log_returns
+from quanto_bayes.model import MarketConfig, PriceSeries, ReturnPanel, log_returns, quanto_of_call
 from quanto_bayes.pricing import implied_vol
 
 from conftest import FIXTURES
@@ -228,36 +227,42 @@ def test_filter_subset_and_idempotent():
 
 
 # ---------------------------------------------------------------------------
-# construct_quanto
+# The quanto quote of a call quote: model.quanto_of_call of its price
 # ---------------------------------------------------------------------------
 
 def test_construct_quanto_identity_at_zero_rate():
-    market = MarketConfig(r_d=0.0, r_f=0.0001, h_fix=1.0)
+    market = MarketConfig(r_d=0.0, r_f=0.0, h_fix=1.0)
     quote = _quote(2655.0, 51, 105.85)
-    assert construct_quanto(quote, market) == quote.market_price
+    assert quanto_of_call(quote.market_price, 51, market) == quote.market_price
 
 
 def test_construct_quanto_discounts_and_scales():
-    quote = _quote(2655.0, 51, 105.85)
-    assert construct_quanto(quote, MARKET) == pytest.approx(
-        math.exp(-51 * MARKET.r_d) * 105.85, rel=1e-14
+    # paid at h_fix and discounted at r_d instead of r_f
+    market = replace(MARKET, h_fix=1.5)
+    assert quanto_of_call(105.85, 51, market) == pytest.approx(
+        1.5 * math.exp(51 * (MARKET.r_f - MARKET.r_d)) * 105.85, rel=1e-14
     )
 
 
 def test_construct_quanto_multiplicative_in_h_fix():
-    quote = _quote(2655.0, 51, 105.85)
-    single = construct_quanto(quote, MARKET)
-    double = construct_quanto(quote, replace(MARKET, h_fix=2.0))
+    single = quanto_of_call(105.85, 51, MARKET)
+    double = quanto_of_call(105.85, 51, replace(MARKET, h_fix=2.0))
     assert double == 2.0 * single
-    scaled = construct_quanto(quote, replace(MARKET, h_fix=1.5))
+    scaled = quanto_of_call(105.85, 51, replace(MARKET, h_fix=1.5))
     assert scaled == pytest.approx(1.5 * single, rel=1e-15)
 
 
-def test_construct_quanto_overflow_raises():
-    quote = _quote(2655.0, 51, 105.85)
-    with pytest.raises(ValueError,
-                       match="^market price must be non-negative and finite, got inf$"):
-        construct_quanto(quote, replace(MARKET, h_fix=1e307))
+def test_construct_quanto_overflow_raises(tmp_path):
+    # the chain loader refuses a quote whose spot's quanto value overflows,
+    # which bounds the quanto quote and both baselines
+    from quanto_bayes.cli import ExperimentConfig, _load_quotes
+
+    chain = _write(tmp_path, "chain.csv", "quote_date,strike,maturity_days,price,spot\n"
+                                          "2018-03-23,2655.0,51,105.85,2711.74\n")
+    cfg = ExperimentConfig(option_chain=chain, out_dir=str(tmp_path), h_fix=1e307)
+    with pytest.raises(ValueError, match=r"h_fix = 1e\+307 overflow the quanto value .* "
+                                         r"quote at strike 2655\.0, maturity_days 51$"):
+        _load_quotes(cfg, cfg.market())
 
 
 # ---------------------------------------------------------------------------
