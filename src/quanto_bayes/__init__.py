@@ -32,6 +32,7 @@ from .pricing import (
     closed_form_v3,
     implied_vol,
     predictive_batch,
+    price_batch,
     price_predictive,
     relative_pricing_error,
 )

@@ -68,10 +68,8 @@ from .pricing import (
     SequentialSettings,
     bs_call,
     implied_vol,
-    predictive_batch,
+    price_batch,
     relative_pricing_error,
-    summarize_payoffs,
-    thinned_draw_count,
 )
 
 __all__ = ["ExperimentConfig", "load_config", "main"]
@@ -653,15 +651,14 @@ def _with_bs_h(table, market, panel):
 
 def _price_chain(cfg, chain, table, market, panel, h_level, seed):
     """Yield each of ``table``'s rows with the model columns of one draws
-    source filled in, together with the quote's discounted payoffs."""
+    source filled in, together with the quote's discounted payoffs in
+    sorted order."""
     sequential = cfg.sequential(panel) if cfg.mode == "sequential-update" else None
     requests = [PricingRequest(kind="F3", strike=row.strike, horizon_s=row.maturity_days,
                                spot=SpotState(row.spot, h_level), market=market,
                                n_paths=cfg.n_paths, seed=seed)
                 for row in table]
-    n_effective = thinned_draw_count(chain, cfg.n_paths)
-    for row, samples in zip(table, predictive_batch(requests, chain, sequential)):
-        result = summarize_payoffs(samples, n_effective)
+    for row, (result, samples) in zip(table, price_batch(requests, chain, sequential)):
         yield row._replace(
             model_price=result.price, mc_std_error=result.mc_std_error,
             hpdi99_lo=result.hpdi_99[0], hpdi99_hi=result.hpdi_99[1],

@@ -3,8 +3,11 @@
 File formats are comma-separated with a header row, UTF-8 (a leading byte
 order mark is dropped), decimal point:
 
-* price series: ``date,price`` with ISO-8601 dates;
+* price series: ``date,price``;
 * option chains: ``quote_date,strike,maturity_days,price,spot``.
+
+Dates are ISO-8601 calendar dates written ``YYYY-MM-DD``, the one form that
+``date.fromisoformat`` reads alike on every supported Python.
 """
 
 from __future__ import annotations
@@ -64,10 +67,16 @@ def read_text(path):
 
 
 def _parse_date(text, row):
-    try:
-        return Date.fromisoformat(text.strip())
-    except ValueError:
-        raise ValueError(f"row {row}: invalid ISO date {text!r}") from None
+    day = text.strip()
+    # YYYY-MM-DD alone: from Python 3.11 on, fromisoformat also reads
+    # 20110103 and 2011-W01-1, which 3.10 refuses. Of the forms it reads, only
+    # YYYY-MM-DD has 10 characters with a '-' at index 7.
+    if len(day) == 10 and day[7] == "-":
+        try:
+            return Date.fromisoformat(day)
+        except ValueError:
+            pass
+    raise ValueError(f"row {row}: invalid ISO date {text!r}")
 
 
 def _parse_float(text, row, column):

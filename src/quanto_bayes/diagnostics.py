@@ -19,7 +19,8 @@ import numpy as np
 
 from .inference import Chain
 
-__all__ = ["ChainSummary", "MIN_SUMMARY_DRAWS", "nse", "geweke_cd", "hpdi", "summarize"]
+__all__ = ["ChainSummary", "MIN_SUMMARY_DRAWS", "nse", "geweke_cd", "hpdi", "sorted_hpdi",
+           "summarize"]
 
 MIN_SUMMARY_DRAWS = 10  # the fewest post-burn-in draws that summarize accepts
 
@@ -76,13 +77,18 @@ def hpdi(samples, level):
     Ties between equal-width windows are broken by the smallest lower bound,
     so the result is deterministic.
     """
+    return sorted_hpdi(np.sort(np.asarray(samples, dtype=float), axis=None), level)
+
+
+def sorted_hpdi(ordered, level):
+    """:func:`hpdi` of samples already in ascending order: a scan of the
+    windows of ceil(level*n) consecutive samples, which reads only the first
+    and last n - ceil(level*n) + 1 of them."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    samples = np.asarray(samples, dtype=float)
-    n = samples.size
+    n = ordered.size
     if n < 10:
         raise ValueError(f"hpdi needs at least 10 samples, got {n}")
-    ordered = np.sort(samples)
     m = math.ceil(level * n)
     widths = ordered[m - 1:] - ordered[: n - m + 1]
     i = int(np.argmin(widths))

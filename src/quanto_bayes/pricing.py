@@ -2,12 +2,19 @@
 with a closed-form anchor for the fixed-rate payoff and Black-Scholes
 baselines.
 
-``predictive_batch`` is the one pricing path. It consumes one posterior draw
-per simulated path, the retained chain thinned to ``n_paths`` evenly spaced
-entries, and prices many requests that share the seed, path count and market
-from one simulation per chain: each path's growth factors to every requested
-maturity are built once, and every strike of that maturity reads them.
-``price_predictive`` averages one request's discounted payoffs.
+``price_batch`` prices many requests that share the seed, path count and
+market. It consumes one posterior draw per simulated path, the retained chain
+thinned to ``n_paths`` evenly spaced entries, and runs one simulation per
+chain: each path's growth factors to every requested maturity are built
+once, and every strike of that maturity reads them. The fixed-rate payoff F3
+is non-decreasing in the terminal asset level, so one sort of each
+maturity's growth orders the payoffs of all its strikes: a strike's sorted
+payoffs are a run of zeros followed by its in-the-money tail, and only that
+tail is computed. The other kinds sort their own payoffs. The price, its
+standard error and the 99 percent HPDI all come from the sorted payoffs,
+the first two from the positive tail with the zeros entering in closed form.
+``price_predictive`` is the one-request batch. ``predictive_batch`` yields
+the same simulation's payoffs in path order.
 
 With the parameters fixed along a static path, the ``horizon_s`` daily
 return pairs under the domestic risk-neutral measure sum to one bivariate
@@ -30,11 +37,12 @@ its extended posterior, all paths in one
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import hpdi
+from .diagnostics import sorted_hpdi
 from .inference import Chain, exact_posterior_draws
 from .model import (PAYOFF_KINDS, MarketConfig, ReturnPanel, SpotState, call_price_band,
                     ndtr, payoff, quanto_of_call, risk_neutral_drifts)
@@ -43,9 +51,9 @@ __all__ = [
     "PricingRequest",
     "PricingResult",
     "SequentialSettings",
+    "price_batch",
     "price_predictive",
     "predictive_batch",
-    "summarize_payoffs",
     "thinned_draw_count",
     "closed_form_v3",
     "bs_call",
@@ -125,22 +133,6 @@ def thinned_draw_count(chain: Chain, n_paths):
     return min(chain.post_burn_in().shape[0], int(n_paths))
 
 
-def summarize_payoffs(discounted, n_effective_draws) -> PricingResult:
-    """Wrap per-draw discounted payoffs into a :class:`PricingResult`."""
-    discounted = np.asarray(discounted, dtype=float)
-    n = discounted.size
-    price = float(discounted.mean())
-    se = float(discounted.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    if n >= 10:
-        interval = hpdi(discounted, 0.99)
-    else:
-        interval = (float(discounted.min()), float(discounted.max()))
-    return PricingResult(
-        price=price, mc_std_error=se, hpdi_99=interval,
-        n_effective_draws=n_effective_draws,
-    )
-
-
 def price_predictive(request: PricingRequest, chain: Chain,
                      sequential: SequentialSettings | None = None) -> PricingResult:
     """Posterior-predictive Monte Carlo price of one quanto option.
@@ -151,9 +143,69 @@ def price_predictive(request: PricingRequest, chain: Chain,
     domestic rate over the full horizon and averaged across paths. For F3
     only the asset return matters and it is drawn from its marginal normal.
     """
-    return summarize_payoffs(
-        next(predictive_batch([request], chain, sequential)),
-        thinned_draw_count(chain, request.n_paths),
+    return next(price_batch([request], chain, sequential))[0]
+
+
+def price_batch(requests, chain: Chain, sequential: SequentialSettings | None = None):
+    """Each request's :class:`PricingResult` with its discounted payoffs in
+    sorted order, lazily, one pair at a time.
+
+    The requests are checked and simulated as by :func:`predictive_batch`,
+    before this returns. Each maturity's F3 requests read one sort of its
+    growth X_s/x0: path payoffs are zero up to the first growth g with
+    x0*g - K > 0, and only the tail from there is computed. Every other
+    request sorts its own payoffs.
+    """
+    requests, growth = _simulate(requests, chain, sequential)
+    n_effective = thinned_draw_count(chain, requests[0].n_paths) if requests else 0
+    sorted_growth = {s: np.sort(growth[s][0])
+                     for s in {r.horizon_s for r in requests if r.kind == "F3"}}
+    ordered = (_sorted_payoffs(request, growth, sorted_growth) for request in requests)
+    return ((_summary(values, n_effective), values) for values in ordered)
+
+
+def _sorted_payoffs(request, growth, sorted_growth):
+    """One request's discounted payoffs in ascending order."""
+    if request.kind != "F3":
+        values = _discounted_payoffs(request, *growth[request.horizon_s])
+        values.sort()
+        return values
+    ordered = sorted_growth[request.horizon_s]
+    x0 = request.spot.x0
+    strike = request.strike
+    # K/x0 may round either way, or overflow: step back to the first
+    # growth whose payoff the formula makes positive
+    j = int(np.searchsorted(ordered, strike / x0, side="right"))
+    while j > 0 and x0 * ordered[j - 1] - strike > 0.0:
+        j -= 1
+    values = np.zeros(ordered.size)
+    values[j:] = _discounted_payoffs(request, ordered[j:], None)
+    return values
+
+
+def _summary(ordered, n_effective_draws) -> PricingResult:
+    """Price, standard error and 99% HPDI of sorted non-negative payoffs.
+
+    The mean and the centred sum of squares read only the positive tail
+    after the j leading zeros, which add j*mean^2 to the sum of squares.
+    """
+    n = ordered.size
+    j = int(np.searchsorted(ordered, 0.0, side="right"))
+    tail = ordered[j:]
+    price = float(tail.sum() / n)
+    if n > 1:
+        centred = tail - price
+        ss = float((centred * centred).sum()) + j * price * price
+        se = math.sqrt(ss / (n - 1)) / math.sqrt(n)
+    else:
+        se = 0.0
+    if n >= 10:
+        interval = sorted_hpdi(ordered, 0.99)
+    else:
+        interval = (float(ordered[0]), float(ordered[-1]))
+    return PricingResult(
+        price=price, mc_std_error=se, hpdi_99=interval,
+        n_effective_draws=n_effective_draws,
     )
 
 
@@ -164,8 +216,8 @@ def predictive_batch(requests, chain: Chain,
     The requests must share ``seed``, ``n_paths`` and ``market``; they may
     differ in kind, strike, horizon and spot. The inputs are checked and the
     paths simulated before this returns; the iterator then yields each
-    request's payoffs in request order, so one payoff array is held at a
-    time. Horizon 0 gives the intrinsic value on every path.
+    request's payoffs in request order and path order, so one payoff array
+    is held at a time. Horizon 0 gives the intrinsic value on every path.
 
     Static mode (``sequential`` is None): path k holds the thinned draw
     theta^(k) to maturity and draws its terminal log-levels exactly,
@@ -184,23 +236,28 @@ def predictive_batch(requests, chain: Chain,
     payoffs as when priced alone. Both return legs are simulated even for F3
     because the refresh needs the pair.
     """
+    requests, growth = _simulate(requests, chain, sequential)
+    return (_discounted_payoffs(request, *growth[request.horizon_s])
+            for request in requests)
+
+
+def _simulate(requests, chain, sequential):
+    """The checked requests as a list, and {s: (X_s/x0, H_s/h0 or None)}
+    for every requested maturity s."""
     requests = list(requests)
     retained = chain.post_burn_in()
     if len({(r.seed, r.n_paths, r.market) for r in requests}) > 1:
         raise ValueError("batched requests must share seed, n_paths and market")
-    growth = {}
-    if requests:
-        first = requests[0]
-        horizons = sorted({r.horizon_s for r in requests})
-        n_paths = first.n_paths
-        thetas = retained[np.arange(n_paths, dtype=np.int64) * len(retained) // n_paths]
-        if sequential is None:
-            both_legs = any(r.kind != "F3" for r in requests)
-            growth = _terminal_growth(thetas, horizons, first, both_legs)
-        else:
-            growth = _sequential_growth(thetas, horizons, first, sequential)
-    return (_discounted_payoffs(request, *growth[request.horizon_s])
-            for request in requests)
+    if not requests:
+        return requests, {}
+    first = requests[0]
+    horizons = sorted({r.horizon_s for r in requests})
+    n_paths = first.n_paths
+    thetas = retained[np.arange(n_paths, dtype=np.int64) * len(retained) // n_paths]
+    if sequential is None:
+        both_legs = any(r.kind != "F3" for r in requests)
+        return requests, _terminal_growth(thetas, horizons, first, both_legs)
+    return requests, _sequential_growth(thetas, horizons, first, sequential)
 
 
 def _terminal_growth(thetas, horizons, first, both_legs):
@@ -309,7 +366,12 @@ def bs_call(spot_x, strike, vol_per_period, rate_per_period, horizon_s):
     if vol_per_period <= 0.0:
         return max(spot_x - strike * math.exp(-rate_per_period * s), 0.0)
     sd = vol_per_period * math.sqrt(s)
-    d1 = (math.log(spot_x / strike) + (rate_per_period + 0.5 * vol_per_period ** 2) * s) / sd
+    moneyness = spot_x / strike
+    if sys.float_info.min <= moneyness <= sys.float_info.max:
+        log_moneyness = math.log(moneyness)
+    else:  # the quotient underflowed or overflowed
+        log_moneyness = math.log(spot_x) - math.log(strike)
+    d1 = (log_moneyness + (rate_per_period + 0.5 * vol_per_period ** 2) * s) / sd
     d2 = d1 - sd
     return spot_x * ndtr(d1) - strike * math.exp(-rate_per_period * s) * ndtr(d2)
 

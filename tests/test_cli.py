@@ -871,10 +871,21 @@ def test_fx_series_sharing_a_file_stem_exit_one(tmp_path, capsys, fx_series):
     ((2500.0, 51, float("inf")), "market price must be non-negative and finite, got inf"),
     ((2500.0, 30.7, 10.0), "non-integer maturity_days '30.7'"),
     ((2500.0, 51, "1" * 200_000), "field larger than field limit (131072)"),
-], ids=["nan-strike", "inf-price", "fractional-maturity", "oversized-cell"])
+    # the workspace's quote date, 2018-03-23, in forms only some Pythons read
+    (("20180323", 2500.0, 51, 10.0), "invalid ISO date '20180323'"),
+    (("2018-W12-5", 2500.0, 51, 10.0), "invalid ISO date '2018-W12-5'"),
+], ids=["nan-strike", "inf-price", "fractional-maturity", "oversized-cell",
+        "basic-format-date", "week-date"])
 def test_main_malformed_option_chain_exits_one(tmp_path, capsys, command, bad_quote, text):
+    quote_date, *bad_quote = bad_quote if len(bad_quote) == 4 else (None, *bad_quote)
     cfg_path = make_workspace(tmp_path, chain_prices=[(2500.0, 51, 10.0), bad_quote])
     chain = os.path.join(str(tmp_path), "chain.csv")
+    if quote_date is not None:
+        with open(chain, encoding="utf-8") as f:
+            lines = f.read().splitlines(keepends=True)
+        lines[2] = quote_date + lines[2][lines[2].index(","):]
+        with open(chain, "w", encoding="utf-8") as f:
+            f.writelines(lines)
     argv = [command, "--config", cfg_path]
     if command == "price":
         draws = os.path.join(str(tmp_path), "draws.csv")
@@ -916,6 +927,40 @@ def test_main_rate_whose_discount_overflows_exits_one(tmp_path, capsys, command,
         expected = (f"invalid {key} = -1000000.0: its discount factor overflows at the "
                     f"longest maturity, 51 days, of {chain}")
     assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("command", ["price", "experiment"])
+def test_quote_whose_moneyness_underflows_prices(tmp_path, capsys, command):
+    # spot / strike = 1e-300 / 1e30 underflows to 0, so BS-H needs log(S) -
+    # log(K); K / x0 overflows, so no simulated path is in the money. The
+    # quote passes the no-arbitrage filter: 0 lies in [0, spot).
+    cfg_path = make_workspace(tmp_path)
+    with open(os.path.join(str(tmp_path), "chain.csv"), "a", encoding="utf-8") as f:
+        f.write("2018-03-23,1e30,51,0,1e-300\n")
+    argv = [command, "--config", cfg_path]
+    out = os.path.join(str(tmp_path), "out")
+    if command == "price":
+        draws = os.path.join(str(tmp_path), "draws.csv")
+        with open(draws, "w", encoding="utf-8") as f:
+            f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n")
+        argv += ["--draws", draws]
+        tables = [os.path.join(out, "pricing.csv")]
+    else:
+        tables = [os.path.join(out, "cells", "fx", "w250", "pricing_tnn.csv")]
+    capsys.readouterr()
+    assert main(argv) == 0
+    if command == "experiment":
+        assert len(_read_csv(os.path.join(out, "failures.csv"))) == 0
+    for table in tables:
+        rows = _read_csv(table)
+        assert len(rows) == 6, table
+        row, = [r for r in rows if float(r["strike"]) == 1e30]
+        assert math.isfinite(float(row["bs_h_price"])) and float(row["bs_h_price"]) >= 0.0
+        assert float(row["model_price"]) == 0.0
+        assert float(row["mc_std_error"]) == 0.0
+        assert (row["hpdi99_lo"], row["hpdi99_hi"]) == ("0", "0")
+        # the quote no longer fails its maturity's BS-I
+        assert all(r["bs_i_price"] != "NA" for r in rows), table
 
 
 @pytest.mark.parametrize("command, key", [
@@ -991,17 +1036,22 @@ def test_series_without_shared_returns_names_both_files(tmp_path, capsys, comman
 
 
 @pytest.mark.parametrize("command", ["estimate", "price"])
-@pytest.mark.parametrize("bad_price, text", [
-    ("-1", "row 6: non-positive price -1.0"),
-    ("n/a", "row 6: non-numeric price 'n/a'"),
-    ("1" * 200_000, "row 6: field larger than field limit (131072)"),
-], ids=["negative", "non-numeric", "oversized-cell"])
-def test_main_malformed_price_series_exits_one(tmp_path, capsys, command, bad_price, text):
+@pytest.mark.parametrize("bad_row, text", [
+    ((None, "-1"), "row 6: non-positive price -1.0"),
+    ((None, "n/a"), "row 6: non-numeric price 'n/a'"),
+    ((None, "1" * 200_000), "row 6: field larger than field limit (131072)"),
+    # the row's own date, 2017-01-06, in forms only some Pythons read
+    (("20170106", None), "row 6: invalid ISO date '20170106'"),
+    (("2017-W01-5", None), "row 6: invalid ISO date '2017-W01-5'"),
+], ids=["negative", "non-numeric", "oversized-cell", "basic-format-date", "week-date"])
+def test_main_malformed_price_series_exits_one(tmp_path, capsys, command, bad_row, text):
     cfg_path = make_workspace(tmp_path)
     fx = os.path.join(str(tmp_path), "fx.csv")
     with open(fx, encoding="utf-8") as f:
         lines = f.read().splitlines(keepends=True)
-    lines[5] = f"{lines[5].split(',')[0]},{bad_price}\n"
+    day, price = lines[5].rstrip("\n").split(",")
+    bad_day, bad_price = bad_row
+    lines[5] = f"{bad_day or day},{bad_price or price}\n"
     with open(fx, "w", encoding="utf-8") as f:
         f.writelines(lines)
     argv = [command, "--config", cfg_path]

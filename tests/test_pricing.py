@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp, lognorm
 
 from quanto_bayes import pricing
+from quanto_bayes.diagnostics import hpdi
 from quanto_bayes.inference import Chain, default_proposals, exact_posterior_draws, mwg_sample
 from quanto_bayes.model import MarketConfig, SpotState, Theta, payoff
 from quanto_bayes.pricing import (
@@ -17,6 +18,7 @@ from quanto_bayes.pricing import (
     closed_form_v3,
     implied_vol,
     predictive_batch,
+    price_batch,
     price_predictive,
     relative_pricing_error,
     thinned_draw_count,
@@ -525,6 +527,60 @@ def test_predictive_batch_pinned_payoffs(case):
     assert digest.hexdigest() == _PINNED_BATCHES[case]
 
 
+@pytest.mark.parametrize("n_paths", [1, 5, 12])
+@pytest.mark.parametrize("mode", ["static", "sequential-update"])
+def test_price_batch_summarizes_the_sorted_predictive_batch(mode, n_paths):
+    sequential = _sequential_settings() if mode == "sequential-update" else None
+    chain = posterior_like_chain(n=100)
+    common = dict(market=MARKET, n_paths=n_paths, seed=94)
+    tiny = SpotState(1e-300, 0.88)  # strike / spot overflows to inf
+    terms = [
+        ("F1", 2380.0, 6, SPOT), ("F1", 0.0, 6, SPOT), ("F1", 1e7, 6, SPOT),
+        ("F2", 2720.0, 8, SPOT), ("F2", 0.0, 8, SPOT), ("F2", 1e7, 8, SPOT),
+        ("F3", 2700.0, 8, SPOT), ("F3", 2650.0, 8, SpotState(2690.0, 0.88)),
+        ("F3", 0.0, 8, SPOT), ("F3", 1e7, 8, SPOT), ("F3", 1e30, 8, tiny),
+        ("F3", 2700.0, 3, SPOT), ("F3", 2700.0, 0, SPOT), ("F3", 2750.0, 0, SPOT),
+        ("F4", 0.87, 10, SPOT), ("F4", 0.0, 10, SPOT), ("F4", 1e3, 10, SPOT),
+    ]
+    requests = [PricingRequest(kind=kind, strike=strike, horizon_s=s, spot=spot, **common)
+                for kind, strike, s, spot in terms]
+    priced = price_batch(requests, chain, sequential)
+    for request, payoffs, (result, ordered) in zip(
+            requests, predictive_batch(requests, chain, sequential), priced, strict=True):
+        assert ordered.tobytes() == np.sort(payoffs).tobytes(), request
+        if n_paths >= 10:
+            assert result.hpdi_99 == hpdi(payoffs, 0.99), request
+        else:
+            assert result.hpdi_99 == (payoffs.min(), payoffs.max()), request
+        # the reference summary: mean, and std(ddof=1) / sqrt(n), of the payoffs
+        assert result.price == pytest.approx(payoffs.mean(), rel=1e-12, abs=0.0), request
+        se = payoffs.std(ddof=1) / math.sqrt(n_paths) if n_paths > 1 else 0.0
+        assert result.mc_std_error == pytest.approx(se, rel=1e-12, abs=0.0), request
+        assert result.n_effective_draws == thinned_draw_count(chain, n_paths)
+    assert result.price == 0.0  # out of the money on every path
+    assert price_predictive(requests[1], chain, sequential) == next(
+        price_batch(requests[1:2], chain, sequential))[0]
+
+
+def test_f3_tail_starts_at_the_first_positive_payoff():
+    # K / x0 rounds either way, so the growth levels within a few ulps of it
+    # may pay, or not, on either side of it
+    rng = np.random.default_rng(95)
+    for _ in range(300):
+        x0, strike = np.exp(rng.uniform(-5.0, 10.0, size=2))
+        quotient = strike / x0
+        around = [quotient]
+        for _ in range(3):
+            around = [np.nextafter(around[0], 0.0), *around, np.nextafter(around[-1], np.inf)]
+        growth = np.sort(np.concatenate([around, np.exp(rng.normal(0.0, 0.1, size=5))
+                                         * quotient]))
+        request = PricingRequest(kind="F3", strike=float(strike), horizon_s=4,
+                                 spot=SpotState(float(x0), 0.88), market=MARKET)
+        ordered = pricing._sorted_payoffs(request, None, {4: growth})
+        expected = np.sort(pricing._discounted_payoffs(request, growth, None))
+        assert ordered.tobytes() == expected.tobytes(), (x0, strike)
+
+
 @pytest.mark.parametrize("field, value", [
     ("seed", 92), ("n_paths", 13),
     pytest.param("market",
@@ -551,6 +607,12 @@ def test_bs_call_zero_vol_limit():
         100.0 - 90.0 * math.exp(-0.003), rel=1e-14
     )
     assert bs_call(80.0, 90.0, 0.0, 0.0001, 30) == 0.0
+
+
+def test_bs_call_when_the_moneyness_underflows_or_overflows():
+    # spot / strike is 0 or inf as a float, but its log is finite
+    assert bs_call(1e-300, 1e30, 0.01, 0.0001, 30) == 0.0
+    assert bs_call(1e30, 1e-300, 0.01, 0.0001, 30) == 1e30
 
 
 def test_bs_call_atm_short_dated_approximation():
