@@ -33,8 +33,6 @@ from .pricing import (
     implied_vol,
     predictive_batch,
     price_batch,
-    price_predictive,
-    relative_pricing_error,
 )
 from .data_io import (
     OptionQuote,

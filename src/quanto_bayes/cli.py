@@ -69,7 +69,6 @@ from .pricing import (
     bs_call,
     implied_vol,
     price_batch,
-    relative_pricing_error,
 )
 
 __all__ = ["ExperimentConfig", "load_config", "main"]
@@ -134,6 +133,12 @@ class ExperimentConfig:
         # two returns have a sample correlation of +-1, outside the support
         if not self.windows or any(w < 3 for w in self.windows):
             raise ConfigError(f"windows must be integers >= 3, got {self.windows}")
+        # each entry names its output cells and rows, and would be run again
+        for key in ("families", "windows"):
+            entries = getattr(self, key)
+            for i, entry in enumerate(entries):
+                if entry in entries[:i]:
+                    raise ConfigError(f"{key} lists {entry!r} more than once")
         # an fx series' file stem names its output cells and its rows
         stems = {}
         for path in self.fx_series:
@@ -171,12 +176,7 @@ class ExperimentConfig:
         )
 
     def niw(self):
-        # checked before it scales the identity, whose zeros inf would make nan
-        if not math.isfinite(self.mnc_scale):
-            raise ValueError(f"scale must be finite, got {self.mnc_scale}")
-        return NiwHyperparams(
-            kappa=self.mnc_kappa, df=self.mnc_df, scale=self.mnc_scale * np.eye(2)
-        )
+        return NiwHyperparams(kappa=self.mnc_kappa, df=self.mnc_df, scale=self.mnc_scale)
 
     def proposals(self, family, panel):
         """The MwG proposal triple of ``family`` on ``panel``."""
@@ -511,7 +511,7 @@ def _load_draws(path) -> Chain:
         try:
             draws = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
             return Chain(draws=draws, burn_in=0,
-                         acceptance_counts=np.full(3, draws.shape[0], dtype=int), seed=0)
+                         acceptance_counts=np.full(3, draws.shape[0], dtype=int))
         except ValueError:
             pass  # the same parser, line by line, finds the first row at fault
         try:
@@ -600,10 +600,11 @@ class PricingRow(NamedTuple):
 
 
 def _rpe(price, quanto_market_price):
-    """Relative pricing error, or None without a price or a positive quote."""
+    """Relative pricing error |price - quote| / quote, or None without a
+    price or a positive quote."""
     if price is None or not quanto_market_price > 0.0:
         return None
-    return relative_pricing_error(price, quanto_market_price)
+    return abs(price - quanto_market_price) / quanto_market_price
 
 
 def _quote_table(quotes, market):

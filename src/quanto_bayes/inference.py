@@ -27,14 +27,15 @@ Samplers:
   only its sufficient statistics, which may differ from draw to draw; the
   sequential-update pricer refreshes every path's parameters with it.
 * :func:`conjugate_sample` draws exactly from the Normal-Inverse-Wishart
-  conjugate posterior of an unconstrained bivariate normal (MNC baseline).
+  conjugate posterior of an unconstrained bivariate normal (MNC baseline),
+  under a prior with zero mean and a scale * I scale matrix.
 * :func:`mle_estimate` is the closed-form maximum likelihood baseline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -316,7 +317,6 @@ class Chain:
     draws: np.ndarray
     burn_in: int
     acceptance_counts: np.ndarray
-    seed: int
     warnings: tuple = ()
 
     def __post_init__(self):
@@ -533,7 +533,6 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
         draws=draws,
         burn_in=burn_in,
         acceptance_counts=np.array([mask.sum() for mask in accepted], dtype=int),
-        seed=int(seed),
         warnings=warnings,
     )
 
@@ -618,61 +617,47 @@ def mle_estimate(panel: ReturnPanel) -> Theta:
     return Theta(sigma_x, sigma_h, rho)
 
 
-def _default_niw_scale():
-    return 1e-4 * np.eye(2)
-
-
 @dataclass(frozen=True)
 class NiwHyperparams:
-    """Normal-Inverse-Wishart prior for the conjugate (MNC) baseline.
+    """Normal-Inverse-Wishart prior for the conjugate (MNC) baseline: zero
+    prior mean with weight ``kappa``, ``df`` degrees of freedom and the
+    scale matrix ``scale`` * I.
 
-    Defaults are weakly informative: zero prior mean with unit weight,
-    4 degrees of freedom and a 1e-4 * I scale matrix.
+    Defaults are weakly informative: unit weight, 4 degrees of freedom and
+    scale 1e-4.
     """
 
-    mean: tuple = (0.0, 0.0)
     kappa: float = 1.0
     df: float = 4.0
-    scale: np.ndarray = field(default_factory=_default_niw_scale)
+    scale: float = 1e-4
 
     def __post_init__(self):
-        mean = tuple(float(v) for v in self.mean)
-        if len(mean) != 2 or not all(math.isfinite(v) for v in mean):
-            raise ValueError("prior mean must be two finite numbers")
         if not (math.isfinite(self.kappa) and self.kappa > 0.0):
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
         if not (math.isfinite(self.df) and self.df >= 2.0):
             raise ValueError(f"df must be finite and >= 2 for a 2x2 scale, got {self.df}")
-        scale = np.asarray(self.scale, dtype=float)
-        if scale.shape != (2, 2) or not np.allclose(scale, scale.T):
-            raise ValueError("scale must be a symmetric 2x2 matrix")
-        try:
-            np.linalg.cholesky(scale)
-        except np.linalg.LinAlgError:
-            raise ValueError("scale matrix must be positive definite") from None
-        scale.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "scale", scale)
+        if not math.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale}")
+        if not self.scale > 0.0:
+            raise ValueError(f"scale must be positive, got {self.scale}")
 
 
 def niw_posterior(panel, hyper: NiwHyperparams):
-    """Posterior (mean, kappa, df, scale) of the NIW model given a panel.
+    """Posterior degrees of freedom and scale matrix (df_n, scale_n) of the
+    NIW model given a panel. The prior mean is zero, so the sample mean
+    ybar enters the scale as kappa*T/(kappa + T) * ybar ybar'.
 
     ``panel=None`` is the prior-only hook: the update reduces to the prior.
     """
+    prior_scale = hyper.scale * np.eye(2)
     if panel is None:
-        return np.asarray(hyper.mean, dtype=float), hyper.kappa, hyper.df, hyper.scale
+        return hyper.df, prior_scale
     t = panel.n_obs
     ybar = np.array([panel.mean_x, panel.mean_h])
     sxy = -panel.cross_moment
     scatter = np.array([[panel.sxx, sxy], [sxy, panel.shh]])
-    mean0 = np.asarray(hyper.mean, dtype=float)
-    kappa_n = hyper.kappa + t
-    df_n = hyper.df + t
-    dev = ybar - mean0
-    scale_n = hyper.scale + scatter + (hyper.kappa * t / kappa_n) * np.outer(dev, dev)
-    mean_n = (hyper.kappa * mean0 + t * ybar) / kappa_n
-    return mean_n, kappa_n, df_n, scale_n
+    shrink = hyper.kappa * t / (hyper.kappa + t)
+    return hyper.df + t, prior_scale + scatter + shrink * np.outer(ybar, ybar)
 
 
 def conjugate_sample(panel, hyper: NiwHyperparams, n_draws, burn_in, seed) -> Chain:
@@ -690,7 +675,7 @@ def conjugate_sample(panel, hyper: NiwHyperparams, n_draws, burn_in, seed) -> Ch
     burn_in = int(burn_in)
     if not 0 <= burn_in < n_draws:
         raise ValueError(f"need n_draws > burn_in >= 0, got {n_draws}, {burn_in}")
-    _, _, df_n, scale_n = niw_posterior(panel, hyper)
+    df_n, scale_n = niw_posterior(panel, hyper)
     chol = np.linalg.cholesky(np.linalg.inv(scale_n))
     rng = np.random.default_rng(seed)
     a11 = np.sqrt(rng.chisquare(df_n, n_draws))
@@ -711,7 +696,6 @@ def conjugate_sample(panel, hyper: NiwHyperparams, n_draws, burn_in, seed) -> Ch
         draws=draws,
         burn_in=burn_in,
         acceptance_counts=np.full(3, n_draws, dtype=int),
-        seed=int(seed),
     )
 
 

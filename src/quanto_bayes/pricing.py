@@ -13,8 +13,7 @@ payoffs are a run of zeros followed by its in-the-money tail, and only that
 tail is computed. The other kinds sort their own payoffs. The price, its
 standard error and the 99 percent HPDI all come from the sorted payoffs,
 the first two from the positive tail with the zeros entering in closed form.
-``price_predictive`` is the one-request batch. ``predictive_batch`` yields
-the same simulation's payoffs in path order.
+``predictive_batch`` yields the same simulation's payoffs in path order.
 
 With the parameters fixed along a static path, the ``horizon_s`` daily
 return pairs under the domestic risk-neutral measure sum to one bivariate
@@ -52,13 +51,10 @@ __all__ = [
     "PricingResult",
     "SequentialSettings",
     "price_batch",
-    "price_predictive",
     "predictive_batch",
-    "thinned_draw_count",
     "closed_form_v3",
     "bs_call",
     "implied_vol",
-    "relative_pricing_error",
 ]
 
 
@@ -124,28 +120,6 @@ class SequentialSettings:
             )
 
 
-def thinned_draw_count(chain: Chain, n_paths):
-    """Distinct post-burn-in draws consumed when thinning to n_paths paths.
-
-    The thinning indices (k*A)//N are strictly increasing when N <= A and
-    cover every index when N > A, so the count is min(A, N).
-    """
-    return min(chain.post_burn_in().shape[0], int(n_paths))
-
-
-def price_predictive(request: PricingRequest, chain: Chain,
-                     sequential: SequentialSettings | None = None) -> PricingResult:
-    """Posterior-predictive Monte Carlo price of one quanto option.
-
-    Each retained posterior draw theta^(k) drives one simulated path of
-    ``horizon_s`` return pairs under the domestic risk-neutral measure; the
-    terminal levels feed the requested payoff, which is discounted at the
-    domestic rate over the full horizon and averaged across paths. For F3
-    only the asset return matters and it is drawn from its marginal normal.
-    """
-    return next(price_batch([request], chain, sequential))[0]
-
-
 def price_batch(requests, chain: Chain, sequential: SequentialSettings | None = None):
     """Each request's :class:`PricingResult` with its discounted payoffs in
     sorted order, lazily, one pair at a time.
@@ -156,8 +130,7 @@ def price_batch(requests, chain: Chain, sequential: SequentialSettings | None = 
     x0*g - K > 0, and only the tail from there is computed. Every other
     request sorts its own payoffs.
     """
-    requests, growth = _simulate(requests, chain, sequential)
-    n_effective = thinned_draw_count(chain, requests[0].n_paths) if requests else 0
+    requests, growth, n_effective = _simulate(requests, chain, sequential)
     sorted_growth = {s: np.sort(growth[s][0])
                      for s in {r.horizon_s for r in requests if r.kind == "F3"}}
     ordered = (_sorted_payoffs(request, growth, sorted_growth) for request in requests)
@@ -236,28 +209,36 @@ def predictive_batch(requests, chain: Chain,
     payoffs as when priced alone. Both return legs are simulated even for F3
     because the refresh needs the pair.
     """
-    requests, growth = _simulate(requests, chain, sequential)
+    requests, growth, _ = _simulate(requests, chain, sequential)
     return (_discounted_payoffs(request, *growth[request.horizon_s])
             for request in requests)
 
 
 def _simulate(requests, chain, sequential):
-    """The checked requests as a list, and {s: (X_s/x0, H_s/h0 or None)}
-    for every requested maturity s."""
+    """The checked requests as a list, {s: (X_s/x0, H_s/h0 or None)} for
+    every requested maturity s, and the number of distinct draws the paths
+    consume.
+
+    Path k takes retained draw (k*A)//N of A; the indices are strictly
+    increasing when N <= A and cover every draw when N > A, so min(A, N)
+    draws are distinct.
+    """
     requests = list(requests)
     retained = chain.post_burn_in()
     if len({(r.seed, r.n_paths, r.market) for r in requests}) > 1:
         raise ValueError("batched requests must share seed, n_paths and market")
     if not requests:
-        return requests, {}
+        return requests, {}, 0
     first = requests[0]
     horizons = sorted({r.horizon_s for r in requests})
     n_paths = first.n_paths
     thetas = retained[np.arange(n_paths, dtype=np.int64) * len(retained) // n_paths]
     if sequential is None:
         both_legs = any(r.kind != "F3" for r in requests)
-        return requests, _terminal_growth(thetas, horizons, first, both_legs)
-    return requests, _sequential_growth(thetas, horizons, first, sequential)
+        growth = _terminal_growth(thetas, horizons, first, both_legs)
+    else:
+        growth = _sequential_growth(thetas, horizons, first, sequential)
+    return requests, growth, min(len(retained), n_paths)
 
 
 def _terminal_growth(thetas, horizons, first, both_legs):
@@ -409,10 +390,3 @@ def implied_vol(price, spot_x, strike, rate_per_period, horizon_s):
         if hi - lo <= 1e-14:
             break
     return mid
-
-
-def relative_pricing_error(model_price, market_price):
-    """|model - market| / market."""
-    if market_price <= 0.0:
-        raise ValueError(f"market price must be positive, got {market_price}")
-    return abs(model_price - market_price) / market_price

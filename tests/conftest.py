@@ -7,7 +7,7 @@ import pytest
 
 from quanto_bayes.data_io import align_series, load_price_series
 from quanto_bayes.model import ReturnPanel, Theta, log_returns
-from quanto_bayes.pricing import predictive_batch
+from quanto_bayes.pricing import predictive_batch, price_batch
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -43,6 +43,11 @@ def fixture_panel(window):
 def predictive_samples(request, chain, sequential=None):
     """One request's per-draw discounted payoffs: its one-request batch."""
     return next(predictive_batch([request], chain, sequential))
+
+
+def price_one(request, chain, sequential=None):
+    """One request's :class:`PricingResult`: its one-request batch."""
+    return next(price_batch([request], chain, sequential))[0]
 
 
 @pytest.fixture(scope="session")

@@ -29,10 +29,9 @@ from quanto_bayes.pricing import (
     bs_call,
     closed_form_v3,
     implied_vol,
-    price_predictive,
 )
 
-from conftest import FIXTURES, TRUTH, make_workspace, predictive_samples, synth_panel
+from conftest import FIXTURES, TRUTH, make_workspace, predictive_samples, price_one, synth_panel
 
 MARKET = MarketConfig.from_annual(0.015, 0.025, h_fix=1.0, periods_per_year=252)
 SPOT = SpotState(2711.74, 0.88)
@@ -47,7 +46,6 @@ def _one_draw_chain(theta):
         draws=np.array([[theta.sigma_x, theta.sigma_h, theta.rho]]),
         burn_in=0,
         acceptance_counts=np.ones(3, dtype=int),
-        seed=0,
     )
 
 
@@ -56,7 +54,7 @@ def test_criterion_01_analytic_oracle_pricing():
     request = PricingRequest(kind="F3", strike=2655.0, horizon_s=51, spot=SPOT,
                              market=MARKET, n_paths=1_000_000, seed=42)
     start = time.perf_counter()
-    result = price_predictive(request, _one_draw_chain(theta))
+    result = price_one(request, _one_draw_chain(theta))
     elapsed = time.perf_counter() - start
     reference = closed_form_v3(theta, SPOT, 2655.0, 51, MARKET)
     gap = abs(result.price - reference)
@@ -86,7 +84,7 @@ def test_criterion_03_zero_strike_identities():
     for kind in ("F1", "F2", "F4"):
         request = PricingRequest(kind=kind, strike=0.0, horizon_s=51, spot=SPOT,
                                  market=MARKET, n_paths=400_000, seed=23)
-        result = price_predictive(request, _one_draw_chain(theta))
+        result = price_one(request, _one_draw_chain(theta))
         gap_se = abs(result.price - target) / result.mc_std_error
         assert gap_se < 4.0, kind
         gaps.append(f"{kind}={gap_se:.2f}se")
@@ -153,7 +151,7 @@ def test_criterion_06_conjugate_moments():
     hyper = NiwHyperparams()
     chain = conjugate_sample(panel, hyper, 60_000, 1_000, seed=6)
     seg = chain.post_burn_in()
-    _, _, df_n, scale_n = niw_posterior(panel, hyper)
+    df_n, scale_n = niw_posterior(panel, hyper)
     worst = 0.0
     for sample, target in (
         (seg[:, 0] ** 2, scale_n[0, 0] / (df_n - 3.0)),

@@ -168,7 +168,7 @@ def test_draws_file_format_and_round_trip(tmp_path, make_draws):
     from quanto_bayes.inference import Chain
 
     draws, burn_in = make_draws(np.random.default_rng(12))
-    chain = Chain(draws=draws, burn_in=burn_in, acceptance_counts=np.zeros(3), seed=0)
+    chain = Chain(draws=draws, burn_in=burn_in, acceptance_counts=np.zeros(3))
     path = os.path.join(str(tmp_path), "draws.csv")
     _write_draws(path, chain)
     with open(path, encoding="utf-8") as f:
@@ -312,9 +312,21 @@ def test_cmd_price_outputs(tmp_path):
 
     cfg = load_config(make_workspace(tmp_path))
     draws_files = cmd_estimate(cfg)
-    cmd_price(cfg, draws_files["tnn"])
+    priced = cmd_price(cfg, draws_files["tnn"])
     rows = _read_csv(os.path.join(cfg.out_dir, "pricing.csv"))
     assert len(rows) == 5  # 6 quotes, 1 dropped by the filter
+
+    # each relative pricing error is |price - quote| / quote, NA without a price
+    for row, cells in zip(priced, rows, strict=True):
+        quote = row.quanto_market_price
+        for price_field, rpe_field in (("model_price", "rpe_model"),
+                                       ("bs_i_price", "rpe_bs_i"), ("bs_h_price", "rpe_bs_h")):
+            price = getattr(row, price_field)
+            if price is None:
+                assert getattr(row, rpe_field) is None and cells[rpe_field] == "NA"
+            else:
+                assert getattr(row, rpe_field) == pytest.approx(abs(price - quote) / quote,
+                                                                 rel=1e-12, abs=0.0)
 
     # BS-H is definitionally the MLE historical volatility of the window panel
     market = cfg.market()
@@ -747,13 +759,16 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
             if (key, value) == ("mnc_scale", "inf"):
                 assert err.endswith(": scale must be finite, got inf\n"), err
 
-    # values that parse but leave too few returns or draws to estimate from
-    for overrides, text in (
+    # values that parse but repeat an entry, or leave too few returns or draws
+    # to estimate from
+    for case, (overrides, text) in enumerate((
+        ({"families": "tnn, tnn, mle"}, "families lists 'tnn' more than once"),
+        ({"windows": "250, 140, 250"}, "windows lists 250 more than once"),
         ({"windows": "250, 2"}, "windows must be integers >= 3, got (250, 2)"),
         ({"draws": 105, "burn_in": 100},
          "need burn_in >= 0 and draws - burn_in >= 10, got draws=105 burn_in=100"),
-    ):
-        root = tmp_path / f"short_{'_'.join(overrides)}"
+    )):
+        root = tmp_path / f"short_{case}"
         root.mkdir()
         bad_cfg = make_workspace(root, **overrides)
         for command in ("estimate", "experiment"):

@@ -153,7 +153,6 @@ def _chain_from(draws, burn_in=0, counts=(1, 1, 1)):
         draws=np.asarray(draws, dtype=float),
         burn_in=burn_in,
         acceptance_counts=np.asarray(counts, dtype=int),
-        seed=0,
     )
 
 

@@ -425,7 +425,6 @@ def _reference_mwg_sample(panel, specs, n_draws, burn_in, init, seed, kernel=Non
         draws=draws,
         burn_in=burn_in,
         acceptance_counts=np.array(accepted, dtype=int),
-        seed=int(seed),
         warnings=warnings,
     )
 
@@ -806,13 +805,13 @@ def test_mwg_validation_errors(panel_small):
 
 def test_chain_validation():
     good = np.full((10, 3), [0.006, 0.004, -0.03])
-    Chain(draws=good, burn_in=2, acceptance_counts=np.array([5, 5, 5]), seed=0)
+    Chain(draws=good, burn_in=2, acceptance_counts=np.array([5, 5, 5]))
     with pytest.raises(ValueError):
-        Chain(draws=good, burn_in=10, acceptance_counts=np.array([5, 5, 5]), seed=0)
+        Chain(draws=good, burn_in=10, acceptance_counts=np.array([5, 5, 5]))
     bad = good.copy()
     bad[3, 2] = 1.5
     with pytest.raises(ValueError):
-        Chain(draws=bad, burn_in=2, acceptance_counts=np.array([5, 5, 5]), seed=0)
+        Chain(draws=bad, burn_in=2, acceptance_counts=np.array([5, 5, 5]))
 
 
 # ---------------------------------------------------------------------------
@@ -894,17 +893,43 @@ def test_mle_is_stationary_point_of_log_likelihood():
 
 def test_niw_validation():
     NiwHyperparams()
-    with pytest.raises(ValueError, match="positive definite"):
-        NiwHyperparams(scale=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    for scale in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale must be"):
+            NiwHyperparams(scale=scale)
     with pytest.raises(ValueError):
         NiwHyperparams(kappa=0.0)
+
+
+# sha256 of draws.tobytes() of 3000 conjugate draws (burn-in 100): the default
+# prior on panel_small, a non-default prior on the fixture window 1840, and
+# the prior alone. They pin the Bartlett draw's random-stream layout and the
+# posterior update's arithmetic bit for bit.
+_PINNED_CONJUGATE = {
+    "default-prior": (NiwHyperparams(), 23,
+                      "d991c62eecc9cd4e8351d14f6e97c8241fa170d3ec22c6847da841e64f832547"),
+    "fixture-1840": (NiwHyperparams(kappa=2.5, df=7.0, scale=3e-3), 29,
+                     "0124ce7f142c69c3ae40c3357d69f37476054a19693ec0991c1a7e86289fec38"),
+    "prior-only": (NiwHyperparams(kappa=0.5, df=6.0, scale=2e-4), 31,
+                   "bc6874dd8054cc65d272c62276626e3fd8143fbb7ee313bf871de5338b5ddb30"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_CONJUGATE))
+def test_conjugate_pinned_draws(panel_small, case):
+    hyper, seed, digest = _PINNED_CONJUGATE[case]
+    if case == "fixture-1840":
+        panel = fixture_panel(1840)
+    else:
+        panel = panel_small if case == "default-prior" else None
+    chain = conjugate_sample(panel, hyper, 3000, 100, seed=seed)
+    assert hashlib.sha256(chain.draws.tobytes()).hexdigest() == digest
 
 
 def test_conjugate_posterior_moments(panel_small):
     hyper = NiwHyperparams()
     chain = conjugate_sample(panel_small, hyper, 40_000, 1_000, seed=3)
     seg = chain.post_burn_in()
-    _, _, df_n, scale_n = niw_posterior(panel_small, hyper)
+    df_n, scale_n = niw_posterior(panel_small, hyper)
     s11 = seg[:, 0] ** 2
     s22 = seg[:, 1] ** 2
     s12 = seg[:, 2] * seg[:, 0] * seg[:, 1]
@@ -918,7 +943,7 @@ def test_conjugate_posterior_moments(panel_small):
 
 
 def test_conjugate_prior_only_hook_matches_prior_moments():
-    hyper = NiwHyperparams(df=10.0, scale=1e-4 * np.eye(2))
+    hyper = NiwHyperparams(df=10.0, scale=1e-4)
     chain = conjugate_sample(None, hyper, 40_000, 1_000, seed=4)
     seg = chain.post_burn_in()
     target = 1e-4 / (10.0 - 3.0)

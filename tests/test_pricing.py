@@ -19,12 +19,9 @@ from quanto_bayes.pricing import (
     implied_vol,
     predictive_batch,
     price_batch,
-    price_predictive,
-    relative_pricing_error,
-    thinned_draw_count,
 )
 
-from conftest import predictive_samples, synth_panel
+from conftest import predictive_samples, price_one, synth_panel
 
 MARKET = MarketConfig.from_annual(0.015, 0.025, h_fix=1.0, periods_per_year=252)
 THETA = Theta(0.006, 0.004, -0.03)
@@ -36,7 +33,6 @@ def one_draw_chain(theta=THETA):
         draws=np.array([[theta.sigma_x, theta.sigma_h, theta.rho]]),
         burn_in=0,
         acceptance_counts=np.ones(3, dtype=int),
-        seed=0,
     )
 
 
@@ -48,7 +44,7 @@ def posterior_like_chain(n=4000, seed=3):
         np.clip(THETA.rho + 0.05 * rng.standard_normal(n), -0.9, 0.9),
     ])
     return Chain(draws=draws, burn_in=0,
-                 acceptance_counts=np.full(3, n, dtype=int), seed=seed)
+                 acceptance_counts=np.full(3, n, dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +88,7 @@ def test_closed_form_matches_lognormal_quadrature(strike):
 def test_price_zero_strike_f1_recovers_spot_product():
     request = PricingRequest(kind="F1", strike=0.0, horizon_s=51, spot=SPOT,
                              market=MARKET, n_paths=200_000, seed=42)
-    result = price_predictive(request, one_draw_chain())
+    result = price_one(request, one_draw_chain())
     target = SPOT.x0 * SPOT.h0
     assert abs(result.price - target) < 4.0 * result.mc_std_error
 
@@ -100,7 +96,7 @@ def test_price_zero_strike_f1_recovers_spot_product():
 def test_price_f3_matches_closed_form_one_draw():
     request = PricingRequest(kind="F3", strike=2655.0, horizon_s=51, spot=SPOT,
                              market=MARKET, n_paths=200_000, seed=7)
-    result = price_predictive(request, one_draw_chain())
+    result = price_one(request, one_draw_chain())
     expected = closed_form_v3(THETA, SPOT, 2655.0, 51, MARKET)
     assert abs(result.price - expected) < 4.0 * result.mc_std_error
 
@@ -117,8 +113,8 @@ def test_fixed_seed_reproduces_result_bitwise():
     chain = posterior_like_chain()
     request = PricingRequest(kind="F2", strike=2700.0, horizon_s=21, spot=SPOT,
                              market=MARKET, n_paths=20_000, seed=99)
-    a = price_predictive(request, chain)
-    b = price_predictive(request, chain)
+    a = price_one(request, chain)
+    b = price_one(request, chain)
     assert a == b
 
 
@@ -144,7 +140,7 @@ def test_one_draw_chain_equals_plain_fixed_parameter_pricer():
                                  market=MARKET, n_paths=n, seed=123)
         mine = predictive_samples(request, one_draw_chain())
         np.testing.assert_allclose(mine, oracle, rtol=0.0, atol=1e-12, err_msg=kind)
-        result = price_predictive(request, one_draw_chain())
+        result = price_one(request, one_draw_chain())
         assert result.price == pytest.approx(float(oracle.mean()), abs=1e-12), kind
 
 
@@ -214,7 +210,7 @@ def test_price_monotone_in_strike_common_random_numbers():
     for k in strikes:
         request = PricingRequest(kind="F3", strike=k, horizon_s=51, spot=SPOT,
                                  market=MARKET, n_paths=30_000, seed=5)
-        prices.append(price_predictive(request, chain).price)
+        prices.append(price_one(request, chain).price)
     assert all(b <= a for a, b in zip(prices, prices[1:]))
 
 
@@ -228,7 +224,7 @@ def test_price_convex_in_strike(kind):
     for k in strikes:
         request = PricingRequest(kind=kind, strike=float(k), horizon_s=30, spot=SPOT,
                                  market=MARKET, n_paths=40_000, seed=17)
-        r = price_predictive(request, chain)
+        r = price_one(request, chain)
         prices.append(r.price)
         ses.append(r.mc_std_error)
     for i in range(1, 4):
@@ -242,11 +238,11 @@ def test_zero_strike_identities_all_kinds():
     for kind in ("F1", "F2", "F4"):
         request = PricingRequest(kind=kind, strike=0.0, horizon_s=21, spot=SPOT,
                                  market=MARKET, n_paths=150_000, seed=23)
-        r = price_predictive(request, posterior_like_chain())
+        r = price_one(request, posterior_like_chain())
         assert abs(r.price - target) < 4.0 * r.mc_std_error, kind
     request = PricingRequest(kind="F3", strike=0.0, horizon_s=21, spot=SPOT,
                              market=MARKET, n_paths=150_000, seed=23)
-    r = price_predictive(request, one_draw_chain())
+    r = price_one(request, one_draw_chain())
     assert abs(r.price - closed_form_v3(THETA, SPOT, 0.0, 21, MARKET)) < 4.0 * max(
         r.mc_std_error, 1e-12
     )
@@ -260,7 +256,7 @@ def test_horizon_zero_returns_intrinsic_exactly():
                              market=MARKET, n_paths=100, seed=1)
     chain = posterior_like_chain(n=40)
     assert np.all(predictive_samples(request, chain) == value)
-    r = price_predictive(request, chain)
+    r = price_one(request, chain)
     assert abs(r.price - value) <= 2.0 * math.ulp(value)
     assert r.mc_std_error <= 1e-12 * r.price
     assert r.hpdi_99 == (value, value)
@@ -271,17 +267,18 @@ def test_thinning_consumes_evenly_spaced_draws():
     chain = posterior_like_chain(n=1000)
     request = PricingRequest(kind="F3", strike=2700.0, horizon_s=5, spot=SPOT,
                              market=MARKET, n_paths=10_000, seed=2)
-    r = price_predictive(request, chain)
+    r = price_one(request, chain)
     assert r.n_effective_draws == 1000
     request = PricingRequest(kind="F3", strike=2700.0, horizon_s=5, spot=SPOT,
                              market=MARKET, n_paths=100, seed=2)
-    r = price_predictive(request, chain)
+    r = price_one(request, chain)
     assert r.n_effective_draws == 100
     for n_available in range(1, 61):
         chain = posterior_like_chain(n=n_available)
         for n_paths in range(1, 61):
             indices = (np.arange(n_paths) * n_available) // n_paths
-            assert thinned_draw_count(chain, n_paths) == np.unique(indices).size
+            request = replace(request, n_paths=n_paths)
+            assert price_one(request, chain).n_effective_draws == np.unique(indices).size
 
 
 def test_request_validation():
@@ -312,10 +309,10 @@ def test_sequential_mode_deterministic_and_consistent_with_static():
     chain = posterior_like_chain(n=200)
     request = PricingRequest(kind="F3", strike=2700.0, horizon_s=10, spot=SPOT,
                              market=MARKET, n_paths=200, seed=71)
-    a = price_predictive(request, chain, settings)
-    b = price_predictive(request, chain, settings)
+    a = price_one(request, chain, settings)
+    b = price_one(request, chain, settings)
     assert a == b
-    static = price_predictive(
+    static = price_one(
         PricingRequest(kind="F3", strike=2700.0, horizon_s=10, spot=SPOT,
                        market=MARKET, n_paths=200, seed=71), chain)
     tol = 4.0 * math.sqrt(a.mc_std_error ** 2 + static.mc_std_error ** 2)
@@ -328,8 +325,8 @@ def test_sequential_mode_with_refreshes_runs_and_reproduces():
     chain = posterior_like_chain(n=100)
     request = PricingRequest(kind="F3", strike=2700.0, horizon_s=8, spot=SPOT,
                              market=MARKET, n_paths=40, seed=81)
-    a = price_predictive(request, chain, settings)
-    b = price_predictive(request, chain, settings)
+    a = price_one(request, chain, settings)
+    b = price_one(request, chain, settings)
     assert a == b
     assert math.isfinite(a.price) and a.price >= 0.0
 
@@ -556,10 +553,8 @@ def test_price_batch_summarizes_the_sorted_predictive_batch(mode, n_paths):
         assert result.price == pytest.approx(payoffs.mean(), rel=1e-12, abs=0.0), request
         se = payoffs.std(ddof=1) / math.sqrt(n_paths) if n_paths > 1 else 0.0
         assert result.mc_std_error == pytest.approx(se, rel=1e-12, abs=0.0), request
-        assert result.n_effective_draws == thinned_draw_count(chain, n_paths)
+        assert result.n_effective_draws == n_paths  # each path takes its own draw of 100
     assert result.price == 0.0  # out of the money on every path
-    assert price_predictive(requests[1], chain, sequential) == next(
-        price_batch(requests[1:2], chain, sequential))[0]
 
 
 def test_f3_tail_starts_at_the_first_positive_payoff():
@@ -636,10 +631,3 @@ def test_implied_vol_no_solution_outside_bounds():
     with pytest.raises(ValueError, match="no implied volatility"):
         implied_vol(101.0, 100.0, 50.0, 0.0001, 30)  # above spot
 
-
-def test_relative_pricing_error():
-    assert relative_pricing_error(100.0, 100.0) == 0.0
-    assert relative_pricing_error(110.0, 100.0) == pytest.approx(0.10, rel=1e-14)
-    assert relative_pricing_error(90.0, 100.0) == pytest.approx(0.10, rel=1e-14)
-    with pytest.raises(ValueError):
-        relative_pricing_error(1.0, 0.0)
