@@ -714,6 +714,26 @@ def _load_quotes(cfg: ExperimentConfig, market):
 _DENSITY_ROW = "%.12g,%d,%.12g,%.12g,%d\n"
 
 
+def _density_bins(ordered):
+    """``np.histogram(ordered, bins=50)`` of ascending samples: 50 equal
+    bins over [min, max] (min - 0.5 to max + 0.5 when the two are equal),
+    each holding the samples in [lo, hi), the last one closed.
+
+    One searchsorted of the edges counts them. Where np.histogram's own
+    arithmetic strays from those bins or raises it decides: non-finite
+    samples, edges within a few ulps of each other, or a bin scale
+    50 / (max - min) that overflows.
+    """
+    first, last = float(ordered[0]), float(ordered[-1])
+    if first == last:
+        first, last = first - 0.5, last + 0.5
+    width = last - first
+    if not (100 * math.ulp(max(-first, last)) < width < math.inf and 50 / width < math.inf):
+        return np.histogram(ordered, bins=50)
+    edges = np.linspace(first, last, 51)
+    return np.diff(np.searchsorted(ordered, edges[:-1]), append=ordered.size), edges
+
+
 def cmd_price(cfg: ExperimentConfig, draws_path):
     """Price the configured option chain with an existing draws file."""
     chain = _load_draws(draws_path)
@@ -727,7 +747,7 @@ def cmd_price(cfg: ExperimentConfig, draws_path):
     density = []
     for row, samples in _price_chain(cfg, chain, table, market, panel, h_level, seed):
         rows.append(row)
-        counts, edges = np.histogram(samples, bins=50)
+        counts, edges = _density_bins(samples)
         edges = edges.tolist()
         density.extend(_DENSITY_ROW % (row.strike, row.maturity_days, lo, hi, count)
                        for lo, hi, count in zip(edges[:-1], edges[1:], counts.tolist()))

@@ -7,7 +7,12 @@ order mark is dropped), decimal point:
 * option chains: ``quote_date,strike,maturity_days,price,spot``.
 
 Dates are ISO-8601 calendar dates written ``YYYY-MM-DD``, the one form that
-``date.fromisoformat`` reads alike on every supported Python.
+``date.fromisoformat`` reads alike on every supported Python. Numbers are
+ASCII decimals as ``float`` reads them, without ``_`` digit separators.
+
+A price series is read in one bulk pass that parses and checks whole
+columns. Only a file that fails a check is read again, row by row, to name
+its first bad row; that re-read raises and never builds a series.
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import date as Date
+from operator import itemgetter
+
+import numpy as np
 
 from .model import MarketConfig, PriceSeries, call_price_band
 
@@ -79,11 +87,18 @@ def _parse_date(text, row):
     raise ValueError(f"row {row}: invalid ISO date {text!r}")
 
 
+def _ascii_decimal(text):
+    # float also reads PEP 515 underscores and non-ASCII digits
+    return text.isascii() and "_" not in text
+
+
 def _parse_float(text, row, column):
     try:
-        return float(text)
+        if _ascii_decimal(text):
+            return float(text)
     except ValueError:
-        raise ValueError(f"row {row}: non-numeric {column} {text!r}") from None
+        pass
+    raise ValueError(f"row {row}: non-numeric {column} {text!r}")
 
 
 def _parse_int(text, row, column):
@@ -151,8 +166,31 @@ def load_price_series(path):
     Duplicate dates and non-positive or non-numeric prices are rejected with
     the file and the offending date or row named.
     """
-    rows = []
-    seen = {}
+    text = read_text(path)
+    try:
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        index = {name: i for i, name in enumerate(header)}
+        rows = list(filter(None, rows))  # csv gives a blank line no cells
+        days = list(map(str.strip, map(itemgetter(index["date"]), rows)))
+        cells = list(map(itemgetter(index["price"]), rows))
+        dates = list(map(Date.fromisoformat, days))
+        prices = np.array(list(map(float, cells)))
+        # _raise_first_bad_row's checks, on whole columns
+        valid = (set(map(len, days)) == {10} and "".join(days)[7::10] == "-" * len(days)
+                 and _ascii_decimal("".join(cells)) and len(set(dates)) == len(dates)
+                 and (np.isfinite(prices) & (prices > 0.0)).all())
+    except (csv.Error, LookupError, ValueError):
+        valid = False
+    if not valid:
+        _raise_first_bad_row(path)
+    order = np.argsort(np.fromiter(map(Date.toordinal, dates), np.int64, len(dates)))
+    return PriceSeries(list(map(dates.__getitem__, order.tolist())), prices[order])
+
+
+def _raise_first_bad_row(path):
+    """Read a series file that :func:`load_price_series` refused row by row,
+    and raise the error of the first row or header at fault."""
+    seen = set()
     header, index, records = _csv_records(path)
     if not {"date", "price"} <= index.keys():
         raise ValueError(f"{path}: expected columns 'date' and 'price', got {header}")
@@ -167,12 +205,10 @@ def load_price_series(path):
                 raise ValueError(f"row {i}: non-positive price {price!r}")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        seen[day] = price
-        rows.append(day)
-    if not rows:
+        seen.add(day)
+    if not seen:
         raise ValueError(f"{path}: no data rows")
-    rows.sort()
-    return PriceSeries(rows, [seen[d] for d in rows])
+    raise AssertionError(f"{path}: the bulk reader refused a series the row reader accepts")
 
 
 def load_option_chain(path):
@@ -200,14 +236,12 @@ def load_option_chain(path):
 
 def align_series(a: PriceSeries, b: PriceSeries):
     """Restrict two series to their common dates, order preserved."""
-    common = set(a.dates) & set(b.dates)
-    if not common:
+    ordinals = [np.fromiter(map(Date.toordinal, s.dates), np.int64, len(s)) for s in (a, b)]
+    _, at_a, at_b = np.intersect1d(*ordinals, assume_unique=True, return_indices=True)
+    if not at_a.size:
         raise ValueError("series share no dates")
-    dates_a = [d for d in a.dates if d in common]
-    prices_a = [p for d, p in zip(a.dates, a.prices) if d in common]
-    dates_b = [d for d in b.dates if d in common]
-    prices_b = [p for d, p in zip(b.dates, b.prices) if d in common]
-    return PriceSeries(dates_a, prices_a), PriceSeries(dates_b, prices_b)
+    dates = list(map(a.dates.__getitem__, at_a.tolist()))
+    return PriceSeries(dates, a.prices[at_a]), PriceSeries(dates, b.prices[at_b])
 
 
 def filter_options(quotes, market: MarketConfig):

@@ -465,25 +465,102 @@ def test_density_row_template_matches_fmt_on_histogram_edges(samples, strike):
         assert text == ",".join(map(_fmt, row)) + "\n"
 
 
-def test_price_density_file_is_fmt_of_the_histograms(tmp_path, monkeypatch):
+def _bins_outcome(bins, ordered):
+    """The counts and edge bits ``bins`` gives, or the text of its ValueError."""
+    try:
+        counts, edges = bins(ordered)
+    except ValueError as exc:
+        return str(exc)
+    return counts.dtype, counts.tolist(), edges.tobytes()
+
+
+def _assert_density_bins_are_histogram(ordered):
+    from quanto_bayes.cli import _density_bins
+
+    ordered = np.sort(np.asarray(ordered, dtype=float))
+    expected = _bins_outcome(lambda a: np.histogram(a, bins=50), ordered)
+    assert _bins_outcome(_density_bins, ordered) == expected, ordered
+
+
+def test_density_bins_match_histogram_on_random_sorted_samples():
+    rng = np.random.default_rng(1901)
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-8, 8)
+        _assert_density_bins_are_histogram(
+            rng.normal(rng.normal() * scale, scale, size=int(rng.integers(2, 300))))
+
+
+def test_density_bins_match_histogram_on_payoffs_with_leading_zeros():
+    rng = np.random.default_rng(1902)
+    for _ in range(500):
+        growth = np.exp(rng.normal(0.0, 0.05, size=int(rng.integers(1, 2000))))
+        strike = 2711.74 * rng.uniform(0.8, 1.3)
+        _assert_density_bins_are_histogram(np.maximum(2711.74 * growth - strike, 0.0))
+
+
+def test_density_bins_match_histogram_on_ties_and_edge_values():
+    rng = np.random.default_rng(1903)
+    for _ in range(500):
+        lo = rng.normal() * 100.0
+        edges = np.linspace(lo, lo + rng.exponential(10.0), 51)
+        values = np.concatenate([edges[[0, -1]], rng.choice(edges, size=int(rng.integers(0, 80)))])
+        _assert_density_bins_are_histogram(values)
+        _assert_density_bins_are_histogram(rng.choice(values[:3], size=40))
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, -2.5, 2655.0, 1e-300, 1e16, 1e17, 1.5e300])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_density_bins_match_histogram_on_constant_samples(value, n):
+    # from 1e17 on, value +- 0.5 is value and np.histogram refuses the bins
+    _assert_density_bins_are_histogram(np.full(n, value))
+
+
+@pytest.mark.parametrize("samples", [
+    [1.0, 1.0 + 2 ** -52],  # the edges collapse onto two values
+    [1.0, 1.0 + 60 * 2 ** -52, 1.0 + 120 * 2 ** -52],
+    [0.0, 5e-324, 1e-320],  # 50 / (max - min) overflows
+    [1e-310, 3e-310, 7e-310],
+    [-1e308, 1e308],  # max - min overflows
+])
+def test_density_bins_match_histogram_on_ranges_of_a_few_ulps(samples):
+    with np.errstate(over="ignore", invalid="ignore"):  # linspace over an infinite range
+        _assert_density_bins_are_histogram(samples)
+
+
+@pytest.mark.parametrize("samples", [
+    [float("nan")], [1.0, float("nan")], [0.0, 1.0, float("inf")], [-float("inf"), 0.0],
+])
+def test_density_bins_refuse_non_finite_samples(samples):
+    from quanto_bayes.cli import _density_bins
+
+    with pytest.raises(ValueError, match="is not finite"):
+        _density_bins(np.sort(np.array(samples)))
+    _assert_density_bins_are_histogram(samples)
+
+
+def test_price_density_file_is_fmt_of_the_histograms(tmp_path):
+    # np.histogram of each quote's sorted payoffs, priced again from the
+    # run's requests and seed, is the oracle of the binning
+    from quanto_bayes import cli
     from quanto_bayes.cli import _fmt
+    from quanto_bayes.pricing import PricingRequest, price_batch
 
     cfg = load_config(make_workspace(tmp_path))
     draws = os.path.join(str(tmp_path), "draws.csv")
     with open(draws, "w", encoding="utf-8") as f:
         f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n0.0061,0.0041,-0.2\n")
-    histograms = []
-    histogram = np.histogram
-
-    def recording(*args, **kwargs):
-        histograms.append(histogram(*args, **kwargs))
-        return histograms[-1]
-
-    monkeypatch.setattr(np, "histogram", recording)
     rows = cmd_price(cfg, draws)
-    assert len(histograms) == len(rows) == 5
+    assert len(rows) == 5
+    _, h_level = cli._first_panel(cfg)
+    seed = cli._derive_seed(cfg.seed, "price", "draws")
+    requests = [PricingRequest(kind="F3", strike=row.strike, horizon_s=row.maturity_days,
+                               spot=cli.SpotState(row.spot, h_level), market=cfg.market(),
+                               n_paths=cfg.n_paths, seed=seed)
+                for row in rows]
     expected = ["strike,maturity_days,bin_lo,bin_hi,count\n"]
-    for row, (counts, edges) in zip(rows, histograms):
+    for row, (result, payoffs) in zip(rows, price_batch(requests, cli._load_draws(draws))):
+        assert result.price == row.model_price
+        counts, edges = np.histogram(payoffs, bins=50)
         expected += [",".join(map(_fmt, (row.strike, row.maturity_days, lo, hi, int(count))))
                      + "\n" for lo, hi, count in zip(edges[:-1], edges[1:], counts)]
     with open(os.path.join(cfg.out_dir, "price_density.csv"), "rb") as f:
@@ -889,8 +966,11 @@ def test_fx_series_sharing_a_file_stem_exit_one(tmp_path, capsys, fx_series):
     # the workspace's quote date, 2018-03-23, in forms only some Pythons read
     (("20180323", 2500.0, 51, 10.0), "invalid ISO date '20180323'"),
     (("2018-W12-5", 2500.0, 51, 10.0), "invalid ISO date '2018-W12-5'"),
+    # numbers that float reads but that are not ASCII decimals
+    (("2_500.0", 51, 10.0), "non-numeric strike '2_500.0'"),
+    ((2500.0, 51, "\u0661\u0660"), "non-numeric price '\u0661\u0660'"),
 ], ids=["nan-strike", "inf-price", "fractional-maturity", "oversized-cell",
-        "basic-format-date", "week-date"])
+        "basic-format-date", "week-date", "underscore-strike", "arabic-indic-price"])
 def test_main_malformed_option_chain_exits_one(tmp_path, capsys, command, bad_quote, text):
     quote_date, *bad_quote = bad_quote if len(bad_quote) == 4 else (None, *bad_quote)
     cfg_path = make_workspace(tmp_path, chain_prices=[(2500.0, 51, 10.0), bad_quote])
@@ -1058,7 +1138,11 @@ def test_series_without_shared_returns_names_both_files(tmp_path, capsys, comman
     # the row's own date, 2017-01-06, in forms only some Pythons read
     (("20170106", None), "row 6: invalid ISO date '20170106'"),
     (("2017-W01-5", None), "row 6: invalid ISO date '2017-W01-5'"),
-], ids=["negative", "non-numeric", "oversized-cell", "basic-format-date", "week-date"])
+    # numbers that float reads but that are not ASCII decimals
+    ((None, "2_000.5"), "row 6: non-numeric price '2_000.5'"),
+    ((None, "\u0661\u0662"), "row 6: non-numeric price '\u0661\u0662'"),
+], ids=["negative", "non-numeric", "oversized-cell", "basic-format-date", "week-date",
+        "underscore", "arabic-indic-digits"])
 def test_main_malformed_price_series_exits_one(tmp_path, capsys, command, bad_row, text):
     cfg_path = make_workspace(tmp_path)
     fx = os.path.join(str(tmp_path), "fx.csv")

@@ -20,9 +20,11 @@ import io
 import math
 import re
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from quanto_bayes import data_io
 from quanto_bayes.cli import ConfigError, ExperimentConfig, _load_draws, load_config
 from quanto_bayes.data_io import (
     OptionQuote,
@@ -282,6 +284,42 @@ def test_price_series_loader_matches_dictreader_reference(tmp_path, data):
     path.write_bytes(data)
     assert (_outcome(load_price_series, str(path))
             == _outcome(reference_load_price_series, str(path))), data
+
+
+@pytest.mark.parametrize("text, error", [
+    ("date,price\r\n2018-01-02,100.5\r\n2018-01-03,101.25\r\n", None),
+    ("\ufeffdate,price\n2018-01-02,100.5\n", None),
+    ('date,price\n"2018-01-02",100.5\n2018-01-03,101.25\n', None),
+    ("date,price,volume\n2018-01-02,100.5\n2018-01-03,101.25,7\n", None),
+    ("date,price,date\nx,100.5,2018-01-02\ny,101.25,2018-01-03\n", None),
+    ("date,price\n\n2018-01-02,100.5\n\n\n2018-01-03,101.25\n", None),
+    ("date,price\n 2018-01-02 ,100.5\n", None),
+    ("date,price\n2018-01-02,100.5\n20180103,101.25\n", "row 3: invalid ISO date '20180103'"),
+    ("date,price\n2018-01-02,100.5\n2018-W01-3,101.25\n",
+     "row 3: invalid ISO date '2018-W01-3'"),
+    ("date,price\n2018-01-02,100.5\n2018-01-02,101.25\n", "duplicate date 2018-01-02 at row 3"),
+    ("date,price\n2018-01-02,2_000.5\n", "row 2: non-numeric price '2_000.5'"),
+    # the csv module refuses row 3's cell, but the loader stops at row 2
+    ("date,price\n2018-01-02,abc\n2018-01-03," + "1" * 200_000 + "\n",
+     "row 2: non-numeric price 'abc'"),
+], ids=["crlf", "bom", "quoted-date", "short-row", "repeated-date-column", "blank-lines",
+        "spaces-around-date", "basic-format-date", "week-date", "duplicate-date",
+        "underscore", "field-size-after-bad-row"])
+def test_price_series_loader_matches_reference_on_bulk_pass_edges(tmp_path, monkeypatch,
+                                                                   text, error):
+    path = str(tmp_path / "series.csv")
+    with open(path, "wb") as f:
+        f.write(text.encode("utf-8"))
+    re_read = []
+    row_reader = data_io._raise_first_bad_row
+    monkeypatch.setattr(data_io, "_raise_first_bad_row",
+                        lambda p: re_read.append(p) or row_reader(p))
+    outcome = _outcome(load_price_series, path)
+    assert outcome == _outcome(reference_load_price_series, path)
+    if error is None:
+        assert len(outcome[0]) >= 1 and not re_read  # built by the bulk pass alone
+    else:
+        assert outcome == (ValueError, f"{path}: {error}") and re_read == [path]
 
 
 @PROPERTY
