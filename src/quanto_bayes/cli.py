@@ -125,6 +125,8 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be static or sequential-update, got {self.mode!r}")
         if self.refresh_draws <= self.refresh_burn_in or self.refresh_burn_in < 0:
             raise ConfigError("need refresh_draws > refresh_burn_in >= 0")
+        if not self.families:
+            raise ConfigError(f"families must list at least one of {ALL_FAMILIES}")
         for family in self.families:
             if family not in ALL_FAMILIES:
                 raise ConfigError(
@@ -199,13 +201,14 @@ def load_config(path, **overrides) -> ExperimentConfig:
     """Parse a flat ``key = value`` config file; '#' starts a comment.
 
     Relative input paths are resolved against the config file's directory.
-    Keyword overrides win over file values.
+    A key may be set once. Keyword overrides win over file values.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     base = os.path.dirname(os.path.abspath(path))
     known = {f.name for f in fields(ExperimentConfig)}
     values = {}
+    set_on = {}  # key -> the line that set it
     try:
         lines = io.StringIO(read_text(path), newline=None)
     except ValueError as exc:
@@ -221,6 +224,9 @@ def load_config(path, **overrides) -> ExperimentConfig:
         text = text.strip()
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = _convert(key, text, base)
         except ValueError:
@@ -493,32 +499,27 @@ def _load_draws(path) -> Chain:
 
     Line 1 must be the header ``sigma_x,sigma_h,rho``, which names the
     column order; a byte order mark, spaces around a name and a CRLF line
-    end are allowed. Only that line is read to check it.
+    end are allowed. The file is read once.
     """
     if not os.path.exists(path):
         raise ConfigError(f"draws file not found: {path}")
-    with open(path, "rb") as handle:
-        first = handle.readline()
     try:
-        header = first.decode("utf-8").removeprefix("\ufeff").rstrip("\r\n")
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: row 1: not UTF-8 text") from None
+        header, *rows = io.StringIO(read_text(path), newline=None).readlines() or [""]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    header = header.rstrip("\n")
     if [name.strip() for name in header.split(",")] != list(PARAMETERS):
         raise ConfigError(f"{path}: malformed draws file: row 1: expected the header "
                           f"{','.join(PARAMETERS)!r}, got {header!r}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # numpy skips empty and comment lines
         try:
-            draws = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
+            draws = np.loadtxt(rows, delimiter=",", ndmin=2)
             return Chain(draws=draws, burn_in=0,
                          acceptance_counts=np.full(3, draws.shape[0], dtype=int))
         except ValueError:
             pass  # the same parser, line by line, finds the first row at fault
-        try:
-            lines = io.StringIO(read_text(path), newline=None).readlines()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        for row, line in enumerate(lines[1:], start=2):
+        for row, line in enumerate(rows, start=2):
             try:
                 values = np.loadtxt([line], delimiter=",", ndmin=2)
                 if values.size:  # an empty or comment line holds none
@@ -872,16 +873,21 @@ def _build_parser():
         ("diagnose", "summarize an existing draws file"),
     ):
         p = sub.add_parser(name, help=doc)
+        # each subcommand takes only the flags that it reads
         p.add_argument("--config", required=True, help="path to the key = value config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name != "diagnose":
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--families", default=None,
-                       help="comma list from ttn,tnn,ign,mnc,mle")
-        p.add_argument("--paths", type=int, default=None, help="override n_paths")
-        p.add_argument("--mode", default=None, choices=["static", "sequential"],
-                       help="pricing mode")
+        if name in ("estimate", "experiment"):
+            p.add_argument("--families", default=None,
+                           help="comma list from ttn,tnn,ign,mnc,mle")
+        if name in ("price", "experiment"):
+            p.add_argument("--paths", type=int, default=None, help="override n_paths")
+            p.add_argument("--mode", default=None, choices=["static", "sequential"],
+                           help="pricing mode")
         if name in ("price", "diagnose"):
             p.add_argument("--draws", required=True, help="draws file from 'estimate'")
+    parser.set_defaults(seed=None, families=None, paths=None, mode=None)
     return parser
 
 
@@ -891,7 +897,7 @@ def main(argv=None):
         "seed": args.seed,
         "out_dir": os.path.abspath(args.out) if args.out else None,
         "n_paths": args.paths,
-        "families": _convert("families", args.families, None) if args.families else None,
+        "families": None if args.families is None else _convert("families", args.families, None),
         "mode": {"sequential": "sequential-update"}.get(args.mode, args.mode),
     }
 

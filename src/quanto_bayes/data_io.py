@@ -10,9 +10,10 @@ Dates are ISO-8601 calendar dates written ``YYYY-MM-DD``, the one form that
 ``date.fromisoformat`` reads alike on every supported Python. Numbers are
 ASCII decimals as ``float`` reads them, without ``_`` digit separators.
 
-A price series is read in one bulk pass that parses and checks whole
-columns. Only a file that fails a check is read again, row by row, to name
-its first bad row; that re-read raises and never builds a series.
+A price series is read in one bulk pass that checks the text form of whole
+columns; the ``PriceSeries`` it builds checks the date order and the prices.
+Only a file that fails a check is read again, row by row, to name its first
+bad row; that re-read raises and never builds a series.
 """
 
 from __future__ import annotations
@@ -173,18 +174,17 @@ def load_price_series(path):
         rows = list(filter(None, rows))  # csv gives a blank line no cells
         days = list(map(str.strip, map(itemgetter(index["date"]), rows)))
         cells = list(map(itemgetter(index["price"]), rows))
-        dates = list(map(Date.fromisoformat, days))
-        prices = np.array(list(map(float, cells)))
-        # _raise_first_bad_row's checks, on whole columns
-        valid = (set(map(len, days)) == {10} and "".join(days)[7::10] == "-" * len(days)
-                 and _ascii_decimal("".join(cells)) and len(set(dates)) == len(dates)
-                 and (np.isfinite(prices) & (prices > 0.0)).all())
+        # the text forms of _parse_date and _parse_float, on whole columns;
+        # PriceSeries checks the date order and the prices
+        if (set(map(len, days)) == {10} and "".join(days)[7::10] == "-" * len(days)
+                and _ascii_decimal("".join(cells))):
+            dates = list(map(Date.fromisoformat, days))
+            order = sorted(range(len(dates)), key=dates.__getitem__)
+            return PriceSeries(list(map(dates.__getitem__, order)),
+                               np.array(list(map(float, cells)))[order])
     except (csv.Error, LookupError, ValueError):
-        valid = False
-    if not valid:
-        _raise_first_bad_row(path)
-    order = np.argsort(np.fromiter(map(Date.toordinal, dates), np.int64, len(dates)))
-    return PriceSeries(list(map(dates.__getitem__, order.tolist())), prices[order])
+        pass
+    _raise_first_bad_row(path)
 
 
 def _raise_first_bad_row(path):
@@ -236,8 +236,7 @@ def load_option_chain(path):
 
 def align_series(a: PriceSeries, b: PriceSeries):
     """Restrict two series to their common dates, order preserved."""
-    ordinals = [np.fromiter(map(Date.toordinal, s.dates), np.int64, len(s)) for s in (a, b)]
-    _, at_a, at_b = np.intersect1d(*ordinals, assume_unique=True, return_indices=True)
+    _, at_a, at_b = np.intersect1d(a.days, b.days, assume_unique=True, return_indices=True)
     if not at_a.size:
         raise ValueError("series share no dates")
     dates = list(map(a.dates.__getitem__, at_a.tolist()))

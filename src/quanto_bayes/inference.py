@@ -5,8 +5,8 @@ under a noninformative reference prior, with both drifts integrated out. The
 kernel and its three full conditionals share cached sufficient statistics
 from a :class:`~quanto_bayes.model.ReturnPanel`:
 
-    T, sum((x-xbar)^2), sum((h-hbar)^2), and the cross term
-    C = T*xbar*hbar - sum(x_t*h_t).
+    T, sxx = sum((x-xbar)^2), shh = sum((h-hbar)^2) and the centred cross
+    sum sxh = sum(x_t*h_t) - T*xbar*hbar; the kernels' cross term is C = -sxh.
 
 Out-of-support evaluations return ``-inf`` rather than raising, which is what
 the accept/reject step relies on.
@@ -71,14 +71,13 @@ class PosteriorKernel:
     their quadratures against.
     """
 
-    __slots__ = ("panel", "_t", "_sxx", "_shh", "_cross")
+    __slots__ = ("_t", "_sxx", "_shh", "_cross")
 
     def __init__(self, panel: ReturnPanel):
-        self.panel = panel
         self._t = float(panel.n_obs)
         self._sxx = panel.sxx
         self._shh = panel.shh
-        self._cross = panel.cross_moment
+        self._cross = -panel.sxh
 
     def log_cond_sigma_x(self, sigma_x, sigma_h, rho):
         """Conditional kernel of sigma_x given (sigma_h, rho)."""
@@ -396,9 +395,9 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     takes the random-walk normal, which is symmetric and does not. Any
     other (parameter, family) pair raises ``ValueError``.
 
-    The sweep works on the panel's sufficient statistics (T, sxx, shh, C)
-    alone. Each log alpha is a closed-form difference of the conditional
-    kernels of :class:`PosteriorKernel`:
+    The sweep works on the panel's sufficient statistics (T, sxx, shh, sxh)
+    alone, with C = -sxh. Each log alpha is a closed-form difference of the
+    conditional kernels of :class:`PosteriorKernel`:
 
     * sigma_x: g(c) - g(s) - a (1/c^2 - 1/s^2) - b (1/c - 1/s), with
       g(v) = -T log v - log q(v), a = sxx / (2 (1 - rho^2)) and
@@ -443,7 +442,7 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     half_t = 0.5 * t
     half_sxx = 0.5 * panel.sxx
     half_shh = 0.5 * panel.shh
-    cross = panel.cross_moment
+    cross = -panel.sxh
 
     rng = np.random.default_rng(seed)
     cand_x, cand_h, steps = (_proposal_stream(spec, rng, n_draws) for spec in specs)
@@ -608,8 +607,7 @@ def mle_estimate(panel: ReturnPanel) -> Theta:
         raise ValueError("degenerate data: a return series has zero sample variance")
     sigma_x = math.sqrt(panel.sxx / t)
     sigma_h = math.sqrt(panel.shh / t)
-    sxh = -panel.cross_moment
-    rho = sxh / math.sqrt(panel.sxx * panel.shh)
+    rho = panel.sxh / math.sqrt(panel.sxx * panel.shh)
     if abs(rho) >= 1.0 - 1e-12:
         raise ValueError(
             f"degenerate data: sample correlation {rho:.17g} lies outside the open support"
@@ -654,8 +652,7 @@ def niw_posterior(panel, hyper: NiwHyperparams):
         return hyper.df, prior_scale
     t = panel.n_obs
     ybar = np.array([panel.mean_x, panel.mean_h])
-    sxy = -panel.cross_moment
-    scatter = np.array([[panel.sxx, sxy], [sxy, panel.shh]])
+    scatter = np.array([[panel.sxx, panel.sxh], [panel.sxh, panel.shh]])
     shrink = hyper.kappa * t / (hyper.kappa + t)
     return hyper.df + t, prior_scale + scatter + shrink * np.outer(ybar, ybar)
 

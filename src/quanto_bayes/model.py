@@ -145,9 +145,11 @@ class SpotState:
 
 
 class PriceSeries:
-    """Dated, strictly positive closing levels with strictly increasing dates."""
+    """Dated, strictly positive closing levels with strictly increasing dates;
+    ``days`` holds the dates' ordinals (read-only int64), which the date
+    order is checked on and series are aligned on."""
 
-    __slots__ = ("dates", "prices")
+    __slots__ = ("dates", "days", "prices")
 
     def __init__(self, dates: Sequence[Date], prices):
         # own copy: the array is frozen, which must not leak to the caller
@@ -163,11 +165,14 @@ class PriceSeries:
         if bad.size:
             i = int(bad[0])
             raise ValueError(f"non-positive price {prices[i]!r} on {dates[i]}")
-        for prev, cur in zip(dates, dates[1:]):
-            if cur <= prev:
-                raise ValueError(f"dates not strictly increasing at {cur}")
+        days = np.fromiter(map(Date.toordinal, dates), np.int64, len(dates))
+        later = np.nonzero(np.diff(days) <= 0)[0]
+        if later.size:
+            raise ValueError(f"dates not strictly increasing at {dates[int(later[0]) + 1]}")
         prices.setflags(write=False)
+        days.setflags(write=False)
         object.__setattr__(self, "dates", dates)
+        object.__setattr__(self, "days", days)
         object.__setattr__(self, "prices", prices)
 
     def __setattr__(self, name, value):
@@ -191,12 +196,7 @@ def log_returns(prices):
     Accepts a :class:`PriceSeries` or any sequence of positive prices.
     Output length is one less than the input length.
     """
-    if isinstance(prices, PriceSeries):
-        levels = prices.prices
-        dates = prices.dates
-    else:
-        levels = np.asarray(prices, dtype=float)
-        dates = None
+    levels = prices.prices if isinstance(prices, PriceSeries) else np.asarray(prices, float)
     if levels.size < 2:
         raise ValueError(
             f"at least 2 prices are required to form returns, got {levels.size}"
@@ -204,8 +204,7 @@ def log_returns(prices):
     bad = np.nonzero(~(np.isfinite(levels) & (levels > 0.0)))[0]
     if bad.size:
         i = int(bad[0])
-        where = dates[i].isoformat() if dates is not None else f"index {i}"
-        raise ValueError(f"non-positive price {levels[i]!r} at {where}")
+        raise ValueError(f"non-positive price {levels[i]!r} at index {i}")
     return np.diff(np.log(levels))
 
 
@@ -213,11 +212,12 @@ class ReturnPanel:
     """Aligned per-period log returns of asset (x) and exchange rate (h).
 
     Sufficient statistics are computed once at construction and reused by
-    every posterior-kernel evaluation: the sample means, the centered sums
-    of squares, and the raw cross sum ``sum(x_t * h_t)``.
+    every posterior-kernel evaluation: the count T (``n_obs``), the sample
+    means, the centered sums of squares ``sxx`` and ``shh``, and the
+    centered cross sum ``sxh = sum(x_t * h_t) - T * mean_x * mean_h``.
     """
 
-    __slots__ = ("x", "h", "n_obs", "mean_x", "mean_h", "sxx", "shh", "sum_xh")
+    __slots__ = ("x", "h", "n_obs", "mean_x", "mean_h", "sxx", "shh", "sxh")
 
     def __init__(self, x, h):
         # own copies: the arrays are frozen, which must not leak to the caller
@@ -240,15 +240,11 @@ class ReturnPanel:
         object.__setattr__(self, "mean_h", float(np.mean(h)))
         object.__setattr__(self, "sxx", float(np.sum((x - self.mean_x) ** 2)))
         object.__setattr__(self, "shh", float(np.sum((h - self.mean_h) ** 2)))
-        object.__setattr__(self, "sum_xh", float(np.sum(x * h)))
+        object.__setattr__(self, "sxh", float(np.sum(x * h))
+                           - self.n_obs * self.mean_x * self.mean_h)
 
     def __setattr__(self, name, value):
         raise AttributeError("ReturnPanel is immutable")
-
-    @property
-    def cross_moment(self):
-        """T * mean_x * mean_h - sum(x_t * h_t), the posterior cross term."""
-        return self.n_obs * self.mean_x * self.mean_h - self.sum_xh
 
     def tail(self, n_obs: int):
         """Panel restricted to the most recent ``n_obs`` return pairs."""

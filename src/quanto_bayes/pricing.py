@@ -276,7 +276,7 @@ def _sequential_growth(thetas, horizons, first, settings: SequentialSettings):
     mean_h = np.full(n, panel.mean_h)
     sxx = np.full(n, panel.sxx)
     shh = np.full(n, panel.shh)
-    sxh = np.full(n, -panel.cross_moment)
+    sxh = np.full(n, panel.sxh)
     log_x = np.zeros(n)
     log_h = np.zeros(n)
     s_max = horizons[-1]

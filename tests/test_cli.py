@@ -56,6 +56,38 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(str(path))
 
 
+def test_load_config_rejects_a_key_set_twice(tmp_path, capsys):
+    path = make_workspace(tmp_path, draws=400)
+    with open(path, "a", encoding="utf-8") as f:
+        f.write("# a later edit\ndraws = 320\n")
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    first, second = lines.index("draws = 400") + 1, len(lines)
+    assert main(["estimate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:{second}: 'draws' already set on line {first}\n"
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    from quanto_bayes.cli import _build_parser
+
+    values = {"--seed": "3", "--families": "ign", "--paths": "7", "--mode": "sequential"}
+    for command, taken in (("estimate", {"--seed", "--families"}),
+                           ("price", {"--seed", "--paths", "--mode"}),
+                           ("experiment", set(values)),
+                           ("diagnose", set())):
+        argv = [command, "--config", "run.cfg", "--out", "out"]
+        if command in ("price", "diagnose"):
+            argv += ["--draws", "draws.csv"]
+        for flag, value in values.items():
+            if flag in taken:
+                _build_parser().parse_args([*argv, flag, value])
+                continue
+            with pytest.raises(SystemExit) as info:  # argparse's usage error
+                _build_parser().parse_args([*argv, flag, value])
+            assert info.value.code == 2, (command, flag)
+
+
 def test_load_config_rejects_inconsistent_chain_settings(tmp_path):
     path = make_workspace(tmp_path, draws=100, burn_in=100)
     with pytest.raises(ConfigError, match="burn_in"):
@@ -722,7 +754,7 @@ def test_experiment_prices_quote_columns_once(tmp_path, monkeypatch):
     calls = {}
     for name in ("implied_vol", "mle_estimate"):
         monkeypatch.setattr(cli, name, _counting(calls, name, getattr(cli, name)))
-    monkeypatch.setattr(np, "histogram", _counting(calls, "histogram", np.histogram))
+    monkeypatch.setattr(cli, "_density_bins", _counting(calls, "density", cli._density_bins))
     assert cmd_experiment(cfg) == []
     for window in (200, 250):
         for family in ("tnn", "mnc"):
@@ -733,8 +765,11 @@ def test_experiment_prices_quote_columns_once(tmp_path, monkeypatch):
     assert calls["implied_vol"] == 1
     # per window: tnn's initial value, the mle summary row and BS-H
     assert calls["mle_estimate"] == 2 * 3
-    # experiment writes no predictive-density file, so builds no histogram
-    assert "histogram" not in calls
+    # experiment writes no predictive-density file, so bins no density
+    assert "density" not in calls
+    # while price bins one per retained quote
+    cmd_price(cfg, os.path.join(cfg.out_dir, "cells", "fx", "w200", "draws_tnn.csv"))
+    assert calls["density"] == 5
 
 
 _FAILURE_HEADER = ("fx", "window", "family", "stage", "error")
@@ -840,6 +875,8 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
     # to estimate from
     for case, (overrides, text) in enumerate((
         ({"families": "tnn, tnn, mle"}, "families lists 'tnn' more than once"),
+        ({"families": ""},
+         "families must list at least one of ('ttn', 'tnn', 'ign', 'mnc', 'mle')"),
         ({"windows": "250, 140, 250"}, "windows lists 250 more than once"),
         ({"windows": "250, 2"}, "windows must be integers >= 3, got (250, 2)"),
         ({"draws": 105, "burn_in": 100},
@@ -852,6 +889,9 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
             capsys.readouterr()
             assert main([command, "--config", bad_cfg]) == 1, (overrides, command)
             assert capsys.readouterr().err == f"error: {bad_cfg}: {text}\n"
+    # an empty --families flag overrides the config's families with none
+    assert main(["estimate", "--config", cfg_path, "--families", ""]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: families must list ")
 
     # diagnose summarizes at least 10 draws; price reads any number
     for n_draws, code in ((1, 1), (9, 1), (10, 0)):
@@ -918,6 +958,25 @@ def test_main_draws_file_without_its_header_exits_one(tmp_path, capsys, command,
     assert capsys.readouterr().err == (
         f"error: {draws}: malformed draws file: row 1: expected the header "
         f"'sigma_x,sigma_h,rho', got {lines[0]!r}\n")
+
+
+def test_load_draws_reads_its_file_once(tmp_path, monkeypatch):
+    import builtins
+
+    from quanto_bayes import cli
+
+    path = tmp_path / "draws.csv"
+    path.write_text("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n0.0061,0.0041,-0.2\n",
+                    encoding="utf-8")
+    calls = {}
+    monkeypatch.setattr(cli, "read_text", _counting(calls, "read_text", cli.read_text))
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda file, *args, **kwargs:
+                        opened.append(file) or real_open(file, *args, **kwargs))
+    assert cli._load_draws(str(path)).draws.shape == (2, 3)
+    assert calls == {"read_text": 1}
+    assert opened.count(str(path)) == 1
 
 
 def test_load_draws_header_allows_a_bom_spaces_and_crlf(tmp_path):

@@ -95,7 +95,7 @@ def test_rho_kernel_even_when_cross_moment_vanishes():
     x = np.array([0.01, 0.01, -0.01, -0.01])
     h = np.array([0.004, -0.004, 0.004, -0.004])
     panel = ReturnPanel(x, h)
-    assert panel.cross_moment == pytest.approx(0.0, abs=1e-18)
+    assert panel.sxh == pytest.approx(0.0, abs=1e-18)
     kern = PosteriorKernel(panel)
     for r in (0.2, 0.5, 0.83):
         assert kern.log_cond_rho(r, 0.006, 0.004) == pytest.approx(
@@ -764,7 +764,7 @@ def test_mwg_marginals_match_posterior_quadrature(sampler, panel_name):
         n = 40_000
         rng = _CountingRng(92)
         draws = exact_posterior_draws(np.full(n, panel.n_obs), panel.sxx, panel.shh,
-                                      -panel.cross_moment, rng)
+                                      panel.sxh, rng)
         nse = draws.std(axis=0, ddof=1) / math.sqrt(n)  # the draws are independent
         if panel_name == "high-rho":
             assert rng.normals > n  # some candidates were rejected and drawn again
@@ -776,7 +776,7 @@ def test_mwg_marginals_match_posterior_quadrature(sampler, panel_name):
 
 
 def test_exact_posterior_draws_broadcast_reproduce_and_validate(panel_small):
-    stats = (panel_small.n_obs, panel_small.sxx, panel_small.shh, -panel_small.cross_moment)
+    stats = (panel_small.n_obs, panel_small.sxx, panel_small.shh, panel_small.sxh)
     one = exact_posterior_draws(*stats, np.random.default_rng(5))
     assert one.shape == (1, 3)
     # one row per entry of the broadcast inputs; a fixed state repeats them

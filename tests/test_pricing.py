@@ -422,7 +422,7 @@ def _per_request_lockstep(request, chain, settings):
             panels = [settings.panel.extend(xs[:j, i], hs[:j, i]) for i in range(n)]
             thetas = exact_posterior_draws(
                 [p.n_obs for p in panels], [p.sxx for p in panels], [p.shh for p in panels],
-                [-p.cross_moment for p in panels], rng)
+                [p.sxh for p in panels], rng)
     value = payoff(request.kind, request.spot.x0 * np.exp(xs.sum(axis=0)),
                    request.spot.h0 * np.exp(hs.sum(axis=0)), request.strike, market)
     return math.exp(-market.r_d * s) * value
