@@ -15,7 +15,6 @@ from .model import (
 from .inference import (
     Chain,
     NiwHyperparams,
-    PosteriorKernel,
     ProposalSpec,
     conjugate_sample,
     default_proposals,

@@ -902,6 +902,8 @@ def main(argv=None):
     }
 
     try:
+        if args.out == "":  # else the config's out_dir would silently take over
+            raise ConfigError("--out must name an output directory, got ''")
         cfg = load_config(args.config, **overrides)
         if args.command != "diagnose":
             inputs = [cfg.asset_series, *cfg.fx_series]

@@ -1,15 +1,25 @@
-"""Posterior kernels and samplers for (sigma_x, sigma_h, rho).
+"""Samplers and estimators for (sigma_x, sigma_h, rho).
 
-The joint posterior kernel arises from the bivariate lognormal return model
-under a noninformative reference prior, with both drifts integrated out. The
-kernel and its three full conditionals share cached sufficient statistics
-from a :class:`~quanto_bayes.model.ReturnPanel`:
+The posterior arises from the bivariate lognormal return model under a
+noninformative reference prior, with both drifts integrated out. It reads a
+:class:`~quanto_bayes.model.ReturnPanel` only through T, sxx = sum((x-xbar)^2),
+shh = sum((h-hbar)^2) and the centred cross sum sxh = sum(x_t*h_t) -
+T*xbar*hbar. With C = -sxh and D = 1 - rho^2, its log kernel on sigma_x > 0,
+sigma_h > 0, -1 < rho < 1 (and -inf off it) is, up to a constant,
 
-    T, sxx = sum((x-xbar)^2), shh = sum((h-hbar)^2) and the centred cross
-    sum sxh = sum(x_t*h_t) - T*xbar*hbar; the kernels' cross term is C = -sxh.
+    joint:   -T/2 log D - T log sigma_x - (T-1) log sigma_h
+             - sxx / (2 sigma_x^2 D) - shh / (2 sigma_h^2 D) - rho C / (sigma_x sigma_h D)
 
-Out-of-support evaluations return ``-inf`` rather than raising, which is what
-the accept/reject step relies on.
+and each full conditional equals it up to a term free of its parameter:
+
+    sigma_x: -T log sigma_x - sxx / (2 sigma_x^2 D) - rho C / (sigma_x sigma_h D)
+    sigma_h: -(T-1) log sigma_h - shh / (2 sigma_h^2 D) - rho C / (sigma_x sigma_h D)
+    rho:     -T/2 log D - (sxx / (2 sigma_x^2) + rho^2 shh / (2 sigma_h^2)) / D
+             - rho C / (sigma_x sigma_h D)
+
+rho's shh term differs from the joint's by shh / (2 sigma_h^2), constant in
+rho. The tests hold these kernels as code (``tests/oracles.py``), the oracle
+that both samplers are checked against.
 
 Samplers:
 
@@ -42,7 +52,6 @@ import numpy as np
 from .model import ReturnPanel, Theta
 
 __all__ = [
-    "PosteriorKernel",
     "ProposalSpec",
     "Chain",
     "NiwHyperparams",
@@ -59,90 +68,6 @@ __all__ = [
 PARAMETERS = ("sigma_x", "sigma_h", "rho")
 
 NEG_INF = float("-inf")
-
-
-class PosteriorKernel:
-    """Unnormalized log posterior of (sigma_x, sigma_h, rho) given a panel.
-
-    Nothing in the package calls it: :func:`mwg_sample` evaluates the same
-    conditional differences in closed form on the panel's sufficient
-    statistics, and :func:`exact_posterior_draws` samples it exactly. It
-    stays as the independent oracle that the tests check both samplers and
-    their quadratures against.
-    """
-
-    __slots__ = ("_t", "_sxx", "_shh", "_cross")
-
-    def __init__(self, panel: ReturnPanel):
-        self._t = float(panel.n_obs)
-        self._sxx = panel.sxx
-        self._shh = panel.shh
-        self._cross = -panel.sxh
-
-    def log_cond_sigma_x(self, sigma_x, sigma_h, rho):
-        """Conditional kernel of sigma_x given (sigma_h, rho)."""
-        if sigma_x <= 0.0 or sigma_h <= 0.0 or not -1.0 < rho < 1.0:
-            return NEG_INF
-        one_minus = 1.0 - rho * rho
-        try:
-            return (
-                -self._t * math.log(sigma_x)
-                - self._sxx / (2.0 * sigma_x * sigma_x * one_minus)
-                - rho * self._cross / (sigma_x * sigma_h * one_minus)
-            )
-        except ZeroDivisionError:
-            # a squared volatility underflowed; the kernel limit is -inf
-            return NEG_INF
-
-    def log_cond_sigma_h(self, sigma_h, sigma_x, rho):
-        """Conditional kernel of sigma_h given (sigma_x, rho); note the T-1 power."""
-        if sigma_x <= 0.0 or sigma_h <= 0.0 or not -1.0 < rho < 1.0:
-            return NEG_INF
-        one_minus = 1.0 - rho * rho
-        try:
-            return (
-                -(self._t - 1.0) * math.log(sigma_h)
-                - self._shh / (2.0 * sigma_h * sigma_h * one_minus)
-                - rho * self._cross / (sigma_x * sigma_h * one_minus)
-            )
-        except ZeroDivisionError:
-            return NEG_INF
-
-    def log_cond_rho(self, rho, sigma_x, sigma_h):
-        """Conditional kernel of rho given (sigma_x, sigma_h).
-
-        The centered h sum of squares enters with a rho^2 factor here; it
-        differs from the joint kernel's term by a quantity constant in rho.
-        """
-        if sigma_x <= 0.0 or sigma_h <= 0.0 or not -1.0 < rho < 1.0:
-            return NEG_INF
-        one_minus = 1.0 - rho * rho
-        try:
-            return (
-                -0.5 * self._t * math.log(one_minus)
-                - self._sxx / (2.0 * sigma_x * sigma_x * one_minus)
-                - rho * rho * self._shh / (2.0 * sigma_h * sigma_h * one_minus)
-                - rho * self._cross / (sigma_x * sigma_h * one_minus)
-            )
-        except ZeroDivisionError:
-            return NEG_INF
-
-    def log_joint(self, sigma_x, sigma_h, rho):
-        """Joint kernel; each conditional equals it up to an additive constant."""
-        if sigma_x <= 0.0 or sigma_h <= 0.0 or not -1.0 < rho < 1.0:
-            return NEG_INF
-        one_minus = 1.0 - rho * rho
-        try:
-            return (
-                -0.5 * self._t * math.log(one_minus)
-                - self._t * math.log(sigma_x)
-                - (self._t - 1.0) * math.log(sigma_h)
-                - self._sxx / (2.0 * sigma_x * sigma_x * one_minus)
-                - self._shh / (2.0 * sigma_h * sigma_h * one_minus)
-                - rho * self._cross / (sigma_x * sigma_h * one_minus)
-            )
-        except ZeroDivisionError:
-            return NEG_INF
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +322,7 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
 
     The sweep works on the panel's sufficient statistics (T, sxx, shh, sxh)
     alone, with C = -sxh. Each log alpha is a closed-form difference of the
-    conditional kernels of :class:`PosteriorKernel`:
+    conditional kernels in the module docstring:
 
     * sigma_x: g(c) - g(s) - a (1/c^2 - 1/s^2) - b (1/c - 1/s), with
       g(v) = -T log v - log q(v), a = sxx / (2 (1 - rho^2)) and
@@ -541,8 +466,8 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
 # ---------------------------------------------------------------------------
 
 def exact_posterior_draws(n_obs, sxx, shh, sxh, rng):
-    """Exact draws of (sigma_x, sigma_h, rho) from the posterior of
-    :class:`PosteriorKernel`, one row per entry of the broadcast inputs.
+    """Exact draws of (sigma_x, sigma_h, rho) from the joint posterior in the
+    module docstring, one row per entry of the broadcast inputs.
 
     The inputs are sufficient statistics: the number of return pairs T, the
     centred sums of squares sxx and shh and the centred cross sum sxh = -C.
@@ -645,7 +570,8 @@ def niw_posterior(panel, hyper: NiwHyperparams):
     NIW model given a panel. The prior mean is zero, so the sample mean
     ybar enters the scale as kappa*T/(kappa + T) * ybar ybar'.
 
-    ``panel=None`` is the prior-only hook: the update reduces to the prior.
+    ``panel=None`` returns the prior's, so ``conjugate_sample`` then draws
+    from the prior alone.
     """
     prior_scale = hyper.scale * np.eye(2)
     if panel is None:

@@ -1,0 +1,243 @@
+"""Executable oracles for the posterior of (sigma_x, sigma_h, rho).
+
+The package states its posterior once, as formulas, in the
+``quanto_bayes.inference`` module docstring; :class:`PosteriorKernel` is that
+statement as code. :func:`reference_mwg_sample` is the generic
+kernel-calling Metropolis-within-Gibbs loop that ``mwg_sample``'s closed-form
+sweep replaced, kept to check it bit for bit and to run the sampler on
+targets with known moments; :func:`reference_logpdf` gives it the proposal
+densities with their normalising constants.
+"""
+
+import math
+
+import numpy as np
+from scipy.special import ndtr, stdtr
+
+from quanto_bayes import inference
+from quanto_bayes.inference import PARAMETERS, Chain, ProposalSpec
+from quanto_bayes.model import ReturnPanel, Theta
+
+NEG_INF = float("-inf")
+
+
+class PosteriorKernel:
+    """Unnormalized log posterior of (sigma_x, sigma_h, rho) given a panel.
+
+    Nothing in the package calls it: ``mwg_sample`` evaluates the same
+    conditional differences in closed form on the panel's sufficient
+    statistics, and ``exact_posterior_draws`` samples it exactly. It is the
+    independent oracle that the tests check both samplers and their
+    quadratures against.
+    """
+
+    __slots__ = ("_t", "_sxx", "_shh", "_cross")
+
+    def __init__(self, panel: ReturnPanel):
+        self._t = float(panel.n_obs)
+        self._sxx = panel.sxx
+        self._shh = panel.shh
+        self._cross = -panel.sxh
+
+    def log_cond_sigma_x(self, sigma_x, sigma_h, rho):
+        """Conditional kernel of sigma_x given (sigma_h, rho)."""
+        if sigma_x <= 0.0 or sigma_h <= 0.0 or not -1.0 < rho < 1.0:
+            return NEG_INF
+        one_minus = 1.0 - rho * rho
+        try:
+            return (
+                -self._t * math.log(sigma_x)
+                - self._sxx / (2.0 * sigma_x * sigma_x * one_minus)
+                - rho * self._cross / (sigma_x * sigma_h * one_minus)
+            )
+        except ZeroDivisionError:
+            # a squared volatility underflowed; the kernel limit is -inf
+            return NEG_INF
+
+    def log_cond_sigma_h(self, sigma_h, sigma_x, rho):
+        """Conditional kernel of sigma_h given (sigma_x, rho); note the T-1 power."""
+        if sigma_x <= 0.0 or sigma_h <= 0.0 or not -1.0 < rho < 1.0:
+            return NEG_INF
+        one_minus = 1.0 - rho * rho
+        try:
+            return (
+                -(self._t - 1.0) * math.log(sigma_h)
+                - self._shh / (2.0 * sigma_h * sigma_h * one_minus)
+                - rho * self._cross / (sigma_x * sigma_h * one_minus)
+            )
+        except ZeroDivisionError:
+            return NEG_INF
+
+    def log_cond_rho(self, rho, sigma_x, sigma_h):
+        """Conditional kernel of rho given (sigma_x, sigma_h).
+
+        The centered h sum of squares enters with a rho^2 factor here; it
+        differs from the joint kernel's term by a quantity constant in rho.
+        """
+        if sigma_x <= 0.0 or sigma_h <= 0.0 or not -1.0 < rho < 1.0:
+            return NEG_INF
+        one_minus = 1.0 - rho * rho
+        try:
+            return (
+                -0.5 * self._t * math.log(one_minus)
+                - self._sxx / (2.0 * sigma_x * sigma_x * one_minus)
+                - rho * rho * self._shh / (2.0 * sigma_h * sigma_h * one_minus)
+                - rho * self._cross / (sigma_x * sigma_h * one_minus)
+            )
+        except ZeroDivisionError:
+            return NEG_INF
+
+    def log_joint(self, sigma_x, sigma_h, rho):
+        """Joint kernel; each conditional equals it up to an additive constant."""
+        if sigma_x <= 0.0 or sigma_h <= 0.0 or not -1.0 < rho < 1.0:
+            return NEG_INF
+        one_minus = 1.0 - rho * rho
+        try:
+            return (
+                -0.5 * self._t * math.log(one_minus)
+                - self._t * math.log(sigma_x)
+                - (self._t - 1.0) * math.log(sigma_h)
+                - self._sxx / (2.0 * sigma_x * sigma_x * one_minus)
+                - self._shh / (2.0 * sigma_h * sigma_h * one_minus)
+                - rho * self._cross / (sigma_x * sigma_h * one_minus)
+            )
+        except ZeroDivisionError:
+            return NEG_INF
+
+
+def reference_logpdf(spec: ProposalSpec):
+    """Fast scalar log-density closure with normalization constants baked in;
+    the constant is also kept as the closure's ``const``.
+
+    The library's kernel leaves the constant out, since it cancels from the
+    independence acceptance ratio. The reference sampler keeps it, so its
+    bitwise match with :func:`mwg_sample` shows that it cancels.
+    """
+    if spec.family == "truncated_normal":
+        loc, scale = spec.loc, spec.scale
+        const = -0.5 * math.log(2.0 * math.pi) - math.log(scale) - math.log(ndtr(loc / scale))
+        inv2 = 0.5 / (scale * scale)
+
+        def logpdf(v):
+            if v <= 0.0:
+                return -math.inf
+            d = v - loc
+            return const - d * d * inv2
+
+        logpdf.const = const
+        return logpdf
+    if spec.family == "truncated_t":
+        loc, scale, df = spec.loc, spec.scale, spec.df
+        const = (
+            math.lgamma(0.5 * (df + 1.0))
+            - math.lgamma(0.5 * df)
+            - 0.5 * math.log(df * math.pi)
+            - math.log(scale)
+            - math.log(stdtr(df, loc / scale))
+        )
+        half = 0.5 * (df + 1.0)
+
+        def logpdf(v):
+            if v <= 0.0:
+                return -math.inf
+            z = (v - loc) / scale
+            return const - half * math.log1p(z * z / df)
+
+        logpdf.const = const
+        return logpdf
+    a, b = spec.shape, spec.scale
+    const = a * math.log(b) - math.lgamma(a) + math.log(2.0)
+    power = 2.0 * a + 1.0
+
+    def logpdf(v):
+        if v <= 0.0:
+            return -math.inf
+        try:
+            return const - power * math.log(v) - b / (v * v)
+        except ZeroDivisionError:  # v*v underflowed
+            return -math.inf
+
+    logpdf.const = const
+    return logpdf
+
+
+def reference_mwg_sample(panel, specs, n_draws, burn_in, init, seed, kernel=None):
+    """Metropolis-within-Gibbs against any object with the three conditional
+    kernel methods (a :class:`PosteriorKernel` of ``panel`` by default), with
+    the production sampler's random stream and acceptance rule."""
+    if kernel is None:
+        kernel = PosteriorKernel(panel)
+    specs = tuple(specs)
+    n_draws = int(n_draws)
+    burn_in = int(burn_in)
+    if not isinstance(init, Theta):
+        init = Theta(*init)
+
+    rng = np.random.default_rng(seed)
+    # looked up on the module, so a test that patches the stream patches both samplers
+    cand_x, cand_h, cand_r = (memoryview(inference._proposal_stream(spec, rng, n_draws))
+                              for spec in specs)
+    log_u_x, log_u_h, log_u_r = (
+        memoryview(column)
+        for column in np.ascontiguousarray(np.log(rng.random((n_draws, 3))).T)
+    )
+
+    indep = [spec.is_independence for spec in specs]
+    logq = [reference_logpdf(spec) if spec.is_independence else None for spec in specs]
+    fx = kernel.log_cond_sigma_x
+    fh = kernel.log_cond_sigma_h
+    fr = kernel.log_cond_rho
+
+    sx, sh, r = init.sigma_x, init.sigma_h, init.rho
+    draws = np.empty((n_draws, 3))
+    accepted = [0, 0, 0]
+    accepted_post = [0, 0, 0]
+
+    for k in range(n_draws):
+        tail = k >= burn_in
+
+        c = cand_x[k] if indep[0] else sx + cand_x[k]
+        la = fx(c, sh, r) - fx(sx, sh, r)
+        if indep[0]:
+            la += logq[0](sx) - logq[0](c)
+        if log_u_x[k] < la:
+            sx = c
+            accepted[0] += 1
+            if tail:
+                accepted_post[0] += 1
+
+        c = cand_h[k] if indep[1] else sh + cand_h[k]
+        la = fh(c, sx, r) - fh(sh, sx, r)
+        if indep[1]:
+            la += logq[1](sh) - logq[1](c)
+        if log_u_h[k] < la:
+            sh = c
+            accepted[1] += 1
+            if tail:
+                accepted_post[1] += 1
+
+        c = cand_r[k] if indep[2] else r + cand_r[k]
+        la = fr(c, sx, sh) - fr(r, sx, sh)
+        if indep[2]:
+            la += logq[2](r) - logq[2](c)
+        if log_u_r[k] < la:
+            r = c
+            accepted[2] += 1
+            if tail:
+                accepted_post[2] += 1
+
+        draws[k, 0] = sx
+        draws[k, 1] = sh
+        draws[k, 2] = r
+
+    warnings = tuple(
+        f"no accepted moves for {PARAMETERS[i]} after burn-in"
+        for i in range(3)
+        if accepted_post[i] == 0
+    )
+    return Chain(
+        draws=draws,
+        burn_in=burn_in,
+        acceptance_counts=np.array(accepted, dtype=int),
+        warnings=warnings,
+    )

@@ -16,7 +16,6 @@ from quanto_bayes.diagnostics import geweke_cd, hpdi, nse
 from quanto_bayes.inference import (
     Chain,
     NiwHyperparams,
-    PosteriorKernel,
     conjugate_sample,
     default_proposals,
     mle_estimate,
@@ -32,6 +31,7 @@ from quanto_bayes.pricing import (
 )
 
 from conftest import FIXTURES, TRUTH, make_workspace, predictive_samples, price_one, synth_panel
+from oracles import PosteriorKernel
 
 MARKET = MarketConfig.from_annual(0.015, 0.025, h_fix=1.0, periods_per_year=252)
 SPOT = SpotState(2711.74, 0.88)

@@ -892,6 +892,16 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
     # an empty --families flag overrides the config's families with none
     assert main(["estimate", "--config", cfg_path, "--families", ""]) == 1
     assert capsys.readouterr().err.startswith(f"error: {cfg_path}: families must list ")
+    # and an empty --out names the flag instead of falling back to the config's out_dir
+    ten_draws = os.path.join(str(tmp_path), "ten_draws.csv")
+    with open(ten_draws, "w", encoding="utf-8") as f:
+        f.write("sigma_x,sigma_h,rho\n" + "0.006,0.004,0.1\n" * 10)
+    for argv in (["estimate", "--families", "mle"], ["experiment", "--families", "mle"],
+                 ["price", "--draws", ten_draws, "--paths", "3"],
+                 ["diagnose", "--draws", ten_draws]):
+        capsys.readouterr()
+        assert main([*argv, "--config", cfg_path, "--out", ""]) == 1, argv
+        assert capsys.readouterr().err == "error: --out must name an output directory, got ''\n"
 
     # diagnose summarizes at least 10 draws; price reads any number
     for n_draws, code in ((1, 1), (9, 1), (10, 0)):
@@ -1261,6 +1271,34 @@ def test_cli_never_loads_scipy(tmp_path):
     record = json.loads(_run_python(code, cfg_path, draws))
     assert record == {"import": [], "lazy": [True, True, True], "estimate": 0, "price": 0,
                       "run": []}
+
+
+def test_estimate_runs_on_numpy_alone(tmp_path):
+    # the README's "runtime dependency: numpy only": from outside the checkout,
+    # with only src/ on the path, an estimate run loads no test dependency and
+    # no test module
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    cfg = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                                       "default.cfg"))
+    code = (
+        "import json, sys\n"
+        "import quanto_bayes\n"
+        "from quanto_bayes import cli\n"
+        "cfg, out = sys.argv[1:]\n"
+        "status = cli.main(['estimate', '--config', cfg, '--families', 'mle', '--out', out])\n"
+        "banned = {'scipy', 'pytest', 'hypothesis', 'mpmath', 'oracles', 'conftest'}\n"
+        "print(json.dumps({'status': status, 'file': quanto_bayes.__file__,\n"
+        "                  'loaded': sorted(m for m in sys.modules\n"
+        "                                   if m.partition('.')[0] in banned)}))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code, cfg, str(tmp_path / "est")],
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True, timeout=300)
+    record = json.loads(run.stdout)
+    assert record["status"] == 0, run.stderr
+    assert record["loaded"] == []
+    assert os.path.samefile(os.path.dirname(os.path.dirname(record["file"])), src)
+    assert os.path.exists(tmp_path / "est" / "estimate_summary.csv")
 
 
 @pytest.mark.parametrize("command", ["experiment", "price-sequential"])

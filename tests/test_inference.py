@@ -13,7 +13,6 @@ from quanto_bayes.inference import (
     PARAMETERS,
     Chain,
     NiwHyperparams,
-    PosteriorKernel,
     ProposalSpec,
     conjugate_sample,
     default_proposals,
@@ -26,6 +25,7 @@ from quanto_bayes.inference import (
 from quanto_bayes.model import ReturnPanel, Theta
 
 from conftest import TRUTH, fixture_panel, synth_panel
+from oracles import PosteriorKernel, reference_logpdf, reference_mwg_sample
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,7 @@ def test_proposal_logpdf_on_arrays_matches_scalar_reference():
         ProposalSpec(family="inverse_gamma", shape=5.0, scale=6.0 * 0.006 ** 2),
     ):
         got = _proposal_log_kernel(spec, values)
-        reference = _reference_logpdf(spec)
+        reference = reference_logpdf(spec)
         expected = np.array([reference(float(v)) for v in values])
         assert got.shape == values.shape
         assert np.array_equal(np.isneginf(got), np.isneginf(expected)), spec.family
@@ -286,148 +286,8 @@ def test_proposal_logpdf_on_arrays_matches_scalar_reference():
 
 
 # ---------------------------------------------------------------------------
-# Reference sampler: the generic kernel-calling Metropolis-within-Gibbs loop
-# that mwg_sample's closed-form sweep replaced, kept to check it bit for bit
-# and to run the sampler on targets with known moments.
+# Reference sampler (oracles.reference_mwg_sample) on targets with known moments
 # ---------------------------------------------------------------------------
-
-def _reference_logpdf(spec: ProposalSpec):
-    """Fast scalar log-density closure with normalization constants baked in;
-    the constant is also kept as the closure's ``const``.
-
-    The library's kernel leaves the constant out, since it cancels from the
-    independence acceptance ratio. The reference sampler keeps it, so its
-    bitwise match with :func:`mwg_sample` shows that it cancels.
-    """
-    if spec.family == "truncated_normal":
-        loc, scale = spec.loc, spec.scale
-        const = -0.5 * math.log(2.0 * math.pi) - math.log(scale) - math.log(ndtr(loc / scale))
-        inv2 = 0.5 / (scale * scale)
-
-        def logpdf(v):
-            if v <= 0.0:
-                return -math.inf
-            d = v - loc
-            return const - d * d * inv2
-
-        logpdf.const = const
-        return logpdf
-    if spec.family == "truncated_t":
-        loc, scale, df = spec.loc, spec.scale, spec.df
-        const = (
-            math.lgamma(0.5 * (df + 1.0))
-            - math.lgamma(0.5 * df)
-            - 0.5 * math.log(df * math.pi)
-            - math.log(scale)
-            - math.log(stdtr(df, loc / scale))
-        )
-        half = 0.5 * (df + 1.0)
-
-        def logpdf(v):
-            if v <= 0.0:
-                return -math.inf
-            z = (v - loc) / scale
-            return const - half * math.log1p(z * z / df)
-
-        logpdf.const = const
-        return logpdf
-    a, b = spec.shape, spec.scale
-    const = a * math.log(b) - math.lgamma(a) + math.log(2.0)
-    power = 2.0 * a + 1.0
-
-    def logpdf(v):
-        if v <= 0.0:
-            return -math.inf
-        try:
-            return const - power * math.log(v) - b / (v * v)
-        except ZeroDivisionError:  # v*v underflowed
-            return -math.inf
-
-    logpdf.const = const
-    return logpdf
-
-
-def _reference_mwg_sample(panel, specs, n_draws, burn_in, init, seed, kernel=None):
-    """Metropolis-within-Gibbs against any object with the three conditional
-    kernel methods (a :class:`PosteriorKernel` of ``panel`` by default), with
-    the production sampler's random stream and acceptance rule."""
-    if kernel is None:
-        kernel = PosteriorKernel(panel)
-    specs = tuple(specs)
-    n_draws = int(n_draws)
-    burn_in = int(burn_in)
-    if not isinstance(init, Theta):
-        init = Theta(*init)
-
-    rng = np.random.default_rng(seed)
-    # looked up on the module, so a test that patches the stream patches both samplers
-    cand_x, cand_h, cand_r = (memoryview(inference._proposal_stream(spec, rng, n_draws))
-                              for spec in specs)
-    log_u_x, log_u_h, log_u_r = (
-        memoryview(column)
-        for column in np.ascontiguousarray(np.log(rng.random((n_draws, 3))).T)
-    )
-
-    indep = [spec.is_independence for spec in specs]
-    logq = [_reference_logpdf(spec) if spec.is_independence else None for spec in specs]
-    fx = kernel.log_cond_sigma_x
-    fh = kernel.log_cond_sigma_h
-    fr = kernel.log_cond_rho
-
-    sx, sh, r = init.sigma_x, init.sigma_h, init.rho
-    draws = np.empty((n_draws, 3))
-    accepted = [0, 0, 0]
-    accepted_post = [0, 0, 0]
-
-    for k in range(n_draws):
-        tail = k >= burn_in
-
-        c = cand_x[k] if indep[0] else sx + cand_x[k]
-        la = fx(c, sh, r) - fx(sx, sh, r)
-        if indep[0]:
-            la += logq[0](sx) - logq[0](c)
-        if log_u_x[k] < la:
-            sx = c
-            accepted[0] += 1
-            if tail:
-                accepted_post[0] += 1
-
-        c = cand_h[k] if indep[1] else sh + cand_h[k]
-        la = fh(c, sx, r) - fh(sh, sx, r)
-        if indep[1]:
-            la += logq[1](sh) - logq[1](c)
-        if log_u_h[k] < la:
-            sh = c
-            accepted[1] += 1
-            if tail:
-                accepted_post[1] += 1
-
-        c = cand_r[k] if indep[2] else r + cand_r[k]
-        la = fr(c, sx, sh) - fr(r, sx, sh)
-        if indep[2]:
-            la += logq[2](r) - logq[2](c)
-        if log_u_r[k] < la:
-            r = c
-            accepted[2] += 1
-            if tail:
-                accepted_post[2] += 1
-
-        draws[k, 0] = sx
-        draws[k, 1] = sh
-        draws[k, 2] = r
-
-    warnings = tuple(
-        f"no accepted moves for {PARAMETERS[i]} after burn-in"
-        for i in range(3)
-        if accepted_post[i] == 0
-    )
-    return Chain(
-        draws=draws,
-        burn_in=burn_in,
-        acceptance_counts=np.array(accepted, dtype=int),
-        warnings=warnings,
-    )
-
 
 class _FlatKernel:
     def log_cond_sigma_x(self, v, sh, r):
@@ -455,7 +315,7 @@ class _PointKernel:
 def test_mh_acceptance_is_one_for_flat_target_symmetric_proposal():
     # detailed balance degenerate case: alpha identically 1, so every move is taken
     steps = (ProposalSpec(family="normal", scale=1e-3),) * 3
-    chain = _reference_mwg_sample(None, steps, 500, 100, init=Theta(0.5, 0.5, 0.0),
+    chain = reference_mwg_sample(None, steps, 500, 100, init=Theta(0.5, 0.5, 0.0),
                                   seed=4, kernel=_FlatKernel())
     assert chain.acceptance_counts.tolist() == [500, 500, 500]
     assert chain.warnings == ()
@@ -467,7 +327,7 @@ def test_mh_acceptance_rejects_out_of_support_candidates():
     specs = (ProposalSpec(family="truncated_normal", loc=0.5, scale=0.1),
              ProposalSpec(family="inverse_gamma", shape=5.0, scale=1.0),
              ProposalSpec(family="normal", scale=0.1))
-    chain = _reference_mwg_sample(None, specs, 300, 50, init=init, seed=5,
+    chain = reference_mwg_sample(None, specs, 300, 50, init=init, seed=5,
                                   kernel=_PointKernel(init))
     assert chain.acceptance_counts.tolist() == [0, 0, 0]
     assert np.all(chain.draws == init.as_tuple())
@@ -496,7 +356,7 @@ def test_mwg_known_target_moments():
         ProposalSpec(family="truncated_normal", loc=0.5, scale=1.0),
         ProposalSpec(family="normal", scale=0.5),
     )
-    chain = _reference_mwg_sample(None, specs, 60_000, 5_000, init=Theta(0.5, 0.5, 0.0),
+    chain = reference_mwg_sample(None, specs, 60_000, 5_000, init=Theta(0.5, 0.5, 0.0),
                                   seed=9, kernel=_ToyKernel())
     seg = chain.post_burn_in()
     half_normal_mean = math.sqrt(2.0 / math.pi)
@@ -536,7 +396,7 @@ def test_mwg_matches_reference_sampler_bitwise(panel_name, code):
     init = mle_estimate(panel)
     for seed in (11, 12, 13):
         _assert_same_chain(mwg_sample(panel, specs, 2000, 400, init=init, seed=seed),
-                           _reference_mwg_sample(panel, specs, 2000, 400, init=init,
+                           reference_mwg_sample(panel, specs, 2000, 400, init=init,
                                                  seed=seed))
 
 
@@ -577,7 +437,7 @@ def test_mwg_rejects_volatility_candidates_whose_inverse_square_overflows(
     # the reference's inverse-gamma density is a numpy scalar, so there
     # -inf - -inf warns as well as rejecting
     with np.errstate(invalid="ignore"):
-        expected = _reference_mwg_sample(panel_small, specs, 1500, 300, init=init, seed=21)
+        expected = reference_mwg_sample(panel_small, specs, 1500, 300, init=init, seed=21)
     _assert_same_chain(chain, expected)
 
 
@@ -599,7 +459,7 @@ def test_mwg_rejects_rho_steps_that_leave_the_open_interval(panel_small, monkeyp
     assert chain.acceptance_counts[2] == 0
     assert np.all(chain.draws[:, 2] == 0.5)
     assert chain.warnings == ("no accepted moves for rho after burn-in",)
-    _assert_same_chain(chain, _reference_mwg_sample(panel_small, specs, 700, 100,
+    _assert_same_chain(chain, reference_mwg_sample(panel_small, specs, 700, 100,
                                                     init=init, seed=22))
 
 
