@@ -162,10 +162,10 @@ class ExperimentConfig:
             try:
                 probe.market()
                 panel = ReturnPanel([0.01, -0.02, 0.015, -0.005], [0.004, 0.002, -0.006, 0.001])
-                # a scale that over- or underflows the posterior gives non-finite
-                # draws, which Chain refuses; the warnings would only repeat that
+                # a scale that over- or underflows the posterior is refused, by the
+                # sampler or by Chain; the warnings would only repeat that
                 with np.errstate(all="ignore"):
-                    conjugate_sample(panel, probe.niw(), 2, 0, seed=0)
+                    conjugate_sample(panel, probe.niw(), 2, seed=0)
                 probe.sequential(panel)
                 for family in FAMILY_CODES:
                     probe.proposals(family, panel)
@@ -352,7 +352,7 @@ def _first_panel(cfg: ExperimentConfig):
 
 def _sample_family(family, panel, cfg: ExperimentConfig, seed) -> Chain:
     if family == "mnc":
-        return conjugate_sample(panel, cfg.niw(), cfg.draws, cfg.burn_in, seed)
+        return conjugate_sample(panel, cfg.niw(), cfg.draws - cfg.burn_in, seed)
     init = mle_estimate(panel)
     return mwg_sample(panel, cfg.proposals(family, panel), cfg.draws, cfg.burn_in,
                       init=init, seed=seed)

@@ -77,7 +77,10 @@ def hpdi(samples, level):
     Ties between equal-width windows are broken by the smallest lower bound,
     so the result is deterministic.
     """
-    return sorted_hpdi(np.sort(np.asarray(samples, dtype=float), axis=None), level)
+    ordered = np.sort(np.asarray(samples, dtype=float), axis=None)
+    if ordered.size < 10:
+        raise ValueError(f"hpdi needs at least 10 samples, got {ordered.size}")
+    return sorted_hpdi(ordered, level)
 
 
 def sorted_hpdi(ordered, level):
@@ -87,8 +90,6 @@ def sorted_hpdi(ordered, level):
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     n = ordered.size
-    if n < 10:
-        raise ValueError(f"hpdi needs at least 10 samples, got {n}")
     m = math.ceil(level * n)
     widths = ordered[m - 1:] - ordered[: n - m + 1]
     i = int(np.argmin(widths))

@@ -34,11 +34,14 @@ Samplers:
   The tests keep the generic kernel-calling loop as a reference sampler and
   check that both give the same chain bit for bit.
 * :func:`exact_posterior_draws` draws exactly from the same posterior, given
-  only its sufficient statistics, which may differ from draw to draw; the
-  sequential-update pricer refreshes every path's parameters with it.
+  only its sufficient statistics, which may differ from draw to draw: an
+  inverse-Wishart partition plus an accept step. The sequential-update
+  pricer refreshes every path's parameters with it.
 * :func:`conjugate_sample` draws exactly from the Normal-Inverse-Wishart
   conjugate posterior of an unconstrained bivariate normal (MNC baseline),
-  under a prior with zero mean and a scale * I scale matrix.
+  under a prior with zero mean and a scale * I scale matrix, by the same
+  partition with no accept step. Its draws are independent, so it draws no
+  burn-in.
 * :func:`mle_estimate` is the closed-form maximum likelihood baseline.
 """
 
@@ -105,14 +108,15 @@ class ProposalSpec:
             raise ValueError(
                 f"unknown proposal family {self.family!r}; expected one of {_ALL_FAMILIES}"
             )
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        # df and shape first: an inverse-gamma scale is derived from its shape
         if self.family == "truncated_t":
             if self.df is None or not (math.isfinite(self.df) and self.df > 2.0):
                 raise ValueError(f"truncated_t needs a finite df > 2, got {self.df}")
         if self.family == "inverse_gamma":
             if self.shape is None or not self.shape > 2.0:
                 raise ValueError("inverse_gamma needs shape > 2")
+        if not (math.isfinite(self.scale) and self.scale > 0.0):
+            raise ValueError(f"scale must be positive, got {self.scale}")
         if self.family in ("truncated_normal", "truncated_t") and not math.isfinite(self.loc):
             raise ValueError(f"loc must be finite, got {self.loc}")
 
@@ -465,6 +469,25 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
 # Exact posterior draws
 # ---------------------------------------------------------------------------
 
+def _partition_draws(s11, slope, s22_1, df11, df22, rng, size):
+    """``size`` draws of a 2x2 covariance Sigma by the inverse-Wishart
+    partition with scale S (Anderson 2003, ch. 7), mapped to (sigma_x,
+    sigma_h, rho); Sigma ~ IW(df, S) is df11 = df - 1 and df22 = df. From
+    S11, slope = S12/S11 and S22.1 = S22 - S12^2/S11 it draws Sigma11 =
+    S11 / chi2(df11), then Sigma22.1 = S22.1 / chi2(df22), then B ~ N(slope,
+    Sigma22.1/S11), one batch of ``size`` each from ``rng``; Sigma12 =
+    B Sigma11 and Sigma22 = Sigma22.1 + B^2 Sigma11. Also returns Sigma22.1
+    and Sigma22, whose ratio is 1 - rho^2.
+    """
+    v11 = s11 / rng.chisquare(df11, size)
+    v22_1 = s22_1 / rng.chisquare(df22, size)
+    b = slope + np.sqrt(v22_1 / s11) * rng.standard_normal(size)
+    v22 = v22_1 + b * b * v11
+    sigma_x = np.sqrt(v11)
+    sigma_h = np.sqrt(v22)
+    return np.column_stack([sigma_x, sigma_h, b * sigma_x / sigma_h]), v22_1, v22
+
+
 def exact_posterior_draws(n_obs, sxx, shh, sxh, rng):
     """Exact draws of (sigma_x, sigma_h, rho) from the joint posterior in the
     module docstring, one row per entry of the broadcast inputs.
@@ -473,19 +496,12 @@ def exact_posterior_draws(n_obs, sxx, shh, sxh, rng):
     centred sums of squares sxx and shh and the centred cross sum sxh = -C.
     In Sigma coordinates (Jacobian 4 sigma_x^2 sigma_h^2) the kernel is an
     inverse Wishart IW(T-3, S), S = [[sxx, sxh], [sxh, shh]], tilted by
-    Sigma11^-1 Sigma22^-1/2. Partitioning the inverse Wishart (Anderson 2003,
-    ch. 7; Berger & Sun 2008, "Objective priors for the bivariate normal
-    model") gives each draw as
-
-    * Sigma11 = sxx / chi2(T-2);
-    * Sigma22.1 = (shh - sxh^2/sxx) / chi2(T-2);
-    * B ~ N(sxh/sxx, Sigma22.1/sxx), Sigma12 = B Sigma11 and
-      Sigma22 = Sigma22.1 + B^2 Sigma11,
-
-    accepted with probability sqrt(Sigma22.1/Sigma22) = sqrt(1 - rho^2), the
-    part of the Sigma22^-1/2 tilt that the partition leaves over. A round
-    draws, for the entries still pending, a batch of each chi-square, one of
-    normals and one of acceptance uniforms, in that order; the rejected
+    Sigma11^-1 Sigma22^-1/2 (Berger & Sun 2008, "Objective priors for the
+    bivariate normal model"). Each candidate is a :func:`_partition_draws`
+    draw at df11 = df22 = T-2, accepted with probability
+    sqrt(Sigma22.1/Sigma22) = sqrt(1 - rho^2), the part of the tilt that the
+    partition leaves over. A round draws, for the entries still pending, the
+    partition's batches and then one of acceptance uniforms; the rejected
     entries are drawn again in the next round. The rounds depend only on the
     inputs and ``rng``'s state, so a fixed state reproduces the draws bit
     for bit. Needs T >= 3 and a positive definite S.
@@ -503,16 +519,11 @@ def exact_posterior_draws(n_obs, sxx, shh, sxh, rng):
     draws = np.empty((sxx.size, 3))
     pending = np.arange(sxx.size)
     while pending.size:
-        v11 = sxx[pending] / rng.chisquare(df[pending])
-        v22_1 = s22_1[pending] / rng.chisquare(df[pending])
-        b = slope[pending] + np.sqrt(v22_1 / sxx[pending]) * rng.standard_normal(pending.size)
+        theta, v22_1, v22 = _partition_draws(sxx[pending], slope[pending], s22_1[pending],
+                                             df[pending], df[pending], rng, pending.size)
         u = rng.random(pending.size)
-        v22 = v22_1 + b * b * v11
         accept = u * u * v22 < v22_1
-        sigma_x = np.sqrt(v11[accept])
-        sigma_h = np.sqrt(v22[accept])
-        draws[pending[accept]] = np.column_stack([sigma_x, sigma_h,
-                                                  b[accept] * sigma_x / sigma_h])
+        draws[pending[accept]] = theta[accept]
         pending = pending[~accept]
     return draws
 
@@ -583,43 +594,29 @@ def niw_posterior(panel, hyper: NiwHyperparams):
     return hyper.df + t, prior_scale + scatter + shrink * np.outer(ybar, ybar)
 
 
-def conjugate_sample(panel, hyper: NiwHyperparams, n_draws, burn_in, seed) -> Chain:
-    """Exact draws from the conjugate posterior (the MNC baseline).
+def conjugate_sample(panel, hyper: NiwHyperparams, n_draws, seed) -> Chain:
+    """``n_draws`` exact, independent draws from the conjugate posterior (the
+    MNC baseline).
 
-    Each precision matrix W ~ Wishart(df_n, scale_n^-1) is drawn with the
-    Bartlett decomposition W = L A A' L', where L = chol(scale_n^-1) and A is
-    lower triangular with A11^2 ~ chi2(df_n), A22^2 ~ chi2(df_n - 1) and
-    A21 ~ N(0, 1); the covariance W^-1 is inverted in closed form and mapped
-    to (sigma_x, sigma_h, rho). Every draw satisfies |rho| < 1 by
-    construction. Draws are independent, so the burn-in is kept only for
-    interface symmetry with :func:`mwg_sample`.
+    Sigma ~ IW(df_n, scale_n) is drawn by :func:`_partition_draws` at
+    df11 = df_n - 1 and df22 = df_n, with no accept step: unlike the
+    posterior of :func:`exact_posterior_draws`, this one has no tilt. Every
+    draw satisfies |rho| < 1 by construction. The draws are independent, so
+    none is burnt in: the chain has ``burn_in`` 0. A posterior scale matrix
+    that is not positive definite or whose determinant overflows is refused.
     """
     n_draws = int(n_draws)
-    burn_in = int(burn_in)
-    if not 0 <= burn_in < n_draws:
-        raise ValueError(f"need n_draws > burn_in >= 0, got {n_draws}, {burn_in}")
+    if n_draws < 1:
+        raise ValueError(f"need n_draws >= 1, got {n_draws}")
     df_n, scale_n = niw_posterior(panel, hyper)
-    chol = np.linalg.cholesky(np.linalg.inv(scale_n))
-    rng = np.random.default_rng(seed)
-    a11 = np.sqrt(rng.chisquare(df_n, n_draws))
-    a22 = np.sqrt(rng.chisquare(df_n - 1.0, n_draws))
-    a21 = rng.standard_normal(n_draws)
-    b11 = chol[0, 0] * a11
-    b21 = chol[1, 0] * a11 + chol[1, 1] * a21
-    b22 = chol[1, 1] * a22
-    w11 = b11 * b11
-    w12 = b11 * b21
-    w22 = b21 * b21 + b22 * b22
-    det = w11 * w22 - w12 * w12
-    sigma_x = np.sqrt(w22 / det)
-    sigma_h = np.sqrt(w11 / det)
-    rho = -w12 / np.sqrt(w11 * w22)
-    draws = np.column_stack([sigma_x, sigma_h, rho])
-    return Chain(
-        draws=draws,
-        burn_in=burn_in,
-        acceptance_counts=np.full(3, n_draws, dtype=int),
-    )
+    s11, s12, s22 = (float(scale_n[i, j]) for i, j in ((0, 0), (0, 1), (1, 1)))
+    s22_1 = s22 - s12 * s12 / s11
+    if not (s22_1 > 0.0 and math.isfinite(s11 * s22_1)):
+        raise ValueError("the posterior scale matrix must be positive definite "
+                         "with a finite determinant")
+    draws, _, _ = _partition_draws(s11, s12 / s11, s22_1, df_n - 1.0, df_n,
+                                   np.random.default_rng(seed), n_draws)
+    return Chain(draws=draws, burn_in=0, acceptance_counts=np.full(3, n_draws, dtype=int))
 
 
 # ---------------------------------------------------------------------------

@@ -161,10 +161,15 @@ def _summary(ordered, n_effective_draws) -> PricingResult:
 
     The mean and the centred sum of squares read only the positive tail
     after the j leading zeros, which add j*mean^2 to the sum of squares.
+    They are taken on the tail times 2^-e, with e the binary exponent of the
+    largest payoff, so no square overflows; the price and the standard error
+    are scaled back by 2^e. A power of two scales exactly, so the scaling
+    changes no bit unless a scaled value leaves the normal range.
     """
     n = ordered.size
     j = int(np.searchsorted(ordered, 0.0, side="right"))
-    tail = ordered[j:]
+    e = math.frexp(ordered[-1])[1]
+    tail = np.ldexp(ordered[j:], -e)
     price = float(tail.sum() / n)
     if n > 1:
         centred = tail - price
@@ -172,13 +177,9 @@ def _summary(ordered, n_effective_draws) -> PricingResult:
         se = math.sqrt(ss / (n - 1)) / math.sqrt(n)
     else:
         se = 0.0
-    if n >= 10:
-        interval = sorted_hpdi(ordered, 0.99)
-    else:
-        interval = (float(ordered[0]), float(ordered[-1]))
     return PricingResult(
-        price=price, mc_std_error=se, hpdi_99=interval,
-        n_effective_draws=n_effective_draws,
+        price=math.ldexp(price, e), mc_std_error=math.ldexp(se, e),
+        hpdi_99=sorted_hpdi(ordered, 0.99), n_effective_draws=n_effective_draws,
     )
 
 

@@ -149,7 +149,7 @@ def test_criterion_05_kernel_consistency():
 def test_criterion_06_conjugate_moments():
     panel = synth_panel(500, seed=66)
     hyper = NiwHyperparams()
-    chain = conjugate_sample(panel, hyper, 60_000, 1_000, seed=6)
+    chain = conjugate_sample(panel, hyper, 59_000, seed=6)
     seg = chain.post_burn_in()
     df_n, scale_n = niw_posterior(panel, hyper)
     worst = 0.0

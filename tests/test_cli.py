@@ -293,7 +293,7 @@ def test_draws_text_formats_fixture_chains_in_bulk():
     panel = fixture_panel(140)
     tnn = mwg_sample(panel, default_proposals("tnn", panel), 3000, 500,
                      init=mle_estimate(panel), seed=140)
-    mnc = conjugate_sample(panel, NiwHyperparams(), 3000, 500, seed=140)
+    mnc = conjugate_sample(panel, NiwHyperparams(), 2500, seed=140)
     assert _draws_text(tnn.post_burn_in())[1] == 0
     magnitudes = np.abs(mnc.post_burn_in())
     outside = np.count_nonzero((magnitudes < 1e-4) | (magnitudes >= 1.0))
@@ -845,6 +845,7 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
         f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n")
     for key, value in (("periods_per_year", "0"), ("vol_scale_multiplier", "0"),
                        ("h_fix", "0"), ("rho_step", "0"), ("tt_df", "1"), ("ig_shape", "1"),
+                       ("ig_shape", "-1"),
                        ("mnc_df", "1"), ("mnc_kappa", "0"), ("mnc_scale", "-1"),
                        ("mnc_scale", "inf"),
                        ("refresh_interval", "0"), ("r_d_annual", "nan"), ("h_fix", "nan"),
@@ -870,6 +871,8 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
                 assert err.endswith(": periods_per_year must be positive, got 0\n"), err
             if (key, value) == ("mnc_scale", "inf"):
                 assert err.endswith(": scale must be finite, got inf\n"), err
+            if (key, value) == ("ig_shape", "-1"):
+                assert err.endswith(": inverse_gamma needs shape > 2\n"), err
 
     # values that parse but repeat an entry, or leave too few returns or draws
     # to estimate from

@@ -760,17 +760,17 @@ def test_niw_validation():
         NiwHyperparams(kappa=0.0)
 
 
-# sha256 of draws.tobytes() of 3000 conjugate draws (burn-in 100): the default
-# prior on panel_small, a non-default prior on the fixture window 1840, and
-# the prior alone. They pin the Bartlett draw's random-stream layout and the
-# posterior update's arithmetic bit for bit.
+# sha256 of draws.tobytes() of 3000 conjugate draws: the default prior on
+# panel_small, a non-default prior on the fixture window 1840, and the prior
+# alone. They pin the inverse-Wishart partition's random-stream layout and
+# the posterior update's arithmetic bit for bit.
 _PINNED_CONJUGATE = {
     "default-prior": (NiwHyperparams(), 23,
-                      "d991c62eecc9cd4e8351d14f6e97c8241fa170d3ec22c6847da841e64f832547"),
+                      "425e8d1030f3d9898deb045479abd154148fd7d342f4c8a082133decb37a72e3"),
     "fixture-1840": (NiwHyperparams(kappa=2.5, df=7.0, scale=3e-3), 29,
-                     "0124ce7f142c69c3ae40c3357d69f37476054a19693ec0991c1a7e86289fec38"),
+                     "732bc15895e1cffcc8487a7fbca95b8ba6b609f659e6ef4f420fa939b19fb2ea"),
     "prior-only": (NiwHyperparams(kappa=0.5, df=6.0, scale=2e-4), 31,
-                   "bc6874dd8054cc65d272c62276626e3fd8143fbb7ee313bf871de5338b5ddb30"),
+                   "056aeb586dfc0ec753b894bbe5b8e070410a346ff7a431d36ed071900a76cf45"),
 }
 
 
@@ -781,13 +781,13 @@ def test_conjugate_pinned_draws(panel_small, case):
         panel = fixture_panel(1840)
     else:
         panel = panel_small if case == "default-prior" else None
-    chain = conjugate_sample(panel, hyper, 3000, 100, seed=seed)
+    chain = conjugate_sample(panel, hyper, 3000, seed=seed)
     assert hashlib.sha256(chain.draws.tobytes()).hexdigest() == digest
 
 
 def test_conjugate_posterior_moments(panel_small):
     hyper = NiwHyperparams()
-    chain = conjugate_sample(panel_small, hyper, 40_000, 1_000, seed=3)
+    chain = conjugate_sample(panel_small, hyper, 39_000, seed=3)
     seg = chain.post_burn_in()
     df_n, scale_n = niw_posterior(panel_small, hyper)
     s11 = seg[:, 0] ** 2
@@ -804,7 +804,7 @@ def test_conjugate_posterior_moments(panel_small):
 
 def test_conjugate_prior_only_hook_matches_prior_moments():
     hyper = NiwHyperparams(df=10.0, scale=1e-4)
-    chain = conjugate_sample(None, hyper, 40_000, 1_000, seed=4)
+    chain = conjugate_sample(None, hyper, 39_000, seed=4)
     seg = chain.post_burn_in()
     target = 1e-4 / (10.0 - 3.0)
     for col in (0, 1):
@@ -815,7 +815,7 @@ def test_conjugate_prior_only_hook_matches_prior_moments():
 
 def test_conjugate_large_panel_tracks_sample_covariance():
     panel = synth_panel(20_000, seed=51)
-    chain = conjugate_sample(panel, NiwHyperparams(), 20_000, 500, seed=6)
+    chain = conjugate_sample(panel, NiwHyperparams(), 19_500, seed=6)
     seg = chain.post_burn_in()
     s11 = seg[:, 0] ** 2
     sample_cov = panel.sxx / panel.n_obs
@@ -825,15 +825,47 @@ def test_conjugate_large_panel_tracks_sample_covariance():
 
 
 def test_conjugate_draws_satisfy_support(panel_small):
-    chain = conjugate_sample(panel_small, NiwHyperparams(), 5000, 100, seed=8)
+    chain = conjugate_sample(panel_small, NiwHyperparams(), 4900, seed=8)
     seg = chain.post_burn_in()
     assert np.all(np.abs(seg[:, 2]) < 1.0)
     assert np.all(seg[:, :2] > 0.0)
 
 
+def test_conjugate_simulation_based_calibration():
+    # Simulation-based calibration (Talts et al. 2018, arXiv:1804.06788):
+    # with (mu, Sigma) drawn from the NIW prior and a panel from the model,
+    # the rank of the true value among L exact posterior draws is uniform on
+    # 0..L. The prior is drawn here with numpy alone: Sigma^-1 ~ Wishart(df,
+    # (scale I)^-1) as a sum of df Gaussian outer products, mu ~ N(0,
+    # Sigma / kappa). Short panels keep the prior in the posterior, so an
+    # error in its degrees of freedom moves the ranks.
+    hyper = NiwHyperparams(kappa=1.0, df=6.0, scale=1e-4)
+    n_reps, n_post, n_obs, n_bins = 2000, 99, 5, 10
+    rng = np.random.default_rng(2018)
+    z = rng.standard_normal((n_reps, int(hyper.df), 2)) / math.sqrt(hyper.scale)
+    sigma = np.linalg.inv(np.einsum("rki,rkj->rij", z, z))
+    chol = np.linalg.cholesky(sigma)
+    mu = np.einsum("rij,rj->ri", chol, rng.standard_normal((n_reps, 2))) / math.sqrt(hyper.kappa)
+    returns = mu[:, None, :] + np.einsum("rij,rtj->rti", chol,
+                                         rng.standard_normal((n_reps, n_obs, 2)))
+    truth = np.column_stack([np.sqrt(sigma[:, 0, 0]), np.sqrt(sigma[:, 1, 1]),
+                             sigma[:, 0, 1] / np.sqrt(sigma[:, 0, 0] * sigma[:, 1, 1])])
+    ranks = np.empty((n_reps, 3), dtype=int)
+    for r in range(n_reps):
+        panel = ReturnPanel(returns[r, :, 0], returns[r, :, 1])
+        draws = conjugate_sample(panel, hyper, n_post, seed=r).draws
+        ranks[r] = np.count_nonzero(draws < truth[r], axis=0)
+    expected = n_reps / n_bins
+    for name, column in zip(PARAMETERS, ranks.T):
+        counts = np.bincount(column * n_bins // (n_post + 1), minlength=n_bins)
+        chi2 = float(((counts - expected) ** 2).sum() / expected)
+        # 27.88 is the 0.1 % point of chi2 with 9 degrees of freedom
+        assert chi2 < 27.9, (name, chi2, counts)
+
+
 def test_conjugate_reproducible(panel_small):
-    a = conjugate_sample(panel_small, NiwHyperparams(), 2000, 100, seed=12)
-    b = conjugate_sample(panel_small, NiwHyperparams(), 2000, 100, seed=12)
+    a = conjugate_sample(panel_small, NiwHyperparams(), 1900, seed=12)
+    b = conjugate_sample(panel_small, NiwHyperparams(), 1900, seed=12)
     assert np.array_equal(a.draws, b.draws)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -555,6 +556,23 @@ def test_price_batch_summarizes_the_sorted_predictive_batch(mode, n_paths):
         assert result.mc_std_error == pytest.approx(se, rel=1e-12, abs=0.0), request
         assert result.n_effective_draws == n_paths  # each path takes its own draw of 100
     assert result.price == 0.0  # out of the money on every path
+
+
+def test_standard_error_survives_payoffs_whose_squares_overflow():
+    # F3 payoffs scale with h_fix; at 1e300 their squares overflow a float,
+    # which must neither warn nor leave a non-finite standard error
+    results = []
+    for h_fix in (1.0, 1e300):
+        market = MarketConfig.from_annual(0.015, 0.025, h_fix=h_fix, periods_per_year=252)
+        request = PricingRequest(kind="F3", strike=2700.0, horizon_s=51, spot=SPOT,
+                                 market=market, n_paths=2000, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results.append(price_one(request, posterior_like_chain()))
+    base, big = results
+    assert math.isfinite(big.mc_std_error) and base.mc_std_error > 0.0
+    assert big.mc_std_error == pytest.approx(1e300 * base.mc_std_error, rel=1e-12)
+    assert big.price == pytest.approx(1e300 * base.price, rel=1e-12)
 
 
 def test_f3_tail_starts_at_the_first_positive_payoff():
