@@ -119,6 +119,8 @@ class ExperimentConfig:
                 f"need burn_in >= 0 and draws - burn_in >= {MIN_SUMMARY_DRAWS}, "
                 f"got draws={self.draws} burn_in={self.burn_in}"
             )
+        if not 0 <= self.seed <= 0xFFFFFFFF:  # one 32-bit word of every derived seed
+            raise ConfigError(f"seed must lie in [0, 2**32 - 1], got {self.seed}")
         if self.n_paths < 1:
             raise ConfigError(f"n_paths must be positive, got {self.n_paths}")
         if self.mode not in ("static", "sequential-update"):
@@ -306,7 +308,7 @@ def _write_manifest(cfg: ExperimentConfig, command, extra=()):
 
 
 def _derive_seed(base_seed, *parts):
-    ints = [int(base_seed) & 0xFFFFFFFF] + [zlib.crc32(str(p).encode()) for p in parts]
+    ints = [base_seed] + [zlib.crc32(str(p).encode()) for p in parts]
     return int(np.random.SeedSequence(ints).generate_state(1)[0])
 
 
@@ -657,10 +659,9 @@ def _price_chain(cfg, chain, table, market, panel, h_level, seed):
     sorted order."""
     sequential = cfg.sequential(panel) if cfg.mode == "sequential-update" else None
     requests = [PricingRequest(kind="F3", strike=row.strike, horizon_s=row.maturity_days,
-                               spot=SpotState(row.spot, h_level), market=market,
-                               n_paths=cfg.n_paths, seed=seed)
-                for row in table]
-    for row, (result, samples) in zip(table, price_batch(requests, chain, sequential)):
+                               spot=SpotState(row.spot, h_level)) for row in table]
+    priced = price_batch(requests, chain, market, cfg.n_paths, seed, sequential)
+    for row, (result, samples) in zip(table, priced):
         yield row._replace(
             model_price=result.price, mc_std_error=result.mc_std_error,
             hpdi99_lo=result.hpdi_99[0], hpdi99_hi=result.hpdi_99[1],

@@ -27,7 +27,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .model import MarketConfig, PriceSeries, call_price_band
+from .model import MarketConfig, PriceSeries, call_price_band, price_fault
 
 __all__ = [
     "OptionQuote",
@@ -164,8 +164,8 @@ def _csv_records(path):
 def load_price_series(path):
     """Read a ``date,price`` series, sort by date, and validate it.
 
-    Duplicate dates and non-positive or non-numeric prices are rejected with
-    the file and the offending date or row named.
+    Duplicate dates and non-numeric, non-positive or non-finite prices are
+    rejected with the file and the offending date or row named.
     """
     text = read_text(path)
     try:
@@ -201,8 +201,8 @@ def _raise_first_bad_row(path):
             price = _parse_float(cells[price_at], i, "price")
             if day in seen:
                 raise ValueError(f"duplicate date {day.isoformat()} at row {i}")
-            if not (math.isfinite(price) and price > 0.0):
-                raise ValueError(f"row {i}: non-positive price {price!r}")
+            if fault := price_fault(price):
+                raise ValueError(f"row {i}: {fault}")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         seen.add(day)

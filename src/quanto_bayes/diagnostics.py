@@ -98,11 +98,12 @@ def sorted_hpdi(ordered, level):
 
 @dataclass(frozen=True)
 class ChainSummary:
-    """Posterior summary of one parameter over post-burn-in draws."""
+    """Posterior summary of one parameter over post-burn-in draws; ``nse``
+    and ``cd`` are None below 100 draws, ``cd`` also when :func:`geweke_cd` has none."""
 
     mean: float
     std_dev: float
-    nse: float
+    nse: float | None
     cd: float | None
     hpdi_95: tuple
     acceptance_rate: float
@@ -116,7 +117,7 @@ def summarize(chain: Chain, parameter) -> ChainSummary:
     return ChainSummary(
         mean=float(draws.mean()),
         std_dev=float(draws.std(ddof=1)),
-        nse=_spectral_nse(draws),
+        nse=nse(draws) if draws.size >= 100 else None,
         cd=geweke_cd(draws) if draws.size >= 100 else None,
         hpdi_95=hpdi(draws, 0.95),
         acceptance_rate=chain.acceptance_rate(parameter),

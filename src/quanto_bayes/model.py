@@ -47,6 +47,13 @@ def _require_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def price_fault(value):
+    """The fault of price v: "non-positive price v" at v <= 0, "non-finite
+    price v" at inf or NaN, and None when v is positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        return f"{'non-positive' if value <= 0.0 else 'non-finite'} price {float(value)!r}"
+
+
 @dataclass(frozen=True)
 class Theta:
     """Volatility and correlation parameters (per trading day).
@@ -163,8 +170,7 @@ class PriceSeries:
             )
         bad = np.nonzero(~(np.isfinite(prices) & (prices > 0.0)))[0]
         if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"non-positive price {prices[i]!r} on {dates[i]}")
+            raise ValueError(f"{price_fault(prices[bad[0]])} on {dates[bad[0]]}")
         days = np.fromiter(map(Date.toordinal, dates), np.int64, len(dates))
         later = np.nonzero(np.diff(days) <= 0)[0]
         if later.size:
@@ -203,8 +209,7 @@ def log_returns(prices):
         )
     bad = np.nonzero(~(np.isfinite(levels) & (levels > 0.0)))[0]
     if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"non-positive price {levels[i]!r} at index {i}")
+        raise ValueError(f"{price_fault(levels[bad[0]])} at index {bad[0]}")
     return np.diff(np.log(levels))
 
 

@@ -2,26 +2,25 @@
 with a closed-form anchor for the fixed-rate payoff and Black-Scholes
 baselines.
 
-``price_batch`` prices many requests that share the seed, path count and
-market. It consumes one posterior draw per simulated path, the retained chain
-thinned to ``n_paths`` evenly spaced entries, and runs one simulation per
-chain: each path's growth factors to every requested maturity are built
-once, and every strike of that maturity reads them. The fixed-rate payoff F3
-is non-decreasing in the terminal asset level, so one sort of each
-maturity's growth orders the payoffs of all its strikes: a strike's sorted
-payoffs are a run of zeros followed by its in-the-money tail, and only that
-tail is computed. The other kinds sort their own payoffs. The price, its
-standard error and the 99 percent HPDI all come from the sorted payoffs,
-the first two from the positive tail with the zeros entering in closed form.
-``predictive_batch`` yields the same simulation's payoffs in path order.
+A :class:`PricingRequest` is one contract. ``price_batch`` prices many of
+them from one simulation per chain, taking its market, path count and seed
+once, in the random-stream layout that :func:`predictive_batch` states: a
+fixed seed reproduces the result bit for bit, and common random numbers
+apply across strikes and maturities. Each path consumes one posterior draw,
+the retained chain thinned to ``n_paths`` evenly spaced entries, and builds
+its growth factors to every requested maturity once, for every strike of
+that maturity to read. The fixed-rate payoff F3 is non-decreasing in the
+terminal asset level, so one sort of each maturity's growth orders the
+payoffs of all its strikes: a strike's sorted payoffs are a run of zeros
+followed by its in-the-money tail, and only that tail is computed. The other
+kinds sort their own payoffs. The price, its standard error and the 99
+percent HPDI all come from the sorted payoffs, the first two from the
+positive tail with the zeros entering in closed form. ``predictive_batch``
+yields the same simulation's payoffs in path order.
 
 With the parameters fixed along a static path, the ``horizon_s`` daily
 return pairs under the domestic risk-neutral measure sum to one bivariate
-normal, so each path takes a single exact terminal draw. Randomness is
-consumed in a fixed order (one batch of asset shocks, then one batch of
-exchange-rate shocks, skipped when every request is the fixed-rate payoff
-F3), so a fixed seed reproduces the result bit for bit and common random
-numbers apply across strikes and maturities.
+normal, so each path takes a single exact terminal draw.
 
 Passing :class:`SequentialSettings` selects sequential-update pricing, which
 re-infers the parameters along each path and so keeps a daily loop. All
@@ -60,7 +59,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PricingRequest:
-    """One pricing job: payoff kind, contract terms and simulation settings.
+    """One contract to price: payoff kind, strike, maturity and spot.
 
     ``strike`` is in the currency the kind calls for (domestic for F1,
     foreign for F2/F3, exchange-rate units for F4). ``horizon_s`` counts
@@ -71,9 +70,6 @@ class PricingRequest:
     strike: float
     horizon_s: int
     spot: SpotState
-    market: MarketConfig
-    n_paths: int = 100_000
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in PAYOFF_KINDS:
@@ -82,8 +78,6 @@ class PricingRequest:
             raise ValueError(f"strike must be non-negative and finite, got {self.strike}")
         if self.horizon_s < 0:
             raise ValueError(f"horizon_s must be non-negative, got {self.horizon_s}")
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be at least 1, got {self.n_paths}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,7 @@ class SequentialSettings:
     """
 
     panel: ReturnPanel
-    refresh_interval: int = 1
+    refresh_interval: int
 
     def __post_init__(self):
         if self.refresh_interval < 1:
@@ -120,27 +114,29 @@ class SequentialSettings:
             )
 
 
-def price_batch(requests, chain: Chain, sequential: SequentialSettings | None = None):
+def price_batch(requests, chain: Chain, market: MarketConfig, n_paths, seed,
+                sequential: SequentialSettings | None = None):
     """Each request's :class:`PricingResult` with its discounted payoffs in
     sorted order, lazily, one pair at a time.
 
-    The requests are checked and simulated as by :func:`predictive_batch`,
-    before this returns. Each maturity's F3 requests read one sort of its
-    growth X_s/x0: path payoffs are zero up to the first growth g with
-    x0*g - K > 0, and only the tail from there is computed. Every other
-    request sorts its own payoffs.
+    The inputs are checked and the paths simulated as by
+    :func:`predictive_batch`, whose random-stream layout this shares, before
+    this returns. Each maturity's F3 requests read one sort of its growth
+    X_s/x0: path payoffs are zero up to the first growth g with x0*g - K > 0,
+    and only the tail from there is computed. Every other request sorts its
+    own payoffs.
     """
-    requests, growth, n_effective = _simulate(requests, chain, sequential)
+    requests, growth, n_distinct = _simulate(requests, chain, market, n_paths, seed, sequential)
     sorted_growth = {s: np.sort(growth[s][0])
                      for s in {r.horizon_s for r in requests if r.kind == "F3"}}
-    ordered = (_sorted_payoffs(request, growth, sorted_growth) for request in requests)
-    return ((_summary(values, n_effective), values) for values in ordered)
+    ordered = (_sorted_payoffs(request, market, growth, sorted_growth) for request in requests)
+    return ((_summary(values, n_distinct), values) for values in ordered)
 
 
-def _sorted_payoffs(request, growth, sorted_growth):
+def _sorted_payoffs(request, market, growth, sorted_growth):
     """One request's discounted payoffs in ascending order."""
     if request.kind != "F3":
-        values = _discounted_payoffs(request, *growth[request.horizon_s])
+        values = _discounted_payoffs(request, market, *growth[request.horizon_s])
         values.sort()
         return values
     ordered = sorted_growth[request.horizon_s]
@@ -152,7 +148,7 @@ def _sorted_payoffs(request, growth, sorted_growth):
     while j > 0 and x0 * ordered[j - 1] - strike > 0.0:
         j -= 1
     values = np.zeros(ordered.size)
-    values[j:] = _discounted_payoffs(request, ordered[j:], None)
+    values[j:] = _discounted_payoffs(request, market, ordered[j:], None)
     return values
 
 
@@ -183,15 +179,16 @@ def _summary(ordered, n_effective_draws) -> PricingResult:
     )
 
 
-def predictive_batch(requests, chain: Chain,
+def predictive_batch(requests, chain: Chain, market: MarketConfig, n_paths, seed,
                      sequential: SequentialSettings | None = None):
     """Per-draw discounted payoffs of many requests, one array each, lazily.
 
-    The requests must share ``seed``, ``n_paths`` and ``market``; they may
-    differ in kind, strike, horizon and spot. The inputs are checked and the
-    paths simulated before this returns; the iterator then yields each
-    request's payoffs in request order and path order, so one payoff array
-    is held at a time. Horizon 0 gives the intrinsic value on every path.
+    The requests may differ in kind, strike, horizon and spot; ``market``,
+    ``n_paths`` (at least 1) and ``seed`` belong to the one simulation they
+    share. The inputs are checked and the paths simulated before this
+    returns; the iterator then yields each request's payoffs in request
+    order and path order, so one payoff array is held at a time. Horizon 0
+    gives the intrinsic value on every path.
 
     Static mode (``sequential`` is None): path k holds the thinned draw
     theta^(k) to maturity and draws its terminal log-levels exactly,
@@ -210,48 +207,44 @@ def predictive_batch(requests, chain: Chain,
     payoffs as when priced alone. Both return legs are simulated even for F3
     because the refresh needs the pair.
     """
-    requests, growth, _ = _simulate(requests, chain, sequential)
-    return (_discounted_payoffs(request, *growth[request.horizon_s])
+    requests, growth, _ = _simulate(requests, chain, market, n_paths, seed, sequential)
+    return (_discounted_payoffs(request, market, *growth[request.horizon_s])
             for request in requests)
 
 
-def _simulate(requests, chain, sequential):
-    """The checked requests as a list, {s: (X_s/x0, H_s/h0 or None)} for
-    every requested maturity s, and the number of distinct draws the paths
-    consume.
+def _simulate(requests, chain, market, n_paths, seed, sequential):
+    """The requests as a list, {s: (X_s/x0, H_s/h0 or None)} for every
+    requested maturity s, and the number of distinct draws the paths consume.
 
     Path k takes retained draw (k*A)//N of A; the indices are strictly
     increasing when N <= A and cover every draw when N > A, so min(A, N)
     draws are distinct.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     requests = list(requests)
-    retained = chain.post_burn_in()
-    if len({(r.seed, r.n_paths, r.market) for r in requests}) > 1:
-        raise ValueError("batched requests must share seed, n_paths and market")
     if not requests:
         return requests, {}, 0
-    first = requests[0]
+    retained = chain.post_burn_in()
     horizons = sorted({r.horizon_s for r in requests})
-    n_paths = first.n_paths
     thetas = retained[np.arange(n_paths, dtype=np.int64) * len(retained) // n_paths]
     if sequential is None:
         both_legs = any(r.kind != "F3" for r in requests)
-        growth = _terminal_growth(thetas, horizons, first, both_legs)
+        growth = _terminal_growth(thetas, horizons, market, seed, both_legs)
     else:
-        growth = _sequential_growth(thetas, horizons, first, sequential)
+        growth = _sequential_growth(thetas, horizons, market, seed, sequential)
     return requests, growth, min(len(retained), n_paths)
 
 
-def _terminal_growth(thetas, horizons, first, both_legs):
-    """{s: (X_s/x0, H_s/h0 or None)} from one exact terminal draw per path."""
-    sx = thetas[:, 0]
-    sh = thetas[:, 1]
-    rho = thetas[:, 2]
-    drift_x, drift_h = risk_neutral_drifts(first.market, sx, sh, rho)
-    rng = np.random.default_rng(first.seed)
-    z1 = rng.standard_normal(first.n_paths)
+def _terminal_growth(thetas, horizons, market, seed, both_legs):
+    """{s: (X_s/x0, H_s/h0 or None)} from one exact terminal draw per path,
+    one path per row of ``thetas``."""
+    sx, sh, rho = thetas.T
+    drift_x, drift_h = risk_neutral_drifts(market, sx, sh, rho)
+    rng = np.random.default_rng(seed)
+    z1 = rng.standard_normal(sx.size)
     if both_legs:
-        z2 = rng.standard_normal(first.n_paths)
+        z2 = rng.standard_normal(sx.size)
         shock = rho * z1 + np.sqrt(1.0 - rho * rho) * z2
     growth = {}
     for s in horizons:
@@ -261,16 +254,15 @@ def _terminal_growth(thetas, horizons, first, both_legs):
     return growth
 
 
-def _sequential_growth(thetas, horizons, first, settings: SequentialSettings):
-    """{s: (X_s/x0, H_s/h0)} from one daily simulation of all paths, in
-    lockstep, up to s_max.
+def _sequential_growth(thetas, horizons, market, seed, settings: SequentialSettings):
+    """{s: (X_s/x0, H_s/h0)} from one daily simulation of all paths, one per
+    row of ``thetas``, in lockstep, up to s_max.
 
     Each path carries the sufficient statistics of its extended panel: the
     count T, the means and the centred sums sxx, shh and sxh, updated per
     day by Welford's recurrences (Chan, Golub & LeVeque 1979).
     """
-    market = first.market
-    n = first.n_paths
+    n = len(thetas)
     panel = settings.panel
     sx, sh, rho = thetas.T
     mean_x = np.full(n, panel.mean_x)
@@ -282,7 +274,7 @@ def _sequential_growth(thetas, horizons, first, settings: SequentialSettings):
     log_h = np.zeros(n)
     s_max = horizons[-1]
     growth = {0: (np.ones(n), np.ones(n))} if horizons[0] == 0 else {}
-    rng = np.random.default_rng(first.seed)
+    rng = np.random.default_rng(seed)
     for j in range(1, s_max + 1):
         if (j - 1) % settings.refresh_interval == 0:  # day 1, or the day after a refresh
             drift_x, drift_h = risk_neutral_drifts(market, sx, sh, rho)
@@ -309,12 +301,11 @@ def _sequential_growth(thetas, horizons, first, settings: SequentialSettings):
     return growth
 
 
-def _discounted_payoffs(request, growth_x, growth_h):
+def _discounted_payoffs(request, market, growth_x, growth_h):
     spot = request.spot
     h_term = spot.h0 if growth_h is None else spot.h0 * growth_h
-    values = payoff(request.kind, spot.x0 * growth_x, h_term, request.strike,
-                    request.market)
-    return math.exp(-request.market.r_d * request.horizon_s) * values
+    values = payoff(request.kind, spot.x0 * growth_x, h_term, request.strike, market)
+    return math.exp(-market.r_d * request.horizon_s) * values
 
 
 def closed_form_v3(theta, spot: SpotState, strike_f, horizon_s, market: MarketConfig):

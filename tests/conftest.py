@@ -40,14 +40,14 @@ def fixture_panel(window):
     return ReturnPanel(log_returns(asset), log_returns(fx)).tail(window)
 
 
-def predictive_samples(request, chain, sequential=None):
+def predictive_samples(request, chain, market, n_paths, seed, sequential=None):
     """One request's per-draw discounted payoffs: its one-request batch."""
-    return next(predictive_batch([request], chain, sequential))
+    return next(predictive_batch([request], chain, market, n_paths, seed, sequential))
 
 
-def price_one(request, chain, sequential=None):
+def price_one(request, chain, market, n_paths, seed, sequential=None):
     """One request's :class:`PricingResult`: its one-request batch."""
-    return next(price_batch([request], chain, sequential))[0]
+    return next(price_batch([request], chain, market, n_paths, seed, sequential))[0]
 
 
 @pytest.fixture(scope="session")

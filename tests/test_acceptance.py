@@ -51,10 +51,9 @@ def _one_draw_chain(theta):
 
 def test_criterion_01_analytic_oracle_pricing():
     theta = Theta(0.006, 0.004, -0.03)
-    request = PricingRequest(kind="F3", strike=2655.0, horizon_s=51, spot=SPOT,
-                             market=MARKET, n_paths=1_000_000, seed=42)
+    request = PricingRequest(kind="F3", strike=2655.0, horizon_s=51, spot=SPOT)
     start = time.perf_counter()
-    result = price_one(request, _one_draw_chain(theta))
+    result = price_one(request, _one_draw_chain(theta), MARKET, 1_000_000, 42)
     elapsed = time.perf_counter() - start
     reference = closed_form_v3(theta, SPOT, 2655.0, 51, MARKET)
     gap = abs(result.price - reference)
@@ -66,9 +65,8 @@ def test_criterion_01_analytic_oracle_pricing():
 
 def test_criterion_02_martingale_identity():
     theta = Theta(0.006, 0.004, -0.03)
-    request = PricingRequest(kind="F1", strike=0.0, horizon_s=51, spot=SPOT,
-                             market=MARKET, n_paths=1_000_000, seed=11)
-    samples = predictive_samples(request, _one_draw_chain(theta))
+    request = PricingRequest(kind="F1", strike=0.0, horizon_s=51, spot=SPOT)
+    samples = predictive_samples(request, _one_draw_chain(theta), MARKET, 1_000_000, 11)
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     target = SPOT.x0 * SPOT.h0
     gap = abs(samples.mean() - target)
@@ -82,9 +80,8 @@ def test_criterion_03_zero_strike_identities():
     target = SPOT.x0 * SPOT.h0
     gaps = []
     for kind in ("F1", "F2", "F4"):
-        request = PricingRequest(kind=kind, strike=0.0, horizon_s=51, spot=SPOT,
-                                 market=MARKET, n_paths=400_000, seed=23)
-        result = price_one(request, _one_draw_chain(theta))
+        request = PricingRequest(kind=kind, strike=0.0, horizon_s=51, spot=SPOT)
+        result = price_one(request, _one_draw_chain(theta), MARKET, 400_000, 23)
         gap_se = abs(result.price - target) / result.mc_std_error
         assert gap_se < 4.0, kind
         gaps.append(f"{kind}={gap_se:.2f}se")

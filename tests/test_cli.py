@@ -586,11 +586,11 @@ def test_price_density_file_is_fmt_of_the_histograms(tmp_path):
     _, h_level = cli._first_panel(cfg)
     seed = cli._derive_seed(cfg.seed, "price", "draws")
     requests = [PricingRequest(kind="F3", strike=row.strike, horizon_s=row.maturity_days,
-                               spot=cli.SpotState(row.spot, h_level), market=cfg.market(),
-                               n_paths=cfg.n_paths, seed=seed)
+                               spot=cli.SpotState(row.spot, h_level))
                 for row in rows]
     expected = ["strike,maturity_days,bin_lo,bin_hi,count\n"]
-    for row, (result, payoffs) in zip(rows, price_batch(requests, cli._load_draws(draws))):
+    priced = price_batch(requests, cli._load_draws(draws), cfg.market(), cfg.n_paths, seed)
+    for row, (result, payoffs) in zip(rows, priced):
         assert result.price == row.model_price
         counts, edges = np.histogram(payoffs, bins=50)
         expected += [",".join(map(_fmt, (row.strike, row.maturity_days, lo, hi, int(count))))
@@ -618,6 +618,24 @@ def test_cmd_diagnose(tmp_path):
     assert [r["parameter"] for r in table] == ["sigma_x", "sigma_h", "rho"]
     for r in table:
         float(r["mean"]), float(r["nse"])
+
+
+def test_cmd_diagnose_writes_na_nse_and_cd_below_100_draws(tmp_path):
+    cfg = load_config(make_workspace(tmp_path))
+    rng = np.random.default_rng(50)
+    draws = os.path.join(str(tmp_path), "draws_50.csv")
+    with open(draws, "w", encoding="utf-8") as f:
+        f.write("sigma_x,sigma_h,rho\n")
+        for x, h, r in np.column_stack([0.006 + 0.0005 * rng.standard_normal(50),
+                                        0.004 + 0.0004 * rng.standard_normal(50),
+                                        0.1 * rng.standard_normal(50)]).tolist():
+            f.write(f"{x!r},{h!r},{r!r}\n")
+    cmd_diagnose(cfg, draws)
+    table = _read_csv(os.path.join(cfg.out_dir, "diagnose_summary.csv"))
+    assert [r["parameter"] for r in table] == ["sigma_x", "sigma_h", "rho"]
+    for r in table:
+        assert r["nse"] == "NA" and r["cd"] == "NA", r
+        float(r["mean"]), float(r["hpdi95_lo"])
 
 
 # ---------------------------------------------------------------------------
@@ -837,6 +855,22 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
         assert main(["estimate", "--config", bad_cfg]) == 1, key
         err = capsys.readouterr().err
         assert f"{bad_cfg}:" in err and repr(key) in err, err
+
+    # a seed outside [0, 2**32 - 1], in the config or from --seed: such seeds
+    # once aliased the seed 2**32 apart
+    for value in ("-1", "4294967296"):
+        root = tmp_path / f"bad_seed_{value}"
+        root.mkdir()
+        bad_cfg = make_workspace(root, families="mnc", seed=value)
+        capsys.readouterr()
+        assert main(["estimate", "--config", bad_cfg]) == 1, value
+        assert capsys.readouterr().err == (
+            f"error: {bad_cfg}: seed must lie in [0, 2**32 - 1], got {value}\n")
+    for value in ("4294967303", "-4294967289"):
+        capsys.readouterr()
+        assert main(["estimate", "--config", cfg_path, f"--seed={value}"]) == 1, value
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: seed must lie in [0, 2**32 - 1], got {value}\n")
 
     # values that parse but that a constructor of the run rejects: each exits 1
     # naming its key even when no family that reads it is configured
@@ -1205,6 +1239,7 @@ def test_series_without_shared_returns_names_both_files(tmp_path, capsys, comman
 @pytest.mark.parametrize("command", ["estimate", "price"])
 @pytest.mark.parametrize("bad_row, text", [
     ((None, "-1"), "row 6: non-positive price -1.0"),
+    ((None, "1e400"), "row 6: non-finite price inf"),
     ((None, "n/a"), "row 6: non-numeric price 'n/a'"),
     ((None, "1" * 200_000), "row 6: field larger than field limit (131072)"),
     # the row's own date, 2017-01-06, in forms only some Pythons read
@@ -1213,7 +1248,7 @@ def test_series_without_shared_returns_names_both_files(tmp_path, capsys, comman
     # numbers that float reads but that are not ASCII decimals
     ((None, "2_000.5"), "row 6: non-numeric price '2_000.5'"),
     ((None, "\u0661\u0662"), "row 6: non-numeric price '\u0661\u0662'"),
-], ids=["negative", "non-numeric", "oversized-cell", "basic-format-date", "week-date",
+], ids=["negative", "infinite", "non-numeric", "oversized-cell", "basic-format-date", "week-date",
         "underscore", "arabic-indic-digits"])
 def test_main_malformed_price_series_exits_one(tmp_path, capsys, command, bad_row, text):
     cfg_path = make_workspace(tmp_path)

@@ -195,3 +195,19 @@ def test_summarize_tracks_known_target_within_nse():
         s = summarize(chain, name)
         assert abs(s.mean - target) < 4.0 * s.nse
         assert s.hpdi_95[0] <= s.mean <= s.hpdi_95[1]
+
+
+@pytest.mark.parametrize("n", [99, 100])
+def test_summarize_reports_nse_and_cd_from_100_draws(n):
+    # nse refuses fewer than 100 samples, and summarize gives None below that
+    rng = np.random.default_rng(91)
+    draws = np.column_stack([0.006 + 0.0005 * rng.standard_normal(n),
+                             0.004 + 0.0004 * rng.standard_normal(n),
+                             0.1 * rng.standard_normal(n)])
+    for name in ("sigma_x", "sigma_h", "rho"):
+        s = summarize(_chain_from(draws), name)
+        if n < 100:
+            assert s.nse is None and s.cd is None
+        else:
+            assert s.nse == nse(draws[:, ("sigma_x", "sigma_h", "rho").index(name)])
+            assert s.nse > 0.0 and s.cd is not None

@@ -189,8 +189,10 @@ def reference_load_price_series(path):
             price = _parse_float(record["price"], i, "price")
             if day in seen:
                 raise ValueError(f"duplicate date {day.isoformat()} at row {i}")
-            if not (math.isfinite(price) and price > 0.0):
+            if price <= 0.0:
                 raise ValueError(f"row {i}: non-positive price {price!r}")
+            if not math.isfinite(price):
+                raise ValueError(f"row {i}: non-finite price {price!r}")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         seen[day] = price

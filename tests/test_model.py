@@ -132,19 +132,23 @@ def test_log_returns_errors():
         PriceSeries(days, [100.0, 0.0])
 
 
-@pytest.mark.parametrize("bad", [float("nan"), -2.0], ids=["nan", "negative"])
-def test_bad_price_messages_name_the_first_bad_entry(bad):
-    # the texts are pinned as the element-by-element checks wrote them; the
-    # value is numpy's repr, "np.float64(nan)" under numpy 2
+@pytest.mark.parametrize("bad, fault", [
+    (float("nan"), "non-finite price nan"),
+    (float("inf"), "non-finite price inf"),
+    (-2.0, "non-positive price -2.0"),
+    (0.0, "non-positive price 0.0"),
+], ids=["nan", "inf", "negative", "zero"])
+def test_bad_price_messages_name_the_first_bad_entry(bad, fault):
+    # "non-positive" for values <= 0, "non-finite" for inf and NaN, and the
+    # value as a plain float, not numpy's repr "np.float64(...)"
     days = [date(2018, 1, 2), date(2018, 1, 3), date(2018, 1, 4), date(2018, 1, 5)]
     prices = [1.0, bad, 3.0, -4.0]
-    value = repr(np.float64(bad))
     with pytest.raises(ValueError) as info:
         PriceSeries(days, prices)
-    assert str(info.value) == f"non-positive price {value} on 2018-01-03"
+    assert str(info.value) == f"{fault} on 2018-01-03"
     with pytest.raises(ValueError) as info:
         log_returns(prices)
-    assert str(info.value) == f"non-positive price {value} at index 1"
+    assert str(info.value) == f"{fault} at index 1"
 
 
 def test_log_returns_against_extended_precision_oracle():

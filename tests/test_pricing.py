@@ -1,7 +1,7 @@
 import hashlib
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -87,35 +87,31 @@ def test_closed_form_matches_lognormal_quadrature(strike):
 # ---------------------------------------------------------------------------
 
 def test_price_zero_strike_f1_recovers_spot_product():
-    request = PricingRequest(kind="F1", strike=0.0, horizon_s=51, spot=SPOT,
-                             market=MARKET, n_paths=200_000, seed=42)
-    result = price_one(request, one_draw_chain())
+    request = PricingRequest(kind="F1", strike=0.0, horizon_s=51, spot=SPOT)
+    result = price_one(request, one_draw_chain(), MARKET, 200_000, 42)
     target = SPOT.x0 * SPOT.h0
     assert abs(result.price - target) < 4.0 * result.mc_std_error
 
 
 def test_price_f3_matches_closed_form_one_draw():
-    request = PricingRequest(kind="F3", strike=2655.0, horizon_s=51, spot=SPOT,
-                             market=MARKET, n_paths=200_000, seed=7)
-    result = price_one(request, one_draw_chain())
+    request = PricingRequest(kind="F3", strike=2655.0, horizon_s=51, spot=SPOT)
+    result = price_one(request, one_draw_chain(), MARKET, 200_000, 7)
     expected = closed_form_v3(THETA, SPOT, 2655.0, 51, MARKET)
     assert abs(result.price - expected) < 4.0 * result.mc_std_error
 
 
 def test_martingale_identity_discounted_spot_product():
-    request = PricingRequest(kind="F1", strike=0.0, horizon_s=30, spot=SPOT,
-                             market=MARKET, n_paths=300_000, seed=11)
-    samples = predictive_samples(request, one_draw_chain())
+    request = PricingRequest(kind="F1", strike=0.0, horizon_s=30, spot=SPOT)
+    samples = predictive_samples(request, one_draw_chain(), MARKET, 300_000, 11)
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     assert abs(samples.mean() - SPOT.x0 * SPOT.h0) < 4.0 * se
 
 
 def test_fixed_seed_reproduces_result_bitwise():
     chain = posterior_like_chain()
-    request = PricingRequest(kind="F2", strike=2700.0, horizon_s=21, spot=SPOT,
-                             market=MARKET, n_paths=20_000, seed=99)
-    a = price_one(request, chain)
-    b = price_one(request, chain)
+    request = PricingRequest(kind="F2", strike=2700.0, horizon_s=21, spot=SPOT)
+    a = price_one(request, chain, MARKET, 20_000, 99)
+    b = price_one(request, chain, MARKET, 20_000, 99)
     assert a == b
 
 
@@ -137,11 +133,10 @@ def test_one_draw_chain_equals_plain_fixed_parameter_pricer():
         "F3": disc * MARKET.h_fix * np.maximum(x_term - strike, 0.0),
     }
     for kind, oracle in oracles.items():
-        request = PricingRequest(kind=kind, strike=strike, horizon_s=s, spot=SPOT,
-                                 market=MARKET, n_paths=n, seed=123)
-        mine = predictive_samples(request, one_draw_chain())
+        request = PricingRequest(kind=kind, strike=strike, horizon_s=s, spot=SPOT)
+        mine = predictive_samples(request, one_draw_chain(), MARKET, n, 123)
         np.testing.assert_allclose(mine, oracle, rtol=0.0, atol=1e-12, err_msg=kind)
-        result = price_one(request, one_draw_chain())
+        result = price_one(request, one_draw_chain(), MARKET, n, 123)
         assert result.price == pytest.approx(float(oracle.mean()), abs=1e-12), kind
 
 
@@ -160,17 +155,16 @@ def test_terminal_draw_matches_daily_construction_in_distribution(s, sequential,
         return np.zeros_like(x_terminal)
 
     monkeypatch.setattr(pricing, "payoff", capture)
-    request = PricingRequest(kind="F2", strike=2700.0, horizon_s=s, spot=SPOT,
-                             market=MARKET, n_paths=n, seed=31)
+    request = PricingRequest(kind="F2", strike=2700.0, horizon_s=s, spot=SPOT)
     if sequential:
         # an interval beyond the horizon runs no refresh, so the daily
         # sequential paths must match the static terminal draw
         settings = SequentialSettings(panel=synth_panel(50, seed=60), refresh_interval=s + 1)
-        predictive_samples(request, one_draw_chain(theta), settings)
-        predictive_samples(replace(request, seed=32), one_draw_chain(theta))
+        predictive_samples(request, one_draw_chain(theta), MARKET, n, 31, settings)
+        predictive_samples(request, one_draw_chain(theta), MARKET, n, 32)
         terminal, daily = captured
     else:
-        predictive_samples(request, one_draw_chain(theta))
+        predictive_samples(request, one_draw_chain(theta), MARKET, n, 31)
         terminal, = captured
 
         # the daily construction: s correlated return pairs summed per path
@@ -209,9 +203,8 @@ def test_price_monotone_in_strike_common_random_numbers():
     strikes = [2400.0, 2550.0, 2700.0, 2850.0, 3000.0]
     prices = []
     for k in strikes:
-        request = PricingRequest(kind="F3", strike=k, horizon_s=51, spot=SPOT,
-                                 market=MARKET, n_paths=30_000, seed=5)
-        prices.append(price_one(request, chain).price)
+        request = PricingRequest(kind="F3", strike=k, horizon_s=51, spot=SPOT)
+        prices.append(price_one(request, chain, MARKET, 30_000, 5).price)
     assert all(b <= a for a, b in zip(prices, prices[1:]))
 
 
@@ -223,9 +216,8 @@ def test_price_convex_in_strike(kind):
     prices = []
     ses = []
     for k in strikes:
-        request = PricingRequest(kind=kind, strike=float(k), horizon_s=30, spot=SPOT,
-                                 market=MARKET, n_paths=40_000, seed=17)
-        r = price_one(request, chain)
+        request = PricingRequest(kind=kind, strike=float(k), horizon_s=30, spot=SPOT)
+        r = price_one(request, chain, MARKET, 40_000, 17)
         prices.append(r.price)
         ses.append(r.mc_std_error)
     for i in range(1, 4):
@@ -237,13 +229,11 @@ def test_price_convex_in_strike(kind):
 def test_zero_strike_identities_all_kinds():
     target = SPOT.x0 * SPOT.h0
     for kind in ("F1", "F2", "F4"):
-        request = PricingRequest(kind=kind, strike=0.0, horizon_s=21, spot=SPOT,
-                                 market=MARKET, n_paths=150_000, seed=23)
-        r = price_one(request, posterior_like_chain())
+        request = PricingRequest(kind=kind, strike=0.0, horizon_s=21, spot=SPOT)
+        r = price_one(request, posterior_like_chain(), MARKET, 150_000, 23)
         assert abs(r.price - target) < 4.0 * r.mc_std_error, kind
-    request = PricingRequest(kind="F3", strike=0.0, horizon_s=21, spot=SPOT,
-                             market=MARKET, n_paths=150_000, seed=23)
-    r = price_one(request, one_draw_chain())
+    request = PricingRequest(kind="F3", strike=0.0, horizon_s=21, spot=SPOT)
+    r = price_one(request, one_draw_chain(), MARKET, 150_000, 23)
     assert abs(r.price - closed_form_v3(THETA, SPOT, 0.0, 21, MARKET)) < 4.0 * max(
         r.mc_std_error, 1e-12
     )
@@ -253,11 +243,10 @@ def test_horizon_zero_returns_intrinsic_exactly():
     # every path pays x0*h0 - K exactly (exp(0) = 1), so the price is their
     # mean: the intrinsic value up to the rounding of the sum
     value = SPOT.x0 * SPOT.h0 - 2000.0
-    request = PricingRequest(kind="F1", strike=2000.0, horizon_s=0, spot=SPOT,
-                             market=MARKET, n_paths=100, seed=1)
+    request = PricingRequest(kind="F1", strike=2000.0, horizon_s=0, spot=SPOT)
     chain = posterior_like_chain(n=40)
-    assert np.all(predictive_samples(request, chain) == value)
-    r = price_one(request, chain)
+    assert np.all(predictive_samples(request, chain, MARKET, 100, 1) == value)
+    r = price_one(request, chain, MARKET, 100, 1)
     assert abs(r.price - value) <= 2.0 * math.ulp(value)
     assert r.mc_std_error <= 1e-12 * r.price
     assert r.hpdi_99 == (value, value)
@@ -266,34 +255,28 @@ def test_horizon_zero_returns_intrinsic_exactly():
 
 def test_thinning_consumes_evenly_spaced_draws():
     chain = posterior_like_chain(n=1000)
-    request = PricingRequest(kind="F3", strike=2700.0, horizon_s=5, spot=SPOT,
-                             market=MARKET, n_paths=10_000, seed=2)
-    r = price_one(request, chain)
+    request = PricingRequest(kind="F3", strike=2700.0, horizon_s=5, spot=SPOT)
+    r = price_one(request, chain, MARKET, 10_000, 2)
     assert r.n_effective_draws == 1000
-    request = PricingRequest(kind="F3", strike=2700.0, horizon_s=5, spot=SPOT,
-                             market=MARKET, n_paths=100, seed=2)
-    r = price_one(request, chain)
+    r = price_one(request, chain, MARKET, 100, 2)
     assert r.n_effective_draws == 100
     for n_available in range(1, 61):
         chain = posterior_like_chain(n=n_available)
         for n_paths in range(1, 61):
             indices = (np.arange(n_paths) * n_available) // n_paths
-            request = replace(request, n_paths=n_paths)
-            assert price_one(request, chain).n_effective_draws == np.unique(indices).size
+            assert (price_one(request, chain, MARKET, n_paths, 2).n_effective_draws
+                    == np.unique(indices).size)
 
 
 def test_request_validation():
     with pytest.raises(ValueError):
-        PricingRequest(kind="F9", strike=1.0, horizon_s=5, spot=SPOT, market=MARKET)
+        PricingRequest(kind="F9", strike=1.0, horizon_s=5, spot=SPOT)
     with pytest.raises(ValueError):
-        PricingRequest(kind="F1", strike=-1.0, horizon_s=5, spot=SPOT, market=MARKET)
+        PricingRequest(kind="F1", strike=-1.0, horizon_s=5, spot=SPOT)
     for strike in (float("nan"), float("inf")):
         with pytest.raises(ValueError,
                            match=f"strike must be non-negative and finite, got {strike}"):
-            PricingRequest(kind="F3", strike=strike, horizon_s=5, spot=SPOT, market=MARKET)
-    with pytest.raises(ValueError):
-        PricingRequest(kind="F1", strike=1.0, horizon_s=5, spot=SPOT, market=MARKET,
-                       n_paths=0)
+            PricingRequest(kind="F3", strike=strike, horizon_s=5, spot=SPOT)
     panel = synth_panel(50, seed=60)
     with pytest.raises(ValueError, match="refresh_interval"):
         SequentialSettings(panel=panel, refresh_interval=0)
@@ -308,14 +291,11 @@ def test_sequential_mode_deterministic_and_consistent_with_static():
     # interval beyond the horizon: no refresh ever triggers
     settings = SequentialSettings(panel=panel, refresh_interval=99)
     chain = posterior_like_chain(n=200)
-    request = PricingRequest(kind="F3", strike=2700.0, horizon_s=10, spot=SPOT,
-                             market=MARKET, n_paths=200, seed=71)
-    a = price_one(request, chain, settings)
-    b = price_one(request, chain, settings)
+    request = PricingRequest(kind="F3", strike=2700.0, horizon_s=10, spot=SPOT)
+    a = price_one(request, chain, MARKET, 200, 71, settings)
+    b = price_one(request, chain, MARKET, 200, 71, settings)
     assert a == b
-    static = price_one(
-        PricingRequest(kind="F3", strike=2700.0, horizon_s=10, spot=SPOT,
-                       market=MARKET, n_paths=200, seed=71), chain)
+    static = price_one(request, chain, MARKET, 200, 71)
     tol = 4.0 * math.sqrt(a.mc_std_error ** 2 + static.mc_std_error ** 2)
     assert abs(a.price - static.price) < tol
 
@@ -324,35 +304,33 @@ def test_sequential_mode_with_refreshes_runs_and_reproduces():
     panel = synth_panel(250, seed=62)
     settings = SequentialSettings(panel=panel, refresh_interval=4)
     chain = posterior_like_chain(n=100)
-    request = PricingRequest(kind="F3", strike=2700.0, horizon_s=8, spot=SPOT,
-                             market=MARKET, n_paths=40, seed=81)
-    a = price_one(request, chain, settings)
-    b = price_one(request, chain, settings)
+    request = PricingRequest(kind="F3", strike=2700.0, horizon_s=8, spot=SPOT)
+    a = price_one(request, chain, MARKET, 40, 81, settings)
+    b = price_one(request, chain, MARKET, 40, 81, settings)
     assert a == b
     assert math.isfinite(a.price) and a.price >= 0.0
 
 
-def _per_request_static(request, chain):
+def _per_request_static(request, chain, market, n_paths, seed):
     """One static request priced on its own: the thinned draws, one batch of
     asset normals z1 and, except for F3, one batch of exchange-rate normals
     z2 from default_rng(seed), then the exact terminal draw."""
     retained = chain.post_burn_in()
-    market = request.market
     spot = request.spot
     s = request.horizon_s
-    thetas = retained[(np.arange(request.n_paths) * retained.shape[0]) // request.n_paths]
+    thetas = retained[(np.arange(n_paths) * retained.shape[0]) // n_paths]
     sx = thetas[:, 0]
     sh = thetas[:, 1]
     rho = thetas[:, 2]
     root_s = math.sqrt(s)
-    rng = np.random.default_rng(request.seed)
-    z1 = rng.standard_normal(request.n_paths)
+    rng = np.random.default_rng(seed)
+    z1 = rng.standard_normal(n_paths)
     x_term = spot.x0 * np.exp(s * (market.r_f - rho * sx * sh - 0.5 * sx * sx)
                               + root_s * sx * z1)
     if request.kind == "F3":
         h_term = spot.h0
     else:
-        z2 = rng.standard_normal(request.n_paths)
+        z2 = rng.standard_normal(n_paths)
         shock = rho * z1 + np.sqrt(1.0 - rho * rho) * z2
         h_term = spot.h0 * np.exp(s * (market.r_d - market.r_f - 0.5 * sh * sh)
                                   + root_s * sh * shock)
@@ -360,8 +338,8 @@ def _per_request_static(request, chain):
     return math.exp(-market.r_d * s) * values
 
 
-def _per_request_sequential(request, chain, panel, refresh_interval, refresh_draws=200,
-                            refresh_burn_in=50):
+def _per_request_sequential(request, chain, market, n_paths, seed, panel, refresh_interval,
+                            refresh_draws=200, refresh_burn_in=50):
     """One request priced with a Metropolis-within-Gibbs refresh, the
     independent reference for the exact one: path i owns the substream SeedSequence((seed, i)), runs day by day to the
     request's horizon s, and after day j, when j % interval == 0 and j < s,
@@ -369,20 +347,20 @@ def _per_request_sequential(request, chain, panel, refresh_interval, refresh_dra
     returns so far, started from its current parameters. A day's return pair
     mixes two scalar normals, z1 then z2, under the risk-neutral drifts."""
     retained = chain.post_burn_in()
-    idx = (np.arange(request.n_paths) * retained.shape[0]) // request.n_paths
+    idx = (np.arange(n_paths) * retained.shape[0]) // n_paths
     specs = default_proposals("tnn", panel)
     s = request.horizon_s
-    out = np.empty(request.n_paths)
-    for i in range(request.n_paths):
-        rng = np.random.default_rng(np.random.SeedSequence((request.seed, i)))
+    out = np.empty(n_paths)
+    for i in range(n_paths):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
         theta = Theta(*retained[idx[i]])
         xs, hs = [], []
         for j in range(1, s + 1):
             sx, sh, rho = theta.as_tuple()
             z1 = rng.standard_normal()
             z2 = rng.standard_normal()
-            x = request.market.r_f - rho * sx * sh - 0.5 * sx ** 2 + sx * z1
-            h = (request.market.r_d - request.market.r_f - 0.5 * sh ** 2
+            x = market.r_f - rho * sx * sh - 0.5 * sx ** 2 + sx * z1
+            h = (market.r_d - market.r_f - 0.5 * sh ** 2
                  + sh * (rho * z1 + math.sqrt(1.0 - rho ** 2) * z2))
             xs.append(x)
             hs.append(h)
@@ -392,24 +370,21 @@ def _per_request_sequential(request, chain, panel, refresh_interval, refresh_dra
                                      seed=int(rng.integers(2 ** 63)))
                 theta = Theta(*refresh.draws[-1])
         value = payoff(request.kind, request.spot.x0 * math.exp(sum(xs)),
-                       request.spot.h0 * math.exp(sum(hs)), request.strike,
-                       request.market)
-        out[i] = math.exp(-request.market.r_d * s) * value
+                       request.spot.h0 * math.exp(sum(hs)), request.strike, market)
+        out[i] = math.exp(-market.r_d * s) * value
     return out
 
 
-def _per_request_lockstep(request, chain, settings):
+def _per_request_lockstep(request, chain, market, n, seed, settings):
     """One request simulated on its own in the sequential stream layout: all
     paths in lockstep to the request's horizon s, day j drawing n_paths
     normals z1 and then n_paths normals z2 from default_rng(seed), and after
     day j, when j % interval == 0 and j < s, one exact draw per path from
     the statistics of the panel rebuilt with the path's returns so far."""
     retained = chain.post_burn_in()
-    n = request.n_paths
     thetas = retained[(np.arange(n) * retained.shape[0]) // n]
-    market = request.market
     s = request.horizon_s
-    rng = np.random.default_rng(request.seed)
+    rng = np.random.default_rng(seed)
     xs = np.empty((s, n))
     hs = np.empty((s, n))
     for j in range(1, s + 1):
@@ -439,34 +414,35 @@ def test_sequential_batch_equals_single_requests_bitwise(mode):
     settings = _sequential_settings()
     sequential = settings if mode == "sequential-update" else None
     chain = posterior_like_chain(n=100)
-    common = dict(market=MARKET, n_paths=12, seed=91)
+    simulation = (MARKET, 12, 91)
     # horizons shorter than, equal to, a multiple of and off the interval
     requests = [
-        PricingRequest(kind="F3", strike=2700.0, horizon_s=3, spot=SPOT, **common),
-        PricingRequest(kind="F1", strike=2380.0, horizon_s=4, spot=SPOT, **common),
+        PricingRequest(kind="F3", strike=2700.0, horizon_s=3, spot=SPOT),
+        PricingRequest(kind="F1", strike=2380.0, horizon_s=4, spot=SPOT),
         PricingRequest(kind="F3", strike=2650.0, horizon_s=8,
-                       spot=SpotState(2690.0, 0.88), **common),
-        PricingRequest(kind="F4", strike=0.87, horizon_s=10, spot=SPOT, **common),
+                       spot=SpotState(2690.0, 0.88)),
+        PricingRequest(kind="F4", strike=0.87, horizon_s=10, spot=SPOT),
         PricingRequest(kind="F2", strike=2720.0, horizon_s=6,
-                       spot=SpotState(2730.0, 0.86), **common),
-        PricingRequest(kind="F3", strike=2720.0, horizon_s=8, spot=SPOT, **common),
-        PricingRequest(kind="F3", strike=2700.0, horizon_s=0, spot=SPOT, **common),
+                       spot=SpotState(2730.0, 0.86)),
+        PricingRequest(kind="F3", strike=2720.0, horizon_s=8, spot=SPOT),
+        PricingRequest(kind="F3", strike=2700.0, horizon_s=0, spot=SPOT),
     ]
     f3_only = [r for r in requests if r.kind == "F3"]
     for batch in (requests, f3_only):
-        batched = list(predictive_batch(batch, chain, sequential))
+        batched = list(predictive_batch(batch, chain, *simulation, sequential))
         assert len(batched) == len(batch)
         for request, samples in zip(batch, batched):
-            single = predictive_samples(request, chain, sequential)
+            single = predictive_samples(request, chain, *simulation, sequential)
             assert np.array_equal(samples, single), request
             if request.horizon_s == 0:
                 continue
             if sequential is None:
-                assert np.array_equal(single, _per_request_static(request, chain)), request
+                reference = _per_request_static(request, chain, *simulation)
+                assert np.array_equal(single, reference), request
             else:
                 # the reference rebuilds each path's panel instead of updating
                 # its statistics, so only rounding may differ
-                reference = _per_request_lockstep(request, chain, settings)
+                reference = _per_request_lockstep(request, chain, *simulation, settings)
                 np.testing.assert_allclose(single, reference, rtol=1e-10, atol=0.0,
                                            err_msg=str(request))
         assert np.all(batched[-1] == MARKET.h_fix * (SPOT.x0 - 2700.0))  # intrinsic
@@ -481,14 +457,15 @@ def test_sequential_exact_refresh_matches_mwg_refresh():
     panel = synth_panel(40, seed=64)
     settings = SequentialSettings(panel=panel, refresh_interval=3)
     chain = one_draw_chain(Theta(0.003, 0.002, -0.5))
-    common = dict(market=MARKET, n_paths=300, seed=93)
     requests = [
-        PricingRequest(kind="F3", strike=2700.0, horizon_s=7, spot=SPOT, **common),
-        PricingRequest(kind="F1", strike=2380.0, horizon_s=10, spot=SPOT, **common),
-        PricingRequest(kind="F4", strike=0.88, horizon_s=10, spot=SPOT, **common),
+        PricingRequest(kind="F3", strike=2700.0, horizon_s=7, spot=SPOT),
+        PricingRequest(kind="F1", strike=2380.0, horizon_s=10, spot=SPOT),
+        PricingRequest(kind="F4", strike=0.88, horizon_s=10, spot=SPOT),
     ]
-    for request, exact in zip(requests, predictive_batch(requests, chain, settings)):
-        mwg = _per_request_sequential(request, chain, panel, settings.refresh_interval)
+    for request, exact in zip(requests,
+                              predictive_batch(requests, chain, MARKET, 300, 93, settings)):
+        mwg = _per_request_sequential(request, chain, MARKET, 300, 93, panel,
+                                      settings.refresh_interval)
         se = math.sqrt(exact.var(ddof=1) / exact.size + mwg.var(ddof=1) / mwg.size)
         assert abs(exact.mean() - mwg.mean()) < 4.0 * se, request
 
@@ -506,21 +483,20 @@ _PINNED_BATCHES = {
 @pytest.mark.parametrize("case", sorted(_PINNED_BATCHES))
 def test_predictive_batch_pinned_payoffs(case):
     chain = posterior_like_chain(n=300)
-    common = dict(market=MARKET, n_paths=500, seed=2718)
     requests = [
-        PricingRequest(kind="F1", strike=2380.0, horizon_s=5, spot=SPOT, **common),
+        PricingRequest(kind="F1", strike=2380.0, horizon_s=5, spot=SPOT),
         PricingRequest(kind="F2", strike=2720.0, horizon_s=12,
-                       spot=SpotState(2730.0, 0.86), **common),
-        PricingRequest(kind="F3", strike=2700.0, horizon_s=12, spot=SPOT, **common),
-        PricingRequest(kind="F4", strike=0.87, horizon_s=21, spot=SPOT, **common),
-        PricingRequest(kind="F3", strike=2650.0, horizon_s=0, spot=SPOT, **common),
+                       spot=SpotState(2730.0, 0.86)),
+        PricingRequest(kind="F3", strike=2700.0, horizon_s=12, spot=SPOT),
+        PricingRequest(kind="F4", strike=0.87, horizon_s=21, spot=SPOT),
+        PricingRequest(kind="F3", strike=2650.0, horizon_s=0, spot=SPOT),
     ]
     if case == "static-f3":
         requests = [r for r in requests if r.kind == "F3"]
     # refreshes after days 4, 8, 12 and 16 of 21
     sequential = _sequential_settings(4) if case == "sequential-update" else None
     digest = hashlib.sha256()
-    for samples in predictive_batch(requests, chain, sequential):
+    for samples in predictive_batch(requests, chain, MARKET, 500, 2718, sequential):
         digest.update(samples.tobytes())
     assert digest.hexdigest() == _PINNED_BATCHES[case]
 
@@ -530,7 +506,7 @@ def test_predictive_batch_pinned_payoffs(case):
 def test_price_batch_summarizes_the_sorted_predictive_batch(mode, n_paths):
     sequential = _sequential_settings() if mode == "sequential-update" else None
     chain = posterior_like_chain(n=100)
-    common = dict(market=MARKET, n_paths=n_paths, seed=94)
+    simulation = (MARKET, n_paths, 94)
     tiny = SpotState(1e-300, 0.88)  # strike / spot overflows to inf
     terms = [
         ("F1", 2380.0, 6, SPOT), ("F1", 0.0, 6, SPOT), ("F1", 1e7, 6, SPOT),
@@ -540,11 +516,12 @@ def test_price_batch_summarizes_the_sorted_predictive_batch(mode, n_paths):
         ("F3", 2700.0, 3, SPOT), ("F3", 2700.0, 0, SPOT), ("F3", 2750.0, 0, SPOT),
         ("F4", 0.87, 10, SPOT), ("F4", 0.0, 10, SPOT), ("F4", 1e3, 10, SPOT),
     ]
-    requests = [PricingRequest(kind=kind, strike=strike, horizon_s=s, spot=spot, **common)
+    requests = [PricingRequest(kind=kind, strike=strike, horizon_s=s, spot=spot)
                 for kind, strike, s, spot in terms]
-    priced = price_batch(requests, chain, sequential)
+    priced = price_batch(requests, chain, *simulation, sequential)
     for request, payoffs, (result, ordered) in zip(
-            requests, predictive_batch(requests, chain, sequential), priced, strict=True):
+            requests, predictive_batch(requests, chain, *simulation, sequential), priced,
+            strict=True):
         assert ordered.tobytes() == np.sort(payoffs).tobytes(), request
         if n_paths >= 10:
             assert result.hpdi_99 == hpdi(payoffs, 0.99), request
@@ -564,11 +541,10 @@ def test_standard_error_survives_payoffs_whose_squares_overflow():
     results = []
     for h_fix in (1.0, 1e300):
         market = MarketConfig.from_annual(0.015, 0.025, h_fix=h_fix, periods_per_year=252)
-        request = PricingRequest(kind="F3", strike=2700.0, horizon_s=51, spot=SPOT,
-                                 market=market, n_paths=2000, seed=5)
+        request = PricingRequest(kind="F3", strike=2700.0, horizon_s=51, spot=SPOT)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results.append(price_one(request, posterior_like_chain()))
+            results.append(price_one(request, posterior_like_chain(), market, 2000, 5))
     base, big = results
     assert math.isfinite(big.mc_std_error) and base.mc_std_error > 0.0
     assert big.mc_std_error == pytest.approx(1e300 * base.mc_std_error, rel=1e-12)
@@ -588,27 +564,37 @@ def test_f3_tail_starts_at_the_first_positive_payoff():
         growth = np.sort(np.concatenate([around, np.exp(rng.normal(0.0, 0.1, size=5))
                                          * quotient]))
         request = PricingRequest(kind="F3", strike=float(strike), horizon_s=4,
-                                 spot=SpotState(float(x0), 0.88), market=MARKET)
-        ordered = pricing._sorted_payoffs(request, None, {4: growth})
-        expected = np.sort(pricing._discounted_payoffs(request, growth, None))
+                                 spot=SpotState(float(x0), 0.88))
+        ordered = pricing._sorted_payoffs(request, MARKET, None, {4: growth})
+        expected = np.sort(pricing._discounted_payoffs(request, MARKET, growth, None))
         assert ordered.tobytes() == expected.tobytes(), (x0, strike)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("seed", 92), ("n_paths", 13),
-    pytest.param("market",
-                 MarketConfig.from_annual(0.02, 0.025, h_fix=1.0, periods_per_year=252),
-                 id="market-value4"),
-])
-def test_sequential_requests_must_share_path_settings(field, value):
-    common = dict(kind="F3", strike=2700.0, horizon_s=5, spot=SPOT, market=MARKET,
-                  n_paths=12, seed=91)
-    first = PricingRequest(**common)
-    other = PricingRequest(**{**common, field: value})
+def test_request_is_only_the_contract():
+    # the simulation's market, path count and seed are the batch's, given once
+    assert [f.name for f in fields(PricingRequest)] == ["kind", "strike", "horizon_s", "spot"]
+    with pytest.raises(TypeError, match="refresh_interval"):
+        SequentialSettings(panel=synth_panel(50, seed=60))
+
+
+@pytest.mark.parametrize("batch", [price_batch, predictive_batch])
+def test_batches_refuse_fewer_than_one_path_before_drawing(batch, monkeypatch):
+    def no_simulation(*args):
+        raise AssertionError("paths simulated before n_paths was checked")
+
+    monkeypatch.setattr(pricing, "_terminal_growth", no_simulation)
+    monkeypatch.setattr(pricing, "_sequential_growth", no_simulation)
+    request = PricingRequest(kind="F1", strike=1.0, horizon_s=5, spot=SPOT)
     for sequential in (None, _sequential_settings()):
-        # checked when the batch is built, before any payoff is read
-        with pytest.raises(ValueError, match="must share"):
-            predictive_batch([first, other], posterior_like_chain(n=100), sequential)
+        # refused when the batch is built, before any payoff is read
+        with pytest.raises(ValueError, match="n_paths must be at least 1, got 0"):
+            batch([request], posterior_like_chain(n=100), MARKET, 0, 91, sequential)
+
+
+@pytest.mark.parametrize("batch", [price_batch, predictive_batch])
+def test_empty_batch_yields_nothing(batch):
+    for sequential in (None, _sequential_settings()):
+        assert list(batch([], posterior_like_chain(n=100), MARKET, 10, 0, sequential)) == []
 
 
 # ---------------------------------------------------------------------------
