@@ -18,9 +18,11 @@ them once per quote (solving one implied vol per maturity for BS-I), BS-H once
 per estimation window, and each chain adds only its model columns. All three
 reference prices are ``model.quanto_of_call`` of a call price.
 
-Every run writes a manifest (config echo, seed, versions); outputs contain
-no timestamps, so a fixed config and seed reproduce them byte for byte.
-Unavailable cells are written as ``NA``.
+``main`` checks the config file, each flag as the key it sets, and that the
+command's input files are set and exist; a run it refuses writes nothing.
+Every other run writes a manifest (config echo, seed, versions); outputs
+contain no timestamps, so a fixed config and seed reproduce them byte for
+byte. Unavailable cells are written as ``NA``.
 """
 
 from __future__ import annotations
@@ -199,11 +201,11 @@ _MODEL_KEYS = ("r_d_annual", "r_f_annual", "h_fix", "periods_per_year", "refresh
                "mnc_kappa", "mnc_df", "mnc_scale")
 
 
-def load_config(path, **overrides) -> ExperimentConfig:
-    """Parse a flat ``key = value`` config file; '#' starts a comment.
-
-    Relative input paths are resolved against the config file's directory.
-    A key may be set once. Keyword overrides win over file values.
+def load_config(path) -> ExperimentConfig:
+    """Parse and check the flat ``key = value`` config file at ``path``;
+    '#' starts a comment. Relative input paths resolve against the file's
+    directory, a key may be set once, and every error names the file.
+    ``main`` applies the flags and checks the input files a command reads.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -233,7 +235,6 @@ def load_config(path, **overrides) -> ExperimentConfig:
             values[key] = _convert(key, text, base)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: invalid value for {key!r}: {text!r}") from None
-    values.update({key: value for key, value in overrides.items() if value is not None})
     cfg = ExperimentConfig(**values)
     try:
         cfg.validate()
@@ -322,8 +323,6 @@ def _stem(path):
 
 def _load_panel(cfg: ExperimentConfig, fx_path):
     """Aligned return panel of the whole history plus the latest aligned fx level."""
-    if not cfg.asset_series:
-        raise ConfigError("config needs asset_series")
     try:
         asset, fx = load_price_series(cfg.asset_series), load_price_series(fx_path)
     except ValueError as exc:
@@ -341,15 +340,6 @@ def _window(panel, window):
     if window > panel.n_obs:
         raise ConfigError(f"window {window} exceeds the {panel.n_obs} available returns")
     return panel.tail(window)
-
-
-def _first_panel(cfg: ExperimentConfig):
-    """The first window of the first fx series, which ``estimate`` and
-    ``price`` read, with the latest aligned fx level."""
-    if not cfg.fx_series:
-        raise ConfigError("config needs at least one fx_series entry")
-    history, h_level = _load_panel(cfg, cfg.fx_series[0])
-    return _window(history, cfg.windows[0]), h_level
 
 
 def _sample_family(family, panel, cfg: ExperimentConfig, seed) -> Chain:
@@ -503,8 +493,6 @@ def _load_draws(path) -> Chain:
     column order; a byte order mark, spaces around a name and a CRLF line
     end are allowed. The file is read once.
     """
-    if not os.path.exists(path):
-        raise ConfigError(f"draws file not found: {path}")
     try:
         header, *rows = io.StringIO(read_text(path), newline=None).readlines() or [""]
     except ValueError as exc:
@@ -572,8 +560,10 @@ def _estimate(cfg: ExperimentConfig, panel, out_dir, fx_name, window, seed_parts
 # ---------------------------------------------------------------------------
 
 def cmd_estimate(cfg: ExperimentConfig):
-    """Estimate every requested family; returns {family: draws-file path}."""
-    panel, _ = _first_panel(cfg)
+    """Estimate every requested family on the first window of the first fx
+    series; returns {family: draws-file path}."""
+    history, _ = _load_panel(cfg, cfg.fx_series[0])
+    panel = _window(history, cfg.windows[0])
     return {family: os.path.join(cfg.out_dir, f"draws_{family}.csv") for family, _ in
             _estimate(cfg, panel, cfg.out_dir, _stem(cfg.fx_series[0]), cfg.windows[0])}
 
@@ -673,8 +663,6 @@ def _price_chain(cfg, chain, table, market, panel, h_level, seed):
 def _load_quotes(cfg: ExperimentConfig, market):
     """The quotes of the configured option chain that pass the no-arbitrage
     filter; the rejected ones go to ``filter_report.csv``."""
-    if not cfg.option_chain:
-        raise ConfigError("config needs option_chain")
     try:
         quotes = load_option_chain(cfg.option_chain)
     except ValueError as exc:
@@ -690,7 +678,7 @@ def _load_quotes(cfg: ExperimentConfig, market):
                 f"the longest maturity, {longest} days, of {cfg.option_chain}") from None
     retained, rejected = filter_options(quotes, market)
     if not retained:
-        raise ConfigError("no quotes survive the early-exercise filter")
+        raise ConfigError(f"{cfg.option_chain}: no quote lies inside the no-arbitrage band")
     # the quote and both baselines are calls below the spot, whose quanto
     # value therefore bounds theirs
     for quote in retained:
@@ -737,10 +725,12 @@ def _density_bins(ordered):
 
 
 def cmd_price(cfg: ExperimentConfig, draws_path):
-    """Price the configured option chain with an existing draws file."""
+    """Price the configured option chain with an existing draws file, on the
+    first window of the first fx series."""
     chain = _load_draws(draws_path)
     market = cfg.market()
-    panel, h_level = _first_panel(cfg)
+    history, h_level = _load_panel(cfg, cfg.fx_series[0])
+    panel = _window(history, cfg.windows[0])
     retained = _load_quotes(cfg, market)
 
     seed = _derive_seed(cfg.seed, "price", _stem(draws_path))
@@ -778,8 +768,6 @@ def cmd_experiment(cfg: ExperimentConfig):
     pricing performance lands in pricing_performance.csv and per-option
     curves in pricing_curves.csv.
     """
-    if not cfg.fx_series:
-        raise ConfigError("config needs at least one fx_series entry")
     market = cfg.market()
     quote_table = _quote_table(_load_quotes(cfg, market), market)
     performance = []
@@ -861,69 +849,81 @@ def _report_model(performance, curves, cell, model, rows, price_field, rpe_field
 # Entry point
 # ---------------------------------------------------------------------------
 
+# Each subcommand: its help, the flags it takes besides --config and --out,
+# the config keys naming the files it reads, and its function.
+_INPUTS = ("asset_series", "fx_series", "option_chain")
+_COMMANDS = {
+    "estimate": ("run the samplers and emit the parameter summary table",
+                 ("--seed", "--families"), ("asset_series", "fx_series"), cmd_estimate),
+    "price": ("price the option chain from an existing draws file",
+              ("--seed", "--paths", "--mode", "--draws"), _INPUTS, cmd_price),
+    "experiment": ("run the full fx x window x family grid",
+                   ("--seed", "--families", "--paths", "--mode"), _INPUTS, cmd_experiment),
+    "diagnose": ("summarize an existing draws file", ("--draws",), (), cmd_diagnose),
+}
+
+_FLAGS = {
+    "--seed": {"type": int, "help": "override the config seed"},
+    "--families": {"type": lambda text: _convert("families", text, None),
+                   "help": "comma list from ttn,tnn,ign,mnc,mle"},
+    "--paths": {"type": int, "help": "override n_paths"},
+    "--mode": {"choices": ["static", "sequential"], "help": "pricing mode"},
+    "--draws": {"required": True, "help": "draws file from 'estimate'"},
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="quanto-bayes",
         description="Bayesian estimation and Monte Carlo pricing of quanto options",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("estimate", "run the samplers and emit the parameter summary table"),
-        ("price", "price the option chain from an existing draws file"),
-        ("experiment", "run the full fx x window x family grid"),
-        ("diagnose", "summarize an existing draws file"),
-    ):
+    for name, (doc, flags, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         # each subcommand takes only the flags that it reads
         p.add_argument("--config", required=True, help="path to the key = value config file")
-        if name != "diagnose":
-            p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="override the output directory")
-        if name in ("estimate", "experiment"):
-            p.add_argument("--families", default=None,
-                           help="comma list from ttn,tnn,ign,mnc,mle")
-        if name in ("price", "experiment"):
-            p.add_argument("--paths", type=int, default=None, help="override n_paths")
-            p.add_argument("--mode", default=None, choices=["static", "sequential"],
-                           help="pricing mode")
-        if name in ("price", "diagnose"):
-            p.add_argument("--draws", required=True, help="draws file from 'estimate'")
-    parser.set_defaults(seed=None, families=None, paths=None, mode=None)
+        p.add_argument("--out", help="override the output directory")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+    parser.set_defaults(**{flag[2:]: None for flag in _FLAGS})
     return parser
 
 
 def main(argv=None):
+    """Run one subcommand, checking its config, flags and input paths first."""
     args = _build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "out_dir": os.path.abspath(args.out) if args.out else None,
-        "n_paths": args.paths,
-        "families": None if args.families is None else _convert("families", args.families, None),
-        "mode": {"sequential": "sequential-update"}.get(args.mode, args.mode),
-    }
-
     try:
         if args.out == "":  # else the config's out_dir would silently take over
             raise ConfigError("--out must name an output directory, got ''")
-        cfg = load_config(args.config, **overrides)
-        if args.command != "diagnose":
-            inputs = [cfg.asset_series, *cfg.fx_series]
-            if args.command != "estimate":
-                inputs.append(cfg.option_chain)
-            # an unset key is named by the command itself
-            missing = [p for p in inputs if p and not os.path.exists(p)]
-            if missing:
-                raise ConfigError(f"input files not found: {missing}")
-        _write_manifest(cfg, args.command,
-                        [f"draws = {args.draws}"] if hasattr(args, "draws") else ())
-        if args.command == "estimate":
-            cmd_estimate(cfg)
-        elif args.command == "price":
-            cmd_price(cfg, args.draws)
-        elif args.command == "diagnose":
-            cmd_diagnose(cfg, args.draws)
-        else:
-            cmd_experiment(cfg)
+        cfg = load_config(args.config)
+        # a flag's value is checked as the key it sets, and its error names the flag
+        for flag, key, value in (
+            ("--seed", "seed", args.seed),
+            ("--out", "out_dir", os.path.abspath(args.out) if args.out else None),
+            ("--families", "families", args.families),
+            ("--paths", "n_paths", args.paths),
+            ("--mode", "mode", {"sequential": "sequential-update"}.get(args.mode, args.mode)),
+        ):
+            if value is not None:
+                cfg = replace(cfg, **{key: value})
+                try:
+                    cfg.validate()
+                except ConfigError as exc:
+                    raise ConfigError(f"{flag}: {exc}") from None
+        _, _, keys, run = _COMMANDS[args.command]
+        inputs = []
+        for key in keys:
+            paths = getattr(cfg, key)
+            if not paths:
+                raise ConfigError("config needs " + (
+                    "at least one fx_series entry" if key == "fx_series" else key))
+            inputs += paths if isinstance(paths, tuple) else [paths]
+        draws = () if args.draws is None else (args.draws,)
+        missing = [path for path in (*inputs, *draws) if not os.path.exists(path)]
+        if missing:
+            raise ConfigError(f"input files not found: {missing}")
+        _write_manifest(cfg, args.command, [f"draws = {path}" for path in draws])
+        run(cfg, *draws)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

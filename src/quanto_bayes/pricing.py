@@ -85,8 +85,8 @@ class PricingResult:
     """Monte Carlo price with its sampling error.
 
     ``hpdi_99`` is the 99 percent highest-density interval of the per-draw
-    discounted payoffs; ``n_effective_draws`` counts the distinct posterior
-    draws consumed after thinning.
+    discounted payoffs; ``n_effective_draws`` counts the chain rows the paths
+    read after thinning, which repeat a draw wherever a MwG move was rejected.
     """
 
     price: float
@@ -214,11 +214,11 @@ def predictive_batch(requests, chain: Chain, market: MarketConfig, n_paths, seed
 
 def _simulate(requests, chain, market, n_paths, seed, sequential):
     """The requests as a list, {s: (X_s/x0, H_s/h0 or None)} for every
-    requested maturity s, and the number of distinct draws the paths consume.
+    requested maturity s, and the number of chain rows the paths read.
 
-    Path k takes retained draw (k*A)//N of A; the indices are strictly
-    increasing when N <= A and cover every draw when N > A, so min(A, N)
-    draws are distinct.
+    Path k takes retained row (k*A)//N of A; the indices are strictly
+    increasing when N <= A and cover every row when N > A, so min(A, N)
+    rows are read. A rejected MwG move repeats a row, so fewer may differ.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")

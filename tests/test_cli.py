@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,13 +107,6 @@ def test_default_config_values_have_their_defaults_types():
         if isinstance(value, tuple):
             element = int if field.name == "windows" else str
             assert value and all(type(v) is element for v in value), field.name
-
-
-def test_load_config_overrides_win(tmp_path):
-    path = make_workspace(tmp_path)
-    cfg = load_config(path, seed=99, families=("ign",))
-    assert cfg.seed == 99
-    assert cfg.families == ("ign",)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +577,7 @@ def test_price_density_file_is_fmt_of_the_histograms(tmp_path):
         f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n0.0061,0.0041,-0.2\n")
     rows = cmd_price(cfg, draws)
     assert len(rows) == 5
-    _, h_level = cli._first_panel(cfg)
+    _, h_level = cli._load_panel(cfg, cfg.fx_series[0])
     seed = cli._derive_seed(cfg.seed, "price", "draws")
     requests = [PricingRequest(kind="F3", strike=row.strike, horizon_s=row.maturity_days,
                                spot=cli.SpotState(row.spot, h_level))
@@ -599,10 +593,13 @@ def test_price_density_file_is_fmt_of_the_histograms(tmp_path):
         assert f.read() == "".join(expected).encode("ascii")
 
 
-def test_cmd_price_missing_draws_file(tmp_path):
-    cfg = load_config(make_workspace(tmp_path))
-    with pytest.raises(ConfigError, match="draws file"):
-        cmd_price(cfg, os.path.join(str(tmp_path), "nope.csv"))
+def test_cmd_price_missing_draws_file(tmp_path, capsys):
+    cfg_path = make_workspace(tmp_path)
+    missing = os.path.join(str(tmp_path), "nope.csv")
+    capsys.readouterr()
+    assert main(["price", "--config", cfg_path, "--draws", missing]) == 1
+    assert capsys.readouterr().err == f"error: input files not found: {[missing]}\n"
+    assert not os.path.exists(os.path.join(str(tmp_path), "out"))
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +666,9 @@ def test_cmd_experiment_three_fx_row_groups(tmp_path):
     import shutil
     for name in ("eur", "gbp", "cad"):
         shutil.copy(os.path.join(str(root), "fx.csv"), os.path.join(str(root), f"{name}.csv"))
-    cfg = load_config(cfg_path, families=("tnn",),
-                      fx_series=tuple(os.path.join(str(root), f"{n}.csv")
-                                      for n in ("eur", "gbp", "cad")))
+    cfg = replace(load_config(cfg_path), families=("tnn",),
+                  fx_series=tuple(os.path.join(str(root), f"{n}.csv")
+                                  for n in ("eur", "gbp", "cad")))
     cmd_experiment(cfg)
     table = _read_csv(os.path.join(cfg.out_dir, "pricing_performance.csv"))
     assert {r["fx"] for r in table} == {"eur", "gbp", "cad"}
@@ -724,6 +721,57 @@ def test_cmd_experiment_records_partial_failures(tmp_path):
     assert len(recorded) == len(failures) >= 1
     # the good window still produced its cell
     assert os.path.exists(os.path.join(cfg.out_dir, "cells", "fx", "w250", "pricing_tnn.csv"))
+
+
+def test_cmd_experiment_records_a_family_estimate_failure_and_goes_on(tmp_path, monkeypatch):
+    from quanto_bayes import cli
+
+    real = cli._sample_family
+
+    def failing(family, *args):
+        if family == "mnc":
+            raise ValueError("the mnc sampler failed")
+        return real(family, *args)
+
+    monkeypatch.setattr(cli, "_sample_family", failing)
+    cfg = load_config(make_workspace(tmp_path, families="tnn, mnc, mle", draws=600,
+                                     burn_in=100, n_paths=500))
+    assert cmd_experiment(cfg) == [("fx", 250, "mnc", "estimate", "the mnc sampler failed")]
+    assert [tuple(r.values()) for r in _read_csv(os.path.join(cfg.out_dir, "failures.csv"))] \
+        == [("fx", "250", "mnc", "estimate", "the mnc sampler failed")]
+    cell = os.path.join(cfg.out_dir, "cells", "fx", "w250")
+    summary = _read_csv(os.path.join(cell, "estimate_summary.csv"))
+    assert [r["family"] for r in summary] == ["tnn"] * 3 + ["mle"] * 3
+    assert os.path.exists(os.path.join(cell, "pricing_tnn.csv"))
+    assert not os.path.exists(os.path.join(cell, "draws_mnc.csv"))
+    assert not os.path.exists(os.path.join(cell, "pricing_mnc.csv"))
+    models = {r["model"] for r in _read_csv(os.path.join(cfg.out_dir, "pricing_performance.csv"))}
+    assert models == {"tnn", "bs_i", "bs_h"}
+
+
+def test_cmd_experiment_records_a_family_price_failure_and_goes_on(tmp_path, monkeypatch):
+    from quanto_bayes import cli
+
+    real = cli.price_batch
+    calls = []
+
+    def failing_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise ValueError("the first chain failed to price")
+        return real(*args)
+
+    monkeypatch.setattr(cli, "price_batch", failing_first)
+    cfg = load_config(make_workspace(tmp_path, families="tnn, mnc, mle", draws=600,
+                                     burn_in=100, n_paths=500))
+    assert cmd_experiment(cfg) == [("fx", 250, "tnn", "price", "the first chain failed to price")]
+    assert len(calls) == 2
+    cell = os.path.join(cfg.out_dir, "cells", "fx", "w250")
+    assert os.path.exists(os.path.join(cell, "draws_tnn.csv"))
+    assert not os.path.exists(os.path.join(cell, "pricing_tnn.csv"))
+    assert len(_read_csv(os.path.join(cell, "pricing_mnc.csv"))) == 5
+    models = {r["model"] for r in _read_csv(os.path.join(cfg.out_dir, "pricing_performance.csv"))}
+    assert models == {"mnc", "bs_i", "bs_h"}
 
 
 def test_cmd_experiment_loads_each_fx_series_once(tmp_path, monkeypatch):
@@ -870,7 +918,7 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
         capsys.readouterr()
         assert main(["estimate", "--config", cfg_path, f"--seed={value}"]) == 1, value
         assert capsys.readouterr().err == (
-            f"error: {cfg_path}: seed must lie in [0, 2**32 - 1], got {value}\n")
+            f"error: --seed: seed must lie in [0, 2**32 - 1], got {value}\n")
 
     # values that parse but that a constructor of the run rejects: each exits 1
     # naming its key even when no family that reads it is configured
@@ -918,6 +966,9 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
         ({"windows": "250, 2"}, "windows must be integers >= 3, got (250, 2)"),
         ({"draws": 105, "burn_in": 100},
          "need burn_in >= 0 and draws - burn_in >= 10, got draws=105 burn_in=100"),
+        ({"n_paths": 0}, "n_paths must be positive, got 0"),
+        ({"refresh_draws": 100, "refresh_burn_in": 100},
+         "need refresh_draws > refresh_burn_in >= 0"),
     )):
         root = tmp_path / f"short_{case}"
         root.mkdir()
@@ -928,7 +979,7 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
             assert capsys.readouterr().err == f"error: {bad_cfg}: {text}\n"
     # an empty --families flag overrides the config's families with none
     assert main(["estimate", "--config", cfg_path, "--families", ""]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: families must list ")
+    assert capsys.readouterr().err.startswith("error: --families: families must list ")
     # and an empty --out names the flag instead of falling back to the config's out_dir
     ten_draws = os.path.join(str(tmp_path), "ten_draws.csv")
     with open(ten_draws, "w", encoding="utf-8") as f:
@@ -1205,6 +1256,89 @@ def test_inputs_with_a_byte_order_mark_read_as_without(tmp_path):
     assert quotes == before[1]
 
 
+def _drop_keys(cfg_path, keys):
+    """Remove the lines that set ``keys`` from a config file."""
+    with open(cfg_path, encoding="utf-8") as f:
+        lines = [line for line in f if line.partition("=")[0].strip() not in keys]
+    with open(cfg_path, "w", encoding="utf-8") as f:
+        f.writelines(lines)
+
+
+@pytest.mark.parametrize("argv, dropped, settings, text", [
+    (["estimate", "--seed", "4294967303"], (), {},
+     "--seed: seed must lie in [0, 2**32 - 1], got 4294967303"),
+    (["price", "--draws", "{draws}", "--paths", "0"], (), {},
+     "--paths: n_paths must be positive, got 0"),
+    (["experiment", "--families", ""], (), {},
+     "--families: families must list at least one of ('ttn', 'tnn', 'ign', 'mnc', 'mle')"),
+    (["experiment"], ("asset_series",), {}, "config needs asset_series"),
+    (["estimate"], ("asset_series",), {}, "config needs asset_series"),
+    (["estimate"], ("fx_series",), {}, "config needs at least one fx_series entry"),
+    (["price", "--draws", "{draws}"], ("option_chain",), {}, "config needs option_chain"),
+    (["diagnose", "--draws", "{missing}"], (), {}, "input files not found: [{missing!r}]"),
+    (["experiment", "--paths", "5"], (), {"n_paths": 0},
+     "{config}: n_paths must be positive, got 0"),
+], ids=["seed-flag", "paths-flag", "families-flag", "experiment-no-asset", "estimate-no-asset",
+        "estimate-no-fx", "price-no-chain", "diagnose-missing-draws",
+        "config-under-flag"])
+def test_refused_run_writes_nothing(tmp_path, capsys, argv, dropped, settings, text):
+    # every check of the config, the flags and the input files comes before
+    # the manifest, so a refused run leaves no output directory behind
+    cfg_path = make_workspace(tmp_path, **settings)
+    _drop_keys(cfg_path, dropped)
+    draws = os.path.join(str(tmp_path), "draws.csv")
+    with open(draws, "w", encoding="utf-8") as f:
+        f.write("sigma_x,sigma_h,rho\n" + "0.006,0.004,0.1\n" * 10)
+    names = {"draws": draws, "missing": os.path.join(str(tmp_path), "none.csv"),
+             "config": cfg_path}
+    out = os.path.join(str(tmp_path), "refused")
+    argv = [arg.format(**names) for arg in argv] + ["--config", cfg_path, "--out", out]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {text.format(**names)}\n"
+    assert not os.path.exists(out)
+    assert not os.path.exists(os.path.join(str(tmp_path), "out"))
+
+
+@pytest.mark.parametrize("command, name", [
+    ("estimate", "asset"), ("estimate", "fx"), ("price", "fx"), ("price", "chain"),
+    ("experiment", "chain"),
+])
+def test_header_only_input_exits_one(tmp_path, capsys, command, name):
+    cfg_path = make_workspace(tmp_path)
+    path = os.path.join(str(tmp_path), f"{name}.csv")
+    with open(path, encoding="utf-8") as f:
+        header = f.readline()
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(header)
+    argv = [command, "--config", cfg_path]
+    if command == "price":
+        draws = os.path.join(str(tmp_path), "draws.csv")
+        with open(draws, "w", encoding="utf-8") as f:
+            f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n")
+        argv += ["--draws", draws]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: no data rows\n"
+
+
+@pytest.mark.parametrize("command", ["price", "experiment"])
+def test_chain_without_a_quote_inside_the_band_exits_one(tmp_path, capsys, command):
+    # one quote below the lower bound S - K*exp(-r_f*s), one at or above the spot
+    cfg_path = make_workspace(tmp_path, chain_prices=[(1.0, 51, 0.0), (2500.0, 51, 1e9)])
+    argv = [command, "--config", cfg_path]
+    if command == "price":
+        draws = os.path.join(str(tmp_path), "draws.csv")
+        with open(draws, "w", encoding="utf-8") as f:
+            f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n")
+        argv += ["--draws", draws]
+    capsys.readouterr()
+    assert main(argv) == 1
+    chain = os.path.join(str(tmp_path), "chain.csv")
+    assert capsys.readouterr().err == (
+        f"error: {chain}: no quote lies inside the no-arbitrage band\n")
+
+
 def test_estimate_reads_no_option_chain(tmp_path):
     cfg_path = make_workspace(tmp_path, families="mle")
     os.remove(os.path.join(str(tmp_path), "chain.csv"))
@@ -1248,8 +1382,10 @@ def test_series_without_shared_returns_names_both_files(tmp_path, capsys, comman
     # numbers that float reads but that are not ASCII decimals
     ((None, "2_000.5"), "row 6: non-numeric price '2_000.5'"),
     ((None, "\u0661\u0662"), "row 6: non-numeric price '\u0661\u0662'"),
+    # the right form, but no such day
+    (("2017-02-30", None), "row 6: invalid ISO date '2017-02-30'"),
 ], ids=["negative", "infinite", "non-numeric", "oversized-cell", "basic-format-date", "week-date",
-        "underscore", "arabic-indic-digits"])
+        "underscore", "arabic-indic-digits", "impossible-day"])
 def test_main_malformed_price_series_exits_one(tmp_path, capsys, command, bad_row, text):
     cfg_path = make_workspace(tmp_path)
     fx = os.path.join(str(tmp_path), "fx.csv")
@@ -1374,6 +1510,9 @@ def test_main_family_and_seed_overrides(tmp_path):
     assert main(["estimate", "--config", cfg_path, "--families", "mle", "--seed", "3"]) == 0
     rows = _read_csv(os.path.join(str(tmp_path), "out", "estimate_summary.csv"))
     assert {r["family"] for r in rows} == {"mle"}
+    # the flag wins over the config's seed = 7
+    with open(os.path.join(str(tmp_path), "out", "manifest.txt"), encoding="utf-8") as f:
+        assert "seed = 3" in f.read().splitlines()
 
 
 def test_main_sequential_mode_price(tmp_path):
