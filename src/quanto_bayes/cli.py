@@ -19,7 +19,8 @@ per estimation window, and each chain adds only its model columns. All three
 reference prices are ``model.quanto_of_call`` of a call price.
 
 ``main`` checks the config file, each flag as the key it sets, and that the
-command's input files are set and exist; a run it refuses writes nothing.
+command's input files are set, exist and are no directories; a run it
+refuses writes nothing.
 Every other run writes a manifest (config echo, seed, versions); outputs
 contain no timestamps, so a fixed config and seed reproduce them byte for
 byte. Unavailable cells are written as ``NA``.
@@ -209,6 +210,8 @@ def load_config(path) -> ExperimentConfig:
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    if os.path.isdir(path):
+        raise ConfigError(f"config file is a directory: {path}")
     base = os.path.dirname(os.path.abspath(path))
     known = {f.name for f in fields(ExperimentConfig)}
     values = {}
@@ -256,6 +259,8 @@ def _convert(key, text, base):
 
 
 def _resolve(path, base):
+    if not path:  # it would name the config file's own directory
+        raise ValueError("empty path")
     return path if os.path.isabs(path) else os.path.normpath(os.path.join(base, path))
 
 
@@ -919,9 +924,12 @@ def main(argv=None):
                     "at least one fx_series entry" if key == "fx_series" else key))
             inputs += paths if isinstance(paths, tuple) else [paths]
         draws = () if args.draws is None else (args.draws,)
-        missing = [path for path in (*inputs, *draws) if not os.path.exists(path)]
-        if missing:
-            raise ConfigError(f"input files not found: {missing}")
+        paths = (*inputs, *draws)
+        # a directory is refused, but not a pipe such as --draws <(...)
+        for what, bad in (("not found", [p for p in paths if not os.path.exists(p)]),
+                          ("are directories", [p for p in paths if os.path.isdir(p)])):
+            if bad:
+                raise ConfigError(f"input files {what}: {bad}")
         _write_manifest(cfg, args.command, [f"draws = {path}" for path in draws])
         run(cfg, *draws)
     except ConfigError as exc:

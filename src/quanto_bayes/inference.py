@@ -24,9 +24,9 @@ that both samplers are checked against.
 Samplers:
 
 * :func:`mwg_sample` runs a Metropolis-within-Gibbs sweep (sigma_x, sigma_h,
-  rho, in that order) with independence proposals (truncated normal,
-  truncated t or inverse gamma) for the volatilities and a random-walk normal
-  proposal for rho. It works on the panel's sufficient statistics directly:
+  rho, in that order) with independence proposal densities (truncated
+  normal, truncated t or inverse gamma) for the volatilities and a random-walk
+  normal step for rho. It works on the panel's sufficient statistics directly:
   each log acceptance ratio is a closed-form difference of the conditional
   kernels, whose candidate-side terms are computed once over each whole
   proposal stream. A proposal density q enters only up to a constant that
@@ -77,24 +77,20 @@ NEG_INF = float("-inf")
 # Proposal families
 # ---------------------------------------------------------------------------
 
-_INDEPENDENCE_FAMILIES = ("truncated_normal", "truncated_t", "inverse_gamma")
-_ALL_FAMILIES = _INDEPENDENCE_FAMILIES + ("normal",)
+_FAMILIES = ("truncated_normal", "truncated_t", "inverse_gamma")
 
 
 @dataclass(frozen=True)
 class ProposalSpec:
-    """Candidate-generating density for one parameter.
+    """Independence proposal density for one volatility; rho takes a step size.
 
     Families
     --------
-    truncated_normal : N(loc, scale) truncated to (0, inf), independence.
-    truncated_t      : Student-t(df, loc, scale) truncated to (0, inf),
-                       independence; df > 2.
+    truncated_normal : N(loc, scale) truncated to (0, inf).
+    truncated_t      : Student-t(df, loc, scale) truncated to (0, inf); df > 2.
     inverse_gamma    : sigma^2 ~ InvGamma(shape, scale) with shape > 2,
                        proposing sigma = sqrt(sigma^2); the change of
                        variables is folded into the log density.
-    normal           : random walk N(current, scale); symmetric, so its
-                       density cancels from the acceptance ratio.
     """
 
     family: str
@@ -104,9 +100,9 @@ class ProposalSpec:
     shape: float | None = None
 
     def __post_init__(self):
-        if self.family not in _ALL_FAMILIES:
+        if self.family not in _FAMILIES:
             raise ValueError(
-                f"unknown proposal family {self.family!r}; expected one of {_ALL_FAMILIES}"
+                f"unknown proposal family {self.family!r}; expected one of {_FAMILIES}"
             )
         # df and shape first: an inverse-gamma scale is derived from its shape
         if self.family == "truncated_t":
@@ -120,9 +116,12 @@ class ProposalSpec:
         if self.family in ("truncated_normal", "truncated_t") and not math.isfinite(self.loc):
             raise ValueError(f"loc must be finite, got {self.loc}")
 
-    @property
-    def is_independence(self):
-        return self.family in _INDEPENDENCE_FAMILIES
+
+def _rho_step(step):
+    """rho's random-walk step size, checked: a positive finite float."""
+    if not (isinstance(step, (int, float)) and math.isfinite(step) and step > 0.0):
+        raise ValueError(f"rho needs a positive finite random-walk step, got {step!r}")
+    return float(step)
 
 
 def _truncated_draws(spec: ProposalSpec, rng, n):
@@ -189,14 +188,14 @@ def _truncated_draws(spec: ProposalSpec, rng, n):
     return out
 
 
-def _proposal_stream(spec: ProposalSpec, rng, n_draws):
+def _proposal_stream(spec, rng, n_draws):
     """``n_draws`` proposal variates for one parameter, in the sampler's RNG order.
 
-    Independence families give candidates; the random-walk normal gives the
-    steps added to the current value.
+    A :class:`ProposalSpec` gives candidates; a step size gives the
+    random-walk normal steps added to the current value.
     """
-    if spec.family == "normal":
-        return spec.scale * rng.standard_normal(n_draws)
+    if not isinstance(spec, ProposalSpec):
+        return spec * rng.standard_normal(n_draws)
     if spec.family == "inverse_gamma":
         return np.sqrt(spec.scale / rng.standard_gamma(spec.shape, size=n_draws))
     return _truncated_draws(spec, rng, n_draws)
@@ -209,12 +208,8 @@ def _proposal_log_kernel(spec: ProposalSpec, values):
     The constant (the normaliser of the truncation or of the inverse gamma)
     cancels from the independence acceptance ratio q(current) / q(candidate),
     so it is never computed. Every value outside (0, inf) gets ``-inf``, as
-    does one whose square underflows in the inverse-gamma kernel. The
-    random-walk normal has no such density here: it is symmetric, so it
-    cancels from the ratio, and asking for it raises.
+    does one whose square underflows in the inverse-gamma kernel.
     """
-    if not spec.is_independence:
-        raise ValueError(f"the {spec.family!r} proposal has no independence density")
     v = np.asarray(values, dtype=float)
     with np.errstate(all="ignore"):
         if spec.family == "truncated_normal":
@@ -319,10 +314,9 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     Each sweep updates sigma_x, sigma_h and rho in that fixed order; each
     update draws a candidate from its proposal and accepts it with the
     standard Metropolis-Hastings rule (accept when log u < log alpha).
-    sigma_x and sigma_h take independence proposals (truncated normal,
-    truncated t or inverse gamma), whose density ratio enters alpha; rho
-    takes the random-walk normal, which is symmetric and does not. Any
-    other (parameter, family) pair raises ``ValueError``.
+    ``specs`` is (sigma_x density, sigma_h density, rho step): the densities'
+    ratios enter alpha; rho's random-walk normal step is symmetric and does
+    not. A misplaced proposal raises ``ValueError`` naming its parameter.
 
     The sweep works on the panel's sufficient statistics (T, sxx, shh, sxh)
     alone, with C = -sxh. Each log alpha is a closed-form difference of the
@@ -353,15 +347,11 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     """
     if panel is None:
         raise ValueError("mwg_sample needs a return panel")
-    specs = tuple(specs)
-    if len(specs) != 3:
-        raise ValueError(f"expected one proposal spec per parameter, got {len(specs)}")
-    for name, spec in zip(PARAMETERS, specs):
-        if spec.is_independence == (name == "rho"):
-            expected = "the random-walk normal" if name == "rho" else "an independence"
-            raise ValueError(
-                f"{name} needs {expected} proposal, got family {spec.family!r}"
-            )
+    spec_x, spec_h, step = specs
+    for name, spec in zip(PARAMETERS, (spec_x, spec_h)):
+        if not isinstance(spec, ProposalSpec):
+            raise ValueError(f"{name} needs an independence proposal density, got {spec!r}")
+    step = _rho_step(step)
     n_draws = int(n_draws)
     burn_in = int(burn_in)
     if not 0 <= burn_in < n_draws:
@@ -374,10 +364,11 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     cross = -panel.sxh
 
     rng = np.random.default_rng(seed)
-    cand_x, cand_h, steps = (_proposal_stream(spec, rng, n_draws) for spec in specs)
+    cand_x, cand_h, steps = (_proposal_stream(spec, rng, n_draws)
+                             for spec in (spec_x, spec_h, step))
     log_u = np.ascontiguousarray(np.log(rng.random((n_draws, 3))).T)
-    terms_x = _volatility_terms(specs[0], cand_x, t)
-    terms_h = _volatility_terms(specs[1], cand_h, t - 1.0)
+    terms_x = _volatility_terms(spec_x, cand_x, t)
+    terms_h = _volatility_terms(spec_h, cand_h, t - 1.0)
     # The sweep is scalar code. Iterating a memoryview of a float64 array
     # gives Python floats, whose arithmetic is several times faster than
     # numpy scalars', without a list's per-element objects.
@@ -388,9 +379,9 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
 
     # current-state terms
     g_x, i_x, i2_x = (float(v[0]) for v in _volatility_terms(
-        specs[0], np.array([init.sigma_x]), t))
+        spec_x, np.array([init.sigma_x]), t))
     g_h, i_h, i2_h = (float(v[0]) for v in _volatility_terms(
-        specs[1], np.array([init.sigma_h]), t - 1.0))
+        spec_h, np.array([init.sigma_h]), t - 1.0))
     r = init.rho
     om = 1.0 - r * r
     log_om = math.log(om)
@@ -635,13 +626,13 @@ def default_proposals(code, panel, rho_step=0.1, tt_df=5.0, ig_shape=None,
     variant places its mode at ``sigma_hat**2`` with a shape that keeps its
     relative width at the same multiple of the posterior's as the truncated
     families (shape = 2 + T / (4 * multiplier^2)), unless a fixed shape is
-    given. rho always uses the random-walk normal with step ``rho_step``.
+    given. The third entry is rho's random-walk normal step, ``rho_step``.
     """
     if code not in FAMILY_CODES:
         raise ValueError(f"unknown family code {code!r}; expected one of {FAMILY_CODES}")
     est = mle_estimate(panel)
     sqrt_t = math.sqrt(panel.n_obs)
-    rho_spec = ProposalSpec(family="normal", loc=0.0, scale=rho_step)
+    rho_step = _rho_step(rho_step)
     if ig_shape is None:
         ig_shape = 2.0 + panel.n_obs / (4.0 * scale_multiplier ** 2)
 
@@ -657,4 +648,4 @@ def default_proposals(code, panel, rho_step=0.1, tt_df=5.0, ig_shape=None,
             scale=(ig_shape + 1.0) * sigma_hat * sigma_hat,
         )
 
-    return (vol_spec(est.sigma_x), vol_spec(est.sigma_h), rho_spec)
+    return (vol_spec(est.sigma_x), vol_spec(est.sigma_h), rho_step)

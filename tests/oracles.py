@@ -182,8 +182,9 @@ def reference_mwg_sample(panel, specs, n_draws, burn_in, init, seed, kernel=None
         for column in np.ascontiguousarray(np.log(rng.random((n_draws, 3))).T)
     )
 
-    indep = [spec.is_independence for spec in specs]
-    logq = [reference_logpdf(spec) if spec.is_independence else None for spec in specs]
+    # a ProposalSpec is an independence density; a float is a random-walk step
+    indep = [isinstance(spec, ProposalSpec) for spec in specs]
+    logq = [reference_logpdf(spec) if ok else None for spec, ok in zip(specs, indep)]
     fx = kernel.log_cond_sigma_x
     fh = kernel.log_cond_sigma_h
     fr = kernel.log_cond_rho

@@ -933,7 +933,8 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
                        ("refresh_interval", "0"), ("r_d_annual", "nan"), ("h_fix", "nan"),
                        ("tt_df", "nan"), ("mnc_kappa", "nan"), ("mnc_df", "nan"),
                        ("tt_df", "inf"), ("mnc_df", "inf"), ("mnc_kappa", "inf"),
-                       ("mnc_scale", "1e300"), ("h_fix", "inf")):
+                       ("mnc_scale", "1e300"), ("h_fix", "inf"), ("rho_step", "nan"),
+                       ("rho_step", "inf")):
         root = tmp_path / f"bad_{key}_{value}"
         root.mkdir()
         bad_cfg = make_workspace(root, families="mle", **{key: value})
@@ -955,6 +956,9 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
                 assert err.endswith(": scale must be finite, got inf\n"), err
             if (key, value) == ("ig_shape", "-1"):
                 assert err.endswith(": inverse_gamma needs shape > 2\n"), err
+            if key == "rho_step":
+                assert err.endswith(
+                    f": rho needs a positive finite random-walk step, got {float(value)!r}\n"), err
 
     # values that parse but repeat an entry, or leave too few returns or draws
     # to estimate from
@@ -1337,6 +1341,97 @@ def test_chain_without_a_quote_inside_the_band_exits_one(tmp_path, capsys, comma
     chain = os.path.join(str(tmp_path), "chain.csv")
     assert capsys.readouterr().err == (
         f"error: {chain}: no quote lies inside the no-arbitrage band\n")
+
+
+def test_quanto_value_that_raises_overflow_exits_one(tmp_path, capsys):
+    # exp((r_f - r_d) * s) overflows to an OverflowError, where
+    # test_main_rate_whose_discount_overflows_exits_one's cases give inf
+    cfg_path = make_workspace(tmp_path, r_d_annual=-1986.6, r_f_annual=1.4)
+    chain = os.path.join(str(tmp_path), "chain.csv")
+    with open(chain, "w", encoding="utf-8") as f:
+        f.write("quote_date,strike,maturity_days,price,spot\n2018-10-31,300,90,0.01,100\n")
+    draws = os.path.join(str(tmp_path), "draws.csv")
+    with open(draws, "w", encoding="utf-8") as f:
+        f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n")
+    capsys.readouterr()
+    assert main(["price", "--config", cfg_path, "--draws", draws]) == 1
+    assert capsys.readouterr().err == (
+        f"error: r_d_annual = -1986.6, r_f_annual = 1.4 and h_fix = 1.0 overflow the quanto "
+        f"value h_fix * exp((r_f - r_d) * s) * spot of {chain}'s quote at strike 300.0, "
+        f"maturity_days 90\n")
+
+
+def test_main_unexpected_error_exits_two(tmp_path, capsys, monkeypatch):
+    from quanto_bayes import cli
+
+    def fail(*args):
+        raise RuntimeError("stage failed")
+
+    monkeypatch.setattr(cli, "_sample_family", fail)
+    cfg_path = make_workspace(tmp_path)
+    capsys.readouterr()
+    assert main(["estimate", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == "runtime failure: stage failed\n"
+
+
+def _files_under(root):
+    return sorted(os.path.join(d, name) for d, _, names in os.walk(root) for name in names)
+
+
+@pytest.mark.parametrize("key, line", [("asset_series", 1), ("option_chain", 3),
+                                       ("out_dir", 4)])
+def test_empty_path_value_exits_one(tmp_path, capsys, key, line):
+    # an empty value once resolved to the config file's own directory
+    cfg_path = make_workspace(tmp_path, families="mle", **{key: ""})
+    before = _files_under(tmp_path)
+    capsys.readouterr()
+    assert main(["estimate", "--config", cfg_path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg_path}:{line}: invalid value for {key!r}: ''\n")
+    assert _files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, key", [
+    ("estimate", "asset_series"), ("experiment", "asset_series"), ("price", "fx_series"),
+    ("price", "option_chain"), ("diagnose", "--draws"), ("price", "--draws"),
+])
+def test_directory_input_exits_one(tmp_path, capsys, command, key):
+    folder = os.path.join(str(tmp_path), "folder")
+    os.mkdir(folder)
+    settings = {} if key == "--draws" else {key: folder}
+    cfg_path = make_workspace(tmp_path, families="mle", **settings)
+    draws = os.path.join(str(tmp_path), "draws.csv")
+    with open(draws, "w", encoding="utf-8") as f:
+        f.write("sigma_x,sigma_h,rho\n" + "0.006,0.004,0.1\n" * 10)
+    argv = [command, "--config", cfg_path]
+    if command in ("price", "diagnose"):
+        argv += ["--draws", folder if key == "--draws" else draws]
+    before = _files_under(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: input files are directories: {[folder]}\n"
+    assert _files_under(tmp_path) == before
+
+
+def test_directory_config_exits_one(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: config file is a directory: {tmp_path}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_draws_from_a_pipe_are_read(tmp_path):
+    # a pipe is neither a regular file nor a directory
+    cfg_path = make_workspace(tmp_path)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b"sigma_x,sigma_h,rho\n" + b"0.006,0.004,0.1\n" * 10)
+        os.close(write_end)
+        pipe = f"/dev/fd/{read_end}"
+        assert main(["diagnose", "--config", cfg_path, "--draws", pipe]) == 0
+    finally:
+        os.close(read_end)
+    assert os.path.exists(os.path.join(str(tmp_path), "out", "diagnose_summary.csv"))
 
 
 def test_estimate_reads_no_option_chain(tmp_path):

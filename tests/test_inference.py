@@ -130,6 +130,9 @@ def test_proposal_spec_validation():
         ProposalSpec(family="inverse_gamma", shape=1.5, scale=1.0)
     with pytest.raises(ValueError):
         ProposalSpec(family="cauchy", scale=1.0)
+    # rho's random walk is a step size, not a density
+    with pytest.raises(ValueError, match="unknown proposal family"):
+        ProposalSpec(family="normal", scale=0.1)
 
 
 def test_truncated_normal_proposals_stay_positive():
@@ -243,12 +246,6 @@ def test_inverse_gamma_proposal_mean():
     assert sq.mean() == pytest.approx(target, abs=4 * se)
 
 
-def test_proposal_logpdf_refuses_the_random_walk_normal():
-    # the random walk is symmetric and cancels from the acceptance ratio
-    with pytest.raises(ValueError, match="no independence density"):
-        _proposal_log_kernel(ProposalSpec(family="normal", scale=0.1), 0.05)
-
-
 def test_mwg_runs_with_a_truncated_normal_far_below_zero(panel_small):
     for far, value in (
         # loc sits 50 scales below 0, where Phi(loc/scale) underflows
@@ -314,7 +311,7 @@ class _PointKernel:
 
 def test_mh_acceptance_is_one_for_flat_target_symmetric_proposal():
     # detailed balance degenerate case: alpha identically 1, so every move is taken
-    steps = (ProposalSpec(family="normal", scale=1e-3),) * 3
+    steps = (1e-3,) * 3
     chain = reference_mwg_sample(None, steps, 500, 100, init=Theta(0.5, 0.5, 0.0),
                                   seed=4, kernel=_FlatKernel())
     assert chain.acceptance_counts.tolist() == [500, 500, 500]
@@ -326,7 +323,7 @@ def test_mh_acceptance_rejects_out_of_support_candidates():
     init = Theta(0.5, 0.5, 0.0)
     specs = (ProposalSpec(family="truncated_normal", loc=0.5, scale=0.1),
              ProposalSpec(family="inverse_gamma", shape=5.0, scale=1.0),
-             ProposalSpec(family="normal", scale=0.1))
+             0.1)
     chain = reference_mwg_sample(None, specs, 300, 50, init=init, seed=5,
                                   kernel=_PointKernel(init))
     assert chain.acceptance_counts.tolist() == [0, 0, 0]
@@ -354,7 +351,7 @@ def test_mwg_known_target_moments():
     specs = (
         ProposalSpec(family="truncated_normal", loc=0.5, scale=1.0),
         ProposalSpec(family="truncated_normal", loc=0.5, scale=1.0),
-        ProposalSpec(family="normal", scale=0.5),
+        0.5,
     )
     chain = reference_mwg_sample(None, specs, 60_000, 5_000, init=Theta(0.5, 0.5, 0.0),
                                   seed=9, kernel=_ToyKernel())
@@ -464,11 +461,18 @@ def test_mwg_rejects_rho_steps_that_leave_the_open_interval(panel_small, monkeyp
 
 
 def test_mwg_rejects_unsupported_proposal_families(panel_small):
-    independence, _, random_walk = default_proposals("tnn", panel_small)
+    independence, _, step = default_proposals("tnn", panel_small)
     init = mle_estimate(panel_small)
-    for name, specs in (("sigma_x", (random_walk, independence, random_walk)),
-                        ("sigma_h", (independence, random_walk, random_walk)),
-                        ("rho", (independence, independence, independence))):
+    for name, specs in (("sigma_x", (step, independence, step)),
+                        ("sigma_x", (None, independence, step)),
+                        ("sigma_h", (independence, step, step)),
+                        ("sigma_h", (independence, "truncated_normal", step)),
+                        ("rho", (independence, independence, independence)),
+                        ("rho", (independence, independence, "0.1")),
+                        ("rho", (independence, independence, None)),
+                        ("rho", (independence, independence, 0.0)),
+                        ("rho", (independence, independence, math.nan)),
+                        ("rho", (independence, independence, math.inf))):
         with pytest.raises(ValueError, match=name):
             mwg_sample(panel_small, specs, 100, 10, init=init, seed=0)
 
@@ -527,7 +531,7 @@ def test_mwg_zero_acceptance_warning(panel_small):
     specs = (
         ProposalSpec(family="truncated_normal", loc=50.0, scale=1e-6),
         ProposalSpec(family="truncated_normal", loc=50.0, scale=1e-6),
-        ProposalSpec(family="normal", scale=1e-12),
+        1e-12,
     )
     init = mle_estimate(panel_small)
     chain = mwg_sample(panel_small, specs, 500, 100, init=init, seed=3)
@@ -877,7 +881,7 @@ def test_default_proposal_families(panel_small):
     est = mle_estimate(panel_small)
     ttn = default_proposals("ttn", panel_small)
     assert ttn[0].family == "truncated_t" and ttn[1].family == "truncated_t"
-    assert ttn[2].family == "normal" and ttn[2].scale == 0.1
+    assert ttn[2] == 0.1
     assert ttn[0].loc == pytest.approx(est.sigma_x)
     tnn = default_proposals("tnn", panel_small)
     assert tnn[0].family == "truncated_normal"

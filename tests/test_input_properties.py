@@ -21,7 +21,7 @@ import math
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from quanto_bayes import data_io
@@ -80,25 +80,29 @@ def edits(draw, lines):
     return ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"), i + 1
 
 
+def _config_key(line):
+    return line.split("#", 1)[0].partition("=")[0].strip()
+
+
 @st.composite
 def config_edits(draw):
     """(file bytes, changed line, its key) of an edit to a config file; a
-    "value" edit replaces the text after a line's '='."""
+    "value" edit replaces the text after a line's '=', and a "bytes" edit
+    reports the key of the line it replaces."""
     lines = list(CONFIG)
     kind = draw(st.sampled_from(["value", "line", "bytes"]))
     if kind == "bytes":
         i = draw(st.integers(0, len(lines) - 1))
         data = [line.encode() for line in lines]
         data[i] = draw(LINE_BYTES)
-        return b"\n".join(data) + b"\n", i + 1, None
+        return b"\n".join(data) + b"\n", i + 1, _config_key(lines[i])
     if kind == "line":
         i = draw(st.integers(0, len(lines)))
         lines.insert(i, draw(TEXT))
     else:
         i = draw(st.integers(0, len(lines) - 1))
         lines[i] = lines[i].split("=")[0] + "= " + draw(TEXT)
-    key = lines[i].split("#", 1)[0].partition("=")[0].strip()
-    return ("\n".join(lines) + "\n").encode(), i + 1, key
+    return ("\n".join(lines) + "\n").encode(), i + 1, _config_key(lines[i])
 
 
 def _check_loader(tmp_path, edit, load, error, columns):
@@ -138,8 +142,15 @@ def test_malformed_draws_file_names_file_and_row(tmp_path, edit):
     _check_loader(tmp_path, edit, _load_draws, ConfigError, [])
 
 
+_BURN_IN = list(DEFAULT_CONFIG).index("burn_in")
+
+
 @PROPERTY
 @given(edit=config_edits())
+# a blank burn_in line leaves burn_in at its default, above draws; the error
+# names the file and the key but no line
+@example(edit=(b"\n".join(b"" if i == _BURN_IN else line.encode()
+                          for i, line in enumerate(CONFIG)) + b"\n", _BURN_IN + 1, "burn_in"))
 def test_malformed_config_names_file_and_key_or_row(tmp_path, edit):
     data, line, key = edit
     path = tmp_path / "run.cfg"
