@@ -19,8 +19,8 @@ per estimation window, and each chain adds only its model columns. All three
 reference prices are ``model.quanto_of_call`` of a call price.
 
 ``main`` checks the config file, each flag as the key it sets, and that the
-command's input files are set, exist and are no directories; a run it
-refuses writes nothing.
+command's input files are set, exist and are no directories, and that no
+file stands where its output directory goes; a run it refuses writes nothing.
 Every other run writes a manifest (config echo, seed, versions); outputs
 contain no timestamps, so a fixed config and seed reproduce them byte for
 byte. Unavailable cells are written as ``NA``.
@@ -269,6 +269,8 @@ def _resolve(path, base):
 # ---------------------------------------------------------------------------
 
 def _fmt(value):
+    if type(value) is float:  # the most common cell, so it is tested first
+        return "%.12g" % value if math.isfinite(value) else "NA"
     if value is None:
         return "NA"
     if isinstance(value, str):
@@ -296,7 +298,7 @@ def _write_lines(path, header, lines):
 
 def _write_csv(path, header, rows):
     """Write a table atomically; cells are formatted with ``_fmt``."""
-    _write_lines(path, header, (",".join(_fmt(cell) for cell in row) + "\n" for row in rows))
+    _write_lines(path, header, (",".join(map(_fmt, row)) + "\n" for row in rows))
 
 
 def _write_manifest(cfg: ExperimentConfig, command, extra=()):
@@ -703,12 +705,6 @@ def _load_quotes(cfg: ExperimentConfig, market):
     return retained
 
 
-# ``_fmt``'s text for a density row, whose cells are all finite: the strike
-# by OptionQuote's check, the bin edges because np.histogram refuses
-# non-finite samples, and the maturity and count are ints
-_DENSITY_ROW = "%.12g,%d,%.12g,%.12g,%d\n"
-
-
 def _density_bins(ordered):
     """``np.histogram(ordered, bins=50)`` of ascending samples: 50 equal
     bins over [min, max] (min - 0.5 to max + 0.5 when the two are equal),
@@ -726,7 +722,21 @@ def _density_bins(ordered):
     if not (100 * math.ulp(max(-first, last)) < width < math.inf and 50 / width < math.inf):
         return np.histogram(ordered, bins=50)
     edges = np.linspace(first, last, 51)
-    return np.diff(np.searchsorted(ordered, edges[:-1]), append=ordered.size), edges
+    bounds = np.searchsorted(ordered, edges)
+    bounds[-1] = ordered.size  # the last bin is closed
+    return bounds[1:] - bounds[:-1], edges
+
+
+def _density_lines(row, counts, edges):
+    """``_fmt``'s text of a quote's density rows (strike, maturity_days,
+    bin_lo, bin_hi, count). Every cell is an int or finite (the strike by
+    OptionQuote's check, the edges because np.histogram refuses non-finite
+    samples), so each edge is ``%.12g`` text, formatted once for both rows.
+    """
+    prefix = "%.12g,%d," % (row.strike, row.maturity_days)
+    edges = ["%.12g" % edge for edge in edges.tolist()]
+    return [f"{prefix}{lo},{hi},{count}\n"
+            for lo, hi, count in zip(edges, edges[1:], counts.tolist())]
 
 
 def cmd_price(cfg: ExperimentConfig, draws_path):
@@ -744,10 +754,7 @@ def cmd_price(cfg: ExperimentConfig, draws_path):
     density = []
     for row, samples in _price_chain(cfg, chain, table, market, panel, h_level, seed):
         rows.append(row)
-        counts, edges = _density_bins(samples)
-        edges = edges.tolist()
-        density.extend(_DENSITY_ROW % (row.strike, row.maturity_days, lo, hi, count)
-                       for lo, hi, count in zip(edges[:-1], edges[1:], counts.tolist()))
+        density += _density_lines(row, *_density_bins(samples))
     _write_csv(os.path.join(cfg.out_dir, "pricing.csv"), PricingRow._fields, rows)
     _write_lines(os.path.join(cfg.out_dir, "price_density.csv"),
                  ("strike", "maturity_days", "bin_lo", "bin_hi", "count"), density)
@@ -930,6 +937,13 @@ def main(argv=None):
                           ("are directories", [p for p in paths if os.path.isdir(p)])):
             if bad:
                 raise ConfigError(f"input files {what}: {bad}")
+        # the output directory, or its nearest existing ancestor, must be a directory
+        existing = os.path.abspath(cfg.out_dir)
+        while not os.path.lexists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            source = "--out" if args.out else f"{args.config}: out_dir"
+            raise ConfigError(f"{source}: {existing} exists and is not a directory")
         _write_manifest(cfg, args.command, [f"draws = {path}" for path in draws])
         run(cfg, *draws)
     except ConfigError as exc:

@@ -463,15 +463,42 @@ def test_bs_h_is_the_closed_form_at_zero_correlation():
             assert row.bs_h_price == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("value, text", [
+    (0.0, "0"), (-0.0, "-0"), (5e-324, "4.94065645841e-324"), (1e-300, "1e-300"),
+    (0.1, "0.1"), (2.0, "2"), (1e16, "1e+16"), (1.5e300, "1.5e+300"),
+    (math.nan, "NA"), (math.inf, "NA"), (-math.inf, "NA"),
+])
+def test_fmt_of_a_float_is_the_text_of_its_numpy_twin(value, text):
+    # np.float64 is a float subclass that skips the fast path for floats
+    from quanto_bayes.cli import _fmt
+
+    assert _fmt(value) == text
+    assert _fmt(np.float64(value)) == text
+
+
+@pytest.mark.parametrize("value, text", [
+    (np.float64(2655.123456789012), "2655.12345679"), (np.int64(-42), "-42"),
+    (True, "1"), (False, "0"), (7, "7"), (10 ** 20, "100000000000000000000"),
+    ("ATM", "ATM"), ("a, b", '"a, b"'), ('say "x"', '"say ""x"""'), (None, "NA"),
+])
+def test_fmt_of_other_cells(value, text):
+    from quanto_bayes.cli import _fmt
+
+    assert _fmt(value) == text
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @PROPERTY
 @given(row=st.tuples(FINITE, st.integers(1, 10 ** 6), FINITE, FINITE, st.integers(0, 10 ** 9)))
 def test_density_row_template_matches_fmt(row):
-    from quanto_bayes.cli import _DENSITY_ROW, _fmt
+    from quanto_bayes.cli import PricingRow, _density_lines, _fmt
 
-    assert _DENSITY_ROW % row == ",".join(map(_fmt, row)) + "\n"
+    strike, maturity, lo, hi, count = row
+    lines = _density_lines(PricingRow(strike, maturity, 1.0, "ATM", 1.0, 1.0),
+                           np.array([count]), np.array([lo, hi]))
+    assert lines == [",".join(map(_fmt, row)) + "\n"]
 
 
 @pytest.mark.parametrize("samples", [
@@ -482,13 +509,12 @@ def test_density_row_template_matches_fmt(row):
 ])
 @pytest.mark.parametrize("strike", [0.0, 2655.0, 2711.74123456789, 1e16, 1.5e300])
 def test_density_row_template_matches_fmt_on_histogram_edges(samples, strike):
-    from quanto_bayes.cli import _DENSITY_ROW, _fmt
+    from quanto_bayes.cli import PricingRow, _density_lines, _fmt
 
     counts, edges = np.histogram(samples, bins=50)
-    for lo, hi, count in zip(edges[:-1], edges[1:], counts):
-        row = (strike, 51, lo, hi, int(count))
-        text = _DENSITY_ROW % (strike, 51, float(lo), float(hi), int(count))
-        assert text == ",".join(map(_fmt, row)) + "\n"
+    lines = _density_lines(PricingRow(strike, 51, 1.0, "ATM", 1.0, 1.0), counts, edges)
+    assert lines == [",".join(map(_fmt, (strike, 51, lo, hi, int(count)))) + "\n"
+                     for lo, hi, count in zip(edges[:-1], edges[1:], counts)]
 
 
 def _bins_outcome(bins, ordered):
@@ -564,14 +590,18 @@ def test_density_bins_refuse_non_finite_samples(samples):
     _assert_density_bins_are_histogram(samples)
 
 
-def test_price_density_file_is_fmt_of_the_histograms(tmp_path):
+@pytest.mark.parametrize("n_paths", [None, 1], ids=["config-paths", "one-path"])
+def test_price_density_file_is_fmt_of_the_histograms(tmp_path, n_paths):
     # np.histogram of each quote's sorted payoffs, priced again from the
-    # run's requests and seed, is the oracle of the binning
+    # run's requests and seed, is the oracle of the binning; with one path
+    # every payoff is equal and the bins span it -0.5 to +0.5
     from quanto_bayes import cli
     from quanto_bayes.cli import _fmt
     from quanto_bayes.pricing import PricingRequest, price_batch
 
     cfg = load_config(make_workspace(tmp_path))
+    if n_paths is not None:  # as --paths sets it
+        cfg = replace(cfg, n_paths=n_paths)
     draws = os.path.join(str(tmp_path), "draws.csv")
     with open(draws, "w", encoding="utf-8") as f:
         f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n0.0061,0.0041,-0.2\n")
@@ -1302,6 +1332,38 @@ def test_refused_run_writes_nothing(tmp_path, capsys, argv, dropped, settings, t
     assert capsys.readouterr().err == f"error: {text.format(**names)}\n"
     assert not os.path.exists(out)
     assert not os.path.exists(os.path.join(str(tmp_path), "out"))
+
+
+@pytest.mark.parametrize("argv, via_key, below", [
+    (["estimate", "--families", "mle"], False, False),
+    (["price", "--draws", "{draws}", "--paths", "3"], False, False),
+    (["experiment", "--families", "mle"], False, False),
+    (["diagnose", "--draws", "{draws}"], False, False),
+    (["estimate", "--families", "mle"], True, False),
+    (["estimate", "--families", "mle"], False, True),
+], ids=["estimate", "price", "experiment", "diagnose", "out_dir-key", "below-a-file"])
+def test_output_directory_naming_a_file_exits_one(tmp_path, capsys, argv, via_key, below):
+    # a regular file where the output directory (or one of its parents)
+    # should be is refused before the manifest, and left as it was
+    afile = os.path.join(str(tmp_path), "afile")
+    with open(afile, "wb") as f:
+        f.write(b"keep me\n")
+    out = os.path.join(afile, "sub") if below else afile
+    cfg_path = make_workspace(tmp_path, **({"out_dir": out} if via_key else {}))
+    draws = os.path.join(str(tmp_path), "draws.csv")
+    with open(draws, "w", encoding="utf-8") as f:
+        f.write("sigma_x,sigma_h,rho\n" + "0.006,0.004,0.1\n" * 10)
+    argv = [arg.format(draws=draws) for arg in argv] + ["--config", cfg_path]
+    if not via_key:
+        argv += ["--out", out]
+    source = f"{cfg_path}: out_dir" if via_key else "--out"
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {source}: {afile} exists and is not a directory\n"
+    with open(afile, "rb") as f:
+        assert f.read() == b"keep me\n"
+    assert sorted(os.listdir(str(tmp_path))) == sorted(
+        ["afile", "asset.csv", "chain.csv", "draws.csv", "fx.csv", "run.cfg"])
 
 
 @pytest.mark.parametrize("command, name", [

@@ -90,6 +90,17 @@ def test_geweke_cd_affine_invariance():
     assert geweke_cd(-s) == pytest.approx(-base, abs=1e-10)
 
 
+@pytest.mark.parametrize("n, head, tail", [(2000, 200, 1000), (1239, 123, 619)])
+def test_geweke_cd_compares_the_first_tenth_with_the_last_half(n, head, tail):
+    # a drifting deterministic sequence, so that every other choice of
+    # segments gives another value; the segments are sliced here by hand
+    i = np.arange(n, dtype=float)
+    s = np.sin(0.37 * i) + (i / n) ** 2
+    first, last = s[:head], s[n - tail:]
+    expected = (first.mean() - last.mean()) / math.hypot(nse(first), nse(last))
+    assert geweke_cd(s) == pytest.approx(expected, rel=1e-12)
+
+
 def test_geweke_cd_minimum_length():
     with pytest.raises(ValueError):
         geweke_cd(np.zeros(50))
