@@ -20,7 +20,7 @@ reference prices are ``model.quanto_of_call`` of a call price.
 
 ``main`` checks the config file, each flag as the key it sets, and that the
 command's input files are set, exist and are no directories, and that no
-file stands where its output directory goes; a run it refuses writes nothing.
+file stands where an output directory goes; a run it refuses writes nothing.
 Every other run writes a manifest (config echo, seed, versions); outputs
 contain no timestamps, so a fixed config and seed reproduce them byte for
 byte. Unavailable cells are written as ``NA``.
@@ -37,7 +37,6 @@ import os
 import sys
 import warnings
 import zlib
-from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -83,8 +82,7 @@ class ConfigError(ValueError):
     """Invalid configuration or missing inputs; exit code 1."""
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Run settings; field names double as config-file keys, and a key's
     value has the type of its default."""
 
@@ -158,12 +156,11 @@ class ExperimentConfig:
         # them, for every family and either mode, on a small stand-in panel:
         # one key at a time, the others at their valid defaults, so that an
         # error names its key.
-        defaults = ExperimentConfig()
         for key in _MODEL_KEYS:
             value = getattr(self, key)
-            if value == getattr(defaults, key):
+            if value == ExperimentConfig._field_defaults[key]:
                 continue
-            probe = replace(defaults, **{key: value})
+            probe = ExperimentConfig(**{key: value})
             try:
                 probe.market()
                 panel = ReturnPanel([0.01, -0.02, 0.015, -0.005], [0.004, 0.002, -0.006, 0.001])
@@ -213,7 +210,6 @@ def load_config(path) -> ExperimentConfig:
     if os.path.isdir(path):
         raise ConfigError(f"config file is a directory: {path}")
     base = os.path.dirname(os.path.abspath(path))
-    known = {f.name for f in fields(ExperimentConfig)}
     values = {}
     set_on = {}  # key -> the line that set it
     try:
@@ -229,7 +225,7 @@ def load_config(path) -> ExperimentConfig:
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key not in known:
+        if key not in ExperimentConfig._fields:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in set_on:
             raise ConfigError(f"{path}:{lineno}: {key!r} already set on line {set_on[key]}")
@@ -249,7 +245,7 @@ def load_config(path) -> ExperimentConfig:
 def _convert(key, text, base):
     """Parse ``text`` to the type of ``key``'s default; a tuple key's
     comma-separated elements are paths, window lengths or family codes."""
-    default = getattr(ExperimentConfig, key)
+    default = ExperimentConfig._field_defaults[key]
     if not isinstance(default, tuple):
         return _resolve(text, base) if key in _PATH_KEYS else type(default)(text)
     parts = [p.strip() for p in text.split(",") if p.strip()]
@@ -305,7 +301,7 @@ def _write_manifest(cfg: ExperimentConfig, command, extra=()):
     from . import __version__
 
     lines = []
-    for key, value in sorted(vars(cfg).items()):
+    for key, value in sorted(cfg._asdict().items()):
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
         lines.append(f"{key} = {value}")
@@ -322,6 +318,10 @@ def _derive_seed(base_seed, *parts):
 
 def _stem(path):
     return os.path.splitext(os.path.basename(path))[0]
+
+
+def _cell_dir(cfg: ExperimentConfig, fx_name, window):
+    return os.path.join(cfg.out_dir, "cells", fx_name, f"w{window}")
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +794,7 @@ def cmd_experiment(cfg: ExperimentConfig):
                             for window in cfg.windows)
             continue
         for window in cfg.windows:
-            cell_dir = os.path.join(cfg.out_dir, "cells", fx_name, f"w{window}")
+            cell_dir = _cell_dir(cfg, fx_name, window)
             try:
                 panel = _window(history, window)
             except ConfigError as exc:
@@ -917,7 +917,7 @@ def main(argv=None):
             ("--mode", "mode", {"sequential": "sequential-update"}.get(args.mode, args.mode)),
         ):
             if value is not None:
-                cfg = replace(cfg, **{key: value})
+                cfg = cfg._replace(**{key: value})
                 try:
                     cfg.validate()
                 except ConfigError as exc:
@@ -937,13 +937,16 @@ def main(argv=None):
                           ("are directories", [p for p in paths if os.path.isdir(p)])):
             if bad:
                 raise ConfigError(f"input files {what}: {bad}")
-        # the output directory, or its nearest existing ancestor, must be a directory
-        existing = os.path.abspath(cfg.out_dir)
-        while not os.path.lexists(existing):
-            existing = os.path.dirname(existing)
-        if not os.path.isdir(existing):
-            source = "--out" if args.out else f"{args.config}: out_dir"
-            raise ConfigError(f"{source}: {existing} exists and is not a directory")
+        # each output directory, or its nearest existing ancestor, must be a directory
+        outs = [cfg.out_dir]
+        if args.command == "experiment":  # its cell directories lie below out_dir
+            outs = [_cell_dir(cfg, _stem(fx), w) for fx in cfg.fx_series for w in cfg.windows]
+        for existing in map(os.path.abspath, outs):
+            while not os.path.lexists(existing):
+                existing = os.path.dirname(existing)
+            if not os.path.isdir(existing):
+                source = "--out" if args.out else f"{args.config}: out_dir"
+                raise ConfigError(f"{source}: {existing} exists and is not a directory")
         _write_manifest(cfg, args.command, [f"draws = {path}" for path in draws])
         run(cfg, *draws)
     except ConfigError as exc:

@@ -21,13 +21,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from datetime import date as Date
 from operator import itemgetter
 
 import numpy as np
 
-from .model import MarketConfig, PriceSeries, call_price_band, price_fault
+from .model import MarketConfig, PriceSeries, _Record, call_price_band, price_fault
 
 __all__ = [
     "OptionQuote",
@@ -39,27 +38,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OptionQuote:
+class OptionQuote(_Record):
     """One European call quote on the foreign asset."""
 
-    quote_date: Date
-    strike: float
-    maturity_days: int
-    market_price: float
-    underlying_spot: float
+    __slots__ = ("quote_date", "strike", "maturity_days", "market_price", "underlying_spot")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.strike) and self.strike > 0.0):
-            raise ValueError(f"strike must be positive and finite, got {self.strike}")
-        if self.maturity_days < 1:
-            raise ValueError(f"maturity_days must be >= 1, got {self.maturity_days}")
-        if not (math.isfinite(self.market_price) and self.market_price >= 0.0):
-            raise ValueError(
-                f"market price must be non-negative and finite, got {self.market_price}"
-            )
-        if not (math.isfinite(self.underlying_spot) and self.underlying_spot > 0.0):
-            raise ValueError(f"spot must be positive and finite, got {self.underlying_spot}")
+    def __init__(self, quote_date: Date, strike: float, maturity_days: int,
+                 market_price: float, underlying_spot: float):
+        if not (math.isfinite(strike) and strike > 0.0):
+            raise ValueError(f"strike must be positive and finite, got {strike}")
+        if maturity_days < 1:
+            raise ValueError(f"maturity_days must be >= 1, got {maturity_days}")
+        if not (math.isfinite(market_price) and market_price >= 0.0):
+            raise ValueError(f"market price must be non-negative and finite, got {market_price}")
+        if not (math.isfinite(underlying_spot) and underlying_spot > 0.0):
+            raise ValueError(f"spot must be positive and finite, got {underlying_spot}")
+        super().__init__(quote_date, strike, maturity_days, market_price, underlying_spot)
 
 
 def read_text(path):

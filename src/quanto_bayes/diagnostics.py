@@ -13,7 +13,7 @@ chain, standardized by their segment NSEs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,8 +96,7 @@ def sorted_hpdi(ordered, level):
     return float(ordered[i]), float(ordered[i + m - 1])
 
 
-@dataclass(frozen=True)
-class ChainSummary:
+class ChainSummary(NamedTuple):
     """Posterior summary of one parameter over post-burn-in draws; ``nse``
     and ``cd`` are None below 100 draws, ``cd`` also when :func:`geweke_cd` has none."""
 

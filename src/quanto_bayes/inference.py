@@ -48,11 +48,10 @@ Samplers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ReturnPanel, Theta
+from .model import ReturnPanel, Theta, _Record
 
 __all__ = [
     "ProposalSpec",
@@ -80,8 +79,7 @@ NEG_INF = float("-inf")
 _FAMILIES = ("truncated_normal", "truncated_t", "inverse_gamma")
 
 
-@dataclass(frozen=True)
-class ProposalSpec:
+class ProposalSpec(_Record):
     """Independence proposal density for one volatility; rho takes a step size.
 
     Families
@@ -93,28 +91,24 @@ class ProposalSpec:
                        variables is folded into the log density.
     """
 
-    family: str
-    loc: float = 0.0
-    scale: float = 1.0
-    df: float | None = None
-    shape: float | None = None
+    __slots__ = ("family", "loc", "scale", "df", "shape")
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(
-                f"unknown proposal family {self.family!r}; expected one of {_FAMILIES}"
-            )
+    def __init__(self, family: str, loc: float = 0.0, scale: float = 1.0,
+                 df: float | None = None, shape: float | None = None):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown proposal family {family!r}; expected one of {_FAMILIES}")
         # df and shape first: an inverse-gamma scale is derived from its shape
-        if self.family == "truncated_t":
-            if self.df is None or not (math.isfinite(self.df) and self.df > 2.0):
-                raise ValueError(f"truncated_t needs a finite df > 2, got {self.df}")
-        if self.family == "inverse_gamma":
-            if self.shape is None or not self.shape > 2.0:
+        if family == "truncated_t":
+            if df is None or not (math.isfinite(df) and df > 2.0):
+                raise ValueError(f"truncated_t needs a finite df > 2, got {df}")
+        if family == "inverse_gamma":
+            if shape is None or not shape > 2.0:
                 raise ValueError("inverse_gamma needs shape > 2")
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.family in ("truncated_normal", "truncated_t") and not math.isfinite(self.loc):
-            raise ValueError(f"loc must be finite, got {self.loc}")
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise ValueError(f"scale must be positive, got {scale}")
+        if family in ("truncated_normal", "truncated_t") and not math.isfinite(loc):
+            raise ValueError(f"loc must be finite, got {loc}")
+        super().__init__(family, loc, scale, df, shape)
 
 
 def _rho_step(step):
@@ -227,8 +221,7 @@ def _proposal_log_kernel(spec: ProposalSpec, values):
 # Chain container
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Record):
     """Ordered MCMC draws of (sigma_x, sigma_h, rho) including burn-in.
 
     ``draws`` has shape (K, 3) in parameter order ``PARAMETERS``;
@@ -237,32 +230,26 @@ class Chain:
     move after burn-in.
     """
 
-    draws: np.ndarray
-    burn_in: int
-    acceptance_counts: np.ndarray
-    warnings: tuple = ()
+    __slots__ = ("draws", "burn_in", "acceptance_counts", "warnings")
 
-    def __post_init__(self):
+    def __init__(self, draws: np.ndarray, burn_in: int, acceptance_counts: np.ndarray,
+                 warnings: tuple = ()):
         # own copies: the arrays are frozen, which must not leak to the caller
-        draws = np.array(self.draws, dtype=float)
+        draws = np.array(draws, dtype=float)
         if draws.ndim != 2 or draws.shape[1] != 3:
             raise ValueError(f"draws must have shape (K, 3), got {draws.shape}")
-        if not 0 <= self.burn_in < draws.shape[0]:
-            raise ValueError(
-                f"burn_in must lie in [0, {draws.shape[0] - 1}], got {self.burn_in}"
-            )
+        if not 0 <= burn_in < draws.shape[0]:
+            raise ValueError(f"burn_in must lie in [0, {draws.shape[0] - 1}], got {burn_in}")
         if not np.all(np.isfinite(draws)):
             raise ValueError("chain draws must be finite")
         if np.any(draws[:, :2] <= 0.0) or np.any(np.abs(draws[:, 2]) >= 1.0):
             raise ValueError("chain draws violate the parameter support")
-        counts = np.array(self.acceptance_counts, dtype=int)
+        counts = np.array(acceptance_counts, dtype=int)
         if counts.shape != (3,) or np.any(counts < 0) or np.any(counts > draws.shape[0]):
             raise ValueError("acceptance_counts must be three tallies in [0, K]")
         draws.setflags(write=False)
         counts.setflags(write=False)
-        object.__setattr__(self, "draws", draws)
-        object.__setattr__(self, "acceptance_counts", counts)
-        object.__setattr__(self, "warnings", tuple(self.warnings))
+        super().__init__(draws, burn_in, counts, tuple(warnings))
 
     def __len__(self):
         return self.draws.shape[0]
@@ -542,8 +529,7 @@ def mle_estimate(panel: ReturnPanel) -> Theta:
     return Theta(sigma_x, sigma_h, rho)
 
 
-@dataclass(frozen=True)
-class NiwHyperparams:
+class NiwHyperparams(_Record):
     """Normal-Inverse-Wishart prior for the conjugate (MNC) baseline: zero
     prior mean with weight ``kappa``, ``df`` degrees of freedom and the
     scale matrix ``scale`` * I.
@@ -552,19 +538,18 @@ class NiwHyperparams:
     scale 1e-4.
     """
 
-    kappa: float = 1.0
-    df: float = 4.0
-    scale: float = 1e-4
+    __slots__ = ("kappa", "df", "scale")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
-            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
-        if not (math.isfinite(self.df) and self.df >= 2.0):
-            raise ValueError(f"df must be finite and >= 2 for a 2x2 scale, got {self.df}")
-        if not math.isfinite(self.scale):
-            raise ValueError(f"scale must be finite, got {self.scale}")
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+    def __init__(self, kappa: float = 1.0, df: float = 4.0, scale: float = 1e-4):
+        if not (math.isfinite(kappa) and kappa > 0.0):
+            raise ValueError(f"kappa must be positive and finite, got {kappa}")
+        if not (math.isfinite(df) and df >= 2.0):
+            raise ValueError(f"df must be finite and >= 2 for a 2x2 scale, got {df}")
+        if not math.isfinite(scale):
+            raise ValueError(f"scale must be finite, got {scale}")
+        if not scale > 0.0:
+            raise ValueError(f"scale must be positive, got {scale}")
+        super().__init__(kappa, df, scale)
 
 
 def niw_posterior(panel, hyper: NiwHyperparams):

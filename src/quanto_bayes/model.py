@@ -16,7 +16,6 @@ is :func:`quanto_of_call`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import date as Date
 from typing import Sequence
 
@@ -54,8 +53,42 @@ def price_fault(value):
         return f"{'non-positive' if value <= 0.0 else 'non-finite'} price {float(value)!r}"
 
 
-@dataclass(frozen=True)
-class Theta:
+class _Record:
+    """Base of the checked value types. A subclass names its fields in
+    ``__slots__``, and its ``__init__`` checks them and passes them here in
+    that order. The record is then read-only, and equality, hash, repr and
+    pickling go by its fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Theta(_Record):
     """Volatility and correlation parameters (per trading day).
 
     Attributes
@@ -68,26 +101,23 @@ class Theta:
         Correlation between the two driving Brownian shocks, -1 < rho < 1.
     """
 
-    sigma_x: float
-    sigma_h: float
-    rho: float
+    __slots__ = ("sigma_x", "sigma_h", "rho")
 
-    def __post_init__(self):
-        for name in ("sigma_x", "sigma_h", "rho"):
-            _require_finite(name, getattr(self, name))
-        if self.sigma_x <= 0.0:
-            raise ValueError(f"sigma_x must be positive, got {self.sigma_x}")
-        if self.sigma_h <= 0.0:
-            raise ValueError(f"sigma_h must be positive, got {self.sigma_h}")
-        if not -1.0 < self.rho < 1.0:
-            raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
+    def __init__(self, sigma_x: float, sigma_h: float, rho: float):
+        for name, value in zip(self.__slots__, (sigma_x, sigma_h, rho)):
+            _require_finite(name, value)
+        if sigma_x <= 0.0:
+            raise ValueError(f"sigma_x must be positive, got {sigma_x}")
+        if sigma_h <= 0.0:
+            raise ValueError(f"sigma_h must be positive, got {sigma_h}")
+        if not -1.0 < rho < 1.0:
+            raise ValueError(f"rho must lie in (-1, 1), got {rho}")
+        super().__init__(sigma_x, sigma_h, rho)
 
-    def as_tuple(self):
-        return (self.sigma_x, self.sigma_h, self.rho)
+    as_tuple = _Record._values
 
 
-@dataclass(frozen=True)
-class MarketConfig:
+class MarketConfig(_Record):
     """Rates and contract constants.
 
     ``r_d`` and ``r_f`` are the domestic and foreign risk-free rates per
@@ -95,16 +125,15 @@ class MarketConfig:
     fixed-rate payoff ``F3``.
     """
 
-    r_d: float
-    r_f: float
-    h_fix: float = 1.0
+    __slots__ = ("r_d", "r_f", "h_fix")
 
-    def __post_init__(self):
-        _require_finite("r_d", self.r_d)
-        _require_finite("r_f", self.r_f)
-        _require_finite("h_fix", self.h_fix)
-        if not self.h_fix > 0.0:
-            raise ValueError(f"h_fix must be positive, got {self.h_fix}")
+    def __init__(self, r_d: float, r_f: float, h_fix: float = 1.0):
+        _require_finite("r_d", r_d)
+        _require_finite("r_f", r_f)
+        _require_finite("h_fix", h_fix)
+        if not h_fix > 0.0:
+            raise ValueError(f"h_fix must be positive, got {h_fix}")
+        super().__init__(r_d, r_f, h_fix)
 
     @classmethod
     def from_annual(cls, r_d_annual, r_f_annual, h_fix=1.0, periods_per_year=252):
@@ -137,18 +166,17 @@ def call_price_band(spot, strike, rate, horizon_s):
     return max(spot - strike * math.exp(-rate * horizon_s), 0.0), spot
 
 
-@dataclass(frozen=True)
-class SpotState:
+class SpotState(_Record):
     """Current levels of the asset and the exchange rate."""
 
-    x0: float
-    h0: float
+    __slots__ = ("x0", "h0")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x0) and self.x0 > 0.0):
-            raise ValueError(f"x0 must be positive and finite, got {self.x0}")
-        if not (math.isfinite(self.h0) and self.h0 > 0.0):
-            raise ValueError(f"h0 must be positive and finite, got {self.h0}")
+    def __init__(self, x0: float, h0: float):
+        if not (math.isfinite(x0) and x0 > 0.0):
+            raise ValueError(f"x0 must be positive and finite, got {x0}")
+        if not (math.isfinite(h0) and h0 > 0.0):
+            raise ValueError(f"h0 must be positive and finite, got {h0}")
+        super().__init__(x0, h0)
 
 
 class PriceSeries:
@@ -181,8 +209,7 @@ class PriceSeries:
         object.__setattr__(self, "days", days)
         object.__setattr__(self, "prices", prices)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PriceSeries is immutable")
+    __setattr__ = __delattr__ = _Record.__setattr__
 
     def __len__(self):
         return len(self.dates)
@@ -248,8 +275,7 @@ class ReturnPanel:
         object.__setattr__(self, "sxh", float(np.sum(x * h))
                            - self.n_obs * self.mean_x * self.mean_h)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ReturnPanel is immutable")
+    __setattr__ = __delattr__ = _Record.__setattr__
 
     def tail(self, n_obs: int):
         """Panel restricted to the most recent ``n_obs`` return pairs."""

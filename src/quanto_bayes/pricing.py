@@ -36,14 +36,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .diagnostics import sorted_hpdi
 from .inference import Chain, exact_posterior_draws
-from .model import (PAYOFF_KINDS, MarketConfig, ReturnPanel, SpotState, call_price_band,
-                    ndtr, payoff, quanto_of_call, risk_neutral_drifts)
+from .model import (PAYOFF_KINDS, MarketConfig, ReturnPanel, SpotState, _Record,
+                    call_price_band, ndtr, payoff, quanto_of_call, risk_neutral_drifts)
 
 __all__ = [
     "PricingRequest",
@@ -57,8 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PricingRequest:
+class PricingRequest(_Record):
     """One contract to price: payoff kind, strike, maturity and spot.
 
     ``strike`` is in the currency the kind calls for (domestic for F1,
@@ -66,22 +65,19 @@ class PricingRequest:
     trading days to maturity; at 0 every path pays the intrinsic value.
     """
 
-    kind: str
-    strike: float
-    horizon_s: int
-    spot: SpotState
+    __slots__ = ("kind", "strike", "horizon_s", "spot")
 
-    def __post_init__(self):
-        if self.kind not in PAYOFF_KINDS:
-            raise ValueError(f"unknown payoff kind {self.kind!r}")
-        if not (math.isfinite(self.strike) and self.strike >= 0.0):
-            raise ValueError(f"strike must be non-negative and finite, got {self.strike}")
-        if self.horizon_s < 0:
-            raise ValueError(f"horizon_s must be non-negative, got {self.horizon_s}")
+    def __init__(self, kind: str, strike: float, horizon_s: int, spot: SpotState):
+        if kind not in PAYOFF_KINDS:
+            raise ValueError(f"unknown payoff kind {kind!r}")
+        if not (math.isfinite(strike) and strike >= 0.0):
+            raise ValueError(f"strike must be non-negative and finite, got {strike}")
+        if horizon_s < 0:
+            raise ValueError(f"horizon_s must be non-negative, got {horizon_s}")
+        super().__init__(kind, strike, horizon_s, spot)
 
 
-@dataclass(frozen=True)
-class PricingResult:
+class PricingResult(NamedTuple):
     """Monte Carlo price with its sampling error.
 
     ``hpdi_99`` is the 99 percent highest-density interval of the per-draw
@@ -95,8 +91,7 @@ class PricingResult:
     n_effective_draws: int
 
 
-@dataclass(frozen=True)
-class SequentialSettings:
+class SequentialSettings(_Record):
     """Inputs of sequential-update pricing; passing them selects that mode.
 
     Each path's posterior is that of ``panel`` extended with the path's own
@@ -104,14 +99,12 @@ class SequentialSettings:
     replaces its parameters with one exact draw from it.
     """
 
-    panel: ReturnPanel
-    refresh_interval: int
+    __slots__ = ("panel", "refresh_interval")
 
-    def __post_init__(self):
-        if self.refresh_interval < 1:
-            raise ValueError(
-                f"refresh_interval must be at least 1, got {self.refresh_interval}"
-            )
+    def __init__(self, panel: ReturnPanel, refresh_interval: int):
+        if refresh_interval < 1:
+            raise ValueError(f"refresh_interval must be at least 1, got {refresh_interval}")
+        super().__init__(panel, refresh_interval)
 
 
 def price_batch(requests, chain: Chain, market: MarketConfig, n_paths, seed,

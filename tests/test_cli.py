@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,17 +95,15 @@ def test_load_config_rejects_inconsistent_chain_settings(tmp_path):
 
 
 def test_default_config_values_have_their_defaults_types():
-    import dataclasses
-
     from quanto_bayes.cli import ExperimentConfig
 
     cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "fixtures", "default.cfg"))
-    for field in dataclasses.fields(ExperimentConfig):
-        value = getattr(cfg, field.name)
-        assert type(value) is type(field.default), field.name
+    for name, default in ExperimentConfig._field_defaults.items():
+        value = getattr(cfg, name)
+        assert type(value) is type(default), name
         if isinstance(value, tuple):
-            element = int if field.name == "windows" else str
-            assert value and all(type(v) is element for v in value), field.name
+            element = int if name == "windows" else str
+            assert value and all(type(v) is element for v in value), name
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +293,15 @@ def test_draws_text_formats_fixture_chains_in_bulk():
 
 @pytest.mark.parametrize("command", ["estimate", "experiment"])
 def test_chain_warnings_are_printed_to_stderr(tmp_path, monkeypatch, capsys, command):
-    import dataclasses
-
     from quanto_bayes import cli
+    from quanto_bayes.inference import Chain
 
     real = cli._sample_family
 
     def flagged(family, panel, cfg, seed):
-        return dataclasses.replace(real(family, panel, cfg, seed),
-                                   warnings=("no accepted moves for rho after burn-in",))
+        chain = real(family, panel, cfg, seed)
+        return Chain(chain.draws, chain.burn_in, chain.acceptance_counts,
+                     warnings=("no accepted moves for rho after burn-in",))
 
     monkeypatch.setattr(cli, "_sample_family", flagged)
     path = make_workspace(tmp_path)
@@ -601,7 +598,7 @@ def test_price_density_file_is_fmt_of_the_histograms(tmp_path, n_paths):
 
     cfg = load_config(make_workspace(tmp_path))
     if n_paths is not None:  # as --paths sets it
-        cfg = replace(cfg, n_paths=n_paths)
+        cfg = cfg._replace(n_paths=n_paths)
     draws = os.path.join(str(tmp_path), "draws.csv")
     with open(draws, "w", encoding="utf-8") as f:
         f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n0.0061,0.0041,-0.2\n")
@@ -696,9 +693,9 @@ def test_cmd_experiment_three_fx_row_groups(tmp_path):
     import shutil
     for name in ("eur", "gbp", "cad"):
         shutil.copy(os.path.join(str(root), "fx.csv"), os.path.join(str(root), f"{name}.csv"))
-    cfg = replace(load_config(cfg_path), families=("tnn",),
-                  fx_series=tuple(os.path.join(str(root), f"{n}.csv")
-                                  for n in ("eur", "gbp", "cad")))
+    cfg = load_config(cfg_path)._replace(families=("tnn",),
+                                         fx_series=tuple(os.path.join(str(root), f"{n}.csv")
+                                                         for n in ("eur", "gbp", "cad")))
     cmd_experiment(cfg)
     table = _read_csv(os.path.join(cfg.out_dir, "pricing_performance.csv"))
     assert {r["fx"] for r in table} == {"eur", "gbp", "cad"}
@@ -1364,6 +1361,33 @@ def test_output_directory_naming_a_file_exits_one(tmp_path, capsys, argv, via_ke
         assert f.read() == b"keep me\n"
     assert sorted(os.listdir(str(tmp_path))) == sorted(
         ["afile", "asset.csv", "chain.csv", "draws.csv", "fx.csv", "run.cfg"])
+
+
+@pytest.mark.parametrize("parts", [("cells",), ("cells", "fx"), ("cells", "fx", "w{window}")],
+                         ids=["cells", "fx", "window"])
+@pytest.mark.parametrize("via_key", [False, True], ids=["out", "out_dir-key"])
+def test_experiment_refuses_a_file_where_a_cell_directory_goes(tmp_path, capsys, parts,
+                                                               via_key):
+    # experiment writes below out_dir, into cells/<fx stem>/w<window>; a regular
+    # file on that path is refused before the manifest, and left as it was
+    out = os.path.join(str(tmp_path), "out")
+    cfg_path = make_workspace(tmp_path, **({"out_dir": out} if via_key else {}))
+    window = load_config(cfg_path).windows[0]
+    afile = os.path.join(out, *(part.format(window=window) for part in parts))
+    os.makedirs(os.path.dirname(afile))
+    with open(afile, "wb") as f:
+        f.write(b"keep me\n")
+    argv = ["experiment", "--families", "mle", "--config", cfg_path]
+    if not via_key:
+        argv += ["--out", out]
+    source = f"{cfg_path}: out_dir" if via_key else "--out"
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {source}: {afile} exists and is not a directory\n"
+    with open(afile, "rb") as f:
+        assert f.read() == b"keep me\n"
+    written = [os.path.join(root, name) for root, _, names in os.walk(out) for name in names]
+    assert written == [afile]
 
 
 @pytest.mark.parametrize("command, name", [

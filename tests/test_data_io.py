@@ -1,6 +1,5 @@
 import math
 import os
-from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -238,7 +237,7 @@ def test_construct_quanto_identity_at_zero_rate():
 
 def test_construct_quanto_discounts_and_scales():
     # paid at h_fix and discounted at r_d instead of r_f
-    market = replace(MARKET, h_fix=1.5)
+    market = MarketConfig(MARKET.r_d, MARKET.r_f, h_fix=1.5)
     assert quanto_of_call(105.85, 51, market) == pytest.approx(
         1.5 * math.exp(51 * (MARKET.r_f - MARKET.r_d)) * 105.85, rel=1e-14
     )
@@ -246,9 +245,9 @@ def test_construct_quanto_discounts_and_scales():
 
 def test_construct_quanto_multiplicative_in_h_fix():
     single = quanto_of_call(105.85, 51, MARKET)
-    double = quanto_of_call(105.85, 51, replace(MARKET, h_fix=2.0))
+    double = quanto_of_call(105.85, 51, MarketConfig(MARKET.r_d, MARKET.r_f, h_fix=2.0))
     assert double == 2.0 * single
-    scaled = quanto_of_call(105.85, 51, replace(MARKET, h_fix=1.5))
+    scaled = quanto_of_call(105.85, 51, MarketConfig(MARKET.r_d, MARKET.r_f, h_fix=1.5))
     assert scaled == pytest.approx(1.5 * single, rel=1e-15)
 
 

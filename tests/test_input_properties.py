@@ -53,7 +53,7 @@ CHAIN = ["quote_date,strike,maturity_days,price,spot",
 DRAWS = ["sigma_x,sigma_h,rho", "0.006,0.004,-0.03", "0.0061,0.0041,-0.02",
          "0.0059,0.0039,0.01", "0.006,0.004,0.0"]
 CONFIG = [f"{key} = {value}" for key, value in DEFAULT_CONFIG.items()]
-CONFIG_KEYS = set(ExperimentConfig.__dataclass_fields__)
+CONFIG_KEYS = set(ExperimentConfig._fields)
 
 
 @st.composite

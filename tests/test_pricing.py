@@ -1,7 +1,6 @@
 import hashlib
 import math
 import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -572,7 +571,7 @@ def test_f3_tail_starts_at_the_first_positive_payoff():
 
 def test_request_is_only_the_contract():
     # the simulation's market, path count and seed are the batch's, given once
-    assert [f.name for f in fields(PricingRequest)] == ["kind", "strike", "horizon_s", "spot"]
+    assert PricingRequest.__slots__ == ("kind", "strike", "horizon_s", "spot")
     with pytest.raises(TypeError, match="refresh_interval"):
         SequentialSettings(panel=synth_panel(50, seed=60))
 
