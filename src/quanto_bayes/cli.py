@@ -283,13 +283,19 @@ def _fmt(value):
 
 
 def _write_lines(path, header, lines):
-    """Write a header row and newline-terminated lines atomically."""
+    """Write a header row and newline-terminated lines atomically; a failed
+    write or rename removes its temporary file and re-raises."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.writelines(lines)
-    os.replace(tmp, path)
+    handle = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            handle.write(",".join(header) + "\n")
+            handle.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _write_csv(path, header, rows):

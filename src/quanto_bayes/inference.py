@@ -86,6 +86,7 @@ class ProposalSpec(_Record):
     --------
     truncated_normal : N(loc, scale) truncated to (0, inf).
     truncated_t      : Student-t(df, loc, scale) truncated to (0, inf); df > 2.
+                       Both truncated families need -loc/scale <= 1.
     inverse_gamma    : sigma^2 ~ InvGamma(shape, scale) with shape > 2,
                        proposing sigma = sqrt(sigma^2); the change of
                        variables is folded into the log density.
@@ -106,8 +107,12 @@ class ProposalSpec(_Record):
                 raise ValueError("inverse_gamma needs shape > 2")
         if not (math.isfinite(scale) and scale > 0.0):
             raise ValueError(f"scale must be positive, got {scale}")
-        if family in ("truncated_normal", "truncated_t") and not math.isfinite(loc):
-            raise ValueError(f"loc must be finite, got {loc}")
+        if family in ("truncated_normal", "truncated_t"):
+            if not math.isfinite(loc):
+                raise ValueError(f"loc must be finite, got {loc}")
+            # beyond, fewer than 0.16 of the candidates loc + scale z lie in (0, inf)
+            if -loc / scale > 1.0:
+                raise ValueError(f"{family} needs -loc/scale <= 1, got loc={loc}, scale={scale}")
         super().__init__(family, loc, scale, df, shape)
 
 
@@ -118,81 +123,45 @@ def _rho_step(step):
     return float(step)
 
 
-def _truncated_draws(spec: ProposalSpec, rng, n):
-    """``n`` exact draws of a truncated family on (0, inf), by rejection.
+def _proposal_stream(spec, rng, n_draws):
+    """``n_draws`` proposal variates for one parameter, in the sampler's RNG order.
 
-    With a0 = -loc/scale the standardised draw z must exceed a0. For
-    a0 <= 1 plain draws of the standard normal or t keep an acceptance of at
-    least 0.16. Further out each family samples its excess over a0 under an
-    envelope, scaled so that no value cancels against loc:
-    * normal: z = a0 + E / lam with E ~ Exp(1), accepted with probability
-      exp(-(z - lam)^2 / 2), where lam = (a0 + sqrt(a0^2 + 4)) / 2 is the
-      optimal rate (Robert 1995, "Simulation of truncated normal variables")
-      and z - lam = E / lam - 1 / lam;
-    * t: X = df / (df + T^2) ~ Beta(df/2, 1/2) given T > 0, and T > a0 is
-      X < x0 = df / (df + a0^2). X = x0 W with W = U^(2/df) has the envelope
-      density ~ x^(df/2 - 1) on (0, x0) and is accepted with probability
-      sqrt((1 - x0) / (1 - X)) = 1 / sqrt(Q), where Q = 1 + r (1 - W) and
-      r = df / a0^2; then z = a0 sqrt(Q / W).
-    A candidate counts when its value is positive and finite in floating
-    point, so every draw lies in the open support. Batches are drawn until
-    ``n`` are kept, each sized from the acceptance of the one before.
+    A step size gives the random-walk normal steps added to the current
+    value, and an inverse gamma sqrt(scale / Gamma(shape)). A truncated
+    family draws loc + scale z for standard normal or t variates z, by
+    rejection: a candidate counts when it is positive and finite in floating
+    point, so every draw lies in the open support. :class:`ProposalSpec`
+    keeps -loc/scale <= 1, where at least 0.16 of the candidates count.
+    Batches are drawn until ``n_draws`` are kept, each sized from the
+    acceptance of the one before.
     """
+    if not isinstance(spec, ProposalSpec):
+        return spec * rng.standard_normal(n_draws)
     loc, scale = spec.loc, spec.scale
-    a0 = -loc / scale
-    if a0 <= 1.0:
-        if spec.family == "truncated_normal":
-            def propose(m):
-                return loc + scale * rng.standard_normal(m)
-        else:
-            def propose(m):
-                return loc + scale * rng.standard_t(spec.df, m)
-    elif spec.family == "truncated_normal":
-        lam = 0.5 * a0 + math.hypot(0.5 * a0, 1.0)
-
-        def propose(m):
-            excess = rng.standard_exponential(m) / lam
-            d = excess - 1.0 / lam
-            return np.where(rng.random(m) < np.exp(-0.5 * d * d), scale * excess, np.nan)
-    else:
-        df = spec.df
-        r = df / a0 / a0
-
-        def propose(m):
-            w = (1.0 - rng.random(m)) ** (2.0 / df)
-            q = 1.0 + r * (1.0 - w)
-            u = rng.random(m)
-            return np.where(u * u * q < 1.0, -loc * (np.sqrt(q / w) - 1.0), np.nan)
-    out = np.empty(n)
+    if spec.family == "inverse_gamma":
+        return np.sqrt(scale / rng.standard_gamma(spec.shape, size=n_draws))
+    out = np.empty(n_draws)
     filled = 0
-    m = n
-    while filled < n:
-        v = propose(m)
+    m = n_draws
+    while filled < n_draws:
+        if spec.family == "truncated_normal":
+            z = rng.standard_normal(m)
+        else:
+            z = rng.standard_t(spec.df, m)
+        with np.errstate(over="ignore"):  # an infinite candidate is rejected below
+            v = loc + scale * z
         v = v[(v > 0.0) & (v < math.inf)]
-        kept = min(v.size, n - filled)
+        kept = min(v.size, n_draws - filled)
         out[filled:filled + kept] = v[:kept]
         filled += kept
         if v.size:
-            m = math.ceil((n - filled) * m / v.size)
+            m = math.ceil((n_draws - filled) * m / v.size)
         elif m < 1 << 20:
             m *= 2
         else:
             raise ArithmeticError(f"no {spec.family} draw with loc={loc}, scale={scale} "
                                   "is a positive float")
     return out
-
-
-def _proposal_stream(spec, rng, n_draws):
-    """``n_draws`` proposal variates for one parameter, in the sampler's RNG order.
-
-    A :class:`ProposalSpec` gives candidates; a step size gives the
-    random-walk normal steps added to the current value.
-    """
-    if not isinstance(spec, ProposalSpec):
-        return spec * rng.standard_normal(n_draws)
-    if spec.family == "inverse_gamma":
-        return np.sqrt(spec.scale / rng.standard_gamma(spec.shape, size=n_draws))
-    return _truncated_draws(spec, rng, n_draws)
 
 
 def _proposal_log_kernel(spec: ProposalSpec, values):

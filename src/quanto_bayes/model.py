@@ -211,6 +211,9 @@ class PriceSeries:
 
     __setattr__ = __delattr__ = _Record.__setattr__
 
+    def __reduce__(self):
+        return PriceSeries, (self.dates, self.prices)
+
     def __len__(self):
         return len(self.dates)
 
@@ -276,6 +279,9 @@ class ReturnPanel:
                            - self.n_obs * self.mean_x * self.mean_h)
 
     __setattr__ = __delattr__ = _Record.__setattr__
+
+    def __reduce__(self):  # rebuilds the statistics from the returns, bit for bit
+        return ReturnPanel, (self.x, self.h)
 
     def tail(self, n_obs: int):
         """Panel restricted to the most recent ``n_obs`` return pairs."""

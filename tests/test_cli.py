@@ -1390,6 +1390,37 @@ def test_experiment_refuses_a_file_where_a_cell_directory_goes(tmp_path, capsys,
     assert written == [afile]
 
 
+def test_a_directory_at_an_output_file_path_leaves_no_temporary_file(tmp_path, capsys):
+    # no input is malformed, so the failed rename is a runtime failure, exit 2
+    out = os.path.join(str(tmp_path), "out")
+    target = os.path.join(out, "estimate_summary.csv")
+    os.makedirs(target)
+    cfg_path = make_workspace(tmp_path)
+    capsys.readouterr()
+    assert main(["estimate", "--families", "mle", "--config", cfg_path, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("runtime failure: ")
+    assert sorted(os.listdir(out)) == ["estimate_summary.csv", "manifest.txt"]
+    assert os.path.isdir(target) and os.listdir(target) == []
+
+
+def test_write_lines_removes_its_temporary_file_when_the_lines_fail(tmp_path):
+    from quanto_bayes.cli import _write_lines
+
+    path = os.path.join(str(tmp_path), "t.csv")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("kept\n")
+
+    def lines():
+        yield "1\n"
+        raise ArithmeticError("no more lines")
+
+    with pytest.raises(ArithmeticError, match="no more lines"):
+        _write_lines(path, ("a",), lines())
+    assert os.listdir(str(tmp_path)) == ["t.csv"]
+    with open(path, encoding="utf-8") as f:
+        assert f.read() == "kept\n"
+
+
 @pytest.mark.parametrize("command, name", [
     ("estimate", "asset"), ("estimate", "fx"), ("price", "fx"), ("price", "chain"),
     ("experiment", "chain"),

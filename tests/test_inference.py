@@ -1,11 +1,12 @@
 import functools
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, log_ndtr, ndtr, stdtr
+from scipy.special import log_ndtr, ndtr, stdtr
 
 from quanto_bayes import inference
 from quanto_bayes.diagnostics import _spectral_nse
@@ -135,49 +136,28 @@ def test_proposal_spec_validation():
         ProposalSpec(family="normal", scale=0.1)
 
 
+@pytest.mark.parametrize("family, df", [("truncated_normal", None), ("truncated_t", 5.0)])
+def test_truncated_proposals_more_than_a_scale_below_zero_are_refused(family, df):
+    # -loc/scale > 1 would keep fewer than 0.16 of the plain candidates
+    for loc, scale in ((-1.0, 0.05), (-0.0200001, 0.02), (-1.0, 1e-300)):
+        message = f"{family} needs -loc/scale <= 1, got loc={loc}, scale={scale}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ProposalSpec(family=family, loc=loc, scale=scale, df=df)
+    # a truncation point exactly one scale above loc is still drawn
+    assert ProposalSpec(family=family, loc=-0.01, scale=0.01, df=df).loc == -0.01
+
+
 def test_truncated_normal_proposals_stay_positive():
-    from quanto_bayes.inference import _proposal_stream, _truncated_draws
+    from quanto_bayes.inference import _proposal_stream
 
     spec = ProposalSpec(family="truncated_normal", loc=0.005, scale=0.002)
     rng = np.random.default_rng(1)
-    draws = _truncated_draws(spec, rng, 1_000_000)
+    draws = _proposal_stream(spec, rng, 1_000_000)
     assert draws.shape == (1_000_000,)
     assert np.all(draws > 0.0)
-    assert np.all(_proposal_stream(spec, rng, 10_000) > 0.0)
     # the smallest requests: one draw, and none
-    assert _truncated_draws(spec, rng, 1)[0] > 0.0
-    assert _truncated_draws(spec, rng, 0).shape == (0,)
-
-
-def _truncated_mean(spec):
-    """Mean of the proposal truncated to (0, inf), from its tail closed form."""
-    a = -spec.loc / spec.scale
-    if spec.family == "truncated_normal":
-        # E[Z | Z > a] = phi(a) / (1 - Phi(a)), taken in logs this far out
-        ratio = math.exp(-0.5 * a * a - 0.5 * math.log(2.0 * math.pi) - log_ndtr(-a))
-    else:
-        # E[Z | Z > a] = (df + a^2) / (df - 1) * f(a) / S(a) for Student-t(df)
-        df = spec.df
-        log_pdf = (gammaln(0.5 * (df + 1.0)) - gammaln(0.5 * df)
-                   - 0.5 * math.log(df * math.pi)
-                   - 0.5 * (df + 1.0) * math.log1p(a * a / df))
-        ratio = (df + a * a) / (df - 1.0) * math.exp(log_pdf) / stdtr(df, -a)
-    return spec.loc + spec.scale * ratio
-
-
-@pytest.mark.parametrize("spec", [
-    ProposalSpec(family="truncated_normal", loc=-1.0, scale=0.05),
-    ProposalSpec(family="truncated_t", loc=-1.0, scale=0.001, df=5.0),
-], ids=["truncated_normal", "truncated_t"])
-def test_truncated_proposals_far_below_zero_use_the_upper_tail(spec):
-    # the truncation point lies 20 (normal) and 1000 (t) scales above loc, where
-    # the CDF rounds to 1: only a tail sampler reaches the support
-    from quanto_bayes.inference import _truncated_draws
-
-    draws = _truncated_draws(spec, np.random.default_rng(3), 200_000)
-    assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
-    se = draws.std(ddof=1) / math.sqrt(draws.size)
-    assert draws.mean() == pytest.approx(_truncated_mean(spec), abs=4 * se)
+    assert _proposal_stream(spec, rng, 1)[0] > 0.0
+    assert _proposal_stream(spec, rng, 0).shape == (0,)
 
 
 def _truncated_cdf(spec):
@@ -193,30 +173,34 @@ def _truncated_cdf(spec):
     return cdf
 
 
-# a0 = -loc/scale: at most 1 draws plain variates and rejects those below a0,
-# beyond 1 each family samples its tail under an envelope
-@pytest.mark.parametrize("a0", [-20.0, 0.25, 2.0, 1000.0])
+# a0 = -loc/scale, the truncation point in scales above loc: 1 is the largest
+# a ProposalSpec accepts, where the fewest candidates are kept
+@pytest.mark.parametrize("a0", [-20.0, 0.25, 1.0])
 @pytest.mark.parametrize("family, df", [("truncated_normal", None), ("truncated_t", 2.5),
                                         ("truncated_t", 5.0), ("truncated_t", 30.0)])
 def test_truncated_draws_follow_the_truncated_law(family, df, a0):
     from scipy.stats import kstest
 
-    from quanto_bayes.inference import _truncated_draws
+    from quanto_bayes.inference import _proposal_stream
 
     spec = ProposalSpec(family=family, loc=-a0 * 0.01, scale=0.01, df=df)
-    draws = _truncated_draws(spec, np.random.default_rng(11), 20_000)
+    draws = _proposal_stream(spec, np.random.default_rng(11), 20_000)
     assert draws.shape == (20_000,)
     assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
     assert kstest(draws, _truncated_cdf(spec)).pvalue > 1e-3
 
 
 def test_truncated_draws_raise_when_no_draw_is_a_positive_float():
-    # every excess over the truncation point is far below the smallest double
-    from quanto_bayes.inference import _truncated_draws
+    # a0 = 1, but every candidate above loc + scale overflows to inf
+    from quanto_bayes.inference import _proposal_stream
 
-    spec = ProposalSpec(family="truncated_normal", loc=-1.0, scale=1e-300)
-    with pytest.raises(ArithmeticError, match="positive float"):
-        _truncated_draws(spec, np.random.default_rng(0), 3)
+    big = np.finfo(float).max
+    for family, df in (("truncated_normal", None), ("truncated_t", 5.0)):
+        spec = ProposalSpec(family=family, loc=-big, scale=big, df=df)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=f"no {family} draw .* positive float"):
+                _proposal_stream(spec, np.random.default_rng(0), 3)
 
 
 def test_normal_cdf_matches_scipy():
@@ -244,21 +228,6 @@ def test_inverse_gamma_proposal_mean():
     target = b / (a - 1.0)
     se = sq.std(ddof=1) / math.sqrt(sq.size)
     assert sq.mean() == pytest.approx(target, abs=4 * se)
-
-
-def test_mwg_runs_with_a_truncated_normal_far_below_zero(panel_small):
-    for far, value in (
-        # loc sits 50 scales below 0, where Phi(loc/scale) underflows
-        (ProposalSpec(family="truncated_normal", loc=-1.0, scale=0.02), 0.0004),
-        # and a truncated t 1e70 scales below 0, where its lower tail underflows
-        (ProposalSpec(family="truncated_t", loc=-1.0, scale=1e-70, df=5.0), 1e-71),
-    ):
-        assert np.isfinite(_proposal_log_kernel(far, value)), far.family
-        specs = (far,) + default_proposals("tnn", panel_small)[1:]
-        init = mle_estimate(panel_small)
-        chain = mwg_sample(panel_small, specs, 400, 100, init=init, seed=12)
-        assert np.all(np.isfinite(chain.draws)), far.family
-        assert np.all(chain.draws[:, :2] > 0.0) and np.all(np.abs(chain.draws[:, 2]) < 1.0)
 
 
 def test_proposal_logpdf_on_arrays_matches_scalar_reference():

@@ -20,6 +20,7 @@ import io
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,8 @@ from quanto_bayes.data_io import (
     load_price_series,
     read_text,
 )
-from quanto_bayes.model import PriceSeries
+from quanto_bayes.inference import FAMILY_CODES, default_proposals, mle_estimate
+from quanto_bayes.model import PriceSeries, ReturnPanel
 
 from conftest import DEFAULT_CONFIG
 
@@ -162,6 +164,47 @@ def test_malformed_config_names_file_and_key_or_row(tmp_path, edit):
         assert str(path) in message, message
         assert (f"{path}:{line}:" in message or f"row {line}:" in message
                 or (key in CONFIG_KEYS and key in message)), (message, line, key)
+
+
+POSITIVE = st.floats(0.1, 10.0) | st.floats(min_value=0.0, exclude_min=True,
+                                            allow_infinity=False)
+
+
+@st.composite
+def return_pairs(draw):
+    """(x, h): arbitrary finite floats, or normals of any length and scale."""
+    if draw(st.booleans()):
+        value = st.floats(-1.0, 1.0) | st.floats(allow_nan=False, allow_infinity=False)
+        return zip(*draw(st.lists(st.tuples(value, value), min_size=3, max_size=30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scales = [[draw(st.floats(1e-4, 1.0) | st.floats(1e-150, 1e150))] for _ in "xh"]
+    return rng.standard_normal((2, draw(st.integers(3, 2000)))) * scales
+
+
+@PROPERTY
+@given(pairs=return_pairs(), multiplier=POSITIVE,
+       tt_df=st.floats(min_value=2.0, exclude_min=True, allow_infinity=False))
+def test_default_proposals_never_build_a_truncated_spec_more_than_a_scale_below_zero(
+        pairs, multiplier, tt_df):
+    # every truncated proposal is centred on a positive MLE, so -loc/scale < 0
+    # and ProposalSpec's -loc/scale <= 1 refuses none that a config can build
+    x, h = pairs
+    with np.errstate(all="ignore"):  # sums of huge returns overflow to a refused panel
+        panel = ReturnPanel(x, h)
+        try:
+            mle_estimate(panel)
+        except (ValueError, ArithmeticError):  # as the config check catches them
+            return
+        for code in FAMILY_CODES:
+            try:
+                specs = default_proposals(code, panel, tt_df=tt_df, scale_multiplier=multiplier)
+            except (ValueError, ArithmeticError) as exc:
+                # a multiplier whose scale or square over- or underflows was
+                # refused before, as the config check refuses it, and still is
+                assert "-loc/scale" not in str(exc), str(exc)
+                continue
+            for spec in specs[:2]:
+                assert spec.family == "inverse_gamma" or -spec.loc / spec.scale < 0.0
 
 
 # ---------------------------------------------------------------------------

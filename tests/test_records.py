@@ -1,7 +1,8 @@
 """The value types' contract: read-only slotted records whose equality, hash,
 repr and pickling go by their fields, built by keyword as the README does;
-price series and return panels are read-only too; and importing the CLI
-generates no dataclass code."""
+price series and return panels are read-only too, and copy and pickle by the
+arguments they were built from; and importing the CLI generates no dataclass
+code."""
 
 import copy
 import inspect
@@ -46,8 +47,18 @@ TYPES = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name
 
 
 def fields_equal(a, b):
-    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-               for x, y in zip(a, b))
+    return all(same_value(x, y) for x, y in zip(a, b))
+
+
+def same_value(x, y):
+    """Equality, of arrays by their elements and of panels (which have no
+    ``==`` of their own) by their fields."""
+    if isinstance(x, np.ndarray):
+        return np.array_equal(x, y)
+    if isinstance(x, ReturnPanel):
+        return type(y) is ReturnPanel and fields_equal(
+            [getattr(x, name) for name in x.__slots__], [getattr(y, name) for name in y.__slots__])
+    return x == y
 
 
 @TYPES
@@ -109,18 +120,18 @@ def test_repr_names_the_class_and_its_fields(cls):
 @TYPES
 def test_copies_and_pickles_keep_the_fields(cls):
     record = cls(**RECORDS[cls])
-    twins = [copy.copy(record)]
-    if cls is not SequentialSettings:  # a ReturnPanel can be neither deep-copied nor pickled
-        twins += [copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
-    for twin in twins:
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(twin) is cls
         assert fields_equal([getattr(twin, name) for name in cls.__slots__],
                             [getattr(record, name) for name in cls.__slots__])
 
 
-@pytest.mark.parametrize("value", [
+PANELS_AND_SERIES = pytest.mark.parametrize("value", [
     PANEL, PriceSeries([date(2018, 10, 30), date(2018, 10, 31)], [2711.74, 2720.1]),
 ], ids=["ReturnPanel", "PriceSeries"])
+
+
+@PANELS_AND_SERIES
 def test_panels_and_series_can_be_neither_assigned_nor_deleted(value):
     for name in type(value).__slots__:
         before = getattr(value, name)
@@ -129,6 +140,23 @@ def test_panels_and_series_can_be_neither_assigned_nor_deleted(value):
         with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
             delattr(value, name)
         assert getattr(value, name) is before
+
+
+@PANELS_AND_SERIES
+def test_panels_and_series_copy_and_pickle_with_the_same_statistics(value):
+    # a twin is rebuilt from the returns or the dated prices, and so computes
+    # every statistic and the day ordinals again, bit for bit
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        for name in type(value).__slots__:
+            got, expected = getattr(twin, name), getattr(value, name)
+            if isinstance(expected, np.ndarray):
+                assert got.dtype == expected.dtype and not got.flags.writeable
+                assert got.tobytes() == expected.tobytes(), name
+            else:
+                assert type(got) is type(expected) and got == expected, name
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(twin, type(value).__slots__[0], None)
 
 
 def test_importing_the_cli_loads_no_dataclasses():
