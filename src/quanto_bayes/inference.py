@@ -416,16 +416,23 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
 # Exact posterior draws
 # ---------------------------------------------------------------------------
 
-def _partition_draws(s11, slope, s22_1, df11, df22, rng, size):
+def _partition_draws(s11, s12, s22, df11, df22, rng, size):
     """``size`` draws of a 2x2 covariance Sigma by the inverse-Wishart
-    partition with scale S (Anderson 2003, ch. 7), mapped to (sigma_x,
-    sigma_h, rho); Sigma ~ IW(df, S) is df11 = df - 1 and df22 = df. From
-    S11, slope = S12/S11 and S22.1 = S22 - S12^2/S11 it draws Sigma11 =
-    S11 / chi2(df11), then Sigma22.1 = S22.1 / chi2(df22), then B ~ N(slope,
-    Sigma22.1/S11), one batch of ``size`` each from ``rng``; Sigma12 =
-    B Sigma11 and Sigma22 = Sigma22.1 + B^2 Sigma11. Also returns Sigma22.1
-    and Sigma22, whose ratio is 1 - rho^2.
+    partition with scale S = [[S11, S12], [S12, S22]] (Anderson 2003, ch. 7),
+    mapped to (sigma_x, sigma_h, rho); Sigma ~ IW(df, S) is df11 = df - 1 and
+    df22 = df. With slope = S12/S11 and S22.1 = S22 - S12^2/S11 it draws
+    Sigma11 = S11 / chi2(df11), then Sigma22.1 = S22.1 / chi2(df22), then
+    B ~ N(slope, Sigma22.1/S11), one batch of ``size`` each from ``rng``;
+    Sigma12 = B Sigma11 and Sigma22 = Sigma22.1 + B^2 Sigma11. Also returns
+    Sigma22.1 and Sigma22, whose ratio is 1 - rho^2. Before any draw it
+    refuses S unless S11 > 0, S22.1 > 0 and det S = S11 S22.1 is finite.
     """
+    s11, s12, s22 = (np.asarray(v, dtype=float) for v in (s11, s12, s22))
+    with np.errstate(all="ignore"):  # a zero S11 or an overflow fails the check
+        slope = s12 / s11
+        s22_1 = s22 - s12 * s12 / s11
+        if not np.all((s11 > 0.0) & (s22_1 > 0.0) & np.isfinite(s11 * s22_1)):
+            raise ValueError("the scale matrix must be finite and positive definite")
     v11 = s11 / rng.chisquare(df11, size)
     v22_1 = s22_1 / rng.chisquare(df22, size)
     b = slope + np.sqrt(v22_1 / s11) * rng.standard_normal(size)
@@ -451,22 +458,17 @@ def exact_posterior_draws(n_obs, sxx, shh, sxh, rng):
     partition's batches and then one of acceptance uniforms; the rejected
     entries are drawn again in the next round. The rounds depend only on the
     inputs and ``rng``'s state, so a fixed state reproduces the draws bit
-    for bit. Needs T >= 3 and a positive definite S.
+    for bit. Needs T >= 3 and an S that the partition accepts.
     """
     n_obs, sxx, shh, sxh = (a.ravel() for a in np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (n_obs, sxx, shh, sxh))))
     if not np.all(n_obs >= 3.0):
         raise ValueError("an exact posterior draw needs at least 3 observations")
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero sxx is rejected below
-        s22_1 = shh - sxh * sxh / sxx
-    if not np.all((sxx > 0.0) & (s22_1 > 0.0) & np.isfinite(sxx) & np.isfinite(s22_1)):
-        raise ValueError("the scatter matrix must be finite and positive definite")
     df = n_obs - 2.0
-    slope = sxh / sxx
     draws = np.empty((sxx.size, 3))
     pending = np.arange(sxx.size)
     while pending.size:
-        theta, v22_1, v22 = _partition_draws(sxx[pending], slope[pending], s22_1[pending],
+        theta, v22_1, v22 = _partition_draws(sxx[pending], sxh[pending], shh[pending],
                                              df[pending], df[pending], rng, pending.size)
         u = rng.random(pending.size)
         accept = u * u * v22 < v22_1
@@ -488,9 +490,13 @@ def mle_estimate(panel: ReturnPanel) -> Theta:
     t = panel.n_obs
     if panel.sxx <= 0.0 or panel.shh <= 0.0:
         raise ValueError("degenerate data: a return series has zero sample variance")
+    product = panel.sxx * panel.shh
+    if not product > 0.0:
+        raise ValueError("degenerate data: the product of the sample variances, "
+                         f"sxx*shh = {product!r}, is not positive")
     sigma_x = math.sqrt(panel.sxx / t)
     sigma_h = math.sqrt(panel.shh / t)
-    rho = panel.sxh / math.sqrt(panel.sxx * panel.shh)
+    rho = panel.sxh / math.sqrt(product)
     if abs(rho) >= 1.0 - 1e-12:
         raise ValueError(
             f"degenerate data: sample correlation {rho:.17g} lies outside the open support"
@@ -522,44 +528,40 @@ class NiwHyperparams(_Record):
 
 
 def niw_posterior(panel, hyper: NiwHyperparams):
-    """Posterior degrees of freedom and scale matrix (df_n, scale_n) of the
-    NIW model given a panel. The prior mean is zero, so the sample mean
-    ybar enters the scale as kappa*T/(kappa + T) * ybar ybar'.
+    """Posterior degrees of freedom and scale entries (df_n, S11, S12, S22)
+    of the NIW model given a panel. The prior mean is zero, so the sample
+    mean ybar enters the scale as kappa*T/(kappa + T) * ybar ybar'.
 
     ``panel=None`` returns the prior's, so ``conjugate_sample`` then draws
     from the prior alone.
     """
-    prior_scale = hyper.scale * np.eye(2)
+    scale = hyper.scale
     if panel is None:
-        return hyper.df, prior_scale
+        return hyper.df, scale, 0.0, scale
     t = panel.n_obs
-    ybar = np.array([panel.mean_x, panel.mean_h])
-    scatter = np.array([[panel.sxx, panel.sxh], [panel.sxh, panel.shh]])
+    mean_x, mean_h = panel.mean_x, panel.mean_h
     shrink = hyper.kappa * t / (hyper.kappa + t)
-    return hyper.df + t, prior_scale + scatter + shrink * np.outer(ybar, ybar)
+    return (hyper.df + t, (scale + panel.sxx) + shrink * (mean_x * mean_x),
+            (0.0 + panel.sxh) + shrink * (mean_x * mean_h),
+            (scale + panel.shh) + shrink * (mean_h * mean_h))
 
 
 def conjugate_sample(panel, hyper: NiwHyperparams, n_draws, seed) -> Chain:
     """``n_draws`` exact, independent draws from the conjugate posterior (the
     MNC baseline).
 
-    Sigma ~ IW(df_n, scale_n) is drawn by :func:`_partition_draws` at
+    Sigma ~ IW(df_n, S) is drawn by :func:`_partition_draws` at
     df11 = df_n - 1 and df22 = df_n, with no accept step: unlike the
     posterior of :func:`exact_posterior_draws`, this one has no tilt. Every
     draw satisfies |rho| < 1 by construction. The draws are independent, so
-    none is burnt in: the chain has ``burn_in`` 0. A posterior scale matrix
-    that is not positive definite or whose determinant overflows is refused.
+    none is burnt in: the chain has ``burn_in`` 0. The partition refuses a
+    scale that is not positive definite or whose determinant overflows.
     """
     n_draws = int(n_draws)
     if n_draws < 1:
         raise ValueError(f"need n_draws >= 1, got {n_draws}")
-    df_n, scale_n = niw_posterior(panel, hyper)
-    s11, s12, s22 = (float(scale_n[i, j]) for i, j in ((0, 0), (0, 1), (1, 1)))
-    s22_1 = s22 - s12 * s12 / s11
-    if not (s22_1 > 0.0 and math.isfinite(s11 * s22_1)):
-        raise ValueError("the posterior scale matrix must be positive definite "
-                         "with a finite determinant")
-    draws, _, _ = _partition_draws(s11, s12 / s11, s22_1, df_n - 1.0, df_n,
+    df_n, s11, s12, s22 = niw_posterior(panel, hyper)
+    draws, _, _ = _partition_draws(s11, s12, s22, df_n - 1.0, df_n,
                                    np.random.default_rng(seed), n_draws)
     return Chain(draws=draws, burn_in=0, acceptance_counts=np.full(3, n_draws, dtype=int))
 
@@ -584,11 +586,19 @@ def default_proposals(code, panel, rho_step=0.1, tt_df=5.0, ig_shape=None,
     """
     if code not in FAMILY_CODES:
         raise ValueError(f"unknown family code {code!r}; expected one of {FAMILY_CODES}")
+    if not (math.isfinite(scale_multiplier) and scale_multiplier > 0.0):
+        raise ValueError(f"scale_multiplier must be positive and finite, got {scale_multiplier}")
     est = mle_estimate(panel)
     sqrt_t = math.sqrt(panel.n_obs)
     rho_step = _rho_step(rho_step)
-    if ig_shape is None:
-        ig_shape = 2.0 + panel.n_obs / (4.0 * scale_multiplier ** 2)
+    if code == "ign" and ig_shape is None:
+        try:
+            ig_shape = 2.0 + panel.n_obs / (4.0 * scale_multiplier ** 2)
+        except ArithmeticError:
+            ig_shape = math.inf
+        if ig_shape == math.inf:
+            raise ValueError("scale_multiplier**2 over- or underflows the inverse-gamma shape "
+                             f"2 + T / (4 * scale_multiplier**2), got {scale_multiplier}")
 
     def vol_spec(sigma_hat):
         scale = scale_multiplier * sigma_hat / sqrt_t

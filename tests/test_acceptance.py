@@ -148,12 +148,12 @@ def test_criterion_06_conjugate_moments():
     hyper = NiwHyperparams()
     chain = conjugate_sample(panel, hyper, 59_000, seed=6)
     seg = chain.post_burn_in()
-    df_n, scale_n = niw_posterior(panel, hyper)
+    df_n, s11, s12, s22 = niw_posterior(panel, hyper)
     worst = 0.0
     for sample, target in (
-        (seg[:, 0] ** 2, scale_n[0, 0] / (df_n - 3.0)),
-        (seg[:, 1] ** 2, scale_n[1, 1] / (df_n - 3.0)),
-        (seg[:, 2] * seg[:, 0] * seg[:, 1], scale_n[0, 1] / (df_n - 3.0)),
+        (seg[:, 0] ** 2, s11 / (df_n - 3.0)),
+        (seg[:, 1] ** 2, s22 / (df_n - 3.0)),
+        (seg[:, 2] * seg[:, 0] * seg[:, 1], s12 / (df_n - 3.0)),
     ):
         se = sample.std(ddof=1) / math.sqrt(sample.size)
         z = abs(sample.mean() - target) / se

@@ -961,7 +961,8 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
                        ("tt_df", "nan"), ("mnc_kappa", "nan"), ("mnc_df", "nan"),
                        ("tt_df", "inf"), ("mnc_df", "inf"), ("mnc_kappa", "inf"),
                        ("mnc_scale", "1e300"), ("h_fix", "inf"), ("rho_step", "nan"),
-                       ("rho_step", "inf")):
+                       ("rho_step", "inf"), ("vol_scale_multiplier", "1.4e154"),
+                       ("vol_scale_multiplier", "5e-324")):
         root = tmp_path / f"bad_{key}_{value}"
         root.mkdir()
         bad_cfg = make_workspace(root, families="mle", **{key: value})
@@ -986,6 +987,15 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
             if key == "rho_step":
                 assert err.endswith(
                     f": rho needs a positive finite random-walk step, got {float(value)!r}\n"), err
+            # a multiplier is refused by name, not with the text of Python's
+            # OverflowError or ZeroDivisionError from its square
+            if key == "vol_scale_multiplier":
+                assert "out of range" not in err and "division by zero" not in err, err
+                assert err.endswith({
+                    "0": ": scale_multiplier must be positive and finite, got 0.0\n",
+                    "1.4e154": ": scale_multiplier**2 over- or underflows the inverse-gamma "
+                               "shape 2 + T / (4 * scale_multiplier**2), got 1.4e+154\n",
+                    "5e-324": ": scale must be positive, got 0.0\n"}[value]), err
 
     # values that parse but repeat an entry, or leave too few returns or draws
     # to estimate from

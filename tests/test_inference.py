@@ -625,6 +625,28 @@ def test_exact_posterior_draws_broadcast_reproduce_and_validate(panel_small):
             exact_posterior_draws(10, *bad, np.random.default_rng(5))
 
 
+def test_both_exact_samplers_refuse_a_bad_scale_alike_before_any_draw(panel_small):
+    # not positive definite, a zero S11, non-finite entries, and a positive
+    # definite scale whose determinant overflows
+    sxx = panel_small.sxx
+    for s11, s22, s12 in ((sxx, 1.0, 1.0), (sxx, sxx, sxx), (0.0, 1.0, 0.0),
+                          (math.inf, 1.0, 0.0), (1.0, math.nan, 0.0), (1e200, 1e200, 0.0)):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError) as exact:
+            exact_posterior_draws(10, s11, s22, s12, rng)
+        assert rng.bit_generator.state == state
+        with pytest.raises(ValueError) as partition:
+            inference._partition_draws(s11, s12, s22, 3.0, 4.0, rng, 2)
+        assert rng.bit_generator.state == state
+        assert str(exact.value) == str(partition.value)
+        assert "finite and positive definite" in str(exact.value)
+    # a prior scale of 1e300 gives a posterior scale whose determinant overflows
+    with pytest.raises(ValueError) as conjugate:
+        conjugate_sample(fixture_panel(140), NiwHyperparams(scale=1e300), 10, seed=1)
+    assert str(conjugate.value) == str(exact.value)
+
+
 def test_mwg_validation_errors(panel_small):
     specs = default_proposals("tnn", panel_small)
     init = mle_estimate(panel_small)
@@ -666,6 +688,14 @@ def test_mle_perfectly_correlated_panel_rejected():
 def test_mle_zero_variance_rejected():
     with pytest.raises(ValueError, match="zero sample variance"):
         mle_estimate(ReturnPanel([0.01, 0.01, 0.01], [0.01, -0.01, 0.02]))
+
+
+def test_mle_refuses_a_panel_whose_variance_product_underflows():
+    # both variances are positive, but sxx*shh underflows to zero
+    panel = ReturnPanel([0.0, 0.0, 1.8e-146], [0.0, 1.8e-146, 0.0])
+    assert panel.sxx > 0.0 and panel.shh > 0.0 and panel.sxx * panel.shh == 0.0
+    with pytest.raises(ValueError, match="degenerate data: the product of the sample variances"):
+        mle_estimate(panel)
 
 
 def test_mle_closed_form_matches_formulas():
@@ -762,14 +792,14 @@ def test_conjugate_posterior_moments(panel_small):
     hyper = NiwHyperparams()
     chain = conjugate_sample(panel_small, hyper, 39_000, seed=3)
     seg = chain.post_burn_in()
-    df_n, scale_n = niw_posterior(panel_small, hyper)
+    df_n, scale_11, scale_12, scale_22 = niw_posterior(panel_small, hyper)
     s11 = seg[:, 0] ** 2
     s22 = seg[:, 1] ** 2
     s12 = seg[:, 2] * seg[:, 0] * seg[:, 1]
     for sample, target in (
-        (s11, scale_n[0, 0] / (df_n - 3.0)),
-        (s22, scale_n[1, 1] / (df_n - 3.0)),
-        (s12, scale_n[0, 1] / (df_n - 3.0)),
+        (s11, scale_11 / (df_n - 3.0)),
+        (s22, scale_22 / (df_n - 3.0)),
+        (s12, scale_12 / (df_n - 3.0)),
     ):
         se = sample.std(ddof=1) / math.sqrt(sample.size)
         assert sample.mean() == pytest.approx(target, abs=4 * se)
@@ -860,3 +890,20 @@ def test_default_proposal_families(panel_small):
     assert ign[0].scale / (ign[0].shape + 1.0) == pytest.approx(est.sigma_x ** 2, rel=1e-12)
     with pytest.raises(ValueError):
         default_proposals("xyz", panel_small)
+
+
+def test_default_proposals_refuse_a_multiplier_before_squaring_it(panel_small):
+    # the square is taken for the inverse gamma's shape alone
+    for code in ("ttn", "tnn"):
+        specs = default_proposals(code, panel_small, scale_multiplier=1.4e154)
+        assert specs[0].scale == 1.4e154 * mle_estimate(panel_small).sigma_x / math.sqrt(
+            panel_small.n_obs)
+    for multiplier in (1.4e154, 5e-324):
+        with pytest.raises(ValueError, match=re.escape("scale_multiplier**2 over- or underflows")):
+            default_proposals("ign", panel_small, scale_multiplier=multiplier)
+    # a fixed shape needs no square
+    assert default_proposals("ign", panel_small, ig_shape=5.0, scale_multiplier=1.4e154)
+    for multiplier in (0.0, -2.0, math.inf, math.nan):
+        for code in ("ttn", "tnn", "ign"):
+            with pytest.raises(ValueError, match="scale_multiplier must be positive and finite"):
+                default_proposals(code, panel_small, scale_multiplier=multiplier)

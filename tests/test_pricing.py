@@ -10,7 +10,7 @@ from scipy.stats import ks_2samp, lognorm
 from quanto_bayes import pricing
 from quanto_bayes.diagnostics import hpdi
 from quanto_bayes.inference import Chain, default_proposals, exact_posterior_draws, mwg_sample
-from quanto_bayes.model import MarketConfig, SpotState, Theta, payoff
+from quanto_bayes.model import MarketConfig, ReturnPanel, SpotState, Theta, payoff
 from quanto_bayes.pricing import (
     PricingRequest,
     SequentialSettings,
@@ -364,7 +364,8 @@ def _per_request_sequential(request, chain, market, n_paths, seed, panel, refres
             xs.append(x)
             hs.append(h)
             if j % refresh_interval == 0 and j < s:
-                refresh = mwg_sample(panel.extend(xs, hs), specs, refresh_draws,
+                grown = ReturnPanel(np.concatenate([panel.x, xs]), np.concatenate([panel.h, hs]))
+                refresh = mwg_sample(grown, specs, refresh_draws,
                                      refresh_burn_in, init=theta,
                                      seed=int(rng.integers(2 ** 63)))
                 theta = Theta(*refresh.draws[-1])
@@ -394,7 +395,9 @@ def _per_request_lockstep(request, chain, market, n, seed, settings):
         hs[j - 1] = (market.r_d - market.r_f - 0.5 * sh * sh
                      + sh * (rho * z1 + np.sqrt(1.0 - rho * rho) * z2))
         if j % settings.refresh_interval == 0 and j < s:
-            panels = [settings.panel.extend(xs[:j, i], hs[:j, i]) for i in range(n)]
+            panel = settings.panel
+            panels = [ReturnPanel(np.concatenate([panel.x, xs[:j, i]]),
+                                  np.concatenate([panel.h, hs[:j, i]])) for i in range(n)]
             thetas = exact_posterior_draws(
                 [p.n_obs for p in panels], [p.sxx for p in panels], [p.shh for p in panels],
                 [p.sxh for p in panels], rng)
