@@ -46,6 +46,7 @@ import numpy.fft  # noqa: F401 - diagnostics' spectral NSE
 import numpy.random  # noqa: F401
 
 from .data_io import (
+    InputError,
     align_series,
     filter_options,
     load_option_chain,
@@ -78,8 +79,7 @@ __all__ = ["ExperimentConfig", "load_config", "main"]
 ALL_FAMILIES = FAMILY_CODES + ("mnc", "mle")
 
 
-class ConfigError(ValueError):
-    """Invalid configuration or missing inputs; exit code 1."""
+ConfigError = InputError  # invalid configuration or inputs; exit code 1
 
 
 class ExperimentConfig(NamedTuple):
@@ -212,10 +212,7 @@ def load_config(path) -> ExperimentConfig:
     base = os.path.dirname(os.path.abspath(path))
     values = {}
     set_on = {}  # key -> the line that set it
-    try:
-        lines = io.StringIO(read_text(path), newline=None)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    lines = io.StringIO(read_text(path), newline=None)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -336,10 +333,7 @@ def _cell_dir(cfg: ExperimentConfig, fx_name, window):
 
 def _load_panel(cfg: ExperimentConfig, fx_path):
     """Aligned return panel of the whole history plus the latest aligned fx level."""
-    try:
-        asset, fx = load_price_series(cfg.asset_series), load_price_series(fx_path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    asset, fx = load_price_series(cfg.asset_series), load_price_series(fx_path)
     try:
         asset, fx = align_series(asset, fx)
         panel = ReturnPanel(log_returns(asset), log_returns(fx))
@@ -506,10 +500,7 @@ def _load_draws(path) -> Chain:
     column order; a byte order mark, spaces around a name and a CRLF line
     end are allowed. The file is read once.
     """
-    try:
-        header, *rows = io.StringIO(read_text(path), newline=None).readlines() or [""]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    header, *rows = io.StringIO(read_text(path), newline=None).readlines() or [""]
     header = header.rstrip("\n")
     if [name.strip() for name in header.split(",")] != list(PARAMETERS):
         raise ConfigError(f"{path}: malformed draws file: row 1: expected the header "
@@ -559,7 +550,7 @@ def _estimate(cfg: ExperimentConfig, panel, out_dir, fx_name, window, seed_parts
                 print(f"warning: {family} [{fx_name} w{window}]: {text}", file=sys.stderr)
             rows.extend(_summary_rows(family, chain))
             _write_draws(os.path.join(out_dir, f"draws_{family}.csv"), chain)
-        except (ConfigError, ValueError) as exc:
+        except ValueError as exc:
             if failures is None:
                 raise
             failures.append((fx_name, window, family, "estimate", str(exc)))
@@ -676,10 +667,7 @@ def _price_chain(cfg, chain, table, market, panel, h_level, seed):
 def _load_quotes(cfg: ExperimentConfig, market):
     """The quotes of the configured option chain that pass the no-arbitrage
     filter; the rejected ones go to ``filter_report.csv``."""
-    try:
-        quotes = load_option_chain(cfg.option_chain)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    quotes = load_option_chain(cfg.option_chain)
     # every quote's band discounts at exp(-r_f*s), and its model price at exp(-r_d*s)
     longest = max(quote.maturity_days for quote in quotes)
     for key, rate in (("r_d_annual", market.r_d), ("r_f_annual", market.r_f)):
@@ -795,7 +783,7 @@ def cmd_experiment(cfg: ExperimentConfig):
         fx_name = _stem(fx_path)
         try:
             history, h_level = _load_panel(cfg, fx_path)
-        except (ConfigError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             failures.extend((fx_name, window, "*", "panel", str(exc))
                             for window in cfg.windows)
             continue
@@ -818,7 +806,7 @@ def cmd_experiment(cfg: ExperimentConfig):
                     seed = _derive_seed(cfg.seed, "price", family, fx_name, window)
                     rows = [row for row, _ in _price_chain(
                         cfg, chain, window_table, market, panel, h_level, seed)]
-                except (ConfigError, ValueError) as exc:
+                except ValueError as exc:
                     failures.append((fx_name, window, family, "price", str(exc)))
                     continue
                 _write_csv(os.path.join(cell_dir, f"pricing_{family}.csv"),

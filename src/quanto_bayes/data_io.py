@@ -14,6 +14,9 @@ A price series is read in one bulk pass that checks the text form of whole
 columns; the ``PriceSeries`` it builds checks the date order and the prices.
 Only a file that fails a check is read again, row by row, to name its first
 bad row; that re-read raises and never builds a series.
+
+A refused file raises :class:`InputError`, a ``ValueError`` that names the
+file and its row or column.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 from .model import MarketConfig, PriceSeries, _Record, call_price_band, price_fault
 
 __all__ = [
+    "InputError",
     "OptionQuote",
     "load_price_series",
     "load_option_chain",
@@ -36,6 +40,10 @@ __all__ = [
     "filter_options",
     "moneyness_bucket",
 ]
+
+
+class InputError(ValueError):
+    """A refused input file or config; the CLI exits 1 on it."""
 
 
 class OptionQuote(_Record):
@@ -66,7 +74,7 @@ def read_text(path):
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         row = len((data[:exc.start] + b"x").splitlines())  # the bad byte's own line counts
-        raise ValueError(f"{path}: row {row}: not UTF-8 text") from None
+        raise InputError(f"{path}: row {row}: not UTF-8 text") from None
 
 
 def _parse_date(text, row):
@@ -126,13 +134,13 @@ def _csv_records(path):
     counts lines, so a quoted cell that spans lines names its last one.
     Rows are read as the iterator advances, so a caller that stops at a bad
     row never reads past it. A line that the csv module cannot split, such
-    as one holding a cell over its field size limit, raises ValueError
+    as one holding a cell over its field size limit, raises InputError
     naming the file and the row.
     """
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
 
     def failed(exc):
-        return ValueError(f"{path}: row {reader.line_num}: {exc}")
+        return InputError(f"{path}: row {reader.line_num}: {exc}")
 
     try:
         header = next(reader, None)
@@ -187,7 +195,7 @@ def _raise_first_bad_row(path):
     seen = set()
     header, index, records = _csv_records(path)
     if not {"date", "price"} <= index.keys():
-        raise ValueError(f"{path}: expected columns 'date' and 'price', got {header}")
+        raise InputError(f"{path}: expected columns 'date' and 'price', got {header}")
     date_at, price_at = index["date"], index["price"]
     for i, cells in records:
         try:
@@ -198,10 +206,10 @@ def _raise_first_bad_row(path):
             if fault := price_fault(price):
                 raise ValueError(f"row {i}: {fault}")
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise InputError(f"{path}: {exc}") from None
         seen.add(day)
     if not seen:
-        raise ValueError(f"{path}: no data rows")
+        raise InputError(f"{path}: no data rows")
     raise AssertionError(f"{path}: the bulk reader refused a series the row reader accepts")
 
 
@@ -216,15 +224,15 @@ def load_option_chain(path):
     header, index, records = _csv_records(path)
     missing = [c for c in columns if c not in index]
     if missing:
-        raise ValueError(f"{path}: missing columns {missing}")
+        raise InputError(f"{path}: missing columns {missing}")
     at = tuple(index[c] for c in columns)
     for row, cells in records:
         try:
             quotes.append(_parse_quote(cells, at, row))
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise InputError(f"{path}: {exc}") from None
     if not quotes:
-        raise ValueError(f"{path}: no data rows")
+        raise InputError(f"{path}: no data rows")
     return quotes
 
 

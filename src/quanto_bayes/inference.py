@@ -425,13 +425,15 @@ def _partition_draws(s11, s12, s22, df11, df22, rng, size):
     B ~ N(slope, Sigma22.1/S11), one batch of ``size`` each from ``rng``;
     Sigma12 = B Sigma11 and Sigma22 = Sigma22.1 + B^2 Sigma11. Also returns
     Sigma22.1 and Sigma22, whose ratio is 1 - rho^2. Before any draw it
-    refuses S unless S11 > 0, S22.1 > 0 and det S = S11 S22.1 is finite.
+    refuses S unless S11 > 0, S22.1 > 0, and det S = S11 S22.1, the slope
+    and S22.1/S11, which scales B's spread, are finite.
     """
     s11, s12, s22 = (np.asarray(v, dtype=float) for v in (s11, s12, s22))
     with np.errstate(all="ignore"):  # a zero S11 or an overflow fails the check
         slope = s12 / s11
         s22_1 = s22 - s12 * s12 / s11
-        if not np.all((s11 > 0.0) & (s22_1 > 0.0) & np.isfinite(s11 * s22_1)):
+        if not np.all((s11 > 0.0) & (s22_1 > 0.0) & np.isfinite(s11 * s22_1)
+                      & np.isfinite(slope) & np.isfinite(s22_1 / s11)):
             raise ValueError("the scale matrix must be finite and positive definite")
     v11 = s11 / rng.chisquare(df11, size)
     v22_1 = s22_1 / rng.chisquare(df22, size)

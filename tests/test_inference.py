@@ -626,11 +626,13 @@ def test_exact_posterior_draws_broadcast_reproduce_and_validate(panel_small):
 
 
 def test_both_exact_samplers_refuse_a_bad_scale_alike_before_any_draw(panel_small):
-    # not positive definite, a zero S11, non-finite entries, and a positive
-    # definite scale whose determinant overflows
+    # not positive definite, a zero S11, non-finite entries, and positive
+    # definite scales whose determinant, slope S12/S11 or ratio S22.1/S11
+    # overflows; on the last two the exact sampler would reject every round
     sxx = panel_small.sxx
     for s11, s22, s12 in ((sxx, 1.0, 1.0), (sxx, sxx, sxx), (0.0, 1.0, 0.0),
-                          (math.inf, 1.0, 0.0), (1.0, math.nan, 0.0), (1e200, 1e200, 0.0)):
+                          (math.inf, 1.0, 0.0), (1.0, math.nan, 0.0), (1e200, 1e200, 0.0),
+                          (1e-320, 1e301, 1e-10), (1e-300, 1e10, 1e-300)):
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         with pytest.raises(ValueError) as exact:

@@ -215,7 +215,7 @@ def _reference_records(path):
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""), restval="")
 
     def failed(exc):
-        return ValueError(f"{path}: row {reader.reader.line_num}: {exc}")
+        return data_io.InputError(f"{path}: row {reader.reader.line_num}: {exc}")
 
     def records():
         try:
@@ -236,7 +236,7 @@ def reference_load_price_series(path):
     seen = {}
     header, records = _reference_records(path)
     if not {"date", "price"} <= set(header or ()):
-        raise ValueError(f"{path}: expected columns 'date' and 'price', got {header}")
+        raise data_io.InputError(f"{path}: expected columns 'date' and 'price', got {header}")
     for i, record in records:
         try:
             day = _parse_date(record["date"], i)
@@ -248,11 +248,11 @@ def reference_load_price_series(path):
             if not math.isfinite(price):
                 raise ValueError(f"row {i}: non-finite price {price!r}")
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise data_io.InputError(f"{path}: {exc}") from None
         seen[day] = price
         rows.append(day)
     if not rows:
-        raise ValueError(f"{path}: no data rows")
+        raise data_io.InputError(f"{path}: no data rows")
     rows.sort()
     return PriceSeries(rows, [seen[d] for d in rows])
 
@@ -275,14 +275,14 @@ def reference_load_option_chain(path):
     header, records = _reference_records(path)
     missing = [c for c in columns if header is None or c not in header]
     if missing:
-        raise ValueError(f"{path}: missing columns {missing}")
+        raise data_io.InputError(f"{path}: missing columns {missing}")
     for row, record in records:
         try:
             quotes.append(_reference_quote(record, row))
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise data_io.InputError(f"{path}: {exc}") from None
     if not quotes:
-        raise ValueError(f"{path}: no data rows")
+        raise data_io.InputError(f"{path}: no data rows")
     return quotes
 
 
@@ -375,7 +375,7 @@ def test_price_series_loader_matches_reference_on_bulk_pass_edges(tmp_path, monk
     if error is None:
         assert len(outcome[0]) >= 1 and not re_read  # built by the bulk pass alone
     else:
-        assert outcome == (ValueError, f"{path}: {error}") and re_read == [path]
+        assert outcome == (data_io.InputError, f"{path}: {error}") and re_read == [path]
 
 
 @PROPERTY

@@ -631,6 +631,24 @@ def test_implied_vol_round_trip_per_day_vols():
         assert abs(implied_vol(price, 2700.0, 2700.0, MARKET.r_f, 51) - vol) < 1e-8
 
 
+def test_implied_vol_stops_on_the_interval_when_no_price_is_close_enough(monkeypatch):
+    # at a spot of 1e6 no bisection price comes within the price tolerance of
+    # the quote, so the search ends once hi - lo <= 1e-14
+    spot, strike, rate, s = 1e6, 1.01e6, 0.025 / 252, 51
+    price = bs_call(spot, strike, 0.007, rate, s)
+    prices = []
+
+    def counted_bs_call(*args):
+        prices.append(bs_call(*args))
+        return prices[-1]
+
+    monkeypatch.setattr(pricing, "bs_call", counted_bs_call)
+    vol = implied_vol(price, spot, strike, rate, s)
+    assert len(prices) == 50  # the upper-bound check and 49 halvings, far below 200
+    assert min(abs(p - price) for p in prices) > pricing._IV_PRICE_TOL
+    assert abs(vol / 0.007 - 1.0) <= 1e-10
+
+
 def test_implied_vol_no_solution_outside_bounds():
     with pytest.raises(ValueError, match="no implied volatility"):
         implied_vol(0.0, 100.0, 50.0, 0.0001, 30)  # below intrinsic
