@@ -342,19 +342,25 @@ def _load_panel(cfg: ExperimentConfig, fx_path):
     return panel, float(fx.prices[-1])
 
 
-def _window(panel, window):
-    """The most recent ``window`` returns of ``panel``."""
-    if window > panel.n_obs:
-        raise ConfigError(f"window {window} exceeds the {panel.n_obs} available returns")
-    return panel.tail(window)
+def _window(cfg: ExperimentConfig, fx_path, history, window):
+    """The most recent ``window`` returns of ``history``, the aligned returns
+    of the asset series and ``fx_path``, and their MLE. A window on which the
+    MLE is undefined, such as one over which a series is constant, is refused
+    as input: the MwG chains start from the MLE, and BS-H prices with it."""
+    if window > history.n_obs:
+        raise ConfigError(f"window {window} exceeds the {history.n_obs} available returns")
+    panel = history.tail(window)
+    try:
+        return panel, mle_estimate(panel)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.asset_series} and {fx_path}: window {window}: {exc}") from None
 
 
-def _sample_family(family, panel, cfg: ExperimentConfig, seed) -> Chain:
+def _sample_family(family, panel, mle, cfg: ExperimentConfig, seed) -> Chain:
     if family == "mnc":
         return conjugate_sample(panel, cfg.niw(), cfg.draws - cfg.burn_in, seed)
-    init = mle_estimate(panel)
     return mwg_sample(panel, cfg.proposals(family, panel), cfg.draws, cfg.burn_in,
-                      init=init, seed=seed)
+                      init=mle, seed=seed)
 
 
 _SUMMARY_HEADER = (
@@ -524,11 +530,11 @@ def _load_draws(path) -> Chain:
     raise ConfigError(f"{path}: draws file has no draws")
 
 
-def _estimate(cfg: ExperimentConfig, panel, out_dir, fx_name, window, seed_parts=(),
+def _estimate(cfg: ExperimentConfig, panel, mle, out_dir, fx_name, window, seed_parts=(),
               failures=None):
-    """Estimate every configured family on ``panel``, yielding (family, chain)
-    for each sampled one; ``out_dir``'s summary table is written when the
-    iteration ends.
+    """Estimate every configured family on ``panel``, whose MLE is ``mle``,
+    yielding (family, chain) for each sampled one; ``out_dir``'s summary table
+    is written when the iteration ends.
 
     Before a chain is yielded, its draws file is written and its health
     warnings are printed to stderr. A family's error propagates, or, given a
@@ -540,11 +546,10 @@ def _estimate(cfg: ExperimentConfig, panel, out_dir, fx_name, window, seed_parts
     for family in cfg.families:
         try:
             if family == "mle":
-                est = mle_estimate(panel)
-                rows.extend((family, name, getattr(est, name)) + (None,) * 6
+                rows.extend((family, name, getattr(mle, name)) + (None,) * 6
                             for name in PARAMETERS)
                 continue
-            chain = _sample_family(family, panel, cfg,
+            chain = _sample_family(family, panel, mle, cfg,
                                    _derive_seed(cfg.seed, family, *seed_parts))
             for text in chain.warnings:
                 print(f"warning: {family} [{fx_name} w{window}]: {text}", file=sys.stderr)
@@ -567,9 +572,9 @@ def cmd_estimate(cfg: ExperimentConfig):
     """Estimate every requested family on the first window of the first fx
     series; returns {family: draws-file path}."""
     history, _ = _load_panel(cfg, cfg.fx_series[0])
-    panel = _window(history, cfg.windows[0])
+    panel, mle = _window(cfg, cfg.fx_series[0], history, cfg.windows[0])
     return {family: os.path.join(cfg.out_dir, f"draws_{family}.csv") for family, _ in
-            _estimate(cfg, panel, cfg.out_dir, _stem(cfg.fx_series[0]), cfg.windows[0])}
+            _estimate(cfg, panel, mle, cfg.out_dir, _stem(cfg.fx_series[0]), cfg.windows[0])}
 
 
 class PricingRow(NamedTuple):
@@ -635,9 +640,9 @@ def _quote_table(quotes, market):
     return table
 
 
-def _with_bs_h(table, market, panel):
-    """``table`` with the historical-vol (BS-H) baseline of ``panel`` filled in."""
-    hist_vol = mle_estimate(panel).sigma_x
+def _with_bs_h(table, market, hist_vol):
+    """``table`` with the historical-vol (BS-H) baseline at the asset
+    volatility ``hist_vol`` filled in."""
     rows = []
     for row in table:
         s = row.maturity_days
@@ -739,11 +744,11 @@ def cmd_price(cfg: ExperimentConfig, draws_path):
     chain = _load_draws(draws_path)
     market = cfg.market()
     history, h_level = _load_panel(cfg, cfg.fx_series[0])
-    panel = _window(history, cfg.windows[0])
+    panel, mle = _window(cfg, cfg.fx_series[0], history, cfg.windows[0])
     retained = _load_quotes(cfg, market)
 
     seed = _derive_seed(cfg.seed, "price", _stem(draws_path))
-    table = _with_bs_h(_quote_table(retained, market), market, panel)
+    table = _with_bs_h(_quote_table(retained, market), market, mle.sigma_x)
     rows = []
     density = []
     for row, samples in _price_chain(cfg, chain, table, market, panel, h_level, seed):
@@ -790,11 +795,11 @@ def cmd_experiment(cfg: ExperimentConfig):
         for window in cfg.windows:
             cell_dir = _cell_dir(cfg, fx_name, window)
             try:
-                panel = _window(history, window)
+                panel, mle = _window(cfg, fx_path, history, window)
             except ConfigError as exc:
                 failures.append((fx_name, window, "*", "panel", str(exc)))
                 continue
-            chains = dict(_estimate(cfg, panel, cell_dir, fx_name, window,
+            chains = dict(_estimate(cfg, panel, mle, cell_dir, fx_name, window,
                                     seed_parts=(fx_name, window), failures=failures))
 
             window_table = None  # the quote table with this window's BS-H
@@ -802,7 +807,7 @@ def cmd_experiment(cfg: ExperimentConfig):
             for family, chain in chains.items():
                 try:
                     if window_table is None:
-                        window_table = _with_bs_h(quote_table, market, panel)
+                        window_table = _with_bs_h(quote_table, market, mle.sigma_x)
                     seed = _derive_seed(cfg.seed, "price", family, fx_name, window)
                     rows = [row for row, _ in _price_chain(
                         cfg, chain, window_table, market, panel, h_level, seed)]

@@ -123,44 +123,40 @@ def _parse_quote(cells, at, row):
         raise ValueError(f"row {row}: {exc}") from None
 
 
-def _csv_records(path):
-    """The header of a CSV file (None for an empty file), a map from each
-    column name to its cell index, and an iterator of the file's non-blank
-    data rows as (file row, cells) pairs.
+def _parsed_rows(path, columns, absent, parse):
+    """``parse(cells, at, row)`` of each non-blank data row of a CSV file, in
+    order; ``at`` holds the cell index of each of ``columns`` and ``row`` is
+    the line on which the row ends. A repeated name reads its last column and
+    a short row reads empty cells. Rows are read as they are parsed, so the
+    first row at fault is the one named.
 
-    A repeated column name maps to its last column. A row shorter than the
-    header is padded with empty cells; a longer one keeps its extra cells.
-    The file row is the line on which the row ends, as ``csv.reader``
-    counts lines, so a quoted cell that spans lines names its last one.
-    Rows are read as the iterator advances, so a caller that stops at a bad
-    row never reads past it. A line that the csv module cannot split, such
-    as one holding a cell over its field size limit, raises InputError
-    naming the file and the row.
+    A header that lacks one of ``columns`` raises InputError with the text
+    ``absent(header)``, ``header`` being None for an empty file. A parse's
+    ValueError, a file without data rows, or a line the csv module cannot
+    split, such as one holding a cell over its field size limit, raises
+    InputError naming the file.
     """
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
-
-    def failed(exc):
-        return InputError(f"{path}: row {reader.line_num}: {exc}")
-
+    parsed = []
     try:
         header = next(reader, None)
-    except csv.Error as exc:
-        raise failed(exc) from None
-    index = {name: i for i, name in enumerate(header or ())}
-    width = len(header or ())
-
-    def records():
-        try:
-            for cells in reader:
-                if not cells:
-                    continue
+        index = {name: i for i, name in enumerate(header or ())}
+        if not index.keys() >= set(columns):
+            raise ValueError(absent(header))
+        at = tuple(index[c] for c in columns)
+        width = len(header)
+        for cells in reader:
+            if cells:
                 if len(cells) < width:
                     cells += [""] * (width - len(cells))
-                yield reader.line_num, cells
-        except csv.Error as exc:
-            raise failed(exc) from None
-
-    return header, index, records()
+                parsed.append(parse(cells, at, reader.line_num))
+    except csv.Error as exc:
+        raise InputError(f"{path}: row {reader.line_num}: {exc}") from None
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    if not parsed:
+        raise InputError(f"{path}: no data rows")
+    return parsed
 
 
 def load_price_series(path):
@@ -193,23 +189,18 @@ def _raise_first_bad_row(path):
     """Read a series file that :func:`load_price_series` refused row by row,
     and raise the error of the first row or header at fault."""
     seen = set()
-    header, index, records = _csv_records(path)
-    if not {"date", "price"} <= index.keys():
-        raise InputError(f"{path}: expected columns 'date' and 'price', got {header}")
-    date_at, price_at = index["date"], index["price"]
-    for i, cells in records:
-        try:
-            day = _parse_date(cells[date_at], i)
-            price = _parse_float(cells[price_at], i, "price")
-            if day in seen:
-                raise ValueError(f"duplicate date {day.isoformat()} at row {i}")
-            if fault := price_fault(price):
-                raise ValueError(f"row {i}: {fault}")
-        except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from None
+
+    def parse(cells, at, row):
+        day = _parse_date(cells[at[0]], row)
+        price = _parse_float(cells[at[1]], row, "price")
+        if day in seen:
+            raise ValueError(f"duplicate date {day.isoformat()} at row {row}")
+        if fault := price_fault(price):
+            raise ValueError(f"row {row}: {fault}")
         seen.add(day)
-    if not seen:
-        raise InputError(f"{path}: no data rows")
+
+    _parsed_rows(path, ("date", "price"), "expected columns 'date' and 'price', got {}".format,
+                 parse)
     raise AssertionError(f"{path}: the bulk reader refused a series the row reader accepts")
 
 
@@ -219,21 +210,9 @@ def load_option_chain(path):
     Strike, price and spot must be finite numbers and ``maturity_days`` a
     whole number; a bad row raises with the file and the row named.
     """
-    quotes = []
     columns = ("quote_date", "strike", "maturity_days", "price", "spot")
-    header, index, records = _csv_records(path)
-    missing = [c for c in columns if c not in index]
-    if missing:
-        raise InputError(f"{path}: missing columns {missing}")
-    at = tuple(index[c] for c in columns)
-    for row, cells in records:
-        try:
-            quotes.append(_parse_quote(cells, at, row))
-        except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from None
-    if not quotes:
-        raise InputError(f"{path}: no data rows")
-    return quotes
+    return _parsed_rows(path, columns, lambda header: "missing columns "
+                        f"{[c for c in columns if c not in (header or ())]}", _parse_quote)
 
 
 def align_series(a: PriceSeries, b: PriceSeries):

@@ -127,21 +127,25 @@ def price_batch(requests, chain: Chain, market: MarketConfig, n_paths, seed,
 
 
 def _sorted_payoffs(request, market, growth, sorted_growth):
-    """One request's discounted payoffs in ascending order."""
+    """One request's discounted payoffs in ascending order; a payoff that is
+    not finite, which a path that overflows gives, raises ValueError."""
     if request.kind != "F3":
         values = _discounted_payoffs(request, market, *growth[request.horizon_s])
-        values.sort()
-        return values
-    ordered = sorted_growth[request.horizon_s]
-    x0 = request.spot.x0
-    strike = request.strike
-    # K/x0 may round either way, or overflow: step back to the first
-    # growth whose payoff the formula makes positive
-    j = int(np.searchsorted(ordered, strike / x0, side="right"))
-    while j > 0 and x0 * ordered[j - 1] - strike > 0.0:
-        j -= 1
-    values = np.zeros(ordered.size)
-    values[j:] = _discounted_payoffs(request, market, ordered[j:], None)
+        values.sort()  # a NaN sorts last
+    else:
+        ordered = sorted_growth[request.horizon_s]
+        x0 = request.spot.x0
+        strike = request.strike
+        # K/x0 may round either way, or overflow: step back to the first
+        # growth whose payoff the formula makes positive
+        j = int(np.searchsorted(ordered, strike / x0, side="right"))
+        while j > 0 and x0 * ordered[j - 1] - strike > 0.0:
+            j -= 1
+        values = np.zeros(ordered.size)
+        values[j:] = _discounted_payoffs(request, market, ordered[j:], None)
+    if not math.isfinite(values[-1]):
+        raise ValueError(f"{request.kind} at strike {request.strike!r}, maturity "
+                         f"{request.horizon_s} days: a simulated payoff is not finite")
     return values
 
 
@@ -290,7 +294,10 @@ def _sequential_growth(thetas, horizons, market, seed, settings: SequentialSetti
         shh += dh * rest_h
         sxh += dx * rest_h
         if j % settings.refresh_interval == 0 and j < s_max:
-            sx, sh, rho = exact_posterior_draws(n_obs, sxx, shh, sxh, rng).T
+            try:
+                sx, sh, rho = exact_posterior_draws(n_obs, sxx, shh, sxh, rng).T
+            except ValueError as exc:
+                raise ValueError(f"sequential refresh after day {j}: {exc}") from None
     return growth
 
 

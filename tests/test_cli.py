@@ -20,7 +20,7 @@ from quanto_bayes.cli import (
     main,
 )
 
-from conftest import fixture_panel, make_workspace
+from conftest import FIXTURES, fixture_panel, make_workspace
 from test_input_properties import PROPERTY
 
 
@@ -298,8 +298,8 @@ def test_chain_warnings_are_printed_to_stderr(tmp_path, monkeypatch, capsys, com
 
     real = cli._sample_family
 
-    def flagged(family, panel, cfg, seed):
-        chain = real(family, panel, cfg, seed)
+    def flagged(family, *args):
+        chain = real(family, *args)
         return Chain(chain.draws, chain.burn_in, chain.acceptance_counts,
                      warnings=("no accepted moves for rho after burn-in",))
 
@@ -450,8 +450,8 @@ def test_bs_h_is_the_closed_form_at_zero_correlation():
     spot = 2711.74
     quotes = [OptionQuote(None, spot * m, s, bs_call(spot, spot * m, 0.007, market.r_f, s), spot)
               for s in (1, 21, 51, 90, 252) for m in np.linspace(0.8, 1.2, 9)]
-    rows = cli._with_bs_h(cli._quote_table(quotes, market), market, panel)
     hist_vol = mle_estimate(panel).sigma_x
+    rows = cli._with_bs_h(cli._quote_table(quotes, market), market, hist_vol)
     for sigma_h in (0.001, 0.004, 0.02):
         theta = Theta(hist_vol, sigma_h, 0.0)
         for row in rows:
@@ -856,8 +856,9 @@ def test_experiment_prices_quote_columns_once(tmp_path, monkeypatch):
             assert len(rows) == 5
     # BS-I solves once per maturity, not once per quote or per chain
     assert calls["implied_vol"] == 1
-    # per window: tnn's initial value, the mle summary row and BS-H
-    assert calls["mle_estimate"] == 2 * 3
+    # once per window: its check, which tnn's initial value, the mle summary
+    # row and BS-H then share
+    assert calls["mle_estimate"] == 2
     # experiment writes no predictive-density file, so bins no density
     assert "density" not in calls
     # while price bins one per retained quote
@@ -1590,6 +1591,80 @@ def test_series_without_shared_returns_names_both_files(tmp_path, capsys, comman
         with open(os.path.join(str(tmp_path), "out", "failures.csv"), encoding="utf-8") as f:
             lines = f.read().splitlines()
         assert len(lines) == 2 and lines[1].startswith("fx,250,*,panel,") and text in lines[1]
+
+
+@pytest.mark.parametrize("argv", [["estimate", "--families", "mle"],
+                                  ["estimate", "--families", "tnn"],
+                                  ["estimate", "--families", "mnc"], ["price"], ["experiment"]],
+                         ids=["estimate-mle", "estimate-tnn", "estimate-mnc", "price",
+                              "experiment"])
+def test_window_without_an_mle_is_refused_as_input(tmp_path, capsys, argv):
+    # a constant asset series has zero sample variance on every window. A
+    # window on which the MLE is undefined is refused for every family, mnc
+    # alone too, because BS-H prices with the MLE
+    cfg_path = make_workspace(tmp_path, families="mle, mnc", windows="250, 140")
+    asset = os.path.join(str(tmp_path), "asset.csv")
+    with open(asset, encoding="utf-8") as f:
+        header, *rows = f.read().splitlines()
+    with open(asset, "w", encoding="utf-8") as f:
+        f.write(header + "\n" + "".join(r.split(",")[0] + ",100\n" for r in rows))
+    fx = os.path.join(str(tmp_path), "fx.csv")
+    text = (f"{asset} and {fx}: window {{}}: degenerate data: a return series has zero sample "
+            "variance")
+    out = os.path.join(str(tmp_path), "out")
+    if argv == ["price"]:
+        draws = os.path.join(str(tmp_path), "draws.csv")
+        with open(draws, "w", encoding="utf-8") as f:
+            f.write("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n")
+        argv = ["price", "--draws", draws]
+    capsys.readouterr()
+    if argv == ["experiment"]:
+        assert main([*argv, "--config", cfg_path]) == 0
+        # one panel row per window, and no family's row
+        assert [tuple(r.values()) for r in _read_csv(os.path.join(out, "failures.csv"))] == [
+            ("fx", str(w), "*", "panel", text.format(w)) for w in (250, 140)]
+        assert not os.path.exists(os.path.join(out, "cells"))
+    else:
+        assert main([*argv, "--config", cfg_path]) == 1
+        assert capsys.readouterr().err == f"error: {text.format(250)}\n"
+        # the manifest is written first, as for a window longer than the series
+        assert os.listdir(out) == ["manifest.txt"]
+
+
+@pytest.mark.parametrize("r_d_annual, text", [
+    # the 90-day paths overflow, and exp(-r_d*s) = 0 turns their payoffs into NaN
+    ("1e4", "F3 at strike 2388.5, maturity 90 days: a simulated payoff is not finite"),
+    ("1e8", "sequential refresh after day 30: the scale matrix must be finite and positive "
+            "definite"),
+], ids=["payoff-overflow", "refresh-overflow"])
+def test_sequential_pricing_failure_names_the_quote_or_the_refresh(tmp_path, capsys,
+                                                                   r_d_annual, text):
+    # 20 paths: at 200, experiment's refreshes at r_d_annual = 1e4 take about
+    # 15 s, as the paths' posteriors near |rho| = 1 and the exact sampler's
+    # acceptance sqrt(1 - rho^2) falls
+    cfg_path = os.path.join(str(tmp_path), "run.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as f:
+        for key, value in (("asset_series", os.path.join(FIXTURES, "sp500_synthetic.csv")),
+                           ("fx_series", os.path.join(FIXTURES, "eur_usd_synthetic.csv")),
+                           ("option_chain", os.path.join(FIXTURES, "option_chain_synthetic.csv")),
+                           ("out_dir", "out"), ("families", "tnn"), ("draws", 400),
+                           ("burn_in", 100), ("windows", 140), ("n_paths", 20),
+                           ("mode", "sequential-update"), ("refresh_interval", 10),
+                           ("r_d_annual", r_d_annual)):
+            f.write(f"{key} = {value}\n")
+    out = os.path.join(str(tmp_path), "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        assert main(["experiment", "--config", cfg_path]) == 0
+        assert [tuple(r.values()) for r in _read_csv(os.path.join(out, "failures.csv"))] == [
+            ("eur_usd_synthetic", "140", "tnn", "price", text)]
+        assert not os.path.exists(os.path.join(out, "cells", "eur_usd_synthetic", "w140",
+                                               "pricing_tnn.csv"))
+        draws = os.path.join(out, "cells", "eur_usd_synthetic", "w140", "draws_tnn.csv")
+        capsys.readouterr()
+        # a runtime failure, exit 2, as every pricing refusal of price is today
+        assert main(["price", "--config", cfg_path, "--draws", draws]) == 2
+    assert capsys.readouterr().err == f"runtime failure: {text}\n"
 
 
 @pytest.mark.parametrize("command", ["estimate", "price"])

@@ -290,14 +290,19 @@ def reference_load_option_chain(path):
 QUOTABLE = st.text(st.sampled_from(list(',"\r\n x0123456789.-')), max_size=8)
 
 
+# a cell one character over the csv module's field size limit, which it refuses
+OVER_FIELD_LIMIT = "1" * (csv.field_size_limit() + 1)
+
+
 @st.composite
 def csv_edits(draw, lines):
     """File bytes after one to four edits of ``lines``: any edit of
     ``edits`` or a quoted cell, a short or long row, a repeated or renamed
-    header column, or blank lines."""
+    header column, blank lines, or a cell over the field size limit."""
     lines = list(lines)
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["edit", "quote", "drop", "extra", "header", "blank"]))
+        kind = draw(st.sampled_from(["edit", "quote", "drop", "extra", "header", "blank",
+                                     "oversize"]))
         if kind == "edit":
             data, _ = draw(edits(lines))
             lines = data.decode("utf-8", "surrogateescape").split("\n")[:-1]
@@ -311,6 +316,8 @@ def csv_edits(draw, lines):
         if kind == "quote":
             text = draw(st.one_of(st.just(cells[j]), QUOTABLE))
             cells[j] = '"' + text.replace('"', '""') + '"'
+        elif kind == "oversize":
+            cells[j] = OVER_FIELD_LIMIT
         elif kind == "drop":
             del cells[j:]
         elif kind == "extra":
@@ -333,8 +340,17 @@ def _outcome(load, path):
     return result
 
 
+def _oversize_cell(lines, i):
+    """The file bytes of ``lines`` whose line ``i`` ends in a cell over the
+    field size limit."""
+    lines = list(lines)
+    lines[i] = lines[i].rsplit(",", 1)[0] + "," + OVER_FIELD_LIMIT
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 @PROPERTY
 @given(data=csv_edits(SERIES))
+@example(data=_oversize_cell(SERIES, 3))
 def test_price_series_loader_matches_dictreader_reference(tmp_path, data):
     path = tmp_path / "series.csv"
     path.write_bytes(data)
@@ -380,6 +396,7 @@ def test_price_series_loader_matches_reference_on_bulk_pass_edges(tmp_path, monk
 
 @PROPERTY
 @given(data=csv_edits(CHAIN))
+@example(data=_oversize_cell(CHAIN, 2))
 def test_option_chain_loader_matches_dictreader_reference(tmp_path, data):
     path = tmp_path / "chain.csv"
     path.write_bytes(data)

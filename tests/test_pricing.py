@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -551,6 +552,20 @@ def test_standard_error_survives_payoffs_whose_squares_overflow():
     assert math.isfinite(big.mc_std_error) and base.mc_std_error > 0.0
     assert big.mc_std_error == pytest.approx(1e300 * base.mc_std_error, rel=1e-12)
     assert big.price == pytest.approx(1e300 * base.price, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["F1", "F2", "F3", "F4"])
+def test_price_batch_refuses_a_request_whose_payoffs_are_not_finite(kind):
+    # at 10 per day the asset's growth overflows by day 100, and the discount
+    # exp(-r_d*s) = 0 turns its payoffs into NaN; day 5 still prices
+    market = MarketConfig(r_d=10.0, r_f=10.0)
+    requests = [PricingRequest(kind=kind, strike=1.0, horizon_s=s, spot=SPOT) for s in (5, 100)]
+    with np.errstate(all="ignore"):
+        priced = price_batch(requests, one_draw_chain(), market, 50, 3)
+        assert math.isfinite(next(priced)[0].price)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{kind} at strike 1.0, maturity 100 days: a simulated payoff is not finite")):
+            next(priced)
 
 
 def test_f3_tail_starts_at_the_first_positive_payoff():
