@@ -79,9 +79,6 @@ __all__ = ["ExperimentConfig", "load_config", "main"]
 ALL_FAMILIES = FAMILY_CODES + ("mnc", "mle")
 
 
-ConfigError = InputError  # invalid configuration or inputs; exit code 1
-
-
 class ExperimentConfig(NamedTuple):
     """Run settings; field names double as config-file keys, and a key's
     value has the type of its default."""
@@ -116,41 +113,41 @@ class ExperimentConfig(NamedTuple):
 
     def validate(self):
         if self.burn_in < 0 or self.draws - self.burn_in < MIN_SUMMARY_DRAWS:
-            raise ConfigError(
+            raise InputError(
                 f"need burn_in >= 0 and draws - burn_in >= {MIN_SUMMARY_DRAWS}, "
                 f"got draws={self.draws} burn_in={self.burn_in}"
             )
         if not 0 <= self.seed <= 0xFFFFFFFF:  # one 32-bit word of every derived seed
-            raise ConfigError(f"seed must lie in [0, 2**32 - 1], got {self.seed}")
+            raise InputError(f"seed must lie in [0, 2**32 - 1], got {self.seed}")
         if self.n_paths < 1:
-            raise ConfigError(f"n_paths must be positive, got {self.n_paths}")
+            raise InputError(f"n_paths must be positive, got {self.n_paths}")
         if self.mode not in ("static", "sequential-update"):
-            raise ConfigError(f"mode must be static or sequential-update, got {self.mode!r}")
+            raise InputError(f"mode must be static or sequential-update, got {self.mode!r}")
         if self.refresh_draws <= self.refresh_burn_in or self.refresh_burn_in < 0:
-            raise ConfigError("need refresh_draws > refresh_burn_in >= 0")
+            raise InputError("need refresh_draws > refresh_burn_in >= 0")
         if not self.families:
-            raise ConfigError(f"families must list at least one of {ALL_FAMILIES}")
+            raise InputError(f"families must list at least one of {ALL_FAMILIES}")
         for family in self.families:
             if family not in ALL_FAMILIES:
-                raise ConfigError(
+                raise InputError(
                     f"unknown family {family!r} in families; expected a subset of {ALL_FAMILIES}"
                 )
         # two returns have a sample correlation of +-1, outside the support
         if not self.windows or any(w < 3 for w in self.windows):
-            raise ConfigError(f"windows must be integers >= 3, got {self.windows}")
+            raise InputError(f"windows must be integers >= 3, got {self.windows}")
         # each entry names its output cells and rows, and would be run again
         for key in ("families", "windows"):
             entries = getattr(self, key)
             for i, entry in enumerate(entries):
                 if entry in entries[:i]:
-                    raise ConfigError(f"{key} lists {entry!r} more than once")
+                    raise InputError(f"{key} lists {entry!r} more than once")
         # an fx series' file stem names its output cells and its rows
         stems = {}
         for path in self.fx_series:
             stem = _stem(path)
             if stem in stems:
-                raise ConfigError(f"fx_series entries {stems[stem]} and {path} share the "
-                                  f"file stem {stem!r}, which names their outputs")
+                raise InputError(f"fx_series entries {stems[stem]} and {path} share the "
+                                 f"file stem {stem!r}, which names their outputs")
             stems[stem] = path
         # The model keys are checked by the constructors a run builds from
         # them, for every family and either mode, on a small stand-in panel:
@@ -172,7 +169,7 @@ class ExperimentConfig(NamedTuple):
                 for family in FAMILY_CODES:
                     probe.proposals(family, panel)
             except (ValueError, ArithmeticError) as exc:
-                raise ConfigError(f"invalid {key} = {value!r}: {exc}") from None
+                raise InputError(f"invalid {key} = {value!r}: {exc}") from None
 
     def market(self):
         return MarketConfig.from_annual(
@@ -206,9 +203,9 @@ def load_config(path) -> ExperimentConfig:
     ``main`` applies the flags and checks the input files a command reads.
     """
     if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+        raise InputError(f"config file not found: {path}")
     if os.path.isdir(path):
-        raise ConfigError(f"config file is a directory: {path}")
+        raise InputError(f"config file is a directory: {path}")
     base = os.path.dirname(os.path.abspath(path))
     values = {}
     set_on = {}  # key -> the line that set it
@@ -218,24 +215,24 @@ def load_config(path) -> ExperimentConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise InputError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
         if key not in ExperimentConfig._fields:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in set_on:
-            raise ConfigError(f"{path}:{lineno}: {key!r} already set on line {set_on[key]}")
+            raise InputError(f"{path}:{lineno}: {key!r} already set on line {set_on[key]}")
         set_on[key] = lineno
         try:
             values[key] = _convert(key, text, base)
         except ValueError:
-            raise ConfigError(f"{path}:{lineno}: invalid value for {key!r}: {text!r}") from None
+            raise InputError(f"{path}:{lineno}: invalid value for {key!r}: {text!r}") from None
     cfg = ExperimentConfig(**values)
     try:
         cfg.validate()
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     return cfg
 
 
@@ -273,10 +270,7 @@ def _fmt(value):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if not math.isfinite(v):
-        return "NA"
-    return "%.12g" % v
+    return _fmt(float(value))  # numpy's floats, as a float
 
 
 def _write_lines(path, header, lines):
@@ -338,7 +332,7 @@ def _load_panel(cfg: ExperimentConfig, fx_path):
         asset, fx = align_series(asset, fx)
         panel = ReturnPanel(log_returns(asset), log_returns(fx))
     except ValueError as exc:
-        raise ConfigError(f"{cfg.asset_series} and {fx_path}: {exc}") from None
+        raise InputError(f"{cfg.asset_series} and {fx_path}: {exc}") from None
     return panel, float(fx.prices[-1])
 
 
@@ -348,12 +342,12 @@ def _window(cfg: ExperimentConfig, fx_path, history, window):
     MLE is undefined, such as one over which a series is constant, is refused
     as input: the MwG chains start from the MLE, and BS-H prices with it."""
     if window > history.n_obs:
-        raise ConfigError(f"window {window} exceeds the {history.n_obs} available returns")
+        raise InputError(f"window {window} exceeds the {history.n_obs} available returns")
     panel = history.tail(window)
     try:
         return panel, mle_estimate(panel)
     except ValueError as exc:
-        raise ConfigError(f"{cfg.asset_series} and {fx_path}: window {window}: {exc}") from None
+        raise InputError(f"{cfg.asset_series} and {fx_path}: window {window}: {exc}") from None
 
 
 def _sample_family(family, panel, mle, cfg: ExperimentConfig, seed) -> Chain:
@@ -509,8 +503,8 @@ def _load_draws(path) -> Chain:
     header, *rows = io.StringIO(read_text(path), newline=None).readlines() or [""]
     header = header.rstrip("\n")
     if [name.strip() for name in header.split(",")] != list(PARAMETERS):
-        raise ConfigError(f"{path}: malformed draws file: row 1: expected the header "
-                          f"{','.join(PARAMETERS)!r}, got {header!r}")
+        raise InputError(f"{path}: malformed draws file: row 1: expected the header "
+                         f"{','.join(PARAMETERS)!r}, got {header!r}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # numpy skips empty and comment lines
         try:
@@ -525,9 +519,9 @@ def _load_draws(path) -> Chain:
                 if values.size:  # an empty or comment line holds none
                     Theta(*values.reshape(3).tolist())
             except ValueError:
-                raise ConfigError(f"{path}: malformed draws file: row {row}: not three numbers "
-                                  f"inside the parameter support: {line.strip()!r}") from None
-    raise ConfigError(f"{path}: draws file has no draws")
+                raise InputError(f"{path}: malformed draws file: row {row}: not three numbers "
+                                 f"inside the parameter support: {line.strip()!r}") from None
+    raise InputError(f"{path}: draws file has no draws")
 
 
 def _estimate(cfg: ExperimentConfig, panel, mle, out_dir, fx_name, window, seed_parts=(),
@@ -679,12 +673,12 @@ def _load_quotes(cfg: ExperimentConfig, market):
         try:
             math.exp(-rate * longest)
         except OverflowError:
-            raise ConfigError(
+            raise InputError(
                 f"invalid {key} = {getattr(cfg, key)!r}: its discount factor overflows at "
                 f"the longest maturity, {longest} days, of {cfg.option_chain}") from None
     retained, rejected = filter_options(quotes, market)
     if not retained:
-        raise ConfigError(f"{cfg.option_chain}: no quote lies inside the no-arbitrage band")
+        raise InputError(f"{cfg.option_chain}: no quote lies inside the no-arbitrage band")
     # the quote and both baselines are calls below the spot, whose quanto
     # value therefore bounds theirs
     for quote in retained:
@@ -693,7 +687,7 @@ def _load_quotes(cfg: ExperimentConfig, market):
         except OverflowError:
             bound = math.inf
         if not math.isfinite(bound):
-            raise ConfigError(
+            raise InputError(
                 f"r_d_annual = {cfg.r_d_annual!r}, r_f_annual = {cfg.r_f_annual!r} and "
                 f"h_fix = {cfg.h_fix!r} overflow the quanto value h_fix * exp((r_f - r_d) * s)"
                 f" * spot of {cfg.option_chain}'s quote at strike {quote.strike!r}, "
@@ -765,8 +759,8 @@ def cmd_diagnose(cfg: ExperimentConfig, draws_path):
     the family and the acceptance rate."""
     chain = _load_draws(draws_path)
     if chain.draws.shape[0] < MIN_SUMMARY_DRAWS:
-        raise ConfigError(f"{draws_path}: draws file has {chain.draws.shape[0]} draws; "
-                          f"diagnose needs at least {MIN_SUMMARY_DRAWS}")
+        raise InputError(f"{draws_path}: draws file has {chain.draws.shape[0]} draws; "
+                         f"diagnose needs at least {MIN_SUMMARY_DRAWS}")
     rows = [row[1:-1] for row in _summary_rows(None, chain)]
     _write_csv(os.path.join(cfg.out_dir, "diagnose_summary.csv"), _SUMMARY_HEADER[1:-1], rows)
     return rows
@@ -796,7 +790,7 @@ def cmd_experiment(cfg: ExperimentConfig):
             cell_dir = _cell_dir(cfg, fx_name, window)
             try:
                 panel, mle = _window(cfg, fx_path, history, window)
-            except ConfigError as exc:
+            except InputError as exc:
                 failures.append((fx_name, window, "*", "panel", str(exc)))
                 continue
             chains = dict(_estimate(cfg, panel, mle, cell_dir, fx_name, window,
@@ -905,7 +899,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.out == "":  # else the config's out_dir would silently take over
-            raise ConfigError("--out must name an output directory, got ''")
+            raise InputError("--out must name an output directory, got ''")
         cfg = load_config(args.config)
         # a flag's value is checked as the key it sets, and its error names the flag
         for flag, key, value in (
@@ -919,14 +913,14 @@ def main(argv=None):
                 cfg = cfg._replace(**{key: value})
                 try:
                     cfg.validate()
-                except ConfigError as exc:
-                    raise ConfigError(f"{flag}: {exc}") from None
+                except InputError as exc:
+                    raise InputError(f"{flag}: {exc}") from None
         _, _, keys, run = _COMMANDS[args.command]
         inputs = []
         for key in keys:
             paths = getattr(cfg, key)
             if not paths:
-                raise ConfigError("config needs " + (
+                raise InputError("config needs " + (
                     "at least one fx_series entry" if key == "fx_series" else key))
             inputs += paths if isinstance(paths, tuple) else [paths]
         draws = () if args.draws is None else (args.draws,)
@@ -935,7 +929,7 @@ def main(argv=None):
         for what, bad in (("not found", [p for p in paths if not os.path.exists(p)]),
                           ("are directories", [p for p in paths if os.path.isdir(p)])):
             if bad:
-                raise ConfigError(f"input files {what}: {bad}")
+                raise InputError(f"input files {what}: {bad}")
         # each output directory, or its nearest existing ancestor, must be a directory
         outs = [cfg.out_dir]
         if args.command == "experiment":  # its cell directories lie below out_dir
@@ -945,10 +939,10 @@ def main(argv=None):
                 existing = os.path.dirname(existing)
             if not os.path.isdir(existing):
                 source = "--out" if args.out else f"{args.config}: out_dir"
-                raise ConfigError(f"{source}: {existing} exists and is not a directory")
+                raise InputError(f"{source}: {existing} exists and is not a directory")
         _write_manifest(cfg, args.command, [f"draws = {path}" for path in draws])
         run(cfg, *draws)
-    except ConfigError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -176,10 +176,9 @@ def load_price_series(path):
         # PriceSeries checks the date order and the prices
         if (set(map(len, days)) == {10} and "".join(days)[7::10] == "-" * len(days)
                 and _ascii_decimal("".join(cells))):
-            dates = list(map(Date.fromisoformat, days))
-            order = sorted(range(len(dates)), key=dates.__getitem__)
-            return PriceSeries(list(map(dates.__getitem__, order)),
-                               np.array(list(map(float, cells)))[order])
+            days = np.array(list(map(Date.toordinal, map(Date.fromisoformat, days))))
+            order = np.argsort(days, kind="stable")
+            return PriceSeries(days[order], np.array(list(map(float, cells)))[order])
     except (csv.Error, LookupError, ValueError):
         pass
     _raise_first_bad_row(path)
@@ -220,8 +219,8 @@ def align_series(a: PriceSeries, b: PriceSeries):
     _, at_a, at_b = np.intersect1d(a.days, b.days, assume_unique=True, return_indices=True)
     if not at_a.size:
         raise ValueError("series share no dates")
-    dates = list(map(a.dates.__getitem__, at_a.tolist()))
-    return PriceSeries(dates, a.prices[at_a]), PriceSeries(dates, b.prices[at_b])
+    days = a.days[at_a]
+    return PriceSeries(days, a.prices[at_a]), PriceSeries(days, b.prices[at_b])
 
 
 def filter_options(quotes, market: MarketConfig):

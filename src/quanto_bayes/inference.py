@@ -460,12 +460,19 @@ def exact_posterior_draws(n_obs, sxx, shh, sxh, rng):
     partition's batches and then one of acceptance uniforms; the rejected
     entries are drawn again in the next round. The rounds depend only on the
     inputs and ``rng``'s state, so a fixed state reproduces the draws bit
-    for bit. Needs T >= 3 and an S that the partition accepts.
+    for bit. Needs T >= 3 and an S that the partition accepts, and refuses,
+    before any draw, a sample correlation rho_hat with 1 - rho_hat^2 < 1e-6.
     """
     n_obs, sxx, shh, sxh = (a.ravel() for a in np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (n_obs, sxx, shh, sxh))))
     if not np.all(n_obs >= 3.0):
         raise ValueError("an exact posterior draw needs at least 3 observations")
+    with np.errstate(all="ignore"):  # a scale the partition refuses passes on to it
+        rho_hat = sxh / np.sqrt(sxx * shh)
+        near = rho_hat[(np.abs(rho_hat) < 1.0) & (1.0 - rho_hat * rho_hat < 1e-6)]
+    if near.size:  # accepted with probability about sqrt(1 - rho^2), it would spin
+        raise ValueError(f"sample correlation {float(near[0])!r} lies too close to +-1 for "
+                         f"exact draws: 1 - rho^2 = {1.0 - near[0] ** 2:.3g} < 1e-06")
     df = n_obs - 2.0
     draws = np.empty((sxx.size, 3))
     pending = np.arange(sxx.size)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from datetime import date as Date
-from typing import Sequence
 
 import numpy as np
 
@@ -75,7 +74,8 @@ class _Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in zip(self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())
@@ -180,50 +180,49 @@ class SpotState(_Record):
 
 
 class PriceSeries:
-    """Dated, strictly positive closing levels with strictly increasing dates;
-    ``days`` holds the dates' ordinals (read-only int64), which the date
-    order is checked on and series are aligned on."""
+    """Strictly positive closing levels on strictly increasing days, as two
+    read-only arrays: the prices, and the dates' int64 ordinals ``days`` (as
+    ``date.toordinal`` gives them), on which the order is checked and series
+    are aligned. Messages and the repr show a day as YYYY-MM-DD."""
 
-    __slots__ = ("dates", "days", "prices")
+    __slots__ = ("days", "prices")
 
-    def __init__(self, dates: Sequence[Date], prices):
-        # own copy: the array is frozen, which must not leak to the caller
+    def __init__(self, days, prices):
+        # own copies: the arrays are frozen, which must not leak to the caller
+        days = np.array(days, dtype=np.int64)
         prices = np.array(prices, dtype=float)
-        dates = tuple(dates)
         if prices.ndim != 1:
             raise ValueError("prices must be one-dimensional")
-        if len(dates) != prices.size:
-            raise ValueError(
-                f"dates and prices differ in length: {len(dates)} vs {prices.size}"
-            )
+        if days.ndim != 1:
+            raise ValueError("days must be one-dimensional")
+        if days.size != prices.size:
+            raise ValueError(f"dates and prices differ in length: {days.size} vs {prices.size}")
         bad = np.nonzero(~(np.isfinite(prices) & (prices > 0.0)))[0]
         if bad.size:
-            raise ValueError(f"{price_fault(prices[bad[0]])} on {dates[bad[0]]}")
-        days = np.fromiter(map(Date.toordinal, dates), np.int64, len(dates))
+            day = Date.fromordinal(days[bad[0]])
+            raise ValueError(f"{price_fault(prices[bad[0]])} on {day}")
         later = np.nonzero(np.diff(days) <= 0)[0]
         if later.size:
-            raise ValueError(f"dates not strictly increasing at {dates[int(later[0]) + 1]}")
+            day = Date.fromordinal(days[later[0] + 1])
+            raise ValueError(f"dates not strictly increasing at {day}")
         prices.setflags(write=False)
         days.setflags(write=False)
-        object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "days", days)
         object.__setattr__(self, "prices", prices)
 
     __setattr__ = __delattr__ = _Record.__setattr__
 
     def __reduce__(self):
-        return PriceSeries, (self.dates, self.prices)
+        return PriceSeries, (self.days, self.prices)
 
     def __len__(self):
-        return len(self.dates)
+        return self.days.size
 
     def __repr__(self):
-        if not self.dates:
+        if not self.days.size:
             return "PriceSeries(empty)"
-        return (
-            f"PriceSeries({len(self)} points, "
-            f"{self.dates[0].isoformat()}..{self.dates[-1].isoformat()})"
-        )
+        first, last = map(Date.fromordinal, self.days[[0, -1]])
+        return f"PriceSeries({len(self)} points, {first}..{last})"
 
 
 def log_returns(prices):

@@ -201,8 +201,8 @@ def predictive_batch(requests, chain: Chain, market: MarketConfig, n_paths, seed
     is a multiple of ``refresh_interval`` and j < s_max. A request with
     horizon s prices from the paths' first s return pairs, which neither a
     later day nor a refresh after day s can change, so it gets the same
-    payoffs as when priced alone. Both return legs are simulated even for F3
-    because the refresh needs the pair.
+    payoffs as when priced alone. Both return legs are simulated even when
+    every request is F3, because the refresh needs the pair.
     """
     requests, growth, _ = _simulate(requests, chain, market, n_paths, seed, sequential)
     return (_discounted_payoffs(request, market, *growth[request.horizon_s])
@@ -225,11 +225,11 @@ def _simulate(requests, chain, market, n_paths, seed, sequential):
     retained = chain.post_burn_in()
     horizons = sorted({r.horizon_s for r in requests})
     thetas = retained[np.arange(n_paths, dtype=np.int64) * len(retained) // n_paths]
+    both_legs = any(r.kind != "F3" for r in requests)  # F3 reads no H_s
     if sequential is None:
-        both_legs = any(r.kind != "F3" for r in requests)
         growth = _terminal_growth(thetas, horizons, market, seed, both_legs)
     else:
-        growth = _sequential_growth(thetas, horizons, market, seed, sequential)
+        growth = _sequential_growth(thetas, horizons, market, seed, sequential, both_legs)
     return requests, growth, min(len(retained), n_paths)
 
 
@@ -251,9 +251,9 @@ def _terminal_growth(thetas, horizons, market, seed, both_legs):
     return growth
 
 
-def _sequential_growth(thetas, horizons, market, seed, settings: SequentialSettings):
-    """{s: (X_s/x0, H_s/h0)} from one daily simulation of all paths, one per
-    row of ``thetas``, in lockstep, up to s_max.
+def _sequential_growth(thetas, horizons, market, seed, settings: SequentialSettings, both_legs):
+    """{s: (X_s/x0, H_s/h0 or, unless ``both_legs``, None)} from a daily
+    simulation of all paths, one per row of ``thetas``, in lockstep, to s_max.
 
     Each path carries the sufficient statistics of its extended panel: the
     count T, the means and the centred sums sxx, shh and sxh, updated per
@@ -270,7 +270,7 @@ def _sequential_growth(thetas, horizons, market, seed, settings: SequentialSetti
     log_x = np.zeros(n)
     log_h = np.zeros(n)
     s_max = horizons[-1]
-    growth = {0: (np.ones(n), np.ones(n))} if horizons[0] == 0 else {}
+    growth = {0: (np.ones(n), np.ones(n) if both_legs else None)} if horizons[0] == 0 else {}
     rng = np.random.default_rng(seed)
     for j in range(1, s_max + 1):
         if (j - 1) % settings.refresh_interval == 0:  # day 1, or the day after a refresh
@@ -283,7 +283,7 @@ def _sequential_growth(thetas, horizons, market, seed, settings: SequentialSetti
         log_x += x
         log_h += h
         if j in horizons:
-            growth[j] = (np.exp(log_x), np.exp(log_h))
+            growth[j] = (np.exp(log_x), np.exp(log_h) if both_legs else None)
         n_obs = panel.n_obs + j
         dx = x - mean_x
         dh = h - mean_h

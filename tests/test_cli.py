@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quanto_bayes.cli import (
-    ConfigError,
     cmd_diagnose,
     cmd_estimate,
     cmd_experiment,
@@ -19,6 +19,7 @@ from quanto_bayes.cli import (
     load_config,
     main,
 )
+from quanto_bayes.data_io import InputError
 
 from conftest import FIXTURES, fixture_panel, make_workspace
 from test_input_properties import PROPERTY
@@ -52,7 +53,7 @@ def test_load_config_parses_and_resolves_paths(tmp_path):
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("draws = 100\nmystery = 1\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="mystery"):
+    with pytest.raises(InputError, match="mystery"):
         load_config(str(path))
 
 
@@ -90,7 +91,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
 
 def test_load_config_rejects_inconsistent_chain_settings(tmp_path):
     path = make_workspace(tmp_path, draws=100, burn_in=100)
-    with pytest.raises(ConfigError, match="burn_in"):
+    with pytest.raises(InputError, match="burn_in"):
         load_config(path)
 
 
@@ -1066,8 +1067,8 @@ def test_load_draws_skips_empty_lines_and_counts_them(tmp_path):
                     encoding="utf-8")
     assert _load_draws(str(path)).draws.shape == (2, 3)
     path.write_text("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n\n0.006,x,0.1\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=r"draws.csv: malformed draws file: row 4: not three "
-                                          r"numbers inside the parameter support: '0.006,x,0.1'$"):
+    with pytest.raises(InputError, match=r"draws.csv: malformed draws file: row 4: not three "
+                                         r"numbers inside the parameter support: '0.006,x,0.1'$"):
         _load_draws(str(path))
 
 
@@ -1130,7 +1131,7 @@ def test_load_draws_header_allows_a_bom_spaces_and_crlf(tmp_path):
         path.write_text(header + body, encoding="utf-8", newline="")
         assert np.array_equal(_load_draws(str(path)).draws, plain), header
     path.write_bytes(b"sigma_x,sigma_h,\xffrho\n" + body.encode())
-    with pytest.raises(ConfigError, match=r"draws.csv: row 1: not UTF-8 text$"):
+    with pytest.raises(InputError, match=r"draws.csv: row 1: not UTF-8 text$"):
         _load_draws(str(path))
 
 
@@ -1293,7 +1294,7 @@ def test_inputs_with_a_byte_order_mark_read_as_without(tmp_path):
             f.write("\ufeff".encode() + data)
     assert load_config(cfg_path) == cfg
     series, quotes = load_price_series(paths[0]), load_option_chain(paths[1])
-    assert series.dates == before[0].dates
+    assert series.days.tolist() == before[0].days.tolist()
     assert series.prices.tolist() == before[0].prices.tolist()
     assert quotes == before[1]
 
@@ -1631,40 +1632,81 @@ def test_window_without_an_mle_is_refused_as_input(tmp_path, capsys, argv):
         assert os.listdir(out) == ["manifest.txt"]
 
 
-@pytest.mark.parametrize("r_d_annual, text", [
-    # the 90-day paths overflow, and exp(-r_d*s) = 0 turns their payoffs into NaN
-    ("1e4", "F3 at strike 2388.5, maturity 90 days: a simulated payoff is not finite"),
-    ("1e8", "sequential refresh after day 30: the scale matrix must be finite and positive "
-            "definite"),
-], ids=["payoff-overflow", "refresh-overflow"])
-def test_sequential_pricing_failure_names_the_quote_or_the_refresh(tmp_path, capsys,
-                                                                   r_d_annual, text):
-    # 20 paths: at 200, experiment's refreshes at r_d_annual = 1e4 take about
-    # 15 s, as the paths' posteriors near |rho| = 1 and the exact sampler's
-    # acceptance sqrt(1 - rho^2) falls
+def _extreme_rate_config(tmp_path, r_d_annual, windows=140, n_paths=20, refresh_interval=10):
+    """A sequential tnn run on the shipped fixtures at an extreme domestic rate."""
     cfg_path = os.path.join(str(tmp_path), "run.cfg")
     with open(cfg_path, "w", encoding="utf-8") as f:
         for key, value in (("asset_series", os.path.join(FIXTURES, "sp500_synthetic.csv")),
                            ("fx_series", os.path.join(FIXTURES, "eur_usd_synthetic.csv")),
                            ("option_chain", os.path.join(FIXTURES, "option_chain_synthetic.csv")),
                            ("out_dir", "out"), ("families", "tnn"), ("draws", 400),
-                           ("burn_in", 100), ("windows", 140), ("n_paths", 20),
-                           ("mode", "sequential-update"), ("refresh_interval", 10),
+                           ("burn_in", 100), ("windows", windows), ("n_paths", n_paths),
+                           ("mode", "sequential-update"), ("refresh_interval", refresh_interval),
                            ("r_d_annual", r_d_annual)):
             f.write(f"{key} = {value}\n")
+    return cfg_path
+
+
+@pytest.mark.parametrize("r_d_annual, refresh_interval, text", [
+    # the 90-day paths overflow, and exp(-r_d*s) = 0 turns their payoffs into
+    # NaN; refreshing every 10 days instead, the refresh after day 80 would
+    # meet a sample correlation within 1e-6 of +-1 in 1 - rho^2 first
+    ("1e4", 20, re.escape("F3 at strike 2388.5, maturity 90 days: a simulated payoff is not "
+                          "finite")),
+    # the refresh after day 20 is refused before any draw; without that
+    # refusal it ran on, and the one after day 30 met a scale that overflows.
+    # experiment and price simulate from different seeds, so their paths'
+    # sample correlations differ
+    ("1e8", 10, r"sequential refresh after day 20: sample correlation -?0\.99999\d* lies too "
+                r"close to \+-1 for exact draws: 1 - rho\^2 = \d(\.\d+)?e-0\d < 1e-06"),
+], ids=["payoff-overflow", "refresh-overflow"])
+def test_sequential_pricing_failure_names_the_quote_or_the_refresh(tmp_path, capsys, r_d_annual,
+                                                                   refresh_interval, text):
+    # ``text`` is a pattern of the failure's whole message
+    cfg_path = _extreme_rate_config(tmp_path, r_d_annual, refresh_interval=refresh_interval)
     out = os.path.join(str(tmp_path), "out")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
         assert main(["experiment", "--config", cfg_path]) == 0
-        assert [tuple(r.values()) for r in _read_csv(os.path.join(out, "failures.csv"))] == [
-            ("eur_usd_synthetic", "140", "tnn", "price", text)]
+        [row] = [tuple(r.values()) for r in _read_csv(os.path.join(out, "failures.csv"))]
+        assert row[:4] == ("eur_usd_synthetic", "140", "tnn", "price")
+        assert re.fullmatch(text, row[4]), row[4]
         assert not os.path.exists(os.path.join(out, "cells", "eur_usd_synthetic", "w140",
                                                "pricing_tnn.csv"))
         draws = os.path.join(out, "cells", "eur_usd_synthetic", "w140", "draws_tnn.csv")
         capsys.readouterr()
         # a runtime failure, exit 2, as every pricing refusal of price is today
         assert main(["price", "--config", cfg_path, "--draws", draws]) == 2
-    assert capsys.readouterr().err == f"runtime failure: {text}\n"
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"runtime failure: {text}\n", err), err
+
+
+@pytest.mark.parametrize("windows, n_paths, status, err", [
+    # the refresh after day 80 meets a sample correlation whose 1 - rho^2 is
+    # near 3e-11, where the exact sampler once spun for seconds
+    (140, 200, 2, r"runtime failure: sequential refresh after day 80: sample correlation "
+                  r"-?0\.99999\d* lies too close to \+-1 for exact draws: "
+                  r"1 - rho\^2 = \S+ < 1e-06\n"),
+    # every request is F3, which reads no exchange rate, so none overflows
+    (1840, 50, 0, ""),
+], ids=["near-unit-correlation", "f3-only-overflowing-fx"])
+def test_extreme_rate_sequential_price_ends_in_time_without_warnings(tmp_path, windows, n_paths,
+                                                                     status, err):
+    # price runs in a fresh interpreter with numpy's RuntimeWarning raised as
+    # an error and a time limit, so a hang fails this test and does not stall
+    # the suite
+    cfg_path = _extreme_rate_config(tmp_path, "1e4", windows=windows, n_paths=n_paths)
+    assert main(["estimate", "--config", cfg_path]) == 0
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "quanto_bayes.cli", "price",
+         "--config", cfg_path, "--draws", os.path.join(str(tmp_path), "out", "draws_tnn.csv"),
+         "--out", os.path.join(str(tmp_path), "price")],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert run.returncode == status, run.stderr
+    assert re.fullmatch(err, run.stderr), run.stderr
 
 
 @pytest.mark.parametrize("command", ["estimate", "price"])

@@ -36,7 +36,7 @@ def test_load_well_formed_series(tmp_path):
                   "date,price\n2018-01-02,100.0\n2018-01-03,101.5\n2018-01-04,99.75\n")
     ps = load_price_series(path)
     assert len(ps) == 3
-    assert ps.dates[0] == date(2018, 1, 2)
+    assert ps.days[0] == date(2018, 1, 2).toordinal()
     np.testing.assert_allclose(ps.prices, [100.0, 101.5, 99.75])
 
 
@@ -63,7 +63,9 @@ def test_load_sorts_unordered_rows(tmp_path):
     path = _write(tmp_path, "p.csv",
                   "date,price\n2018-01-04,99.0\n2018-01-02,100.0\n2018-01-03,101.0\n")
     ps = load_price_series(path)
-    assert [d.isoformat() for d in ps.dates] == ["2018-01-02", "2018-01-03", "2018-01-04"]
+    assert [date.fromordinal(d).isoformat() for d in ps.days.tolist()] == [
+        "2018-01-02", "2018-01-03", "2018-01-04"]
+    assert ps.prices.tolist() == [100.0, 101.0, 99.0]
 
 
 def test_load_custom_columns(tmp_path):
@@ -99,46 +101,45 @@ def test_fixture_series_supports_all_windows():
 # ---------------------------------------------------------------------------
 
 def test_align_identical_calendars_unchanged():
-    days = [date(2018, 1, d) for d in (2, 3, 4)]
+    days = [date(2018, 1, d).toordinal() for d in (2, 3, 4)]
     a = PriceSeries(days, [1.0, 2.0, 3.0])
     b = PriceSeries(days, [4.0, 5.0, 6.0])
     a2, b2 = align_series(a, b)
-    assert a2.dates == a.dates and b2.dates == b.dates
+    assert a2.days.tolist() == a.days.tolist() and b2.days.tolist() == b.days.tolist()
     np.testing.assert_array_equal(a2.prices, a.prices)
 
 
 def test_align_drops_missing_holiday():
-    days = [date(2018, 1, d) for d in (2, 3, 4)]
+    days = [date(2018, 1, d).toordinal() for d in (2, 3, 4)]
     a = PriceSeries(days, [1.0, 2.0, 3.0])
     b = PriceSeries([days[0], days[2]], [4.0, 6.0])
     a2, b2 = align_series(a, b)
-    assert a2.dates == b2.dates == (days[0], days[2])
+    assert a2.days.tolist() == b2.days.tolist() == [days[0], days[2]]
     np.testing.assert_array_equal(a2.prices, [1.0, 3.0])
 
 
 def test_align_randomized_calendars_matches_set_oracle():
     rng = np.random.default_rng(13)
-    all_days = [date(2018, 1, 1) + __import__("datetime").timedelta(days=i)
-                for i in range(120)]
+    all_days = [date(2018, 1, 1).toordinal() + i for i in range(120)]
     for _ in range(20):
         pick_a = sorted(rng.choice(120, size=60, replace=False))
         pick_b = sorted(rng.choice(120, size=70, replace=False))
         a = PriceSeries([all_days[i] for i in pick_a], 1.0 + rng.random(60))
         b = PriceSeries([all_days[i] for i in pick_b], 1.0 + rng.random(70))
-        common = sorted(set(a.dates) & set(b.dates))
+        common = sorted(set(a.days.tolist()) & set(b.days.tolist()))
         if not common:
             with pytest.raises(ValueError):
                 align_series(a, b)
             continue
         a2, b2 = align_series(a, b)
-        assert list(a2.dates) == common
-        assert list(b2.dates) == common
+        assert a2.days.tolist() == common
+        assert b2.days.tolist() == common
         assert len(a2) == len(b2) <= min(len(a), len(b))
 
 
 def test_align_empty_intersection_raises():
-    a = PriceSeries([date(2018, 1, 2)], [1.0])
-    b = PriceSeries([date(2018, 1, 3)], [1.0])
+    a = PriceSeries([date(2018, 1, 2).toordinal()], [1.0])
+    b = PriceSeries([date(2018, 1, 3).toordinal()], [1.0])
     with pytest.raises(ValueError, match="no dates"):
         align_series(a, b)
 

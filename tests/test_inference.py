@@ -649,6 +649,29 @@ def test_both_exact_samplers_refuse_a_bad_scale_alike_before_any_draw(panel_smal
     assert str(conjugate.value) == str(exact.value)
 
 
+def test_exact_draws_refuse_a_sample_correlation_near_one_before_any_draw():
+    # an exact draw is accepted with probability about sqrt(1 - rho^2), so
+    # below 1 - rho_hat^2 = 1e-6 the sampler would spin; the first such
+    # entry is named, and a scale the partition refuses, as at |rho_hat| = 1,
+    # keeps its message
+    for sign in (1.0, -1.0):
+        rho = sign * math.sqrt(1.0 - 5e-7)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError) as refused:
+            exact_posterior_draws(40, [1.0, 1.0, 1.0], 1.0, [0.5, rho, 0.0], rng)
+        assert rng.bit_generator.state == state
+        assert str(refused.value) == (f"sample correlation {rho!r} lies too close to +-1 for "
+                                      f"exact draws: 1 - rho^2 = 5e-07 < 1e-06")
+    for rho in (1.0, -1.0, 1.0 + 1e-9):
+        with pytest.raises(ValueError, match="finite and positive definite"):
+            exact_posterior_draws(40, 1.0, 1.0, rho, np.random.default_rng(5))
+    # just above the bound the entry is drawn, near rho_hat
+    rho = math.sqrt(1.0 - 2e-6)
+    draws = exact_posterior_draws(40, 1.0, 1.0, rho, np.random.default_rng(5))
+    assert abs(draws[0, 2] - rho) < 1e-4
+
+
 def test_mwg_validation_errors(panel_small):
     specs = default_proposals("tnn", panel_small)
     init = mle_estimate(panel_small)

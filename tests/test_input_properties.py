@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from quanto_bayes import data_io
-from quanto_bayes.cli import ConfigError, ExperimentConfig, _load_draws, load_config
+from quanto_bayes.cli import ExperimentConfig, _load_draws, load_config
 from quanto_bayes.data_io import (
     OptionQuote,
     _parse_date,
@@ -141,7 +141,7 @@ def test_malformed_option_chain_names_file_and_row(tmp_path, edit):
 @given(edit=edits(DRAWS))
 def test_malformed_draws_file_names_file_and_row(tmp_path, edit):
     # a draws file's header row is not read, so only a data row can be at fault
-    _check_loader(tmp_path, edit, _load_draws, ConfigError, [])
+    _check_loader(tmp_path, edit, _load_draws, data_io.InputError, [])
 
 
 _BURN_IN = list(DEFAULT_CONFIG).index("burn_in")
@@ -159,7 +159,7 @@ def test_malformed_config_names_file_and_key_or_row(tmp_path, edit):
     path.write_bytes(data)
     try:
         load_config(str(path))
-    except ConfigError as exc:
+    except data_io.InputError as exc:
         message = str(exc)
         assert str(path) in message, message
         assert (f"{path}:{line}:" in message or f"row {line}:" in message
@@ -254,7 +254,7 @@ def reference_load_price_series(path):
     if not rows:
         raise data_io.InputError(f"{path}: no data rows")
     rows.sort()
-    return PriceSeries(rows, [seen[d] for d in rows])
+    return PriceSeries([d.toordinal() for d in rows], [seen[d] for d in rows])
 
 
 def _reference_quote(record, row):
@@ -336,7 +336,7 @@ def _outcome(load, path):
     except Exception as exc:  # noqa: BLE001 - any difference is a finding
         return type(exc), str(exc)
     if isinstance(result, PriceSeries):
-        return result.dates, result.prices.tolist()
+        return result.days.tolist(), result.prices.tolist()
     return result
 
 

@@ -58,16 +58,29 @@ def test_spot_state_positivity():
 
 
 def test_price_series_validation():
-    days = [date(2018, 1, 2), date(2018, 1, 3), date(2018, 1, 4)]
+    days = [date(2018, 1, d).toordinal() for d in (2, 3, 4)]
     ps = PriceSeries(days, [1.0, 2.0, 3.0])
     assert len(ps) == 3
-    assert ps.days.tolist() == [d.toordinal() for d in days]
+    assert ps.days.tolist() == days
     assert ps.days.dtype == np.int64
     assert not ps.days.flags.writeable
     with pytest.raises(ValueError, match="2018-01-03"):
         PriceSeries(days, [1.0, -2.0, 3.0])
     with pytest.raises(ValueError, match="not strictly increasing"):
         PriceSeries([days[0], days[0], days[2]], [1.0, 2.0, 3.0])
+
+
+def test_price_series_messages_and_repr_render_days_as_iso_dates():
+    days = [date(2018, 1, d).toordinal() for d in (2, 3, 4)]
+    assert repr(PriceSeries(days, [1.0, 2.0, 3.0])) == "PriceSeries(3 points, 2018-01-02..2018-01-04)"
+    assert repr(PriceSeries([], [])) == "PriceSeries(empty)"
+    for order, day in (([0, 0, 2], "2018-01-02"), ([0, 2, 1], "2018-01-03")):
+        with pytest.raises(ValueError) as info:
+            PriceSeries([days[i] for i in order], [1.0, 2.0, 3.0])
+        assert str(info.value) == f"dates not strictly increasing at {day}"
+    with pytest.raises(ValueError) as info:
+        PriceSeries([[d] for d in days], [1.0, 2.0, 3.0])
+    assert str(info.value) == "days must be one-dimensional"
 
 
 def test_return_panel_caches_match_recomputation():
@@ -127,7 +140,7 @@ def test_log_returns_errors():
         log_returns([100.0])
     with pytest.raises(ValueError, match="index 1"):
         log_returns([100.0, -1.0, 100.0])
-    days = [date(2018, 1, 2), date(2018, 1, 3)]
+    days = [date(2018, 1, 2).toordinal(), date(2018, 1, 3).toordinal()]
     with pytest.raises(ValueError, match="2018-01-03"):
         PriceSeries(days, [100.0, 0.0])
 
@@ -141,7 +154,7 @@ def test_log_returns_errors():
 def test_bad_price_messages_name_the_first_bad_entry(bad, fault):
     # "non-positive" for values <= 0, "non-finite" for inf and NaN, and the
     # value as a plain float, not numpy's repr "np.float64(...)"
-    days = [date(2018, 1, 2), date(2018, 1, 3), date(2018, 1, 4), date(2018, 1, 5)]
+    days = [date(2018, 1, d).toordinal() for d in (2, 3, 4, 5)]
     prices = [1.0, bad, 3.0, -4.0]
     with pytest.raises(ValueError) as info:
         PriceSeries(days, prices)

@@ -105,6 +105,18 @@ def test_chain_equals_itself_and_its_arrays_make_it_unhashable():
         hash(chain)
 
 
+def test_chains_compare_by_the_elements_of_their_arrays():
+    chain, twin = Chain(**RECORDS[Chain]), Chain(**RECORDS[Chain])
+    assert chain.draws is not twin.draws
+    assert chain == twin and not chain != twin
+    draws = RECORDS[Chain]["draws"]
+    for name, value in (("draws", [draws[0], [0.0061, 0.0041, 0.01]]),
+                        ("draws", [draws[0], draws[1], draws[1]]),
+                        ("acceptance_counts", [2, 1, 1]), ("burn_in", 0)):
+        other = Chain(**{**RECORDS[Chain], name: value})
+        assert chain != other and not chain == other, name
+
+
 @TYPES
 def test_repr_names_the_class_and_its_fields(cls):
     record = cls(**RECORDS[cls])
@@ -127,7 +139,8 @@ def test_copies_and_pickles_keep_the_fields(cls):
 
 
 PANELS_AND_SERIES = pytest.mark.parametrize("value", [
-    PANEL, PriceSeries([date(2018, 10, 30), date(2018, 10, 31)], [2711.74, 2720.1]),
+    PANEL, PriceSeries([date(2018, 10, 30).toordinal(), date(2018, 10, 31).toordinal()],
+                       [2711.74, 2720.1]),
 ], ids=["ReturnPanel", "PriceSeries"])
 
 

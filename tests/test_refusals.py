@@ -18,7 +18,7 @@ PANEL = ReturnPanel([0.01, -0.02, 0.015, -0.005], [0.004, 0.002, -0.006, 0.001])
 THETA = Theta(0.006, 0.004, -0.1)
 SPOT = SpotState(2711.74, 0.88)
 MARKET = MarketConfig(0.015 / 252, 0.025 / 252, 1.0)
-DAYS = [date(2018, 1, 2), date(2018, 1, 3)]
+DAYS = [date(2018, 1, 2).toordinal(), date(2018, 1, 3).toordinal()]
 
 
 def _chain(n_draws, counts=(1, 1, 1)):
@@ -79,5 +79,7 @@ def test_each_refusal_raises_its_message(tmp_path, call, message):
     assert isinstance(refused.value, InputError) == message.startswith("series.csv")
 
 
-def test_the_cli_refuses_input_with_the_readers_error_type():
-    assert cli.ConfigError is InputError and issubclass(InputError, ValueError)
+def test_the_cli_refuses_input_with_the_readers_error_type(tmp_path):
+    assert issubclass(InputError, ValueError)
+    with pytest.raises(InputError, match="config file not found"):
+        cli.load_config(str(tmp_path / "none.cfg"))
