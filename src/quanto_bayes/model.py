@@ -179,11 +179,12 @@ class SpotState(_Record):
         super().__init__(x0, h0)
 
 
-class PriceSeries:
+class PriceSeries(_Record):
     """Strictly positive closing levels on strictly increasing days, as two
     read-only arrays: the prices, and the dates' int64 ordinals ``days`` (as
     ``date.toordinal`` gives them), on which the order is checked and series
-    are aligned. Messages and the repr show a day as YYYY-MM-DD."""
+    are aligned. Messages and the repr show a day as YYYY-MM-DD. Two series
+    compare by the elements of their arrays, and a series has no hash."""
 
     __slots__ = ("days", "prices")
 
@@ -207,13 +208,7 @@ class PriceSeries:
             raise ValueError(f"dates not strictly increasing at {day}")
         prices.setflags(write=False)
         days.setflags(write=False)
-        object.__setattr__(self, "days", days)
-        object.__setattr__(self, "prices", prices)
-
-    __setattr__ = __delattr__ = _Record.__setattr__
-
-    def __reduce__(self):
-        return PriceSeries, (self.days, self.prices)
+        super().__init__(days, prices)
 
     def __len__(self):
         return self.days.size
@@ -249,6 +244,10 @@ class ReturnPanel:
     every posterior-kernel evaluation: the count T (``n_obs``), the sample
     means, the centered sums of squares ``sxx`` and ``shh``, and the
     centered cross sum ``sxh = sum(x_t * h_t) - T * mean_x * mean_h``.
+
+    It is not a ``_Record``: most of its slots are statistics derived from
+    the returns, not its arguments, and it compares and hashes by identity,
+    so the ``SequentialSettings`` that holds it can be hashed.
     """
 
     __slots__ = ("x", "h", "n_obs", "mean_x", "mean_h", "sxx", "shh", "sxh")
@@ -296,9 +295,6 @@ class ReturnPanel:
             np.concatenate([self.x, np.atleast_1d(x_new)]),
             np.concatenate([self.h, np.atleast_1d(h_new)]),
         )
-
-    def __len__(self):
-        return self.n_obs
 
     def __repr__(self):
         return f"ReturnPanel(T={self.n_obs})"

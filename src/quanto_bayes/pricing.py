@@ -119,7 +119,9 @@ def price_batch(requests, chain: Chain, market: MarketConfig, n_paths, seed,
     and only the tail from there is computed. Every other request sorts its
     own payoffs.
     """
-    requests, growth, n_distinct = _simulate(requests, chain, market, n_paths, seed, sequential)
+    with np.errstate(over="ignore"):  # _sorted_payoffs refuses a path that overflows
+        requests, growth, n_distinct = _simulate(requests, chain, market, n_paths, seed,
+                                                 sequential)
     sorted_growth = {s: np.sort(growth[s][0])
                      for s in {r.horizon_s for r in requests if r.kind == "F3"}}
     ordered = (_sorted_payoffs(request, market, growth, sorted_growth) for request in requests)
@@ -128,21 +130,22 @@ def price_batch(requests, chain: Chain, market: MarketConfig, n_paths, seed,
 
 def _sorted_payoffs(request, market, growth, sorted_growth):
     """One request's discounted payoffs in ascending order; a payoff that is
-    not finite, which a path that overflows gives, raises ValueError."""
-    if request.kind != "F3":
-        values = _discounted_payoffs(request, market, *growth[request.horizon_s])
-        values.sort()  # a NaN sorts last
-    else:
-        ordered = sorted_growth[request.horizon_s]
-        x0 = request.spot.x0
-        strike = request.strike
-        # K/x0 may round either way, or overflow: step back to the first
-        # growth whose payoff the formula makes positive
-        j = int(np.searchsorted(ordered, strike / x0, side="right"))
-        while j > 0 and x0 * ordered[j - 1] - strike > 0.0:
-            j -= 1
-        values = np.zeros(ordered.size)
-        values[j:] = _discounted_payoffs(request, market, ordered[j:], None)
+    not finite, as an overflowing path gives, raises ValueError and no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        if request.kind != "F3":
+            values = _discounted_payoffs(request, market, *growth[request.horizon_s])
+            values.sort()  # a NaN sorts last
+        else:
+            ordered = sorted_growth[request.horizon_s]
+            x0 = request.spot.x0
+            strike = request.strike
+            # K/x0 may round either way, or overflow: step back to the first
+            # growth whose payoff the formula makes positive
+            j = int(np.searchsorted(ordered, strike / x0, side="right"))
+            while j > 0 and x0 * ordered[j - 1] - strike > 0.0:
+                j -= 1
+            values = np.zeros(ordered.size)
+            values[j:] = _discounted_payoffs(request, market, ordered[j:], None)
     if not math.isfinite(values[-1]):
         raise ValueError(f"{request.kind} at strike {request.strike!r}, maturity "
                          f"{request.horizon_s} days: a simulated payoff is not finite")

@@ -1666,7 +1666,7 @@ def test_sequential_pricing_failure_names_the_quote_or_the_refresh(tmp_path, cap
     cfg_path = _extreme_rate_config(tmp_path, r_d_annual, refresh_interval=refresh_interval)
     out = os.path.join(str(tmp_path), "out")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        warnings.simplefilter("error", RuntimeWarning)  # refused with no numpy warning
         assert main(["experiment", "--config", cfg_path]) == 0
         [row] = [tuple(r.values()) for r in _read_csv(os.path.join(out, "failures.csv"))]
         assert row[:4] == ("eur_usd_synthetic", "140", "tnn", "price")
@@ -1681,21 +1681,27 @@ def test_sequential_pricing_failure_names_the_quote_or_the_refresh(tmp_path, cap
     assert re.fullmatch(f"runtime failure: {text}\n", err), err
 
 
-@pytest.mark.parametrize("windows, n_paths, status, err", [
+@pytest.mark.parametrize("windows, n_paths, refresh_interval, status, err", [
     # the refresh after day 80 meets a sample correlation whose 1 - rho^2 is
     # near 3e-11, where the exact sampler once spun for seconds
-    (140, 200, 2, r"runtime failure: sequential refresh after day 80: sample correlation "
-                  r"-?0\.99999\d* lies too close to \+-1 for exact draws: "
-                  r"1 - rho\^2 = \S+ < 1e-06\n"),
+    (140, 200, 10, 2, r"runtime failure: sequential refresh after day 80: sample correlation "
+                      r"-?0\.99999\d* lies too close to \+-1 for exact draws: "
+                      r"1 - rho\^2 = \S+ < 1e-06\n"),
     # every request is F3, which reads no exchange rate, so none overflows
-    (1840, 50, 0, ""),
-], ids=["near-unit-correlation", "f3-only-overflowing-fx"])
+    (1840, 50, 10, 0, ""),
+    # the 90-day asset paths overflow, and the quote is refused without
+    # numpy's overflow and invalid-value warnings
+    (140, 20, 20, 2, re.escape("runtime failure: F3 at strike 2388.5, maturity 90 days: a "
+                               "simulated payoff is not finite\n")),
+], ids=["near-unit-correlation", "f3-only-overflowing-fx", "payoff-overflow"])
 def test_extreme_rate_sequential_price_ends_in_time_without_warnings(tmp_path, windows, n_paths,
-                                                                     status, err):
+                                                                     refresh_interval, status,
+                                                                     err):
     # price runs in a fresh interpreter with numpy's RuntimeWarning raised as
     # an error and a time limit, so a hang fails this test and does not stall
     # the suite
-    cfg_path = _extreme_rate_config(tmp_path, "1e4", windows=windows, n_paths=n_paths)
+    cfg_path = _extreme_rate_config(tmp_path, "1e4", windows=windows, n_paths=n_paths,
+                                    refresh_interval=refresh_interval)
     assert main(["estimate", "--config", cfg_path]) == 0
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

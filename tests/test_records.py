@@ -1,8 +1,9 @@
 """The value types' contract: read-only slotted records whose equality, hash,
 repr and pickling go by their fields, built by keyword as the README does;
-price series and return panels are read-only too, and copy and pickle by the
-arguments they were built from; and importing the CLI generates no dataclass
-code."""
+records that hold arrays, a chain and a price series, compare them element by
+element and have no hash; price series and return panels copy and pickle by
+the arguments they were built from; and importing the CLI generates no
+dataclass code."""
 
 import copy
 import inspect
@@ -98,23 +99,37 @@ def test_equal_fields_give_equal_records_and_hashes(cls):
     assert record != tuple(RECORDS[cls].values())
 
 
+SERIES = {"days": [date(2018, 10, 30).toordinal(), date(2018, 10, 31).toordinal()],
+          "prices": [2711.74, 2720.1]}
+DRAWS = RECORDS[Chain]["draws"]
+# the records that hold arrays, a chain and a price series, each with its
+# fields and valid changes of one field that make it differ
+ARRAY_RECORDS = [
+    (Chain, RECORDS[Chain], [("draws", [DRAWS[0], [0.0061, 0.0041, 0.01]]),
+                             ("draws", [DRAWS[0], DRAWS[1], DRAWS[1]]),
+                             ("acceptance_counts", [2, 1, 1]), ("burn_in", 0)]),
+    (PriceSeries, SERIES, [("prices", [2711.74, 2720.2]),
+                           ("days", [SERIES["days"][0], date(2018, 11, 1).toordinal()])]),
+]
+
+
 def test_chain_equals_itself_and_its_arrays_make_it_unhashable():
-    chain = Chain(**RECORDS[Chain])
-    assert chain == chain
-    with pytest.raises(TypeError):
-        hash(chain)
+    for cls, fields, _ in ARRAY_RECORDS:
+        record = cls(**fields)
+        assert record == record
+        with pytest.raises(TypeError):
+            hash(record)
 
 
 def test_chains_compare_by_the_elements_of_their_arrays():
-    chain, twin = Chain(**RECORDS[Chain]), Chain(**RECORDS[Chain])
-    assert chain.draws is not twin.draws
-    assert chain == twin and not chain != twin
-    draws = RECORDS[Chain]["draws"]
-    for name, value in (("draws", [draws[0], [0.0061, 0.0041, 0.01]]),
-                        ("draws", [draws[0], draws[1], draws[1]]),
-                        ("acceptance_counts", [2, 1, 1]), ("burn_in", 0)):
-        other = Chain(**{**RECORDS[Chain], name: value})
-        assert chain != other and not chain == other, name
+    for cls, fields, changes in ARRAY_RECORDS:
+        record, twin = cls(**fields), cls(**fields)
+        first = cls.__slots__[0]
+        assert getattr(record, first) is not getattr(twin, first)
+        assert record == twin and not record != twin
+        for name, value in changes:
+            other = cls(**{**fields, name: value})
+            assert record != other and not record == other, (cls.__name__, name)
 
 
 @TYPES
