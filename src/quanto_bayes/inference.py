@@ -288,14 +288,11 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
       R = C / (sigma_x sigma_h); a step out of (-1, 1) is rejected.
 
     g, 1/c and 1/c^2 are computed once per chain over each candidate
-    stream. The current state's terms are sweep state: g, 1/s and 1/s^2 of
-    each volatility, log(1 - rho^2), a and b, and the products b sigma_h,
-    b sigma_x, P, Q, R and rho's kernel term (P + Q rho^2 + R rho) /
-    (1 - rho^2). Each changes only when a move changes one of its factors,
-    so only an accepted move recomputes it, with the expression and
-    operation order of a per-sweep recomputation. The tests keep the
-    kernel-calling loop this replaced as a reference sampler and check that
-    both give the same chain bit for bit.
+    stream. The sweep carries g, 1/s and 1/s^2 of each volatility, rho,
+    log(1 - rho^2), 1/(1 - rho^2) and the two a's and b; P, Q, R and rho's
+    current term are formed at a rho step whose candidate lies in (-1, 1).
+    The tests keep the kernel-calling loop this replaced as a reference
+    sampler and check that both give the same chain bit for bit.
 
     Randomness is consumed in a fixed order (candidate streams for the three
     parameters, then a (K, 3) block of acceptance uniforms), so an identical
@@ -345,46 +342,29 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     a_x = half_sxx * inv_om
     a_h = half_shh * inv_om
     b = r * cross * inv_om
-    # products of the current-state terms, each recomputed by the accepted
-    # moves that change it
-    b_ih = b * i_h
-    b_ix = b * i_x
-    p = half_sxx * i2_x
-    q = half_shh * i2_h
-    s = cross * i_x * i_h
-    rho_term = (p + (q * r + s) * r) * inv_om
     log = math.log
 
     for k, cxk, gxk, ixk, i2xk, chk, ghk, ihk, i2hk, drk, luxk, luhk, lurk in zip(
             range(n_draws), *streams):
-        la = gxk - g_x - a_x * (i2xk - i2_x) - b_ih * (ixk - i_x)
+        la = gxk - g_x - a_x * (i2xk - i2_x) - b * i_h * (ixk - i_x)
         if luxk < la:
-            g_x = gxk
-            i_x = ixk
-            i2_x = i2xk
+            g_x, i_x, i2_x = gxk, ixk, i2xk
             out_x[k] = cxk
-            b_ix = b * i_x
-            p = half_sxx * i2_x
-            s = cross * i_x * i_h
-            rho_term = (p + (q * r + s) * r) * inv_om
 
-        la = ghk - g_h - a_h * (i2hk - i2_h) - b_ix * (ihk - i_h)
+        la = ghk - g_h - a_h * (i2hk - i2_h) - b * i_x * (ihk - i_h)
         if luhk < la:
-            g_h = ghk
-            i_h = ihk
-            i2_h = i2hk
+            g_h, i_h, i2_h = ghk, ihk, i2hk
             out_h[k] = chk
-            b_ih = b * i_h
-            q = half_shh * i2_h
-            s = cross * i_x * i_h
-            rho_term = (p + (q * r + s) * r) * inv_om
 
         c = r + drk
         if -1.0 < c < 1.0:
+            p = half_sxx * i2_x
+            q = half_shh * i2_h
+            s = cross * i_x * i_h
             om_c = 1.0 - c * c
             log_om_c = log(om_c)
             term_c = p + (q * c + s) * c
-            la = half_t * (log_om - log_om_c) - (term_c / om_c - rho_term)
+            la = half_t * (log_om - log_om_c) - (term_c / om_c - (p + (q * r + s) * r) * inv_om)
             if lurk < la:
                 r = c
                 log_om = log_om_c
@@ -392,9 +372,6 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
                 a_x = half_sxx * inv_om
                 a_h = half_shh * inv_om
                 b = r * cross * inv_om
-                b_ih = b * i_h
-                b_ix = b * i_x
-                rho_term = term_c * inv_om
                 out_r[k] = c
 
     accepted = [_hold_rejections(column, start)

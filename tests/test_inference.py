@@ -349,16 +349,29 @@ _EQUIVALENCE_PANELS = {
     "fixture_w140": lambda: fixture_panel(140),
     "fixture_w1840": lambda: fixture_panel(1840),
     "synth_5": lambda: synth_panel(5, seed=17),
-    # sample rho 0.889: 1 - rho^2 is small, where the cached rho term matters most
+    # sample rho 0.889: 1 - rho^2 is small, so rho's kernel term is large
     "synth_200_rho90": lambda: synth_panel(200, seed=90, theta=Theta(0.006, 0.004, 0.9)),
+    # sample rho 0.9945: most wide rho steps leave (-1, 1)
+    "synth_200_rho995": lambda: synth_panel(200, seed=90, theta=Theta(0.006, 0.004, 0.995)),
 }
 
+# rho's random-walk step: the default; 1.0, at which tnn and ign accept no rho
+# move on synth_200_rho995 at seed 11, so non-empty warnings are compared; and
+# 1e-9, at which every rho move is accepted, so rho's accept block runs on
+# every sweep. The default step keeps the case id it had alone.
+_EQUIVALENCE_CASES = [
+    pytest.param(panel_name, code, step,
+                 id=f"{panel_name}-{code}" + ("" if step == 0.1 else f"-step{step:g}"))
+    for panel_name in sorted(_EQUIVALENCE_PANELS)
+    for code in ("ign", "tnn", "ttn")
+    for step in (0.1, 1.0, 1e-9)
+]
 
-@pytest.mark.parametrize("code", ["ttn", "tnn", "ign"])
-@pytest.mark.parametrize("panel_name", sorted(_EQUIVALENCE_PANELS))
-def test_mwg_matches_reference_sampler_bitwise(panel_name, code):
+
+@pytest.mark.parametrize("panel_name, code, rho_step", _EQUIVALENCE_CASES)
+def test_mwg_matches_reference_sampler_bitwise(panel_name, code, rho_step):
     panel = _EQUIVALENCE_PANELS[panel_name]()
-    specs = default_proposals(code, panel)
+    specs = default_proposals(code, panel, rho_step=rho_step)
     init = mle_estimate(panel)
     for seed in (11, 12, 13):
         _assert_same_chain(mwg_sample(panel, specs, 2000, 400, init=init, seed=seed),
