@@ -32,7 +32,9 @@ Samplers:
   proposal stream. A proposal density q enters only up to a constant that
   depends on its spec alone, since q(current) / q(candidate) cancels it.
   The tests keep the generic kernel-calling loop as a reference sampler and
-  check that both give the same chain bit for bit.
+  check that both give the same chain bit for bit. Its sweep loop runs in C
+  (``_sweep.c``, compiled on first use) when a compiler is at hand, and in
+  Python otherwise, with the same chain either way.
 * :func:`exact_posterior_draws` draws exactly from the same posterior, given
   only its sufficient statistics, which may differ from draw to draw: an
   inverse-Wishart partition plus an accept step. The sequential-update
@@ -47,7 +49,11 @@ Samplers:
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -292,7 +298,9 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     log(1 - rho^2), 1/(1 - rho^2) and the two a's and b; P, Q, R and rho's
     current term are formed at a rho step whose candidate lies in (-1, 1).
     The tests keep the kernel-calling loop this replaced as a reference
-    sampler and check that both give the same chain bit for bit.
+    sampler and check that both give the same chain bit for bit. The loop
+    runs in C when :func:`_native_sweep` can build it, else in
+    :func:`_python_sweep`, its specification; the chain is the same.
 
     Randomness is consumed in a fixed order (candidate streams for the three
     parameters, then a (K, 3) block of acceptance uniforms), so an identical
@@ -310,6 +318,36 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     if not 0 <= burn_in < n_draws:
         raise ValueError(f"need n_draws > burn_in >= 0, got {n_draws}, {burn_in}")
 
+    streams, state, constants = _sweep_inputs(panel, spec_x, spec_h, step, n_draws, init, seed)
+    # an accepted move writes its value; NaN marks a rejection until filled
+    draws = np.full((n_draws, 3), np.nan)
+    (_native_sweep() or _python_sweep)(n_draws, streams, draws, state, *constants)
+
+    accepted = [_hold_rejections(column, start)
+                for column, start in zip(draws.T, init.as_tuple())]
+    warnings = tuple(
+        f"no accepted moves for {name} after burn-in"
+        for name, mask in zip(PARAMETERS, accepted)
+        if not mask[burn_in:].any()
+    )
+    return Chain(
+        draws=draws,
+        burn_in=burn_in,
+        acceptance_counts=np.array([mask.sum() for mask in accepted], dtype=int),
+        warnings=warnings,
+    )
+
+
+def _sweep_inputs(panel, spec_x, spec_h, step, n_draws, init, seed):
+    """A chain's sweep inputs: twelve streams, the twelve-term state at
+    ``init`` and the constants (T/2, sxx/2, shh/2, C).
+
+    The streams are, as C-contiguous float64 arrays: each volatility's
+    candidates with their g, 1/c and 1/c^2; rho's steps; and the log
+    acceptance uniforms of sigma_x, sigma_h and rho. The state is g, 1/s and
+    1/s^2 of each volatility, then rho, log(1 - rho^2), 1/(1 - rho^2), a_x,
+    a_h and b.
+    """
     t = float(panel.n_obs)
     half_t = 0.5 * t
     half_sxx = 0.5 * panel.sxx
@@ -322,13 +360,6 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     log_u = np.ascontiguousarray(np.log(rng.random((n_draws, 3))).T)
     terms_x = _volatility_terms(spec_x, cand_x, t)
     terms_h = _volatility_terms(spec_h, cand_h, t - 1.0)
-    # The sweep is scalar code. Iterating a memoryview of a float64 array
-    # gives Python floats, whose arithmetic is several times faster than
-    # numpy scalars', without a list's per-element objects.
-    streams = tuple(memoryview(a) for a in (cand_x, *terms_x, cand_h, *terms_h, steps, *log_u))
-    # an accepted move writes its value; NaN marks a rejection until filled
-    draws = np.full((n_draws, 3), np.nan)
-    out_x, out_h, out_r = (memoryview(column) for column in draws.T)
 
     # current-state terms
     g_x, i_x, i2_x = (float(v[0]) for v in _volatility_terms(
@@ -342,10 +373,28 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     a_x = half_sxx * inv_om
     a_h = half_shh * inv_om
     b = r * cross * inv_om
+    return ((cand_x, *terms_x, cand_h, *terms_h, steps, *log_u),
+            np.array([g_x, i_x, i2_x, g_h, i_h, i2_h, r, log_om, inv_om, a_x, a_h, b]),
+            (half_t, half_sxx, half_shh, cross))
+
+
+def _python_sweep(n_draws, streams, draws, state, half_t, half_sxx, half_shh, cross):
+    """Run ``n_draws`` sweeps from :func:`_sweep_inputs`' streams and state.
+
+    An accepted move writes its value into the (K, 3) ``draws``, whose
+    rejections stay as they were; ``state`` is left at the last sweep's.
+    This loop is the specification of ``_sweep.c``, which copies its
+    expressions in their order.
+    """
+    # The sweep is scalar code. Iterating a memoryview of a float64 array
+    # gives Python floats, whose arithmetic is several times faster than
+    # numpy scalars', without a list's per-element objects.
+    out_x, out_h, out_r = (memoryview(column) for column in draws.T)
+    g_x, i_x, i2_x, g_h, i_h, i2_h, r, log_om, inv_om, a_x, a_h, b = state.tolist()
     log = math.log
 
     for k, cxk, gxk, ixk, i2xk, chk, ghk, ihk, i2hk, drk, luxk, luhk, lurk in zip(
-            range(n_draws), *streams):
+            range(n_draws), *(memoryview(a) for a in streams)):
         la = gxk - g_x - a_x * (i2xk - i2_x) - b * i_h * (ixk - i_x)
         if luxk < la:
             g_x, i_x, i2_x = gxk, ixk, i2xk
@@ -374,19 +423,120 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
                 b = r * cross * inv_om
                 out_r[k] = c
 
-    accepted = [_hold_rejections(column, start)
-                for column, start in zip(draws.T, init.as_tuple())]
-    warnings = tuple(
-        f"no accepted moves for {name} after burn-in"
-        for name, mask in zip(PARAMETERS, accepted)
-        if not mask[burn_in:].any()
-    )
-    return Chain(
-        draws=draws,
-        burn_in=burn_in,
-        acceptance_counts=np.array([mask.sum() for mask in accepted], dtype=int),
-        warnings=warnings,
-    )
+    state[:] = (g_x, i_x, i2_x, g_h, i_h, i2_h, r, log_om, inv_om, a_x, a_h, b)
+
+
+# ---------------------------------------------------------------------------
+# The sweep in C, built on first use
+# ---------------------------------------------------------------------------
+
+_SWEEP_SOURCE = os.path.join(os.path.dirname(__file__), "_sweep.c")
+# never -ffast-math, and no fused multiply-adds: the C loop must round as Python does
+_SWEEP_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+@functools.cache
+def _native_sweep():
+    """The C sweep with :func:`_python_sweep`'s signature, or None.
+
+    Loaded from the user cache directory ($XDG_CACHE_HOME/quanto-bayes,
+    else ~/.cache/quanto-bayes) by :func:`_load_sweep`, which builds it there
+    first if it is missing. Any failure (no compiler, an unwritable cache, a
+    failed compile or self-check) gives None, and :func:`mwg_sample` runs the
+    Python loop, whose chains are the same.
+    """
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    try:
+        with open(_SWEEP_SOURCE, "rb") as f:
+            return _load_sweep(os.path.join(cache, "quanto-bayes"), f.read())
+    except (OSError, RuntimeError):  # the Python loop gives the same chains
+        return None
+
+
+def _load_sweep(directory, source):
+    """The sweep compiled from ``source`` (bytes), as ``sweep-<key>.so`` in
+    ``directory``, where the key is the sha256 of the source, the compile
+    flags and the platform. Raises OSError when it cannot be built or
+    loaded, and RuntimeError when it fails the self-check.
+
+    A missing library is compiled with sysconfig's CC into a temporary file
+    in ``directory``, and moved into place only once it reproduces
+    :func:`_python_sweep` bit for bit on :func:`_reproduces_python_loop`'s
+    chain, so concurrent first runs never load a partial or unchecked file.
+    """
+    import hashlib
+    import platform
+    key = hashlib.sha256(repr((source, _SWEEP_FLAGS, sys.platform, platform.machine()))
+                         .encode()).hexdigest()
+    path = os.path.join(directory, f"sweep-{key}.so")
+    try:
+        return _ctypes_sweep(path)
+    except OSError:  # not built yet
+        pass
+    import tempfile
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
+    os.close(fd)
+    try:
+        import subprocess
+        import sysconfig
+        cc = sysconfig.get_config_var("CC")
+        if not cc:
+            raise OSError("sysconfig names no C compiler")
+        done = subprocess.run([*cc.split(), *_SWEEP_FLAGS, "-o", tmp, "-x", "c", "-", "-lm"],
+                              input=source, capture_output=True)
+        if done.returncode:
+            raise OSError(f"{cc} failed: {done.stderr.decode(errors='replace')}")
+        sweep = _ctypes_sweep(tmp)
+        if not _reproduces_python_loop(sweep):
+            raise RuntimeError(f"the sweep compiled by {cc} differs from the Python loop")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return sweep
+
+
+def _ctypes_sweep(path):
+    """``mwg_sweep`` of the library at ``path``, called as :func:`_python_sweep` is."""
+    fn = ctypes.CDLL(path).mwg_sweep
+    fn.restype = None
+    fn.argtypes = (ctypes.c_long, *[ctypes.c_void_p] * 14, *[ctypes.c_double] * 4)
+
+    def sweep(n_draws, streams, draws, state, *constants):
+        # the C loop trusts these shapes: a wrong one would read or write out of bounds
+        arrays = (*streams, draws, state)
+        if ([a.shape for a in arrays] != [(n_draws,)] * 12 + [(n_draws, 3), (12,)]
+                or not all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
+                or not (draws.flags.writeable and state.flags.writeable)):
+            raise ValueError("the sweep needs twelve streams of n_draws, an (n_draws, 3) "
+                             "block and 12 state terms, all C-contiguous float64")
+        fn(n_draws, *(a.ctypes.data for a in streams), draws.ctypes.data, state.ctypes.data,
+           *constants)
+    return sweep
+
+
+def _reproduces_python_loop(sweep):
+    """Whether ``sweep`` leaves the draws and the state of :func:`_python_sweep`
+    bit for bit on a fixed 500-sweep chain. Its first rho steps land on 1,
+    -1, NaN and inf, a sigma_x candidate's 1/c^2 is inf and a sigma_h
+    candidate's g is NaN, so every way of rejecting is taken.
+    """
+    days = np.arange(60.0)
+    panel = ReturnPanel(0.01 * np.sin(days), 0.006 * np.sin(days + 0.7 * np.cos(days)))
+    est = mle_estimate(panel)
+    streams, state, constants = _sweep_inputs(
+        panel, *default_proposals("ttn", panel), 500, Theta(est.sigma_x, est.sigma_h, 0.5), 0)
+    streams[8][:4] = (0.5, -1.5, math.nan, math.inf)
+    streams[3][4] = math.inf
+    streams[5][6] = math.nan
+    results = []
+    for run in (_python_sweep, sweep):
+        draws = np.full((500, 3), np.nan)
+        end = state.copy()
+        run(500, streams, draws, end, *constants)
+        results.append(draws.tobytes() + end.tobytes())
+    return results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------

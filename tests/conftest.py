@@ -5,6 +5,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from quanto_bayes import inference
 from quanto_bayes.data_io import align_series, load_price_series
 from quanto_bayes.model import ReturnPanel, Theta, log_returns
 from quanto_bayes.pricing import predictive_batch, price_batch
@@ -13,6 +14,17 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 TRUTH = Theta(sigma_x=0.006, sigma_h=0.004, rho=-0.03)
 DRIFT = (0.0003, 0.0001)  # physical drifts (mu_x, mu_h) per trading day
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _sweep_cache(tmp_path_factory):
+    """The test run, and every command it starts, builds the C sweep into a
+    fresh cache directory instead of the user's."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        inference._native_sweep.cache_clear()
+        yield
+    inference._native_sweep.cache_clear()
 
 
 def synth_returns(theta, drift, n, rng):

@@ -1,7 +1,9 @@
 import functools
 import hashlib
 import math
+import os
 import re
+import sysconfig
 import warnings
 
 import numpy as np
@@ -337,6 +339,31 @@ def test_mwg_known_target_moments():
 # Metropolis-within-Gibbs
 # ---------------------------------------------------------------------------
 
+# mwg_sample's sweep loop runs in C when it can be built, else in Python; the
+# MwG tests below run on each. The C loop is built into a fresh directory by
+# the loader mwg_sample uses, so a C loop that cannot be built or that fails
+# the loader's self-check fails its tests. A case keeps its old id on the
+# Python loop and adds "-native" on the C loop.
+
+@pytest.fixture(scope="module")
+def native_sweep(tmp_path_factory):
+    with open(inference._SWEEP_SOURCE, "rb") as f:
+        return inference._load_sweep(str(tmp_path_factory.mktemp("sweep")), f.read())
+
+
+@pytest.fixture
+def loop(request, monkeypatch):
+    """mwg_sample runs the C loop ("native") or the Python loop ("python")."""
+    sweep = request.getfixturevalue("native_sweep") if request.param == "native" else None
+    monkeypatch.setattr(inference, "_native_sweep", lambda: sweep)
+
+
+def _on_both_loops(cases):
+    """pytest params for each (values, id) case, with a ``loop`` value last."""
+    return [pytest.param(*values, loop, id=case_id + ("-native" if loop == "native" else ""))
+            for values, case_id in cases for loop in ("python", "native")]
+
+
 def _assert_same_chain(got, expected):
     assert np.array_equal(got.draws, expected.draws)
     assert np.array_equal(got.acceptance_counts, expected.acceptance_counts)
@@ -359,17 +386,17 @@ _EQUIVALENCE_PANELS = {
 # move on synth_200_rho995 at seed 11, so non-empty warnings are compared; and
 # 1e-9, at which every rho move is accepted, so rho's accept block runs on
 # every sweep. The default step keeps the case id it had alone.
-_EQUIVALENCE_CASES = [
-    pytest.param(panel_name, code, step,
-                 id=f"{panel_name}-{code}" + ("" if step == 0.1 else f"-step{step:g}"))
+_EQUIVALENCE_CASES = _on_both_loops(
+    ((panel_name, code, step), f"{panel_name}-{code}" + ("" if step == 0.1 else f"-step{step:g}"))
     for panel_name in sorted(_EQUIVALENCE_PANELS)
     for code in ("ign", "tnn", "ttn")
     for step in (0.1, 1.0, 1e-9)
-]
+)
 
 
-@pytest.mark.parametrize("panel_name, code, rho_step", _EQUIVALENCE_CASES)
-def test_mwg_matches_reference_sampler_bitwise(panel_name, code, rho_step):
+@pytest.mark.parametrize("panel_name, code, rho_step, loop", _EQUIVALENCE_CASES,
+                         indirect=["loop"])
+def test_mwg_matches_reference_sampler_bitwise(panel_name, code, rho_step, loop):
     panel = _EQUIVALENCE_PANELS[panel_name]()
     specs = default_proposals(code, panel, rho_step=rho_step)
     init = mle_estimate(panel)
@@ -394,9 +421,10 @@ def _patch_streams(monkeypatch, edit):
     monkeypatch.setattr(inference, "_proposal_stream", stream)
 
 
-@pytest.mark.parametrize("code", ["ttn", "tnn", "ign"])
+@pytest.mark.parametrize("code, loop", _on_both_loops(((c,), c) for c in ("ttn", "tnn", "ign")),
+                         indirect=["loop"])
 def test_mwg_rejects_volatility_candidates_whose_inverse_square_overflows(
-        panel_small, monkeypatch, code):
+        panel_small, monkeypatch, code, loop):
     tiny = np.finfo(float).tiny
     # 1/c^2 is inf for each: c^2 underflows to zero, or to a subnormal below 1/max
     near_tiny = np.array([tiny, 2.0 * tiny, 1e-300, 1e-160])
@@ -420,7 +448,8 @@ def test_mwg_rejects_volatility_candidates_whose_inverse_square_overflows(
     _assert_same_chain(chain, expected)
 
 
-def test_mwg_rejects_rho_steps_that_leave_the_open_interval(panel_small, monkeypatch):
+@pytest.mark.parametrize("loop", ["python", "native"], indirect=True)
+def test_mwg_rejects_rho_steps_that_leave_the_open_interval(panel_small, monkeypatch, loop):
     # from rho = 0.5 these land on 1, -1, 1.1, -2, +-inf and NaN
     steps = np.array([0.5, -1.5, 0.6, -2.5, np.inf, -np.inf, np.nan])
 
@@ -485,8 +514,9 @@ _PINNED_CHAINS = {
 }
 
 
-@pytest.mark.parametrize("code", sorted(_PINNED_CHAINS))
-def test_mwg_pinned_draws(panel_small, code):
+@pytest.mark.parametrize("code, loop", _on_both_loops(((c,), c) for c in sorted(_PINNED_CHAINS)),
+                         indirect=["loop"])
+def test_mwg_pinned_draws(panel_small, code, loop):
     chain = mwg_sample(panel_small, default_proposals(code, panel_small), 2000, 500,
                        init=mle_estimate(panel_small), seed=77)
     digest, counts = _PINNED_CHAINS[code]
@@ -508,7 +538,8 @@ def test_mwg_draws_stay_in_support(panel_small):
             assert 0.0 <= chain.acceptance_rate(name) <= 1.0
 
 
-def test_mwg_zero_acceptance_warning(panel_small):
+@pytest.mark.parametrize("loop", ["python", "native"], indirect=True)
+def test_mwg_zero_acceptance_warning(panel_small, loop):
     # proposals far outside the posterior mass: every candidate is rejected
     specs = (
         ProposalSpec(family="truncated_normal", loc=50.0, scale=1e-6),
@@ -520,6 +551,57 @@ def test_mwg_zero_acceptance_warning(panel_small):
     assert any("sigma_x" in w for w in chain.warnings)
     # rho's tiny random walk still accepts, so it raises no warning
     assert not any("rho" in w for w in chain.warnings)
+
+
+def test_a_compiler_that_cannot_run_leaves_the_python_loop_and_no_file(
+        panel_small, monkeypatch, tmp_path):
+    monkeypatch.setitem(sysconfig.get_config_vars(), "CC", str(tmp_path / "no-such-cc"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    specs = default_proposals("tnn", panel_small)
+    init = mle_estimate(panel_small)
+    inference._native_sweep.cache_clear()
+    try:
+        chain = mwg_sample(panel_small, specs, 2000, 500, init=init, seed=77)
+        assert inference._native_sweep() is None
+    finally:
+        inference._native_sweep.cache_clear()
+    _assert_same_chain(chain, reference_mwg_sample(panel_small, specs, 2000, 500,
+                                                    init=init, seed=77))
+    assert os.listdir(tmp_path / "quanto-bayes") == []
+
+
+def test_a_compiled_sweep_that_differs_from_the_python_loop_is_not_kept(tmp_path, monkeypatch):
+    with open(inference._SWEEP_SOURCE, "rb") as f:
+        source = f.read()
+    mutant = source.replace(b"(i2x[k] - i2_x)", b"(i2_x - i2x[k])")
+    assert mutant != source
+    moved = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        moved.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(RuntimeError, match="differs from the Python loop"):
+        inference._load_sweep(str(tmp_path), mutant)
+    assert moved == [] and os.listdir(tmp_path) == []
+    # the shipped source passes the same self-check and is moved into place
+    inference._load_sweep(str(tmp_path), source)
+    assert len(moved) == 1 and os.listdir(tmp_path) == moved
+
+
+def test_the_c_sweep_refuses_arrays_it_would_index_out_of_bounds(native_sweep):
+    def call(streams=[np.zeros(4)] * 12, draws=np.full((4, 3), np.nan), state=np.zeros(12)):
+        native_sweep(4, streams, draws, state, 1.0, 1.0, 1.0, 1.0)
+
+    call()
+    for bad in ({"streams": [np.zeros(4)] * 11}, {"streams": [np.zeros(3)] * 12},
+                {"streams": [np.zeros(4, dtype=np.float32)] * 12},
+                {"streams": [np.zeros(8)[::2]] * 12}, {"draws": np.full((3, 4), np.nan).T},
+                {"draws": np.full((4, 3), np.nan, dtype=np.float32)}, {"state": np.zeros(11)}):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            call(**bad)
 
 
 def test_mwg_recovers_synthetic_truth():
