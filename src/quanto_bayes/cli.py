@@ -29,7 +29,6 @@ byte. Unavailable cells are written as ``NA``.
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import locale  # noqa: F401 - argparse's gettext loads it when main builds the parser
 import math
@@ -45,6 +44,7 @@ import numpy as np
 import numpy.fft  # noqa: F401 - diagnostics' spectral NSE
 import numpy.random  # noqa: F401
 
+from . import inference
 from .data_io import (
     InputError,
     align_series,
@@ -161,13 +161,14 @@ class ExperimentConfig(NamedTuple):
             try:
                 probe.market()
                 panel = ReturnPanel([0.01, -0.02, 0.015, -0.005], [0.004, 0.002, -0.006, 0.001])
+                mle = mle_estimate(panel)
                 # a scale that over- or underflows the posterior is refused, by the
                 # sampler or by Chain; the warnings would only repeat that
                 with np.errstate(all="ignore"):
                     conjugate_sample(panel, probe.niw(), 2, seed=0)
                 probe.sequential(panel)
                 for family in FAMILY_CODES:
-                    probe.proposals(family, panel)
+                    probe.proposals(family, panel, mle)
             except (ValueError, ArithmeticError) as exc:
                 raise InputError(f"invalid {key} = {value!r}: {exc}") from None
 
@@ -179,11 +180,11 @@ class ExperimentConfig(NamedTuple):
     def niw(self):
         return NiwHyperparams(kappa=self.mnc_kappa, df=self.mnc_df, scale=self.mnc_scale)
 
-    def proposals(self, family, panel):
-        """The MwG proposal triple of ``family`` on ``panel``."""
+    def proposals(self, family, panel, mle):
+        """The MwG proposal triple of ``family`` on ``panel``, whose MLE is ``mle``."""
         return default_proposals(family, panel, rho_step=self.rho_step, tt_df=self.tt_df,
                                  ig_shape=self.ig_shape or None,
-                                 scale_multiplier=self.vol_scale_multiplier)
+                                 scale_multiplier=self.vol_scale_multiplier, mle=mle)
 
     def sequential(self, panel):
         """Sequential-update settings on ``panel``."""
@@ -353,7 +354,7 @@ def _window(cfg: ExperimentConfig, fx_path, history, window):
 def _sample_family(family, panel, mle, cfg: ExperimentConfig, seed) -> Chain:
     if family == "mnc":
         return conjugate_sample(panel, cfg.niw(), cfg.draws - cfg.burn_in, seed)
-    return mwg_sample(panel, cfg.proposals(family, panel), cfg.draws, cfg.burn_in,
+    return mwg_sample(panel, cfg.proposals(family, panel, mle), cfg.draws, cfg.burn_in,
                       init=mle, seed=seed)
 
 
@@ -372,111 +373,24 @@ def _summary_rows(family, chain):
     return rows
 
 
-@functools.cache
-def _text_tables():
-    """The ASCII tables of ``_draws_text``, built at its first call so that
-    importing the CLI does not pay for them.
-
-    ``groups[g]`` holds the four digits of ``g < 10_000`` as one uint32 and
-    ``groups[10_000 + g]`` the same digits with their trailing zeros made 0
-    bytes. ``prefixes[40 * negative + 10 * zeros + lead]`` holds the first
-    8 bytes of a value's text as one uint64: its sign, ``0.``, ``zeros``
-    zeros and its leading digit, then a 0 byte.
-    """
-    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # row g: g's digits
-    kept = digits != 0
-    for col in (2, 1, 0):  # a digit before a kept one is kept
-        kept[:, col] |= kept[:, col + 1]
-    groups = np.zeros((2, 10_000, 4), dtype=np.uint8)
-    groups[:] = digits + np.uint8(ord("0"))
-    groups[1] *= kept
-    negative, zeros, lead = np.meshgrid([0, 1], np.arange(4), np.arange(10), indexing="ij")
-    prefixes = np.zeros((*lead.shape, 8), dtype=np.uint8)
-    prefixes[..., 0] = ord("-") * negative
-    prefixes[..., 1] = ord("0")
-    prefixes[..., 2] = ord(".")
-    prefixes[..., 3:6] = np.where(zeros[..., None] > np.arange(3), ord("0"), 0)
-    prefixes[..., 6] = ord("0") + lead
-    tables = groups.view(np.uint32).ravel(), prefixes.reshape(-1, 8).view(np.uint64).ravel()
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-_DECADES = np.array([1e-3, 1e-2, 1e-1])
-_POW10 = np.array([float(10 ** k) for k in range(17, 21)])  # exact: 10**k is a double to k = 22
-
-
-def _veltkamp_split(a):
-    """(hi, lo) with hi + lo == a exactly and each part short enough that
-    the product of two parts is exact."""
-    t = 134217729.0 * a  # 2**27 + 1
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-_POW10_HI, _POW10_LO = _veltkamp_split(_POW10)
-
-
 def _draws_text(rows):
-    """``"%.17g,%.17g,%.17g\\n"`` of every row of ``rows``, byte for byte,
-    as ASCII bytes, with the number of cells that the ``%`` fallback formatted.
+    """``"%.17g"`` of every cell of the (n, cols) ``rows``, byte for byte,
+    cells separated by commas and rows ended by newlines, as ASCII bytes,
+    with the number of fallback cells.
 
-    The bulk path covers 1e-4 <= |v| < 1, where ``%.17g`` prints the sign,
-    ``0.``, -d-1 zeros for d = floor(log10|v|) in [-4, -1], then 17
-    significant digits without trailing zeros. d is read off by comparing
-    |v| with the doubles nearest 1e-3, 1e-2 and 1e-1, and k = 16 - d <= 20,
-    so 10**k is exact. Dekker's two-product gives p + e = |v| * 10**k
-    exactly; each operation is its own ufunc, so none is fused into a
-    multiply-add. Only values with 1e16 + 64 < p < 1e17 - 64 take the bulk
-    path. There p is an even integer above 2**53 and |e| <= 8, so |v| * 10**k
-    lies in the decade that d assumed and N = p + rint(e) is its correctly
-    rounded 17-digit integer, ties to even, with no carry into an 18th
-    digit: a misread decade can only fail this guard, never give wrong
-    digits. Each value fills a fixed 32-byte slot: an 8-byte prefix (sign,
-    ``0.``, zeros, leading digit) and four 4-digit groups, both from tables,
-    then its separator. Trailing ``0`` digits and unused bytes are 0 bytes,
-    which are dropped at the end.
-
-    Every other value is written into its slot as ``"%.17g" % v``: +-0.0,
-    |v| >= 1, |v| < 1e-4, subnormals, non-finite values and the values the
-    guard rejects. ``%.17g`` text is at most 24 bytes long.
+    The native library's ``draws_text`` writes it when the library loads:
+    exactly, in C, for 1e-4 <= |v| < 1 - 2^-53, and through libc's
+    ``snprintf`` for the fallback cells, every other one. Otherwise Python's
+    ``%`` formats every cell, and every cell counts as a fallback.
     """
-    digit_groups, prefixes = _text_tables()
-    flat = np.ascontiguousarray(rows, dtype=float).ravel()
-    mag = np.abs(flat)
-    inside = (mag >= 1e-4) & (mag < 1.0)
-    m = np.where(inside, mag, 0.5)
-    zeros = 3 - np.searchsorted(_DECADES, m, side="right")
-    p = m * _POW10[zeros]
-    mh, ml = _veltkamp_split(m)
-    sh, sl = _POW10_HI[zeros], _POW10_LO[zeros]
-    e = ((mh * sh - p) + mh * sl + ml * sh) + ml * sl
-    bulk = inside & (p > 1e16 + 64) & (p < 1e17 - 64)
-    p = np.where(bulk, p, 5e16)  # keeps the lead digit of a skipped cell in 1..9
-    lead, rest = np.divmod(p.astype(np.int64) + np.rint(e).astype(np.int64), 10 ** 16)
-    hi, lo = np.divmod(rest, 10 ** 8)
-    groups = np.empty((flat.size, 4), dtype=np.intp)
-    np.divmod(hi, 10_000, out=(groups[:, 0], groups[:, 1]))
-    np.divmod(lo, 10_000, out=(groups[:, 2], groups[:, 3]))
-    # a group followed by zero groups only is spelled without trailing zeros
-    groups[:, 3] += 10_000
-    tail = groups[:, 3] == 10_000
-    for col in (2, 1, 0):
-        groups[:, col] += 10_000 * tail
-        tail &= groups[:, col] == 10_000
-
-    slots = np.zeros((flat.size, 4), dtype=np.uint64)
-    slots[:, 0] = prefixes[40 * (flat < 0.0) + 10 * zeros + lead]
-    slots[:, 1:3] = digit_groups[groups].view(np.uint64)
-    text = slots.view(np.uint8)
-    text[:, 24] = ord(",")
-    text[rows.shape[1] - 1::rows.shape[1], 24] = ord("\n")
-    fallback = np.flatnonzero(~bulk)
-    if fallback.size:
-        texts = np.array(["%.17g" % v for v in flat[fallback].tolist()], dtype="S24")
-        text[fallback, :24] = texts.view(np.uint8).reshape(-1, 24)
-    return text.tobytes().translate(None, b"\0"), fallback.size
+    rows = np.ascontiguousarray(rows, dtype=float)
+    native = inference._native()
+    if native is not None:
+        out = bytearray(25 * rows.size)
+        length, fallbacks = native.draws_text(rows, out)
+        return bytes(memoryview(out)[:length]), fallbacks
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return (line * rows.shape[0] % tuple(rows.ravel().tolist())).encode("ascii"), rows.size
 
 
 def _write_draws(path, chain: Chain):

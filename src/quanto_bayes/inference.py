@@ -33,7 +33,7 @@ Samplers:
   depends on its spec alone, since q(current) / q(candidate) cancels it.
   The tests keep the generic kernel-calling loop as a reference sampler and
   check that both give the same chain bit for bit. Its sweep loop runs in C
-  (``_sweep.c``, compiled on first use) when a compiler is at hand, and in
+  (``_native.c``, compiled on first use) when a compiler is at hand, and in
   Python otherwise, with the same chain either way.
 * :func:`exact_posterior_draws` draws exactly from the same posterior, given
   only its sufficient statistics, which may differ from draw to draw: an
@@ -49,6 +49,7 @@ Samplers:
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import math
@@ -299,7 +300,7 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     current term are formed at a rho step whose candidate lies in (-1, 1).
     The tests keep the kernel-calling loop this replaced as a reference
     sampler and check that both give the same chain bit for bit. The loop
-    runs in C when :func:`_native_sweep` can build it, else in
+    runs in C when :func:`_native` can build it, else in
     :func:`_python_sweep`, its specification; the chain is the same.
 
     Randomness is consumed in a fixed order (candidate streams for the three
@@ -321,7 +322,8 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     streams, state, constants = _sweep_inputs(panel, spec_x, spec_h, step, n_draws, init, seed)
     # an accepted move writes its value; NaN marks a rejection until filled
     draws = np.full((n_draws, 3), np.nan)
-    (_native_sweep() or _python_sweep)(n_draws, streams, draws, state, *constants)
+    native = _native()
+    (native.sweep if native else _python_sweep)(n_draws, streams, draws, state, *constants)
 
     accepted = [_hold_rejections(column, start)
                 for column, start in zip(draws.T, init.as_tuple())]
@@ -383,8 +385,8 @@ def _python_sweep(n_draws, streams, draws, state, half_t, half_sxx, half_shh, cr
 
     An accepted move writes its value into the (K, 3) ``draws``, whose
     rejections stay as they were; ``state`` is left at the last sweep's.
-    This loop is the specification of ``_sweep.c``, which copies its
-    expressions in their order.
+    This loop is the specification of ``mwg_sweep`` in ``_native.c``, which
+    copies its expressions in their order.
     """
     # The sweep is scalar code. Iterating a memoryview of a float64 array
     # gives Python floats, whose arithmetic is several times faster than
@@ -427,50 +429,55 @@ def _python_sweep(n_draws, streams, draws, state, half_t, half_sxx, half_shh, cr
 
 
 # ---------------------------------------------------------------------------
-# The sweep in C, built on first use
+# The native library, built on first use
 # ---------------------------------------------------------------------------
 
-_SWEEP_SOURCE = os.path.join(os.path.dirname(__file__), "_sweep.c")
+_NATIVE_SOURCE = os.path.join(os.path.dirname(__file__), "_native.c")
 # never -ffast-math, and no fused multiply-adds: the C loop must round as Python does
-_SWEEP_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_NATIVE_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+# sweep runs as _python_sweep does; draws_text(rows, out) writes the %.17g text of
+# an (n, cols) block into the bytearray out, giving its length and fallback count
+_Native = collections.namedtuple("_Native", ("sweep", "draws_text"))
 
 
 @functools.cache
-def _native_sweep():
-    """The C sweep with :func:`_python_sweep`'s signature, or None.
+def _native():
+    """The library built from ``_native.c`` as a ``_Native``, or None.
 
     Loaded from the user cache directory ($XDG_CACHE_HOME/quanto-bayes,
-    else ~/.cache/quanto-bayes) by :func:`_load_sweep`, which builds it there
-    first if it is missing. Any failure (no compiler, an unwritable cache, a
-    failed compile or self-check) gives None, and :func:`mwg_sample` runs the
-    Python loop, whose chains are the same.
+    else ~/.cache/quanto-bayes) by :func:`_load_native`, which builds it
+    there first if it is missing. Any failure (no compiler, an unwritable
+    cache, a failed compile or self-check) gives None, and the Python
+    routes run: the same chains, and the same draws text.
     """
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     try:
-        with open(_SWEEP_SOURCE, "rb") as f:
-            return _load_sweep(os.path.join(cache, "quanto-bayes"), f.read())
-    except (OSError, RuntimeError):  # the Python loop gives the same chains
+        with open(_NATIVE_SOURCE, "rb") as f:
+            return _load_native(os.path.join(cache, "quanto-bayes"), f.read())
+    except (OSError, RuntimeError):  # the Python routes give the same results
         return None
 
 
-def _load_sweep(directory, source):
-    """The sweep compiled from ``source`` (bytes), as ``sweep-<key>.so`` in
-    ``directory``, where the key is the sha256 of the source, the compile
+def _load_native(directory, source):
+    """The library compiled from ``source`` (bytes), as ``native-<key>.so``
+    in ``directory``, where the key is the sha256 of the source, the compile
     flags and the platform. Raises OSError when it cannot be built or
     loaded, and RuntimeError when it fails the self-check.
 
     A missing library is compiled with sysconfig's CC into a temporary file
-    in ``directory``, and moved into place only once it reproduces
-    :func:`_python_sweep` bit for bit on :func:`_reproduces_python_loop`'s
-    chain, so concurrent first runs never load a partial or unchecked file.
+    in ``directory``, and moved into place only once it passes
+    :func:`_reproduces_python_loop` and :func:`_formats_as_python`, so
+    concurrent first runs never load a partial or unchecked file.
     """
     import hashlib
     import platform
-    key = hashlib.sha256(repr((source, _SWEEP_FLAGS, sys.platform, platform.machine()))
+    key = hashlib.sha256(repr((source, _NATIVE_FLAGS, sys.platform, platform.machine()))
                          .encode()).hexdigest()
-    path = os.path.join(directory, f"sweep-{key}.so")
+    path = os.path.join(directory, f"native-{key}.so")
     try:
-        return _ctypes_sweep(path)
+        return _ctypes_native(path)
     except OSError:  # not built yet
         pass
     import tempfile
@@ -483,37 +490,53 @@ def _load_sweep(directory, source):
         cc = sysconfig.get_config_var("CC")
         if not cc:
             raise OSError("sysconfig names no C compiler")
-        done = subprocess.run([*cc.split(), *_SWEEP_FLAGS, "-o", tmp, "-x", "c", "-", "-lm"],
+        done = subprocess.run([*cc.split(), *_NATIVE_FLAGS, "-o", tmp, "-x", "c", "-", "-lm"],
                               input=source, capture_output=True)
         if done.returncode:
             raise OSError(f"{cc} failed: {done.stderr.decode(errors='replace')}")
-        sweep = _ctypes_sweep(tmp)
-        if not _reproduces_python_loop(sweep):
+        native = _ctypes_native(tmp)
+        if not _reproduces_python_loop(native.sweep):
             raise RuntimeError(f"the sweep compiled by {cc} differs from the Python loop")
+        if not _formats_as_python(native.draws_text):
+            raise RuntimeError(f"the draws text compiled by {cc} differs from Python's %.17g")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-    return sweep
+    return native
 
 
-def _ctypes_sweep(path):
-    """``mwg_sweep`` of the library at ``path``, called as :func:`_python_sweep` is."""
-    fn = ctypes.CDLL(path).mwg_sweep
-    fn.restype = None
-    fn.argtypes = (ctypes.c_long, *[ctypes.c_void_p] * 14, *[ctypes.c_double] * 4)
+def _ctypes_native(path):
+    """The functions of the library at ``path``, as a ``_Native``."""
+    lib = ctypes.CDLL(path)
+    lib.mwg_sweep.restype = None
+    lib.mwg_sweep.argtypes = (ctypes.c_long, *[ctypes.c_void_p] * 14, *[ctypes.c_double] * 4)
+    lib.draws_text.restype = ctypes.c_long
+    lib.draws_text.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_char_p,
+                               ctypes.POINTER(ctypes.c_long))
 
+    # the C code trusts these shapes: a wrong one would read or write out of bounds
     def sweep(n_draws, streams, draws, state, *constants):
-        # the C loop trusts these shapes: a wrong one would read or write out of bounds
         arrays = (*streams, draws, state)
         if ([a.shape for a in arrays] != [(n_draws,)] * 12 + [(n_draws, 3), (12,)]
                 or not all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
                 or not (draws.flags.writeable and state.flags.writeable)):
             raise ValueError("the sweep needs twelve streams of n_draws, an (n_draws, 3) "
                              "block and 12 state terms, all C-contiguous float64")
-        fn(n_draws, *(a.ctypes.data for a in streams), draws.ctypes.data, state.ctypes.data,
-           *constants)
-    return sweep
+        lib.mwg_sweep(n_draws, *(a.ctypes.data for a in streams), draws.ctypes.data,
+                      state.ctypes.data, *constants)
+
+    def draws_text(rows, out):
+        if not (rows.ndim == 2 and rows.dtype == np.float64 and rows.flags.c_contiguous
+                and isinstance(out, bytearray) and len(out) >= 25 * rows.size):
+            raise ValueError("draws_text needs a C-contiguous float64 (n, cols) block and "
+                             "a bytearray of 25 bytes per cell")
+        fallbacks = ctypes.c_long()
+        length = lib.draws_text(*rows.shape, rows.ctypes.data,
+                                (ctypes.c_char * len(out)).from_buffer(out), fallbacks)
+        return length, fallbacks.value
+
+    return _Native(sweep, draws_text)
 
 
 def _reproduces_python_loop(sweep):
@@ -525,8 +548,8 @@ def _reproduces_python_loop(sweep):
     days = np.arange(60.0)
     panel = ReturnPanel(0.01 * np.sin(days), 0.006 * np.sin(days + 0.7 * np.cos(days)))
     est = mle_estimate(panel)
-    streams, state, constants = _sweep_inputs(
-        panel, *default_proposals("ttn", panel), 500, Theta(est.sigma_x, est.sigma_h, 0.5), 0)
+    streams, state, constants = _sweep_inputs(panel, *default_proposals("ttn", panel, mle=est),
+                                              500, Theta(est.sigma_x, est.sigma_h, 0.5), 0)
     streams[8][:4] = (0.5, -1.5, math.nan, math.inf)
     streams[3][4] = math.inf
     streams[5][6] = math.nan
@@ -537,6 +560,30 @@ def _reproduces_python_loop(sweep):
         run(500, streams, draws, end, *constants)
         results.append(draws.tobytes() + end.tobytes())
     return results[0] == results[1]
+
+
+def _formats_as_python(draws_text):
+    """Whether ``draws_text`` writes ``"%.17g" %`` byte for byte, three values
+    to a row, on both signs of: each power of ten from 1e-6 to 10 and its six
+    neighbours on either side; exact decimal ties in the four decades that C
+    formats; values that libc formats; and a seeded log-uniform sample."""
+    rng = np.random.default_rng(0)
+    # consecutive bit patterns of positive doubles are neighbouring doubles
+    near = (10.0 ** np.arange(-6, 2)).view(np.int64)[:, None] + np.arange(-6, 7)
+    values = [near.view(np.float64).ravel()]
+    for k in range(17, 21):
+        lo = 2 ** (k + 1) // 10 ** (k - 16)
+        values.append((rng.integers(lo // 2 + 1, 5 * lo, 100) * 2 + 1) * 2.0 ** -(k + 1))
+    values.append([0.0, 1.0 - 2.0 ** -53, 5e-324, 2.2250738585072014e-308, 1.0, 7.25,
+                   12345678901234567.0, 1.7976931348623157e308, 9.999999999999999e-05,
+                   1.2345678901234567e-100, 1e-300, math.nan, math.inf])
+    values.append(10.0 ** rng.uniform(-6.0, 1.0, 3000))
+    values = np.concatenate(values)
+    rows = np.resize(np.concatenate([values, -values]), (-(-2 * values.size // 3), 3))
+    out = bytearray(25 * rows.size)
+    length, _ = draws_text(rows, out)
+    expected = ("%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist())
+    return out[:length] == expected.encode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +757,7 @@ FAMILY_CODES = ("ttn", "tnn", "ign")
 
 
 def default_proposals(code, panel, rho_step=0.1, tt_df=5.0, ig_shape=None,
-                      scale_multiplier=2.0):
+                      scale_multiplier=2.0, mle=None):
     """MLE-anchored proposal triple for one of the named candidate families.
 
     Volatility proposals are independence proposals centered on the MLE with
@@ -719,12 +766,13 @@ def default_proposals(code, panel, rho_step=0.1, tt_df=5.0, ig_shape=None,
     relative width at the same multiple of the posterior's as the truncated
     families (shape = 2 + T / (4 * multiplier^2)), unless a fixed shape is
     given. The third entry is rho's random-walk normal step, ``rho_step``.
+    ``mle`` is the panel's :func:`mle_estimate`, computed here if not given.
     """
     if code not in FAMILY_CODES:
         raise ValueError(f"unknown family code {code!r}; expected one of {FAMILY_CODES}")
     if not (math.isfinite(scale_multiplier) and scale_multiplier > 0.0):
         raise ValueError(f"scale_multiplier must be positive and finite, got {scale_multiplier}")
-    est = mle_estimate(panel)
+    est = mle_estimate(panel) if mle is None else mle
     sqrt_t = math.sqrt(panel.n_obs)
     rho_step = _rho_step(rho_step)
     if code == "ign" and ig_shape is None:

@@ -17,14 +17,14 @@ DRIFT = (0.0003, 0.0001)  # physical drifts (mu_x, mu_h) per trading day
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _sweep_cache(tmp_path_factory):
-    """The test run, and every command it starts, builds the C sweep into a
-    fresh cache directory instead of the user's."""
+def _native_cache(tmp_path_factory):
+    """The test run, and every command it starts, builds the native library
+    into a fresh cache directory instead of the user's."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
-        inference._native_sweep.cache_clear()
+        inference._native.cache_clear()
         yield
-    inference._native_sweep.cache_clear()
+    inference._native.cache_clear()
 
 
 def synth_returns(theta, drift, n, rng):

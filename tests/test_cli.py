@@ -292,6 +292,81 @@ def test_draws_text_formats_fixture_chains_in_bulk():
     assert outside <= 5 and _draws_text(mnc.post_burn_in())[1] == outside
 
 
+# The draws-text tests above run on the C route. Without the native library,
+# _draws_text formats every cell with Python's %; these run the same values
+# through that route.
+
+@pytest.fixture
+def percent_route(monkeypatch):
+    from quanto_bayes import inference
+
+    monkeypatch.setattr(inference, "_native", lambda: None)
+
+
+def _power_of_ten_neighbours():
+    neighbours = []
+    for j in range(-6, 2):
+        for direction in (np.inf, -np.inf):
+            value = 10.0 ** j
+            for _ in range(7):
+                neighbours.append(value)
+                value = np.nextafter(value, direction)
+    values = _with_both_signs(neighbours)
+    return np.concatenate([values, np.full((-values.size) % 3, 0.5)])
+
+
+def _decimal_ties():
+    rng = np.random.default_rng(1713)
+    ties = [26215 / 2 ** 18, 0.5, 0.5]
+    for k in range(17, 21):
+        lo, hi = 10.0 ** (16 - k) * 2 ** (k + 1), 10.0 ** (17 - k) * 2 ** (k + 1)
+        q = rng.integers(int(lo) // 2 + 1, int(hi) // 2, 3000) * 2 + 1
+        ties.extend(q * 2.0 ** -(k + 1))
+    return np.concatenate([ties[:3], _with_both_signs(ties[3:])])
+
+
+def _log_uniform_values():
+    rng = np.random.default_rng(1712)
+    return 10.0 ** rng.uniform(-6.0, 1.0, 300_000) * rng.choice([-1.0, 1.0], 300_000)
+
+
+@pytest.mark.parametrize("values", [
+    _log_uniform_values,
+    _decimal_ties,
+    _power_of_ten_neighbours,
+    lambda: [0.0, -0.0, 1.0 - 2.0 ** -53, 5e-324, -2.2250738585072014e-308,
+             1.0, -7.25, 12345678901234567.0, 1.7976931348623157e308,
+             9.999999999999999e-05, -1.2345678901234567e-100, 1e-300],
+], ids=["log-uniform", "decimal-ties", "power-of-ten-neighbours", "fallback-values"])
+def test_draws_text_percent_route(percent_route, values):
+    _assert_draws_text_exact(values())
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(-1.0, 1.0)), min_size=3, max_size=30))
+def test_draws_text_percent_route_on_finite_floats(values):
+    from quanto_bayes import inference
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "_native", lambda: None)
+        _assert_draws_text_exact(values[:len(values) // 3 * 3])
+
+
+@pytest.mark.parametrize("make_draws", [
+    lambda rng: (_distinct_draws(rng, 2600), 37),
+    _draws_across_blocks,
+    _draws_with_constant_column,
+    _distinct_block_then_repeats,
+    _draws_with_signed_zeros,
+    _fixture_tnn_draws,
+], ids=["distinct", "runs-across-blocks", "constant-column", "distinct-then-repeats",
+        "signed-zeros", "tnn-w140"])
+def test_draws_file_format_and_round_trip_on_the_percent_route(tmp_path, percent_route,
+                                                                make_draws):
+    test_draws_file_format_and_round_trip(tmp_path, make_draws)
+
+
 @pytest.mark.parametrize("command", ["estimate", "experiment"])
 def test_chain_warnings_are_printed_to_stderr(tmp_path, monkeypatch, capsys, command):
     from quanto_bayes import cli
@@ -865,6 +940,24 @@ def test_experiment_prices_quote_columns_once(tmp_path, monkeypatch):
     # while price bins one per retained quote
     cmd_price(cfg, os.path.join(cfg.out_dir, "cells", "fx", "w200", "draws_tnn.csv"))
     assert calls["density"] == 5
+
+
+@pytest.mark.parametrize("command, windows", [(cmd_estimate, 1), (cmd_experiment, 2)],
+                         ids=["estimate", "experiment"])
+def test_each_window_computes_its_mle_once(tmp_path, monkeypatch, command, windows):
+    """The MwG families' proposals reuse the window's MLE rather than
+    computing their own; calls through inference's name and cli's count."""
+    from quanto_bayes import cli, inference
+
+    cfg = load_config(make_workspace(tmp_path, windows="200, 250", draws=600, burn_in=100,
+                                     n_paths=500, families="ttn, tnn, ign, mnc, mle"))
+    inference._native()  # a first build's self-check makes its own MLE
+    calls = {}
+    counted = _counting(calls, "mle_estimate", inference.mle_estimate)
+    monkeypatch.setattr(inference, "mle_estimate", counted)
+    monkeypatch.setattr(cli, "mle_estimate", counted)
+    command(cfg)
+    assert calls["mle_estimate"] == windows
 
 
 _FAILURE_HEADER = ("fx", "window", "family", "stage", "error")

@@ -346,16 +346,21 @@ def test_mwg_known_target_moments():
 # Python loop and adds "-native" on the C loop.
 
 @pytest.fixture(scope="module")
-def native_sweep(tmp_path_factory):
-    with open(inference._SWEEP_SOURCE, "rb") as f:
-        return inference._load_sweep(str(tmp_path_factory.mktemp("sweep")), f.read())
+def native_library(tmp_path_factory):
+    with open(inference._NATIVE_SOURCE, "rb") as f:
+        return inference._load_native(str(tmp_path_factory.mktemp("native")), f.read())
+
+
+@pytest.fixture(scope="module")
+def native_sweep(native_library):
+    return native_library.sweep
 
 
 @pytest.fixture
 def loop(request, monkeypatch):
     """mwg_sample runs the C loop ("native") or the Python loop ("python")."""
-    sweep = request.getfixturevalue("native_sweep") if request.param == "native" else None
-    monkeypatch.setattr(inference, "_native_sweep", lambda: sweep)
+    native = request.getfixturevalue("native_library") if request.param == "native" else None
+    monkeypatch.setattr(inference, "_native", lambda: native)
 
 
 def _on_both_loops(cases):
@@ -559,19 +564,19 @@ def test_a_compiler_that_cannot_run_leaves_the_python_loop_and_no_file(
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     specs = default_proposals("tnn", panel_small)
     init = mle_estimate(panel_small)
-    inference._native_sweep.cache_clear()
+    inference._native.cache_clear()
     try:
         chain = mwg_sample(panel_small, specs, 2000, 500, init=init, seed=77)
-        assert inference._native_sweep() is None
+        assert inference._native() is None
     finally:
-        inference._native_sweep.cache_clear()
+        inference._native.cache_clear()
     _assert_same_chain(chain, reference_mwg_sample(panel_small, specs, 2000, 500,
                                                     init=init, seed=77))
     assert os.listdir(tmp_path / "quanto-bayes") == []
 
 
 def test_a_compiled_sweep_that_differs_from_the_python_loop_is_not_kept(tmp_path, monkeypatch):
-    with open(inference._SWEEP_SOURCE, "rb") as f:
+    with open(inference._NATIVE_SOURCE, "rb") as f:
         source = f.read()
     mutant = source.replace(b"(i2x[k] - i2_x)", b"(i2_x - i2x[k])")
     assert mutant != source
@@ -584,10 +589,10 @@ def test_a_compiled_sweep_that_differs_from_the_python_loop_is_not_kept(tmp_path
 
     monkeypatch.setattr(os, "replace", replace)
     with pytest.raises(RuntimeError, match="differs from the Python loop"):
-        inference._load_sweep(str(tmp_path), mutant)
+        inference._load_native(str(tmp_path), mutant)
     assert moved == [] and os.listdir(tmp_path) == []
     # the shipped source passes the same self-check and is moved into place
-    inference._load_sweep(str(tmp_path), source)
+    inference._load_native(str(tmp_path), source)
     assert len(moved) == 1 and os.listdir(tmp_path) == moved
 
 
@@ -602,6 +607,31 @@ def test_the_c_sweep_refuses_arrays_it_would_index_out_of_bounds(native_sweep):
                 {"draws": np.full((4, 3), np.nan, dtype=np.float32)}, {"state": np.zeros(11)}):
         with pytest.raises(ValueError, match="C-contiguous float64"):
             call(**bad)
+
+
+def test_a_compiled_formatter_that_rounds_ties_up_is_not_kept(tmp_path, monkeypatch):
+    with open(inference._NATIVE_SOURCE, "rb") as f:
+        source = f.read()
+    mutant = source.replace(b"q + (r > half ||", b"q + (r >= half ||")
+    assert mutant != source
+    moved = []
+    monkeypatch.setattr(os, "replace", lambda src, dst: moved.append(dst))
+    with pytest.raises(RuntimeError, match=re.escape("differs from Python's %.17g")):
+        inference._load_native(str(tmp_path), mutant)
+    assert moved == [] and os.listdir(tmp_path) == []
+
+
+def test_the_c_draws_text_refuses_blocks_it_would_overrun(native_library):
+    rows = np.full((4, 3), 0.5)
+    out = bytearray(25 * rows.size)
+    assert native_library.draws_text(rows, out) == (48, 0)
+    assert out[:48] == b"0.5,0.5,0.5\n" * 4
+    for bad_rows, size in ((np.full((4, 6), 0.5)[:, ::2], 300), (rows.astype(np.float32), 300),
+                           (rows.ravel(), 300), (rows, 299)):
+        out = bytearray(size)
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            native_library.draws_text(bad_rows, out)
+        assert out == bytearray(size)  # no C code ran
 
 
 def test_mwg_recovers_synthetic_truth():
