@@ -5,6 +5,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* mwg_sweep is a copy of inference._python_sweep, the specification: the
@@ -14,32 +15,38 @@
  * is false in both, so a NaN log ratio rejects.
  *
  * The streams hold n entries each; draws is the C-contiguous (n, 3) block,
- * NaN where a move is rejected; state is g, 1/s and 1/s^2 of each
- * volatility, then rho, log(1 - rho^2), 1/(1 - rho^2), a_x, a_h and b. */
+ * whose row k is set to the current sigma_x, sigma_h and rho after sweep k;
+ * state is s, g, 1/s and 1/s^2 of each volatility, then rho,
+ * log(1 - rho^2), 1/(1 - rho^2), a_x, a_h and b. tally is set to the
+ * accepted moves of sigma_x, sigma_h and rho, then the last sweep that
+ * accepted each, -1 where none did. */
 
 void mwg_sweep(long n,
                const double *cx, const double *gx, const double *ix, const double *i2x,
                const double *ch, const double *gh, const double *ih, const double *i2h,
                const double *dr, const double *lux, const double *luh, const double *lur,
-               double *draws, double *state,
+               double *draws, double *state, int64_t *tally,
                double half_t, double half_sxx, double half_shh, double cross)
 {
-    double g_x = state[0], i_x = state[1], i2_x = state[2];
-    double g_h = state[3], i_h = state[4], i2_h = state[5];
-    double r = state[6], log_om = state[7], inv_om = state[8];
-    double a_x = state[9], a_h = state[10], b = state[11];
+    double s_x = state[0], g_x = state[1], i_x = state[2], i2_x = state[3];
+    double s_h = state[4], g_h = state[5], i_h = state[6], i2_h = state[7];
+    double r = state[8], log_om = state[9], inv_om = state[10];
+    double a_x = state[11], a_h = state[12], b = state[13];
+    int64_t n_x = 0, n_h = 0, n_r = 0, last_x = -1, last_h = -1, last_r = -1;
 
     for (long k = 0; k < n; k++) {
         double la = gx[k] - g_x - a_x * (i2x[k] - i2_x) - b * i_h * (ix[k] - i_x);
         if (lux[k] < la) {
-            g_x = gx[k]; i_x = ix[k]; i2_x = i2x[k];
-            draws[3 * k] = cx[k];
+            s_x = cx[k]; g_x = gx[k]; i_x = ix[k]; i2_x = i2x[k];
+            n_x++;
+            last_x = k;
         }
 
         la = gh[k] - g_h - a_h * (i2h[k] - i2_h) - b * i_x * (ih[k] - i_h);
         if (luh[k] < la) {
-            g_h = gh[k]; i_h = ih[k]; i2_h = i2h[k];
-            draws[3 * k + 1] = ch[k];
+            s_h = ch[k]; g_h = gh[k]; i_h = ih[k]; i2_h = i2h[k];
+            n_h++;
+            last_h = k;
         }
 
         double c = r + dr[k];
@@ -58,15 +65,22 @@ void mwg_sweep(long n,
                 a_x = half_sxx * inv_om;
                 a_h = half_shh * inv_om;
                 b = r * cross * inv_om;
-                draws[3 * k + 2] = c;
+                n_r++;
+                last_r = k;
             }
         }
+
+        draws[3 * k] = s_x;
+        draws[3 * k + 1] = s_h;
+        draws[3 * k + 2] = r;
     }
 
-    state[0] = g_x; state[1] = i_x; state[2] = i2_x;
-    state[3] = g_h; state[4] = i_h; state[5] = i2_h;
-    state[6] = r; state[7] = log_om; state[8] = inv_om;
-    state[9] = a_x; state[10] = a_h; state[11] = b;
+    state[0] = s_x; state[1] = g_x; state[2] = i_x; state[3] = i2_x;
+    state[4] = s_h; state[5] = g_h; state[6] = i_h; state[7] = i2_h;
+    state[8] = r; state[9] = log_om; state[10] = inv_om;
+    state[11] = a_x; state[12] = a_h; state[13] = b;
+    tally[0] = n_x; tally[1] = n_h; tally[2] = n_r;
+    tally[3] = last_x; tally[4] = last_h; tally[5] = last_r;
 }
 
 
@@ -86,31 +100,67 @@ static uint64_t scaled(uint64_t m, int k, int s)
     return q + (r > half || (r == half && (q & 1)));
 }
 
+/* "00" .. "99": the two decimal digits of each k < 100 at 2k. */
+static const char PAIRS[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The eight decimal digits of x < 10^8, written two at a time. */
+static void eight_digits(char *out, uint32_t x)
+{
+    for (int k = 6; k >= 0; k -= 2, x /= 100)
+        memcpy(out + k, PAIRS + 2 * (x % 100), 2);
+}
+
+/* The text of a cell of the row above, for draws_text's copy. */
+struct above {
+    const char *text;
+    long len;
+    int fallback;
+};
+
 /* Writes "%.17g" of each cell of the C-contiguous (n, cols) block to out,
  * cells separated by ',' and each row ended by '\n', and returns the length
- * written; out must hold 25 bytes per cell, since a cell's text is at most
- * 24 bytes. *fallbacks is set to the number of cells that the exact path
- * below leaves to snprintf or to "nan".
+ * written, or -1 if its scratch cannot be allocated; out must hold 25 bytes
+ * per cell, since a cell's text is at most 24 bytes. *fallbacks is set to
+ * the number of cells that the exact path below leaves to snprintf or to
+ * "nan".
+ *
+ * A cell whose bits equal those of the cell above it copies that cell's
+ * text, and counts as a fallback when that cell did. Bits, not values:
+ * -0.0 == 0.0, but "%.17g" writes "-0" and "0".
  *
  * A cell with 1e-4 <= |v| < 1 - 2^-53 is formatted here, exactly: %.17g
  * prints its sign, "0.", -d-1 zeros for its decade d = floor(log10 |v|) in
  * [-4, -1], then the 17 significant digits R = round(|v| 10^(16-d)) less
  * trailing zeros. |v| is m / 2^s with a 53-bit integer m. The decade is
  * first taken from the binary exponent, which can place it one too low;
- * then R has 18 digits and is formed again one decade up. Every other cell
- * goes through snprintf: +-0, |v| >= 1, |v| < 1e-4, subnormals and
- * 1 - 2^-53, the largest double below 1. Its decimal point follows
- * LC_NUMERIC, which Python keeps at "C" unless locale.setlocale changes it.
- * NaN is written as "nan", which is how Python writes it whatever its sign. */
+ * then R has 18 digits and is formed again one decade up. R's digits are
+ * written as its first digit, then two runs of eight. Every other cell goes
+ * through snprintf: +-0, |v| >= 1, |v| < 1e-4, subnormals and 1 - 2^-53,
+ * the largest double below 1. Its decimal point follows LC_NUMERIC, which
+ * Python keeps at "C" unless locale.setlocale changes it. NaN is written as
+ * "nan", which is how Python writes it whatever its sign. */
 long draws_text(long n, long cols, const double *block, char *out, long *fallbacks)
 {
+    struct above *above = malloc((cols + 1) * sizeof *above);  /* malloc(0) may be NULL */
+    if (above == NULL)
+        return -1;
     char *p = out;
     long fallback = 0;
     for (long i = 0; i < n; i++) {
         for (long j = 0; j < cols; j++) {
-            double v = block[i * cols + j];
+            const double *cell = block + i * cols + j;
+            double v = *cell;
             double a = fabs(v);
-            if (a >= 1e-4 && a < 0x1.fffffffffffffp-1) {
+            char *text = p;
+            int fell_back = 0;
+            if (i > 0 && memcmp(cell, cell - cols, sizeof v) == 0) {
+                memcpy(p, above[j].text, above[j].len);
+                p += above[j].len;
+                fell_back = above[j].fallback;
+            } else if (a >= 1e-4 && a < 0x1.fffffffffffffp-1) {
                 uint64_t bits;
                 memcpy(&bits, &a, sizeof bits);
                 int b = (int)(bits >> 52) - 1023;  /* 2^b <= |v| < 2^(b+1), b in [-14, -1] */
@@ -122,31 +172,34 @@ long draws_text(long n, long cols, const double *block, char *out, long *fallbac
                 uint64_t r = scaled(m, 16 - d, s);
                 if (r >= 100000000000000000ULL)
                     r = scaled(m, 16 - ++d, s);
-                char digits[17];
-                for (int k = 16; k >= 0; k--, r /= 10)
-                    digits[k] = (char)('0' + r % 10);
-                int len = 17;
-                while (digits[len - 1] == '0')
-                    len--;
                 if (v < 0.0)
                     *p++ = '-';
                 *p++ = '0';
                 *p++ = '.';
                 for (int k = -1; k > d; k--)
                     *p++ = '0';
-                memcpy(p, digits, len);
+                uint64_t high = r / 100000000;  /* R's first nine digits */
+                *p = (char)('0' + high / 100000000);
+                eight_digits(p + 1, (uint32_t)(high % 100000000));
+                eight_digits(p + 9, (uint32_t)(r % 100000000));
+                int len = 17;
+                while (p[len - 1] == '0')
+                    len--;
                 p += len;
             } else if (v != v) {
-                fallback++;
+                fell_back = 1;
                 memcpy(p, "nan", 3);
                 p += 3;
             } else {
-                fallback++;
+                fell_back = 1;
                 p += snprintf(p, 25, "%.17g", v);
             }
+            fallback += fell_back;
+            above[j] = (struct above){text, p - text, fell_back};
             *p++ = j == cols - 1 ? '\n' : ',';
         }
     }
+    free(above);
     *fallbacks = fallback;
     return p - out;
 }

@@ -261,16 +261,6 @@ def _volatility_terms(spec: ProposalSpec, values, power):
         return g, 1.0 / values, 1.0 / (values * values)
 
 
-def _hold_rejections(column, start):
-    """Fill a draws column in place: NaN marks a rejection, which keeps the
-    last accepted value (``start`` before the first). Returns the accept mask."""
-    accepted = ~np.isnan(column)
-    last = np.where(accepted, np.arange(column.size), -1)
-    np.maximum.accumulate(last, out=last)
-    column[:] = np.where(last >= 0, column[last], start)
-    return accepted
-
-
 def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     """Sample the posterior of a panel with a Metropolis-within-Gibbs sweep.
 
@@ -295,9 +285,11 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
       R = C / (sigma_x sigma_h); a step out of (-1, 1) is rejected.
 
     g, 1/c and 1/c^2 are computed once per chain over each candidate
-    stream. The sweep carries g, 1/s and 1/s^2 of each volatility, rho,
+    stream. The sweep carries s, g, 1/s and 1/s^2 of each volatility, rho,
     log(1 - rho^2), 1/(1 - rho^2) and the two a's and b; P, Q, R and rho's
     current term are formed at a rho step whose candidate lies in (-1, 1).
+    Each sweep writes the current (sigma_x, sigma_h, rho) into its row and
+    tallies each parameter's accepted moves and its last accepting sweep.
     The tests keep the kernel-calling loop this replaced as a reference
     sampler and check that both give the same chain bit for bit. The loop
     runs in C when :func:`_native` can build it, else in
@@ -320,35 +312,29 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
         raise ValueError(f"need n_draws > burn_in >= 0, got {n_draws}, {burn_in}")
 
     streams, state, constants = _sweep_inputs(panel, spec_x, spec_h, step, n_draws, init, seed)
-    # an accepted move writes its value; NaN marks a rejection until filled
-    draws = np.full((n_draws, 3), np.nan)
+    draws = np.empty((n_draws, 3))
+    tally = np.empty(6, dtype=np.int64)
     native = _native()
-    (native.sweep if native else _python_sweep)(n_draws, streams, draws, state, *constants)
+    (native.sweep if native else _python_sweep)(n_draws, streams, draws, state, tally,
+                                                *constants)
 
-    accepted = [_hold_rejections(column, start)
-                for column, start in zip(draws.T, init.as_tuple())]
     warnings = tuple(
         f"no accepted moves for {name} after burn-in"
-        for name, mask in zip(PARAMETERS, accepted)
-        if not mask[burn_in:].any()
+        for name, last in zip(PARAMETERS, tally[3:])
+        if last < burn_in
     )
-    return Chain(
-        draws=draws,
-        burn_in=burn_in,
-        acceptance_counts=np.array([mask.sum() for mask in accepted], dtype=int),
-        warnings=warnings,
-    )
+    return Chain(draws=draws, burn_in=burn_in, acceptance_counts=tally[:3], warnings=warnings)
 
 
 def _sweep_inputs(panel, spec_x, spec_h, step, n_draws, init, seed):
-    """A chain's sweep inputs: twelve streams, the twelve-term state at
+    """A chain's sweep inputs: twelve streams, the fourteen-term state at
     ``init`` and the constants (T/2, sxx/2, shh/2, C).
 
     The streams are, as C-contiguous float64 arrays: each volatility's
     candidates with their g, 1/c and 1/c^2; rho's steps; and the log
-    acceptance uniforms of sigma_x, sigma_h and rho. The state is g, 1/s and
-    1/s^2 of each volatility, then rho, log(1 - rho^2), 1/(1 - rho^2), a_x,
-    a_h and b.
+    acceptance uniforms of sigma_x, sigma_h and rho. The state is s, g, 1/s
+    and 1/s^2 of each volatility, then rho, log(1 - rho^2), 1/(1 - rho^2),
+    a_x, a_h and b.
     """
     t = float(panel.n_obs)
     half_t = 0.5 * t
@@ -376,36 +362,43 @@ def _sweep_inputs(panel, spec_x, spec_h, step, n_draws, init, seed):
     a_h = half_shh * inv_om
     b = r * cross * inv_om
     return ((cand_x, *terms_x, cand_h, *terms_h, steps, *log_u),
-            np.array([g_x, i_x, i2_x, g_h, i_h, i2_h, r, log_om, inv_om, a_x, a_h, b]),
+            np.array([init.sigma_x, g_x, i_x, i2_x, init.sigma_h, g_h, i_h, i2_h,
+                      r, log_om, inv_om, a_x, a_h, b]),
             (half_t, half_sxx, half_shh, cross))
 
 
-def _python_sweep(n_draws, streams, draws, state, half_t, half_sxx, half_shh, cross):
+def _python_sweep(n_draws, streams, draws, state, tally, half_t, half_sxx, half_shh, cross):
     """Run ``n_draws`` sweeps from :func:`_sweep_inputs`' streams and state.
 
-    An accepted move writes its value into the (K, 3) ``draws``, whose
-    rejections stay as they were; ``state`` is left at the last sweep's.
-    This loop is the specification of ``mwg_sweep`` in ``_native.c``, which
+    Row k of the (K, 3) ``draws`` is set to the current (sigma_x, sigma_h,
+    rho) after sweep k, and ``state`` is left at the last sweep's. The six
+    ``tally`` entries are set to the accepted moves of sigma_x, sigma_h and
+    rho, then the last sweep that accepted each, -1 where none did. This
+    loop is the specification of ``mwg_sweep`` in ``_native.c``, which
     copies its expressions in their order.
     """
     # The sweep is scalar code. Iterating a memoryview of a float64 array
     # gives Python floats, whose arithmetic is several times faster than
     # numpy scalars', without a list's per-element objects.
     out_x, out_h, out_r = (memoryview(column) for column in draws.T)
-    g_x, i_x, i2_x, g_h, i_h, i2_h, r, log_om, inv_om, a_x, a_h, b = state.tolist()
+    s_x, g_x, i_x, i2_x, s_h, g_h, i_h, i2_h, r, log_om, inv_om, a_x, a_h, b = state.tolist()
+    n_x = n_h = n_r = 0
+    last_x = last_h = last_r = -1
     log = math.log
 
     for k, cxk, gxk, ixk, i2xk, chk, ghk, ihk, i2hk, drk, luxk, luhk, lurk in zip(
             range(n_draws), *(memoryview(a) for a in streams)):
         la = gxk - g_x - a_x * (i2xk - i2_x) - b * i_h * (ixk - i_x)
         if luxk < la:
-            g_x, i_x, i2_x = gxk, ixk, i2xk
-            out_x[k] = cxk
+            s_x, g_x, i_x, i2_x = cxk, gxk, ixk, i2xk
+            n_x += 1
+            last_x = k
 
         la = ghk - g_h - a_h * (i2hk - i2_h) - b * i_x * (ihk - i_h)
         if luhk < la:
-            g_h, i_h, i2_h = ghk, ihk, i2hk
-            out_h[k] = chk
+            s_h, g_h, i_h, i2_h = chk, ghk, ihk, i2hk
+            n_h += 1
+            last_h = k
 
         c = r + drk
         if -1.0 < c < 1.0:
@@ -423,9 +416,15 @@ def _python_sweep(n_draws, streams, draws, state, half_t, half_sxx, half_shh, cr
                 a_x = half_sxx * inv_om
                 a_h = half_shh * inv_om
                 b = r * cross * inv_om
-                out_r[k] = c
+                n_r += 1
+                last_r = k
 
-    state[:] = (g_x, i_x, i2_x, g_h, i_h, i2_h, r, log_om, inv_om, a_x, a_h, b)
+        out_x[k] = s_x
+        out_h[k] = s_h
+        out_r[k] = r
+
+    state[:] = (s_x, g_x, i_x, i2_x, s_h, g_h, i_h, i2_h, r, log_om, inv_om, a_x, a_h, b)
+    tally[:] = (n_x, n_h, n_r, last_x, last_h, last_r)
 
 
 # ---------------------------------------------------------------------------
@@ -510,21 +509,24 @@ def _ctypes_native(path):
     """The functions of the library at ``path``, as a ``_Native``."""
     lib = ctypes.CDLL(path)
     lib.mwg_sweep.restype = None
-    lib.mwg_sweep.argtypes = (ctypes.c_long, *[ctypes.c_void_p] * 14, *[ctypes.c_double] * 4)
+    lib.mwg_sweep.argtypes = (ctypes.c_long, *[ctypes.c_void_p] * 15, *[ctypes.c_double] * 4)
     lib.draws_text.restype = ctypes.c_long
     lib.draws_text.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_char_p,
                                ctypes.POINTER(ctypes.c_long))
 
     # the C code trusts these shapes: a wrong one would read or write out of bounds
-    def sweep(n_draws, streams, draws, state, *constants):
+    def sweep(n_draws, streams, draws, state, tally, *constants):
         arrays = (*streams, draws, state)
-        if ([a.shape for a in arrays] != [(n_draws,)] * 12 + [(n_draws, 3), (12,)]
+        if ([a.shape for a in arrays] != [(n_draws,)] * 12 + [(n_draws, 3), (14,)]
                 or not all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
-                or not (draws.flags.writeable and state.flags.writeable)):
+                or tally.shape != (6,) or tally.dtype != np.int64
+                or not tally.flags.c_contiguous
+                or not all(a.flags.writeable for a in (draws, state, tally))):
             raise ValueError("the sweep needs twelve streams of n_draws, an (n_draws, 3) "
-                             "block and 12 state terms, all C-contiguous float64")
-        lib.mwg_sweep(n_draws, *(a.ctypes.data for a in streams), draws.ctypes.data,
-                      state.ctypes.data, *constants)
+                             "block and 14 state terms, all C-contiguous float64, and a "
+                             "C-contiguous int64 tally of 6, all but the streams writable")
+        lib.mwg_sweep(n_draws, *(a.ctypes.data for a in (*streams, draws, state, tally)),
+                      *constants)
 
     def draws_text(rows, out):
         if not (rows.ndim == 2 and rows.dtype == np.float64 and rows.flags.c_contiguous
@@ -534,16 +536,18 @@ def _ctypes_native(path):
         fallbacks = ctypes.c_long()
         length = lib.draws_text(*rows.shape, rows.ctypes.data,
                                 (ctypes.c_char * len(out)).from_buffer(out), fallbacks)
+        if length < 0:
+            raise MemoryError("draws_text could not allocate its scratch")
         return length, fallbacks.value
 
     return _Native(sweep, draws_text)
 
 
 def _reproduces_python_loop(sweep):
-    """Whether ``sweep`` leaves the draws and the state of :func:`_python_sweep`
-    bit for bit on a fixed 500-sweep chain. Its first rho steps land on 1,
-    -1, NaN and inf, a sigma_x candidate's 1/c^2 is inf and a sigma_h
-    candidate's g is NaN, so every way of rejecting is taken.
+    """Whether ``sweep`` leaves the draws, the state and the tally of
+    :func:`_python_sweep` bit for bit on a fixed 500-sweep chain. Its first
+    rho steps land on 1, -1, NaN and inf, a sigma_x candidate's 1/c^2 is inf
+    and a sigma_h candidate's g is NaN, so every way of rejecting is taken.
     """
     days = np.arange(60.0)
     panel = ReturnPanel(0.01 * np.sin(days), 0.006 * np.sin(days + 0.7 * np.cos(days)))
@@ -555,18 +559,23 @@ def _reproduces_python_loop(sweep):
     streams[5][6] = math.nan
     results = []
     for run in (_python_sweep, sweep):
-        draws = np.full((500, 3), np.nan)
+        draws = np.full((500, 3), np.nan)  # a row left unwritten stays NaN
         end = state.copy()
-        run(500, streams, draws, end, *constants)
-        results.append(draws.tobytes() + end.tobytes())
+        tally = np.zeros(6, dtype=np.int64)
+        run(500, streams, draws, end, tally, *constants)
+        results.append(draws.tobytes() + end.tobytes() + tally.tobytes())
     return results[0] == results[1]
 
 
 def _formats_as_python(draws_text):
     """Whether ``draws_text`` writes ``"%.17g" %`` byte for byte, three values
-    to a row, on both signs of: each power of ten from 1e-6 to 10 and its six
-    neighbours on either side; exact decimal ties in the four decades that C
-    formats; values that libc formats; and a seeded log-uniform sample."""
+    to a row, and counts its fallback cells, on both signs of: each power of
+    ten from 1e-6 to 10 and its six neighbours on either side; exact decimal
+    ties in the four decades that C formats; values that libc formats; and a
+    seeded log-uniform sample. Then on runs of repeated rows, offset from
+    column to column, of exact and fallback values, NaN, and 0.0 and -0.0
+    each directly below the other, whose texts differ though they compare
+    equal."""
     rng = np.random.default_rng(0)
     # consecutive bit patterns of positive doubles are neighbouring doubles
     near = (10.0 ** np.arange(-6, 2)).view(np.int64)[:, None] + np.arange(-6, 7)
@@ -579,11 +588,16 @@ def _formats_as_python(draws_text):
                    1.2345678901234567e-100, 1e-300, math.nan, math.inf])
     values.append(10.0 ** rng.uniform(-6.0, 1.0, 3000))
     values = np.concatenate(values)
-    rows = np.resize(np.concatenate([values, -values]), (-(-2 * values.size // 3), 3))
+    runs = np.repeat([0.12345678901234567, -0.0031415926535897933, 0.0, 5e-324, 7.25, 1e-300,
+                      math.nan, -0.0, 0.0, -0.0], 3)
+    rows = np.vstack([np.resize(np.concatenate([values, -values]), (-(-2 * values.size // 3), 3)),
+                      np.column_stack([runs, np.roll(runs, 1), np.roll(runs, 2)])])
     out = bytearray(25 * rows.size)
-    length, _ = draws_text(rows, out)
+    length, fallbacks = draws_text(rows, out)
     expected = ("%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist())
-    return out[:length] == expected.encode("ascii")
+    magnitudes = np.abs(rows)
+    exact = np.count_nonzero((magnitudes >= 1e-4) & (magnitudes < 1.0 - 2.0 ** -53))
+    return out[:length] == expected.encode("ascii") and fallbacks == rows.size - exact
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,30 @@ def test_draws_text_percent_route_on_finite_floats(values):
         _assert_draws_text_exact(values[:len(values) // 3 * 3])
 
 
+@pytest.mark.parametrize("route", ["c", "percent"])
+def test_draws_text_copies_repeated_cells_exactly(route, monkeypatch):
+    """The C writer copies the text of a cell whose bits equal those of the
+    cell above it. Runs of repeated rows, offset from column to column, of
+    exact and fallback values, NaN, and 0.0 and -0.0 each directly below the
+    other: equal values whose texts differ must not be copied, and a copy
+    counts as a fallback when the cell it copies did."""
+    from quanto_bayes import inference
+
+    if route == "percent":
+        monkeypatch.setattr(inference, "_native", lambda: None)
+    else:
+        assert inference._native() is not None
+    runs = np.repeat([0.12345678901234567, -0.0031415926535897933, 0.0, 5e-324, 7.25, 1e-300,
+                      math.nan, -0.0, 0.0, -0.0], 4)
+    rows = np.column_stack([runs, np.roll(runs, 1), np.roll(runs, 2)])
+    # two exact values of ten in each column, or every cell on Python's %
+    expected = 3 * 8 * 4 if route == "c" else rows.size
+    assert _assert_draws_text_exact(rows.ravel()) == expected
+    # a whole block of one repeated row, signed zeros included
+    rows = np.tile([[-0.0, 0.5, 1e-300]], (50, 1))
+    assert _assert_draws_text_exact(rows.ravel()) == (100 if route == "c" else rows.size)
+
+
 @pytest.mark.parametrize("make_draws", [
     lambda rng: (_distinct_draws(rng, 2600), 37),
     _draws_across_blocks,

@@ -597,16 +597,31 @@ def test_a_compiled_sweep_that_differs_from_the_python_loop_is_not_kept(tmp_path
 
 
 def test_the_c_sweep_refuses_arrays_it_would_index_out_of_bounds(native_sweep):
-    def call(streams=[np.zeros(4)] * 12, draws=np.full((4, 3), np.nan), state=np.zeros(12)):
-        native_sweep(4, streams, draws, state, 1.0, 1.0, 1.0, 1.0)
+    def arrays(**bad):
+        good = {"streams": [np.zeros(4)] * 12, "draws": np.full((4, 3), np.nan),
+                "state": np.zeros(14), "tally": np.full(6, 7, dtype=np.int64)}
+        return {**good, **bad}
 
-    call()
+    # zero streams reject every move, so every row holds the zero state
+    args = arrays()
+    native_sweep(4, *args.values(), 1.0, 1.0, 1.0, 1.0)
+    assert np.array_equal(args["draws"], np.zeros((4, 3)))
+    assert args["tally"].tolist() == [0, 0, 0, -1, -1, -1]
+
+    read_only = np.full(6, 7, dtype=np.int64)
+    read_only.setflags(write=False)
     for bad in ({"streams": [np.zeros(4)] * 11}, {"streams": [np.zeros(3)] * 12},
                 {"streams": [np.zeros(4, dtype=np.float32)] * 12},
                 {"streams": [np.zeros(8)[::2]] * 12}, {"draws": np.full((3, 4), np.nan).T},
-                {"draws": np.full((4, 3), np.nan, dtype=np.float32)}, {"state": np.zeros(11)}):
+                {"draws": np.full((4, 3), np.nan, dtype=np.float32)}, {"state": np.zeros(12)},
+                {"state": np.zeros(15)}, {"tally": np.full(5, 7, dtype=np.int64)},
+                {"tally": np.full(6, 7.0)}, {"tally": np.full(12, 7, dtype=np.int64)[::2]},
+                {"tally": read_only}):
+        args = arrays(**bad)
         with pytest.raises(ValueError, match="C-contiguous float64"):
-            call(**bad)
+            native_sweep(4, *args.values(), 1.0, 1.0, 1.0, 1.0)
+        # no C code ran: it writes every row and the whole tally
+        assert np.isnan(args["draws"]).all() and np.all(args["tally"] == 7)
 
 
 def test_a_compiled_formatter_that_rounds_ties_up_is_not_kept(tmp_path, monkeypatch):
