@@ -1,11 +1,10 @@
 /* The native library of quanto_bayes: the Metropolis-within-Gibbs sweep of
- * inference.mwg_sample and the draws text of cli._draws_text.
+ * inference.mwg_sample and the draws text of cli._write_draws.
  * inference._native builds it and checks both functions against their
- * Python routes before first use; it needs unsigned __int128 (gcc, clang). */
+ * Python twins before first use; it needs unsigned __int128 (gcc, clang). */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
-#include <stdlib.h>
 #include <string.h>
 
 /* mwg_sweep is a copy of inference._python_sweep, the specification: the
@@ -120,12 +119,11 @@ struct above {
     int fallback;
 };
 
-/* Writes "%.17g" of each cell of the C-contiguous (n, cols) block to out,
+/* Writes "%.17g" of each cell of the C-contiguous (n, 3) block to out,
  * cells separated by ',' and each row ended by '\n', and returns the length
- * written, or -1 if its scratch cannot be allocated; out must hold 25 bytes
- * per cell, since a cell's text is at most 24 bytes. *fallbacks is set to
- * the number of cells that the exact path below leaves to snprintf or to
- * "nan".
+ * written; out must hold 25 bytes per cell, since a cell's text is at most
+ * 24 bytes. *fallbacks is set to the number of cells that the exact path
+ * below leaves to snprintf or to "nan".
  *
  * A cell whose bits equal those of the cell above it copies that cell's
  * text, and counts as a fallback when that cell did. Bits, not values:
@@ -142,21 +140,19 @@ struct above {
  * the largest double below 1. Its decimal point follows LC_NUMERIC, which
  * Python keeps at "C" unless locale.setlocale changes it. NaN is written as
  * "nan", which is how Python writes it whatever its sign. */
-long draws_text(long n, long cols, const double *block, char *out, long *fallbacks)
+long draws_text(long n, const double *block, char *out, long *fallbacks)
 {
-    struct above *above = malloc((cols + 1) * sizeof *above);  /* malloc(0) may be NULL */
-    if (above == NULL)
-        return -1;
+    struct above above[3];
     char *p = out;
     long fallback = 0;
     for (long i = 0; i < n; i++) {
-        for (long j = 0; j < cols; j++) {
-            const double *cell = block + i * cols + j;
+        for (int j = 0; j < 3; j++) {
+            const double *cell = block + 3 * i + j;
             double v = *cell;
             double a = fabs(v);
             char *text = p;
             int fell_back = 0;
-            if (i > 0 && memcmp(cell, cell - cols, sizeof v) == 0) {
+            if (i > 0 && memcmp(cell, cell - 3, sizeof v) == 0) {
                 memcpy(p, above[j].text, above[j].len);
                 p += above[j].len;
                 fell_back = above[j].fallback;
@@ -196,10 +192,9 @@ long draws_text(long n, long cols, const double *block, char *out, long *fallbac
             }
             fallback += fell_back;
             above[j] = (struct above){text, p - text, fell_back};
-            *p++ = j == cols - 1 ? '\n' : ',';
+            *p++ = j == 2 ? '\n' : ',';
         }
     }
-    free(above);
     *fallbacks = fallback;
     return p - out;
 }

@@ -23,7 +23,10 @@ command's input files are set, exist and are no directories, and that no
 file stands where an output directory goes; a run it refuses writes nothing.
 Every other run writes a manifest (config echo, seed, versions); outputs
 contain no timestamps, so a fixed config and seed reproduce them byte for
-byte. Unavailable cells are written as ``NA``.
+byte. Unavailable cells are written as ``NA``. Each file is written
+atomically through one binary handle: a table as UTF-8 text, a draws file as
+the bytes that ``inference._native()``'s ``draws_text`` leaves in its buffer,
+which the C writer and its Python twin write alike.
 """
 
 from __future__ import annotations
@@ -275,14 +278,15 @@ def _fmt(value):
 
 
 def _write_lines(path, header, lines):
-    """Write a header row and newline-terminated lines atomically; a failed
-    write or rename removes its temporary file and re-raises."""
+    """Write a header row and newline-terminated lines, each bytes-like (text
+    encoded as UTF-8), through one binary handle, atomically; a failed write
+    or rename removes its temporary file and re-raises."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
-    handle = open(tmp, "w", encoding="utf-8", newline="\n")
+    handle = open(tmp, "wb")
     try:
         with handle:
-            handle.write(",".join(header) + "\n")
+            handle.write((",".join(header) + "\n").encode())
             handle.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
@@ -292,7 +296,7 @@ def _write_lines(path, header, lines):
 
 def _write_csv(path, header, rows):
     """Write a table atomically; cells are formatted with ``_fmt``."""
-    _write_lines(path, header, (",".join(map(_fmt, row)) + "\n" for row in rows))
+    _write_lines(path, header, ((",".join(map(_fmt, row)) + "\n").encode() for row in rows))
 
 
 def _write_manifest(cfg: ExperimentConfig, command, extra=()):
@@ -306,7 +310,7 @@ def _write_manifest(cfg: ExperimentConfig, command, extra=()):
     lines += [*extra, f"quanto_bayes = {__version__}", f"numpy = {np.__version__}",
               "python = %d.%d.%d" % sys.version_info[:3]]
     _write_lines(os.path.join(cfg.out_dir, "manifest.txt"), [f"command = {command}"],
-                 (line + "\n" for line in lines))
+                 ((line + "\n").encode() for line in lines))
 
 
 def _derive_seed(base_seed, *parts):
@@ -373,37 +377,22 @@ def _summary_rows(family, chain):
     return rows
 
 
-def _draws_text(rows):
-    """``"%.17g"`` of every cell of the (n, cols) ``rows``, byte for byte,
-    cells separated by commas and rows ended by newlines, as ASCII bytes,
-    with the number of fallback cells.
-
-    The native library's ``draws_text`` writes it when the library loads:
-    exactly, in C, for 1e-4 <= |v| < 1 - 2^-53, and through libc's
-    ``snprintf`` for the fallback cells, every other one. Otherwise Python's
-    ``%`` formats every cell, and every cell counts as a fallback.
-    """
-    rows = np.ascontiguousarray(rows, dtype=float)
-    native = inference._native()
-    if native is not None:
-        out = bytearray(25 * rows.size)
-        length, fallbacks = native.draws_text(rows, out)
-        return bytes(memoryview(out)[:length]), fallbacks
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    return (line * rows.shape[0] % tuple(rows.ravel().tolist())).encode("ascii"), rows.size
-
-
 def _write_draws(path, chain: Chain):
     """Write the post-burn-in draws, one ``%.17g`` row per draw.
 
     ``Chain`` holds only finite draws, so no cell needs ``_fmt``'s NA case.
-    ``_draws_text`` formats the rows in blocks, so no text of the whole
-    chain is held in memory; a block's working set stays in cache.
+    ``inference._native()``'s ``draws_text``, the C writer or its Python
+    twin, formats the rows in blocks into one buffer, which goes to the file
+    as the writer left it; so no text of the whole chain is held in memory,
+    and a block's working set stays in cache.
     """
     draws = chain.post_burn_in()
     block = 1024
-    _write_lines(path, PARAMETERS, (_draws_text(draws[start:start + block])[0].decode("ascii")
-                                    for start in range(0, draws.shape[0], block)))
+    draws_text = inference._native().draws_text
+    out = bytearray(25 * 3 * block)
+    _write_lines(path, PARAMETERS,
+                 (memoryview(out)[:draws_text(draws[start:start + block], out)[0]]
+                  for start in range(0, draws.shape[0], block)))
 
 
 def _load_draws(path) -> Chain:
@@ -664,7 +653,8 @@ def cmd_price(cfg: ExperimentConfig, draws_path):
         density += _density_lines(row, *_density_bins(samples))
     _write_csv(os.path.join(cfg.out_dir, "pricing.csv"), PricingRow._fields, rows)
     _write_lines(os.path.join(cfg.out_dir, "price_density.csv"),
-                 ("strike", "maturity_days", "bin_lo", "bin_hi", "count"), density)
+                 ("strike", "maturity_days", "bin_lo", "bin_hi", "count"),
+                 ["".join(density).encode()])
     return rows
 
 

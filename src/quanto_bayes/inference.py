@@ -34,7 +34,8 @@ Samplers:
   The tests keep the generic kernel-calling loop as a reference sampler and
   check that both give the same chain bit for bit. Its sweep loop runs in C
   (``_native.c``, compiled on first use) when a compiler is at hand, and in
-  Python otherwise, with the same chain either way.
+  Python otherwise, with the same chain either way: :func:`_native` picks
+  the route once, for the sweep and for the draws text alike.
 * :func:`exact_posterior_draws` draws exactly from the same posterior, given
   only its sufficient statistics, which may differ from draw to draw: an
   inverse-Wishart partition plus an accept step. The sequential-update
@@ -292,7 +293,7 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     tallies each parameter's accepted moves and its last accepting sweep.
     The tests keep the kernel-calling loop this replaced as a reference
     sampler and check that both give the same chain bit for bit. The loop
-    runs in C when :func:`_native` can build it, else in
+    is :func:`_native`'s sweep: C when the library builds, else
     :func:`_python_sweep`, its specification; the chain is the same.
 
     Randomness is consumed in a fixed order (candidate streams for the three
@@ -314,9 +315,7 @@ def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
     streams, state, constants = _sweep_inputs(panel, spec_x, spec_h, step, n_draws, init, seed)
     draws = np.empty((n_draws, 3))
     tally = np.empty(6, dtype=np.int64)
-    native = _native()
-    (native.sweep if native else _python_sweep)(n_draws, streams, draws, state, tally,
-                                                *constants)
+    _native().sweep(n_draws, streams, draws, state, tally, *constants)
 
     warnings = tuple(
         f"no accepted moves for {name} after burn-in"
@@ -436,27 +435,40 @@ _NATIVE_SOURCE = os.path.join(os.path.dirname(__file__), "_native.c")
 _NATIVE_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
+def _python_draws_text(rows, out):
+    """``draws_text`` of ``_native.c`` in Python's ``"%.17g" %``, its
+    specification: the same text, with every cell counted as a fallback."""
+    text = (("%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist())).encode()
+    out[:len(text)] = text
+    return len(text), rows.size
+
+
 # sweep runs as _python_sweep does; draws_text(rows, out) writes the %.17g text of
-# an (n, cols) block into the bytearray out, giving its length and fallback count
+# an (n, 3) block into the bytearray out, giving its length and fallback count.
+# _PYTHON, the pair that runs when the library cannot be built, gives the same.
 _Native = collections.namedtuple("_Native", ("sweep", "draws_text"))
+_PYTHON = _Native(_python_sweep, _python_draws_text)
 
 
 @functools.cache
 def _native():
-    """The library built from ``_native.c`` as a ``_Native``, or None.
+    """The library built from ``_native.c`` as a ``_Native``, else its
+    Python twin ``_PYTHON``.
 
     Loaded from the user cache directory ($XDG_CACHE_HOME/quanto-bayes,
-    else ~/.cache/quanto-bayes) by :func:`_load_native`, which builds it
-    there first if it is missing. Any failure (no compiler, an unwritable
-    cache, a failed compile or self-check) gives None, and the Python
-    routes run: the same chains, and the same draws text.
+    else ~/.cache/quanto-bayes; a relative $XDG_CACHE_HOME is invalid under
+    the XDG Base Directory spec and is ignored) by :func:`_load_native`,
+    which builds it there first if it is missing. Any failure (no compiler,
+    an unwritable cache, a failed compile or self-check) gives ``_PYTHON``:
+    the same chains, and the same draws text.
     """
-    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    cache = cache if os.path.isabs(cache) else os.path.expanduser("~/.cache")
     try:
         with open(_NATIVE_SOURCE, "rb") as f:
             return _load_native(os.path.join(cache, "quanto-bayes"), f.read())
     except (OSError, RuntimeError):  # the Python routes give the same results
-        return None
+        return _PYTHON
 
 
 def _load_native(directory, source):
@@ -511,7 +523,7 @@ def _ctypes_native(path):
     lib.mwg_sweep.restype = None
     lib.mwg_sweep.argtypes = (ctypes.c_long, *[ctypes.c_void_p] * 15, *[ctypes.c_double] * 4)
     lib.draws_text.restype = ctypes.c_long
-    lib.draws_text.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_char_p,
+    lib.draws_text.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_char_p,
                                ctypes.POINTER(ctypes.c_long))
 
     # the C code trusts these shapes: a wrong one would read or write out of bounds
@@ -529,15 +541,13 @@ def _ctypes_native(path):
                       *constants)
 
     def draws_text(rows, out):
-        if not (rows.ndim == 2 and rows.dtype == np.float64 and rows.flags.c_contiguous
+        if not (rows.shape[1:] == (3,) and rows.dtype == np.float64 and rows.flags.c_contiguous
                 and isinstance(out, bytearray) and len(out) >= 25 * rows.size):
-            raise ValueError("draws_text needs a C-contiguous float64 (n, cols) block and "
+            raise ValueError("draws_text needs a C-contiguous float64 (n, 3) block and "
                              "a bytearray of 25 bytes per cell")
         fallbacks = ctypes.c_long()
-        length = lib.draws_text(*rows.shape, rows.ctypes.data,
+        length = lib.draws_text(len(rows), rows.ctypes.data,
                                 (ctypes.c_char * len(out)).from_buffer(out), fallbacks)
-        if length < 0:
-            raise MemoryError("draws_text could not allocate its scratch")
         return length, fallbacks.value
 
     return _Native(sweep, draws_text)
@@ -568,8 +578,8 @@ def _reproduces_python_loop(sweep):
 
 
 def _formats_as_python(draws_text):
-    """Whether ``draws_text`` writes ``"%.17g" %`` byte for byte, three values
-    to a row, and counts its fallback cells, on both signs of: each power of
+    """Whether ``draws_text`` writes :func:`_python_draws_text`'s text byte
+    for byte, and counts its fallback cells, on both signs of: each power of
     ten from 1e-6 to 10 and its six neighbours on either side; exact decimal
     ties in the four decades that C formats; values that libc formats; and a
     seeded log-uniform sample. Then on runs of repeated rows, offset from
@@ -592,12 +602,12 @@ def _formats_as_python(draws_text):
                       math.nan, -0.0, 0.0, -0.0], 3)
     rows = np.vstack([np.resize(np.concatenate([values, -values]), (-(-2 * values.size // 3), 3)),
                       np.column_stack([runs, np.roll(runs, 1), np.roll(runs, 2)])])
-    out = bytearray(25 * rows.size)
+    out, expected = bytearray(25 * rows.size), bytearray(25 * rows.size)
     length, fallbacks = draws_text(rows, out)
-    expected = ("%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist())
+    expected_length, _ = _python_draws_text(rows, expected)
     magnitudes = np.abs(rows)
     exact = np.count_nonzero((magnitudes >= 1e-4) & (magnitudes < 1.0 - 2.0 ** -53))
-    return out[:length] == expected.encode("ascii") and fallbacks == rows.size - exact
+    return out[:length] == expected[:expected_length] and fallbacks == rows.size - exact
 
 
 # ---------------------------------------------------------------------------

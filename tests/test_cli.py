@@ -178,16 +178,38 @@ def _fixture_tnn_draws(rng):
     return chain.draws, chain.burn_in
 
 
-@pytest.mark.parametrize("make_draws", [
-    lambda rng: (_distinct_draws(rng, 2600), 37),  # several blocks and a partial one
-    _draws_across_blocks,
-    _draws_with_constant_column,
-    _distinct_block_then_repeats,
-    _draws_with_signed_zeros,
-    _fixture_tnn_draws,
-], ids=["distinct", "runs-across-blocks", "constant-column", "distinct-then-repeats",
-        "signed-zeros", "tnn-w140"])
-def test_draws_file_format_and_round_trip(tmp_path, make_draws):
+# The draws text is written by the native library's C writer or by its Python
+# twin, Python's %, whichever inference._native() gives. The ``route`` fixture
+# picks one under _write_draws; a case keeps its old id on the C route and adds
+# "-percent" on the Python route. The value-set tests call both writers.
+
+@pytest.fixture
+def route(request, monkeypatch):
+    """inference._native() is the C library ("c") or its Python twin ("percent")."""
+    from quanto_bayes import inference
+
+    if request.param == "percent":
+        monkeypatch.setattr(inference, "_native", lambda: inference._PYTHON)
+    else:
+        assert inference._native() is not inference._PYTHON
+    return request.param
+
+
+def _on_both_routes(cases):
+    """pytest params for each (values, id) case, with a ``route`` value last."""
+    return [pytest.param(*values, route, id=case_id + ("-percent" if route == "percent" else ""))
+            for values, case_id in cases for route in ("c", "percent")]
+
+
+@pytest.mark.parametrize("make_draws, route", _on_both_routes([
+    ((lambda rng: (_distinct_draws(rng, 2600), 37),), "distinct"),  # blocks and a partial one
+    ((_draws_across_blocks,), "runs-across-blocks"),
+    ((_draws_with_constant_column,), "constant-column"),
+    ((_distinct_block_then_repeats,), "distinct-then-repeats"),
+    ((_draws_with_signed_zeros,), "signed-zeros"),
+    ((_fixture_tnn_draws,), "tnn-w140"),
+]), indirect=["route"])
+def test_draws_file_format_and_round_trip(tmp_path, make_draws, route):
     from quanto_bayes.cli import _load_draws, _write_draws
     from quanto_bayes.inference import Chain
 
@@ -203,19 +225,31 @@ def test_draws_file_format_and_round_trip(tmp_path, make_draws):
     assert np.array_equal(_load_draws(path).draws, chain.post_burn_in())
 
 
-def _assert_draws_text_exact(values):
-    """``_draws_text`` of ``values``, three to a row, is ``%.17g`` of every
-    cell; returns its fallback count."""
-    from quanto_bayes.cli import _draws_text
-
+def _assert_draws_text_exact(values, native):
+    """``native.draws_text`` of ``values``, three to a row, is ``%.17g`` of
+    every cell; returns its fallback count."""
     rows = np.asarray(values, dtype=float).reshape(-1, 3)
-    text, fallbacks = _draws_text(rows)
+    out = bytearray(25 * rows.size)
+    length, fallbacks = native.draws_text(rows, out)
+    text = out[:length].decode("ascii")
     expected = ("%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist())
-    if text != expected.encode("ascii"):
-        wrong = [(got, want) for got, want in zip(text.decode("ascii").split("\n"),
-                                                  expected.split("\n")) if got != want]
-        pytest.fail(f"{len(wrong)} rows differ from %.17g, first {wrong[:3]}")
+    if text != expected:
+        wrong = [(got, want) for got, want in zip(text.split("\n"), expected.split("\n"))
+                 if got != want]
+        pytest.fail(f"{native.draws_text.__name__}: {len(wrong)} rows differ from %.17g, "
+                    f"first {wrong[:3]}")
     return fallbacks
+
+
+def _assert_exact_on_both_routes(values):
+    """``_assert_draws_text_exact`` on the Python route, where every cell
+    counts as a fallback, and on the C route, whose fallback count it returns."""
+    from quanto_bayes import inference
+
+    assert _assert_draws_text_exact(values, inference._PYTHON) == np.size(values)
+    native = inference._native()
+    assert native is not inference._PYTHON
+    return _assert_draws_text_exact(values, native)
 
 
 def _with_both_signs(values):
@@ -228,14 +262,12 @@ def test_draws_text_matches_percent_format_on_log_uniform_values():
     n = 300_000
     values = 10.0 ** rng.uniform(-6.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
     # four of the seven decades take the bulk path
-    assert 0.35 * n < _assert_draws_text_exact(values) < 0.5 * n
+    assert 0.35 * n < _assert_exact_on_both_routes(values) < 0.5 * n
 
 
 def test_draws_text_rounds_exact_decimal_ties_to_even():
-    from quanto_bayes.cli import _draws_text
-
-    assert _draws_text(np.array([[26215 / 2 ** 18, 0.5, 0.5]]))[0] == \
-        b"0.10000228881835938,0.5,0.5\n"
+    assert "%.17g" % (26215 / 2 ** 18) == "0.10000228881835938"
+    assert _assert_exact_on_both_routes([26215 / 2 ** 18, 0.5, 0.5]) == 0
     rng = np.random.default_rng(1713)
     ties = []
     for k in range(17, 21):
@@ -244,7 +276,7 @@ def test_draws_text_rounds_exact_decimal_ties_to_even():
         lo, hi = 10.0 ** (16 - k) * 2 ** (k + 1), 10.0 ** (17 - k) * 2 ** (k + 1)
         q = rng.integers(int(lo) // 2 + 1, int(hi) // 2, 3000) * 2 + 1
         ties.append(q * 2.0 ** -(k + 1))
-    assert _assert_draws_text_exact(_with_both_signs(np.concatenate(ties))) == 0
+    assert _assert_exact_on_both_routes(_with_both_signs(np.concatenate(ties))) == 0
 
 
 def test_draws_text_near_powers_of_ten():
@@ -256,21 +288,21 @@ def test_draws_text_near_powers_of_ten():
                 neighbours.append(value)
                 value = np.nextafter(value, direction)
     values = _with_both_signs(neighbours)
-    _assert_draws_text_exact(np.concatenate([values, np.full((-values.size) % 3, 0.5)]))
+    _assert_exact_on_both_routes(np.concatenate([values, np.full((-values.size) % 3, 0.5)]))
 
 
 def test_draws_text_fallback_values():
     values = [0.0, -0.0, 1.0 - 2.0 ** -53, 5e-324, -2.2250738585072014e-308,
               1.0, -7.25, 12345678901234567.0, 1.7976931348623157e308,
               9.999999999999999e-05, -1.2345678901234567e-100, 1e-300]
-    assert _assert_draws_text_exact(values) == len(values)
+    assert _assert_exact_on_both_routes(values) == len(values)
 
 
 @PROPERTY
 @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                           st.floats(-1.0, 1.0)), min_size=3, max_size=30))
 def test_draws_text_matches_percent_format_on_finite_floats(values):
-    _assert_draws_text_exact(values[:len(values) // 3 * 3])
+    _assert_exact_on_both_routes(values[:len(values) // 3 * 3])
 
 
 def test_draws_text_formats_fixture_chains_in_bulk():
@@ -278,7 +310,6 @@ def test_draws_text_formats_fixture_chains_in_bulk():
     1e-4 <= |v| < 1 takes the bulk path, so a lost fast path fails here rather
     than only slowing down. The conjugate chain draws a few |rho| < 1e-4,
     which the fallback formats."""
-    from quanto_bayes.cli import _draws_text
     from quanto_bayes.inference import (NiwHyperparams, conjugate_sample, default_proposals,
                                         mle_estimate, mwg_sample)
 
@@ -286,75 +317,14 @@ def test_draws_text_formats_fixture_chains_in_bulk():
     tnn = mwg_sample(panel, default_proposals("tnn", panel), 3000, 500,
                      init=mle_estimate(panel), seed=140)
     mnc = conjugate_sample(panel, NiwHyperparams(), 2500, seed=140)
-    assert _draws_text(tnn.post_burn_in())[1] == 0
+    assert _assert_exact_on_both_routes(tnn.post_burn_in()) == 0
     magnitudes = np.abs(mnc.post_burn_in())
     outside = np.count_nonzero((magnitudes < 1e-4) | (magnitudes >= 1.0))
-    assert outside <= 5 and _draws_text(mnc.post_burn_in())[1] == outside
+    assert outside <= 5 and _assert_exact_on_both_routes(mnc.post_burn_in()) == outside
 
 
-# The draws-text tests above run on the C route. Without the native library,
-# _draws_text formats every cell with Python's %; these run the same values
-# through that route.
-
-@pytest.fixture
-def percent_route(monkeypatch):
-    from quanto_bayes import inference
-
-    monkeypatch.setattr(inference, "_native", lambda: None)
-
-
-def _power_of_ten_neighbours():
-    neighbours = []
-    for j in range(-6, 2):
-        for direction in (np.inf, -np.inf):
-            value = 10.0 ** j
-            for _ in range(7):
-                neighbours.append(value)
-                value = np.nextafter(value, direction)
-    values = _with_both_signs(neighbours)
-    return np.concatenate([values, np.full((-values.size) % 3, 0.5)])
-
-
-def _decimal_ties():
-    rng = np.random.default_rng(1713)
-    ties = [26215 / 2 ** 18, 0.5, 0.5]
-    for k in range(17, 21):
-        lo, hi = 10.0 ** (16 - k) * 2 ** (k + 1), 10.0 ** (17 - k) * 2 ** (k + 1)
-        q = rng.integers(int(lo) // 2 + 1, int(hi) // 2, 3000) * 2 + 1
-        ties.extend(q * 2.0 ** -(k + 1))
-    return np.concatenate([ties[:3], _with_both_signs(ties[3:])])
-
-
-def _log_uniform_values():
-    rng = np.random.default_rng(1712)
-    return 10.0 ** rng.uniform(-6.0, 1.0, 300_000) * rng.choice([-1.0, 1.0], 300_000)
-
-
-@pytest.mark.parametrize("values", [
-    _log_uniform_values,
-    _decimal_ties,
-    _power_of_ten_neighbours,
-    lambda: [0.0, -0.0, 1.0 - 2.0 ** -53, 5e-324, -2.2250738585072014e-308,
-             1.0, -7.25, 12345678901234567.0, 1.7976931348623157e308,
-             9.999999999999999e-05, -1.2345678901234567e-100, 1e-300],
-], ids=["log-uniform", "decimal-ties", "power-of-ten-neighbours", "fallback-values"])
-def test_draws_text_percent_route(percent_route, values):
-    _assert_draws_text_exact(values())
-
-
-@PROPERTY
-@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                          st.floats(-1.0, 1.0)), min_size=3, max_size=30))
-def test_draws_text_percent_route_on_finite_floats(values):
-    from quanto_bayes import inference
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inference, "_native", lambda: None)
-        _assert_draws_text_exact(values[:len(values) // 3 * 3])
-
-
-@pytest.mark.parametrize("route", ["c", "percent"])
-def test_draws_text_copies_repeated_cells_exactly(route, monkeypatch):
+@pytest.mark.parametrize("route", ["c", "percent"], indirect=True)
+def test_draws_text_copies_repeated_cells_exactly(route):
     """The C writer copies the text of a cell whose bits equal those of the
     cell above it. Runs of repeated rows, offset from column to column, of
     exact and fallback values, NaN, and 0.0 and -0.0 each directly below the
@@ -362,33 +332,16 @@ def test_draws_text_copies_repeated_cells_exactly(route, monkeypatch):
     counts as a fallback when the cell it copies did."""
     from quanto_bayes import inference
 
-    if route == "percent":
-        monkeypatch.setattr(inference, "_native", lambda: None)
-    else:
-        assert inference._native() is not None
     runs = np.repeat([0.12345678901234567, -0.0031415926535897933, 0.0, 5e-324, 7.25, 1e-300,
                       math.nan, -0.0, 0.0, -0.0], 4)
     rows = np.column_stack([runs, np.roll(runs, 1), np.roll(runs, 2)])
     # two exact values of ten in each column, or every cell on Python's %
     expected = 3 * 8 * 4 if route == "c" else rows.size
-    assert _assert_draws_text_exact(rows.ravel()) == expected
+    assert _assert_draws_text_exact(rows, inference._native()) == expected
     # a whole block of one repeated row, signed zeros included
     rows = np.tile([[-0.0, 0.5, 1e-300]], (50, 1))
-    assert _assert_draws_text_exact(rows.ravel()) == (100 if route == "c" else rows.size)
-
-
-@pytest.mark.parametrize("make_draws", [
-    lambda rng: (_distinct_draws(rng, 2600), 37),
-    _draws_across_blocks,
-    _draws_with_constant_column,
-    _distinct_block_then_repeats,
-    _draws_with_signed_zeros,
-    _fixture_tnn_draws,
-], ids=["distinct", "runs-across-blocks", "constant-column", "distinct-then-repeats",
-        "signed-zeros", "tnn-w140"])
-def test_draws_file_format_and_round_trip_on_the_percent_route(tmp_path, percent_route,
-                                                                make_draws):
-    test_draws_file_format_and_round_trip(tmp_path, make_draws)
+    assert _assert_draws_text_exact(rows, inference._native()) == (
+        100 if route == "c" else rows.size)
 
 
 @pytest.mark.parametrize("command", ["estimate", "experiment"])
@@ -1540,7 +1493,7 @@ def test_write_lines_removes_its_temporary_file_when_the_lines_fail(tmp_path):
         f.write("kept\n")
 
     def lines():
-        yield "1\n"
+        yield b"1\n"
         raise ArithmeticError("no more lines")
 
     with pytest.raises(ArithmeticError, match="no more lines"):

@@ -359,7 +359,8 @@ def native_sweep(native_library):
 @pytest.fixture
 def loop(request, monkeypatch):
     """mwg_sample runs the C loop ("native") or the Python loop ("python")."""
-    native = request.getfixturevalue("native_library") if request.param == "native" else None
+    native = (request.getfixturevalue("native_library") if request.param == "native"
+              else inference._PYTHON)
     monkeypatch.setattr(inference, "_native", lambda: native)
 
 
@@ -567,12 +568,31 @@ def test_a_compiler_that_cannot_run_leaves_the_python_loop_and_no_file(
     inference._native.cache_clear()
     try:
         chain = mwg_sample(panel_small, specs, 2000, 500, init=init, seed=77)
-        assert inference._native() is None
+        assert inference._native() is inference._PYTHON
     finally:
         inference._native.cache_clear()
     _assert_same_chain(chain, reference_mwg_sample(panel_small, specs, 2000, 500,
                                                     init=init, seed=77))
     assert os.listdir(tmp_path / "quanto-bayes") == []
+
+
+def test_a_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch):
+    """The XDG Base Directory spec makes a relative $XDG_CACHE_HOME invalid,
+    so the library is built under ~/.cache and nothing appears in the
+    working directory."""
+    home, cwd = tmp_path / "home", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+    monkeypatch.chdir(cwd)
+    inference._native.cache_clear()
+    try:
+        assert inference._native() is not inference._PYTHON
+    finally:
+        inference._native.cache_clear()
+    assert os.listdir(cwd) == []
+    built = os.listdir(home / ".cache" / "quanto-bayes")
+    assert len(built) == 1 and re.fullmatch(r"native-[0-9a-f]{64}\.so", built[0])
 
 
 def test_a_compiled_sweep_that_differs_from_the_python_loop_is_not_kept(tmp_path, monkeypatch):
@@ -642,7 +662,8 @@ def test_the_c_draws_text_refuses_blocks_it_would_overrun(native_library):
     assert native_library.draws_text(rows, out) == (48, 0)
     assert out[:48] == b"0.5,0.5,0.5\n" * 4
     for bad_rows, size in ((np.full((4, 6), 0.5)[:, ::2], 300), (rows.astype(np.float32), 300),
-                           (rows.ravel(), 300), (rows, 299)):
+                           (rows.ravel(), 300), (rows, 299), (np.full((4, 2), 0.5), 300),
+                           (np.full((4, 4), 0.5), 400)):
         out = bytearray(size)
         with pytest.raises(ValueError, match="C-contiguous float64"):
             native_library.draws_text(bad_rows, out)
