@@ -181,7 +181,7 @@ def _fixture_tnn_draws(rng):
 # The draws text is written by the native library's C writer or by its Python
 # twin, Python's %, whichever inference._native() gives. The ``route`` fixture
 # picks one under _write_draws; a case keeps its old id on the C route and adds
-# "-percent" on the Python route. The value-set tests call both writers.
+# "-percent" on the Python route. The value-set tests call each writer directly.
 
 @pytest.fixture
 def route(request, monkeypatch):
@@ -241,15 +241,21 @@ def _assert_draws_text_exact(values, native):
     return fallbacks
 
 
-def _assert_exact_on_both_routes(values):
-    """``_assert_draws_text_exact`` on the Python route, where every cell
-    counts as a fallback, and on the C route, whose fallback count it returns."""
+def _assert_exact_on_the_c_route(values):
+    """``_assert_draws_text_exact`` on the C writer; returns its fallback count."""
     from quanto_bayes import inference
 
-    assert _assert_draws_text_exact(values, inference._PYTHON) == np.size(values)
     native = inference._native()
     assert native is not inference._PYTHON
     return _assert_draws_text_exact(values, native)
+
+
+def _assert_exact_on_the_percent_route(values):
+    """``_assert_draws_text_exact`` on the Python twin, where every cell
+    counts as a fallback."""
+    from quanto_bayes import inference
+
+    assert _assert_draws_text_exact(values, inference._PYTHON) == np.size(values)
 
 
 def _with_both_signs(values):
@@ -257,17 +263,13 @@ def _with_both_signs(values):
     return np.concatenate([values, -values])
 
 
-def test_draws_text_matches_percent_format_on_log_uniform_values():
+def _log_uniform_values():
     rng = np.random.default_rng(1712)
     n = 300_000
-    values = 10.0 ** rng.uniform(-6.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
-    # four of the seven decades take the bulk path
-    assert 0.35 * n < _assert_exact_on_both_routes(values) < 0.5 * n
+    return 10.0 ** rng.uniform(-6.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
 
 
-def test_draws_text_rounds_exact_decimal_ties_to_even():
-    assert "%.17g" % (26215 / 2 ** 18) == "0.10000228881835938"
-    assert _assert_exact_on_both_routes([26215 / 2 ** 18, 0.5, 0.5]) == 0
+def _decimal_ties():
     rng = np.random.default_rng(1713)
     ties = []
     for k in range(17, 21):
@@ -276,10 +278,10 @@ def test_draws_text_rounds_exact_decimal_ties_to_even():
         lo, hi = 10.0 ** (16 - k) * 2 ** (k + 1), 10.0 ** (17 - k) * 2 ** (k + 1)
         q = rng.integers(int(lo) // 2 + 1, int(hi) // 2, 3000) * 2 + 1
         ties.append(q * 2.0 ** -(k + 1))
-    assert _assert_exact_on_both_routes(_with_both_signs(np.concatenate(ties))) == 0
+    return _with_both_signs(np.concatenate(ties))
 
 
-def test_draws_text_near_powers_of_ten():
+def _power_of_ten_neighbours():
     neighbours = []
     for j in range(-6, 2):
         for direction in (np.inf, -np.inf):
@@ -288,21 +290,60 @@ def test_draws_text_near_powers_of_ten():
                 neighbours.append(value)
                 value = np.nextafter(value, direction)
     values = _with_both_signs(neighbours)
-    _assert_exact_on_both_routes(np.concatenate([values, np.full((-values.size) % 3, 0.5)]))
+    return np.concatenate([values, np.full((-values.size) % 3, 0.5)])
+
+
+_FALLBACK_VALUES = [0.0, -0.0, 1.0 - 2.0 ** -53, 5e-324, -2.2250738585072014e-308,
+                    1.0, -7.25, 12345678901234567.0, 1.7976931348623157e308,
+                    9.999999999999999e-05, -1.2345678901234567e-100, 1e-300]
+
+_FINITE_FLOAT_ROWS = st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                        st.floats(-1.0, 1.0)), min_size=3, max_size=30)
+
+
+def test_draws_text_matches_percent_format_on_log_uniform_values():
+    values = _log_uniform_values()
+    # four of the seven decades take the bulk path
+    assert 0.35 * values.size < _assert_exact_on_the_c_route(values) < 0.5 * values.size
+
+
+def test_draws_text_rounds_exact_decimal_ties_to_even():
+    assert "%.17g" % (26215 / 2 ** 18) == "0.10000228881835938"
+    assert _assert_exact_on_the_c_route([26215 / 2 ** 18, 0.5, 0.5]) == 0
+    assert _assert_exact_on_the_c_route(_decimal_ties()) == 0
+
+
+def test_draws_text_near_powers_of_ten():
+    _assert_exact_on_the_c_route(_power_of_ten_neighbours())
 
 
 def test_draws_text_fallback_values():
-    values = [0.0, -0.0, 1.0 - 2.0 ** -53, 5e-324, -2.2250738585072014e-308,
-              1.0, -7.25, 12345678901234567.0, 1.7976931348623157e308,
-              9.999999999999999e-05, -1.2345678901234567e-100, 1e-300]
-    assert _assert_exact_on_both_routes(values) == len(values)
+    assert _assert_exact_on_the_c_route(_FALLBACK_VALUES) == len(_FALLBACK_VALUES)
 
 
 @PROPERTY
-@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                          st.floats(-1.0, 1.0)), min_size=3, max_size=30))
+@given(_FINITE_FLOAT_ROWS)
 def test_draws_text_matches_percent_format_on_finite_floats(values):
-    _assert_exact_on_both_routes(values[:len(values) // 3 * 3])
+    _assert_exact_on_the_c_route(values[:len(values) // 3 * 3])
+
+
+# The same value sets through the Python twin, which writes when the native
+# library cannot be built.
+
+@pytest.mark.parametrize("values", [
+    _log_uniform_values,
+    lambda: np.concatenate([[26215 / 2 ** 18, 0.5, 0.5], _decimal_ties()]),
+    _power_of_ten_neighbours,
+    lambda: _FALLBACK_VALUES,
+], ids=["log-uniform", "decimal-ties", "power-of-ten-neighbours", "fallback-values"])
+def test_draws_text_percent_route(values):
+    _assert_exact_on_the_percent_route(values())
+
+
+@PROPERTY
+@given(_FINITE_FLOAT_ROWS)
+def test_draws_text_percent_route_on_finite_floats(values):
+    _assert_exact_on_the_percent_route(values[:len(values) // 3 * 3])
 
 
 def test_draws_text_formats_fixture_chains_in_bulk():
@@ -317,10 +358,10 @@ def test_draws_text_formats_fixture_chains_in_bulk():
     tnn = mwg_sample(panel, default_proposals("tnn", panel), 3000, 500,
                      init=mle_estimate(panel), seed=140)
     mnc = conjugate_sample(panel, NiwHyperparams(), 2500, seed=140)
-    assert _assert_exact_on_both_routes(tnn.post_burn_in()) == 0
+    assert _assert_exact_on_the_c_route(tnn.post_burn_in()) == 0
     magnitudes = np.abs(mnc.post_burn_in())
     outside = np.count_nonzero((magnitudes < 1e-4) | (magnitudes >= 1.0))
-    assert outside <= 5 and _assert_exact_on_both_routes(mnc.post_burn_in()) == outside
+    assert outside <= 5 and _assert_exact_on_the_c_route(mnc.post_burn_in()) == outside
 
 
 @pytest.mark.parametrize("route", ["c", "percent"], indirect=True)
