@@ -702,11 +702,12 @@ def cmd_experiment(cfg: ExperimentConfig):
 
             window_table = None  # the quote table with this window's BS-H
             priced = False
+            # one seed per cell: its families price on common random numbers
+            seed = _derive_seed(cfg.seed, "price", fx_name, window)
             for family, chain in chains.items():
                 try:
                     if window_table is None:
                         window_table = _with_bs_h(quote_table, market, mle.sigma_x)
-                    seed = _derive_seed(cfg.seed, "price", family, fx_name, window)
                     rows = [row for row, _ in _price_chain(
                         cfg, chain, window_table, market, panel, h_level, seed)]
                 except ValueError as exc:

@@ -459,11 +459,14 @@ def _native():
     else ~/.cache/quanto-bayes; a relative $XDG_CACHE_HOME is invalid under
     the XDG Base Directory spec and is ignored) by :func:`_load_native`,
     which builds it there first if it is missing. Any failure (no compiler,
-    an unwritable cache, a failed compile or self-check) gives ``_PYTHON``:
-    the same chains, and the same draws text.
+    an unwritable cache or one that is not absolute, as a relative $HOME
+    gives, a failed compile or self-check) gives ``_PYTHON``: the same
+    chains, and the same draws text.
     """
     cache = os.environ.get("XDG_CACHE_HOME", "")
     cache = cache if os.path.isabs(cache) else os.path.expanduser("~/.cache")
+    if not os.path.isabs(cache):  # never build into the working directory
+        return _PYTHON
     try:
         with open(_NATIVE_SOURCE, "rb") as f:
             return _load_native(os.path.join(cache, "quanto-bayes"), f.read())

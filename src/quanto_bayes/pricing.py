@@ -10,13 +10,12 @@ apply across strikes and maturities. Each path consumes one posterior draw,
 the retained chain thinned to ``n_paths`` evenly spaced entries, and builds
 its growth factors to every requested maturity once, for every strike of
 that maturity to read. The fixed-rate payoff F3 is non-decreasing in the
-terminal asset level, so one sort of each maturity's growth orders the
-payoffs of all its strikes: a strike's sorted payoffs are a run of zeros
-followed by its in-the-money tail, and only that tail is computed. The other
-kinds sort their own payoffs. The price, its standard error and the 99
-percent HPDI all come from the sorted payoffs, the first two from the
-positive tail with the zeros entering in closed form. ``predictive_batch``
-yields the same simulation's payoffs in path order.
+terminal asset level, even as rounded, so one sort of each maturity's growth
+orders the payoffs of all its strikes, each computed over the sorted growth.
+The other kinds sort their own payoffs. The price, its standard error and
+the 99 percent HPDI all come from the sorted payoffs, the first two from the
+positive tail with the leading zeros entering in closed form.
+``predictive_batch`` yields the same simulation's payoffs in path order.
 
 With the parameters fixed along a static path, the ``horizon_s`` daily
 return pairs under the domestic risk-neutral measure sum to one bivariate
@@ -115,9 +114,10 @@ def price_batch(requests, chain: Chain, market: MarketConfig, n_paths, seed,
     The inputs are checked and the paths simulated as by
     :func:`predictive_batch`, whose random-stream layout this shares, before
     this returns. Each maturity's F3 requests read one sort of its growth
-    X_s/x0: path payoffs are zero up to the first growth g with x0*g - K > 0,
-    and only the tail from there is computed. Every other request sorts its
-    own payoffs.
+    X_s/x0: h_fix*max(x0*g - K, 0)*exp(-r_d*s) is non-decreasing in g under
+    rounding, since a product with a positive constant, the subtraction of a
+    constant and a max with 0 each keep order, so the payoffs over the sorted
+    growth come out sorted. Every other request sorts its own payoffs.
     """
     with np.errstate(over="ignore"):  # _sorted_payoffs refuses a path that overflows
         requests, growth, n_distinct = _simulate(requests, chain, market, n_paths, seed,
@@ -132,20 +132,11 @@ def _sorted_payoffs(request, market, growth, sorted_growth):
     """One request's discounted payoffs in ascending order; a payoff that is
     not finite, as an overflowing path gives, raises ValueError and no warning."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        if request.kind != "F3":
+        if request.kind == "F3":  # non-decreasing in X_s, so already in order
+            values = _discounted_payoffs(request, market, sorted_growth[request.horizon_s], None)
+        else:
             values = _discounted_payoffs(request, market, *growth[request.horizon_s])
             values.sort()  # a NaN sorts last
-        else:
-            ordered = sorted_growth[request.horizon_s]
-            x0 = request.spot.x0
-            strike = request.strike
-            # K/x0 may round either way, or overflow: step back to the first
-            # growth whose payoff the formula makes positive
-            j = int(np.searchsorted(ordered, strike / x0, side="right"))
-            while j > 0 and x0 * ordered[j - 1] - strike > 0.0:
-                j -= 1
-            values = np.zeros(ordered.size)
-            values[j:] = _discounted_payoffs(request, market, ordered[j:], None)
     if not math.isfinite(values[-1]):
         raise ValueError(f"{request.kind} at strike {request.strike!r}, maturity "
                          f"{request.horizon_s} days: a simulated payoff is not finite")

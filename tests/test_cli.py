@@ -834,6 +834,68 @@ def test_cmd_experiment_self_pricing_oracle(tmp_path):
     assert float(atm[0]["mean_rpe"]) < 0.01
 
 
+def test_experiment_families_of_a_cell_price_on_the_same_paths(tmp_path, monkeypatch):
+    from quanto_bayes import cli
+
+    real = cli._sample_family
+
+    def one_chain(family, panel, mle, cfg, seed):
+        return real("mnc", panel, mle, cfg, 11)
+
+    monkeypatch.setattr(cli, "_sample_family", one_chain)
+    cfg = load_config(make_workspace(tmp_path, families="ttn, mnc", draws=600, burn_in=100,
+                                     n_paths=500))
+    assert cmd_experiment(cfg) == []
+    cell = os.path.join(cfg.out_dir, "cells", "fx", "w250")
+    with open(os.path.join(cell, "pricing_ttn.csv"), "rb") as f:
+        ttn = f.read()
+    with open(os.path.join(cell, "pricing_mnc.csv"), "rb") as f:
+        assert f.read() == ttn
+
+
+def test_experiment_family_difference_is_less_noisy_on_shared_paths(tmp_path, monkeypatch):
+    """Over eight seeds, the SD of an ATM quote's ttn - mnc price difference
+    on the cell's shared paths is below that on a seed per family,
+    _derive_seed(seed, "price", family, fx, window); the same chains price
+    both. The SDs were 0.196 and 3.95, a ratio of 20, when this test was
+    written."""
+    from quanto_bayes import cli
+
+    real_sample, real_price = cli._sample_family, cli._price_chain
+    family_of = {}
+    own_seed_atm = {}
+
+    def sample(family, *args):
+        chain = real_sample(family, *args)
+        family_of[id(chain)] = family
+        return chain
+
+    def price_also_on_own_seed(cfg, chain, table, market, panel, h_level, seed):
+        family = family_of[id(chain)]
+        own = cli._derive_seed(cfg.seed, "price", family, "fx", 250)
+        own_seed_atm[family] = next(
+            row.model_price for row, _ in
+            real_price(cfg, chain, table, market, panel, h_level, own) if row.bucket == "ATM")
+        return real_price(cfg, chain, table, market, panel, h_level, seed)
+
+    monkeypatch.setattr(cli, "_sample_family", sample)
+    monkeypatch.setattr(cli, "_price_chain", price_also_on_own_seed)
+    shared, own = [], []
+    for seed in range(8):
+        root = tmp_path / str(seed)
+        root.mkdir()
+        cfg = load_config(make_workspace(root, families="ttn, mnc", draws=600, burn_in=100,
+                                         n_paths=500, seed=seed))
+        assert cmd_experiment(cfg) == []
+        cell = os.path.join(cfg.out_dir, "cells", "fx", "w250")
+        atm = {family: next(float(r["model_price"]) for r in
+                            _read_csv(os.path.join(cell, f"pricing_{family}.csv"))
+                            if r["bucket"] == "ATM") for family in ("ttn", "mnc")}
+        shared.append(atm["ttn"] - atm["mnc"])
+        own.append(own_seed_atm["ttn"] - own_seed_atm["mnc"])
+    assert np.std(shared, ddof=1) < 0.25 * np.std(own, ddof=1), (shared, own)
+
+
 def test_cmd_experiment_records_partial_failures(tmp_path):
     cfg = load_config(make_workspace(tmp_path, windows="250, 9999"))
     failures = cmd_experiment(cfg)

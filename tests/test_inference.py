@@ -595,6 +595,31 @@ def test_a_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch):
     assert len(built) == 1 and re.fullmatch(r"native-[0-9a-f]{64}\.so", built[0])
 
 
+@pytest.mark.parametrize("home", ["relhome", None])
+def test_a_relative_home_gives_the_python_twin(home, tmp_path, monkeypatch):
+    """With no absolute cache directory, neither $XDG_CACHE_HOME nor a home
+    ($HOME relative, or unset with no passwd entry, where ~ stays as it is),
+    the library is not built, least of all into the working directory."""
+    import pwd
+
+    def no_entry(uid):
+        raise KeyError(uid)
+
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    if home is None:
+        monkeypatch.delenv("HOME", raising=False)
+        monkeypatch.setattr(pwd, "getpwuid", no_entry)
+    else:
+        monkeypatch.setenv("HOME", home)
+    monkeypatch.chdir(tmp_path)
+    inference._native.cache_clear()
+    try:
+        assert inference._native() is inference._PYTHON
+    finally:
+        inference._native.cache_clear()
+    assert os.listdir(tmp_path) == []
+
+
 def test_a_compiled_sweep_that_differs_from_the_python_loop_is_not_kept(tmp_path, monkeypatch):
     with open(inference._NATIVE_SOURCE, "rb") as f:
         source = f.read()

@@ -569,8 +569,9 @@ def test_price_batch_refuses_a_request_whose_payoffs_are_not_finite(kind):
 
 
 def test_f3_tail_starts_at_the_first_positive_payoff():
-    # K / x0 rounds either way, so the growth levels within a few ulps of it
-    # may pay, or not, on either side of it
+    # F3 payoffs over sorted growth come out sorted, bit for bit, even over
+    # the growth levels within a few ulps of K / x0, which rounds either way
+    # and so may pay, or not, on either side of it
     rng = np.random.default_rng(95)
     for _ in range(300):
         x0, strike = np.exp(rng.uniform(-5.0, 10.0, size=2))
