@@ -369,12 +369,8 @@ _SUMMARY_HEADER = (
 
 
 def _summary_rows(family, chain):
-    rows = []
-    for name in PARAMETERS:
-        s = summarize(chain, name)
-        rows.append((family, name, s.mean, s.std_dev, *s.hpdi_95, s.nse, s.cd,
-                     s.acceptance_rate))
-    return rows
+    return [(family, name, s.mean, s.std_dev, *s.hpdi_95, s.nse, s.cd, s.acceptance_rate)
+            for name, s in summarize(chain).items()]
 
 
 def _write_draws(path, chain: Chain):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .inference import Chain
+from .inference import PARAMETERS, Chain
 
 __all__ = ["ChainSummary", "MIN_SUMMARY_DRAWS", "nse", "geweke_cd", "hpdi", "sorted_hpdi",
            "summarize"]
@@ -25,18 +25,47 @@ __all__ = ["ChainSummary", "MIN_SUMMARY_DRAWS", "nse", "geweke_cd", "hpdi", "sor
 MIN_SUMMARY_DRAWS = 10  # the fewest post-burn-in draws that summarize accepts
 
 
-def _spectral_nse(x):
-    """NSE estimate without a minimum-length guard (used on CD segments)."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    y = x - x.mean()
-    if not np.any(y):
-        return 0.0
+def _row_nses(block):
+    """NSE estimates of the rows of a 2-D block, as floats, without a
+    minimum-length guard (used on CD segments too); a row needs 2 entries.
+
+    A row's deviations from its mean that are all zero give a zero
+    periodogram, so a constant row has nse 0. One FFT along the rows serves
+    them all, and each row rounds as it would alone.
+    """
+    n = block.shape[1]
+    y = block - block.mean(axis=1, keepdims=True)
     m = max(1, math.ceil(0.04 * n) // 2)
     m = min(m, n // 2)
-    spec = np.abs(np.fft.rfft(y)[1:m + 1]) ** 2 / n
-    s0 = float(np.mean(spec))
-    return math.sqrt(s0 / n)
+    spec = np.abs(np.fft.rfft(y, axis=1)[:, 1:m + 1]) ** 2 / n
+    return [math.sqrt(s0 / n) for s0 in spec.mean(axis=1).tolist()]
+
+
+def _row_cds(block):
+    """:func:`geweke_cd` of each row of a 2-D block, without its guard."""
+    n = block.shape[1]
+    head = block[:, : int(0.1 * n)]
+    tail = block[:, n - int(0.5 * n):]
+    cds = []
+    for nse_head, nse_tail, mean_head, mean_tail in zip(
+            _row_nses(head), _row_nses(tail),
+            head.mean(axis=1).tolist(), tail.mean(axis=1).tolist()):
+        denom = math.sqrt(nse_head ** 2 + nse_tail ** 2)
+        cds.append(None if denom == 0.0 else (mean_head - mean_tail) / denom)
+    return cds
+
+
+def _spectral_nse(x):
+    """NSE estimate of one series without a minimum-length guard."""
+    return _row_nses(np.asarray(x, dtype=float).reshape(1, -1))[0]
+
+
+def _one_row(samples, what):
+    """``samples`` as a one-row block, refused below 100 samples."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.size < 100:
+        raise ValueError(f"{what} needs at least 100 samples, got {samples.size}")
+    return samples.reshape(1, -1)
 
 
 def nse(samples):
@@ -45,10 +74,7 @@ def nse(samples):
     A constant sequence has nse 0; fewer than 100 samples are refused since
     the spectral estimate is meaningless there.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 100:
-        raise ValueError(f"nse needs at least 100 samples, got {samples.size}")
-    return _spectral_nse(samples)
+    return _row_nses(_one_row(samples, "nse"))[0]
 
 
 def geweke_cd(samples):
@@ -59,16 +85,7 @@ def geweke_cd(samples):
     normal for a converged chain. Returns ``None`` when both segment
     variances vanish (the not-available marker for constant chains).
     """
-    samples = np.asarray(samples, dtype=float)
-    n = samples.size
-    if n < 100:
-        raise ValueError(f"geweke_cd needs at least 100 samples, got {n}")
-    head = samples[: int(0.1 * n)]
-    tail = samples[-int(0.5 * n):]
-    denom = math.sqrt(_spectral_nse(head) ** 2 + _spectral_nse(tail) ** 2)
-    if denom == 0.0:
-        return None
-    return (float(head.mean()) - float(tail.mean())) / denom
+    return _row_cds(_one_row(samples, "geweke_cd"))[0]
 
 
 def hpdi(samples, level):
@@ -108,16 +125,30 @@ class ChainSummary(NamedTuple):
     acceptance_rate: float
 
 
-def summarize(chain: Chain, parameter) -> ChainSummary:
-    """Summary statistics for one chain parameter, burn-in excluded."""
-    draws = chain.parameter(parameter)
-    if draws.size < MIN_SUMMARY_DRAWS:
-        raise ValueError(f"too few post-burn-in draws to summarize: {draws.size}")
-    return ChainSummary(
-        mean=float(draws.mean()),
-        std_dev=float(draws.std(ddof=1)),
-        nse=nse(draws) if draws.size >= 100 else None,
-        cd=geweke_cd(draws) if draws.size >= 100 else None,
-        hpdi_95=hpdi(draws, 0.95),
-        acceptance_rate=chain.acceptance_rate(parameter),
-    )
+def summarize(chain: Chain) -> dict:
+    """``{parameter: ChainSummary}`` for the three chain parameters, burn-in
+    excluded, in ``PARAMETERS`` order.
+
+    The post-burn-in draws are copied once into a C-contiguous (3, n) block.
+    One mean, one std, one sort and one FFT for each of the whole chain, its
+    first tenth and its last half serve all three rows, and each row's
+    statistics are those of its column alone, bit for bit.
+    """
+    block = np.ascontiguousarray(chain.post_burn_in().T)
+    n = block.shape[1]
+    if n < MIN_SUMMARY_DRAWS:
+        raise ValueError(f"too few post-burn-in draws to summarize: {n}")
+    means = block.mean(axis=1).tolist()
+    std_devs = block.std(axis=1, ddof=1).tolist()
+    spectral = n >= 100
+    nses = _row_nses(block) if spectral else [None] * 3
+    cds = _row_cds(block) if spectral else [None] * 3
+    ordered = np.sort(block, axis=1)
+    return {
+        name: ChainSummary(
+            mean=means[i], std_dev=std_devs[i], nse=nses[i], cd=cds[i],
+            hpdi_95=sorted_hpdi(ordered[i], 0.95),
+            acceptance_rate=chain.acceptance_rate(name),
+        )
+        for i, name in enumerate(PARAMETERS)
+    }

@@ -141,23 +141,34 @@ def _proposal_stream(spec, rng, n_draws):
     point, so every draw lies in the open support. :class:`ProposalSpec`
     keeps -loc/scale <= 1, where at least 0.16 of the candidates count.
     Batches are drawn until ``n_draws`` are kept, each sized from the
-    acceptance of the one before.
+    acceptance of the one before. Each stream is formed in the array the
+    generator returns, and a first batch whose candidates all count is the
+    stream itself.
     """
     if not isinstance(spec, ProposalSpec):
-        return spec * rng.standard_normal(n_draws)
+        steps = rng.standard_normal(n_draws)
+        steps *= spec
+        return steps
     loc, scale = spec.loc, spec.scale
     if spec.family == "inverse_gamma":
-        return np.sqrt(scale / rng.standard_gamma(spec.shape, size=n_draws))
-    out = np.empty(n_draws)
+        v = rng.standard_gamma(spec.shape, size=n_draws)
+        np.divide(scale, v, out=v)
+        return np.sqrt(v, out=v)
+    out = None
     filled = 0
     m = n_draws
     while filled < n_draws:
         if spec.family == "truncated_normal":
-            z = rng.standard_normal(m)
+            v = rng.standard_normal(m)
         else:
-            z = rng.standard_t(spec.df, m)
+            v = rng.standard_t(spec.df, m)
         with np.errstate(over="ignore"):  # an infinite candidate is rejected below
-            v = loc + scale * z
+            v *= scale
+            v += loc
+        if out is None:  # the first batch, of n_draws candidates
+            if v.min() > 0.0 and v.max() < math.inf:
+                return v
+            out = np.empty(n_draws)
         v = v[(v > 0.0) & (v < math.inf)]
         kept = min(v.size, n_draws - filled)
         out[filled:filled + kept] = v[:kept]
@@ -169,7 +180,7 @@ def _proposal_stream(spec, rng, n_draws):
         else:
             raise ArithmeticError(f"no {spec.family} draw with loc={loc}, scale={scale} "
                                   "is a positive float")
-    return out
+    return np.empty(0) if out is None else out
 
 
 def _proposal_log_kernel(spec: ProposalSpec, values):
@@ -179,19 +190,31 @@ def _proposal_log_kernel(spec: ProposalSpec, values):
     The constant (the normaliser of the truncation or of the inverse gamma)
     cancels from the independence acceptance ratio q(current) / q(candidate),
     so it is never computed. Every value outside (0, inf) gets ``-inf``, as
-    does one whose square underflows in the inverse-gamma kernel.
+    does one whose square underflows in the inverse-gamma kernel. The
+    result is formed in place in one new array (the inverse gamma's scale /
+    v^2 in a second); a sign moved from one factor to another rounds the same.
     """
     v = np.asarray(values, dtype=float)
+    out = np.empty_like(v)
     with np.errstate(all="ignore"):
-        if spec.family == "truncated_normal":
-            d = v - spec.loc
-            out = -d * d * (0.5 / (spec.scale * spec.scale))
-        elif spec.family == "truncated_t":
-            z = (v - spec.loc) / spec.scale
-            out = -0.5 * (spec.df + 1.0) * np.log1p(z * z / spec.df)
-        else:
-            out = -(2.0 * spec.shape + 1.0) * np.log(v) - spec.scale / (v * v)
-        return np.where(v > 0.0, out, NEG_INF)
+        if spec.family == "truncated_normal":  # -d * d * (0.5 / scale^2), d = v - loc
+            np.subtract(v, spec.loc, out=out)
+            out *= out
+            out *= -(0.5 / (spec.scale * spec.scale))
+        elif spec.family == "truncated_t":  # -(df + 1) / 2 * log1p(z * z / df)
+            np.subtract(v, spec.loc, out=out)
+            out /= spec.scale
+            out *= out
+            out /= spec.df
+            np.log1p(out, out=out)
+            out *= -0.5 * (spec.df + 1.0)
+        else:  # -(2 shape + 1) log v - scale / v^2
+            np.log(v, out=out)
+            out *= -(2.0 * spec.shape + 1.0)
+            square = np.multiply(v, v, out=np.empty_like(v))
+            out -= np.divide(spec.scale, square, out=square)
+        out[~(v > 0.0)] = NEG_INF
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +242,9 @@ class Chain(_Record):
             raise ValueError(f"burn_in must lie in [0, {draws.shape[0] - 1}], got {burn_in}")
         if not np.all(np.isfinite(draws)):
             raise ValueError("chain draws must be finite")
-        if np.any(draws[:, :2] <= 0.0) or np.any(np.abs(draws[:, 2]) >= 1.0):
+        # one column at a time: a strided 2-D comparison costs several times more
+        if (np.any(draws[:, 0] <= 0.0) or np.any(draws[:, 1] <= 0.0)
+                or np.any(np.abs(draws[:, 2]) >= 1.0)):
             raise ValueError("chain draws violate the parameter support")
         counts = np.array(acceptance_counts, dtype=int)
         if counts.shape != (3,) or np.any(counts < 0) or np.any(counts > draws.shape[0]):
@@ -255,11 +280,17 @@ def _volatility_terms(spec: ProposalSpec, values, power):
     constant that depends on ``spec`` alone, which g(c) - g(s) cancels.
     Non-finite entries (a square
     that underflows, a candidate on the boundary) make the acceptance ratio
-    -inf or NaN, which rejects the candidate.
+    -inf or NaN, which rejects the candidate. Each term is formed in its own
+    array, in place; 1/v^2's array holds log q until g has read it.
     """
     with np.errstate(all="ignore"):
-        g = -power * np.log(values) - _proposal_log_kernel(spec, values)
-        return g, 1.0 / values, 1.0 / (values * values)
+        inv2 = _proposal_log_kernel(spec, values)
+        g = np.log(values)
+        g *= -power
+        g -= inv2
+        np.multiply(values, values, out=inv2)
+        np.divide(1.0, inv2, out=inv2)
+        return g, np.divide(1.0, values), inv2
 
 
 def mwg_sample(panel, specs, n_draws, burn_in, init: Theta, seed):
@@ -344,7 +375,8 @@ def _sweep_inputs(panel, spec_x, spec_h, step, n_draws, init, seed):
     rng = np.random.default_rng(seed)
     cand_x, cand_h, steps = (_proposal_stream(spec, rng, n_draws)
                              for spec in (spec_x, spec_h, step))
-    log_u = np.ascontiguousarray(np.log(rng.random((n_draws, 3))).T)
+    u = rng.random((n_draws, 3))
+    log_u = np.ascontiguousarray(np.log(u, out=u).T)
     terms_x = _volatility_terms(spec_x, cand_x, t)
     terms_h = _volatility_terms(spec_h, cand_h, t - 1.0)
 

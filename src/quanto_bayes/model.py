@@ -336,8 +336,11 @@ def payoff(kind, x_terminal, h_terminal, strike, market: MarketConfig):
         return np.maximum(np.multiply(h_terminal, x_terminal) - strike, 0.0)
     if kind == "F2":
         return np.multiply(h_terminal, np.maximum(np.subtract(x_terminal, strike), 0.0))
-    if kind == "F3":
-        return market.h_fix * np.maximum(np.subtract(x_terminal, strike), 0.0)
+    if kind == "F3":  # formed in the one array np.subtract makes, unless it makes a scalar
+        values = np.subtract(x_terminal, strike)
+        values = np.maximum(values, 0.0, out=values if values.ndim else None)
+        values *= market.h_fix
+        return values
     if kind == "F4":
         return np.multiply(x_terminal, np.maximum(np.subtract(h_terminal, strike), 0.0))
     raise ValueError(f"unknown payoff kind {kind!r}; expected one of {PAYOFF_KINDS}")

@@ -159,8 +159,9 @@ def _summary(ordered, n_effective_draws) -> PricingResult:
     tail = np.ldexp(ordered[j:], -e)
     price = float(tail.sum() / n)
     if n > 1:
-        centred = tail - price
-        ss = float((centred * centred).sum()) + j * price * price
+        tail -= price  # centred and squared in place
+        tail *= tail
+        ss = float(tail.sum()) + j * price * price
         se = math.sqrt(ss / (n - 1)) / math.sqrt(n)
     else:
         se = 0.0
@@ -299,7 +300,8 @@ def _discounted_payoffs(request, market, growth_x, growth_h):
     spot = request.spot
     h_term = spot.h0 if growth_h is None else spot.h0 * growth_h
     values = payoff(request.kind, spot.x0 * growth_x, h_term, request.strike, market)
-    return math.exp(-market.r_d * request.horizon_s) * values
+    values *= math.exp(-market.r_d * request.horizon_s)  # a new array from payoff
+    return values
 
 
 def closed_form_v3(theta, spot: SpotState, strike_f, horizon_s, market: MarketConfig):

@@ -6,7 +6,10 @@ statement as code. :func:`reference_mwg_sample` is the generic
 kernel-calling Metropolis-within-Gibbs loop that ``mwg_sample``'s closed-form
 sweep replaced, kept to check it bit for bit and to run the sampler on
 targets with known moments; :func:`reference_logpdf` gives it the proposal
-densities with their normalising constants.
+densities with their normalising constants. :func:`reference_proposal_stream`
+and :func:`reference_summarize` are the candidate streams and the chain
+summaries as they were computed before they were built in place and on a
+(3, n) block, kept to check the rewritten code bit for bit.
 """
 
 import math
@@ -15,6 +18,7 @@ import numpy as np
 from scipy.special import ndtr, stdtr
 
 from quanto_bayes import inference
+from quanto_bayes.diagnostics import ChainSummary
 from quanto_bayes.inference import PARAMETERS, Chain, ProposalSpec
 from quanto_bayes.model import ReturnPanel, Theta
 
@@ -241,4 +245,85 @@ def reference_mwg_sample(panel, specs, n_draws, burn_in, init, seed, kernel=None
         burn_in=burn_in,
         acceptance_counts=np.array(accepted, dtype=int),
         warnings=warnings,
+    )
+
+
+def reference_proposal_stream(spec, rng, n_draws):
+    """``inference._proposal_stream`` as a chain of fresh arrays: loc + scale z
+    over each whole batch, its positive finite candidates copied into the
+    stream."""
+    if not isinstance(spec, ProposalSpec):
+        return spec * rng.standard_normal(n_draws)
+    loc, scale = spec.loc, spec.scale
+    if spec.family == "inverse_gamma":
+        return np.sqrt(scale / rng.standard_gamma(spec.shape, size=n_draws))
+    out = np.empty(n_draws)
+    filled = 0
+    m = n_draws
+    while filled < n_draws:
+        if spec.family == "truncated_normal":
+            z = rng.standard_normal(m)
+        else:
+            z = rng.standard_t(spec.df, m)
+        with np.errstate(over="ignore"):
+            v = loc + scale * z
+        v = v[(v > 0.0) & (v < math.inf)]
+        kept = min(v.size, n_draws - filled)
+        out[filled:filled + kept] = v[:kept]
+        filled += kept
+        if v.size:
+            m = math.ceil((n_draws - filled) * m / v.size)
+        elif m < 1 << 20:
+            m *= 2
+        else:
+            raise ArithmeticError("no draw is a positive float")
+    return out
+
+
+def _reference_spectral_nse(x):
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    y = x - x.mean()
+    if not np.any(y):
+        return 0.0
+    m = max(1, math.ceil(0.04 * n) // 2)
+    m = min(m, n // 2)
+    spec = np.abs(np.fft.rfft(y)[1:m + 1]) ** 2 / n
+    s0 = float(np.mean(spec))
+    return math.sqrt(s0 / n)
+
+
+def _reference_geweke_cd(samples):
+    n = samples.size
+    head = samples[: int(0.1 * n)]
+    tail = samples[-int(0.5 * n):]
+    denom = math.sqrt(_reference_spectral_nse(head) ** 2 + _reference_spectral_nse(tail) ** 2)
+    if denom == 0.0:
+        return None
+    return (float(head.mean()) - float(tail.mean())) / denom
+
+
+def _reference_hpdi(samples, level):
+    ordered = np.sort(np.asarray(samples, dtype=float), axis=None)
+    n = ordered.size
+    m = math.ceil(level * n)
+    widths = ordered[m - 1:] - ordered[: n - m + 1]
+    i = int(np.argmin(widths))
+    return float(ordered[i]), float(ordered[i + m - 1])
+
+
+def reference_summarize(chain: Chain, parameter) -> ChainSummary:
+    """``diagnostics.summarize(chain)[parameter]`` one parameter at a time, on
+    its strided post-burn-in column, with one FFT and one sort per series."""
+    draws = chain.parameter(parameter)
+    if draws.size < 10:
+        raise ValueError(f"too few post-burn-in draws to summarize: {draws.size}")
+    spectral = draws.size >= 100
+    return ChainSummary(
+        mean=float(draws.mean()),
+        std_dev=float(draws.std(ddof=1)),
+        nse=_reference_spectral_nse(draws) if spectral else None,
+        cd=_reference_geweke_cd(draws) if spectral else None,
+        hpdi_95=_reference_hpdi(draws, 0.95),
+        acceptance_rate=chain.acceptance_rate(parameter),
     )

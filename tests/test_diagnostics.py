@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from quanto_bayes.diagnostics import ChainSummary, geweke_cd, hpdi, nse, summarize
-from quanto_bayes.inference import Chain
+from quanto_bayes.inference import (
+    PARAMETERS, Chain, NiwHyperparams, conjugate_sample, default_proposals, mle_estimate,
+    mwg_sample,
+)
+
+from conftest import fixture_panel
+from oracles import reference_summarize
 
 
 def _hpdi_bruteforce(samples, level):
@@ -171,7 +177,7 @@ def test_summarize_constant_chain():
     # dyadic constants keep the arithmetic exact
     draws = np.tile([0.5, 0.25, -0.25], (200, 1))
     chain = _chain_from(draws, burn_in=50, counts=(200, 200, 200))
-    s = summarize(chain, "sigma_x")
+    s = summarize(chain)["sigma_x"]
     assert isinstance(s, ChainSummary)
     assert s.mean == 0.5
     assert s.std_dev == 0.0
@@ -189,7 +195,7 @@ def test_summarize_mean_is_exact_arithmetic_mean():
         np.clip(0.1 * rng.standard_normal(5000), -0.99, 0.99),
     ])
     chain = _chain_from(draws, burn_in=1000, counts=(2500, 2500, 2500))
-    s = summarize(chain, "rho")
+    s = summarize(chain)["rho"]
     assert s.mean == float(np.mean(draws[1000:, 2]))
     assert s.acceptance_rate == 0.5
 
@@ -203,7 +209,7 @@ def test_summarize_tracks_known_target_within_nse():
     ])
     chain = _chain_from(draws, counts=(20_000,) * 3)
     for name, target in (("sigma_x", 0.006), ("sigma_h", 0.004), ("rho", -0.03)):
-        s = summarize(chain, name)
+        s = summarize(chain)[name]
         assert abs(s.mean - target) < 4.0 * s.nse
         assert s.hpdi_95[0] <= s.mean <= s.hpdi_95[1]
 
@@ -216,9 +222,48 @@ def test_summarize_reports_nse_and_cd_from_100_draws(n):
                              0.004 + 0.0004 * rng.standard_normal(n),
                              0.1 * rng.standard_normal(n)])
     for name in ("sigma_x", "sigma_h", "rho"):
-        s = summarize(_chain_from(draws), name)
+        s = summarize(_chain_from(draws))[name]
         if n < 100:
             assert s.nse is None and s.cd is None
         else:
             assert s.nse == nse(draws[:, ("sigma_x", "sigma_h", "rho").index(name)])
             assert s.nse > 0.0 and s.cd is not None
+
+
+# ---------------------------------------------------------------------------
+# summarize against the one-parameter oracle, bit for bit
+# ---------------------------------------------------------------------------
+
+def _summary_chains():
+    panel = fixture_panel(1840)
+    mle = mle_estimate(panel)
+    rng = np.random.default_rng(5)
+    wide = np.column_stack([0.006 + 0.0005 * rng.standard_normal(400),
+                            0.004 + 0.0004 * rng.standard_normal(400),
+                            0.1 * rng.standard_normal(400)])
+    constant = wide.copy()
+    constant[:, 1] = 0.25  # dyadic, so its mean is exact and every deviation zero
+    return {
+        "mwg": mwg_sample(panel, default_proposals("ttn", panel, mle=mle), 6000, 1500,
+                          init=mle, seed=3),
+        "mnc": conjugate_sample(panel, NiwHyperparams(), 5000, seed=4),
+        "constant-column": _chain_from(constant, burn_in=40, counts=(7, 400, 9)),
+        **{f"{n}-draws": _chain_from(wide[:n + 5], burn_in=5, counts=(1, 2, 3))
+           for n in (10, 99, 100)},
+    }
+
+
+@pytest.mark.parametrize("case", ["mwg", "mnc", "constant-column", "10-draws", "99-draws",
+                                  "100-draws"])
+def test_summarize_block_matches_the_one_parameter_oracle_bitwise(case):
+    chain = _summary_chains()[case]
+    got = summarize(chain)
+    assert list(got) == list(PARAMETERS)
+    for name in PARAMETERS:
+        # repr tells every float apart bit for bit, -0.0 from 0.0 included
+        assert repr(got[name]) == repr(reference_summarize(chain, name)), name
+    if case == "constant-column":
+        assert got["sigma_h"].nse == 0.0 and got["sigma_h"].cd is None
+        assert got["sigma_x"].cd is not None
+    if case in ("10-draws", "99-draws"):
+        assert all(s.nse is None and s.cd is None for s in got.values())

@@ -28,7 +28,8 @@ from quanto_bayes.inference import (
 from quanto_bayes.model import ReturnPanel, Theta
 
 from conftest import TRUTH, fixture_panel, synth_panel
-from oracles import PosteriorKernel, reference_logpdf, reference_mwg_sample
+from oracles import (PosteriorKernel, reference_logpdf, reference_mwg_sample,
+                     reference_proposal_stream)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +204,42 @@ def test_truncated_draws_raise_when_no_draw_is_a_positive_float():
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError, match=f"no {family} draw .* positive float"):
                 _proposal_stream(spec, np.random.default_rng(0), 3)
+
+
+# loc/scale = 21 keeps every candidate of the first batch, as the window-1840
+# defaults do; -loc/scale = 1 rejects most, over several batches
+_STREAM_SPECS = {
+    "t-no-rejection": ProposalSpec(family="truncated_t", loc=0.0063, scale=0.0003, df=5.0),
+    "t-rejections": ProposalSpec(family="truncated_t", loc=-0.0063, scale=0.0063, df=5.0),
+    "normal-no-rejection": ProposalSpec(family="truncated_normal", loc=0.0063, scale=0.0003),
+    "normal-rejections": ProposalSpec(family="truncated_normal", loc=-0.0063, scale=0.0063),
+    # no candidate is negative, but about one in nine overflows to inf and is rejected
+    "normal-overflows": ProposalSpec(family="truncated_normal", loc=1.7e308,
+                                     scale=1.7e308 / 21.0),
+    "inverse-gamma": ProposalSpec(family="inverse_gamma", shape=400.0, scale=401.0 * 0.0063 ** 2),
+    "rho-step": 0.1,
+}
+
+
+@pytest.mark.parametrize("n_draws", [0, 1, 40_000])
+@pytest.mark.parametrize("case", sorted(_STREAM_SPECS))
+def test_proposal_stream_matches_the_fresh_array_oracle_bitwise(case, n_draws):
+    spec = _STREAM_SPECS[case]
+    for seed in (0, 1, 2):
+        rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = inference._proposal_stream(spec, rng, n_draws)
+        expected = reference_proposal_stream(spec, expected_rng, n_draws)
+        assert got.shape == (n_draws,) and got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+        # the same random numbers were used: the next stream starts where the oracle's does
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+    if case.endswith("rejections") and n_draws == 40_000:
+        first = np.random.default_rng(2)
+        if case.startswith("t-"):
+            first.standard_t(5.0, n_draws)
+        else:
+            first.standard_normal(n_draws)
+        assert rng.bit_generator.state != first.bit_generator.state  # drew past one batch
 
 
 def test_normal_cdf_matches_scipy():

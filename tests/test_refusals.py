@@ -58,7 +58,7 @@ REFUSALS = {
     # the band holds the price, and the first bisection price refuses the horizon
     "iv-zero-horizon": (lambda _: implied_vol(1.0, 100.0, 100.0, 0.0, 0),
                         "horizon_s must be positive, got 0"),
-    "summarize-nine-draws": (lambda _: summarize(_chain(9), "rho"),
+    "summarize-nine-draws": (lambda _: summarize(_chain(9)),
                              "too few post-burn-in draws to summarize: 9"),
     "series-2d-prices": (lambda _: PriceSeries(DAYS, [[100.0], [101.0]]),
                          "prices must be one-dimensional"),
