@@ -330,9 +330,12 @@ def _cell_dir(cfg: ExperimentConfig, fx_name, window):
 # Shared pipeline pieces
 # ---------------------------------------------------------------------------
 
-def _load_panel(cfg: ExperimentConfig, fx_path):
-    """Aligned return panel of the whole history plus the latest aligned fx level."""
-    asset, fx = load_price_series(cfg.asset_series), load_price_series(fx_path)
+def _load_panel(cfg: ExperimentConfig, fx_path, asset=None):
+    """Aligned return panel of the whole history plus the latest aligned fx
+    level; ``asset`` is the asset series if it has been read already."""
+    if asset is None:
+        asset = load_price_series(cfg.asset_series)
+    fx = load_price_series(fx_path)
     try:
         asset, fx = align_series(asset, fx)
         panel = ReturnPanel(log_returns(asset), log_returns(fx))
@@ -678,10 +681,16 @@ def cmd_experiment(cfg: ExperimentConfig):
     performance = []
     curves = []
     failures = []
+    try:
+        asset = load_price_series(cfg.asset_series)
+    except (ValueError, OSError) as exc:
+        asset = str(exc)  # the panel of every fx series fails with it
     for fx_path in cfg.fx_series:
         fx_name = _stem(fx_path)
         try:
-            history, h_level = _load_panel(cfg, fx_path)
+            if isinstance(asset, str):
+                raise InputError(asset)
+            history, h_level = _load_panel(cfg, fx_path, asset)
         except (ValueError, OSError) as exc:
             failures.extend((fx_name, window, "*", "panel", str(exc))
                             for window in cfg.windows)

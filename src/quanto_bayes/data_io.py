@@ -10,10 +10,18 @@ Dates are ISO-8601 calendar dates written ``YYYY-MM-DD``, the one form that
 ``date.fromisoformat`` reads alike on every supported Python. Numbers are
 ASCII decimals as ``float`` reads them, without ``_`` digit separators.
 
-A price series is read in one bulk pass that checks the text form of whole
-columns; the ``PriceSeries`` it builds checks the date order and the prices.
-Only a file that fails a check is read again, row by row, to name its first
-bad row; that re-read raises and never builds a series.
+A price series in the plain form (the header exactly ``date,price``, LF or
+CRLF line ends, no ``"``, every non-blank line ``YYYY-MM-DD,<price>`` with
+its one comma at offset 10) is read in one columnar pass: its lines are
+split into a date and a price column, and all dates parse in one NumPy
+conversion. A file in any other form, or one that fails a check of that
+pass, goes to a bulk pass through the csv module that checks the text form
+of whole columns. On either pass the ``PriceSeries`` built checks the date
+order and the prices. Only a file that fails the bulk pass is read again,
+row by row, to name its first bad row; that re-read raises and never builds
+a series. The columnar pass accepts no file that the bulk pass refuses and
+builds the same arrays, so files read, arrays and messages do not depend on
+the pass.
 
 A refused file raises :class:`InputError`, a ``ValueError`` that names the
 file and its row or column.
@@ -159,6 +167,43 @@ def _parsed_rows(path, columns, absent, parse):
     return parsed
 
 
+def _plain_series(text):
+    """The series of a file's ``text`` in the plain form, read column by
+    column; None, which leaves the file to the csv pass, for a file in
+    another form or one that fails a check. No cell is quoted, since
+    ``float`` refuses a price cell that holds a ``"``."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    header, _, body = text.partition("\n")
+    if header != "date,price" or "\r" in body:
+        return None
+    rows = list(filter(None, body.split("\n")))  # csv skips a blank line
+    cells = ",".join(rows).split(",")
+    n = len(rows)
+    limit = csv.field_size_limit()
+    try:
+        # a comma at offset 10 of each row, and n commas in all: no other
+        if "".join([row[10] for row in rows]) != "," * n or len(cells) != 2 * n:
+            return None
+        days, prices = np.frombuffer("".join(cells[::2]).encode(), "S10"), cells[1::2]
+        chars = days.view(np.uint8).reshape(n, 10)  # refuses a non-ASCII date's extra bytes
+        # YYYY-MM-DD in ASCII: a uint8 below "0" wraps to above "9"
+        if (not (chars[:, [0, 1, 2, 3, 5, 6, 8, 9]] - ord("0") < 10).all()
+                or not (chars[:, [4, 7]] == ord("-")).all()
+                or not _ascii_decimal("".join(prices))
+                # the csv module refuses a cell over its size limit
+                or (len(body) > limit and max(map(len, prices)) > limit)):
+            return None
+        # days since 1970-01-01 to date.toordinal; date refuses year 0000
+        days = days.astype("datetime64[D]").astype(np.int64) + 719163
+        if days.min() < 1:
+            return None
+        order = np.argsort(days, kind="stable")
+        return PriceSeries(days[order], np.fromiter(map(float, prices), float, n)[order])
+    except (IndexError, ValueError):
+        return None
+
+
 def load_price_series(path):
     """Read a ``date,price`` series, sort by date, and validate it.
 
@@ -166,6 +211,9 @@ def load_price_series(path):
     rejected with the file and the offending date or row named.
     """
     text = read_text(path)
+    series = _plain_series(text)
+    if series is not None:
+        return series
     try:
         header, *rows = csv.reader(io.StringIO(text, newline=""))
         index = {name: i for i, name in enumerate(header)}

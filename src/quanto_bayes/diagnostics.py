@@ -55,11 +55,6 @@ def _row_cds(block):
     return cds
 
 
-def _spectral_nse(x):
-    """NSE estimate of one series without a minimum-length guard."""
-    return _row_nses(np.asarray(x, dtype=float).reshape(1, -1))[0]
-
-
 def _one_row(samples, what):
     """``samples`` as a one-row block, refused below 100 samples."""
     samples = np.asarray(samples, dtype=float)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtr, stdtr
 
 from quanto_bayes import inference
-from quanto_bayes.diagnostics import ChainSummary
+from quanto_bayes.diagnostics import ChainSummary, _row_nses
 from quanto_bayes.inference import PARAMETERS, Chain, ProposalSpec
 from quanto_bayes.model import ReturnPanel, Theta
 
@@ -278,6 +278,11 @@ def reference_proposal_stream(spec, rng, n_draws):
         else:
             raise ArithmeticError("no draw is a positive float")
     return out
+
+
+def spectral_nse(x):
+    """``diagnostics.nse`` of one series without its minimum-length guard."""
+    return _row_nses(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
 def _reference_spectral_nse(x):

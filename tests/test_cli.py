@@ -987,6 +987,55 @@ def test_cmd_experiment_loads_each_fx_series_once(tmp_path, monkeypatch):
                                            "estimate_summary.csv"))
 
 
+@pytest.mark.parametrize("asset_rows", [None, "2017-01-02,-1\n"], ids=["asset-read", "asset-bad"])
+def test_cmd_experiment_reads_the_asset_series_once(tmp_path, monkeypatch, asset_rows):
+    import shutil
+
+    from quanto_bayes import cli
+
+    root = str(tmp_path)
+    cfg = load_config(make_workspace(tmp_path, families="tnn, mle", draws=600, burn_in=100,
+                                     n_paths=500, windows="250, 300"))
+    asset = os.path.join(root, "asset.csv")
+    if asset_rows is not None:
+        with open(asset, "w", encoding="utf-8") as f:
+            f.write("date,price\n" + asset_rows)
+    shutil.copy(os.path.join(root, "fx.csv"), os.path.join(root, "gbp.csv"))
+    fx_series = tuple(os.path.join(root, f"{name}.csv") for name in ("fx", "gbp"))
+    loads = []
+    real = cli.load_price_series
+    monkeypatch.setattr(cli, "load_price_series",
+                        lambda path: loads.append(os.path.basename(path)) or real(path))
+    both = cfg._replace(fx_series=fx_series, out_dir=os.path.join(root, "both"))
+    cmd_experiment(both)
+    assert sorted(loads) == (["asset.csv"] if asset_rows else ["asset.csv", "fx.csv", "gbp.csv"])
+    # each fx series on its own, which reads the asset series for itself,
+    # writes the same cell files and the same table rows
+    tables = ("failures.csv", "pricing_performance.csv", "pricing_curves.csv")
+    rows = {name: [] for name in tables}
+    cell_files = []
+    for path in fx_series:
+        one = cfg._replace(fx_series=(path,), out_dir=os.path.join(root, cli._stem(path)))
+        cmd_experiment(one)
+        for file in _files_under(os.path.join(one.out_dir, "cells")):
+            cell_files.append(file[len(one.out_dir):])
+            with open(file, "rb") as f, open(both.out_dir + cell_files[-1], "rb") as g:
+                assert f.read() == g.read(), file
+        for name in tables:
+            with open(os.path.join(one.out_dir, name), encoding="utf-8") as f:
+                rows[name] += f.read().splitlines()[1:]
+    assert len(cell_files) == (0 if asset_rows else 2 * 2 * 3)  # fx x window x file
+    assert [file[len(both.out_dir):] for file in _files_under(both.out_dir)
+            if file[len(both.out_dir):].startswith("/cells/")] == sorted(cell_files)
+    for name in tables:
+        with open(os.path.join(both.out_dir, name), encoding="utf-8") as f:
+            assert f.read().splitlines()[1:] == rows[name], name
+    if asset_rows:
+        bad = f"{asset}: row 2: non-positive price -1.0"
+        assert rows["failures.csv"] == [f"{fx},{w},*,panel,{bad}" for fx in ("fx", "gbp")
+                                        for w in (250, 300)]
+
+
 def _counting(calls, name, fn):
     def counted(*args, **kwargs):
         calls[name] = calls.get(name, 0) + 1

@@ -11,7 +11,6 @@ import pytest
 from scipy.special import log_ndtr, ndtr, stdtr
 
 from quanto_bayes import inference
-from quanto_bayes.diagnostics import _spectral_nse
 from quanto_bayes.inference import (
     PARAMETERS,
     Chain,
@@ -29,7 +28,7 @@ from quanto_bayes.model import ReturnPanel, Theta
 
 from conftest import TRUTH, fixture_panel, synth_panel
 from oracles import (PosteriorKernel, reference_logpdf, reference_mwg_sample,
-                     reference_proposal_stream)
+                     reference_proposal_stream, spectral_nse)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +368,7 @@ def test_mwg_known_target_moments():
     rho_target = truncnorm.mean(-1.0, 1.0)
     for col, target in ((0, half_normal_mean), (1, half_normal_mean), (2, rho_target)):
         err = abs(seg[:, col].mean() - target)
-        assert err < 4.0 * _spectral_nse(seg[:, col])
+        assert err < 4.0 * spectral_nse(seg[:, col])
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +814,7 @@ def test_mwg_marginals_match_posterior_quadrature(sampler, panel_name):
         chain = mwg_sample(panel, default_proposals("ttn", panel), 40_000, 5_000,
                            init=mle_estimate(panel), seed=91)
         draws = chain.post_burn_in()
-        nse = [_spectral_nse(column) for column in draws.T]
+        nse = [spectral_nse(column) for column in draws.T]
     else:
         n = 40_000
         rng = _CountingRng(92)

@@ -18,6 +18,7 @@ lines, both return the same series or quotes or raise the same message.
 import csv
 import io
 import math
+import os
 import re
 
 import numpy as np
@@ -39,7 +40,7 @@ from quanto_bayes.data_io import (
 from quanto_bayes.inference import FAMILY_CODES, default_proposals, mle_estimate
 from quanto_bayes.model import PriceSeries, ReturnPanel
 
-from conftest import DEFAULT_CONFIG
+from conftest import DEFAULT_CONFIG, FIXTURES
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -348,9 +349,15 @@ def _oversize_cell(lines, i):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+# as many commas as lines, but row 2 has none and row 3 two
+BALANCED_COMMAS = "date,price\n2018-01-02\n100,2018-01-03,101\n"
+
+
 @PROPERTY
 @given(data=csv_edits(SERIES))
 @example(data=_oversize_cell(SERIES, 3))
+@example(data=BALANCED_COMMAS.encode("utf-8"))
+@example(data=b"date,price\n2018\x0001-02,100.5\n")  # numpy reads 2018-01-01
 def test_price_series_loader_matches_dictreader_reference(tmp_path, data):
     path = tmp_path / "series.csv"
     path.write_bytes(data)
@@ -374,9 +381,29 @@ def test_price_series_loader_matches_dictreader_reference(tmp_path, data):
     # the csv module refuses row 3's cell, but the loader stops at row 2
     ("date,price\n2018-01-02,abc\n2018-01-03," + "1" * 200_000 + "\n",
      "row 2: non-numeric price 'abc'"),
+    (BALANCED_COMMAS, "row 2: non-numeric price ''"),
+    # the csv module ignores cells past the header's; split at every comma,
+    # row 2's would shift row 3's price
+    ("date,price\n2018-01-02,100.5,,7\n2018-01-03,101.25\n", None),
+    ("date,price\n0000-01-02,100.5\n", "row 2: invalid ISO date '0000-01-02'"),
+    ("date,price\n2018-01-02,100.5\n2019-02-29,101.25\n",
+     "row 3: invalid ISO date '2019-02-29'"),
+    ("date,price\n2O18-01-02,100.5\n", "row 2: invalid ISO date '2O18-01-02'"),
+    ("date,price\n+018-01-02,100.5\n", "row 2: invalid ISO date '+018-01-02'"),
+    ("date,price\n2018001-02,100.5\n", "row 2: invalid ISO date '2018001-02'"),
+    ("price,date\n100.5,2018-01-02\n101.25,2018-01-03\n", None),
+    ("date,price\r2018-01-02,100.5\r2018-01-03,101.25\r", None),
+    # float reads "100.5\r " as 100.5, but the csv module ends the row at \r
+    ("date,price\n2018-01-02,100.5\r \n", "row 3: invalid ISO date ' '"),
+    # float reads the cell as 1.0, but the csv module refuses its length
+    ("date,price\n2018-01-02,1." + "0" * csv.field_size_limit() + "\n",
+     f"row 2: field larger than field limit ({csv.field_size_limit()})"),
 ], ids=["crlf", "bom", "quoted-date", "short-row", "repeated-date-column", "blank-lines",
         "spaces-around-date", "basic-format-date", "week-date", "duplicate-date",
-        "underscore", "field-size-after-bad-row"])
+        "underscore", "field-size-after-bad-row", "balanced-commas", "extra-cells", "year-zero",
+        "february-29-2019", "letter-o-in-year", "sign-in-year", "seven-digit-year",
+        "price-date-header",
+        "lone-cr", "lone-cr-before-space", "finite-price-over-field-size"])
 def test_price_series_loader_matches_reference_on_bulk_pass_edges(tmp_path, monkeypatch,
                                                                    text, error):
     path = str(tmp_path / "series.csv")
@@ -392,6 +419,29 @@ def test_price_series_loader_matches_reference_on_bulk_pass_edges(tmp_path, monk
         assert len(outcome[0]) >= 1 and not re_read  # built by the bulk pass alone
     else:
         assert outcome == (data_io.InputError, f"{path}: {error}") and re_read == [path]
+
+
+@pytest.mark.parametrize("form", ["as-shipped", "newest-first", "crlf"])
+@pytest.mark.parametrize("name", ["sp500", "eur_usd", "gbp_usd", "cad_usd"])
+def test_shipped_price_series_are_read_without_the_csv_module(tmp_path, monkeypatch, name,
+                                                              form):
+    path = os.path.join(FIXTURES, f"{name}_synthetic.csv")
+    if form != "as-shipped":
+        with open(path, encoding="utf-8") as f:
+            header, *rows = f.read().splitlines()
+        if form == "newest-first":
+            rows.reverse()
+        path = str(tmp_path / "series.csv")
+        with open(path, "w", encoding="utf-8", newline="\r\n" if form == "crlf" else "\n") as f:
+            f.write("\n".join([header, *rows]) + "\n")
+    expected = reference_load_price_series(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(data_io.csv, "reader", refuse)
+    series = load_price_series(path)
+    assert len(series) > 1800 and series == expected
 
 
 @PROPERTY
