@@ -14,14 +14,13 @@ A price series in the plain form (the header exactly ``date,price``, LF or
 CRLF line ends, no ``"``, every non-blank line ``YYYY-MM-DD,<price>`` with
 its one comma at offset 10) is read in one columnar pass: its lines are
 split into a date and a price column, and all dates parse in one NumPy
-conversion. A file in any other form, or one that fails a check of that
-pass, goes to a bulk pass through the csv module that checks the text form
-of whole columns. On either pass the ``PriceSeries`` built checks the date
-order and the prices. Only a file that fails the bulk pass is read again,
-row by row, to name its first bad row; that re-read raises and never builds
-a series. The columnar pass accepts no file that the bulk pass refuses and
-builds the same arrays, so files read, arrays and messages do not depend on
-the pass.
+conversion. Every other file, and every plain file that fails a check of
+that pass, is read once by the csv module, row by row, which names the
+first row at fault or else builds the series from the rows. The columnar
+pass accepts no file that the row reader refuses and builds the same
+arrays, so files accepted, arrays and messages do not depend on the route.
+
+Each input file is opened and decoded once, so it may be a pipe.
 
 A refused file raises :class:`InputError`, a ``ValueError`` that names the
 file and its row or column.
@@ -33,7 +32,6 @@ import csv
 import io
 import math
 from datetime import date as Date
-from operator import itemgetter
 
 import numpy as np
 
@@ -131,12 +129,13 @@ def _parse_quote(cells, at, row):
         raise ValueError(f"row {row}: {exc}") from None
 
 
-def _parsed_rows(path, columns, absent, parse):
-    """``parse(cells, at, row)`` of each non-blank data row of a CSV file, in
-    order; ``at`` holds the cell index of each of ``columns`` and ``row`` is
-    the line on which the row ends. A repeated name reads its last column and
-    a short row reads empty cells. Rows are read as they are parsed, so the
-    first row at fault is the one named.
+def _parsed_rows(path, text, columns, absent, parse):
+    """``parse(cells, at, row)`` of each non-blank data row of ``text``, the
+    decoded CSV file at ``path``, in order; ``at`` holds the cell index of
+    each of ``columns`` and ``row`` is the line on which the row ends. A
+    repeated name reads its last column and a short row reads empty cells.
+    Rows are read as they are parsed, so the first row at fault is the one
+    named.
 
     A header that lacks one of ``columns`` raises InputError with the text
     ``absent(header)``, ``header`` being None for an empty file. A parse's
@@ -144,7 +143,7 @@ def _parsed_rows(path, columns, absent, parse):
     split, such as one holding a cell over its field size limit, raises
     InputError naming the file.
     """
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
     parsed = []
     try:
         header = next(reader, None)
@@ -169,7 +168,7 @@ def _parsed_rows(path, columns, absent, parse):
 
 def _plain_series(text):
     """The series of a file's ``text`` in the plain form, read column by
-    column; None, which leaves the file to the csv pass, for a file in
+    column; None, which leaves the file to the row reader, for a file in
     another form or one that fails a check. No cell is quoted, since
     ``float`` refuses a price cell that holds a ``"``."""
     if "\r" in text:
@@ -214,27 +213,6 @@ def load_price_series(path):
     series = _plain_series(text)
     if series is not None:
         return series
-    try:
-        header, *rows = csv.reader(io.StringIO(text, newline=""))
-        index = {name: i for i, name in enumerate(header)}
-        rows = list(filter(None, rows))  # csv gives a blank line no cells
-        days = list(map(str.strip, map(itemgetter(index["date"]), rows)))
-        cells = list(map(itemgetter(index["price"]), rows))
-        # the text forms of _parse_date and _parse_float, on whole columns;
-        # PriceSeries checks the date order and the prices
-        if (set(map(len, days)) == {10} and "".join(days)[7::10] == "-" * len(days)
-                and _ascii_decimal("".join(cells))):
-            days = np.array(list(map(Date.toordinal, map(Date.fromisoformat, days))))
-            order = np.argsort(days, kind="stable")
-            return PriceSeries(days[order], np.array(list(map(float, cells)))[order])
-    except (csv.Error, LookupError, ValueError):
-        pass
-    _raise_first_bad_row(path)
-
-
-def _raise_first_bad_row(path):
-    """Read a series file that :func:`load_price_series` refused row by row,
-    and raise the error of the first row or header at fault."""
     seen = set()
 
     def parse(cells, at, row):
@@ -245,10 +223,11 @@ def _raise_first_bad_row(path):
         if fault := price_fault(price):
             raise ValueError(f"row {row}: {fault}")
         seen.add(day)
+        return day.toordinal(), price
 
-    _parsed_rows(path, ("date", "price"), "expected columns 'date' and 'price', got {}".format,
-                 parse)
-    raise AssertionError(f"{path}: the bulk reader refused a series the row reader accepts")
+    rows = _parsed_rows(path, text, ("date", "price"),
+                        "expected columns 'date' and 'price', got {}".format, parse)
+    return PriceSeries(*zip(*sorted(rows)))  # no two rows share a date: date order
 
 
 def load_option_chain(path):
@@ -258,7 +237,7 @@ def load_option_chain(path):
     whole number; a bad row raises with the file and the row named.
     """
     columns = ("quote_date", "strike", "maturity_days", "price", "spot")
-    return _parsed_rows(path, columns, lambda header: "missing columns "
+    return _parsed_rows(path, read_text(path), columns, lambda header: "missing columns "
                         f"{[c for c in columns if c not in (header or ())]}", _parse_quote)
 
 

@@ -1729,6 +1729,46 @@ def _files_under(root):
     return sorted(os.path.join(d, name) for d, _, names in os.walk(root) for name in names)
 
 
+def test_estimate_writes_the_same_files_from_non_plain_series(tmp_path):
+    # price,date columns, quoted dates and CRLF line ends: the row reader's
+    # route, whose series must be the columnar pass's to the last byte out
+    from quanto_bayes import data_io
+
+    outputs = {}
+    for form in ("shipped", "non-plain"):
+        root = tmp_path / form
+        root.mkdir()
+        paths = {name: os.path.join(FIXTURES, f"{name}_synthetic.csv")
+                 for name in ("sp500", "eur_usd")}
+        if form == "non-plain":
+            for name, shipped in paths.items():
+                with open(shipped, encoding="utf-8") as f:
+                    _, *rows = f.read().splitlines()
+                paths[name] = str(root / os.path.basename(shipped))
+                with open(paths[name], "w", encoding="utf-8", newline="") as f:
+                    f.write("price,date\r\n" + "".join(
+                        f'{price},"{day}"\r\n' for day, price in (r.split(",") for r in rows)))
+                assert data_io._plain_series(data_io.read_text(paths[name])) is None
+        cfg_path = root / "run.cfg"
+        cfg_path.write_text("".join(f"{key} = {value}\n" for key, value in (
+            ("asset_series", paths["sp500"]), ("fx_series", paths["eur_usd"]),
+            ("option_chain", os.path.join(FIXTURES, "option_chain_synthetic.csv")),
+            ("out_dir", "out"), ("families", "mle, mnc"), ("draws", 300), ("burn_in", 100),
+            ("windows", 140), ("seed", 7))), encoding="utf-8")
+        assert main(["estimate", "--config", str(cfg_path)]) == 0
+        out = str(root / "out")
+        outputs[form] = {}
+        for path in _files_under(out):
+            with open(path, "rb") as f:
+                lines = f.read().splitlines(keepends=True)
+            if os.path.basename(path) == "manifest.txt":
+                lines = [line for line in lines
+                         if not line.startswith((b"out_dir = ", b"asset_series = ",
+                                                 b"fx_series = "))]
+            outputs[form][path[len(out):]] = lines
+    assert len(outputs["shipped"]) >= 3 and outputs["non-plain"] == outputs["shipped"]
+
+
 @pytest.mark.parametrize("key, line", [("asset_series", 1), ("option_chain", 3),
                                        ("out_dir", 4)])
 def test_empty_path_value_exits_one(tmp_path, capsys, key, line):

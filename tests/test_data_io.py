@@ -5,7 +5,9 @@ from datetime import date
 import numpy as np
 import pytest
 
+from quanto_bayes.cli import main
 from quanto_bayes.data_io import (
+    InputError,
     OptionQuote,
     align_series,
     filter_options,
@@ -16,7 +18,7 @@ from quanto_bayes.data_io import (
 from quanto_bayes.model import MarketConfig, PriceSeries, ReturnPanel, log_returns, quanto_of_call
 from quanto_bayes.pricing import implied_vol
 
-from conftest import FIXTURES
+from conftest import FIXTURES, make_workspace
 
 MARKET = MarketConfig.from_annual(0.015, 0.025, h_fix=1.0, periods_per_year=252)
 
@@ -84,6 +86,41 @@ def test_loaders_name_the_file_row_past_blank_lines(tmp_path):
                                      "2018-10-31,2655,51,nan,2711.74\n")
     with pytest.raises(ValueError, match="row 3: market price"):
         load_option_chain(path)
+
+
+@pytest.fixture
+def pipe():
+    """``pipe(text)``: the /dev/fd path of a pipe that holds ``text`` and
+    whose write end is closed, so a reader meets its end instead of waiting."""
+    ends = []
+
+    def make(text):
+        read_end, write_end = os.pipe()
+        ends.append(read_end)
+        with os.fdopen(write_end, "wb") as f:
+            f.write(text.encode("utf-8"))  # well under a pipe's buffer
+        return f"/dev/fd/{read_end}"
+
+    yield make
+    for end in ends:
+        os.close(end)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_series_read_from_a_pipe(tmp_path, capsys, pipe):
+    # a pipe can be read once: a bad row is named from the one reading
+    bad = "date,price\n2018-01-02,100.5\n2018-01-03,-1\n"
+    path = pipe(bad)
+    with pytest.raises(InputError) as refused:
+        load_price_series(path)
+    assert str(refused.value) == f"{path}: row 3: non-positive price -1.0"
+    series = load_price_series(pipe('date,price\n"2018-01-03",101.25\n"2018-01-02",100.5\n'))
+    assert series.days.tolist() == [date(2018, 1, 2).toordinal(), date(2018, 1, 3).toordinal()]
+    assert series.prices.tolist() == [100.5, 101.25]
+    path = pipe(bad)
+    assert main(["estimate", "--config",
+                 make_workspace(tmp_path, families="mle", asset_series=path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: row 3: non-positive price -1.0\n"
 
 
 def test_fixture_series_supports_all_windows():

@@ -409,22 +409,30 @@ def test_price_series_loader_matches_reference_on_bulk_pass_edges(tmp_path, monk
     path = str(tmp_path / "series.csv")
     with open(path, "wb") as f:
         f.write(text.encode("utf-8"))
-    re_read = []
-    row_reader = data_io._raise_first_bad_row
-    monkeypatch.setattr(data_io, "_raise_first_bad_row",
-                        lambda p: re_read.append(p) or row_reader(p))
+    plain = data_io._plain_series(read_text(path)) is not None
+    calls = []
+    for name in ("read_text", "_parsed_rows"):
+        monkeypatch.setattr(data_io, name, lambda *args, real=getattr(data_io, name), name=name:
+                            calls.append(name) or real(*args))
     outcome = _outcome(load_price_series, path)
+    # the file is decoded once; the row reader reads what the columnar pass refuses
+    assert calls == ["read_text"] + ([] if plain else ["_parsed_rows"])
     assert outcome == _outcome(reference_load_price_series, path)
     if error is None:
-        assert len(outcome[0]) >= 1 and not re_read  # built by the bulk pass alone
+        assert len(outcome[0]) >= 1
     else:
-        assert outcome == (data_io.InputError, f"{path}: {error}") and re_read == [path]
+        assert outcome == (data_io.InputError, f"{path}: {error}")
 
 
-@pytest.mark.parametrize("form", ["as-shipped", "newest-first", "crlf"])
-@pytest.mark.parametrize("name", ["sp500", "eur_usd", "gbp_usd", "cad_usd"])
+# each file on either route: the columnar pass, which keeps the name-form
+# ids, and the row reader, forced for a check that both build the same series
+@pytest.mark.parametrize("name, form, route", [
+    pytest.param(name, form, route,
+                 id=f"{name}-{form}" + ("-row-reader" if route == "row-reader" else ""))
+    for route in ("columnar", "row-reader") for form in ("as-shipped", "newest-first", "crlf")
+    for name in ("sp500", "eur_usd", "gbp_usd", "cad_usd")])
 def test_shipped_price_series_are_read_without_the_csv_module(tmp_path, monkeypatch, name,
-                                                              form):
+                                                              form, route):
     path = os.path.join(FIXTURES, f"{name}_synthetic.csv")
     if form != "as-shipped":
         with open(path, encoding="utf-8") as f:
@@ -439,7 +447,10 @@ def test_shipped_price_series_are_read_without_the_csv_module(tmp_path, monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("csv.reader called")
 
-    monkeypatch.setattr(data_io.csv, "reader", refuse)
+    if route == "row-reader":  # the columnar pass turns every file down
+        monkeypatch.setattr(data_io, "_plain_series", lambda text: None)
+    else:
+        monkeypatch.setattr(data_io.csv, "reader", refuse)
     series = load_price_series(path)
     assert len(series) > 1800 and series == expected
 
