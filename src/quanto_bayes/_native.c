@@ -1,10 +1,12 @@
 /* The native library of quanto_bayes: the Metropolis-within-Gibbs sweep of
- * inference.mwg_sample and the draws text of cli._write_draws.
- * inference._native builds it and checks both functions against their
- * Python twins before first use; it needs unsigned __int128 (gcc, clang). */
+ * inference.mwg_sample, the draws text of cli._write_draws and its inverse,
+ * the reader of cli._load_draws. inference._native builds it and checks each
+ * function against Python before first use; it needs unsigned __int128
+ * (gcc, clang). */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* mwg_sweep is a copy of inference._python_sweep, the specification: the
@@ -197,4 +199,61 @@ long draws_text(long n, const double *block, char *out, long *fallbacks)
     }
     *fallbacks = fallback;
     return p - out;
+}
+
+
+/* Moves *p past a run of ASCII digits before end; whether there was one. */
+static int digits(const char **p, const char *end)
+{
+    const char *start = *p;
+    while (*p < end && (unsigned)(**p - '0') < 10)
+        (*p)++;
+    return *p > start;
+}
+
+/* The inverse of draws_text: reads the len bytes of text into the
+ * C-contiguous block of capacity rows of 3 and returns the rows read, or -1
+ * for any text that draws_text does not write. Each cell matches
+ * -?D+(.D+)?(e[+-]D+)?, cells are separated by ',' and every row, the last
+ * included, is ended by '\n'.
+ *
+ * A cell goes through strtod, correctly rounded in glibc, which must end
+ * exactly where the cell does: under an LC_NUMERIC whose decimal point is
+ * not '.', it does not, and the text is refused, not misread. */
+long draws_values(const char *text, long len, long capacity, double *block)
+{
+    const char *p = text, *end = text + len;
+    long i = 0;
+    for (; p < end; i++) {
+        if (i == capacity)
+            return -1;
+        for (int j = 0; j < 3; j++) {
+            const char *cell = p;
+            if (p < end && *p == '-')
+                p++;
+            if (!digits(&p, end))
+                return -1;
+            if (p < end && *p == '.') {
+                p++;
+                if (!digits(&p, end))
+                    return -1;
+            }
+            if (p < end && *p == 'e') {
+                p++;
+                if (p == end || (*p != '+' && *p != '-'))
+                    return -1;
+                p++;
+                if (!digits(&p, end))
+                    return -1;
+            }
+            if (p == end || *p != (j == 2 ? '\n' : ','))
+                return -1;
+            char *stop;
+            block[3 * i + j] = strtod(cell, &stop);
+            if (stop != p)
+                return -1;
+            p++;
+        }
+    }
+    return i;
 }

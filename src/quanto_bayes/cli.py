@@ -26,7 +26,10 @@ contain no timestamps, so a fixed config and seed reproduce them byte for
 byte. Unavailable cells are written as ``NA``. Each file is written
 atomically through one binary handle: a table as UTF-8 text, a draws file as
 the bytes that ``inference._native()``'s ``draws_text`` leaves in its buffer,
-which the C writer and its Python twin write alike.
+which the C writer and its Python twin write alike. A draws file in that
+form is read back by its inverse, ``draws_values``, in one C pass; a file
+in any other form, or any file when the Python twin runs, by np.loadtxt,
+to the same draws.
 """
 
 from __future__ import annotations
@@ -394,6 +397,9 @@ def _write_draws(path, chain: Chain):
                   for start in range(0, draws.shape[0], block)))
 
 
+_DRAWS_HEADER = ",".join(PARAMETERS) + "\n"
+
+
 def _load_draws(path) -> Chain:
     """The draws of a file that ``estimate`` wrote, one row each below the
     header; a malformed file raises, naming the file and its first bad row.
@@ -401,8 +407,24 @@ def _load_draws(path) -> Chain:
     Line 1 must be the header ``sigma_x,sigma_h,rho``, which names the
     column order; a byte order mark, spaces around a name and a CRLF line
     end are allowed. The file is read once.
+
+    A file in :func:`_write_draws`'s own form (exactly that header, then
+    rows of three ``%.17g`` cells, each row ended by ``\n``) is read in one
+    C pass by ``inference._native()``'s ``draws_values``. Any other file,
+    one whose draws ``Chain`` refuses, and every file on the Python twin go
+    to np.loadtxt, which names the first bad row; both read each cell
+    correctly rounded, so they give the same bits.
     """
-    header, *rows = io.StringIO(read_text(path), newline=None).readlines() or [""]
+    text = read_text(path)
+    if text.startswith(_DRAWS_HEADER):
+        draws = inference._native().draws_values(text[len(_DRAWS_HEADER):].encode())
+        if draws is not None:
+            try:
+                return Chain(draws=draws, burn_in=0,
+                             acceptance_counts=np.full(3, draws.shape[0], dtype=int))
+            except ValueError:
+                pass  # no draws, or one outside the support: named below
+    header, *rows = io.StringIO(text, newline=None).readlines() or [""]
     header = header.rstrip("\n")
     if [name.strip() for name in header.split(",")] != list(PARAMETERS):
         raise InputError(f"{path}: malformed draws file: row 1: expected the header "

@@ -35,7 +35,7 @@ Samplers:
   check that both give the same chain bit for bit. Its sweep loop runs in C
   (``_native.c``, compiled on first use) when a compiler is at hand, and in
   Python otherwise, with the same chain either way: :func:`_native` picks
-  the route once, for the sweep and for the draws text alike.
+  the route once, for the sweep and for the draws text and its reader alike.
 * :func:`exact_posterior_draws` draws exactly from the same posterior, given
   only its sufficient statistics, which may differ from draw to draw: an
   inverse-Wishart partition plus an accept step. The sequential-update
@@ -475,11 +475,19 @@ def _python_draws_text(rows, out):
     return len(text), rows.size
 
 
+def _python_draws_values(body):
+    """``draws_values`` of ``_native.c`` not taken: the caller reads the
+    draws as it reads a file in any other form."""
+    return None
+
+
 # sweep runs as _python_sweep does; draws_text(rows, out) writes the %.17g text of
-# an (n, 3) block into the bytearray out, giving its length and fallback count.
-# _PYTHON, the pair that runs when the library cannot be built, gives the same.
-_Native = collections.namedtuple("_Native", ("sweep", "draws_text"))
-_PYTHON = _Native(_python_sweep, _python_draws_text)
+# an (n, 3) block into the bytearray out, giving its length and fallback count;
+# draws_values(body) reads that text, as bytes, back into an (n, 3) block, or
+# gives None for any other text. _PYTHON, the triple that runs when the library
+# cannot be built, writes the same text and leaves every text to the caller.
+_Native = collections.namedtuple("_Native", ("sweep", "draws_text", "draws_values"))
+_PYTHON = _Native(_python_sweep, _python_draws_text, _python_draws_values)
 
 
 @functools.cache
@@ -493,7 +501,7 @@ def _native():
     which builds it there first if it is missing. Any failure (no compiler,
     an unwritable cache or one that is not absolute, as a relative $HOME
     gives, a failed compile or self-check) gives ``_PYTHON``: the same
-    chains, and the same draws text.
+    chains, the same draws text, and the draws read by the caller instead.
     """
     cache = os.environ.get("XDG_CACHE_HOME", "")
     cache = cache if os.path.isabs(cache) else os.path.expanduser("~/.cache")
@@ -513,9 +521,9 @@ def _load_native(directory, source):
     loaded, and RuntimeError when it fails the self-check.
 
     A missing library is compiled with sysconfig's CC into a temporary file
-    in ``directory``, and moved into place only once it passes
-    :func:`_reproduces_python_loop` and :func:`_formats_as_python`, so
-    concurrent first runs never load a partial or unchecked file.
+    in ``directory``, and moved into place only once it passes the
+    self-check of ``_native_check``, so concurrent first runs never load a
+    partial or unchecked file.
     """
     import hashlib
     import platform
@@ -541,10 +549,13 @@ def _load_native(directory, source):
         if done.returncode:
             raise OSError(f"{cc} failed: {done.stderr.decode(errors='replace')}")
         native = _ctypes_native(tmp)
-        if not _reproduces_python_loop(native.sweep):
+        from . import _native_check
+        if not _native_check.reproduces_python_loop(native.sweep):
             raise RuntimeError(f"the sweep compiled by {cc} differs from the Python loop")
-        if not _formats_as_python(native.draws_text):
+        if not _native_check.formats_as_python(native.draws_text):
             raise RuntimeError(f"the draws text compiled by {cc} differs from Python's %.17g")
+        if not _native_check.reads_as_python(native.draws_values):
+            raise RuntimeError(f"the draws reader compiled by {cc} differs from Python's float")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -560,6 +571,8 @@ def _ctypes_native(path):
     lib.draws_text.restype = ctypes.c_long
     lib.draws_text.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_char_p,
                                ctypes.POINTER(ctypes.c_long))
+    lib.draws_values.restype = ctypes.c_long
+    lib.draws_values.argtypes = (ctypes.c_char_p, ctypes.c_long, ctypes.c_long, ctypes.c_void_p)
 
     # the C code trusts these shapes: a wrong one would read or write out of bounds
     def sweep(n_draws, streams, draws, state, tally, *constants):
@@ -585,64 +598,15 @@ def _ctypes_native(path):
                                 (ctypes.c_char * len(out)).from_buffer(out), fallbacks)
         return length, fallbacks.value
 
-    return _Native(sweep, draws_text)
+    def draws_values(body):
+        if not isinstance(body, bytes):
+            raise ValueError("draws_values needs bytes")
+        # a text of n newlines holds at most n + 1 rows, the last one unended
+        block = np.empty((body.count(b"\n") + 1, 3))
+        rows = lib.draws_values(body, len(body), len(block), block.ctypes.data)
+        return None if rows < 0 else block[:rows]
 
-
-def _reproduces_python_loop(sweep):
-    """Whether ``sweep`` leaves the draws, the state and the tally of
-    :func:`_python_sweep` bit for bit on a fixed 500-sweep chain. Its first
-    rho steps land on 1, -1, NaN and inf, a sigma_x candidate's 1/c^2 is inf
-    and a sigma_h candidate's g is NaN, so every way of rejecting is taken.
-    """
-    days = np.arange(60.0)
-    panel = ReturnPanel(0.01 * np.sin(days), 0.006 * np.sin(days + 0.7 * np.cos(days)))
-    est = mle_estimate(panel)
-    streams, state, constants = _sweep_inputs(panel, *default_proposals("ttn", panel, mle=est),
-                                              500, Theta(est.sigma_x, est.sigma_h, 0.5), 0)
-    streams[8][:4] = (0.5, -1.5, math.nan, math.inf)
-    streams[3][4] = math.inf
-    streams[5][6] = math.nan
-    results = []
-    for run in (_python_sweep, sweep):
-        draws = np.full((500, 3), np.nan)  # a row left unwritten stays NaN
-        end = state.copy()
-        tally = np.zeros(6, dtype=np.int64)
-        run(500, streams, draws, end, tally, *constants)
-        results.append(draws.tobytes() + end.tobytes() + tally.tobytes())
-    return results[0] == results[1]
-
-
-def _formats_as_python(draws_text):
-    """Whether ``draws_text`` writes :func:`_python_draws_text`'s text byte
-    for byte, and counts its fallback cells, on both signs of: each power of
-    ten from 1e-6 to 10 and its six neighbours on either side; exact decimal
-    ties in the four decades that C formats; values that libc formats; and a
-    seeded log-uniform sample. Then on runs of repeated rows, offset from
-    column to column, of exact and fallback values, NaN, and 0.0 and -0.0
-    each directly below the other, whose texts differ though they compare
-    equal."""
-    rng = np.random.default_rng(0)
-    # consecutive bit patterns of positive doubles are neighbouring doubles
-    near = (10.0 ** np.arange(-6, 2)).view(np.int64)[:, None] + np.arange(-6, 7)
-    values = [near.view(np.float64).ravel()]
-    for k in range(17, 21):
-        lo = 2 ** (k + 1) // 10 ** (k - 16)
-        values.append((rng.integers(lo // 2 + 1, 5 * lo, 100) * 2 + 1) * 2.0 ** -(k + 1))
-    values.append([0.0, 1.0 - 2.0 ** -53, 5e-324, 2.2250738585072014e-308, 1.0, 7.25,
-                   12345678901234567.0, 1.7976931348623157e308, 9.999999999999999e-05,
-                   1.2345678901234567e-100, 1e-300, math.nan, math.inf])
-    values.append(10.0 ** rng.uniform(-6.0, 1.0, 3000))
-    values = np.concatenate(values)
-    runs = np.repeat([0.12345678901234567, -0.0031415926535897933, 0.0, 5e-324, 7.25, 1e-300,
-                      math.nan, -0.0, 0.0, -0.0], 3)
-    rows = np.vstack([np.resize(np.concatenate([values, -values]), (-(-2 * values.size // 3), 3)),
-                      np.column_stack([runs, np.roll(runs, 1), np.roll(runs, 2)])])
-    out, expected = bytearray(25 * rows.size), bytearray(25 * rows.size)
-    length, fallbacks = draws_text(rows, out)
-    expected_length, _ = _python_draws_text(rows, expected)
-    magnitudes = np.abs(rows)
-    exact = np.count_nonzero((magnitudes >= 1e-4) & (magnitudes < 1.0 - 2.0 ** -53))
-    return out[:length] == expected[:expected_length] and fallbacks == rows.size - exact
+    return _Native(sweep, draws_text, draws_values)
 
 
 # ---------------------------------------------------------------------------

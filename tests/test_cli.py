@@ -385,6 +385,141 @@ def test_draws_text_copies_repeated_cells_exactly(route):
         100 if route == "c" else rows.size)
 
 
+# A draws file in the writer's form is read by the native library's C reader,
+# draws_values, when inference._native() gives the library; every other form,
+# and every file on the Python twin, whose draws_values takes none, is read by
+# np.loadtxt. Both readers must give the same draws bit for bit, and refuse a
+# file with the same message.
+
+@pytest.mark.parametrize("make_draws, writer", _on_both_routes([
+    # the cases of test_draws_file_format_and_round_trip
+    ((lambda rng: (_distinct_draws(rng, 2600), 37),), "distinct"),
+    ((_draws_across_blocks,), "runs-across-blocks"),
+    ((_draws_with_constant_column,), "constant-column"),
+    ((_distinct_block_then_repeats,), "distinct-then-repeats"),
+    ((_draws_with_signed_zeros,), "signed-zeros"),
+    ((_fixture_tnn_draws,), "tnn-w140"),
+]))
+def test_draws_file_reads_back_bit_for_bit_on_both_readers(tmp_path, monkeypatch, make_draws,
+                                                           writer):
+    from quanto_bayes import inference
+    from quanto_bayes.cli import _load_draws, _write_draws
+    from quanto_bayes.inference import Chain
+
+    native = inference._native()
+    assert native is not inference._PYTHON
+    draws, burn_in = make_draws(np.random.default_rng(12))
+    chain = Chain(draws=draws, burn_in=burn_in, acceptance_counts=np.zeros(3))
+    path = os.path.join(str(tmp_path), "draws.csv")
+    monkeypatch.setattr(inference, "_native",
+                        lambda: native if writer == "c" else inference._PYTHON)
+    _write_draws(path, chain)
+    expected = chain.post_burn_in().tobytes()
+    with open(path, "rb") as f:
+        body = f.read().removeprefix(b"sigma_x,sigma_h,rho\n")
+    assert native.draws_values(body).tobytes() == expected
+    assert inference._PYTHON.draws_values(body) is None
+    for reader in (native, inference._PYTHON):
+        monkeypatch.setattr(inference, "_native", lambda: reader)
+        assert _load_draws(path).draws.tobytes() == expected
+
+
+@PROPERTY
+@given(_FINITE_FLOAT_ROWS)
+def test_draws_values_reads_the_writers_text_as_float_does(values):
+    """The C reader reads the writer's text of any finite doubles to the
+    bits that ``float`` gives each cell."""
+    from quanto_bayes import inference
+
+    native = inference._native()
+    assert native is not inference._PYTHON
+    rows = np.asarray(values[:len(values) // 3 * 3], dtype=float).reshape(-1, 3)
+    out = bytearray(25 * rows.size)
+    text = bytes(out[:native.draws_text(rows, out)[0]])
+    cells = text.decode("ascii").replace("\n", ",").split(",")[:-1]
+    expected = np.array([float(cell) for cell in cells]).reshape(-1, 3)
+    assert native.draws_values(text).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("text, taken", [
+    ("sigma_x,sigma_h,rho\r\n0.006,0.004,0.1\r\n0.0061,0.0041,-0.2\r\n", False),
+    ("\ufeffsigma_x,sigma_h,rho\n0.006,0.004,0.1\n0.0061,0.0041,-0.2\n", True),
+    ("sigma_x,sigma_h,rho\n0.006, 0.004,0.1\n0.0061,0.0041,-0.2\n", False),
+    ("sigma_x,sigma_h,rho\n# a comment\n0.006,0.004,0.1\n", False),
+    ("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n\n0.0061,0.0041,-0.2\n", False),
+    ("sigma_x,sigma_h,rho\n0.006,0.004,+1e-05\n", False),
+    ("sigma_x,sigma_h,rho\n0.006,0.004,1e5\n", False),
+    ("sigma_x,sigma_h,rho\n0.006,0.004,.5\n", False),
+    ("sigma_x,sigma_h,rho\ninf,0.004,0.5\n", False),
+    ("sigma_x,sigma_h,rho\n0.006,nan,0.5\n", False),
+    ("sigma_x,sigma_h,rho\n0.006,0.004,0.1,0.2\n", False),
+    ("sigma_x,sigma_h,rho\n0.006,0.004\n", False),
+    ("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n0.0061,0.0041,-0.2", False),
+    ("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n0.0061,0.0041\x00,-0.2\n", False),
+    ("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n0.0061,0.0041,1\n", True),
+    ("sigma_x,sigma_h,rho\n", True),
+], ids=["crlf", "bom", "space", "comment", "blank-line", "plus-sign", "unsigned-exponent",
+        "no-leading-digit", "inf", "nan", "four-cells", "two-cells", "no-final-newline", "nul",
+        "rho-one", "no-draws"])
+def test_draws_files_read_alike_on_both_readers(tmp_path, monkeypatch, text, taken):
+    """A file that the C reader does not take, or takes but ``Chain``
+    refuses, is read by np.loadtxt as on the Python twin: the same draws, or
+    the same message."""
+    from quanto_bayes import inference
+    from quanto_bayes.cli import _load_draws
+
+    native = inference._native()
+    assert native is not inference._PYTHON
+    path = tmp_path / "draws.csv"
+    path.write_bytes(text.encode())
+    body = text.removeprefix("\ufeff").removeprefix("sigma_x,sigma_h,rho\n").encode()
+    assert (native.draws_values(body) is not None) == taken
+    results = []
+    for reader in (native, inference._PYTHON):
+        monkeypatch.setattr(inference, "_native", lambda: reader)
+        try:
+            results.append(_load_draws(str(path)).draws.tobytes())
+        except InputError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+
+
+def test_draws_values_refuses_a_file_under_a_comma_decimal_point(tmp_path, monkeypatch):
+    """Under an LC_NUMERIC whose decimal point is ',', strtod stops at a
+    cell's '.', so the C reader refuses the file and np.loadtxt, which no
+    locale moves, reads it. The locale is built into tmp_path."""
+    import locale
+    import shutil
+
+    from quanto_bayes import inference
+    from quanto_bayes.cli import _load_draws
+
+    if shutil.which("localedef") is None:
+        pytest.skip("no localedef to build a locale with")
+    (tmp_path / "comma.def").write_text('LC_NUMERIC\ndecimal_point ","\nthousands_sep ""\n'
+                                        "grouping -1\nEND LC_NUMERIC\n")
+    subprocess.run(["localedef", "-c", "-i", str(tmp_path / "comma.def"), "-f", "ANSI_X3.4-1968",
+                    str(tmp_path / "comma")], capture_output=True)
+    native = inference._native()
+    assert native is not inference._PYTHON
+    path = tmp_path / "draws.csv"
+    path.write_text("sigma_x,sigma_h,rho\n0.5,0.25,-0.125\n0.5,0.25,1e-05\n3,2,0\n")
+    expected = _load_draws(str(path)).draws
+    monkeypatch.setenv("LOCPATH", str(tmp_path))
+    old = locale.setlocale(locale.LC_NUMERIC)
+    try:
+        locale.setlocale(locale.LC_NUMERIC, "comma")
+    except locale.Error:
+        pytest.skip("the comma locale could not be built")
+    try:
+        assert locale.localeconv()["decimal_point"] == ","
+        assert native.draws_values(b"0.5,0.25,-0.125\n") is None
+        assert native.draws_values(b"3,2,0\n") is None
+        assert np.array_equal(_load_draws(str(path)).draws, expected)
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, old)
+
+
 @pytest.mark.parametrize("command", ["estimate", "experiment"])
 def test_chain_warnings_are_printed_to_stderr(tmp_path, monkeypatch, capsys, command):
     from quanto_bayes import cli

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr, ndtr, stdtr
 
-from quanto_bayes import inference
+from quanto_bayes import _native_check, inference
 from quanto_bayes.inference import (
     PARAMETERS,
     Chain,
@@ -715,6 +715,51 @@ def test_a_compiled_formatter_that_rounds_ties_up_is_not_kept(tmp_path, monkeypa
     with pytest.raises(RuntimeError, match=re.escape("differs from Python's %.17g")):
         inference._load_native(str(tmp_path), mutant)
     assert moved == [] and os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("old, new", [
+    # 1e5, which draws_text never writes, is read
+    (b"if (p == end || (*p != '+' && *p != '-'))\n                    return -1;\n"
+     b"                p++;",
+     b"if (p < end && (*p == '+' || *p == '-'))\n                    p++;"),
+], ids=["unsigned-exponent"])
+def test_a_compiled_reader_that_differs_from_float_is_not_kept(tmp_path, monkeypatch, old, new):
+    with open(inference._NATIVE_SOURCE, "rb") as f:
+        source = f.read()
+    mutant = source.replace(old, new)
+    assert mutant != source
+    moved = []
+    monkeypatch.setattr(os, "replace", lambda src, dst: moved.append(dst))
+    with pytest.raises(RuntimeError, match="differs from Python's float"):
+        inference._load_native(str(tmp_path), mutant)
+    assert moved == [] and os.listdir(tmp_path) == []
+
+
+def test_the_reader_self_check_needs_the_round_trip_and_every_refusal(native_library):
+    reader = native_library.draws_values
+    assert _native_check.reads_as_python(reader)
+    assert not _native_check.reads_as_python(inference._PYTHON.draws_values)
+
+    def off_by_one_bit(text):
+        values = reader(text)
+        values.view(np.int64)[-1, -1] ^= 1
+        return values
+
+    assert not _native_check.reads_as_python(off_by_one_bit)
+    for body in _native_check.NOT_DRAWS_TEXT:
+        assert reader(body) is None, body
+
+        def lenient(text, body=body):
+            return np.full((1, 3), 0.5) if text == body else reader(text)
+
+        assert not _native_check.reads_as_python(lenient), body
+
+
+def test_the_c_draws_values_takes_only_bytes(native_library):
+    assert native_library.draws_values(b"0.5,0.25,-1e-05\n").tolist() == [[0.5, 0.25, -1e-05]]
+    for bad in (bytearray(b"0.5,0.25,-1e-05\n"), "0.5,0.25,-1e-05\n", None):
+        with pytest.raises(ValueError, match="needs bytes"):
+            native_library.draws_values(bad)
 
 
 def test_the_c_draws_text_refuses_blocks_it_would_overrun(native_library):
