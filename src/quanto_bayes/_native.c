@@ -3,6 +3,7 @@
  * the reader of cli._load_draws. inference._native builds it and checks each
  * function against Python before first use; it needs unsigned __int128
  * (gcc, clang). */
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -139,14 +140,17 @@ struct above {
  * then R has 18 digits and is formed again one decade up. R's digits are
  * written as its first digit, then two runs of eight. Every other cell goes
  * through snprintf: +-0, |v| >= 1, |v| < 1e-4, subnormals and 1 - 2^-53,
- * the largest double below 1. Its decimal point follows LC_NUMERIC, which
- * Python keeps at "C" unless locale.setlocale changes it. NaN is written as
- * "nan", which is how Python writes it whatever its sign. */
+ * the largest double below 1. snprintf writes LC_NUMERIC's decimal point,
+ * which may take more than one byte; it is written as '.', as Python writes
+ * it under any locale. NaN is written as "nan", which is how Python writes
+ * it whatever its sign. */
 long draws_text(long n, const double *block, char *out, long *fallbacks)
 {
     struct above above[3];
     char *p = out;
     long fallback = 0;
+    const char *point = localeconv()->decimal_point;
+    size_t point_len = strlen(point);
     for (long i = 0; i < n; i++) {
         for (int j = 0; j < 3; j++) {
             const double *cell = block + 3 * i + j;
@@ -189,8 +193,17 @@ long draws_text(long n, const double *block, char *out, long *fallbacks)
                 memcpy(p, "nan", 3);
                 p += 3;
             } else {
+                char libc[64];  /* at most 23 bytes and the decimal point's character */
                 fell_back = 1;
-                p += snprintf(p, 25, "%.17g", v);
+                snprintf(libc, sizeof libc, "%.17g", v);
+                for (const char *q = libc; *q;) {
+                    if (point_len && strncmp(q, point, point_len) == 0) {
+                        *p++ = '.';
+                        q += point_len;
+                    } else {
+                        *p++ = *q++;
+                    }
+                }
             }
             fallback += fell_back;
             above[j] = (struct above){text, p - text, fell_back};

@@ -27,14 +27,15 @@ byte. Unavailable cells are written as ``NA``. Each file is written
 atomically through one binary handle: a table as UTF-8 text, a draws file as
 the bytes that ``inference._native()``'s ``draws_text`` leaves in its buffer,
 which the C writer and its Python twin write alike. A draws file in that
-form is read back by its inverse, ``draws_values``, in one C pass; a file
-in any other form, or any file when the Python twin runs, by np.loadtxt,
-to the same draws.
+form is read back from its bytes by its inverse, ``draws_values``, in one C
+pass; a file in any other form, or any file when the Python twin runs, is
+decoded and read by np.loadtxt, to the same draws.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import io
 import locale  # noqa: F401 - argparse's gettext loads it when main builds the parser
 import math
@@ -86,8 +87,8 @@ ALL_FAMILIES = FAMILY_CODES + ("mnc", "mle")
 
 
 class ExperimentConfig(NamedTuple):
-    """Run settings; field names double as config-file keys, and a key's
-    value has the type of its default."""
+    """Run settings; field names double as config-file keys, each of which
+    changes some output, and a key's value has the type of its default."""
 
     asset_series: str = ""
     fx_series: tuple = ()
@@ -104,10 +105,6 @@ class ExperimentConfig(NamedTuple):
     n_paths: int = 100_000
     mode: str = "static"
     refresh_interval: int = 10
-    # no output reads these two since sequential refreshes draw exactly;
-    # they still parse and are checked, so configs that set them keep working
-    refresh_draws: int = 2000
-    refresh_burn_in: int = 500
     windows: tuple = (140,)
     rho_step: float = 0.1
     tt_df: float = 5.0
@@ -129,8 +126,6 @@ class ExperimentConfig(NamedTuple):
             raise InputError(f"n_paths must be positive, got {self.n_paths}")
         if self.mode not in ("static", "sequential-update"):
             raise InputError(f"mode must be static or sequential-update, got {self.mode!r}")
-        if self.refresh_draws <= self.refresh_burn_in or self.refresh_burn_in < 0:
-            raise InputError("need refresh_draws > refresh_burn_in >= 0")
         if not self.families:
             raise InputError(f"families must list at least one of {ALL_FAMILIES}")
         for family in self.families:
@@ -198,6 +193,8 @@ class ExperimentConfig(NamedTuple):
 
 
 _PATH_KEYS = {"asset_series", "fx_series", "option_chain", "out_dir"}
+# sized the refresh chains that one exact posterior draw replaced; no output reads them
+_RETIRED_KEYS = ("refresh_draws", "refresh_burn_in")
 _MODEL_KEYS = ("r_d_annual", "r_f_annual", "h_fix", "periods_per_year", "refresh_interval",
                "rho_step", "tt_df", "ig_shape", "vol_scale_multiplier",
                "mnc_kappa", "mnc_df", "mnc_scale")
@@ -206,8 +203,9 @@ _MODEL_KEYS = ("r_d_annual", "r_f_annual", "h_fix", "periods_per_year", "refresh
 def load_config(path) -> ExperimentConfig:
     """Parse and check the flat ``key = value`` config file at ``path``;
     '#' starts a comment. Relative input paths resolve against the file's
-    directory, a key may be set once, and every error names the file.
-    ``main`` applies the flags and checks the input files a command reads.
+    directory, a key may be set once, and every error names the file; a
+    retired key is ignored. ``main`` applies the flags and checks the input
+    files a command reads.
     """
     if not os.path.exists(path):
         raise InputError(f"config file not found: {path}")
@@ -226,11 +224,13 @@ def load_config(path) -> ExperimentConfig:
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key not in ExperimentConfig._fields:
+        if key not in ExperimentConfig._fields and key not in _RETIRED_KEYS:
             raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in set_on:
             raise InputError(f"{path}:{lineno}: {key!r} already set on line {set_on[key]}")
         set_on[key] = lineno
+        if key in _RETIRED_KEYS:
+            continue
         try:
             values[key] = _convert(key, text, base)
         except ValueError:
@@ -397,7 +397,7 @@ def _write_draws(path, chain: Chain):
                   for start in range(0, draws.shape[0], block)))
 
 
-_DRAWS_HEADER = ",".join(PARAMETERS) + "\n"
+_DRAWS_HEADER = (",".join(PARAMETERS) + "\n").encode()
 
 
 def _load_draws(path) -> Chain:
@@ -406,25 +406,28 @@ def _load_draws(path) -> Chain:
 
     Line 1 must be the header ``sigma_x,sigma_h,rho``, which names the
     column order; a byte order mark, spaces around a name and a CRLF line
-    end are allowed. The file is read once.
+    end are allowed. The file is opened once, and its bytes read once.
 
     A file in :func:`_write_draws`'s own form (exactly that header, then
-    rows of three ``%.17g`` cells, each row ended by ``\n``) is read in one
-    C pass by ``inference._native()``'s ``draws_values``. Any other file,
-    one whose draws ``Chain`` refuses, and every file on the Python twin go
-    to np.loadtxt, which names the first bad row; both read each cell
+    rows of three ``%.17g`` cells, each row ended by ``\n``) is ASCII, and
+    its bytes are read in one C pass by ``inference._native()``'s
+    ``draws_values``. Any other file, one whose draws ``Chain`` refuses, and
+    every file on the Python twin are decoded by ``read_text`` and go to
+    np.loadtxt, which names the first bad row; both read each cell
     correctly rounded, so they give the same bits.
     """
-    text = read_text(path)
-    if text.startswith(_DRAWS_HEADER):
-        draws = inference._native().draws_values(text[len(_DRAWS_HEADER):].encode())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    body = data.removeprefix(codecs.BOM_UTF8)
+    if body.startswith(_DRAWS_HEADER):
+        draws = inference._native().draws_values(body[len(_DRAWS_HEADER):])
         if draws is not None:
             try:
                 return Chain(draws=draws, burn_in=0,
                              acceptance_counts=np.full(3, draws.shape[0], dtype=int))
             except ValueError:
                 pass  # no draws, or one outside the support: named below
-    header, *rows = io.StringIO(text, newline=None).readlines() or [""]
+    header, *rows = io.StringIO(read_text(path, data), newline=None).readlines() or [""]
     header = header.rstrip("\n")
     if [name.strip() for name in header.split(",")] != list(PARAMETERS):
         raise InputError(f"{path}: malformed draws file: row 1: expected the header "

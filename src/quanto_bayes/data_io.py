@@ -70,12 +70,13 @@ class OptionQuote(_Record):
         super().__init__(quote_date, strike, maturity_days, market_price, underlying_spot)
 
 
-def read_text(path):
+def read_text(path, data=None):
     """The text of a UTF-8 file less one leading byte order mark, which
     spreadsheet exports write; a byte that is not UTF-8 raises, naming the
-    file and its row."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+    file and its row. ``data`` is the file's bytes, if they have been read."""
+    if data is None:
+        with open(path, "rb") as handle:
+            data = handle.read()
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:

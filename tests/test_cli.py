@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -105,6 +107,82 @@ def test_default_config_values_have_their_defaults_types():
         if isinstance(value, tuple):
             element = int if name == "windows" else str
             assert value and all(type(v) is element for v in value), name
+
+
+def _outputs(out):
+    """{path below ``out``: bytes} of every file a run wrote there but its
+    manifest, which echoes the config."""
+    return {os.path.relpath(path, out): pathlib.Path(path).read_bytes()
+            for path in _files_under(out) if os.path.basename(path) != "manifest.txt"}
+
+
+# A valid value of every config key but the four paths, each different from
+# test_every_config_key_changes_an_output's base run
+_CHANGED_VALUES = {
+    "r_d_annual": 0.02, "r_f_annual": 0.03, "h_fix": 2.0, "periods_per_year": 260,
+    "draws": 320, "burn_in": 120, "seed": 8, "families": "ttn, tnn, ign, mnc",
+    "n_paths": 60, "mode": "static", "refresh_interval": 7, "windows": "120, 200",
+    "rho_step": 0.2, "tt_df": 8.0, "ig_shape": 10.0, "vol_scale_multiplier": 3.0,
+    "mnc_kappa": 2.0, "mnc_df": 6.0, "mnc_scale": 2e-4,
+}
+
+
+def test_every_config_key_changes_an_output(tmp_path):
+    """A small sequential experiment over every family and two windows, run
+    once at base and once per key with that key changed: every run
+    succeeds, and each changed one writes some file other than the manifest
+    differently, so no key is inert."""
+    from quanto_bayes.cli import _PATH_KEYS, ExperimentConfig
+
+    assert set(_CHANGED_VALUES) == set(ExperimentConfig._fields) - _PATH_KEYS
+    base = {"families": "ttn, tnn, ign, mnc, mle", "windows": "120, 250",
+            "mode": "sequential-update", "refresh_interval": 5, "draws": 300, "burn_in": 100,
+            "n_paths": 50}
+
+    def outputs(name, **changed):
+        root = tmp_path / name
+        root.mkdir()
+        assert main(["experiment", "--config", make_workspace(root, **{**base, **changed})]) == 0
+        out = _outputs(str(root / "out"))
+        assert out["failures.csv"] == b"fx,window,family,stage,error\n", name
+        return out
+
+    reference = outputs("base")
+    inert = [key for key, value in _CHANGED_VALUES.items()
+             if outputs(key, **{key: value}) == reference]
+    assert inert == []
+
+
+def test_retired_refresh_keys_are_accepted_and_ignored(tmp_path):
+    # refresh_draws and refresh_burn_in sized the sequential refresh chains
+    # that one exact draw replaced: a config may set each once, even to
+    # values the sampler would refuse, and no output or manifest line shows it
+    outputs = []
+    for name, retired in (("without", {}), ("with", {"refresh_draws": 1, "refresh_burn_in": 5})):
+        root = tmp_path / name
+        root.mkdir()
+        cfg_path = make_workspace(root, refresh_interval=20, **retired)
+        assert main(["estimate", "--config", cfg_path]) == 0
+        assert main(["price", "--config", cfg_path, "--draws", str(root / "out" / "draws_tnn.csv"),
+                     "--mode", "sequential", "--paths", "25", "--out", str(root / "price")]) == 0
+        outputs.append([_outputs(str(root / out)) for out in ("out", "price")])
+        for out in ("out", "price"):
+            manifest = (root / out / "manifest.txt").read_text(encoding="utf-8")
+            assert "refresh_draws" not in manifest and "refresh_burn_in" not in manifest
+    assert outputs[0][0] and outputs[0][1] and outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("key", ["refresh_draws", "refresh_burn_in"])
+def test_a_retired_key_set_twice_exits_one(tmp_path, capsys, key):
+    path = make_workspace(tmp_path, **{key: 400})
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(f"{key} = 320\n")
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    first, second = lines.index(f"{key} = 400") + 1, len(lines)
+    assert main(["estimate", "--config", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:{second}: {key!r} already set on line {first}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +562,12 @@ def test_draws_files_read_alike_on_both_readers(tmp_path, monkeypatch, text, tak
     assert results[0] == results[1]
 
 
-def test_draws_values_refuses_a_file_under_a_comma_decimal_point(tmp_path, monkeypatch):
-    """Under an LC_NUMERIC whose decimal point is ',', strtod stops at a
-    cell's '.', so the C reader refuses the file and np.loadtxt, which no
-    locale moves, reads it. The locale is built into tmp_path."""
+@contextlib.contextmanager
+def _comma_decimal_point(tmp_path, monkeypatch):
+    """LC_NUMERIC set, inside the block, to a locale whose decimal point is
+    ',', built into tmp_path; the test is skipped where it cannot be."""
     import locale
     import shutil
-
-    from quanto_bayes import inference
-    from quanto_bayes.cli import _load_draws
 
     if shutil.which("localedef") is None:
         pytest.skip("no localedef to build a locale with")
@@ -500,11 +575,6 @@ def test_draws_values_refuses_a_file_under_a_comma_decimal_point(tmp_path, monke
                                         "grouping -1\nEND LC_NUMERIC\n")
     subprocess.run(["localedef", "-c", "-i", str(tmp_path / "comma.def"), "-f", "ANSI_X3.4-1968",
                     str(tmp_path / "comma")], capture_output=True)
-    native = inference._native()
-    assert native is not inference._PYTHON
-    path = tmp_path / "draws.csv"
-    path.write_text("sigma_x,sigma_h,rho\n0.5,0.25,-0.125\n0.5,0.25,1e-05\n3,2,0\n")
-    expected = _load_draws(str(path)).draws
     monkeypatch.setenv("LOCPATH", str(tmp_path))
     old = locale.setlocale(locale.LC_NUMERIC)
     try:
@@ -513,11 +583,45 @@ def test_draws_values_refuses_a_file_under_a_comma_decimal_point(tmp_path, monke
         pytest.skip("the comma locale could not be built")
     try:
         assert locale.localeconv()["decimal_point"] == ","
+        yield
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, old)
+
+
+def test_draws_values_refuses_a_file_under_a_comma_decimal_point(tmp_path, monkeypatch):
+    """Under an LC_NUMERIC whose decimal point is ',', strtod stops at a
+    cell's '.', so the C reader refuses the file and np.loadtxt, which no
+    locale moves, reads it."""
+    from quanto_bayes import inference
+    from quanto_bayes.cli import _load_draws
+
+    native = inference._native()
+    assert native is not inference._PYTHON
+    path = tmp_path / "draws.csv"
+    path.write_text("sigma_x,sigma_h,rho\n0.5,0.25,-0.125\n0.5,0.25,1e-05\n3,2,0\n")
+    expected = _load_draws(str(path)).draws
+    with _comma_decimal_point(tmp_path, monkeypatch):
         assert native.draws_values(b"0.5,0.25,-0.125\n") is None
         assert native.draws_values(b"3,2,0\n") is None
         assert np.array_equal(_load_draws(str(path)).draws, expected)
-    finally:
-        locale.setlocale(locale.LC_NUMERIC, old)
+
+
+def test_draws_text_is_the_same_under_a_comma_decimal_point(tmp_path, monkeypatch):
+    """The C writer's libc cells come out with '.', as Python's ``%`` writes
+    them under any locale: ``_write_draws`` writes the bytes it writes under
+    "C", and ``_load_draws`` reads them back bit for bit."""
+    from quanto_bayes import inference
+    from quanto_bayes.cli import _load_draws, _write_draws
+    from quanto_bayes.inference import Chain
+
+    assert inference._native() is not inference._PYTHON
+    rows = np.array([[0.5, 1.5, 1e-300], [1.5, 12345.678, -0.5], [2.5, 5e-324, 0.25]])
+    chain = Chain(draws=rows, burn_in=0, acceptance_counts=np.zeros(3))
+    _write_draws(str(tmp_path / "c.csv"), chain)
+    with _comma_decimal_point(tmp_path, monkeypatch):
+        _write_draws(str(tmp_path / "comma.csv"), chain)
+        assert _load_draws(str(tmp_path / "comma.csv")).draws.tobytes() == rows.tobytes()
+    assert (tmp_path / "comma.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["estimate", "experiment"])
@@ -1367,8 +1471,6 @@ def test_main_validation_failures_exit_one(tmp_path, capsys):
         ({"draws": 105, "burn_in": 100},
          "need burn_in >= 0 and draws - burn_in >= 10, got draws=105 burn_in=100"),
         ({"n_paths": 0}, "n_paths must be positive, got 0"),
-        ({"refresh_draws": 100, "refresh_burn_in": 100},
-         "need refresh_draws > refresh_burn_in >= 0"),
     )):
         root = tmp_path / f"short_{case}"
         root.mkdir()
@@ -1463,18 +1565,22 @@ def test_load_draws_reads_its_file_once(tmp_path, monkeypatch):
 
     from quanto_bayes import cli
 
-    path = tmp_path / "draws.csv"
-    path.write_text("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n0.0061,0.0041,-0.2\n",
-                    encoding="utf-8")
-    calls = {}
-    monkeypatch.setattr(cli, "read_text", _counting(calls, "read_text", cli.read_text))
-    opened = []
-    real_open = builtins.open
-    monkeypatch.setattr(builtins, "open", lambda file, *args, **kwargs:
-                        opened.append(file) or real_open(file, *args, **kwargs))
-    assert cli._load_draws(str(path)).draws.shape == (2, 3)
-    assert calls == {"read_text": 1}
-    assert opened.count(str(path)) == 1
+    # the writer's form goes to the C reader as bytes, undecoded; any other
+    # form is decoded once, from the bytes already read
+    for newline, decodes in (("\n", 0), ("\r\n", 1)):
+        path = tmp_path / f"draws{decodes}.csv"
+        path.write_text("sigma_x,sigma_h,rho\n0.006,0.004,0.1\n0.0061,0.0041,-0.2\n",
+                        encoding="utf-8", newline=newline)
+        calls = {}
+        monkeypatch.setattr(cli, "read_text", _counting(calls, "read_text", cli.read_text))
+        opened = []
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open", lambda file, *args, **kwargs:
+                            opened.append(file) or real_open(file, *args, **kwargs))
+        assert cli._load_draws(str(path)).draws.shape == (2, 3)
+        assert calls == ({"read_text": 1} if decodes else {})
+        assert opened.count(str(path)) == 1
+        monkeypatch.undo()
 
 
 def test_load_draws_header_allows_a_bom_spaces_and_crlf(tmp_path):
