@@ -1,8 +1,8 @@
 /* The native library of quanto_bayes: the Metropolis-within-Gibbs sweep of
  * inference.mwg_sample, the draws text of cli._write_draws and its inverse,
  * the reader of cli._load_draws. inference._native builds it and checks each
- * function against Python before first use; it needs unsigned __int128
- * (gcc, clang). */
+ * function against Python before first use; it needs unsigned __int128 and
+ * __attribute__((constructor)) (gcc, clang). */
 #include <locale.h>
 #include <math.h>
 #include <stdint.h>
@@ -115,22 +115,28 @@ static void eight_digits(char *out, uint32_t x)
         memcpy(out + k, PAIRS + 2 * (x % 100), 2);
 }
 
+/* The "C" LC_NUMERIC that draws_text and draws_values run under, made as the
+ * library loads; (locale_t)0 if it could not be, and then both return -1. */
+static locale_t c_numeric;
+
+__attribute__((constructor)) static void make_c_numeric(void)
+{
+    c_numeric = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+}
+
 /* The text of a cell of the row above, for draws_text's copy. */
 struct above {
     const char *text;
     long len;
-    int fallback;
 };
 
 /* Writes "%.17g" of each cell of the C-contiguous (n, 3) block to out,
  * cells separated by ',' and each row ended by '\n', and returns the length
  * written; out must hold 25 bytes per cell, since a cell's text is at most
- * 24 bytes. *fallbacks is set to the number of cells that the exact path
- * below leaves to snprintf or to "nan".
+ * 24 bytes.
  *
  * A cell whose bits equal those of the cell above it copies that cell's
- * text, and counts as a fallback when that cell did. Bits, not values:
- * -0.0 == 0.0, but "%.17g" writes "-0" and "0".
+ * text. Bits, not values: -0.0 == 0.0, but "%.17g" writes "-0" and "0".
  *
  * A cell with 1e-4 <= |v| < 1 - 2^-53 is formatted here, exactly: %.17g
  * prints its sign, "0.", -d-1 zeros for its decade d = floor(log10 |v|) in
@@ -140,28 +146,25 @@ struct above {
  * then R has 18 digits and is formed again one decade up. R's digits are
  * written as its first digit, then two runs of eight. Every other cell goes
  * through snprintf: +-0, |v| >= 1, |v| < 1e-4, subnormals and 1 - 2^-53,
- * the largest double below 1. snprintf writes LC_NUMERIC's decimal point,
- * which may take more than one byte; it is written as '.', as Python writes
- * it under any locale. NaN is written as "nan", which is how Python writes
- * it whatever its sign. */
-long draws_text(long n, const double *block, char *out, long *fallbacks)
+ * the largest double below 1. Under the "C" LC_NUMERIC its decimal point
+ * is '.', as Python writes it under any locale. NaN is written as "nan",
+ * which is how Python writes it whatever its sign. */
+long draws_text(long n, const double *block, char *out)
 {
+    if (c_numeric == (locale_t)0)
+        return -1;
+    locale_t caller = uselocale(c_numeric);
     struct above above[3];
     char *p = out;
-    long fallback = 0;
-    const char *point = localeconv()->decimal_point;
-    size_t point_len = strlen(point);
     for (long i = 0; i < n; i++) {
         for (int j = 0; j < 3; j++) {
             const double *cell = block + 3 * i + j;
             double v = *cell;
             double a = fabs(v);
             char *text = p;
-            int fell_back = 0;
             if (i > 0 && memcmp(cell, cell - 3, sizeof v) == 0) {
                 memcpy(p, above[j].text, above[j].len);
                 p += above[j].len;
-                fell_back = above[j].fallback;
             } else if (a >= 1e-4 && a < 0x1.fffffffffffffp-1) {
                 uint64_t bits;
                 memcpy(&bits, &a, sizeof bits);
@@ -189,28 +192,16 @@ long draws_text(long n, const double *block, char *out, long *fallbacks)
                     len--;
                 p += len;
             } else if (v != v) {
-                fell_back = 1;
                 memcpy(p, "nan", 3);
                 p += 3;
             } else {
-                char libc[64];  /* at most 23 bytes and the decimal point's character */
-                fell_back = 1;
-                snprintf(libc, sizeof libc, "%.17g", v);
-                for (const char *q = libc; *q;) {
-                    if (point_len && strncmp(q, point, point_len) == 0) {
-                        *p++ = '.';
-                        q += point_len;
-                    } else {
-                        *p++ = *q++;
-                    }
-                }
+                p += snprintf(p, 25, "%.17g", v);
             }
-            fallback += fell_back;
-            above[j] = (struct above){text, p - text, fell_back};
+            above[j] = (struct above){text, p - text};
             *p++ = j == 2 ? '\n' : ',';
         }
     }
-    *fallbacks = fallback;
+    uselocale(caller);
     return p - out;
 }
 
@@ -224,18 +215,14 @@ static int digits(const char **p, const char *end)
     return *p > start;
 }
 
-/* The inverse of draws_text: reads the len bytes of text into the
- * C-contiguous block of capacity rows of 3 and returns the rows read, or -1
- * for any text that draws_text does not write. Each cell matches
- * -?D+(.D+)?(e[+-]D+)?, cells are separated by ',' and every row, the last
- * included, is ended by '\n'.
- *
- * A cell goes through strtod, correctly rounded in glibc, which must end
- * exactly where the cell does: under an LC_NUMERIC whose decimal point is
- * not '.', it does not, and the text is refused, not misread. */
-long draws_values(const char *text, long len, long capacity, double *block)
+/* Reads the text from p to end into the C-contiguous block of capacity rows
+ * of 3 and returns the rows read, or -1 for any text that draws_text does
+ * not write. Each cell matches -?D+(.D+)?(e[+-]D+)?, cells are separated by
+ * ',' and every row, the last included, is ended by '\n'. A cell goes
+ * through strtod, correctly rounded in glibc, which must end exactly where
+ * the cell does. */
+static long read_rows(const char *p, const char *end, long capacity, double *block)
 {
-    const char *p = text, *end = text + len;
     long i = 0;
     for (; p < end; i++) {
         if (i == capacity)
@@ -269,4 +256,16 @@ long draws_values(const char *text, long len, long capacity, double *block)
         }
     }
     return i;
+}
+
+/* The inverse of draws_text: read_rows of the bytes of text from start to
+ * len, under the "C" LC_NUMERIC, whose decimal point is the grammar's '.'. */
+long draws_values(const char *text, long start, long len, long capacity, double *block)
+{
+    if (c_numeric == (locale_t)0)
+        return -1;
+    locale_t caller = uselocale(c_numeric);
+    long rows = read_rows(text + start, text + len, capacity, block);
+    uselocale(caller);
+    return rows;
 }

@@ -26,10 +26,11 @@ contain no timestamps, so a fixed config and seed reproduce them byte for
 byte. Unavailable cells are written as ``NA``. Each file is written
 atomically through one binary handle: a table as UTF-8 text, a draws file as
 the bytes that ``inference._native()``'s ``draws_text`` leaves in its buffer,
-which the C writer and its Python twin write alike. A draws file in that
-form is read back from its bytes by its inverse, ``draws_values``, in one C
-pass; a file in any other form, or any file when the Python twin runs, is
-decoded and read by np.loadtxt, to the same draws.
+which the C writer and its Python twin write alike under any LC_NUMERIC. A
+draws file in that form is read back in place, from the bytes read, by its
+inverse, ``draws_values``, in one C pass under any LC_NUMERIC; a file in any
+other form, or any file when the Python twin runs, is decoded and read by
+np.loadtxt, to the same draws.
 """
 
 from __future__ import annotations
@@ -384,16 +385,16 @@ def _write_draws(path, chain: Chain):
 
     ``Chain`` holds only finite draws, so no cell needs ``_fmt``'s NA case.
     ``inference._native()``'s ``draws_text``, the C writer or its Python
-    twin, formats the rows in blocks into one buffer, which goes to the file
-    as the writer left it; so no text of the whole chain is held in memory,
-    and a block's working set stays in cache.
+    twin, formats the rows in blocks into one buffer and returns the length
+    it wrote, which goes to the file as the writer left it; so no text of the
+    whole chain is held in memory, and a block's working set stays in cache.
     """
     draws = chain.post_burn_in()
     block = 1024
     draws_text = inference._native().draws_text
     out = bytearray(25 * 3 * block)
     _write_lines(path, PARAMETERS,
-                 (memoryview(out)[:draws_text(draws[start:start + block], out)[0]]
+                 (memoryview(out)[:draws_text(draws[start:start + block], out)]
                   for start in range(0, draws.shape[0], block)))
 
 
@@ -410,36 +411,36 @@ def _load_draws(path) -> Chain:
 
     A file in :func:`_write_draws`'s own form (exactly that header, then
     rows of three ``%.17g`` cells, each row ended by ``\n``) is ASCII, and
-    its bytes are read in one C pass by ``inference._native()``'s
-    ``draws_values``. Any other file, one whose draws ``Chain`` refuses, and
-    every file on the Python twin are decoded by ``read_text`` and go to
-    np.loadtxt, which names the first bad row; both read each cell
-    correctly rounded, so they give the same bits.
+    its bytes are read in place, from the header's end, in one C pass by
+    ``inference._native()``'s ``draws_values``. Any other file, and every
+    file on the Python twin, is decoded by ``read_text`` and goes to
+    np.loadtxt; both read each cell correctly rounded, so they give the same
+    bits. Of a file whose draws ``Chain`` refuses, np.loadtxt, line by line,
+    names the first bad row.
     """
     with open(path, "rb") as handle:
         data = handle.read()
-    body = data.removeprefix(codecs.BOM_UTF8)
-    if body.startswith(_DRAWS_HEADER):
-        draws = inference._native().draws_values(body[len(_DRAWS_HEADER):])
-        if draws is not None:
-            try:
-                return Chain(draws=draws, burn_in=0,
-                             acceptance_counts=np.full(3, draws.shape[0], dtype=int))
-            except ValueError:
-                pass  # no draws, or one outside the support: named below
-    header, *rows = io.StringIO(read_text(path, data), newline=None).readlines() or [""]
-    header = header.rstrip("\n")
-    if [name.strip() for name in header.split(",")] != list(PARAMETERS):
-        raise InputError(f"{path}: malformed draws file: row 1: expected the header "
-                         f"{','.join(PARAMETERS)!r}, got {header!r}")
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    draws = rows = None
+    if data.startswith(_DRAWS_HEADER, start):
+        draws = inference._native().draws_values(data, start + len(_DRAWS_HEADER))
+    if draws is None:
+        header, *rows = io.StringIO(read_text(path, data), newline=None).readlines() or [""]
+        header = header.rstrip("\n")
+        if [name.strip() for name in header.split(",")] != list(PARAMETERS):
+            raise InputError(f"{path}: malformed draws file: row 1: expected the header "
+                             f"{','.join(PARAMETERS)!r}, got {header!r}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # numpy skips empty and comment lines
         try:
-            draws = np.loadtxt(rows, delimiter=",", ndmin=2)
+            if rows is not None:
+                draws = np.loadtxt(rows, delimiter=",", ndmin=2)
             return Chain(draws=draws, burn_in=0,
                          acceptance_counts=np.full(3, draws.shape[0], dtype=int))
         except ValueError:
             pass  # the same parser, line by line, finds the first row at fault
+        if rows is None:  # the C reader took them: ASCII lines, each ended by '\n'
+            rows = data[start + len(_DRAWS_HEADER):].decode().splitlines()
         for row, line in enumerate(rows, start=2):
             try:
                 values = np.loadtxt([line], delimiter=",", ndmin=2)

@@ -469,22 +469,22 @@ _NATIVE_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 def _python_draws_text(rows, out):
     """``draws_text`` of ``_native.c`` in Python's ``"%.17g" %``, its
-    specification: the same text, with every cell counted as a fallback."""
+    specification: the same text."""
     text = (("%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist())).encode()
     out[:len(text)] = text
-    return len(text), rows.size
+    return len(text)
 
 
-def _python_draws_values(body):
+def _python_draws_values(data, start=0):
     """``draws_values`` of ``_native.c`` not taken: the caller reads the
     draws as it reads a file in any other form."""
     return None
 
 
 # sweep runs as _python_sweep does; draws_text(rows, out) writes the %.17g text of
-# an (n, 3) block into the bytearray out, giving its length and fallback count;
-# draws_values(body) reads that text, as bytes, back into an (n, 3) block, or
-# gives None for any other text. _PYTHON, the triple that runs when the library
+# an (n, 3) block into the bytearray out, giving its length; draws_values(data,
+# start) reads that text, the bytes data from start on, back into an (n, 3) block,
+# or gives None for any other text. _PYTHON, the triple that runs when the library
 # cannot be built, writes the same text and leaves every text to the caller.
 _Native = collections.namedtuple("_Native", ("sweep", "draws_text", "draws_values"))
 _PYTHON = _Native(_python_sweep, _python_draws_text, _python_draws_values)
@@ -569,10 +569,9 @@ def _ctypes_native(path):
     lib.mwg_sweep.restype = None
     lib.mwg_sweep.argtypes = (ctypes.c_long, *[ctypes.c_void_p] * 15, *[ctypes.c_double] * 4)
     lib.draws_text.restype = ctypes.c_long
-    lib.draws_text.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_char_p,
-                               ctypes.POINTER(ctypes.c_long))
+    lib.draws_text.argtypes = (ctypes.c_long, ctypes.c_void_p, ctypes.c_char_p)
     lib.draws_values.restype = ctypes.c_long
-    lib.draws_values.argtypes = (ctypes.c_char_p, ctypes.c_long, ctypes.c_long, ctypes.c_void_p)
+    lib.draws_values.argtypes = (ctypes.c_char_p, *[ctypes.c_long] * 3, ctypes.c_void_p)
 
     # the C code trusts these shapes: a wrong one would read or write out of bounds
     def sweep(n_draws, streams, draws, state, tally, *constants):
@@ -593,17 +592,18 @@ def _ctypes_native(path):
                 and isinstance(out, bytearray) and len(out) >= 25 * rows.size):
             raise ValueError("draws_text needs a C-contiguous float64 (n, 3) block and "
                              "a bytearray of 25 bytes per cell")
-        fallbacks = ctypes.c_long()
         length = lib.draws_text(len(rows), rows.ctypes.data,
-                                (ctypes.c_char * len(out)).from_buffer(out), fallbacks)
-        return length, fallbacks.value
+                                (ctypes.c_char * len(out)).from_buffer(out))
+        if length < 0:
+            raise RuntimeError("the C draws writer has no C numeric locale")
+        return length
 
-    def draws_values(body):
-        if not isinstance(body, bytes):
-            raise ValueError("draws_values needs bytes")
+    def draws_values(data, start=0):
+        if not (isinstance(data, bytes) and 0 <= start <= len(data)):
+            raise ValueError("draws_values needs bytes and an offset into them")
         # a text of n newlines holds at most n + 1 rows, the last one unended
-        block = np.empty((body.count(b"\n") + 1, 3))
-        rows = lib.draws_values(body, len(body), len(block), block.ctypes.data)
+        block = np.empty((data.count(b"\n", start) + 1, 3))
+        rows = lib.draws_values(data, start, len(data), len(block), block.ctypes.data)
         return None if rows < 0 else block[:rows]
 
     return _Native(sweep, draws_text, draws_values)

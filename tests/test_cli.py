@@ -305,35 +305,32 @@ def test_draws_file_format_and_round_trip(tmp_path, make_draws, route):
 
 def _assert_draws_text_exact(values, native):
     """``native.draws_text`` of ``values``, three to a row, is ``%.17g`` of
-    every cell; returns its fallback count."""
+    every cell."""
     rows = np.asarray(values, dtype=float).reshape(-1, 3)
     out = bytearray(25 * rows.size)
-    length, fallbacks = native.draws_text(rows, out)
-    text = out[:length].decode("ascii")
+    text = out[:native.draws_text(rows, out)].decode("ascii")
     expected = ("%.17g,%.17g,%.17g\n" * rows.shape[0]) % tuple(rows.ravel().tolist())
     if text != expected:
         wrong = [(got, want) for got, want in zip(text.split("\n"), expected.split("\n"))
                  if got != want]
         pytest.fail(f"{native.draws_text.__name__}: {len(wrong)} rows differ from %.17g, "
                     f"first {wrong[:3]}")
-    return fallbacks
 
 
 def _assert_exact_on_the_c_route(values):
-    """``_assert_draws_text_exact`` on the C writer; returns its fallback count."""
+    """``_assert_draws_text_exact`` on the C writer."""
     from quanto_bayes import inference
 
     native = inference._native()
     assert native is not inference._PYTHON
-    return _assert_draws_text_exact(values, native)
+    _assert_draws_text_exact(values, native)
 
 
 def _assert_exact_on_the_percent_route(values):
-    """``_assert_draws_text_exact`` on the Python twin, where every cell
-    counts as a fallback."""
+    """``_assert_draws_text_exact`` on the Python twin."""
     from quanto_bayes import inference
 
-    assert _assert_draws_text_exact(values, inference._PYTHON) == np.size(values)
+    _assert_draws_text_exact(values, inference._PYTHON)
 
 
 def _with_both_signs(values):
@@ -380,15 +377,13 @@ _FINITE_FLOAT_ROWS = st.lists(st.one_of(st.floats(allow_nan=False, allow_infinit
 
 
 def test_draws_text_matches_percent_format_on_log_uniform_values():
-    values = _log_uniform_values()
-    # four of the seven decades take the bulk path
-    assert 0.35 * values.size < _assert_exact_on_the_c_route(values) < 0.5 * values.size
+    _assert_exact_on_the_c_route(_log_uniform_values())
 
 
 def test_draws_text_rounds_exact_decimal_ties_to_even():
     assert "%.17g" % (26215 / 2 ** 18) == "0.10000228881835938"
-    assert _assert_exact_on_the_c_route([26215 / 2 ** 18, 0.5, 0.5]) == 0
-    assert _assert_exact_on_the_c_route(_decimal_ties()) == 0
+    _assert_exact_on_the_c_route([26215 / 2 ** 18, 0.5, 0.5])
+    _assert_exact_on_the_c_route(_decimal_ties())
 
 
 def test_draws_text_near_powers_of_ten():
@@ -396,7 +391,7 @@ def test_draws_text_near_powers_of_ten():
 
 
 def test_draws_text_fallback_values():
-    assert _assert_exact_on_the_c_route(_FALLBACK_VALUES) == len(_FALLBACK_VALUES)
+    _assert_exact_on_the_c_route(_FALLBACK_VALUES)
 
 
 @PROPERTY
@@ -425,10 +420,9 @@ def test_draws_text_percent_route_on_finite_floats(values):
 
 
 def test_draws_text_formats_fixture_chains_in_bulk():
-    """Every cell of a tnn chain and an mnc chain on the fixtures with
-    1e-4 <= |v| < 1 takes the bulk path, so a lost fast path fails here rather
-    than only slowing down. The conjugate chain draws a few |rho| < 1e-4,
-    which the fallback formats."""
+    """A tnn chain and an mnc chain on the fixtures, whose cells lie mostly
+    in 1e-4 <= |v| < 1, where the C writer formats exactly. The conjugate
+    chain draws a few |rho| < 1e-4, which libc formats."""
     from quanto_bayes.inference import (NiwHyperparams, conjugate_sample, default_proposals,
                                         mle_estimate, mwg_sample)
 
@@ -436,31 +430,24 @@ def test_draws_text_formats_fixture_chains_in_bulk():
     tnn = mwg_sample(panel, default_proposals("tnn", panel), 3000, 500,
                      init=mle_estimate(panel), seed=140)
     mnc = conjugate_sample(panel, NiwHyperparams(), 2500, seed=140)
-    assert _assert_exact_on_the_c_route(tnn.post_burn_in()) == 0
-    magnitudes = np.abs(mnc.post_burn_in())
-    outside = np.count_nonzero((magnitudes < 1e-4) | (magnitudes >= 1.0))
-    assert outside <= 5 and _assert_exact_on_the_c_route(mnc.post_burn_in()) == outside
+    _assert_exact_on_the_c_route(tnn.post_burn_in())
+    _assert_exact_on_the_c_route(mnc.post_burn_in())
 
 
 @pytest.mark.parametrize("route", ["c", "percent"], indirect=True)
 def test_draws_text_copies_repeated_cells_exactly(route):
     """The C writer copies the text of a cell whose bits equal those of the
     cell above it. Runs of repeated rows, offset from column to column, of
-    exact and fallback values, NaN, and 0.0 and -0.0 each directly below the
-    other: equal values whose texts differ must not be copied, and a copy
-    counts as a fallback when the cell it copies did."""
+    exact and libc values, NaN, and 0.0 and -0.0 each directly below the
+    other: equal values whose texts differ must not be copied."""
     from quanto_bayes import inference
 
     runs = np.repeat([0.12345678901234567, -0.0031415926535897933, 0.0, 5e-324, 7.25, 1e-300,
                       math.nan, -0.0, 0.0, -0.0], 4)
     rows = np.column_stack([runs, np.roll(runs, 1), np.roll(runs, 2)])
-    # two exact values of ten in each column, or every cell on Python's %
-    expected = 3 * 8 * 4 if route == "c" else rows.size
-    assert _assert_draws_text_exact(rows, inference._native()) == expected
+    _assert_draws_text_exact(rows, inference._native())
     # a whole block of one repeated row, signed zeros included
-    rows = np.tile([[-0.0, 0.5, 1e-300]], (50, 1))
-    assert _assert_draws_text_exact(rows, inference._native()) == (
-        100 if route == "c" else rows.size)
+    _assert_draws_text_exact(np.tile([[-0.0, 0.5, 1e-300]], (50, 1)), inference._native())
 
 
 # A draws file in the writer's form is read by the native library's C reader,
@@ -513,7 +500,7 @@ def test_draws_values_reads_the_writers_text_as_float_does(values):
     assert native is not inference._PYTHON
     rows = np.asarray(values[:len(values) // 3 * 3], dtype=float).reshape(-1, 3)
     out = bytearray(25 * rows.size)
-    text = bytes(out[:native.draws_text(rows, out)[0]])
+    text = bytes(out[:native.draws_text(rows, out)])
     cells = text.decode("ascii").replace("\n", ",").split(",")[:-1]
     expected = np.array([float(cell) for cell in cells]).reshape(-1, 3)
     assert native.draws_values(text).tobytes() == expected.tobytes()
@@ -588,10 +575,10 @@ def _comma_decimal_point(tmp_path, monkeypatch):
         locale.setlocale(locale.LC_NUMERIC, old)
 
 
-def test_draws_values_refuses_a_file_under_a_comma_decimal_point(tmp_path, monkeypatch):
-    """Under an LC_NUMERIC whose decimal point is ',', strtod stops at a
-    cell's '.', so the C reader refuses the file and np.loadtxt, which no
-    locale moves, reads it."""
+def test_draws_values_reads_a_file_under_a_comma_decimal_point(tmp_path, monkeypatch):
+    """The C reader runs under the "C" LC_NUMERIC, so under one whose
+    decimal point is ',' it still takes the writer's form, and the file
+    never goes to np.loadtxt."""
     from quanto_bayes import inference
     from quanto_bayes.cli import _load_draws
 
@@ -599,11 +586,16 @@ def test_draws_values_refuses_a_file_under_a_comma_decimal_point(tmp_path, monke
     assert native is not inference._PYTHON
     path = tmp_path / "draws.csv"
     path.write_text("sigma_x,sigma_h,rho\n0.5,0.25,-0.125\n0.5,0.25,1e-05\n3,2,0\n")
-    expected = _load_draws(str(path)).draws
+    expected = _load_draws(str(path)).draws.tobytes()
+
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt read a file in the writer's form")
+
     with _comma_decimal_point(tmp_path, monkeypatch):
-        assert native.draws_values(b"0.5,0.25,-0.125\n") is None
-        assert native.draws_values(b"3,2,0\n") is None
-        assert np.array_equal(_load_draws(str(path)).draws, expected)
+        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+        assert native.draws_values(b"0.5,0.25,-0.125\n").tolist() == [[0.5, 0.25, -0.125]]
+        assert native.draws_values(b"3,2,0\n").tolist() == [[3.0, 2.0, 0.0]]
+        assert _load_draws(str(path)).draws.tobytes() == expected
 
 
 def test_draws_text_is_the_same_under_a_comma_decimal_point(tmp_path, monkeypatch):
@@ -622,6 +614,44 @@ def test_draws_text_is_the_same_under_a_comma_decimal_point(tmp_path, monkeypatc
         _write_draws(str(tmp_path / "comma.csv"), chain)
         assert _load_draws(str(tmp_path / "comma.csv")).draws.tobytes() == rows.tobytes()
     assert (tmp_path / "comma.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+
+
+def test_outputs_are_the_same_on_both_routes_and_under_a_comma_decimal_point(tmp_path,
+                                                                            monkeypatch):
+    """estimate, static and sequential price from its ttn draws file, and
+    diagnose write every file byte for byte alike on the C route, on the
+    Python twins and on the C route under a comma LC_NUMERIC; only the
+    manifests' out_dir and draws lines, which name each run's directory,
+    differ."""
+    from quanto_bayes import inference
+
+    native = inference._native()
+    assert native is not inference._PYTHON
+    cfg_path = make_workspace(tmp_path, windows=140, families="ttn, mnc, mle", draws=400,
+                              burn_in=100, n_paths=200)
+
+    def outputs(run):
+        out = str(tmp_path / "runs" / run)
+        draws = os.path.join(out, "est", "draws_ttn.csv")
+        for argv in (["estimate", "--out", os.path.join(out, "est")],
+                     *[["price", "--draws", draws, "--mode", mode, "--out", os.path.join(out, mode)]
+                       for mode in ("static", "sequential")],
+                     ["diagnose", "--draws", draws, "--out", os.path.join(out, "diagnose")]):
+            assert main([*argv, "--config", cfg_path]) == 0, (run, argv)
+        files = {os.path.relpath(path, out): pathlib.Path(path).read_bytes()
+                 for path in _files_under(out)}
+        for name in files:
+            if os.path.basename(name) == "manifest.txt":
+                files[name] = files[name].replace(out.encode(), b"<out>")
+        return files
+
+    reference = outputs("c")
+    assert len(reference) == 14
+    monkeypatch.setattr(inference, "_native", lambda: inference._PYTHON)
+    assert outputs("python") == reference
+    monkeypatch.setattr(inference, "_native", lambda: native)
+    with _comma_decimal_point(tmp_path, monkeypatch):
+        assert outputs("comma") == reference
 
 
 @pytest.mark.parametrize("command", ["estimate", "experiment"])

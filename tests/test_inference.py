@@ -735,6 +735,19 @@ def test_a_compiled_reader_that_differs_from_float_is_not_kept(tmp_path, monkeyp
     assert moved == [] and os.listdir(tmp_path) == []
 
 
+def test_a_library_without_the_c_numeric_locale_is_not_kept(tmp_path, monkeypatch):
+    with open(inference._NATIVE_SOURCE, "rb") as f:
+        source = f.read()
+    mutant = source.replace(b'newlocale(LC_NUMERIC_MASK, "C", (locale_t)0)', b"(locale_t)0")
+    assert mutant != source
+    moved = []
+    monkeypatch.setattr(os, "replace", lambda src, dst: moved.append(dst))
+    # the writer raises rather than write text in the process locale
+    with pytest.raises(RuntimeError, match="no C numeric locale"):
+        inference._load_native(str(tmp_path), mutant)
+    assert moved == [] and os.listdir(tmp_path) == []
+
+
 def test_the_reader_self_check_needs_the_round_trip_and_every_refusal(native_library):
     reader = native_library.draws_values
     assert _native_check.reads_as_python(reader)
@@ -762,10 +775,20 @@ def test_the_c_draws_values_takes_only_bytes(native_library):
             native_library.draws_values(bad)
 
 
+def test_the_c_draws_values_reads_from_its_offset_into_the_bytes(native_library):
+    data = b"sigma_x,sigma_h,rho\n0.5,0.25,-1e-05\n"
+    assert native_library.draws_values(data, 20).tolist() == [[0.5, 0.25, -1e-05]]
+    assert native_library.draws_values(data, len(data)).shape == (0, 3)
+    assert native_library.draws_values(data, 19) is None
+    for bad in (-1, len(data) + 1):
+        with pytest.raises(ValueError, match="an offset into them"):
+            native_library.draws_values(data, bad)
+
+
 def test_the_c_draws_text_refuses_blocks_it_would_overrun(native_library):
     rows = np.full((4, 3), 0.5)
     out = bytearray(25 * rows.size)
-    assert native_library.draws_text(rows, out) == (48, 0)
+    assert native_library.draws_text(rows, out) == 48
     assert out[:48] == b"0.5,0.5,0.5\n" * 4
     for bad_rows, size in ((np.full((4, 6), 0.5)[:, ::2], 300), (rows.astype(np.float32), 300),
                            (rows.ravel(), 300), (rows, 299), (np.full((4, 2), 0.5), 300),
